@@ -140,7 +140,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta0", type=float, default=3.0)
     p.add_argument("--seed-point", default="1.7")
     common(p)
+    parser.subcommands = sub.choices
     return parser
+
+
+def _config_defaults(subparser: argparse.ArgumentParser, config: dict) -> dict:
+    """Config values for the subcommand's options, converted with each
+    option's own type; keys naming no option of the subcommand are ignored."""
+    out = {}
+    for action in subparser._actions:
+        names = {action.dest} | {o.lstrip("-").replace("-", "_") for o in action.option_strings}
+        key = next((k for k in config if k in names), None)
+        if key is None or action.dest == "help":
+            continue
+        value = config[key]
+        if action.nargs == 0:  # a flag
+            if value not in ("true", "false"):
+                raise BudgetError(f"config {key}: flags take true or false, not {value!r}")
+            out[action.dest] = value == "true"
+            continue
+        try:
+            out[action.dest] = action.type(value) if action.type else value
+        except ValueError:
+            raise BudgetError(f"config {key}: {value!r} is not a valid value") from None
+        if action.choices is not None and out[action.dest] not in action.choices:
+            raise BudgetError(f"config {key}: {value!r} is not one of {list(action.choices)}")
+    return out
 
 
 def main(argv=None) -> int:
@@ -149,10 +174,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-        for key, value in config.items():
-            if hasattr(args, key) and parser.get_default(key) == getattr(args, key):
-                setattr(args, key, type(getattr(args, key))(value)
-                        if getattr(args, key) is not None else value)
+        if config:
+            subparser = parser.subcommands[args.command]
+            # config values become the subcommand's defaults, so explicit flags win
+            subparser.set_defaults(**_config_defaults(subparser, config))
+            args = parser.parse_args(argv)
         handler = _HANDLERS[args.command]
         return handler(args)
     except BudgetError as exc:

@@ -190,15 +190,13 @@ def map_action(x: BlowupSurface, f_star: Sequence[Sequence[int]],
 def _spectral_data(pull: list, cp: list) -> tuple:
     # deflate the exact integer roots first; numeric root-finding on the
     # remainder avoids the ill-conditioning of multiple roots
-    from math import gcd
+    from math import lcm
 
     from spectral_renorm.exact import poly_deflate
 
     int_roots = integer_roots(cp)
-    lcm = 1
-    for c in cp:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    rest = [int(c * lcm) for c in cp]
+    den = lcm(*(c.denominator for c in cp))
+    rest = [int(c * den) for c in cp]
     for r in int_roots:
         rest = poly_deflate(rest, r)
     numeric_max = 0.0

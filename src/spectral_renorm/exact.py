@@ -8,7 +8,7 @@ keeps intermediate entries at minor size instead of exploding.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 FracMatrix = list  # list[list[Fraction]]
@@ -81,12 +81,9 @@ def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     scale = Fraction(1)
     int_rows = []
     for row in matrix:
-        lcm = 1
-        for x in row:
-            d = Fraction(x).denominator
-            lcm = lcm * d // gcd(lcm, d)
-        scale *= lcm
-        int_rows.append([int(Fraction(x) * lcm) for x in row])
+        den = lcm(*(Fraction(x).denominator for x in row))
+        scale *= den
+        int_rows.append([int(Fraction(x) * den) for x in row])
     return Fraction(bareiss_det_int(int_rows), 1) / scale
 
 
@@ -152,14 +149,9 @@ def rational_kernel(a: FracMatrix) -> list:
 
 
 def primitive_int_vector(vec: Sequence[Fraction]) -> list:
-    lcm = 1
-    for x in vec:
-        d = Fraction(x).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(Fraction(x) * lcm) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    den = lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(Fraction(x) * den) for x in vec]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     lead = next((v for v in ints if v != 0), 0)
@@ -193,11 +185,8 @@ def eval_poly(coeffs: Sequence[Fraction], x):
 
 def integer_roots(coeffs: Sequence[Fraction]) -> list:
     """All integer roots (with multiplicity) of a rational polynomial."""
-    lcm = 1
-    for c in coeffs:
-        d = Fraction(c).denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(Fraction(c) * lcm) for c in coeffs]
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(Fraction(c) * den) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()
     if not ints:

@@ -212,16 +212,6 @@ def generator_matrix(group: GroupSpec, word: str | Sequence, n: int):
     return len(action.perm), list(action.perm)
 
 
-def matrix_dense(group: GroupSpec, word: str | Sequence, n: int):
-    """Dense numpy permutation matrix of a word (float64)."""
-    import numpy as np
-
-    size, rows = generator_matrix(group, word, n)
-    m = np.zeros((size, size))
-    m[rows, np.arange(size)] = 1.0
-    return m
-
-
 def schreier_graph(group: GroupSpec, generating_set: Sequence, n: int) -> list:
     """Edge multiset {(v, s.v, label)} on the d^n level-n vertices.
 

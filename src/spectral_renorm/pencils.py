@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from spectral_renorm import groups
 from spectral_renorm.exact import det_exact, solve_exact, mat_mul, mat_sub
 from spectral_renorm.groups import GroupSpec, build_group, level_action
 from spectral_renorm.ratmaps.poly import MultiPoly
@@ -31,8 +30,8 @@ from spectral_renorm.ratmaps.poly import MultiPoly
 __all__ = [
     "PencilScheme",
     "builtin_scheme",
+    "pencil_terms",
     "assemble",
-    "assemble_symbolic",
     "det_exact",
     "det_symbolic",
     "schur_complement",
@@ -50,7 +49,9 @@ class PencilScheme:
     three-peg tower pencil only.  ``factors`` is a list of
     (Q_i, multiplier m_i, offset p_i); ``seed`` is the closed-form determinant
     at ``seed_level``; ``min_level`` is the smallest n for which the recursion
-    step n -> n-1 is valid; ``sign`` gives s_n.
+    step n -> n-1 is valid; ``max_level`` is the largest n that
+    ``verify_recursion`` accepts (its exact-determinant budget); ``sign``
+    gives s_n.
     """
 
     name: str
@@ -97,6 +98,7 @@ def builtin_scheme(name: str) -> PencilScheme:
             seed=_p2({(0, 0): 2, (1, 0): -1, (0, 1): -1}),
             seed_level=0,
             min_level=2,
+            max_level=7,
             sign=_grigorchuk_sign,
         )
     if name == "lamplighter":
@@ -113,6 +115,7 @@ def builtin_scheme(name: str) -> PencilScheme:
             seed=_p2({(0, 0): 4, (1, 0): -1, (0, 1): -1}),
             seed_level=0,
             min_level=1,
+            max_level=7,
         )
     if name == "hanoi":
         # M = a + b + c - lam + (mu - 1) A, branching 3, two factors:
@@ -135,6 +138,7 @@ def builtin_scheme(name: str) -> PencilScheme:
             * _p2({(1, 0): -1, (0, 0): 1, (0, 1): -1}) ** 2,
             seed_level=1,
             min_level=2,
+            max_level=5,
         )
     raise ValueError(f"unknown pencil '{name}'")
 
@@ -145,82 +149,51 @@ def _grigorchuk_sign(n: int) -> int:
     return -1 if n == 2 else 1
 
 
-def _word_matrix_entries(scheme: PencilScheme, word: str, n: int):
-    action = level_action(scheme.group, word, n)
-    return action.perm
+def pencil_terms(scheme: PencilScheme, n: int) -> list:
+    """The level-n pencil as ``(a, b, c, rows)`` terms.
 
-
-def assemble(scheme: PencilScheme, n: int, lam, mu) -> list:
-    """Exact rational matrix of the pencil at level n and point (lam, mu)."""
+    Each term stands for the matrix ``(a + b*lam + c*mu) * P`` with
+    ``P[rows[v], v] = 1``.  The generator words of ``c0``/``clam``/``cmu``
+    come first, merged per word; then come the d - 1 cyclic shifts of the
+    first letter, whose sum is the coupling operator.  Every instantiation
+    (exact, symbolic, float) sums these terms.
+    """
     if n < 0:
         raise ValueError("level must be non-negative")
     if scheme.has_coupling() and n < 1:
         raise ValueError("the coupled pencil needs at least one letter (n >= 1)")
-    lam = Fraction(lam)
-    mu = Fraction(mu)
-    d = scheme.d
-    size = d ** n
-    m = [[Fraction(0)] * size for _ in range(size)]
-
-    def add_words(words: dict, weight: Fraction):
-        if not weight:
-            return
-        for word, coeff in words.items():
-            c = coeff * weight
-            if not c:
-                continue
-            perm = _word_matrix_entries(scheme, word, n)
-            for v, w in enumerate(perm):
-                m[w][v] += c
-
-    add_words(scheme.c0, Fraction(1))
-    add_words(scheme.clam, lam)
-    add_words(scheme.cmu, mu)
-
-    coupling = scheme.coupling_c0 + mu * scheme.coupling_cmu
-    if coupling:
-        block = d ** (n - 1)
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    for w in range(block):
-                        m[i * block + w][j * block + w] += coupling
-    return m
+    coeffs: dict = {}
+    for k, words in enumerate((scheme.c0, scheme.clam, scheme.cmu)):
+        for word, c in words.items():
+            coeffs.setdefault(word, [Fraction(0)] * 3)[k] += c
+    terms = [(a, b, c, level_action(scheme.group, word, n).perm)
+             for word, (a, b, c) in coeffs.items() if a or b or c]
+    if scheme.has_coupling():
+        size = scheme.d ** n
+        block = size // scheme.d
+        for shift in range(1, scheme.d):
+            rows = tuple((v + shift * block) % size for v in range(size))
+            terms.append((scheme.coupling_c0, Fraction(0), scheme.coupling_cmu, rows))
+    return terms
 
 
-def assemble_symbolic(scheme: PencilScheme, n: int) -> list:
-    """Matrix of the pencil with entries in Q[lam, mu] (small levels only)."""
-    if scheme.has_coupling() and n < 1:
-        raise ValueError("the coupled pencil needs at least one letter (n >= 1)")
-    d = scheme.d
-    size = d ** n
-    zero = MultiPoly.zero(2)
-    lam = MultiPoly.variable(2, 0)
-    mu = MultiPoly.variable(2, 1)
+def assemble(scheme: PencilScheme, n: int, lam, mu) -> list:
+    """Matrix of the pencil at level n and point (lam, mu).
+
+    Rational points give exact ``Fraction`` entries; ``MultiPoly`` variables
+    give entries in Q[lam, mu] (small levels only).
+    """
+    terms = pencil_terms(scheme, n)
+    lam, mu = (x if isinstance(x, MultiPoly) else Fraction(x) for x in (lam, mu))
+    size = scheme.d ** n
+    zero = 0 * (lam + mu)  # Fraction(0), or the zero polynomial
     m = [[zero] * size for _ in range(size)]
-
-    def add_words(words: dict, weight: MultiPoly):
-        if weight.is_zero():
-            return
-        for word, coeff in words.items():
-            if not coeff:
-                continue
-            perm = _word_matrix_entries(scheme, word, n)
-            for v, w in enumerate(perm):
-                m[w][v] = m[w][v] + weight * coeff
-
-    add_words(scheme.c0, MultiPoly.constant(2, 1))
-    add_words(scheme.clam, lam)
-    add_words(scheme.cmu, mu)
-
-    coupling = MultiPoly.constant(2, scheme.coupling_c0) + mu * scheme.coupling_cmu
-    if not coupling.is_zero():
-        block = d ** (n - 1)
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    for w in range(block):
-                        m[i * block + w][j * block + w] = m[i * block + w][j * block + w] + coupling
+    for a, b, c, rows in terms:
+        coeff = a + b * lam + c * mu
+        if not coeff:
+            continue
+        for v, w in enumerate(rows):
+            m[w][v] += coeff
     return m
 
 
@@ -290,6 +263,9 @@ def verify_recursion(scheme: PencilScheme, n: int, samples: int = 20, seed: int 
     """
     if n < scheme.min_level:
         raise ValueError(f"recursion for '{scheme.name}' starts at level {scheme.min_level}")
+    if n > scheme.max_level:
+        raise ValueError(f"level {n} exceeds the exact budget {scheme.max_level} "
+                         f"for '{scheme.name}'")
     rng = random.Random(seed)
     rmap = _renormalization_map(scheme)
     d = scheme.d

@@ -26,14 +26,8 @@ def compose_along_line(map_: RationalMapP2, line: Sequence, iterations: int) -> 
     composition the gcd of the three binary forms is cancelled, so the k-th
     reported degree is deg(F^k) for a generic line.
     """
-    forms = [BinaryForm([int(a), int(b)]) for a, b in line]
-    if all(f.is_zero() for f in forms):
-        raise ValueError("degenerate line")
-    degrees = []
-    for _ in range(iterations):
-        forms = _reduced_step(map_, forms)
-        degrees.append(max(f.degree for f in forms if not f.is_zero()))
-    return degrees
+    return [max(f.degree for f in forms if not f.is_zero())
+            for forms in iterate_line_forms(map_, line, iterations)]
 
 
 def _joint_primitive(forms: list) -> list:
@@ -70,8 +64,11 @@ def line_forms_eval(forms: Sequence[BinaryForm], s, t):
 
 
 def iterate_line_forms(map_: RationalMapP2, line: Sequence, iterations: int) -> list:
-    """Like ``compose_along_line`` but returning the reduced form triples."""
+    """The reduced form triples of the iterates along a line (see
+    ``compose_along_line``)."""
     forms = [BinaryForm([int(a), int(b)]) for a, b in line]
+    if all(f.is_zero() for f in forms):
+        raise ValueError("degenerate line")
     out = []
     for _ in range(iterations):
         forms = _reduced_step(map_, forms)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from spectral_renorm.ratmaps.poly import BinaryForm, MultiPoly, binary_forms_gcd
@@ -57,20 +57,14 @@ class RationalMapP2:
         Raises ``IndeterminacyError`` when the point is indeterminate.
         """
         pt = [Fraction(x) for x in point]
-        lcm = 1
-        for x in pt:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        ints = [int(x * lcm) for x in pt]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
+        den = lcm(*(x.denominator for x in pt))
+        ints = [int(x * den) for x in pt]
+        g = gcd(*ints)
         if g == 0:
             raise ValueError("zero vector is not a projective point")
         ints = [v // g for v in ints]
         image = [int(c.eval(ints)) for c in self.components]
-        g = 0
-        for v in image:
-            g = gcd(g, abs(v))
+        g = gcd(*image)
         if g == 0:
             raise IndeterminacyError(f"{self.name} is indeterminate at {tuple(ints)}")
         image = [v // g for v in image]
@@ -161,15 +155,9 @@ def _line_rank(line) -> int:
 def _normalize_triple(comps) -> tuple:
     """Clear denominators and remove the joint content, preserving the
     coefficient ratios between components."""
-    lcm = 1
-    for c in comps:
-        d = c.denominator_lcm()
-        lcm = lcm * d // gcd(lcm, d)
-    out = [c * lcm for c in comps]
-    g = 0
-    for c in out:
-        for v in c.terms.values():
-            g = gcd(g, abs(int(v)))
+    den = lcm(*(c.denominator_lcm() for c in comps))
+    out = [c * den for c in comps]
+    g = gcd(*(int(v) for c in out for v in c.terms.values()))
     if g > 1:
         out = [c * Fraction(1, g) for c in out]
     return tuple(out)

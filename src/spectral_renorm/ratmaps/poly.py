@@ -13,7 +13,7 @@ common factors of iterated map compositions along a line.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 
@@ -208,22 +208,14 @@ class MultiPoly:
     # -- integer normalization ----------------------------------------------
 
     def denominator_lcm(self) -> int:
-        lcm = 1
-        for c in self.terms.values():
-            d = c.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        return lcm
+        return lcm(*(c.denominator for c in self.terms.values()))
 
     def content(self) -> Fraction:
         """Positive rational content; sign carried by the terms."""
         if not self.terms:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(gcd(*(c.numerator for c in self.terms.values())),
+                        lcm(*(c.denominator for c in self.terms.values())))
 
     def primitive(self) -> "MultiPoly":
         """Scale to coprime integer coefficients, leading coefficient > 0

@@ -1,12 +1,16 @@
 """Eigenvalue measures of sliced pencils and their limit laws.
 
 The density of states at level n is the normalized eigenvalue-counting
-measure of the level-n operator on d^n vertices; the builtin slices are
+measure of the level-n operator on d^n vertices.  The slices are points of
+the pencils defined in ``pencils.builtin_scheme``: the pencil is evaluated
+with its spectral variable at 0 (that variable enters every builtin pencil
+as -identity), which gives
 
-- grigorchuk:  eigenvalues mu of a + b + c + d - 1 (the pencil on the line
-  lam = -1), pushed through x = (mu + 1) / 4;
-- lamplighter: eigenvalues lam of a + a^-1 + b + b^-1 (line mu = 0);
-- hanoi:       eigenvalues lam of a + b + c (line mu = 1).
+- grigorchuk:  eigenvalues mu of a + b + c + d - 1, the pencil at
+  (grig_slice, 0) with grig_slice = -1 by default, pushed through
+  x = (mu + 1) / 4;
+- lamplighter: eigenvalues lam of a + a^-1 + b + b^-1, the pencil at (0, 0);
+- hanoi:       eigenvalues lam of a + b + c, the pencil at (0, 1).
 
 The grigorchuk limit law is the slice of an explicit family of hyperbolas
 weighted by the Chebyshev equilibrium measure; it has a closed-form CDF.
@@ -16,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from spectral_renorm import groups
-from spectral_renorm.groups import build_group, level_action
+from spectral_renorm.pencils import builtin_scheme, pencil_terms
 
 DOS_BUDGET = {"grigorchuk": 12, "lamplighter": 12, "hanoi": 7}
 
@@ -69,15 +73,6 @@ class Measure1D:
     def __len__(self):
         return len(self.points)
 
-    def cdf(self, x: float) -> float:
-        total = 0.0
-        for p, w in zip(self.points, self.weights):
-            if p <= x:
-                total += w
-            else:
-                break
-        return total
-
     def cdf_array(self, xs: np.ndarray) -> np.ndarray:
         pts = np.asarray(self.points)
         cum = np.cumsum(self.weights)
@@ -120,36 +115,37 @@ def sym_eigenvalues(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return vals
 
 
+def slice_point(group_tag: str, grig_slice: float = -1.0) -> tuple:
+    """Point (lam, mu) at which ``slice_matrix`` evaluates the group's pencil."""
+    if group_tag == "grigorchuk":
+        if not math.isfinite(grig_slice):
+            raise ValueError(f"grig_slice must be finite, not {grig_slice}")
+        return (grig_slice, 0.0)
+    if group_tag == "lamplighter":
+        return (0.0, 0.0)
+    if group_tag == "hanoi":
+        return (0.0, 1.0)
+    raise ValueError(f"unknown group tag '{group_tag}'")
+
+
 def slice_matrix(group_tag: str, n: int, grig_slice: float = -1.0) -> np.ndarray:
     """Dense symmetric matrix of the sliced pencil at level n.
 
-    Permutation summands are accumulated in place (one 2^n x 2^n allocation
-    total; level 12 is ~130 MB, which is the budget boundary).
+    This is the float instantiation of ``pencils.pencil_terms`` at
+    ``slice_point``, where the spectral variable is 0.  Permutation terms are
+    accumulated in place (one d^n x d^n allocation total; level 12 is
+    ~130 MB, which is the budget boundary).
     """
-
-    def accumulate(group, words_coeffs, size, diag=0.0):
-        m = np.zeros((size, size))
-        cols = np.arange(size)
-        for word, coeff in words_coeffs:
-            rows = np.asarray(level_action(group, word, n).perm)
-            np.add.at(m, (rows, cols), coeff)
-        if diag:
-            m[cols, cols] += diag
-        return m
-
-    if group_tag == "grigorchuk":
-        g = build_group("grigorchuk")
-        words = [("a", -float(grig_slice)), ("b", 1.0), ("c", 1.0), ("d", 1.0)]
-        return accumulate(g, words, 2 ** n, diag=-1.0)
-    if group_tag == "lamplighter":
-        g = build_group("lamplighter")
-        words = [("a", 1.0), ("a'", 1.0), ("b", 1.0), ("b'", 1.0)]
-        return accumulate(g, words, 2 ** n)
-    if group_tag == "hanoi":
-        g = build_group("hanoi")
-        words = [("a", 1.0), ("b", 1.0), ("c", 1.0)]
-        return accumulate(g, words, 3 ** n)
-    raise ValueError(f"unknown group tag '{group_tag}'")
+    lam, mu = (Fraction(x) for x in slice_point(group_tag, grig_slice))
+    scheme = builtin_scheme(group_tag)
+    size = scheme.d ** n
+    m = np.zeros((size, size))
+    cols = np.arange(size)
+    for a, b, c, rows in pencil_terms(scheme, n):
+        coeff = a + b * lam + c * mu  # exact, so each term is rounded once
+        if coeff:
+            np.add.at(m, (np.asarray(rows), cols), float(coeff))
+    return m
 
 
 @lru_cache(maxsize=64)

@@ -93,6 +93,49 @@ def test_config_file_provides_defaults(tmp_path):
     assert (tmp_path / "spectrum_hanoi_n2.csv").exists()
 
 
+def test_config_values_reach_the_subcommand(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 2\n")
+    for out, flags, expected in (("a", [], 2), ("b", ["--samples", "3"], 3)):
+        rc = main(["--config", str(cfg), "schur-verify", "--group", "hanoi", "--level", "2",
+                   "--out", str(tmp_path / out)] + flags)
+        assert rc == 0
+        report = json.loads((tmp_path / out / "schur_hanoi_n2.json").read_text())
+        assert report["samples"] == expected and len(report["points"]) == expected
+
+
+def test_config_flags_take_true_or_false(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    for value, checked in (("false", False), ("true", True)):
+        cfg.write_text(f"check = {value}\n")
+        out = tmp_path / value
+        rc = main(["--config", str(cfg), "cohomology", "--surface", "hanoi4",
+                   "--invariant-classes", "2", "--out", str(out)])
+        assert rc == 0
+        report = json.loads((out / "cohomology_hanoi4.json").read_text())
+        assert ("check" in report) is checked
+
+
+def test_config_value_that_does_not_convert_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    for line, command in (("samples = two", ["schur-verify", "--group", "hanoi", "--level", "2"]),
+                          ("check = yes", ["cohomology", "--surface", "hanoi4"])):
+        cfg.write_text(line + "\n")
+        assert main(["--config", str(cfg)] + command + ["--out", str(tmp_path)]) == 2
+        assert "error" in json.loads(capsys.readouterr().err)
+
+
+def test_schur_verify_above_the_level_cap_exits_2(tmp_path, capsys):
+    assert run_cli(["schur-verify", "--group", "hanoi", "--level", "6"], tmp_path) == 2
+    assert "budget" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_non_finite_grig_slice_exits_2(tmp_path):
+    for value in ("inf", "nan"):
+        assert run_cli(["spectrum", "--group", "grigorchuk", "--level", "3",
+                        "--grig-slice", value], tmp_path) == 2
+
+
 def test_experiment_backward_outputs(tmp_path):
     rc = run_cli(["experiment", "--kind", "backward-cheb", "--n", "10",
                   "--seed-point", "0.3", "--format", "csv,json,svg"], tmp_path)

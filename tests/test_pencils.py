@@ -7,10 +7,10 @@ import pytest
 
 from spectral_renorm.pencils import (
     assemble,
-    assemble_symbolic,
     builtin_scheme,
     det_exact,
     det_symbolic,
+    pencil_terms,
     schur_complement,
     verify_recursion,
 )
@@ -29,7 +29,7 @@ def test_grigorchuk_level_zero_and_one():
     s = builtin_scheme("grigorchuk")
     m0 = assemble(s, 0, Fraction(0), Fraction(0))
     assert m0 == [[Fraction(2)]]
-    sym = assemble_symbolic(s, 1)
+    sym = assemble(s, 1, LAM, MU)
     two_minus_mu = 2 - MU
     assert sym[0][0] == two_minus_mu and sym[1][1] == two_minus_mu
     assert sym[0][1] == -LAM and sym[1][0] == -LAM
@@ -38,21 +38,21 @@ def test_grigorchuk_level_zero_and_one():
 def test_symbolic_determinants_match_closed_forms():
     # level-1 determinant of the four-generator pencil: (2-mu)^2 - lam^2
     s = builtin_scheme("grigorchuk")
-    d1 = det_symbolic(assemble_symbolic(s, 1))
+    d1 = det_symbolic(assemble(s, 1, LAM, MU))
     assert d1 == (2 - MU - LAM) * (2 - MU + LAM)
     # seed at level 0
-    d0 = det_symbolic(assemble_symbolic(s, 0))
+    d0 = det_symbolic(assemble(s, 0, LAM, MU))
     assert d0 == s.seed
     # three-letter tower at level 1: -(lam-1-2mu)(lam-1+mu)^2
     h = builtin_scheme("hanoi")
-    d1 = det_symbolic(assemble_symbolic(h, 1))
+    d1 = det_symbolic(assemble(h, 1, LAM, MU))
     expected = -1 * (LAM - 1 - 2 * MU) * (LAM - 1 + MU) ** 2
     assert d1 == expected
     assert d1 == h.seed
     # lamplighter level 0 and the symbolic level-2 expansion
     l = builtin_scheme("lamplighter")
-    assert det_symbolic(assemble_symbolic(l, 0)) == l.seed
-    d2 = det_symbolic(assemble_symbolic(l, 2))
+    assert det_symbolic(assemble(l, 0, LAM, MU)) == l.seed
+    d2 = det_symbolic(assemble(l, 2, LAM, MU))
     assert d2 == (MU - LAM) * (LAM * LAM - MU * MU - 4) * (4 - LAM - MU)
 
 
@@ -65,6 +65,40 @@ def test_hanoi_level_one_is_coupled_all_ones():
             assert m[i][j] == (1 - lam if i == j else mu)
     with pytest.raises(ValueError):
         assemble(h, 0, lam, mu)
+
+
+def test_pencil_terms_merge_words_then_shift_the_first_letter():
+    g = builtin_scheme("grigorchuk")
+    terms = pencil_terms(g, 2)
+    # b, c, d, then the identity (from c0 and cmu, merged), then a
+    assert [t[:3] for t in terms] == [(1, 0, 0)] * 3 + [(-1, 0, -1), (0, -1, 0)]
+    assert terms[3][3] == (0, 1, 2, 3)
+    h = builtin_scheme("hanoi")
+    terms = pencil_terms(h, 2)
+    assert len(terms) == 6
+    shifts = terms[-2:]
+    assert all(t[:3] == (-1, 0, 1) for t in shifts)
+    # the two shifts sum to the all-off-diagonal-ones first-letter coupling
+    entries = sorted((rows[v], v) for *_, rows in shifts for v in range(9))
+    assert entries == sorted((3 * i + w, 3 * j + w) for i in range(3) for j in range(3)
+                             if i != j for w in range(3))
+    with pytest.raises(ValueError):
+        pencil_terms(h, 0)
+    with pytest.raises(ValueError):
+        pencil_terms(g, -1)
+
+
+@pytest.mark.parametrize("name", ["grigorchuk", "lamplighter", "hanoi"])
+def test_symbolic_instantiation_matches_exact_at_random_points(name):
+    s = builtin_scheme(name)
+    rng = random.Random(17)
+    for n in range(1 if s.has_coupling() else 0, 3):
+        sym = assemble(s, n, LAM, MU)
+        for _ in range(3):
+            lam = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+            mu = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+            evaluated = [[entry.eval((lam, mu)) for entry in row] for row in sym]
+            assert evaluated == assemble(s, n, lam, mu)
 
 
 @pytest.mark.parametrize("name", ["grigorchuk", "lamplighter", "hanoi"])
@@ -158,6 +192,19 @@ def test_verify_recursion_budget_error():
     s = builtin_scheme("grigorchuk")
     with pytest.raises(ValueError):
         verify_recursion(s, 1, samples=1)
+
+
+def test_verify_recursion_refuses_levels_above_the_cap(monkeypatch):
+    caps = {name: builtin_scheme(name).max_level
+            for name in ("grigorchuk", "lamplighter", "hanoi")}
+    assert caps == {"grigorchuk": 7, "lamplighter": 7, "hanoi": 5}
+
+    def no_work(*args):
+        raise AssertionError("assembly started above the level cap")
+
+    monkeypatch.setattr("spectral_renorm.pencils.assemble", no_work)
+    with pytest.raises(ValueError, match="budget"):
+        verify_recursion(builtin_scheme("hanoi"), 6, samples=1)
 
 
 def test_recursion_identity_at_pinned_points():

@@ -113,6 +113,11 @@ def test_compose_along_line_consistent_with_pointwise_eval():
     assert all(v == 0 for v in cross)
 
 
+def test_degenerate_line_is_rejected():
+    with pytest.raises(ValueError, match="degenerate"):
+        compose_along_line(builtin_map("R_G"), [(0, 0)] * 3, 2)
+
+
 def test_gcd_cancellation_idempotent():
     from spectral_renorm.ratmaps.poly import binary_forms_gcd
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spectral_renorm.pencils import assemble, builtin_scheme
 from spectral_renorm.spectra import (
     DOS_BUDGET,
     Measure1D,
@@ -18,6 +19,8 @@ from spectral_renorm.spectra import (
     julia_backward,
     kolmogorov_to_cdf,
     repelling_fixed_point,
+    slice_matrix,
+    slice_point,
     sym_eigenvalues,
     tv_distance,
 )
@@ -35,10 +38,22 @@ def test_sym_eigenvalues_examples_and_errors():
 
 
 def test_grigorchuk_level2_sliced_matrix_spectrum():
-    from spectral_renorm.spectra import slice_matrix
-
     vals = sym_eigenvalues(slice_matrix("grigorchuk", 2))
     assert np.allclose(vals, sorted([-SQRT5, 1.0, SQRT5, 3.0]), atol=1e-10)
+
+
+@pytest.mark.parametrize("group_tag,levels", [
+    ("grigorchuk", range(1, 5)),
+    ("lamplighter", range(1, 5)),
+    ("hanoi", range(1, 4)),
+])
+@pytest.mark.parametrize("grig_slice", [-1.0, 0.3])
+def test_slice_matrix_is_the_pencil_at_the_slice_point(group_tag, levels, grig_slice):
+    scheme = builtin_scheme(group_tag)
+    point = slice_point(group_tag, grig_slice)
+    for n in levels:
+        exact = np.array(assemble(scheme, n, *point), dtype=float)
+        assert np.array_equal(slice_matrix(group_tag, n, grig_slice), exact)
 
 
 def test_dos_level_one_atoms():
