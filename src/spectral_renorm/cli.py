@@ -14,7 +14,8 @@ Subcommands (each writes CSV + JSON into --out, plus SVG when requested):
   experiment        twist / skew / backward-equidistribution runs
 
 Exit status: 0 on success, 1 when a verification fails, 2 on bad
-configuration or exceeded budgets.  A fixed --seed makes all CSV/JSON
+configuration or exceeded budgets, 3 on an internal error; every error is
+one JSON object on stderr.  A fixed --seed makes all CSV/JSON
 outputs byte-identical.  SPECTRAL_RENORM_THREADS caps BLAS parallelism.
 """
 
@@ -187,6 +188,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _err(str(exc))
         return 2
+    except Exception as exc:  # a defect, not bad input: name where, no traceback
+        import traceback
+
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        _err(f"internal error: {type(exc).__name__}: {exc} "
+             f"(at {Path(frame.filename).name}:{frame.lineno} in {frame.name})")
+        return 3
 
 
 def _err(message: str) -> None:

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of lists of ``Fraction``.  Determinants go through
-fraction-free Bareiss elimination on an integer rescaling of the rows, which
-keeps intermediate entries at minor size instead of exploding.
+Matrices are plain lists of lists of ``Fraction``.  ``det_exact`` runs sparse
+Gaussian elimination over Q with Markowitz pivoting: the pencils it serves are
+sums of a few permutation matrices, so only the nonzeros are stored and
+touched.  ``bareiss_det_int`` is the dense fraction-free routine for integer
+matrices.
 """
 
 from __future__ import annotations
@@ -68,23 +70,98 @@ def bareiss_det_int(rows: list) -> int:
 
 
 def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix.
+    """Exact determinant of a rational matrix by sparse elimination over Q.
 
-    Rows are rescaled to integers first; the Bareiss recurrence then never
-    leaves the integers.
+    Only the nonzeros are stored.  Each step takes the pivot of least
+    Markowitz cost (r - 1)(c - 1), where r and c count the nonzeros in its
+    row and column, so the elimination creates little fill.  The result is
+    the sign of the row-to-column pivot permutation times the product of the
+    pivots.
     """
     n = len(matrix)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    scale = Fraction(1)
-    int_rows = []
-    for row in matrix:
-        den = lcm(*(Fraction(x).denominator for x in row))
-        scale *= den
-        int_rows.append([int(Fraction(x) * den) for x in row])
-    return Fraction(bareiss_det_int(int_rows), 1) / scale
+    pivots = _markowitz_pivots(matrix)
+    if pivots is None:
+        return Fraction(0)
+    det = Fraction(_permutation_sign({r: c for r, c, _ in pivots}))
+    for _r, _c, value in pivots:
+        det *= value
+    return det
+
+
+def _markowitz_pivots(matrix: Sequence[Sequence[Fraction]]):
+    """Pivots ``(row, col, value)`` of the sparse elimination of a square
+    matrix, in elimination order, or ``None`` once a column empties (the
+    matrix is singular).
+
+    Ties in Markowitz cost go to the lowest column, then the lowest row.
+    Entries that cancel to an exact 0 are deleted, so a singular matrix
+    empties a column by the last step at the latest.
+    """
+    n = len(matrix)
+    rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in matrix]
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    if not all(cols):
+        return None
+    live_cols = list(range(n))  # ascending
+    pivots = []
+    for _step in range(n):
+        best = None
+        for c in live_cols:
+            below = len(cols[c]) - 1
+            for i in cols[c]:
+                key = ((len(rows[i]) - 1) * below, c, i)
+                if best is None or key < best:
+                    best = key
+            if best[0] == 0:  # later columns cannot beat it
+                break
+        _cost, c, r = best
+        pivot_row = rows[r]
+        value = pivot_row.pop(c)
+        pivots.append((r, c, value))
+        live_cols.remove(c)
+        cols[c].discard(r)
+        for j in pivot_row:
+            cols[j].discard(r)
+        for i in cols[c]:
+            row = rows[i]
+            factor = row.pop(c) / value
+            for j, v in pivot_row.items():
+                new = row.get(j, 0) - factor * v
+                if new:
+                    row[j] = new
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        cols[c].clear()
+        if any(not cols[j] for j in pivot_row):
+            return None
+    return pivots
+
+
+def _permutation_sign(perm: dict) -> int:
+    """Sign of a permutation given as a dict ``i -> perm[i]``."""
+    sign = 1
+    seen = set()
+    for start in perm:
+        if start in seen:
+            continue
+        length = 0
+        i = start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def solve_exact(a: FracMatrix, b: FracMatrix) -> FracMatrix:

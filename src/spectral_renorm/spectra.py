@@ -386,6 +386,10 @@ def julia_backward(p: Sequence[float], depth: int, mode: str = "full_tree",
     Returns (points array, empirical Measure1D of the real-part support).
     """
     a, b, c = (float(v) for v in p)
+    if not all(math.isfinite(v) for v in (a, b, c)):
+        raise ValueError("polynomial coefficients must be finite")
+    if a == 0:
+        raise ValueError("a must be nonzero: a z^2 + b z + c is not quadratic")
     z0 = repelling_fixed_point(a, b, c)
     rng = np.random.default_rng(seed)
     if mode == "full_tree":
@@ -441,11 +445,12 @@ def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
     grigorchuk compares against the closed-form law (Kolmogorov); the other
     two compare against the largest computed level (1-Wasserstein).  A
     log-linear fit of the distances gives the observed decay rate; the
-    target rates are n/2^(n-1) (lamplighter) and (2/3)^n (hanoi).  For hanoi
-    the fitted W1 distances fall by about 1/3 per level: they are the
-    first-moment drift 3^(1-n) - 3^(1-N) to the reference level N (every
-    slice has trace 3, so the mean of level n is 3^(1-n)).  The 2/3 mass
-    rate shows in the ``tv_to_next`` ratios.
+    target rate is n/2^(n-1) for lamplighter.  For hanoi the fitted W1
+    distances fall by about 1/3 per level: they are the first-moment drift
+    3^(1-n) - 3^(1-N) to the reference level N (every slice has trace 3, so
+    the mean of level n is 3^(1-n)).  The hanoi target names that (1/3)^n
+    drift rate and the 2/3 mass rate, which shows in the ``tv_to_next``
+    ratios.
     """
     levels = sorted(n_range)
     if len(levels) < 3:
@@ -470,7 +475,8 @@ def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
             row["w1_to_next"] = cdf_distance(dos(group_tag, n).measure,
                                              dos(group_tag, n + 1).measure, "wasserstein1")
             rows.append(row)
-        target = "n/2^(n-1)" if group_tag == "lamplighter" else "(2/3)^n"
+        target = ("n/2^(n-1)" if group_tag == "lamplighter" else
+                  "(1/3)^n W1 drift; (2/3)^n mass rate in tv_to_next")
     else:
         raise ValueError(f"unknown group tag '{group_tag}'")
     xs = np.array([r["level"] for r in rows], dtype=float)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from spectral_renorm import cli
 from spectral_renorm.cli import main
 
 
@@ -154,3 +155,28 @@ def test_pgm_heatmap_written(tmp_path):
     pgm = (tmp_path / "potential_lamplighter_r24_n6.pgm").read_bytes()
     assert pgm.startswith(b"P5\n24 24\n65535\n")
     assert len(pgm) == len(b"P5\n24 24\n65535\n") + 24 * 24 * 2
+
+
+def test_julia_rejects_a_zero_or_non_finite_polynomial(tmp_path, capsys):
+    for poly in ("0,0,1", "nan,0,1", "1,inf,-3", "1,-1,-inf"):
+        assert run_cli(["julia", "--poly", poly, "--depth", "2"], tmp_path) == 2
+        assert "error" in json.loads(capsys.readouterr().err)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectral_renorm.cli", "julia", "--poly", "0,0,1",
+         "--out", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "quadratic" in json.loads(proc.stderr)["error"]
+
+
+def test_internal_error_exits_3_with_a_json_error(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise ZeroDivisionError("a defect")
+
+    monkeypatch.setitem(cli._HANDLERS, "julia", broken)
+    assert run_cli(["julia"], tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    message = json.loads(err)["error"]
+    assert message.startswith("internal error: ZeroDivisionError: a defect (at test_cli.py:")
+    assert message.endswith(" in broken)")

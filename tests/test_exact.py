@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_renorm.exact import (
+    _markowitz_pivots,
+    bareiss_det_int,
     charpoly,
     det_exact,
     integer_roots,
@@ -52,6 +56,101 @@ def test_det_against_numpy():
         exact = det_exact(frac_matrix(rows))
         approx = np.linalg.det(np.array(rows, dtype=float))
         assert abs(float(exact) - approx) < 1e-6 * max(1.0, abs(approx))
+
+
+@st.composite
+def sparse_int_matrix(draw, max_n=8, bound=9):
+    """A square integer matrix with a drawn share of nonzero entries."""
+    n = draw(st.integers(1, max_n))
+    density = draw(st.floats(0.05, 1.0))
+    cells = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(-bound, bound)),
+                          min_size=n * n, max_size=n * n))
+    return [[v if u < density else 0 for u, v in cells[i * n:(i + 1) * n]]
+            for i in range(n)]
+
+
+def permutation_sign(perm):
+    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+                     if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_int_matrix())
+def test_det_exact_matches_bareiss_on_sparse_integer_matrices(rows):
+    assert det_exact(frac_matrix(rows)) == bareiss_det_int(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_int_matrix(max_n=5), st.lists(st.integers(1, 7), min_size=25, max_size=25))
+def test_det_exact_matches_laplace_on_sparse_rational_matrices(rows, dens):
+    n = len(rows)
+    m = [[Fraction(rows[i][j], dens[i * n + j]) for j in range(n)] for i in range(n)]
+    assert det_exact(m) == laplace_det(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_int_matrix(max_n=7), st.data())
+def test_det_exact_is_zero_on_singular_matrices(rows, data):
+    n = len(rows)
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1))
+    repeated = [row[:] for row in rows]
+    repeated[j] = repeated[i][:]
+    if i != j:
+        assert det_exact(frac_matrix(repeated)) == 0
+    zero_col = [row[:j] + [0] + row[j + 1:] for row in rows]
+    assert det_exact(frac_matrix(zero_col)) == 0
+    if n >= 3 and i != j:
+        # a combination of two other rows: no row or column is zero or
+        # repeated, so the zero appears only when the elimination cancels
+        k = next(k for k in range(n) if k not in (i, j))
+        a, b = data.draw(st.integers(1, 5)), data.draw(st.integers(-5, -1))
+        combo = [row[:] for row in rows]
+        combo[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        assert det_exact(frac_matrix(combo)) == 0 == bareiss_det_int(combo)
+
+
+def test_det_exact_cancellation_to_zero():
+    # rows 0, 1 are independent and row 2 = row 0 + row 1: every entry and
+    # every row is nonzero, and the last pivot cancels to an exact 0
+    m = frac_matrix([[1, 2, 3], [4, 5, 6], [5, 7, 9]])
+    assert det_exact(m) == 0
+    assert _markowitz_pivots(m) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_int_matrix())
+def test_det_exact_with_a_zero_diagonal(rows):
+    for i in range(len(rows)):
+        rows[i][i] = 0
+    assert det_exact(frac_matrix(rows)) == bareiss_det_int(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_int_matrix(), st.randoms(use_true_random=False))
+def test_det_exact_under_row_and_column_permutations(rows, rng):
+    n = len(rows)
+    p = list(range(n))
+    q = list(range(n))
+    rng.shuffle(p)
+    rng.shuffle(q)
+    paq = [[rows[p[i]][q[j]] for j in range(n)] for i in range(n)]
+    expected = permutation_sign(p) * permutation_sign(q) * det_exact(frac_matrix(rows))
+    assert det_exact(frac_matrix(paq)) == expected
+
+
+def test_markowitz_pivots_break_ties_by_lowest_column_then_row():
+    # an anti-diagonal matrix: every pivot costs 0, so the columns go in order
+    n = 5
+    anti = frac_matrix([[int(i + j == n - 1) for j in range(n)] for i in range(n)])
+    assert [(r, c) for r, c, _ in _markowitz_pivots(anti)] == [(n - 1 - c, c) for c in range(n)]
+    assert det_exact(anti) == permutation_sign(list(range(n - 1, -1, -1)))
+    # all-ones 2x2 block plus a singleton: the singleton (cost 0) goes first,
+    # then the block's tie goes to column 0, row 0
+    m = frac_matrix([[1, 1, 0], [1, 2, 0], [0, 0, 3]])
+    assert [(r, c) for r, c, _ in _markowitz_pivots(m)] == [(2, 2), (0, 0), (1, 1)]
+    assert det_exact(m) == 3
 
 
 def test_solve_and_inverse():

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from spectral_renorm.exact import _markowitz_pivots, bareiss_det_int
 from spectral_renorm.pencils import (
     assemble,
     builtin_scheme,
@@ -117,6 +119,32 @@ def test_assembled_matrices_are_symmetric(name):
 def test_det_exact_examples():
     assert det_exact([[Fraction(2 - 1), Fraction(-1)], [Fraction(-1), Fraction(2 - 1)]]) == 0
     assert det_exact([[Fraction(int(i == j)) for j in range(8)] for i in range(8)]) == 1
+
+
+def bareiss_det(matrix):
+    """Dense oracle: rows rescaled to integers, then fraction-free Bareiss."""
+    scale = 1
+    int_rows = []
+    for row in matrix:
+        den = lcm(*(x.denominator for x in row))
+        scale *= den
+        int_rows.append([int(x * den) for x in row])
+    return Fraction(bareiss_det_int(int_rows), scale)
+
+
+@pytest.mark.parametrize("name,level", [("hanoi", 4), ("lamplighter", 6), ("grigorchuk", 6)])
+def test_det_exact_matches_bareiss_on_pencils(name, level):
+    s = builtin_scheme(name)
+    rng = random.Random(11)
+    for _ in range(2):
+        lam = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
+        mu = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
+        m = assemble(s, level, lam, mu)
+        assert det_exact(m) == bareiss_det(m)
+    # the pivot order is a function of the matrix alone
+    first = _markowitz_pivots(m)
+    assert first is not None and len(first) == len(m)
+    assert _markowitz_pivots([row[:] for row in m]) == first
 
 
 def test_schur_complement_identity_and_examples():

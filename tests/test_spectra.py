@@ -227,6 +227,7 @@ def test_convergence_report_structure():
     assert all(b < a for a, b in zip(dists, dists[1:]))
     rep = convergence_report("hanoi", range(3, 7))
     assert all("tv_to_next" in r for r in rep["rows"])
+    assert rep["target"] == "(1/3)^n W1 drift; (2/3)^n mass rate in tv_to_next"
     with pytest.raises(ValueError):
         convergence_report("grigorchuk", [4, 5])
 
