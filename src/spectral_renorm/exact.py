@@ -40,10 +40,6 @@ def mat_sub(a: FracMatrix, b: FracMatrix) -> FracMatrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def transpose(a: FracMatrix) -> FracMatrix:
-    return [list(col) for col in zip(*a)]
-
-
 def bareiss_det_int(rows: list) -> int:
     """Determinant of an integer matrix by fraction-free Bareiss elimination."""
     m = [row[:] for row in rows]
@@ -251,13 +247,6 @@ def charpoly(a: FracMatrix) -> list:
         for i in range(n):
             m[i][i] += ck
     return coeffs
-
-
-def eval_poly(coeffs: Sequence[Fraction], x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def integer_roots(coeffs: Sequence[Fraction]) -> list:

@@ -58,11 +58,6 @@ def _reduced_step(map_: RationalMapP2, forms: list) -> list:
     return _joint_primitive(forms)
 
 
-def line_forms_eval(forms: Sequence[BinaryForm], s, t):
-    """Evaluate a binary-form triple at a parameter value."""
-    return tuple(f.eval(s, t) if not f.is_zero() else 0 for f in forms)
-
-
 def iterate_line_forms(map_: RationalMapP2, line: Sequence, iterations: int) -> list:
     """The reduced form triples of the iterates along a line (see
     ``compose_along_line``)."""

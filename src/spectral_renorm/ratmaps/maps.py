@@ -21,10 +21,6 @@ class IndeterminacyError(ValueError):
     """Evaluation hit a point where all three components vanish."""
 
 
-def _poly3(terms) -> MultiPoly:
-    return MultiPoly(3, {e: Fraction(c) for e, c in terms.items()})
-
-
 def _var(i):
     return MultiPoly.variable(3, i)
 

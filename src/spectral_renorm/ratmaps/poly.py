@@ -8,6 +8,14 @@ no floating point enters here.
 ``BinaryForm`` is the degree-tracking workhorse: a homogeneous univariate pair
 form with big-integer coefficients, with primitive-PRS gcd used to cancel
 common factors of iterated map compositions along a line.
+
+Both products run on plain integers.  ``MultiPoly`` multiplies the factors'
+cleared-denominator numerators in the schoolbook double loop, which keeps the
+term order of the ``Fraction`` loop it replaced: the float evaluators
+(``maps.float_eval_poly``, the potential grid) sum terms in dict order, so a
+product that reordered terms would change the last bits of float artifacts.
+Integer coefficient lists (``_poly_mul_int``, behind ``BinaryForm``) take one
+big-integer multiply by Kronecker substitution.
 """
 
 from __future__ import annotations
@@ -21,7 +29,10 @@ class MultiPoly:
     """Sparse polynomial in ``arity`` variables with Fraction coefficients.
 
     Terms map exponent tuples to nonzero coefficients; zero coefficients are
-    never stored, so ``not p.terms`` is the zero test.
+    never stored, so ``not p.terms`` is the zero test.  Products are computed
+    on integers (denominators cleared, exponents packed into one int) in the
+    schoolbook order, so ``terms`` comes out in the same order as the
+    ``Fraction`` double loop would give; float evaluation sums in that order.
     """
 
     __slots__ = ("arity", "terms")
@@ -140,16 +151,56 @@ class MultiPoly:
                 return MultiPoly.zero(self.arity)
             return MultiPoly(self.arity, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
+        if not self.terms or not other.terms:
+            return MultiPoly.zero(self.arity)
+        # Integer numerators over one common denominator per factor, and each
+        # exponent tuple packed into one int whose base-``bases[i]`` digits are
+        # the exponents: a digit of a product key is at most
+        # deg_i(self) + deg_i(other), so adding keys never carries.  The loop
+        # is the schoolbook one over (key, int) pairs, inserting and deleting
+        # keys exactly when the Fraction loop would, so the result's terms
+        # come out in the same order.
+        bases = [self.degree_in(i) + other.degree_in(i) + 1 for i in range(self.arity)]
+        da, db = self.denominator_lcm(), other.denominator_lcm()
+        pa = self._packed(bases, da)
+        pb = other._packed(bases, db)
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                val = out.get(expo, Fraction(0)) + c1 * c2
-                if val == 0:
-                    out.pop(expo, None)
+        for k1, c1 in pa:
+            for k2, c2 in pb:
+                key = k1 + k2
+                val = out.get(key, 0) + c1 * c2
+                if val:
+                    out[key] = val
                 else:
-                    out[expo] = val
-        return MultiPoly(self.arity, out)
+                    del out[key]
+        den = da * db
+        terms = {}
+        for key, c in out.items():
+            expo = []
+            for base in bases:
+                key, e = divmod(key, base)
+                expo.append(e)
+            terms[tuple(expo)] = Fraction(c, den)
+        return MultiPoly._from_clean(self.arity, terms)
+
+    def _packed(self, bases: Sequence[int], den: int) -> list:
+        """(packed exponent, ``den``·coefficient) pairs in term order."""
+        out = []
+        for expo, coeff in self.terms.items():
+            key = 0
+            for base, e in zip(reversed(bases), reversed(expo)):
+                key = key * base + e
+            out.append((key, coeff.numerator * (den // coeff.denominator)))
+        return out
+
+    @classmethod
+    def _from_clean(cls, arity: int, terms: dict) -> "MultiPoly":
+        """Wrap terms that already hold arity-length int tuples and nonzero
+        Fractions, skipping the checks of ``__init__``."""
+        poly = object.__new__(cls)
+        poly.arity = arity
+        poly.terms = terms
+        return poly
 
     __rmul__ = __mul__
 
@@ -276,13 +327,13 @@ def _primitive_int(coeffs: Sequence[int]) -> list:
 def _poly_mul_int(a: Sequence[int], b: Sequence[int]) -> list:
     """Product of integer coefficient lists.
 
-    Large products go through Kronecker substitution: both factors are
-    packed into single big integers (one coefficient per fixed-width digit),
-    multiplied once, and the product digits are read back.  CPython big-int
+    Short factors take the schoolbook loop.  Longer ones go through signed
+    Kronecker substitution: each list is read as the base-2^(8·nbytes)
+    digits of one integer, the two integers are multiplied once, and the
+    product's digits are the product's coefficients.  CPython big-int
     multiplication is subquadratic, which beats the schoolbook loop by a
     wide margin on the degree-several-hundred forms produced by iterated
-    composition.  Negative coefficients are handled by splitting into
-    positive and negative parts.
+    composition.
     """
     if not a or not b:
         return []
@@ -294,35 +345,38 @@ def _poly_mul_int(a: Sequence[int], b: Sequence[int]) -> list:
                     if bj:
                         out[i + j] += ai * bj
         return out
-    max_a = max(abs(c) for c in a)
-    max_b = max(abs(c) for c in b)
-    bound = max_a * max_b * min(len(a), len(b))
-    width = bound.bit_length() + 1
-    ap, an = _pack_split(a, width)
-    bp, bn = _pack_split(b, width)
-    pos = ap * bp + an * bn
-    neg = ap * bn + an * bp
-    return _unpack_diff(pos, neg, width, len(a) + len(b) - 1)
-
-
-def _pack_split(coeffs: Sequence[int], width: int) -> tuple:
-    pos = 0
-    neg = 0
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            pos |= c << (i * width)
-        elif c < 0:
-            neg |= (-c) << (i * width)
-    return pos, neg
-
-
-def _unpack_diff(pos: int, neg: int, width: int, count: int) -> list:
-    mask = (1 << width) - 1
+    # A product coefficient sums at most min(len a, len b) terms a_i·b_j, so
+    # its absolute value is at most ``bound``; with the max(…, 1) factors the
+    # bound also covers every input coefficient.  One sign bit on top makes
+    # every such value a signed digit in [-2^(8·nbytes-1), 2^(8·nbytes-1)).
+    bound = max(max(map(abs, a)), 1) * max(max(map(abs, b)), 1) * min(len(a), len(b))
+    nbytes = (bound.bit_length() + 8) // 8
+    count = len(a) + len(b) - 1
+    data = (_kronecker_pack(a, nbytes) * _kronecker_pack(b, nbytes)).to_bytes(
+        count * nbytes, "little", signed=True)
+    # Two's-complement digits: a digit at or above half the base stands for
+    # itself minus the base and borrows one from the digit above.
+    base = 1 << (8 * nbytes)
+    half = base >> 1
     out = [0] * count
+    borrow = 0
     for i in range(count):
-        shift = i * width
-        out[i] = ((pos >> shift) & mask) - ((neg >> shift) & mask)
+        d = int.from_bytes(data[i * nbytes: (i + 1) * nbytes], "little") + borrow
+        borrow = d >= half
+        out[i] = d - base if borrow else d
     return out
+
+
+def _kronecker_pack(coeffs: Sequence[int], nbytes: int) -> int:
+    """sum(c_i · 2^(8·nbytes·i)) for signed digits c_i.
+
+    Joining the two's-complement digits reads each negative c_i as
+    c_i + 2^(8·nbytes); the second join subtracts those carries from the
+    digit above."""
+    digits = b"".join(c.to_bytes(nbytes, "little", signed=True) for c in coeffs)
+    one, zero = (1).to_bytes(nbytes, "little"), bytes(nbytes)
+    carries = b"".join(one if c < 0 else zero for c in coeffs)
+    return int.from_bytes(digits, "little") - (int.from_bytes(carries, "little") << (8 * nbytes))
 
 
 def _pseudo_rem(f: list, g: list) -> list:
