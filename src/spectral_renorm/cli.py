@@ -40,12 +40,21 @@ class BudgetError(RuntimeError):
     pass
 
 
+def _read_input(path: str) -> str:
+    """Text of an input file named on the command line; a file that cannot
+    be read is bad input, not an internal error."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise BudgetError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _load_config(path: str | None) -> dict:
     """key=value text config; flags given on the command line win."""
     if not path:
         return {}
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for line in _read_input(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -56,8 +65,32 @@ def _load_config(path: str | None) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``BudgetError`` instead of printing the usage text,
+    so ``main`` reports them as one JSON error with exit status 2."""
+
+    def error(self, message):
+        raise BudgetError(message)
+
+
+def _at_least(minimum: int):
+    """argparse type of a count option: an int no smaller than ``minimum``.
+    ``--config`` values pass through it too."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {minimum}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectral-renorm",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -88,11 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True,
                    choices=["grigorchuk", "lamplighter", "hanoi"])
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_at_least(1), default=20)
     common(p)
 
     p = sub.add_parser("conjugacy-verify", help="exact conjugacy identities")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_at_least(1), default=100)
     common(p)
 
     p = sub.add_parser("maps-verify",
@@ -103,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, dest="map_name",
                    choices=["R_G", "G_G", "R_L", "R_H", "H_inv", "model_square",
                             "model_twist", "model_skew", "cheb"])
-    p.add_argument("--iters", type=int, default=7)
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--iters", type=_at_least(1), default=7)
+    p.add_argument("--trials", type=_at_least(1), default=3)
     common(p)
 
     p = sub.add_parser("cohomology", help="blow-up class calculus")
@@ -114,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help='custom surface/action as {"k", "incidences", "F_star"}')
     p.add_argument("--check", action="store_true",
                    help="verify the printed matrices")
-    p.add_argument("--invariant-classes", type=int, default=None, metavar="D",
+    p.add_argument("--invariant-classes", type=_at_least(1), default=None, metavar="D",
                    help="detect classes with F^* c = D c")
     common(p)
 
@@ -122,13 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True,
                    choices=["grigorchuk", "lamplighter", "hanoi"])
     p.add_argument("--window", default="-4,4,-4,4")
-    p.add_argument("--resolution", type=int, default=256)
-    p.add_argument("--iters", type=int, default=12)
+    p.add_argument("--resolution", type=_at_least(2), default=256)
+    p.add_argument("--iters", type=_at_least(0), default=12)
     common(p)
 
     p = sub.add_parser("julia", help="backward orbit of a quadratic")
     p.add_argument("--poly", default="1,-1,-3", help="a,b,c of a z^2 + b z + c")
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=_at_least(0), default=12)
     p.add_argument("--mode", default="full_tree",
                    choices=["full_tree", "random_walk"])
     common(p)
@@ -137,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=["twist", "skew", "backward-square", "backward-cheb",
                             "backward-cantor"])
-    p.add_argument("--n", type=int, default=10, help="time / depth parameter")
+    p.add_argument("--n", type=_at_least(1), default=10, help="time / depth parameter")
     p.add_argument("--eta0", type=float, default=3.0)
     p.add_argument("--seed-point", default="1.7")
     common(p)
@@ -162,7 +195,7 @@ def _config_defaults(subparser: argparse.ArgumentParser, config: dict) -> dict:
             continue
         try:
             out[action.dest] = action.type(value) if action.type else value
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise BudgetError(f"config {key}: {value!r} is not a valid value") from None
         if action.choices is not None and out[action.dest] not in action.choices:
             raise BudgetError(f"config {key}: {value!r} is not one of {list(action.choices)}")
@@ -172,8 +205,8 @@ def _config_defaults(subparser: argparse.ArgumentParser, config: dict) -> dict:
 def main(argv=None) -> int:
     _cap_threads()
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         config = _load_config(args.config)
         if config:
             subparser = parser.subcommands[args.command]
@@ -182,10 +215,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         handler = _HANDLERS[args.command]
         return handler(args)
-    except BudgetError as exc:
-        _err(str(exc))
-        return 2
-    except ValueError as exc:
+    except (BudgetError, ValueError) as exc:
         _err(str(exc))
         return 2
     except Exception as exc:  # a defect, not bad input: name where, no traceback
@@ -352,10 +382,9 @@ def cmd_dyndeg(args) -> int:
 def cmd_cohomology(args) -> int:
     from spectral_renorm import cohomology, output
 
-    out = _outdir(args)
     status = 0
     if args.surface_json:
-        data = json.loads(Path(args.surface_json).read_text())
+        data = json.loads(_read_input(args.surface_json))
         action = cohomology.action_from_json(data)
         report = {
             "surface": "custom",
@@ -385,7 +414,7 @@ def cmd_cohomology(args) -> int:
     else:
         raise BudgetError("cohomology needs --surface or --surface-json")
     if "json" in _formats(args):
-        output.write_json(out / f"cohomology_{name}.json", report)
+        output.write_json(_outdir(args) / f"cohomology_{name}.json", report)
     return status
 
 
@@ -393,15 +422,17 @@ def cmd_potential_grid(args) -> int:
     from spectral_renorm import output, pencils
     from spectral_renorm.ratmaps.potential import RecursionPotential, potential_grid
 
-    out = _outdir(args)
     window = tuple(float(v) for v in args.window.split(","))
     if len(window) != 4:
         raise BudgetError("window must be xmin,xmax,ymin,ymax")
+    if not (window[0] < window[1] and window[2] < window[3]):
+        raise BudgetError("window needs xmin < xmax and ymin < ymax")
     if args.resolution > 2048:
         raise BudgetError("resolution capped at 2048")
     scheme = pencils.builtin_scheme(args.group)
     spec = RecursionPotential.from_scheme(scheme)
     grid = potential_grid(spec, window, args.resolution, args.iters)
+    out = _outdir(args)
     stem = f"potential_{args.group}_r{args.resolution}_n{args.iters}"
     fmts = _formats(args)
     if "csv" in fmts:

@@ -10,9 +10,10 @@ dynamical degree is then classified from the degree sequence.
 from __future__ import annotations
 
 import random
+from math import gcd
 from typing import Sequence
 
-from spectral_renorm.ratmaps.maps import RationalMapP2, _eval_on_forms
+from spectral_renorm.ratmaps.maps import RationalMapP2
 from spectral_renorm.ratmaps.poly import BinaryForm, binary_form_divexact, binary_forms_gcd
 
 MAX_ITERATES = 10
@@ -34,22 +35,14 @@ def _joint_primitive(forms: list) -> list:
     """Divide the triple by the gcd of all its integer coefficients; the
     components must keep their relative scale (they are one projective
     parametrization)."""
-    from math import gcd as _gcd
-
-    g = 0
-    for f in forms:
-        for c in f.coeffs:
-            g = _gcd(g, abs(c))
-        if g == 1:
-            return forms
+    g = gcd(*(c for f in forms for c in f.coeffs))
     if g > 1:
-        forms = [BinaryForm([c // g for c in f.coeffs], f.degree) if not f.is_zero() else f
-                 for f in forms]
+        forms = [BinaryForm([c // g for c in f.coeffs], f.degree) for f in forms]
     return forms
 
 
 def _reduced_step(map_: RationalMapP2, forms: list) -> list:
-    forms = [_eval_on_forms(c, forms) for c in map_.components]
+    forms = [c.subs(forms) for c in map_.components]
     if all(f.is_zero() for f in forms):
         raise ValueError("line collapsed into the indeterminacy locus")
     g = binary_forms_gcd([f for f in forms if not f.is_zero()])

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from spectral_renorm.exact import primitive_int_vector
 from spectral_renorm.ratmaps.poly import BinaryForm, MultiPoly, binary_forms_gcd
 
 
@@ -44,6 +45,8 @@ class RationalMapP2:
             raise ValueError("components must share a common degree")
         if not all(c.is_homogeneous() for c in self.components):
             raise ValueError("components must be homogeneous")
+        if any(v.denominator != 1 for c in self.components for v in c.terms.values()):
+            raise ValueError("components must have integer coefficients")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -52,21 +55,12 @@ class RationalMapP2:
 
         Raises ``IndeterminacyError`` when the point is indeterminate.
         """
-        pt = [Fraction(x) for x in point]
-        den = lcm(*(x.denominator for x in pt))
-        ints = [int(x * den) for x in pt]
-        g = gcd(*ints)
-        if g == 0:
+        ints = primitive_int_vector(point)
+        if not any(ints):
             raise ValueError("zero vector is not a projective point")
-        ints = [v // g for v in ints]
-        image = [int(c.eval(ints)) for c in self.components]
-        g = gcd(*image)
-        if g == 0:
+        image = primitive_int_vector([c.eval(ints) for c in self.components])
+        if not any(image):
             raise IndeterminacyError(f"{self.name} is indeterminate at {tuple(ints)}")
-        image = [v // g for v in image]
-        lead = next(v for v in image if v)
-        if lead < 0:
-            image = [-v for v in image]
         return tuple(image)
 
     def eval_exact_affine(self, x, y):
@@ -111,7 +105,7 @@ class RationalMapP2:
         """Binary forms of the restriction to the parametrized line
         ``(s,t) -> (a0 s + b0 t, a1 s + b1 t, a2 s + b2 t)``."""
         basis = [BinaryForm([int(a), int(b)]) for a, b in line]
-        return tuple(_eval_on_forms(c, basis) for c in self.components)
+        return tuple(c.subs(basis) for c in self.components)
 
     def coprimality_certificate(self, lines: int = 3, seed: int = 17) -> bool:
         """True when the components share no curve, certified by constant gcd
@@ -168,29 +162,6 @@ def float_eval_poly(poly: MultiPoly, values) -> float:
                 term *= v ** e
         total += term
     return total
-
-
-def _eval_on_forms(poly: MultiPoly, basis: Sequence[BinaryForm]) -> BinaryForm:
-    degree = poly.total_degree()
-    caches = [{0: BinaryForm([1], 0)} for _ in basis]
-
-    def powered(i, e):
-        cache = caches[i]
-        if e not in cache:
-            cache[e] = powered(i, e - 1) * basis[i]
-        return cache[e]
-
-    acc = BinaryForm([], -1)
-    for expo, coeff in poly.terms.items():
-        term = BinaryForm([int(coeff)], 0)
-        for i, e in enumerate(expo):
-            if e:
-                term = term * powered(i, e)
-        pad = degree - sum(expo)
-        if pad:
-            raise ValueError("polynomial is not homogeneous")
-        acc = acc + term if not acc.is_zero() else term
-    return acc
 
 
 # ---------------------------------------------------------------------------

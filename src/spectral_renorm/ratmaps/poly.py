@@ -16,13 +16,18 @@ term order of the ``Fraction`` loop it replaced: the float evaluators
 product that reordered terms would change the last bits of float artifacts.
 Integer coefficient lists (``_poly_mul_int``, behind ``BinaryForm``) take one
 big-integer multiply by Kronecker substitution.
+
+``MultiPoly.subs`` is the one substitution routine.  The same loop composes
+with polynomials (map composition, charts, affine restrictions), restricts to
+a line when the values are ``BinaryForm`` objects, and evaluates at a point
+when they are scalars (``eval`` is an alias).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class MultiPoly:
@@ -66,11 +71,6 @@ class MultiPoly:
         expo = [0] * arity
         expo[index] = 1
         return cls(arity, {tuple(expo): Fraction(1)})
-
-    @classmethod
-    def from_string_terms(cls, arity: int, term_list: Iterable[tuple]) -> "MultiPoly":
-        """Build from an iterable of (coeff, exponent-tuple) pairs."""
-        return cls(arity, {tuple(e): Fraction(c) for c, e in term_list})
 
     # -- predicates and views ---------------------------------------------
 
@@ -218,66 +218,42 @@ class MultiPoly:
 
     # -- evaluation and substitution ---------------------------------------
 
-    def eval(self, values: Sequence):
-        """Evaluate at a point.  Works for Fractions, floats, complex, or any
-        commutative ring elements supporting + and *."""
+    def subs(self, values: Sequence):
+        """Substitute ``values[i]`` for variable i.
+
+        One routine for every kind of value: ``MultiPoly`` values compose,
+        ``BinaryForm`` values restrict to a parametrized line, and scalars
+        (Fractions, ints, floats) evaluate at a point.  The terms are summed
+        in ``terms`` order, each as its coefficient times a product of cached
+        powers of the values, so with ``MultiPoly`` values the result's term
+        order is fixed by the operands' orders.
+        """
         if len(values) != self.arity:
             raise ValueError("wrong number of values")
-        total = None
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, expo):
-                if e:
-                    term = term * v ** e
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
-        return total
+        powers = [[v ** 0, v] for v in values]
 
-    def subs(self, polys: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Substitute a polynomial for each variable (composition)."""
-        if len(polys) != self.arity:
-            raise ValueError("wrong number of substitutions")
-        arity = polys[0].arity
-        out = MultiPoly.zero(arity)
-        power_cache = [{0: MultiPoly.constant(arity, 1)} for _ in polys]
-
-        def powered(i, e):
-            cache = power_cache[i]
-            if e not in cache:
-                cache[e] = powered(i, e - 1) * polys[i]
+        def power(i, e):
+            cache = powers[i]
+            while len(cache) <= e:
+                cache.append(cache[-1] * values[i])
             return cache[e]
 
+        total = None
         for expo, coeff in self.terms.items():
-            term = MultiPoly.constant(arity, coeff)
+            term = None
             for i, e in enumerate(expo):
                 if e:
-                    term = term * powered(i, e)
-            out = out + term
-        return out
+                    term = power(i, e) if term is None else term * power(i, e)
+            term = coeff * (power(0, 0) if term is None else term)
+            total = term if total is None else total + term
+        return 0 * power(0, 0) if total is None else total
+
+    eval = subs
 
     # -- integer normalization ----------------------------------------------
 
     def denominator_lcm(self) -> int:
         return lcm(*(c.denominator for c in self.terms.values()))
-
-    def content(self) -> Fraction:
-        """Positive rational content; sign carried by the terms."""
-        if not self.terms:
-            return Fraction(0)
-        return Fraction(gcd(*(c.numerator for c in self.terms.values())),
-                        lcm(*(c.denominator for c in self.terms.values())))
-
-    def primitive(self) -> "MultiPoly":
-        """Scale to coprime integer coefficients, leading coefficient > 0
-        (in the lexicographic-largest exponent)."""
-        if not self.terms:
-            return self
-        scaled = self * (1 / self.content())
-        lead = scaled.terms[max(scaled.terms)]
-        if lead < 0:
-            scaled = -scaled
-        return scaled
 
     def __repr__(self):
         if not self.terms:
@@ -306,17 +282,8 @@ def _strip(coeffs: list) -> list:
     return coeffs
 
 
-def _content_int(coeffs: Sequence[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-        if g == 1:
-            break
-    return g
-
-
 def _primitive_int(coeffs: Sequence[int]) -> list:
-    g = _content_int(coeffs)
+    g = gcd(*coeffs)
     if g == 0:
         return []
     if coeffs[-1] < 0:
@@ -409,7 +376,7 @@ def poly_gcd_int(f: Sequence[int], g: Sequence[int]) -> list:
         return _primitive_int(g)
     if not g:
         return _primitive_int(f)
-    cf, cg = _content_int(f), _content_int(g)
+    cf, cg = gcd(*f), gcd(*g)
     c = gcd(cf, cg)
     f = [x // cf for x in f]
     g = [x // cg for x in g]
@@ -474,8 +441,6 @@ _GCD_PRIMES = _primes_below_2_31(96)
 def _rem_mod_p(f, g, p: int):
     """Remainder of numpy int64 coefficient vectors mod a sub-2^31 prime
     (products stay below 2^62, inside int64)."""
-    import numpy as np
-
     dg = len(g) - 1
     inv = pow(int(g[-1]), p - 2, p)
     f = f.copy()
@@ -626,13 +591,22 @@ class BinaryForm:
             and self.coeffs == other.coeffs
         )
 
-    def __mul__(self, other: "BinaryForm") -> "BinaryForm":
+    def __mul__(self, other) -> "BinaryForm":
+        """Product with a form, or with an integer scalar (an int or an
+        integral Fraction); any other scalar raises ``ValueError``."""
+        if not isinstance(other, BinaryForm):
+            k = Fraction(other)
+            if k.denominator != 1:
+                raise ValueError(f"cannot scale an integer binary form by {other}")
+            return BinaryForm([c * k.numerator for c in self.coeffs], self.degree)
         if self.is_zero() or other.is_zero():
             return BinaryForm([], -1)
         return BinaryForm(
             _strip_to_deg(_poly_mul_int(self.coeffs, other.coeffs), self.degree + other.degree),
             self.degree + other.degree,
         )
+
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BinaryForm":
         result = BinaryForm([1], 0)
@@ -654,17 +628,6 @@ class BinaryForm:
         return BinaryForm(
             [a + b for a, b in zip(self.coeffs, other.coeffs)], self.degree
         )
-
-    def scale(self, k: int) -> "BinaryForm":
-        if k == 0 or self.is_zero():
-            return BinaryForm([], -1)
-        return BinaryForm([c * k for c in self.coeffs], self.degree)
-
-    def primitive(self) -> "BinaryForm":
-        if self.is_zero():
-            return self
-        g = _content_int(self.coeffs)
-        return BinaryForm([c // g for c in self.coeffs], self.degree)
 
     def eval(self, s, t):
         acc = 0

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from spectral_renorm import cli
 from spectral_renorm.cli import main
 
@@ -180,3 +182,38 @@ def test_internal_error_exits_3_with_a_json_error(tmp_path, capsys, monkeypatch)
     message = json.loads(err)["error"]
     assert message.startswith("internal error: ZeroDivisionError: a defect (at test_cli.py:")
     assert message.endswith(" in broken)")
+
+
+BAD_INPUT = [
+    (None, ["dyndeg", "--map", "R_G", "--trials", "0"]),
+    (None, ["dyndeg", "--map", "R_G", "--iters", "-1"]),
+    (None, ["cohomology", "--surface-json", "{tmp}/missing.json"]),
+    (None, ["cohomology", "--surface", "hanoi4", "--invariant-classes", "-1"]),
+    (None, ["schur-verify", "--group", "hanoi", "--level", "3", "--samples", "0"]),
+    (None, ["schur-verify", "--group", "hanoi", "--level", "3", "--samples", "-1"]),
+    (None, ["conjugacy-verify", "--samples", "-1"]),
+    (None, ["julia", "--depth", "-1"]),
+    (None, ["julia", "--mode", "nope"]),
+    (None, ["potential-grid", "--group", "hanoi", "--iters", "-1"]),
+    (None, ["potential-grid", "--group", "hanoi", "--window=1,1,0,1"]),
+    (None, ["potential-grid", "--group", "hanoi", "--window=0,1,2,-2"]),
+    (None, ["experiment", "--kind", "backward-square", "--n", "0"]),
+    ("trials = 0", ["dyndeg", "--map", "R_G"]),
+    ("iters = -1", ["potential-grid", "--group", "hanoi"]),
+    ("samples = 0", ["schur-verify", "--group", "hanoi", "--level", "3"]),
+    (None, ["--config", "{tmp}/missing.cfg", "julia"]),
+]
+
+
+@pytest.mark.parametrize("config, command", BAD_INPUT)
+def test_bad_input_exits_2_with_one_json_error(config, command, tmp_path, capsys):
+    argv = [arg.format(tmp=tmp_path) for arg in command] + ["--out", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        argv = ["--config", str(tmp_path / "run.cfg")] + argv
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert set(json.loads(captured.err)) == {"error"}
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,6 @@
 """Symbolic conjugacy identities and quadratic-extension arithmetic."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from spectral_renorm.conjugacy import (
     chebyshev_semiconj_check,
     chebyshev_rf,
     compose_rf,
-    compose_univariate,
     conjugacy_checks,
     fiber_checks_symbolic,
     fiber_conjugation_check,
@@ -51,6 +51,66 @@ def test_compose_rf_matches_numeric_evaluation():
     assert composed.eval(pt) == expr.eval(inner)
 
 
+def compose_rf_loop(expr, args):
+    """Reference: ``compose_rf`` as it was before it went through
+    ``MultiPoly.subs``, one loop over each polynomial's terms."""
+    arity = expr.num.arity
+    out_arity = args[0].num.arity
+
+    def subs_poly(p):
+        degs = [max(p.degree_in(i), 0) for i in range(arity)]
+        num = MultiPoly.zero(out_arity)
+        for expo, coeff in p.terms.items():
+            term = MultiPoly.constant(out_arity, coeff)
+            for i, e in enumerate(expo):
+                if e:
+                    term = term * args[i].num ** e
+                if degs[i] - e:
+                    term = term * args[i].den ** (degs[i] - e)
+            num = num + term
+        den = MultiPoly.constant(out_arity, 1)
+        for i in range(arity):
+            if degs[i]:
+                den = den * args[i].den ** degs[i]
+        return RationalFunction2(num, den)
+
+    top, bottom = subs_poly(expr.num), subs_poly(expr.den)
+    if bottom.num.is_zero():
+        raise ZeroDivisionError("denominator vanishes identically under composition")
+    return top / bottom
+
+
+@st.composite
+def small_polys(draw, arity, homogeneous=False, nonzero=False):
+    degree = draw(st.integers(0, 3))
+    expos = [e for e in itertools.product(range(degree + 1), repeat=arity)
+             if sum(e) == degree or not homogeneous]
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    poly = MultiPoly(arity, draw(st.dictionaries(st.sampled_from(expos), coeff, max_size=4)))
+    return poly if poly or not nonzero else MultiPoly.constant(arity, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda arity: st.tuples(
+    small_polys(arity), small_polys(arity, nonzero=True),
+    st.lists(st.tuples(small_polys(2, homogeneous=True),
+                       small_polys(2, homogeneous=True, nonzero=True)),
+             min_size=arity, max_size=arity))))
+def test_compose_rf_matches_the_old_loop(case):
+    """Univariate expressions (arity 1) are the compositions that
+    ``compose_univariate`` used to do."""
+    num, den, pairs = case
+    expr = RationalFunction2(num, den)
+    args = [RationalFunction2(a, b) for a, b in pairs]
+    try:
+        expected = compose_rf_loop(expr, args)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            compose_rf(expr, args)
+        return
+    assert compose_rf(expr, args).equals(expected)
+
+
 def test_all_conjugacy_identities_exact():
     results = conjugacy_checks()
     assert results == {
@@ -71,7 +131,7 @@ def test_chebyshev_normalization_pinned():
 def test_broken_identity_detected():
     f = map_affine("R_G")
     psi = grig_semiconjugator()
-    wrong = compose_univariate(chebyshev_rf(), grig_invariant())
+    wrong = compose_rf(chebyshev_rf(), (grig_invariant(),))
     assert not compose_rf(psi, f).equals(wrong)
     with pytest.raises(ValueError):
         verify_identity((psi,), (psi, psi))

@@ -1,6 +1,8 @@
 """Polynomial and binary-form arithmetic."""
 
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,6 @@ from spectral_renorm.ratmaps.poly import (
     _primitive_int,
     _strip,
     _try_modular_gcd,
-    _content_int,
     binary_form_divexact,
     binary_forms_gcd,
     poly_divexact_int,
@@ -76,12 +77,12 @@ def fraction_product(p, q):
 
 
 @st.composite
-def multipolys(draw, arity):
+def multipolys(draw, arity, max_exponent=4, max_terms=10):
     # Coefficients of +-1 and +-2 over few exponents make partial sums cancel.
     numerators = draw(st.sampled_from([st.integers(-2, 2), st.integers(-10**6, 10**6)]))
     coeff = st.builds(Fraction, numerators, st.integers(1, 12))
-    expo = st.tuples(*[st.integers(0, 4)] * arity)
-    return MultiPoly(arity, draw(st.dictionaries(expo, coeff, max_size=10)))
+    expo = st.tuples(*[st.integers(0, max_exponent)] * arity)
+    return MultiPoly(arity, draw(st.dictionaries(expo, coeff, max_size=max_terms)))
 
 
 @st.composite
@@ -137,6 +138,115 @@ def test_builtin_maps_keep_their_term_order(monkeypatch):
         rebuilt = builtin_map(name)
         assert [list(c.terms.items()) for c in rebuilt.components] == [
             list(c.terms.items()) for c in built[name].components], name
+
+
+def subs_multipoly_loop(p, polys):
+    """Reference: the loop ``MultiPoly.subs`` ran when it took only
+    polynomial values."""
+    arity = polys[0].arity
+    out = MultiPoly.zero(arity)
+    cache = [{0: MultiPoly.constant(arity, 1)} for _ in polys]
+
+    def powered(i, e):
+        if e not in cache[i]:
+            cache[i][e] = powered(i, e - 1) * polys[i]
+        return cache[i][e]
+
+    for expo, coeff in p.terms.items():
+        term = MultiPoly.constant(arity, coeff)
+        for i, e in enumerate(expo):
+            if e:
+                term = term * powered(i, e)
+        out = out + term
+    return out
+
+
+def eval_on_forms_loop(poly, basis):
+    """Reference: the binary-form substitution loop that restricted maps to
+    lines before ``MultiPoly.subs`` took forms."""
+    caches = [{0: BinaryForm([1], 0)} for _ in basis]
+
+    def powered(i, e):
+        if e not in caches[i]:
+            caches[i][e] = powered(i, e - 1) * basis[i]
+        return caches[i][e]
+
+    acc = BinaryForm([], -1)
+    for expo, coeff in poly.terms.items():
+        term = BinaryForm([int(coeff)], 0)
+        for i, e in enumerate(expo):
+            if e:
+                term = term * powered(i, e)
+        acc = acc + term if not acc.is_zero() else term
+    return acc
+
+
+def eval_loop(poly, values):
+    """Reference: the point-evaluation loop ``MultiPoly.eval`` ran before it
+    became an alias of ``subs``."""
+    total = None
+    for expo, coeff in poly.terms.items():
+        term = coeff
+        for v, e in zip(values, expo):
+            if e:
+                term = term * v ** e
+        total = term if total is None else total + term
+    return Fraction(0) if total is None else total
+
+
+@st.composite
+def homogeneous_polys(draw, arity=3, integral=False):
+    degree = draw(st.integers(0, 4))
+    expos = [e for e in itertools.product(range(degree + 1), repeat=arity) if sum(e) == degree]
+    numerators = st.integers(-3, 3)
+    coeff = numerators if integral else st.builds(Fraction, numerators, st.integers(1, 6))
+    return MultiPoly(arity, draw(st.dictionaries(st.sampled_from(expos), coeff, max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(homogeneous_polys(), st.integers(1, 3).flatmap(
+    lambda arity: st.tuples(*[multipolys(arity, max_exponent=2, max_terms=4)] * 3)))
+def test_subs_with_polynomial_values_matches_the_old_loop_in_value_and_order(p, values):
+    assert list(p.subs(values).terms.items()) == list(
+        subs_multipoly_loop(p, values).terms.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(homogeneous_polys(integral=True), st.integers(0, 3).flatmap(
+    lambda degree: st.tuples(*[st.lists(st.integers(-9, 9), min_size=degree + 1,
+                                        max_size=degree + 1)] * 3)))
+def test_subs_with_binary_forms_matches_the_old_loop(p, coeff_lists):
+    basis = [BinaryForm(coeffs) for coeffs in coeff_lists]
+    assert p.subs(basis) == eval_on_forms_loop(p, basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(homogeneous_polys(), st.tuples(*[st.builds(Fraction, st.integers(-9, 9),
+                                                  st.integers(1, 9))] * 3))
+def test_subs_with_scalar_values_matches_the_old_eval_loop(p, point):
+    assert p.subs(point) == p.eval(point) == eval_loop(p, point)
+
+
+def test_subs_keeps_a_leading_constant_term_first():
+    x = MultiPoly.variable(2, 0)
+    y = MultiPoly.variable(2, 1)
+    p = MultiPoly(2, {(0, 0): 3, (1, 0): 1, (0, 2): -2})
+    values = [x + y, x * y - 1]
+    assert list(p.subs(values).terms.items()) == list(
+        subs_multipoly_loop(p, values).terms.items())
+    assert MultiPoly.zero(2).subs(values) == MultiPoly.zero(2)
+    assert MultiPoly.zero(2).subs([BinaryForm([1, 2])] * 2).is_zero()
+
+
+def test_binary_form_takes_integer_scalars_only():
+    f = BinaryForm([1, -2, 3])
+    assert f * 3 == 3 * f == BinaryForm([3, -6, 9])
+    assert f * Fraction(4, 2) == BinaryForm([2, -4, 6])
+    assert (0 * f).is_zero()
+    with pytest.raises(ValueError):
+        f * Fraction(1, 2)
+    with pytest.raises(ValueError):
+        Fraction(1, 2) * f
 
 
 def schoolbook_int(a, b):
@@ -212,14 +322,12 @@ def test_modular_gcd_agrees_with_prs_on_large_inputs():
         a = [rng.randint(-9, 9) for _ in range(30)] + [rng.randint(1, 9)]
         f1, f2 = _poly_mul_int(g, a), _poly_mul_int(g, g)
         got = poly_gcd_int(f1, f2)
-        cf = _content_int(f1)
-        cg = _content_int(f2)
+        cf = gcd(*f1)
+        cg = gcd(*f2)
         ff = [x // cf for x in f1]
         gg = [x // cg for x in f2]
-        from math import gcd as int_gcd
-
         expected = _prs_gcd(ff, gg)
-        c = int_gcd(cf, cg)
+        c = gcd(cf, cg)
         expected = [x * c for x in expected] if c > 1 else expected
         assert got == expected
 
@@ -236,8 +344,6 @@ def test_modular_gcd_agrees_with_prs_under_unlucky_primes(g, lead, r, s, unlucky
     """f = g·a and h = g·b where a and b share a root modulo the first
     and/or second gcd prime but not over the integers, so those primes give
     images of too high a degree and must be discarded."""
-    from math import gcd as int_gcd
-
     p0, p1 = _GCD_PRIMES[0], _GCD_PRIMES[1]
     g = g + [lead]
     if unlucky == "first":
@@ -249,14 +355,14 @@ def test_modular_gcd_agrees_with_prs_under_unlucky_primes(g, lead, r, s, unlucky
         b = _poly_mul_int([-r - p0, 1], [-s - p1, 1])
         forced = (p0, p1)
     f, h = _poly_mul_int(g, a), _poly_mul_int(g, b)
-    cf, ch = _content_int(f), _content_int(h)
+    cf, ch = gcd(*f), gcd(*h)
     ff, hh = [x // cf for x in f], [x // ch for x in h]
     expected = _prs_gcd(ff, hh)
     assert len(expected) == len(g)
     for p in forced:
         assert len(_gcd_mod_p(ff, hh, p)) > len(expected)
     assert _try_modular_gcd(ff, hh) == expected
-    c = int_gcd(cf, ch)
+    c = gcd(cf, ch)
     assert poly_gcd_int(f, h) == [x * c for x in expected]
 
 

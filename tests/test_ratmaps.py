@@ -17,6 +17,7 @@ from spectral_renorm.ratmaps.degrees import (
 )
 from spectral_renorm.ratmaps.maps import (
     IndeterminacyError,
+    RationalMapP2,
     builtin_map,
     univariate_curve,
     verify_contracted,
@@ -96,6 +97,18 @@ def test_degree_sequences_and_submultiplicativity():
         for j in range(len(degs) - i - 1):
             assert degs[i + j + 1] <= degs[i] * degs[j]
     assert compose_along_line(builtin_map("R_L"), line, 6) == [2, 3, 4, 5, 6, 7]
+
+
+def test_maps_take_integer_coefficients_only():
+    """A rational coefficient would be truncated on restriction to a line,
+    so the constructor rejects it; the projectively equal integer map keeps
+    its degrees."""
+    x, y, w = (MultiPoly.variable(3, i) for i in range(3))
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="integer coefficients"):
+        RationalMapP2("h", (x * x * half, y * y, w * w * half), 2)
+    m = RationalMapP2("h", (x * x, 2 * y * y, w * w), 2)
+    assert compose_along_line(m, [(1, 2), (3, -1), (0, 1)], 3) == [2, 4, 8]
 
 
 def test_compose_along_line_consistent_with_pointwise_eval():
