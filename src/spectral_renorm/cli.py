@@ -244,9 +244,9 @@ def _outdir(args) -> Path:
 def cmd_spectrum(args) -> int:
     from spectral_renorm import output, spectra
 
-    out = _outdir(args)
     fmts = _formats(args)
     result = spectra.dos(args.group, args.level, args.grig_slice)
+    out = _outdir(args)
     m = result.measure
     stem = f"spectrum_{args.group}_n{args.level}"
     if "csv" in fmts:
@@ -279,7 +279,6 @@ def cmd_spectrum(args) -> int:
 def cmd_dos_compare(args) -> int:
     from spectral_renorm import output, spectra
 
-    out = _outdir(args)
     fmts = _formats(args)
     if args.levels:
         lo, hi = args.levels.split("..")
@@ -288,6 +287,7 @@ def cmd_dos_compare(args) -> int:
         levels = {"grigorchuk": list(range(4, 12)), "lamplighter": list(range(4, 13)),
                   "hanoi": list(range(3, 8))}[args.group]
     report = spectra.convergence_report(args.group, levels)
+    out = _outdir(args)
     stem = f"dos_compare_{args.group}"
     if "csv" in fmts:
         output.write_csv(out / f"{stem}.csv", ["level", "distance", "metric"],
@@ -305,12 +305,12 @@ def cmd_dos_compare(args) -> int:
 def cmd_schur_verify(args) -> int:
     from spectral_renorm import output, pencils
 
-    out = _outdir(args)
     scheme = pencils.builtin_scheme(args.group)
     try:
         report = pencils.verify_recursion(scheme, args.level, args.samples, args.seed)
     except ValueError as exc:
         raise BudgetError(str(exc)) from None
+    out = _outdir(args)
     stem = f"schur_{args.group}_n{args.level}"
     if "json" in _formats(args):
         output.write_json(out / f"{stem}.json", report)
@@ -323,12 +323,12 @@ def cmd_schur_verify(args) -> int:
 def cmd_conjugacy_verify(args) -> int:
     from spectral_renorm import conjugacy, output
 
-    out = _outdir(args)
     report = {
         "identities": conjugacy.conjugacy_checks(),
         "chebyshev_normalization": conjugacy.chebyshev_semiconj_check(),
         "fiber": conjugacy.fiber_conjugation_check(args.samples, seed=args.seed),
     }
+    out = _outdir(args)
     if "json" in _formats(args):
         output.write_json(out / "conjugacy_verify.json", report)
     ok = (all(report["identities"].values())
@@ -343,12 +343,12 @@ def cmd_maps_verify(args) -> int:
     from spectral_renorm.ratmaps import charts
     from spectral_renorm.verification import contracted_curve_report, indeterminacy_report
 
-    out = _outdir(args)
     report = {
         "contracted": contracted_curve_report(),
         "indeterminacy": indeterminacy_report(),
         "charts": charts.standard_chart_checks(),
     }
+    out = _outdir(args)
     if "json" in _formats(args):
         output.write_json(out / "maps_verify.json", report)
     ok = (all(r["ok"] for r in report["contracted"])
@@ -363,10 +363,10 @@ def cmd_dyndeg(args) -> int:
 
     if args.iters > degrees.MAX_ITERATES:
         raise BudgetError(f"iteration budget is {degrees.MAX_ITERATES}")
-    out = _outdir(args)
     result = degrees.dynamical_degree(maps.builtin_map(args.map_name),
                                       iterations=args.iters, trials=args.trials,
                                       seed=args.seed)
+    out = _outdir(args)
     stem = f"dyndeg_{args.map_name}"
     if "json" in _formats(args):
         output.write_json(out / f"{stem}.json", result)
@@ -464,7 +464,6 @@ def cmd_potential_grid(args) -> int:
 def cmd_julia(args) -> int:
     from spectral_renorm import output, spectra
 
-    out = _outdir(args)
     coeffs = tuple(float(v) for v in args.poly.split(","))
     if len(coeffs) != 3:
         raise BudgetError("--poly needs a,b,c")
@@ -472,6 +471,7 @@ def cmd_julia(args) -> int:
         raise BudgetError("full-tree depth capped at 16")
     pts, measure = spectra.julia_backward(coeffs, args.depth, mode=args.mode,
                                           seed=args.seed)
+    out = _outdir(args)
     stem = f"julia_d{args.depth}"
     fmts = _formats(args)
     if "csv" in fmts:
@@ -495,9 +495,9 @@ def cmd_julia(args) -> int:
 def cmd_experiment(args) -> int:
     from spectral_renorm import experiments, output
 
-    out = _outdir(args)
     fmts = _formats(args)
     kind = args.kind
+    series = points = measure = None
     if kind == "twist":
         if args.n > experiments.TWIST_COUNT_MAX:
             raise BudgetError(f"twist n capped at {experiments.TWIST_COUNT_MAX}")
@@ -524,26 +524,24 @@ def cmd_experiment(args) -> int:
         points = r["line_points"]
         measure = r["measure"]
     else:
+        if args.n > experiments.BACKWARD_DEPTH_MAX:
+            raise BudgetError(f"backward depth capped at {experiments.BACKWARD_DEPTH_MAX}")
         model = kind.split("-", 1)[1]
         seed_point = complex(args.seed_point) if model == "square" else float(args.seed_point)
-        r = experiments.backward_equidistribution(model, seed_point, args.n)
+        series = experiments.backward_equidistribution(model, seed_point, args.n)["series"]
         summary = {
             "kind": kind, "params": {"seed_point": args.seed_point, "depth": args.n},
             "count": 2 ** args.n,
-            "distances": [row["distance"] for row in r["series"]],
+            "distances": [row["distance"] for row in series],
         }
-        points = None
-        measure = None
-        if "csv" in fmts:
-            output.write_csv(out / f"experiment_{kind}.csv",
-                             ["depth", "distance", "metric"],
-                             [(row["depth"], row["distance"], row["metric"])
-                              for row in r["series"]])
-        if "svg" in fmts:
-            output.svg_series(out / f"experiment_{kind}.svg",
-                              [row["depth"] for row in r["series"]],
-                              [row["distance"] for row in r["series"]],
-                              title=kind, logy=True)
+    out = _outdir(args)
+    if series is not None and "csv" in fmts:
+        output.write_csv(out / f"experiment_{kind}.csv", ["depth", "distance", "metric"],
+                         [(row["depth"], row["distance"], row["metric"]) for row in series])
+    if series is not None and "svg" in fmts:
+        output.svg_series(out / f"experiment_{kind}.svg",
+                          [row["depth"] for row in series],
+                          [row["distance"] for row in series], title=kind, logy=True)
     if points is not None and "csv" in fmts:
         output.write_csv(out / f"experiment_{kind}.csv", ["x", "y"], points)
     if points is not None and "svg" in fmts and len(points) > 1:

@@ -94,22 +94,56 @@ class DOSResult:
     residual_bound: float
 
 
+_SYMMETRY_TILE = 64  # a tile and its mirror fit in cache, so the check makes no n x n temporary
+
+
 def sym_eigenvalues(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix, ascending.
 
-    The input must be symmetric to 1e-12 relative; a handful of eigenpairs
-    are spot-checked against the residual bound ||Mv - ev|| <= tol * ||M||.
+    The input must be symmetric to 1e-12 relative: max |m - m^T| is at most
+    1e-12 * max(1, max |m|), compared tile by tile against the mirrored tile.
+    LAPACK ``dsytrd`` (blocked, lower triangle) reduces the matrix to a
+    tridiagonal T = Q^T M Q and ``dstevd`` solves T by divide and conquer.
+    ``np.linalg.eigh`` (``dsyevd``) runs the same reduction and the same
+    solver on the same T, so the eigenvalues agree with it bit for bit; what
+    is skipped is carrying all n eigenvectors back through Q.  Only the five
+    spot-checked eigenvectors, evenly spaced in the spectrum, are carried back
+    (``dormqr``), and each is checked on the original matrix against
+    ||Mv - ev|| <= tol * ||M||.
+
+    Peak memory is about four n x n arrays: the input, its reduced copy, the
+    eigenvectors of T and the solver's workspace.
     """
+    from scipy.linalg import lapack  # imported here: it adds ~0.15 s to every CLI start
+
     m = np.asarray(matrix, dtype=float)
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > 1e-12 * scale:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix is not square")
+    n = m.shape[0]
+    scale = max(1.0, float(m.max()), -float(m.min()))
+    t = _SYMMETRY_TILE
+    asym = max(float(np.abs(m[i:i + t, j:j + t] - m[j:j + t, i:i + t].T).max())
+               for i in range(0, n, t) for j in range(i, n, t))
+    if asym > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(m)
-    norm = float(np.linalg.norm(m, 2)) if m.shape[0] <= 2 else float(np.abs(vals).max())
+    lwork, _ = lapack.dsytrd_lwork(n, lower=1)  # the wrapper's default lwork = n is unblocked
+    red, d, e, tau, _ = lapack.dsytrd(m, lower=1, lwork=int(lwork))
+    # the wrapper wants at least one off-diagonal entry even when n = 1
+    vals, z, info = lapack.dstevd(d, e if n > 1 else np.zeros(1))
+    if info:
+        raise np.linalg.LinAlgError(f"dstevd did not converge (info {info})")
+    norm = float(np.linalg.norm(m, 2)) if n <= 2 else float(np.abs(vals).max())
     norm = max(norm, 1e-300)
-    idx = np.linspace(0, len(vals) - 1, min(len(vals), 5)).astype(int)
-    for i in idx:
-        res = float(np.linalg.norm(m @ vecs[:, i] - vals[i] * vecs[:, i]))
+    idx = np.linspace(0, n - 1, min(n, 5)).astype(int)
+    vecs = z[:, idx]
+    if n > 1:
+        # Q fixes e_1; on the other rows it is the product of the reflectors
+        # stored below the subdiagonal
+        vecs[1:], _, _ = lapack.dormqr("L", "N", red[1:, :-1], tau, vecs[1:],
+                                       lwork=len(idx))
+    for k, i in enumerate(idx):
+        v = vecs[:, k]
+        res = float(np.linalg.norm(m @ v - vals[i] * v))
         if res > tol * norm:
             raise ArithmeticError(f"eigenpair residual {res:.3e} exceeds {tol:.1e} * ||M||")
     return vals
@@ -133,8 +167,9 @@ def slice_matrix(group_tag: str, n: int, grig_slice: float = -1.0) -> np.ndarray
 
     This is the float instantiation of ``pencils.pencil_terms`` at
     ``slice_point``, where the spectral variable is 0.  Permutation terms are
-    accumulated in place (one d^n x d^n allocation total; level 12 is
-    ~130 MB, which is the budget boundary).
+    accumulated in place, so this is one d^n x d^n allocation: 134 MB at
+    level 12, the budget boundary.  ``sym_eigenvalues`` holds about four
+    arrays of that size at its peak, ~540 MB at level 12.
     """
     lam, mu = (Fraction(x) for x in slice_point(group_tag, grig_slice))
     scheme = builtin_scheme(group_tag)
@@ -155,6 +190,14 @@ def _dos_eigenvalues(group_tag: str, n: int, grig_slice: float) -> tuple:
     return tuple(float(v) for v in vals)
 
 
+def _check_level(group_tag: str, n: int) -> None:
+    budget = DOS_BUDGET.get(group_tag)
+    if budget is None:
+        raise ValueError(f"unknown group tag '{group_tag}'")
+    if not 1 <= n <= budget:
+        raise ValueError(f"level {n} outside the budget 1..{budget} for {group_tag}")
+
+
 def dos(group_tag: str, n: int, grig_slice: float = -1.0) -> DOSResult:
     """Density of states of the level-n Schreier graph slice.
 
@@ -162,11 +205,7 @@ def dos(group_tag: str, n: int, grig_slice: float = -1.0) -> DOSResult:
     axis x = (mu + 1)/4; ``grig_slice`` selects the line lam = grig_slice
     (the determinant is even in lam, so -1 and +1 agree; both are exposed).
     """
-    budget = DOS_BUDGET.get(group_tag)
-    if budget is None:
-        raise ValueError(f"unknown group tag '{group_tag}'")
-    if not 1 <= n <= budget:
-        raise ValueError(f"level {n} outside the budget 1..{budget} for {group_tag}")
+    _check_level(group_tag, n)
     vals = np.array(_dos_eigenvalues(group_tag, n, float(grig_slice)))
     if group_tag == "grigorchuk":
         vals = (vals + 1.0) / 4.0
@@ -455,6 +494,8 @@ def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
     levels = sorted(n_range)
     if len(levels) < 3:
         raise ValueError("need at least 3 levels to fit a rate")
+    for n in levels:  # refuse the whole range before computing any level
+        _check_level(group_tag, n)
     rows = []
     if group_tag == "grigorchuk":
         limit = grig_limit_measure(-1.0)

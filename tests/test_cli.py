@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from spectral_renorm import cli
+from spectral_renorm import cli, experiments
 from spectral_renorm.cli import main
 
 
@@ -202,6 +202,14 @@ BAD_INPUT = [
     ("iters = -1", ["potential-grid", "--group", "hanoi"]),
     ("samples = 0", ["schur-verify", "--group", "hanoi", "--level", "3"]),
     (None, ["--config", "{tmp}/missing.cfg", "julia"]),
+    (None, ["spectrum", "--group", "grigorchuk", "--level", "13"]),
+    (None, ["schur-verify", "--group", "hanoi", "--level", "6"]),
+    (None, ["julia", "--depth", "40"]),
+    (None, ["dos-compare", "--group", "hanoi", "--levels", "3..9"]),
+    (None, ["experiment", "--kind", "backward-square",
+            "--n", str(experiments.BACKWARD_DEPTH_MAX + 1)]),
+    (None, ["experiment", "--kind", "backward-cantor",
+            "--n", str(experiments.BACKWARD_DEPTH_MAX + 1)]),
 ]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spectral_renorm.experiments import (
+    BACKWARD_DEPTH_MAX,
     ModelSystem,
     arccos_law_cdf,
     backward_equidistribution,
@@ -130,3 +131,10 @@ def test_backward_cantor_non_increasing_after_burn_in():
     assert all(b <= a + 1e-12 for a, b in zip(dists[3:], dists[4:]))
     with pytest.raises(ValueError):
         backward_equidistribution("nope", 1.0, 3)
+
+
+@pytest.mark.parametrize("model,seed_point", [("square", 1.7), ("cheb", 0.3), ("cantor", 3.0)])
+def test_backward_depth_is_capped(model, seed_point):
+    for depth in (0, BACKWARD_DEPTH_MAX + 1):
+        with pytest.raises(ValueError, match="depth must be in"):
+            backward_equidistribution(model, seed_point, depth)

@@ -1,9 +1,13 @@
 """Eigenvalue measures, densities of states, limit laws."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_renorm.pencils import assemble, builtin_scheme
 from spectral_renorm.spectra import (
@@ -35,6 +39,97 @@ def test_sym_eigenvalues_examples_and_errors():
     assert np.allclose(vals, 1.0)
     with pytest.raises(ValueError):
         sym_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@st.composite
+def symmetric_matrix(draw):
+    """Gaussian, small-integer, diagonal, repeated-block or block-diagonal
+    symmetric matrices of size 1..60.  Block-diagonal ones make the
+    tridiagonal split, which sends the solver through its deflation."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["gauss", "int", "diag", "repeated", "blockdiag"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "gauss":
+        g = rng.standard_normal((n, n))
+        return g + g.T
+    if kind == "int":
+        g = rng.integers(-3, 4, (n, n)).astype(float)
+        return g + g.T
+    if kind == "diag":
+        return np.diag(rng.integers(-4, 5, n).astype(float))
+    if kind == "repeated":
+        k = draw(st.integers(1, 4))
+        b = rng.integers(-2, 3, (k, k)).astype(float)
+        return np.kron(np.eye(-(-n // k)), b + b.T)[:n, :n]
+    m = np.zeros((n, n))
+    cut = draw(st.integers(0, n))
+    for lo, hi in ((0, cut), (cut, n)):
+        g = rng.integers(-2, 3, (hi - lo, hi - lo)).astype(float)
+        m[lo:hi, lo:hi] = g + g.T
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrix())
+def test_sym_eigenvalues_are_eighs_bit_for_bit(m):
+    assert np.array_equal(sym_eigenvalues(m), np.linalg.eigh(m)[0])
+
+
+@pytest.mark.parametrize("group_tag,top,grig_slice", [
+    ("grigorchuk", 9, -1.0),
+    ("grigorchuk", 9, 0.3),
+    ("lamplighter", 9, -1.0),
+    ("hanoi", 6, -1.0),
+])
+def test_slice_eigenvalues_are_eighs_bit_for_bit(group_tag, top, grig_slice):
+    for n in range(1, top + 1):
+        m = slice_matrix(group_tag, n, grig_slice)
+        assert np.array_equal(sym_eigenvalues(m), np.linalg.eigh(m)[0])
+
+
+def test_symmetry_check_reads_every_tile():
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((150, 150))
+    m = g + g.T
+    scale = np.abs(m).max()
+    m[140, 3] += 1e-13 * scale  # within tolerance, in the last tile row
+    sym_eigenvalues(m)
+    m[140, 3] += 1e-11 * scale
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eigenvalues(m)
+    with pytest.raises(ValueError, match="not square"):
+        sym_eigenvalues(np.zeros((3, 4)))
+
+
+def _wrong_eigenvalue(vals, z, info):
+    vals[-1] += 1e-3
+    return vals, z, info
+
+
+def _wrong_vector(cq, work, info):
+    return cq[::-1].copy(), work, info
+
+
+@pytest.mark.parametrize("routine,corrupt", [("dstevd", _wrong_eigenvalue),
+                                             ("dormqr", _wrong_vector)],
+                         ids=["dstevd", "dormqr"])
+def test_residual_check_catches_a_wrong_eigenpair(routine, corrupt, monkeypatch):
+    from scipy.linalg import lapack
+
+    real = getattr(lapack, routine)
+    m = slice_matrix("grigorchuk", 5)
+    sym_eigenvalues(m)
+    monkeypatch.setattr(lapack, routine, lambda *args, **kwargs: corrupt(*real(*args, **kwargs)))
+    with pytest.raises(ArithmeticError, match="residual"):
+        sym_eigenvalues(m)
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    code = ("import sys, spectral_renorm.cli, spectral_renorm.spectra; "
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_grigorchuk_level2_sliced_matrix_spectrum():
@@ -230,6 +325,14 @@ def test_convergence_report_structure():
     assert rep["target"] == "(1/3)^n W1 drift; (2/3)^n mass rate in tv_to_next"
     with pytest.raises(ValueError):
         convergence_report("grigorchuk", [4, 5])
+
+
+def test_convergence_report_checks_every_level_before_computing_any(monkeypatch):
+    from spectral_renorm import spectra
+
+    monkeypatch.setattr(spectra, "dos", lambda *args: pytest.fail("a level was computed"))
+    with pytest.raises(ValueError, match="budget"):
+        convergence_report("grigorchuk", range(4, 14))
 
 
 def test_tv_distance():
