@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from spectral_renorm.exact import (
     integer_roots,
     mat_inverse,
     mat_mul,
+    poly_deflate,
     primitive_int_vector,
     rational_kernel,
 )
@@ -190,10 +192,6 @@ def map_action(x: BlowupSurface, f_star: Sequence[Sequence[int]],
 def _spectral_data(pull: list, cp: list) -> tuple:
     # deflate the exact integer roots first; numeric root-finding on the
     # remainder avoids the ill-conditioning of multiple roots
-    from math import lcm
-
-    from spectral_renorm.exact import poly_deflate
-
     int_roots = integer_roots(cp)
     den = lcm(*(c.denominator for c in cp))
     rest = [int(c * den) for c in cp]

@@ -2,11 +2,12 @@
 
 Identities between compositions of rational expressions are checked exactly
 by cross-multiplication of ``num/den`` pairs of sparse polynomials.  The
-square-root sqrt(eta^2 - 1) that appears in the fiber coordinates of the
-hyperbola pencil is handled formally, as a quadratic-extension element
-``p + q s`` with ``s^2 = eta^2 - 1``; any consistent numeric determination
-of s then satisfies the same identities, which is what the floating-point
-spot checks exploit.
+square root s = sqrt(eta^2 - 1) that appears in the fiber coordinates of the
+hyperbola pencil is no extension to carry along: the conic s^2 = eta^2 - 1
+is rational, eta = (t^2 + 1)/(2t) and s = (t^2 - 1)/(2t), so the fiber
+identities are identities in Q(t, z).  Any consistent numeric determination
+of s satisfies them too, which is what the floating-point spot checks
+exploit.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from spectral_renorm.ratmaps.maps import builtin_map
 from spectral_renorm.ratmaps.poly import MultiPoly
 
 # ---------------------------------------------------------------------------
@@ -144,8 +146,6 @@ def _rf(num: MultiPoly, den: MultiPoly | None = None) -> RationalFunction2:
 
 def map_affine(name: str) -> tuple:
     """A builtin plane map as a pair of affine rational functions."""
-    from spectral_renorm.ratmaps.maps import builtin_map
-
     m = builtin_map(name)
     x, y = _xy()
     one = MultiPoly.constant(2, 1)
@@ -221,172 +221,54 @@ def chebyshev_semiconj_check() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic extension s^2 = eta^2 - 1 over Q(eta, z)
+# Fibers of eta through the rational parametrization of s^2 = eta^2 - 1
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadExtElement:
-    """p + q s with polynomial p, q in (eta, z) and s^2 = eta^2 - 1."""
+def fiber_base() -> tuple:
+    """(eta, s, z) in Q(t, z), with eta = (t^2 + 1)/(2t) and
+    s = (t^2 - 1)/(2t), so that s^2 = eta^2 - 1.
 
-    p: MultiPoly
-    q: MultiPoly
-
-    @classmethod
-    def of_poly(cls, p: MultiPoly) -> "QuadExtElement":
-        return cls(p, MultiPoly.zero(2))
-
-    @classmethod
-    def of_const(cls, v) -> "QuadExtElement":
-        return cls(MultiPoly.constant(2, Fraction(v)), MultiPoly.zero(2))
-
-    @classmethod
-    def root(cls) -> "QuadExtElement":
-        return cls(MultiPoly.zero(2), MultiPoly.constant(2, 1))
-
-    def __add__(self, other):
-        other = _coerce_qe(other)
-        return QuadExtElement(self.p + other.p, self.q + other.q)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExtElement(-self.p, -self.q)
-
-    def __sub__(self, other):
-        return self + (-_coerce_qe(other))
-
-    def __rsub__(self, other):
-        return _coerce_qe(other) - self
-
-    def __mul__(self, other):
-        other = _coerce_qe(other)
-        eta = MultiPoly.variable(2, 0)
-        s2 = eta * eta - 1
-        return QuadExtElement(
-            self.p * other.p + self.q * other.q * s2,
-            self.p * other.q + self.q * other.p,
-        )
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "QuadExtElement":
-        return QuadExtElement(self.p, -self.q)
-
-    def is_zero(self) -> bool:
-        return self.p.is_zero() and self.q.is_zero()
-
-
-def _coerce_qe(v) -> QuadExtElement:
-    if isinstance(v, QuadExtElement):
-        return v
-    if isinstance(v, MultiPoly):
-        return QuadExtElement.of_poly(v)
-    return QuadExtElement.of_const(v)
-
-
-@dataclass(frozen=True)
-class QuadExtFraction:
-    """Ratio of two quadratic-extension elements."""
-
-    num: QuadExtElement
-    den: QuadExtElement
-
-    def __post_init__(self):
-        if self.den.is_zero():
-            raise ZeroDivisionError
-
-    @classmethod
-    def of(cls, v) -> "QuadExtFraction":
-        return cls(_coerce_qe(v), QuadExtElement.of_const(1))
-
-    def __add__(self, other):
-        other = _coerce_qf(other)
-        return QuadExtFraction(self.num * other.den + other.num * self.den,
-                               self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExtFraction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-_coerce_qf(other))
-
-    def __rsub__(self, other):
-        return _coerce_qf(other) - self
-
-    def __mul__(self, other):
-        other = _coerce_qf(other)
-        return QuadExtFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_qf(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError
-        return QuadExtFraction(self.num * other.den, self.den * other.num)
-
-    def equals(self, other) -> bool:
-        other = _coerce_qf(other)
-        return (self.num * other.den - other.num * self.den).is_zero()
-
-
-def _coerce_qf(v) -> QuadExtFraction:
-    if isinstance(v, QuadExtFraction):
-        return v
-    return QuadExtFraction.of(v)
-
-
-def _fiber_pieces():
-    eta_p = MultiPoly.variable(2, 0)
-    z_p = MultiPoly.variable(2, 1)
-    eta = QuadExtFraction.of(eta_p)
-    z = QuadExtFraction.of(z_p)
-    s = QuadExtFraction.of(QuadExtElement.root())
-    return eta, z, s, eta_p, z_p
+    t -> eta + s is an isomorphism of Q(t, z) onto the field
+    Q(eta, z)[s]/(s^2 - eta^2 + 1), with eta - s = 1/t, so an identity in
+    eta, s and z holds there exactly when it holds here.
+    """
+    t = MultiPoly.variable(2, 0)
+    return _rf(t * t + 1, 2 * t), _rf(t * t - 1, 2 * t), _rf(MultiPoly.variable(2, 1))
 
 
 def fiber_inverse_symbolic() -> tuple:
     """(lam(z), mu(z)) parametrizing the fiber of the invariant eta, as
-    quadratic-extension fractions in (eta, z)."""
-    eta, z, s, _, _ = _fiber_pieces()
+    rational functions of (t, z)."""
+    eta, s, z = fiber_base()
     d = 1 + z * z + eta * s * (z * z - 1) - eta * eta * (1 + z * z)
     lam = (-4) * (eta * eta - 1) * z / d
     mu = 2 * s * (z - 1) * (z + 1) / d
     return lam, mu
 
 
-def fiber_coordinate_symbolic(lam: QuadExtFraction, mu: QuadExtFraction) -> QuadExtFraction:
+def fiber_coordinate_symbolic(lam: RationalFunction2, mu: RationalFunction2) -> RationalFunction2:
     """Slope coordinate on the fiber over eta: the Moebius-normalized slope
     of the line through (lam, mu) and (2, 0)."""
-    eta, _, s, _, _ = _fiber_pieces()
+    eta, s, _ = fiber_base()
     return (2 - lam - eta * mu - mu * s) / ((-2) + lam + eta * mu - mu * s)
 
 
 def fiber_checks_symbolic() -> dict:
-    """Exact fiber-coordinate identities in the quadratic extension:
+    """Exact fiber-coordinate identities over the fibers of eta:
 
     - the fiber return map is z -> z^2;
     - the semi-conjugator composed with the fiber parametrization is the
       average of z and 1/z.
     """
-    _, z, _, _, _ = _fiber_pieces()
+    _, _, z = fiber_base()
     lam, mu = fiber_inverse_symbolic()
-
-    # return map: fiber coordinate of F(lam, mu) equals z^2
-    f1 = 2 * lam * lam / (4 - mu * mu)
-    f2 = mu + mu * lam * lam / (4 - mu * mu)
-    lhs = fiber_coordinate_symbolic(f1, f2)
-    square = z * z
-    results = {"fiber_return_is_square": lhs.equals(square)}
-
-    # psi o inverse = (z + 1/z)/2
-    psi_val = (4 - mu * mu + lam * lam) / (4 * lam)
-    zh = (z * z + 1) / (2 * z)
-    results["psi_is_zhukovsky"] = psi_val.equals(zh)
-    return results
+    image = [compose_rf(c, (lam, mu)) for c in map_affine("R_G")]
+    psi = compose_rf(grig_semiconjugator(), (lam, mu))
+    return {
+        "fiber_return_is_square": fiber_coordinate_symbolic(*image).equals(z * z),
+        "psi_is_zhukovsky": psi.equals((z * z + 1) / (2 * z)),
+    }
 
 
 def fiber_conjugation_check(n_samples: int = 100, tol: float = 1e-9, seed: int = 5) -> dict:

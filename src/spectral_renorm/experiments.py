@@ -22,11 +22,17 @@ from typing import Callable
 
 import numpy as np
 
-from spectral_renorm.spectra import Measure1D, julia_backward, kolmogorov_to_cdf
+from spectral_renorm.spectra import (
+    Measure1D,
+    arcsine_cdf,
+    cdf_distance,
+    julia_backward,
+    kolmogorov_to_cdf,
+)
 
 TWIST_COUNT_MAX = 200
 SKEW_DEPTH_MAX = 14
-# 2^20 preimages: on 2 cores z -> z^2 takes 36 s at depth 20, the other two models under 3 s
+# 2^20 preimages: on 2 cores z -> z^2 takes about 1 s at depth 20, the other two models under 3 s
 BACKWARD_DEPTH_MAX = 20
 
 
@@ -255,7 +261,7 @@ def skew_cantor_experiment(eta0: float = 3.0, n: int = 10, line: tuple = (0.7, 0
     pts = np.real(pts)
     measure = Measure1D.from_samples(pts, np.full(len(pts), 1.0 / len(pts)))
     _, reference = julia_backward((1, -1, -3), reference_depth)
-    w1 = _w1_atomic(measure, reference)
+    w1 = cdf_distance(measure, reference, "wasserstein1")
     return {
         "eta0": eta0,
         "depth": n,
@@ -264,12 +270,6 @@ def skew_cantor_experiment(eta0: float = 3.0, n: int = 10, line: tuple = (0.7, 0
         "line_points": [(float(e), float(intercept + slope * e)) for e in pts[:64]],
         "w1_to_balanced": w1,
     }
-
-
-def _w1_atomic(m1: Measure1D, m2: Measure1D) -> float:
-    from spectral_renorm.spectra import cdf_distance
-
-    return cdf_distance(m1, m2, "wasserstein1")
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +281,13 @@ def circle_w1_to_uniform(angles: np.ndarray) -> float:
     """1-Wasserstein distance on the circle (circumference 2 pi) between the
     empirical measure of ``angles`` and the uniform law.
 
-    With H = F_emp - F_unif, the distance is min_c integral |H - c|; the
-    integral is evaluated exactly on the piecewise-linear parts and the
-    minimum located by ternary search (it is convex in c).
+    With H = F_emp - F_unif, the distance is min_c integral |H - c|, reached
+    at the median c of the values of H.  On each segment between atoms H
+    falls linearly with slope -1/(2 pi), so its values are a sum of uniform
+    laws, one on [h_right, h_left] per segment: their distribution function
+    is piecewise linear, its slope rising by one at each h_right and falling
+    by one at each h_left.  The integral is evaluated exactly on the
+    piecewise-linear parts.
     """
     two_pi = 2.0 * math.pi
     th = np.sort(np.mod(np.asarray(angles, dtype=float), two_pi))
@@ -296,35 +300,23 @@ def circle_w1_to_uniform(angles: np.ndarray) -> float:
     h_right = counts[:-1] - ts[1:] / two_pi
     lengths = np.diff(ts)
 
-    def total(c: float) -> float:
-        u = h_left - c
-        v = h_right - c
-        same = u * v >= 0
-        vals = np.where(
-            same,
-            0.5 * (np.abs(u) + np.abs(v)) * lengths,
-            0.5 * (u * u + v * v) / np.maximum(np.abs(u) + np.abs(v), 1e-300) * lengths,
-        )
-        return float(vals.sum())
+    ends = np.concatenate([h_right, h_left])
+    order = np.argsort(ends, kind="stable")  # on ties the rises come first
+    ends = ends[order]
+    slope = np.cumsum(np.concatenate([np.ones(n + 1), -np.ones(n + 1)])[order])[:-1]
+    mass = np.concatenate([[0.0], np.cumsum(slope * np.diff(ends))])
+    half = 0.5 * mass[-1]
+    k = int(np.searchsorted(mass, half))
+    c = ends[k - 1] + (half - mass[k - 1]) / slope[k - 1]
 
-    lo = float(min(h_left.min(), h_right.min()))
-    hi = float(max(h_left.max(), h_right.max()))
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if total(m1) <= total(m2):
-            hi = m2
-        else:
-            lo = m1
-    return total(0.5 * (lo + hi))
-
-
-def arcsine_cdf(x: float) -> float:
-    if x <= -1.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    return 0.5 + math.asin(x) / math.pi
+    u = h_left - c
+    v = h_right - c
+    vals = np.where(
+        u * v >= 0,
+        0.5 * (np.abs(u) + np.abs(v)) * lengths,
+        0.5 * (u * u + v * v) / np.maximum(np.abs(u) + np.abs(v), 1e-300) * lengths,
+    )
+    return float(vals.sum())
 
 
 def backward_equidistribution(model: str, seed_point, n: int, seed: int = 0) -> dict:
@@ -377,7 +369,7 @@ def backward_equidistribution(model: str, seed_point, n: int, seed: int = 0) -> 
             pts = np.concatenate([(1.0 + root) / 2.0, (1.0 - root) / 2.0])
             m = Measure1D.from_samples(pts, np.full(len(pts), 1.0 / len(pts)))
             series.append(
-                {"depth": depth, "distance": _w1_atomic(m, reference),
+                {"depth": depth, "distance": cdf_distance(m, reference, "wasserstein1"),
                  "metric": "wasserstein1"})
     else:
         raise ValueError("model must be 'square', 'cheb', or 'cantor'")

@@ -109,12 +109,6 @@ class LevelAction:
     def __len__(self):
         return len(self.perm)
 
-    def inverse(self) -> "LevelAction":
-        inv = [0] * len(self.perm)
-        for v, w in enumerate(self.perm):
-            inv[w] = v
-        return LevelAction(self.n, self.d, tuple(inv))
-
     def is_identity(self) -> bool:
         return all(p == v for v, p in enumerate(self.perm))
 

@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 
 from spectral_renorm.exact import det_exact, solve_exact, mat_mul, mat_sub
 from spectral_renorm.groups import GroupSpec, build_group, level_action
+from spectral_renorm.ratmaps.maps import builtin_map
 from spectral_renorm.ratmaps.poly import MultiPoly
 
 __all__ = [
@@ -248,12 +249,6 @@ def _sample_rational(rng: random.Random, bound: int = 100) -> Fraction:
     return Fraction(num, den)
 
 
-def _renormalization_map(scheme: PencilScheme):
-    from spectral_renorm.ratmaps.maps import builtin_map
-
-    return builtin_map(scheme.map_name)
-
-
 def verify_recursion(scheme: PencilScheme, n: int, samples: int = 20, seed: int = 0) -> dict:
     """Check the determinant recursion exactly at random rational points.
 
@@ -267,7 +262,7 @@ def verify_recursion(scheme: PencilScheme, n: int, samples: int = 20, seed: int 
         raise ValueError(f"level {n} exceeds the exact budget {scheme.max_level} "
                          f"for '{scheme.name}'")
     rng = random.Random(seed)
-    rmap = _renormalization_map(scheme)
+    rmap = builtin_map(scheme.map_name)
     d = scheme.d
     report = {"group": scheme.name, "level": n, "samples": samples, "failures": []}
     checked = []

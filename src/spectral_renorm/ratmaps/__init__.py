@@ -5,8 +5,8 @@ triples of coprime homogeneous polynomials with integer coefficients.  This
 subpackage provides:
 
 - ``poly``      sparse exact-rational multivariate polynomials and binary forms
-- ``maps``      the builtin maps, exact/float evaluation, contracted-curve and
-                indeterminacy verification
+- ``maps``      the builtin maps, exact/float evaluation, projective equality
+                (``proportional``) and indeterminacy verification
 - ``charts``    blow-up chart computations (images of exceptional divisors)
 - ``degrees``   degree growth along generic lines and dynamical degrees
 - ``potential`` the renormalized logarithmic potential of a determinant cascade
@@ -17,10 +17,8 @@ from spectral_renorm.ratmaps.maps import (
     IndeterminacyError,
     RationalMapP2,
     builtin_map,
-    line_param,
-    univariate_curve,
-    verify_contracted,
-    verify_fixed_curve,
+    proportional,
+    univar,
     verify_indeterminacy,
 )
 from spectral_renorm.ratmaps.degrees import compose_along_line, dynamical_degree
@@ -32,10 +30,8 @@ __all__ = [
     "IndeterminacyError",
     "RationalMapP2",
     "builtin_map",
-    "line_param",
-    "univariate_curve",
-    "verify_contracted",
-    "verify_fixed_curve",
+    "proportional",
+    "univar",
     "verify_indeterminacy",
     "compose_along_line",
     "dynamical_degree",

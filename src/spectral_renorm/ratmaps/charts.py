@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from spectral_renorm.ratmaps.maps import RationalMapP2
+from spectral_renorm.ratmaps.maps import RationalMapP2, builtin_map, proportional, univar
 from spectral_renorm.ratmaps.poly import MultiPoly
 
 
@@ -67,24 +67,6 @@ def ratio_restriction(num: MultiPoly, den: MultiPoly, chart: Sequence[MultiPoly]
     return _restrict_e0(_shift_e(cn, k)), _restrict_e0(_shift_e(cd, k))
 
 
-def proportional(triple: Sequence[MultiPoly], expected: Sequence) -> bool:
-    """Projective equality of a polynomial triple with an expected triple
-    (polynomials or constants), as exact cross-product identities."""
-    exp = []
-    for v in expected:
-        if isinstance(v, MultiPoly):
-            exp.append(v)
-        else:
-            exp.append(MultiPoly.constant(triple[0].arity, Fraction(v)))
-    if all(c.is_zero() for c in triple):
-        return False
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not (triple[i] * exp[j] - triple[j] * exp[i]).is_zero():
-                return False
-    return True
-
-
 def on_curve(triple: Sequence[MultiPoly], equation: MultiPoly) -> bool:
     """True when the parametrized triple satisfies the homogeneous equation
     identically and is not a constant point."""
@@ -94,21 +76,6 @@ def on_curve(triple: Sequence[MultiPoly], equation: MultiPoly) -> bool:
         nonconst = any(d > 0 for d in degs)
         return nonconst
     return False
-
-
-def ratios_equal(pair: tuple, num_expect: MultiPoly, den_expect: MultiPoly) -> bool:
-    """Exact equality of two rational functions by cross-multiplication."""
-    num, den = pair
-    return (num * den_expect - num_expect * den).is_zero()
-
-
-def univar(coeffs: Sequence) -> MultiPoly:
-    """Univariate polynomial from ascending coefficients."""
-    return MultiPoly(1, {(k,): Fraction(c) for k, c in enumerate(coeffs) if c})
-
-
-def poly2(terms) -> MultiPoly:
-    return MultiPoly(2, {e: Fraction(c) for e, c in terms.items()})
 
 
 def _e():
@@ -131,8 +98,6 @@ def standard_chart_checks() -> dict:
     divisor goes, the return map on a fixed exceptional divisor, or the image
     of an indeterminacy point sitting on one.
     """
-    from spectral_renorm.ratmaps.maps import builtin_map
-
     e, l = _e(), _l()
     one = _c2(1)
     results: dict = {}
@@ -154,7 +119,7 @@ def standard_chart_checks() -> dict:
     img = exceptional_image(f, chart_e3)
     results["grig_E3_fixed_point"] = proportional(img, (0, -2, 1))
     lift = ratio_restriction(p1 + 2 * p2, p0, chart_e3)
-    results["grig_E3_chebyshev_return"] = ratios_equal(lift, univar([-1, 0, 2]), univar([1]))
+    results["grig_E3_chebyshev_return"] = proportional(lift, (univar([-1, 0, 2]), univar([1])))
     img = exceptional_image(f, (e, _c2(-2) + l * e * e, one))
     results["grig_E3_indeterminacy_line"] = on_curve(img, x3 + y3 + 2 * w3)
 
@@ -164,7 +129,7 @@ def standard_chart_checks() -> dict:
     img = exceptional_image(f, chart_e4)
     results["grig_E4_fixed_point"] = proportional(img, (0, 2, 1))
     lift = ratio_restriction(p1 - 2 * p2, p0, chart_e4)
-    results["grig_E4_return"] = ratios_equal(lift, univar([1, 0, -2]), univar([1]))
+    results["grig_E4_return"] = proportional(lift, (univar([1, 0, -2]), univar([1])))
     img = exceptional_image(f, (e, _c2(2) + l * e * e, one))
     results["grig_E4_indeterminacy_line"] = on_curve(img, x3 - y3 + 2 * w3)
 
@@ -212,7 +177,7 @@ def standard_chart_checks() -> dict:
     img = exceptional_image(f, chart_e3)
     results["hanoi_E3_fixed_point"] = proportional(img, (-1, 0, 1))
     lift = ratio_restriction(p1, p0 + p2, chart_e3)
-    results["hanoi_E3_return"] = ratios_equal(lift, univar([0, 0, -2]), univar([4, -2, -4]))
+    results["hanoi_E3_return"] = proportional(lift, (univar([0, 0, -2]), univar([4, -2, -4])))
     img = exceptional_image(f, (_c2(-1) + e, (_c2(2) + l * e) * e, one))
     results["hanoi_E3_ind_line"] = proportional(
         img, (univar([-22, 2]), univar([-8]), univar([6, -2]))
@@ -224,7 +189,7 @@ def standard_chart_checks() -> dict:
     img = exceptional_image(f, chart_e4)
     results["hanoi_E4_fixed_point"] = proportional(img, (1, 0, 1))
     lift = ratio_restriction(p1, p0 - p2, chart_e4)
-    results["hanoi_E4_return"] = ratios_equal(lift, univar([0, 0, 1]), univar([2, -3]))
+    results["hanoi_E4_return"] = proportional(lift, (univar([0, 0, 1]), univar([2, -3])))
     img = exceptional_image(f, (one + e, (one + l * e) * e, one))
     results["hanoi_E4_ind_line_1"] = proportional(
         img, (univar([-2, -3]), univar([2]), univar([0, -3]))
@@ -243,7 +208,7 @@ def standard_chart_checks() -> dict:
     results["hanoi_C1_lands_on_E4"] = (p0 - p2).subs(list(curve)).is_zero()
     family = (t, one - t + eps, one)
     lift = ratio_restriction(p1, p0 - p2, family)
-    results["hanoi_C1_slope_one_fifth"] = ratios_equal(lift, univar([1]), univar([5]))
+    results["hanoi_C1_slope_one_fifth"] = proportional(lift, (univar([1]), univar([5])))
 
     # the indeterminacy point [1:1:0] at infinity returns to the line at
     # infinity

@@ -225,46 +225,26 @@ def _mk(name, comps, degree, dtop) -> RationalMapP2:
 
 
 # ---------------------------------------------------------------------------
-# Contracted curves and indeterminacy points
+# Projective equality, curves and indeterminacy points
 # ---------------------------------------------------------------------------
 
 
-def _compose_curve(map_: RationalMapP2, param: Sequence[MultiPoly]) -> list:
-    """Composition of the map with a rational curve parametrization (three
-    univariate polynomials)."""
-    if len(param) != 3:
-        raise ValueError("curve parametrization needs three components")
-    return [c.subs(list(param)) for c in map_.components]
+def proportional(a: Sequence, b: Sequence) -> bool:
+    """Projective equality: ``a`` is not all zero and every minor
+    a_i b_j - a_j b_i vanishes.
 
-
-def verify_contracted(map_: RationalMapP2, param: Sequence[MultiPoly], expected: Sequence) -> bool:
-    """Exactly check that the map collapses the parametrized curve to
-    ``expected``.
-
-    The composed triple A must be projectively the constant ``expected`` e:
-    ``A_i e_j - A_j e_i = 0`` for all pairs, with A not identically zero.
+    Entries are ints, Fractions or ``MultiPoly`` (a parametrized curve
+    against a point or another curve), in pairs (ratios) or triples.
     """
-    comp = _compose_curve(map_, param)
-    if all(c.is_zero() for c in comp):
-        raise IndeterminacyError("curve lies in the indeterminacy closure")
-    e = [Fraction(v) for v in expected]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not (comp[i] * e[j] - comp[j] * e[i]).is_zero():
-                return False
-    return True
+    if len(a) != len(b):
+        raise ValueError("length mismatch")
+    return any(a) and not any(a[i] * b[j] - a[j] * b[i]
+                              for i in range(len(a)) for j in range(i + 1, len(a)))
 
 
-def verify_fixed_curve(map_: RationalMapP2, param: Sequence[MultiPoly]) -> bool:
-    """Exactly check that the parametrized curve is fixed pointwise."""
-    comp = _compose_curve(map_, param)
-    if all(c.is_zero() for c in comp):
-        raise IndeterminacyError("curve lies in the indeterminacy closure")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not (comp[i] * param[j] - comp[j] * param[i]).is_zero():
-                return False
-    return True
+def univar(coeffs: Sequence) -> MultiPoly:
+    """Univariate polynomial from ascending coefficients, e.g. [0, 1] is t."""
+    return MultiPoly(1, {(k,): Fraction(c) for k, c in enumerate(coeffs) if c})
 
 
 def verify_indeterminacy(map_: RationalMapP2, candidates: Sequence) -> dict:
@@ -282,20 +262,3 @@ def verify_indeterminacy(map_: RationalMapP2, candidates: Sequence) -> dict:
         "rejected": rejected,
         "components_coprime": map_.coprimality_certificate(),
     }
-
-
-def line_param(a: Sequence, b: Sequence) -> tuple:
-    """Parametrize the line through two projective points as s*a + t*b in
-    variables (s, t) -- returned as three arity-2 polynomials."""
-    s = MultiPoly.variable(2, 0)
-    t = MultiPoly.variable(2, 1)
-    return tuple(s * Fraction(ai) + t * Fraction(bi) for ai, bi in zip(a, b))
-
-
-def univariate_curve(coeff_lists: Sequence[Sequence]) -> tuple:
-    """Curve parametrization from coefficient lists (ascending in t), e.g.
-    [[0, 1], [2], [1]] is [t : 2 : 1]."""
-    out = []
-    for coeffs in coeff_lists:
-        out.append(MultiPoly(1, {(k,): Fraction(c) for k, c in enumerate(coeffs) if c}))
-    return tuple(out)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from spectral_renorm.ratmaps.maps import RationalMapP2, float_eval_poly
+from spectral_renorm.ratmaps.maps import RationalMapP2, builtin_map, float_eval_poly
 from spectral_renorm.ratmaps.poly import MultiPoly
 
 NEG_INF = float("-inf")
@@ -55,18 +55,12 @@ class RecursionPotential:
     @classmethod
     def from_scheme(cls, scheme) -> "RecursionPotential":
         return cls(
-            map=_map_of(scheme),
+            map=builtin_map(scheme.map_name),
             factors=tuple(scheme.factors),
             seed=scheme.seed,
             d=scheme.d,
             seed_level=scheme.seed_level,
         )
-
-
-def _map_of(scheme):
-    from spectral_renorm.ratmaps.maps import builtin_map
-
-    return builtin_map(scheme.map_name)
 
 
 def _homogenize(poly2: MultiPoly) -> MultiPoly:

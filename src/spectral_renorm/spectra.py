@@ -311,7 +311,8 @@ def kolmogorov_to_cdf(measure: Measure1D, cdf: Callable[[float], float]) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _chebyshev_cdf(t: float) -> float:
+def arcsine_cdf(t: float) -> float:
+    """CDF of the arcsine law dt/(pi sqrt(1 - t^2)) on [-1, 1]."""
     if t <= -1.0:
         return 0.0
     if t >= 1.0:
@@ -369,14 +370,14 @@ class GrigLimitMeasure:
                 return 1.0
             theta_star = (4.0 + self.lam0 ** 2 - x * x) / (4.0 * self.lam0)
             # g increasing in theta when lam0 < 0
-            p_le = _chebyshev_cdf(theta_star)
+            p_le = arcsine_cdf(theta_star)
             return p_le if self.lam0 < 0 else 1.0 - p_le
         if x >= -lo:
             return 1.0
         if x < -hi:
             return 0.0
         theta_star = (4.0 + self.lam0 ** 2 - x * x) / (4.0 * self.lam0)
-        p_le = _chebyshev_cdf(theta_star)
+        p_le = arcsine_cdf(theta_star)
         # -sqrt(g) <= x  <=>  g >= x^2
         return (1.0 - p_le) if self.lam0 < 0 else p_le
 

@@ -1,4 +1,4 @@
-"""Symbolic conjugacy identities and quadratic-extension arithmetic."""
+"""Symbolic conjugacy identities and the fiber identities over Q(t, z)."""
 
 import itertools
 from fractions import Fraction
@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_renorm.conjugacy import (
-    QuadExtElement,
-    QuadExtFraction,
     RationalFunction2,
     chebyshev_semiconj_check,
     chebyshev_rf,
     compose_rf,
     conjugacy_checks,
+    fiber_base,
     fiber_checks_symbolic,
     fiber_conjugation_check,
+    fiber_coordinate_symbolic,
+    fiber_inverse_symbolic,
     grig_invariant,
     grig_semiconjugator,
     map_affine,
@@ -137,27 +138,28 @@ def test_broken_identity_detected():
         verify_identity((psi,), (psi, psi))
 
 
-def test_quad_ext_reduction():
-    eta = MultiPoly.variable(2, 0)
-    s = QuadExtElement.root()
-    s2 = s * s
-    assert s2.q.is_zero() and s2.p == eta * eta - 1
-    conj_product = s * s.conj()
-    assert conj_product.p == -(eta * eta - 1)
+def test_fiber_base_parametrizes_the_conic():
+    eta, s, z = fiber_base()
+    t = RationalFunction2.from_poly(MultiPoly.variable(2, 0))
+    one = RationalFunction2.const(2, 1)
+    assert (s * s).equals(eta * eta - 1)
+    assert ((eta + s) * (eta - s)).equals(1)
+    assert (eta + s).equals(t) and (eta - s).equals(one / t)
+    assert not (eta + s).equals(eta - s)
+    assert z.equals(RationalFunction2.from_poly(MultiPoly.variable(2, 1)))
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
-def test_quad_ext_fraction_field_axioms(a, b, c, d):
-    one = QuadExtFraction.of(1)
-    s = QuadExtFraction.of(QuadExtElement.root())
-    x = QuadExtFraction.of(a) + b * s
-    y = QuadExtFraction.of(c) + d * s
-    assert (x + y - y).equals(x)
-    assert (x * y).equals(y * x)
-    if not y.num.is_zero():
-        assert ((x / y) * y).equals(x)
-    assert (x * one).equals(x)
+def test_wrong_fiber_identities_are_reported_false():
+    _, _, z = fiber_base()
+    one = RationalFunction2.const(2, 1)
+    lam, mu = fiber_inverse_symbolic()
+    image = [compose_rf(c, (lam, mu)) for c in map_affine("R_G")]
+    coordinate = fiber_coordinate_symbolic(*image)
+    assert coordinate.equals(z * z)
+    assert not coordinate.equals(z * z * z)
+    psi = compose_rf(grig_semiconjugator(), (lam, mu))
+    assert psi.equals((z + one / z) / 2)
+    assert not psi.equals((z - one / z) / 2)
 
 
 def test_fiber_symbolic_identities():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_renorm.experiments import (
     BACKWARD_DEPTH_MAX,
@@ -102,6 +104,55 @@ def test_circle_w1_on_known_configurations():
     # a point mass transports to uniform at cost pi/2
     point = np.zeros(256)
     assert abs(circle_w1_to_uniform(point) - math.pi / 2) < 0.01
+
+
+def circle_w1_ternary(angles):
+    """Reference: ``circle_w1_to_uniform`` as it was, the minimizing shift c
+    located by 200 steps of ternary search."""
+    two_pi = 2.0 * math.pi
+    th = np.sort(np.mod(np.asarray(angles, dtype=float), two_pi))
+    n = len(th)
+    ts = np.concatenate([[0.0], th, [two_pi]])
+    jumps = np.concatenate([[0.0], np.full(n, 1.0 / n), [0.0]])
+    counts = np.cumsum(jumps)
+    h_left = counts[:-1] - ts[:-1] / two_pi
+    h_right = counts[:-1] - ts[1:] / two_pi
+    lengths = np.diff(ts)
+
+    def total(c):
+        u = h_left - c
+        v = h_right - c
+        same = u * v >= 0
+        vals = np.where(
+            same,
+            0.5 * (np.abs(u) + np.abs(v)) * lengths,
+            0.5 * (u * u + v * v) / np.maximum(np.abs(u) + np.abs(v), 1e-300) * lengths,
+        )
+        return float(vals.sum())
+
+    lo = float(min(h_left.min(), h_right.min()))
+    hi = float(max(h_left.max(), h_right.max()))
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if total(m1) <= total(m2):
+            hi = m2
+        else:
+            lo = m1
+    return total(0.5 * (lo + hi))
+
+
+angle_lists = st.one_of(
+    st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=60),
+    st.lists(st.sampled_from([0.0, 1.0, math.pi, -math.pi / 3, 6.0]), min_size=1, max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(angle_lists)
+def test_circle_w1_median_matches_the_ternary_search(angles):
+    expected = circle_w1_ternary(angles)
+    assert abs(circle_w1_to_uniform(angles) - expected) <= 1e-12 * expected
 
 
 def test_backward_square_preimages_stay_on_circle():

@@ -19,11 +19,12 @@ from spectral_renorm.ratmaps.maps import (
     IndeterminacyError,
     RationalMapP2,
     builtin_map,
-    univariate_curve,
-    verify_contracted,
+    proportional,
+    univar,
 )
 from spectral_renorm.ratmaps.poly import MultiPoly
 from spectral_renorm.ratmaps.potential import NEG_INF, RecursionPotential, potential, potential_grid
+from spectral_renorm import verification
 from spectral_renorm.verification import contracted_curve_report, indeterminacy_report
 
 
@@ -163,11 +164,42 @@ def test_contracted_curves_and_indeterminacy_reports():
     assert all(r["ok"] for r in indeterminacy_report())
 
 
+def test_curve_in_the_indeterminacy_closure_gets_an_error_row(monkeypatch):
+    # the constant curve [0:2:1] sits on an indeterminacy point of R_G
+    monkeypatch.setattr(verification, "CONTRACTED", [("R_G", "point", [[0], [2], [1]], (0, 2, 1))])
+    rows = contracted_curve_report()
+    assert rows[0] == {"map": "R_G", "curve": "point", "ok": False,
+                       "error": "curve lies in the indeterminacy closure"}
+
+
 def test_verify_contracted_rejects_wrong_target():
     rg = builtin_map("R_G")
-    curve = univariate_curve([[0, 1], [2], [1]])
-    assert verify_contracted(rg, curve, (1, 1, 0))
-    assert not verify_contracted(rg, curve, (1, 0, 0))
+    curve = [univar([0, 1]), univar([2]), univar([1])]
+    image = [c.subs(curve) for c in rg.components]
+    assert proportional(image, (1, 1, 0))
+    assert not proportional(image, (1, 0, 0))
+
+
+def test_proportional_over_ints_fractions_and_polynomials():
+    assert proportional((2, -4, 6), (-1, 2, -3))
+    assert not proportional((2, -4, 6), (-1, 2, 3))
+    assert proportional((Fraction(1, 3), Fraction(-1, 2)), (Fraction(2), Fraction(-3)))
+    assert not proportional((Fraction(1, 3), Fraction(1, 2)), (Fraction(2), Fraction(-3)))
+    t = univar([0, 1])
+    curve = (t, t * t - 1, univar([3]))
+    assert proportional(tuple(c * (t + 1) for c in curve), curve)
+    assert proportional((2 * t, univar([1]), 0), (t, Fraction(1, 2), 0))
+    assert not proportional(curve, (t, t * t + 1, univar([3])))
+    with pytest.raises(ValueError):
+        proportional((1, 2), (1, 2, 3))
+
+
+def test_proportional_rejects_the_zero_vector():
+    zero = MultiPoly.zero(1)
+    assert not proportional((0, 0, 0), (1, 2, 3))
+    assert not proportional((0, 0), (0, 0))
+    assert not proportional((zero, zero, zero), (univar([0, 1]), univar([1]), 0))
+    assert not proportional((Fraction(0), Fraction(0)), (Fraction(1), Fraction(5)))
 
 
 def test_chart_checks_all_pass():
