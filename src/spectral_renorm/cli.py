@@ -172,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "backward-cantor"])
     p.add_argument("--n", type=_at_least(1), default=10, help="time / depth parameter")
     p.add_argument("--eta0", type=float, default=3.0)
-    p.add_argument("--seed-point", default="1.7")
+    p.add_argument("--seed-point", default=None,
+                   help="backward seed; default 1.7 (0.3 for backward-cheb)")
     common(p)
     parser.subcommands = sub.choices
     return parser
@@ -250,8 +251,7 @@ def cmd_spectrum(args) -> int:
     m = result.measure
     stem = f"spectrum_{args.group}_n{args.level}"
     if "csv" in fmts:
-        size = 3 ** args.level if args.group == "hanoi" else 2 ** args.level
-        rows = [(args.level, p, int(round(w * size))) for p, w in zip(m.points, m.weights)]
+        rows = [(args.level, p, k) for p, k in zip(m.points, result.multiplicities)]
         output.write_csv(out / f"{stem}.csv", ["level", "eigenvalue", "multiplicity"], rows)
     if "json" in fmts:
         clusters = spectra.atoms(m, 1e-8 * max(abs(m.points[0]), abs(m.points[-1]), 1.0))
@@ -268,10 +268,8 @@ def cmd_spectrum(args) -> int:
 
         output.svg_cdf(out / f"{stem}_cdf.svg", m.points, m.weights,
                        title=f"{args.group} level {args.level} spectral CDF")
-        size = 3 ** args.level if args.group == "hanoi" else 2 ** args.level
-        mults = [max(int(round(w * size)), 1) for w in m.weights]
         output.svg_histogram(out / f"{stem}_hist.svg",
-                             np.repeat(m.points, mults),
+                             np.repeat(m.points, result.multiplicities),
                              title=f"{args.group} level {args.level} spectrum")
     return 0
 
@@ -492,6 +490,10 @@ def cmd_julia(args) -> int:
     return 0
 
 
+# Default backward seed per model: the Chebyshev seed must lie in [-1, 1].
+_SEED_POINT = {"square": "1.7", "cheb": "0.3", "cantor": "1.7"}
+
+
 def cmd_experiment(args) -> int:
     from spectral_renorm import experiments, output
 
@@ -527,10 +529,11 @@ def cmd_experiment(args) -> int:
         if args.n > experiments.BACKWARD_DEPTH_MAX:
             raise BudgetError(f"backward depth capped at {experiments.BACKWARD_DEPTH_MAX}")
         model = kind.split("-", 1)[1]
-        seed_point = complex(args.seed_point) if model == "square" else float(args.seed_point)
+        text = args.seed_point if args.seed_point is not None else _SEED_POINT[model]
+        seed_point = complex(text) if model == "square" else float(text)
         series = experiments.backward_equidistribution(model, seed_point, args.n)["series"]
         summary = {
-            "kind": kind, "params": {"seed_point": args.seed_point, "depth": args.n},
+            "kind": kind, "params": {"seed_point": text, "depth": args.n},
             "count": 2 ** args.n,
             "distances": [row["distance"] for row in series],
         }

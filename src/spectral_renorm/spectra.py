@@ -12,6 +12,12 @@ as -identity), which gives
 - lamplighter: eigenvalues lam of a + a^-1 + b + b^-1, the pencil at (0, 0);
 - hanoi:       eigenvalues lam of a + b + c, the pencil at (0, 1).
 
+Two slices are computed by spectral decimation (``decimated_spectrum``):
+hanoi, and grigorchuk at grig_slice = +-1.  Their atoms are backward orbits
+of the fiber polynomial with exact integer multiplicities, and no matrix is
+built.  Lamplighter and grigorchuk at any other grig_slice are diagonalized
+(``slice_matrix`` + ``sym_eigenvalues``).
+
 The grigorchuk limit law is the slice of an explicit family of hyperbolas
 weighted by the Chebyshev equilibrium measure; it has a closed-form CDF.
 """
@@ -85,12 +91,14 @@ class Measure1D:
 
 @dataclass(frozen=True)
 class DOSResult:
-    """Density of states at one level."""
+    """Density of states at one level: ``measure`` has one atom per distinct
+    eigenvalue, weighted by its integer multiplicity over d^n."""
 
     group: str
     level: int
     slice_descriptor: str
     measure: Measure1D
+    multiplicities: tuple
     residual_bound: float
 
 
@@ -183,11 +191,116 @@ def slice_matrix(group_tag: str, n: int, grig_slice: float = -1.0) -> np.ndarray
     return m
 
 
+# Decimation data: the fiber polynomial (a, b, c) of a z^2 + b z + c, the
+# atoms that are not lifted, and the atoms born at level k with multiplicity.
+_HANOI_FIBER = (1.0, -1.0, -3.0)  # f(z) = z^2 - z - 3
+_CHEBYSHEV = (2.0, 0.0, -1.0)  # T(theta) = 2 theta^2 - 1
+DECIMATION_MAX_LEVEL = 20
+
+
+def _hanoi_born(k: int) -> tuple:
+    return ((3.0, 1), (0.0, (3 ** (k - 1) + 3) // 2), (-2.0, (3 ** (k - 1) - 1) // 2))
+
+
+def _grig_born(k: int) -> tuple:
+    # -1 has the single preimage 0, T's critical point, born from level 2 on
+    return ((-1.0, 1), (1.0, 1), (0.0, 1 if k > 1 else 0))
+
+
+def _decimate(fiber: tuple, terminal: tuple, born: Callable[[int], tuple], n: int):
+    """Atoms of level n: level k is the preimage under ``fiber`` of level
+    k-1's atoms outside ``terminal``, each preimage inheriting its parent's
+    multiplicity, plus the atoms ``born(k)`` of nonzero multiplicity."""
+    pts = np.zeros(0)
+    mults = np.zeros(0, dtype=np.int64)
+    for k in range(1, n + 1):
+        lift = ~np.isin(pts, terminal)
+        new = [(p, m) for p, m in born(k) if m]
+        pts = np.concatenate([_inverse_both(*fiber, pts[lift], "real"), [p for p, _ in new]])
+        mults = np.concatenate([np.tile(mults[lift], 2),
+                                np.array([m for _, m in new], dtype=np.int64)])
+    return pts, mults
+
+
+def decimated_spectrum(group_tag: str, n: int) -> tuple:
+    """Eigenvalues of the default level-n slice by spectral decimation.
+
+    Returns (points, multiplicities): the distinct eigenvalues in increasing
+    order and their exact integer multiplicities, which sum to d^n.  Covers
+    hanoi (a + b + c, mu = 1) and grigorchuk (a + b + c + d - 1, lam = +-1;
+    the determinant is even in lam, so both slices have this spectrum).
+    Positions are backward orbits under the fiber polynomial, by the
+    inverse-branch step of ``julia_backward``.  Level n is the preimage of
+    level n-1's lifted atoms, each preimage inheriting its parent's
+    multiplicity, plus the exceptional atoms born at level n.
+
+    hanoi: the fiber polynomial is f(z) = z^2 - z - 3 (the semiconjugacy
+    pi1 o R_H = f o pi1, with pi1 = f on the slice mu = 1).  The fixed point 3
+    is not lifted; level n's born atoms are 3 with multiplicity 1, 0 with
+    a_n = (3^(n-1) + 3)/2 and -2 with b_n = (3^(n-1) - 1)/2.  Two counts fix
+    a_n and b_n.  Dimension: the lifted atoms carry 2 (3^(n-1) - 1) of the
+    3^n eigenvalues, so a_n + b_n = 3^(n-1) + 1.  Trace: the slice has trace
+    3, and each preimage pair of f sums to 1, so the lifted atoms add
+    3^(n-1) - 1 to the trace and 3^(n-1) - 1 + 3 - 2 b_n = 3, which gives b_n.
+    Lifting the atom 3 as well would give 3 and -2 once each; beyond those
+    lifts level n gains a_n + b_n - 1 = 3^(n-1) exceptional eigenvalues,
+    the total exponent 3^(n-2) + 2 * 3^(n-2) = sum_i m_i d^(n - p_i) of
+    the scheme's two factors.  So the born multiplicities grow by d = 3 per
+    level, as those exponents do.  The spectrum is {3}, f^-i(0) with
+    multiplicity a_(n-i) for i < n, and f^-j(-2) with b_(n-j) for j < n-1:
+    3 * 2^(n-1) - 1 atoms.
+
+    grigorchuk: work in theta = (mu^2 - 5)/4, the semiconjugator
+    (4 - mu^2 + lam^2)/(4 lam) at lam = -1, which R_G carries to the
+    Chebyshev map T(theta) = 2 theta^2 - 1.  With C_theta = 4 - mu^2 + lam^2
+    - 4 lam theta, the level-n determinant is, up to sign, the line pair L
+    below times C_theta over the theta-atoms other than +-1, and the
+    pullbacks are exact identities:
+
+        C_theta o R_G = C_t1 C_t2 / (4 - mu^2),  {t1, t2} = T^-1(theta),
+        L o R_G = L C_0 / (4 - mu^2),  L = (2 - lam - mu)(2 + lam - mu).
+
+    The line pair holds the atoms theta = 1 (mu = 3) and theta = -1
+    (mu = 1); T^-1(-1) = {0} is born at every level from 2 on.  Each of the
+    2^(n-2) factors of level n-1 leaves one 1/(4 - mu^2), which is the
+    scheme's factor (4 - mu^2)^(2^(n-2)), exponent m d^(n-p) = 2^(n-2).
+    Every theta other than +-1 carries the two atoms mu = +-sqrt(5 + 4 theta),
+    each simple: 2^n eigenvalues, all simple.
+
+    The closed forms above are checked against the eigensolver in the tests;
+    the atoms here come from the backward orbits.  ``n`` is at most
+    ``DECIMATION_MAX_LEVEL``.
+    """
+    if not 1 <= n <= DECIMATION_MAX_LEVEL:
+        raise ValueError(f"decimation level {n} outside 1..{DECIMATION_MAX_LEVEL}")
+    if group_tag == "hanoi":
+        pts, mults = _decimate(_HANOI_FIBER, (3.0,), _hanoi_born, n)
+    elif group_tag == "grigorchuk":
+        theta, mults = _decimate(_CHEBYSHEV, (-1.0, 1.0), _grig_born, n)
+        root = np.sqrt(5.0 + 4.0 * theta)  # theta = -1, 1 give mu = 1, 3
+        inner = np.abs(theta) != 1.0
+        pts = np.concatenate([root, -root[inner]])
+        mults = np.concatenate([mults, mults[inner]])
+    else:
+        raise ValueError(f"no spectral decimation for '{group_tag}'")
+    order = np.argsort(pts, kind="stable")
+    return pts[order], mults[order]
+
+
 @lru_cache(maxsize=64)
-def _dos_eigenvalues(group_tag: str, n: int, grig_slice: float) -> tuple:
-    m = slice_matrix(group_tag, n, grig_slice)
-    vals = sym_eigenvalues(m)
-    return tuple(float(v) for v in vals)
+def _dos_atoms(group_tag: str, n: int, grig_slice: float) -> tuple:
+    """(points, multiplicities) of the level-n slice, on the dos axis."""
+    if group_tag == "hanoi" or (group_tag == "grigorchuk" and abs(grig_slice) == 1.0):
+        vals, mults = decimated_spectrum(group_tag, n)
+    else:
+        vals = sym_eigenvalues(slice_matrix(group_tag, n, grig_slice))
+        mults = np.ones(len(vals), dtype=np.int64)
+    if group_tag == "grigorchuk":
+        vals = (vals + 1.0) / 4.0
+    # vals ascend; equal values merge into the first of their run
+    starts = np.flatnonzero(np.diff(vals, prepend=-np.inf))
+    return (tuple(float(v) for v in vals[starts]),
+            tuple(int(m) for m in np.add.reduceat(mults, starts)))
 
 
 def _check_level(group_tag: str, n: int) -> None:
@@ -204,20 +317,21 @@ def dos(group_tag: str, n: int, grig_slice: float = -1.0) -> DOSResult:
     For the grigorchuk tag the returned measure lives on the transformed
     axis x = (mu + 1)/4; ``grig_slice`` selects the line lam = grig_slice
     (the determinant is even in lam, so -1 and +1 agree; both are exposed).
+    hanoi and grigorchuk at +-1 come from ``decimated_spectrum``; the other
+    slices are diagonalized.
     """
     _check_level(group_tag, n)
-    vals = np.array(_dos_eigenvalues(group_tag, n, float(grig_slice)))
+    points, mults = _dos_atoms(group_tag, n, float(grig_slice))
     if group_tag == "grigorchuk":
-        vals = (vals + 1.0) / 4.0
         descriptor = f"lam={grig_slice:g}, x=(mu+1)/4"
     elif group_tag == "lamplighter":
         descriptor = "mu=0"
     else:
         descriptor = "mu=1"
-    size = len(vals)
-    measure = Measure1D.from_samples(vals, np.full(size, 1.0 / size))
+    size = sum(mults)
+    measure = Measure1D(points=points, weights=tuple(m / size for m in mults))
     return DOSResult(group=group_tag, level=n, slice_descriptor=descriptor,
-                     measure=measure, residual_bound=1e-10)
+                     measure=measure, multiplicities=mults, residual_bound=1e-10)
 
 
 def atoms(measure: Measure1D, cluster_tol: float) -> list:
@@ -267,11 +381,11 @@ def cdf_distance(m1: Measure1D, m2: Measure1D, metric: str = "kolmogorov") -> fl
 
 
 def tv_distance(m1: Measure1D, m2: Measure1D, atom_tol: float = 1e-7) -> float:
-    """L1 norm of the signed difference of two atomic measures, identifying
-    atoms closer than ``atom_tol``: the sum of |m1 - m2| over the clustered
-    atoms, twice the total-variation distance sup_A |m1(A) - m2(A)|.  This is
-    the metric that tracks the mass of the defect measure between
-    consecutive levels (1-Wasserstein also weights atom displacement).
+    """Total-variation distance sup_A |m1(A) - m2(A)| of two atomic measures
+    of equal mass, identifying atoms closer than ``atom_tol``: half the sum
+    of |m1 - m2| over the clustered atoms.  This is the metric that tracks
+    the mass of the defect measure between consecutive levels
+    (1-Wasserstein also weights atom displacement).
 
     The signed union is clustered exactly like ``atoms``: runs of support
     points with gaps below the tolerance count as one atom.
@@ -290,7 +404,7 @@ def tv_distance(m1: Measure1D, m2: Measure1D, atom_tol: float = 1e-7) -> float:
         acc += w
         last = p
     total += abs(acc)
-    return total
+    return total / 2.0
 
 
 def kolmogorov_to_cdf(measure: Measure1D, cdf: Callable[[float], float]) -> float:
@@ -479,6 +593,24 @@ def _inverse_pick(a, b, c, w, signs, domain):
 # ---------------------------------------------------------------------------
 
 
+def hanoi_unborn_mass(n: int) -> Fraction:
+    """Mass of the hanoi limit measure on the atoms born after level n.
+
+    In ``decimated_spectrum``'s rule the atom 0 born at level k has
+    multiplicity (3^(k-1) + 3)/2 and -2 has (3^(k-1) - 1)/2; an atom f^-i(e)
+    below e in {0, -2} inherits e's born multiplicity at level N - i, so its
+    limit mass lim_N mult/3^N is 1/(2 * 3^(i+1)), and the atom 3 has limit
+    mass 0.  Level n holds the 2^i atoms f^-i(0) for i < n and f^-j(-2) for
+    j < n - 1, so the mass still to be born is (5/4)(2/3)^n: the paper's
+    exact 2/3 rate for the discrete Hanoi spectrum.
+    """
+    if n < 1:
+        raise ValueError("level must be at least 1")
+    present = sum(Fraction(2 ** i, 2 * 3 ** (i + 1)) for i in range(n))
+    present += sum(Fraction(2 ** j, 2 * 3 ** (j + 1)) for j in range(n - 1))
+    return 1 - present
+
+
 def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
     """Distances of the level measures to the best available limit.
 
@@ -490,7 +622,8 @@ def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
     3^(1-n) - 3^(1-N) to the reference level N (every slice has trace 3, so
     the mean of level n is 3^(1-n)).  The hanoi target names that (1/3)^n
     drift rate and the 2/3 mass rate, which shows in the ``tv_to_next``
-    ratios.
+    ratios; each hanoi row also carries the exact ``unborn_mass``
+    (``hanoi_unborn_mass``) as a fraction string.
     """
     levels = sorted(n_range)
     if len(levels) < 3:
@@ -516,6 +649,8 @@ def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
                                             dos(group_tag, n + 1).measure)
             row["w1_to_next"] = cdf_distance(dos(group_tag, n).measure,
                                              dos(group_tag, n + 1).measure, "wasserstein1")
+            if group_tag == "hanoi":
+                row["unborn_mass"] = str(hanoi_unborn_mass(n))
             rows.append(row)
         target = ("n/2^(n-1)" if group_tag == "lamplighter" else
                   "(1/3)^n W1 drift; (2/3)^n mass rate in tv_to_next")

@@ -33,6 +33,16 @@ def test_csv_floats_have_17_significant_digits(tmp_path):
     assert "0.80901699437494745" in vals
 
 
+def test_hanoi_spectrum_rows_carry_exact_multiplicities(tmp_path):
+    assert run_cli(["spectrum", "--group", "hanoi", "--level", "4"], tmp_path) == 0
+    rows = [r.split(",") for r in
+            (tmp_path / "spectrum_hanoi_n4.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3 * 2 ** 3 - 1
+    assert sum(int(k) for _, _, k in rows) == 3 ** 4
+    assert [(v, k) for _, v, k in rows if v in ("-2", "0", "3")] == [
+        ("-2", "13"), ("0", "15"), ("3", "1")]
+
+
 def test_determinism_under_fixed_seed(tmp_path):
     blobs = []
     for sub in ("a", "b"):
@@ -148,6 +158,13 @@ def test_experiment_backward_outputs(tmp_path):
     assert len(series) == 11
     summary = json.loads((tmp_path / "experiment_backward-cheb.json").read_text())
     assert summary["distances"][-1] < 0.05
+
+
+@pytest.mark.parametrize("kind", cli.build_parser().subcommands["experiment"]
+                         ._option_string_actions["--kind"].choices)
+def test_every_experiment_kind_runs_with_its_defaults(kind, tmp_path):
+    assert run_cli(["experiment", "--kind", kind], tmp_path) == 0
+    assert json.loads((tmp_path / f"experiment_{kind}.json").read_text())["kind"] == kind
 
 
 def test_pgm_heatmap_written(tmp_path):

@@ -3,6 +3,8 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,12 @@ from spectral_renorm.spectra import (
     atoms,
     cdf_distance,
     convergence_report,
+    decimated_spectrum,
     dos,
     free_abelian_samples,
     free_group_density,
     grig_limit_measure,
+    hanoi_unborn_mass,
     julia_backward,
     kolmogorov_to_cdf,
     repelling_fixed_point,
@@ -178,6 +182,7 @@ def test_dos_counts_and_mass():
             size = d ** n
             mult = [round(w * size) for w in r.measure.weights]
             assert sum(mult) == size
+            assert r.multiplicities == tuple(mult)
 
 
 def test_dos_budget_and_slice_flag():
@@ -338,7 +343,7 @@ def test_convergence_report_checks_every_level_before_computing_any(monkeypatch)
 def test_tv_distance():
     a = Measure1D(points=(0.0, 1.0), weights=(0.5, 0.5))
     b = Measure1D(points=(0.0, 2.0), weights=(0.5, 0.5))
-    assert tv_distance(a, b) == pytest.approx(1.0)
+    assert tv_distance(a, b) == pytest.approx(0.5)
     assert tv_distance(a, a) == 0.0
 
 
@@ -350,3 +355,147 @@ def test_reference_densities():
     assert vals[np.abs(xs) > bound + 0.01].max() == 0.0
     samples = free_abelian_samples(3, 2000, seed=1)
     assert abs(samples.mean()) < 0.05 and np.abs(samples).max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Spectral decimation
+# ---------------------------------------------------------------------------
+
+
+def _clustered(vals, tol=1e-9):
+    """Distinct eigenvalues (first of each run closer than ``tol``) and counts."""
+    pts, counts = [], []
+    for v in vals:
+        if pts and v - pts[-1] <= tol:
+            counts[-1] += 1
+        else:
+            pts.append(v)
+            counts.append(1)
+    return np.array(pts), counts
+
+
+@pytest.mark.parametrize("group_tag,top", [("hanoi", 7), ("grigorchuk", 11)])
+def test_decimated_spectrum_matches_the_eigensolver(group_tag, top):
+    for n in range(1, top + 1):
+        points, mults = decimated_spectrum(group_tag, n)
+        vals, counts = _clustered(sym_eigenvalues(slice_matrix(group_tag, n)))
+        assert list(mults) == counts
+        assert np.abs(points - vals).max() <= 1e-9
+
+
+def test_decimated_grigorchuk_level_12_matches_the_stored_spectrum():
+    ref = Path(__file__).resolve().parents[1] / "bench" / "reference"
+    ref = ref / "spectrum_grigorchuk_n12.txt"
+    rows = [line.split() for line in ref.read_text().splitlines() if not line.startswith("#")]
+    r = dos("grigorchuk", 12)
+    assert r.multiplicities == tuple(int(k) for _, k in rows)
+    assert np.abs(np.array(r.measure.points) - [float(v) for v, _ in rows]).max() <= 1e-9
+
+
+def _hanoi_closed_form(n):
+    """{3}, f^-i(0) with (3^(n-i-1) + 3)/2 for i < n, f^-j(-2) with
+    (3^(n-j-1) - 1)/2 for j < n - 1, where f(z) = z^2 - z - 3."""
+    def preimages(w, depth):
+        for _ in range(depth):
+            root = np.sqrt(13.0 + 4.0 * w)
+            w = np.concatenate([(1.0 - root) / 2.0, (1.0 + root) / 2.0])
+        return w
+
+    atoms_ = {3.0: 1}
+    for i in range(n):
+        atoms_.update(dict.fromkeys(preimages(np.array([0.0]), i), (3 ** (n - i - 1) + 3) // 2))
+    for j in range(n - 1):
+        atoms_.update(dict.fromkeys(preimages(np.array([-2.0]), j), (3 ** (n - j - 1) - 1) // 2))
+    return sorted(atoms_.items())
+
+
+def _grigorchuk_closed_form(n):
+    """{1, 3} and +-sqrt(5 + 4 cos(pi k / 2^(n-1))), k = 1..2^(n-1) - 1, all simple."""
+    k = np.arange(1, 2 ** (n - 1))
+    mu = np.sqrt(5.0 + 4.0 * np.cos(np.pi * k / 2 ** (n - 1)))
+    return [(p, 1) for p in sorted(np.concatenate([[1.0, 3.0], mu, -mu]))]
+
+
+@pytest.mark.parametrize("group_tag,d,top,closed_form", [
+    ("hanoi", 3, 12, _hanoi_closed_form),
+    ("grigorchuk", 2, 16, _grigorchuk_closed_form),
+])
+def test_decimated_spectrum_closed_forms(group_tag, d, top, closed_form):
+    for n in range(1, top + 1):
+        points, mults = decimated_spectrum(group_tag, n)
+        assert np.all(np.diff(points) > 0)
+        assert int(mults.sum()) == d ** n
+        expected = closed_form(n)
+        assert list(mults) == [k for _, k in expected]
+        assert np.abs(points - [p for p, _ in expected]).max() <= 1e-9
+
+
+def test_born_multiplicities_match_the_factor_exponents():
+    for group_tag, lo in (("hanoi", 2), ("grigorchuk", 2)):
+        scheme = builtin_scheme(group_tag)
+        for n in range(lo, 10):
+            exponents = sum(m * scheme.d ** (n - p) for _, m, p in scheme.factors)
+            points, mults = decimated_spectrum(group_tag, n)
+            if group_tag == "hanoi":
+                # a_n + b_n - 1: born multiplicity beyond the lifts of 0 and 3
+                born = {p: int(k) for p, k in zip(points, mults) if p in (0.0, -2.0)}
+                assert born[0.0] + born[-2.0] - 1 == exponents
+            else:
+                # factors of level n-1: one conic per theta other than +-1, one line pair
+                assert (len(decimated_spectrum(group_tag, n - 1)[0]) - 2) // 2 + 1 == exponents
+
+
+def test_decimated_spectrum_rejects_other_groups_and_levels():
+    with pytest.raises(ValueError, match="decimation"):
+        decimated_spectrum("lamplighter", 3)
+    for n in (0, 21):
+        with pytest.raises(ValueError, match="level"):
+            decimated_spectrum("hanoi", n)
+
+
+def test_dos_routes_the_decimated_slices_around_the_eigensolver(monkeypatch):
+    from spectral_renorm import spectra
+
+    def refuse(m):
+        raise AssertionError("the eigensolver ran on a decimated slice")
+
+    spectra._dos_atoms.cache_clear()
+    monkeypatch.setattr(spectra, "sym_eigenvalues", refuse)
+    try:
+        for n in range(1, DOS_BUDGET["hanoi"] + 1):
+            dos("hanoi", n)
+        for n in range(1, DOS_BUDGET["grigorchuk"] + 1):
+            minus, plus = dos("grigorchuk", n, -1.0), dos("grigorchuk", n, 1.0)
+            assert minus.measure == plus.measure
+            assert minus.multiplicities == plus.multiplicities
+    finally:
+        spectra._dos_atoms.cache_clear()
+
+
+def test_dos_diagonalizes_the_other_slices(monkeypatch):
+    from spectral_renorm import spectra
+
+    calls = []
+    real = spectra.sym_eigenvalues
+
+    def counted(m):
+        calls.append(m.shape[0])
+        return real(m)
+
+    spectra._dos_atoms.cache_clear()
+    monkeypatch.setattr(spectra, "sym_eigenvalues", counted)
+    try:
+        dos("lamplighter", 4)
+        dos("grigorchuk", 4, grig_slice=0.3)
+    finally:
+        spectra._dos_atoms.cache_clear()
+    assert calls == [16, 16]
+
+
+def test_hanoi_unborn_mass_is_the_exact_two_thirds_rate():
+    rep = convergence_report("hanoi", range(3, 8))
+    assert [r["level"] for r in rep["rows"]] == [3, 4, 5, 6]
+    for r in rep["rows"]:
+        assert Fraction(r["unborn_mass"]) == Fraction(5, 4) * Fraction(2, 3) ** r["level"]
+    for n in range(3, 8):
+        assert hanoi_unborn_mass(n) == Fraction(5, 4) * Fraction(2, 3) ** n
