@@ -261,7 +261,6 @@ def cmd_spectrum(args) -> int:
             "slice": result.slice_descriptor,
             "mass": m.mass,
             "atoms": [{"center": c, "mass": w} for c, w in clusters],
-            "residual_bound": result.residual_bound,
         })
     if "svg" in fmts:
         import numpy as np

@@ -63,11 +63,20 @@ class BlowupSurface:
         return sum(int(c1[j]) * i_c2[j] for j in range(self.dim))
 
     def signature(self) -> tuple:
-        vals = np.linalg.eigvalsh(np.array(self.intersection, dtype=float))
-        return (int(np.sum(vals > 0)), int(np.sum(vals < 0)))
+        """(positive, negative) eigenvalue counts of the intersection form,
+        exactly: its characteristic polynomial has only real roots, so
+        Descartes' rule of signs counts the positive ones, and on p(-x) the
+        negative ones."""
+        cp = charpoly([[Fraction(v) for v in row] for row in self.intersection])
+        return (_sign_changes(cp), _sign_changes([c * (-1) ** i for i, c in enumerate(cp)]))
 
     def det(self) -> int:
         return bareiss_det_int([list(r) for r in self.intersection])
+
+
+def _sign_changes(coeffs: Sequence[Fraction]) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def surface(name: str, points: Sequence | None = None,

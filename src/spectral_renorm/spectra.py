@@ -12,11 +12,11 @@ as -identity), which gives
 - lamplighter: eigenvalues lam of a + a^-1 + b + b^-1, the pencil at (0, 0);
 - hanoi:       eigenvalues lam of a + b + c, the pencil at (0, 1).
 
-Two slices are computed by spectral decimation (``decimated_spectrum``):
-hanoi, and grigorchuk at grig_slice = +-1.  Their atoms are backward orbits
-of the fiber polynomial with exact integer multiplicities, and no matrix is
-built.  Lamplighter and grigorchuk at any other grig_slice are diagonalized
-(``slice_matrix`` + ``sym_eigenvalues``).
+Every slice spectrum comes from the renormalization (``decimated_spectrum``),
+with exact integer multiplicities and no matrix: hanoi and grigorchuk (at
+any grig_slice) as backward orbits of the fiber polynomial, lamplighter from
+the exponents of its telescoped determinant.  ``slice_matrix`` builds the
+same slices as dense matrices, the reference the tests diagonalize.
 
 The grigorchuk limit law is the slice of an explicit family of hyperbolas
 weighted by the Chebyshev equilibrium measure; it has a closed-form CDF.
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,62 +98,6 @@ class DOSResult:
     slice_descriptor: str
     measure: Measure1D
     multiplicities: tuple
-    residual_bound: float
-
-
-_SYMMETRY_TILE = 64  # a tile and its mirror fit in cache, so the check makes no n x n temporary
-
-
-def sym_eigenvalues(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """All eigenvalues of a real symmetric matrix, ascending.
-
-    The input must be symmetric to 1e-12 relative: max |m - m^T| is at most
-    1e-12 * max(1, max |m|), compared tile by tile against the mirrored tile.
-    LAPACK ``dsytrd`` (blocked, lower triangle) reduces the matrix to a
-    tridiagonal T = Q^T M Q and ``dstevd`` solves T by divide and conquer.
-    ``np.linalg.eigh`` (``dsyevd``) runs the same reduction and the same
-    solver on the same T, so the eigenvalues agree with it bit for bit; what
-    is skipped is carrying all n eigenvectors back through Q.  Only the five
-    spot-checked eigenvectors, evenly spaced in the spectrum, are carried back
-    (``dormqr``), and each is checked on the original matrix against
-    ||Mv - ev|| <= tol * ||M||.
-
-    Peak memory is about four n x n arrays: the input, its reduced copy, the
-    eigenvectors of T and the solver's workspace.
-    """
-    from scipy.linalg import lapack  # imported here: it adds ~0.15 s to every CLI start
-
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix is not square")
-    n = m.shape[0]
-    scale = max(1.0, float(m.max()), -float(m.min()))
-    t = _SYMMETRY_TILE
-    asym = max(float(np.abs(m[i:i + t, j:j + t] - m[j:j + t, i:i + t].T).max())
-               for i in range(0, n, t) for j in range(i, n, t))
-    if asym > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    lwork, _ = lapack.dsytrd_lwork(n, lower=1)  # the wrapper's default lwork = n is unblocked
-    red, d, e, tau, _ = lapack.dsytrd(m, lower=1, lwork=int(lwork))
-    # the wrapper wants at least one off-diagonal entry even when n = 1
-    vals, z, info = lapack.dstevd(d, e if n > 1 else np.zeros(1))
-    if info:
-        raise np.linalg.LinAlgError(f"dstevd did not converge (info {info})")
-    norm = float(np.linalg.norm(m, 2)) if n <= 2 else float(np.abs(vals).max())
-    norm = max(norm, 1e-300)
-    idx = np.linspace(0, n - 1, min(n, 5)).astype(int)
-    vecs = z[:, idx]
-    if n > 1:
-        # Q fixes e_1; on the other rows it is the product of the reflectors
-        # stored below the subdiagonal
-        vecs[1:], _, _ = lapack.dormqr("L", "N", red[1:, :-1], tau, vecs[1:],
-                                       lwork=len(idx))
-    for k, i in enumerate(idx):
-        v = vecs[:, k]
-        res = float(np.linalg.norm(m @ v - vals[i] * v))
-        if res > tol * norm:
-            raise ArithmeticError(f"eigenpair residual {res:.3e} exceeds {tol:.1e} * ||M||")
-    return vals
 
 
 def slice_point(group_tag: str, grig_slice: float = -1.0) -> tuple:
@@ -175,9 +118,9 @@ def slice_matrix(group_tag: str, n: int, grig_slice: float = -1.0) -> np.ndarray
 
     This is the float instantiation of ``pencils.pencil_terms`` at
     ``slice_point``, where the spectral variable is 0.  Permutation terms are
-    accumulated in place, so this is one d^n x d^n allocation: 134 MB at
-    level 12, the budget boundary.  ``sym_eigenvalues`` holds about four
-    arrays of that size at its peak, ~540 MB at level 12.
+    accumulated in place, so this is one d^n x d^n allocation.  No spectrum
+    is computed from it: tests diagonalize it as the reference for
+    ``decimated_spectrum``.
     """
     lam, mu = (Fraction(x) for x in slice_point(group_tag, grig_slice))
     scheme = builtin_scheme(group_tag)
@@ -222,17 +165,34 @@ def _decimate(fiber: tuple, terminal: tuple, born: Callable[[int], tuple], n: in
     return pts, mults
 
 
-def decimated_spectrum(group_tag: str, n: int) -> tuple:
-    """Eigenvalues of the default level-n slice by spectral decimation.
+def _lamplighter_atoms(n: int) -> tuple:
+    """The atom 4 once, and 4 cos(pi p/q) for 2 <= q <= n + 1, gcd(p, q) = 1,
+    each with multiplicity [q | n+1] + sum_(j<n, q | j+1) 2^(n-1-j)."""
+    pts, mults = [4.0], [1]
+    for q in range(2, n + 2):
+        mult = ((n + 1) % q == 0) + sum(2 ** (n - 1 - j) for j in range(q - 1, n, q))
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                # = 4 cos(pi p/q); exactly 0 at p/q = 1/2 and odd under p -> q - p
+                pts.append(4.0 * math.sin(math.pi * (q - 2 * p) / (2 * q)))
+                mults.append(mult)
+    return np.array(pts), np.array(mults, dtype=np.int64)
+
+
+def decimated_spectrum(group_tag: str, n: int, grig_slice: float = -1.0) -> tuple:
+    """Eigenvalues of the level-n slice, from the renormalization.
 
     Returns (points, multiplicities): the distinct eigenvalues in increasing
-    order and their exact integer multiplicities, which sum to d^n.  Covers
-    hanoi (a + b + c, mu = 1) and grigorchuk (a + b + c + d - 1, lam = +-1;
-    the determinant is even in lam, so both slices have this spectrum).
-    Positions are backward orbits under the fiber polynomial, by the
-    inverse-branch step of ``julia_backward``.  Level n is the preimage of
-    level n-1's lifted atoms, each preimage inheriting its parent's
-    multiplicity, plus the exceptional atoms born at level n.
+    order and their exact integer multiplicities, which sum to d^n.  The
+    slice is ``slice_point``'s: hanoi a + b + c (mu = 1), lamplighter
+    a + a^-1 + b + b^-1 (mu = 0), grigorchuk a + b + c + d - 1 at
+    lam = ``grig_slice``.  No matrix is built.
+
+    hanoi and grigorchuk are spectral decimation: positions are backward
+    orbits under the fiber polynomial, by the inverse-branch step of
+    ``julia_backward``.  Level n is the preimage of level n-1's lifted atoms,
+    each preimage inheriting its parent's multiplicity, plus the exceptional
+    atoms born at level n.
 
     hanoi: the fiber polynomial is f(z) = z^2 - z - 3 (the semiconjugacy
     pi1 o R_H = f o pi1, with pi1 = f on the slice mu = 1).  The fixed point 3
@@ -250,57 +210,64 @@ def decimated_spectrum(group_tag: str, n: int) -> tuple:
     multiplicity a_(n-i) for i < n, and f^-j(-2) with b_(n-j) for j < n-1:
     3 * 2^(n-1) - 1 atoms.
 
-    grigorchuk: work in theta = (mu^2 - 5)/4, the semiconjugator
-    (4 - mu^2 + lam^2)/(4 lam) at lam = -1, which R_G carries to the
-    Chebyshev map T(theta) = 2 theta^2 - 1.  With C_theta = 4 - mu^2 + lam^2
-    - 4 lam theta, the level-n determinant is, up to sign, the line pair L
-    below times C_theta over the theta-atoms other than +-1, and the
-    pullbacks are exact identities:
+    grigorchuk: the semiconjugator psi = (4 - mu^2 + lam^2)/(4 lam) carries
+    R_G to the Chebyshev map T(theta) = 2 theta^2 - 1, and the decimation
+    runs in theta, whatever the slice.  With
+    C_theta = 4 - mu^2 + lam^2 - 4 lam theta, the level-n determinant is, up
+    to sign, the line pair L below times C_theta over the theta-atoms other
+    than +-1, and the pullbacks are exact identities:
 
         C_theta o R_G = C_t1 C_t2 / (4 - mu^2),  {t1, t2} = T^-1(theta),
         L o R_G = L C_0 / (4 - mu^2),  L = (2 - lam - mu)(2 + lam - mu).
 
-    The line pair holds the atoms theta = 1 (mu = 3) and theta = -1
-    (mu = 1); T^-1(-1) = {0} is born at every level from 2 on.  Each of the
-    2^(n-2) factors of level n-1 leaves one 1/(4 - mu^2), which is the
+    The line pair holds the atoms theta = 1 (mu = 2 - lam) and theta = -1
+    (mu = 2 + lam); T^-1(-1) = {0} is born at every level from 2 on.  Each of
+    the 2^(n-2) factors of level n-1 leaves one 1/(4 - mu^2), which is the
     scheme's factor (4 - mu^2)^(2^(n-2)), exponent m d^(n-p) = 2^(n-2).
-    Every theta other than +-1 carries the two atoms mu = +-sqrt(5 + 4 theta),
-    each simple: 2^n eigenvalues, all simple.
+    Every theta other than +-1 carries the two simple atoms
+    mu = +-sqrt(4 + lam^2 - 4 lam theta), the roots of C_theta: 2^n
+    eigenvalues.  They are all simple unless lam = 0, where every atom is
+    +-2.  At lam = +-1 (the determinant is even in lam) the theta-atoms are
+    symmetric under theta -> -theta, so both slices give the same points.
 
-    The closed forms above are checked against the eigensolver in the tests;
-    the atoms here come from the backward orbits.  ``n`` is at most
-    ``DECIMATION_MAX_LEVEL``.
+    lamplighter: R_L fixes alpha = lam + mu and sends beta = lam - mu to
+    alpha - 4/beta.  On the slice, with x the eigenvalue, beta_0 = alpha = x
+    and beta_k = 2 U_(k+1)(x/4) / U_k(x/4) (U_k the Chebyshev polynomials of
+    the second kind), so the recursion
+    det M_n = (mu - lam)^(2^(n-1)) det M_(n-1) o R_L with seed 4 - lam - mu
+    telescopes: up to a constant the characteristic polynomial is
+    (4 - x) U_n(x/4) prod_(j<n) U_j(x/4)^(2^(n-1-j)).  The roots of U_j(x/4)
+    are the simple 4 cos(pi p/q) with p/q in lowest terms and q | j + 1.
+    So 4 has multiplicity 1, and 4 cos(pi p/q), 2 <= q <= n + 1, has
+    [q | n+1] + sum_(j<n, q | j+1) 2^(n-1-j), the nearest integer to
+    2^n/(2^q - 1).  Each position is computed once, from p/q in lowest terms,
+    as 4 sin(pi (q - 2p)/(2q)).
+
+    The closed forms above are checked against ``slice_matrix``'s eigenvalues
+    in the tests.  ``n`` is at most ``DECIMATION_MAX_LEVEL``.
     """
     if not 1 <= n <= DECIMATION_MAX_LEVEL:
         raise ValueError(f"decimation level {n} outside 1..{DECIMATION_MAX_LEVEL}")
+    lam, _ = slice_point(group_tag, grig_slice)  # refuses a bad tag or slice
     if group_tag == "hanoi":
         pts, mults = _decimate(_HANOI_FIBER, (3.0,), _hanoi_born, n)
     elif group_tag == "grigorchuk":
         theta, mults = _decimate(_CHEBYSHEV, (-1.0, 1.0), _grig_born, n)
-        root = np.sqrt(5.0 + 4.0 * theta)  # theta = -1, 1 give mu = 1, 3
         inner = np.abs(theta) != 1.0
-        pts = np.concatenate([root, -root[inner]])
-        mults = np.concatenate([mults, mults[inner]])
+        root = np.sqrt(4.0 + lam * lam - 4.0 * lam * theta[inner])
+        pts = np.concatenate([root, -root, 2.0 - lam * theta[~inner]])
+        mults = np.concatenate([mults[inner], mults[inner], mults[~inner]])
     else:
-        raise ValueError(f"no spectral decimation for '{group_tag}'")
+        pts, mults = _lamplighter_atoms(n)
     order = np.argsort(pts, kind="stable")
-    return pts[order], mults[order]
+    return _merge_equal(pts[order], mults[order])
 
 
-@lru_cache(maxsize=64)
-def _dos_atoms(group_tag: str, n: int, grig_slice: float) -> tuple:
-    """(points, multiplicities) of the level-n slice, on the dos axis."""
-    if group_tag == "hanoi" or (group_tag == "grigorchuk" and abs(grig_slice) == 1.0):
-        vals, mults = decimated_spectrum(group_tag, n)
-    else:
-        vals = sym_eigenvalues(slice_matrix(group_tag, n, grig_slice))
-        mults = np.ones(len(vals), dtype=np.int64)
-    if group_tag == "grigorchuk":
-        vals = (vals + 1.0) / 4.0
-    # vals ascend; equal values merge into the first of their run
-    starts = np.flatnonzero(np.diff(vals, prepend=-np.inf))
-    return (tuple(float(v) for v in vals[starts]),
-            tuple(int(m) for m in np.add.reduceat(mults, starts)))
+def _merge_equal(pts: np.ndarray, mults: np.ndarray) -> tuple:
+    """Ascending points with equal ones merged into the first of their run,
+    their multiplicities added."""
+    starts = np.flatnonzero(np.diff(pts, prepend=-np.inf))
+    return pts[starts], np.add.reduceat(mults, starts)
 
 
 def _check_level(group_tag: str, n: int) -> None:
@@ -312,26 +279,29 @@ def _check_level(group_tag: str, n: int) -> None:
 
 
 def dos(group_tag: str, n: int, grig_slice: float = -1.0) -> DOSResult:
-    """Density of states of the level-n Schreier graph slice.
+    """Density of states of the level-n Schreier graph slice, with the atoms
+    and multiplicities of ``decimated_spectrum``.
 
     For the grigorchuk tag the returned measure lives on the transformed
     axis x = (mu + 1)/4; ``grig_slice`` selects the line lam = grig_slice
     (the determinant is even in lam, so -1 and +1 agree; both are exposed).
-    hanoi and grigorchuk at +-1 come from ``decimated_spectrum``; the other
-    slices are diagonalized.
     """
     _check_level(group_tag, n)
-    points, mults = _dos_atoms(group_tag, n, float(grig_slice))
+    vals, mults = decimated_spectrum(group_tag, n, grig_slice)
     if group_tag == "grigorchuk":
+        # the axis change can round eigenvalues a few ulps apart to one point
+        vals, mults = _merge_equal((vals + 1.0) / 4.0, mults)
         descriptor = f"lam={grig_slice:g}, x=(mu+1)/4"
     elif group_tag == "lamplighter":
         descriptor = "mu=0"
     else:
         descriptor = "mu=1"
+    mults = tuple(int(m) for m in mults)
     size = sum(mults)
-    measure = Measure1D(points=points, weights=tuple(m / size for m in mults))
+    measure = Measure1D(points=tuple(float(v) for v in vals),
+                        weights=tuple(m / size for m in mults))
     return DOSResult(group=group_tag, level=n, slice_descriptor=descriptor,
-                     measure=measure, multiplicities=mults, residual_bound=1e-10)
+                     measure=measure, multiplicities=mults)
 
 
 def atoms(measure: Measure1D, cluster_tol: float) -> list:
@@ -611,19 +581,36 @@ def hanoi_unborn_mass(n: int) -> Fraction:
     return 1 - present
 
 
+def lamplighter_unborn_mass(n: int) -> Fraction:
+    """Mass of the lamplighter limit measure on the atoms born after level n.
+
+    The atom 4 cos(pi p/q) (p/q in lowest terms) has limit mass 1/(2^q - 1)
+    (Grigorchuk-Zuk 2001): its multiplicity in ``decimated_spectrum`` is the
+    nearest integer to 2^n/(2^q - 1).  Level n holds the phi(q) atoms of
+    each q <= n + 1, and sum_(q>=2) phi(q)/(2^q - 1) = 1 (a Lambert series),
+    so the mass still to be born is 1 - sum_(q=2)^(n+1) phi(q)/(2^q - 1):
+    2/3 at n = 1.
+    """
+    if n < 1:
+        raise ValueError("level must be at least 1")
+    phi = lambda q: sum(math.gcd(p, q) == 1 for p in range(1, q))
+    return 1 - sum(Fraction(phi(q), 2 ** q - 1) for q in range(2, n + 2))
+
+
 def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
     """Distances of the level measures to the best available limit.
 
     grigorchuk compares against the closed-form law (Kolmogorov); the other
     two compare against the largest computed level (1-Wasserstein).  A
-    log-linear fit of the distances gives the observed decay rate; the
-    target rate is n/2^(n-1) for lamplighter.  For hanoi the fitted W1
+    log-linear fit of the distances gives the observed decay rate.  Each
+    lamplighter and hanoi row carries the exact ``unborn_mass`` of its level
+    (``lamplighter_unborn_mass``, ``hanoi_unborn_mass``) as a fraction
+    string, and the target names that mass rate.  For hanoi the fitted W1
     distances fall by about 1/3 per level: they are the first-moment drift
     3^(1-n) - 3^(1-N) to the reference level N (every slice has trace 3, so
     the mean of level n is 3^(1-n)).  The hanoi target names that (1/3)^n
     drift rate and the 2/3 mass rate, which shows in the ``tv_to_next``
-    ratios; each hanoi row also carries the exact ``unborn_mass``
-    (``hanoi_unborn_mass``) as a fraction string.
+    ratios.
     """
     levels = sorted(n_range)
     if len(levels) < 3:
@@ -643,16 +630,16 @@ def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
         for n in levels:
             if n == ref_level:
                 continue
-            d = cdf_distance(dos(group_tag, n).measure, reference, "wasserstein1")
+            here, after = dos(group_tag, n).measure, dos(group_tag, n + 1).measure
+            d = cdf_distance(here, reference, "wasserstein1")
             row = {"level": n, "distance": d, "metric": "wasserstein1"}
-            row["tv_to_next"] = tv_distance(dos(group_tag, n).measure,
-                                            dos(group_tag, n + 1).measure)
-            row["w1_to_next"] = cdf_distance(dos(group_tag, n).measure,
-                                             dos(group_tag, n + 1).measure, "wasserstein1")
-            if group_tag == "hanoi":
-                row["unborn_mass"] = str(hanoi_unborn_mass(n))
+            row["tv_to_next"] = tv_distance(here, after)
+            row["w1_to_next"] = cdf_distance(here, after, "wasserstein1")
+            unborn = hanoi_unborn_mass if group_tag == "hanoi" else lamplighter_unborn_mass
+            row["unborn_mass"] = str(unborn(n))
             rows.append(row)
-        target = ("n/2^(n-1)" if group_tag == "lamplighter" else
+        target = ("unborn mass 1 - sum_(q=2)^(n+1) phi(q)/(2^q - 1)"
+                  if group_tag == "lamplighter" else
                   "(1/3)^n W1 drift; (2/3)^n mass rate in tv_to_next")
     else:
         raise ValueError(f"unknown group tag '{group_tag}'")
@@ -668,27 +655,3 @@ def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
         "successive_ratios": ratios,
         "target": target,
     }
-
-
-# ---------------------------------------------------------------------------
-# Reference densities
-# ---------------------------------------------------------------------------
-
-
-def free_group_density(h: int, x: np.ndarray) -> np.ndarray:
-    """Unnormalized spectral density of the rank-h free group on
-    [-sqrt(2h-1)/h, sqrt(2h-1)/h]."""
-    x = np.asarray(x, dtype=float)
-    inside = 2.0 * h - 1.0 - (x * h) ** 2
-    denom = np.where(np.abs(x) < 1, 1.0 - x ** 2, 1.0)
-    vals = np.where((inside > 0) & (np.abs(x) < 1),
-                    np.sqrt(np.maximum(inside, 0.0)) / denom, 0.0)
-    return vals
-
-
-def free_abelian_samples(n: int, size: int, seed: int = 0) -> np.ndarray:
-    """Samples of the Z^n spectral measure: mean of n cosines of independent
-    uniform angles."""
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=(size, n))
-    return np.cos(theta).mean(axis=1)

@@ -1,7 +1,9 @@
 """Blow-up intersection calculus and the invariant-fibration detector."""
 
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from spectral_renorm.cohomology import (
@@ -26,6 +28,21 @@ def test_intersection_forms_match_printed():
         assert [list(r) for r in x.intersection] == printed
         assert x.signature() == (1, x.k)
         assert abs(x.det()) == 1
+
+
+def test_signature_is_the_inertia_of_the_form():
+    # indefinite and singular forms too, against the float eigenvalue signs
+    x = surface("hanoi4")
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n = int(rng.integers(1, 7))
+        g = rng.integers(-2, 3, (n, n))
+        g = g + g.T
+        if trial % 3 == 0:
+            g[0, :] = g[:, 0] = 0
+        y = replace(x, intersection=tuple(tuple(int(v) for v in row) for row in g))
+        vals = np.linalg.eigvalsh(g.astype(float))
+        assert y.signature() == (int((vals > 1e-9).sum()), int((vals < -1e-9).sum()))
 
 
 def test_basic_intersection_numbers():

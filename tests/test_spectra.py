@@ -8,11 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spectral_renorm.pencils import assemble, builtin_scheme
 from spectral_renorm.spectra import (
+    DECIMATION_MAX_LEVEL,
     DOS_BUDGET,
     Measure1D,
     atoms,
@@ -20,116 +19,25 @@ from spectral_renorm.spectra import (
     convergence_report,
     decimated_spectrum,
     dos,
-    free_abelian_samples,
-    free_group_density,
     grig_limit_measure,
     hanoi_unborn_mass,
     julia_backward,
     kolmogorov_to_cdf,
+    lamplighter_unborn_mass,
     repelling_fixed_point,
     slice_matrix,
     slice_point,
-    sym_eigenvalues,
     tv_distance,
 )
 
 SQRT5 = math.sqrt(5.0)
 
 
-def test_sym_eigenvalues_examples_and_errors():
-    vals = sym_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(vals, [-1.0, 1.0])
-    vals = sym_eigenvalues(np.eye(16))
-    assert np.allclose(vals, 1.0)
-    with pytest.raises(ValueError):
-        sym_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-@st.composite
-def symmetric_matrix(draw):
-    """Gaussian, small-integer, diagonal, repeated-block or block-diagonal
-    symmetric matrices of size 1..60.  Block-diagonal ones make the
-    tridiagonal split, which sends the solver through its deflation."""
-    n = draw(st.integers(1, 60))
-    kind = draw(st.sampled_from(["gauss", "int", "diag", "repeated", "blockdiag"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if kind == "gauss":
-        g = rng.standard_normal((n, n))
-        return g + g.T
-    if kind == "int":
-        g = rng.integers(-3, 4, (n, n)).astype(float)
-        return g + g.T
-    if kind == "diag":
-        return np.diag(rng.integers(-4, 5, n).astype(float))
-    if kind == "repeated":
-        k = draw(st.integers(1, 4))
-        b = rng.integers(-2, 3, (k, k)).astype(float)
-        return np.kron(np.eye(-(-n // k)), b + b.T)[:n, :n]
-    m = np.zeros((n, n))
-    cut = draw(st.integers(0, n))
-    for lo, hi in ((0, cut), (cut, n)):
-        g = rng.integers(-2, 3, (hi - lo, hi - lo)).astype(float)
-        m[lo:hi, lo:hi] = g + g.T
-    return m
-
-
-@settings(max_examples=300, deadline=None)
-@given(symmetric_matrix())
-def test_sym_eigenvalues_are_eighs_bit_for_bit(m):
-    assert np.array_equal(sym_eigenvalues(m), np.linalg.eigh(m)[0])
-
-
-@pytest.mark.parametrize("group_tag,top,grig_slice", [
-    ("grigorchuk", 9, -1.0),
-    ("grigorchuk", 9, 0.3),
-    ("lamplighter", 9, -1.0),
-    ("hanoi", 6, -1.0),
-])
-def test_slice_eigenvalues_are_eighs_bit_for_bit(group_tag, top, grig_slice):
-    for n in range(1, top + 1):
-        m = slice_matrix(group_tag, n, grig_slice)
-        assert np.array_equal(sym_eigenvalues(m), np.linalg.eigh(m)[0])
-
-
-def test_symmetry_check_reads_every_tile():
-    rng = np.random.default_rng(3)
-    g = rng.standard_normal((150, 150))
-    m = g + g.T
-    scale = np.abs(m).max()
-    m[140, 3] += 1e-13 * scale  # within tolerance, in the last tile row
-    sym_eigenvalues(m)
-    m[140, 3] += 1e-11 * scale
-    with pytest.raises(ValueError, match="not symmetric"):
-        sym_eigenvalues(m)
-    with pytest.raises(ValueError, match="not square"):
-        sym_eigenvalues(np.zeros((3, 4)))
-
-
-def _wrong_eigenvalue(vals, z, info):
-    vals[-1] += 1e-3
-    return vals, z, info
-
-
-def _wrong_vector(cq, work, info):
-    return cq[::-1].copy(), work, info
-
-
-@pytest.mark.parametrize("routine,corrupt", [("dstevd", _wrong_eigenvalue),
-                                             ("dormqr", _wrong_vector)],
-                         ids=["dstevd", "dormqr"])
-def test_residual_check_catches_a_wrong_eigenpair(routine, corrupt, monkeypatch):
-    from scipy.linalg import lapack
-
-    real = getattr(lapack, routine)
-    m = slice_matrix("grigorchuk", 5)
-    sym_eigenvalues(m)
-    monkeypatch.setattr(lapack, routine, lambda *args, **kwargs: corrupt(*real(*args, **kwargs)))
-    with pytest.raises(ArithmeticError, match="residual"):
-        sym_eigenvalues(m)
-
-
 def test_importing_the_cli_does_not_import_scipy():
-    code = ("import sys, spectral_renorm.cli, spectral_renorm.spectra; "
+    # every module of the package, not only the command-line front end
+    code = ("import importlib, pkgutil, sys, spectral_renorm; "
+            "[importlib.import_module(m.name) for m in "
+            "pkgutil.walk_packages(spectral_renorm.__path__, 'spectral_renorm.')]; "
             "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
@@ -137,7 +45,7 @@ def test_importing_the_cli_does_not_import_scipy():
 
 
 def test_grigorchuk_level2_sliced_matrix_spectrum():
-    vals = sym_eigenvalues(slice_matrix("grigorchuk", 2))
+    vals = np.linalg.eigh(slice_matrix("grigorchuk", 2))[0]
     assert np.allclose(vals, sorted([-SQRT5, 1.0, SQRT5, 3.0]), atol=1e-10)
 
 
@@ -347,16 +255,6 @@ def test_tv_distance():
     assert tv_distance(a, a) == 0.0
 
 
-def test_reference_densities():
-    xs = np.linspace(-1, 1, 101)
-    vals = free_group_density(2, xs)
-    assert vals.min() >= 0
-    bound = math.sqrt(3) / 2
-    assert vals[np.abs(xs) > bound + 0.01].max() == 0.0
-    samples = free_abelian_samples(3, 2000, seed=1)
-    assert abs(samples.mean()) < 0.05 and np.abs(samples).max() <= 1.0
-
-
 # ---------------------------------------------------------------------------
 # Spectral decimation
 # ---------------------------------------------------------------------------
@@ -374,11 +272,17 @@ def _clustered(vals, tol=1e-9):
     return np.array(pts), counts
 
 
-@pytest.mark.parametrize("group_tag,top", [("hanoi", 7), ("grigorchuk", 11)])
-def test_decimated_spectrum_matches_the_eigensolver(group_tag, top):
+@pytest.mark.parametrize("group_tag,top,grig_slice", [
+    pytest.param("hanoi", 7, -1.0, id="hanoi-7"),
+    pytest.param("grigorchuk", 11, -1.0, id="grigorchuk-11"),
+    pytest.param("lamplighter", 11, -1.0, id="lamplighter-11"),
+    *(pytest.param("grigorchuk", 10, lam, id=f"grigorchuk-10-lam{lam}")
+      for lam in (0.3, 2.5, 0.0, -0.7)),
+])
+def test_decimated_spectrum_matches_the_eigensolver(group_tag, top, grig_slice):
     for n in range(1, top + 1):
-        points, mults = decimated_spectrum(group_tag, n)
-        vals, counts = _clustered(sym_eigenvalues(slice_matrix(group_tag, n)))
+        points, mults = decimated_spectrum(group_tag, n, grig_slice)
+        vals, counts = _clustered(np.linalg.eigvalsh(slice_matrix(group_tag, n, grig_slice)))
         assert list(mults) == counts
         assert np.abs(points - vals).max() <= 1e-9
 
@@ -416,9 +320,21 @@ def _grigorchuk_closed_form(n):
     return [(p, 1) for p in sorted(np.concatenate([[1.0, 3.0], mu, -mu]))]
 
 
+def _lamplighter_closed_form(n):
+    """4 once, and 4 cos(pi p/q), q = 2..n+1, gcd(p, q) = 1, each with the
+    nearest integer to 2^n/(2^q - 1) (never a tie: 2^q - 1 is odd)."""
+    atoms_ = {4.0: 1}
+    for q in range(2, n + 2):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                atoms_[4.0 * math.cos(math.pi * p / q)] = round(2 ** n / (2 ** q - 1))
+    return sorted(atoms_.items())
+
+
 @pytest.mark.parametrize("group_tag,d,top,closed_form", [
     ("hanoi", 3, 12, _hanoi_closed_form),
     ("grigorchuk", 2, 16, _grigorchuk_closed_form),
+    ("lamplighter", 2, DECIMATION_MAX_LEVEL, _lamplighter_closed_form),
 ])
 def test_decimated_spectrum_closed_forms(group_tag, d, top, closed_form):
     for n in range(1, top + 1):
@@ -446,50 +362,43 @@ def test_born_multiplicities_match_the_factor_exponents():
 
 
 def test_decimated_spectrum_rejects_other_groups_and_levels():
-    with pytest.raises(ValueError, match="decimation"):
-        decimated_spectrum("lamplighter", 3)
-    for n in (0, 21):
+    with pytest.raises(ValueError, match="unknown group tag"):
+        decimated_spectrum("nope", 3)
+    with pytest.raises(ValueError, match="finite"):
+        decimated_spectrum("grigorchuk", 3, math.nan)
+    for n in (0, DECIMATION_MAX_LEVEL + 1):
         with pytest.raises(ValueError, match="level"):
             decimated_spectrum("hanoi", n)
 
 
 def test_dos_routes_the_decimated_slices_around_the_eigensolver(monkeypatch):
-    from spectral_renorm import spectra
+    # every slice is decimated now, so no slice may call an eigensolver
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
 
-    def refuse(m):
-        raise AssertionError("the eigensolver ran on a decimated slice")
-
-    spectra._dos_atoms.cache_clear()
-    monkeypatch.setattr(spectra, "sym_eigenvalues", refuse)
-    try:
-        for n in range(1, DOS_BUDGET["hanoi"] + 1):
-            dos("hanoi", n)
-        for n in range(1, DOS_BUDGET["grigorchuk"] + 1):
-            minus, plus = dos("grigorchuk", n, -1.0), dos("grigorchuk", n, 1.0)
-            assert minus.measure == plus.measure
-            assert minus.multiplicities == plus.multiplicities
-    finally:
-        spectra._dos_atoms.cache_clear()
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for group_tag in ("hanoi", "lamplighter"):
+        for n in range(1, DOS_BUDGET[group_tag] + 1):
+            r = dos(group_tag, n)
+            assert sum(r.multiplicities) == builtin_scheme(group_tag).d ** n
+    for n in range(1, DOS_BUDGET["grigorchuk"] + 1):
+        minus, plus = dos("grigorchuk", n, -1.0), dos("grigorchuk", n, 1.0)
+        assert minus.measure == plus.measure
+        assert minus.multiplicities == plus.multiplicities
+        assert sum(dos("grigorchuk", n, 0.3).multiplicities) == 2 ** n
 
 
-def test_dos_diagonalizes_the_other_slices(monkeypatch):
-    from spectral_renorm import spectra
-
-    calls = []
-    real = spectra.sym_eigenvalues
-
-    def counted(m):
-        calls.append(m.shape[0])
-        return real(m)
-
-    spectra._dos_atoms.cache_clear()
-    monkeypatch.setattr(spectra, "sym_eigenvalues", counted)
-    try:
-        dos("lamplighter", 4)
-        dos("grigorchuk", 4, grig_slice=0.3)
-    finally:
-        spectra._dos_atoms.cache_clear()
-    assert calls == [16, 16]
+def test_dos_diagonalizes_the_other_slices():
+    # the slices that used to go through the eigensolver: dos gives the
+    # diagonalization of the slice matrix, on grigorchuk's axis x = (mu + 1)/4
+    for group_tag, grig_slice, axis in (("lamplighter", -1.0, lambda v: v),
+                                        ("grigorchuk", 0.3, lambda v: (v + 1.0) / 4.0)):
+        r = dos(group_tag, 4, grig_slice)
+        vals, counts = _clustered(axis(np.linalg.eigvalsh(slice_matrix(group_tag, 4, grig_slice))))
+        assert list(r.multiplicities) == counts and sum(counts) == 16
+        assert np.abs(np.array(r.measure.points) - vals).max() <= 1e-9
+        assert r.measure.weights == tuple(c / 16 for c in counts)
 
 
 def test_hanoi_unborn_mass_is_the_exact_two_thirds_rate():
@@ -499,3 +408,19 @@ def test_hanoi_unborn_mass_is_the_exact_two_thirds_rate():
         assert Fraction(r["unborn_mass"]) == Fraction(5, 4) * Fraction(2, 3) ** r["level"]
     for n in range(3, 8):
         assert hanoi_unborn_mass(n) == Fraction(5, 4) * Fraction(2, 3) ** n
+
+
+def test_lamplighter_unborn_mass_is_the_mass_of_the_missing_atoms():
+    assert lamplighter_unborn_mass(1) == Fraction(2, 3)
+    for n in range(1, 14):
+        points, _ = decimated_spectrum("lamplighter", n)
+        present = Fraction(0)
+        for x in points[points != 4.0]:
+            # x = 4 cos(pi p/q) with p/q in lowest terms, q <= n + 1
+            q = Fraction(math.acos(x / 4.0) / math.pi).limit_denominator(n + 1).denominator
+            present += Fraction(1, 2 ** q - 1)
+        assert lamplighter_unborn_mass(n) == 1 - present
+    rep = convergence_report("lamplighter", range(4, 8))
+    assert rep["target"] == "unborn mass 1 - sum_(q=2)^(n+1) phi(q)/(2^q - 1)"
+    for r in rep["rows"]:
+        assert Fraction(r["unborn_mass"]) == lamplighter_unborn_mass(r["level"])
