@@ -303,10 +303,7 @@ def cmd_schur_verify(args) -> int:
     from spectral_renorm import output, pencils
 
     scheme = pencils.builtin_scheme(args.group)
-    try:
-        report = pencils.verify_recursion(scheme, args.level, args.samples, args.seed)
-    except ValueError as exc:
-        raise BudgetError(str(exc)) from None
+    report = pencils.verify_recursion(scheme, args.level, args.samples, args.seed)
     out = _outdir(args)
     stem = f"schur_{args.group}_n{args.level}"
     if "json" in _formats(args):
@@ -358,8 +355,6 @@ def cmd_dyndeg(args) -> int:
     from spectral_renorm import output
     from spectral_renorm.ratmaps import degrees, maps
 
-    if args.iters > degrees.MAX_ITERATES:
-        raise BudgetError(f"iteration budget is {degrees.MAX_ITERATES}")
     result = degrees.dynamical_degree(maps.builtin_map(args.map_name),
                                       iterations=args.iters, trials=args.trials,
                                       seed=args.seed)
@@ -424,8 +419,6 @@ def cmd_potential_grid(args) -> int:
         raise BudgetError("window must be xmin,xmax,ymin,ymax")
     if not (window[0] < window[1] and window[2] < window[3]):
         raise BudgetError("window needs xmin < xmax and ymin < ymax")
-    if args.resolution > 2048:
-        raise BudgetError("resolution capped at 2048")
     scheme = pencils.builtin_scheme(args.group)
     spec = RecursionPotential.from_scheme(scheme)
     grid = potential_grid(spec, window, args.resolution, args.iters)
@@ -464,8 +457,6 @@ def cmd_julia(args) -> int:
     coeffs = tuple(float(v) for v in args.poly.split(","))
     if len(coeffs) != 3:
         raise BudgetError("--poly needs a,b,c")
-    if args.mode == "full_tree" and args.depth > 16:
-        raise BudgetError("full-tree depth capped at 16")
     pts, measure = spectra.julia_backward(coeffs, args.depth, mode=args.mode,
                                           seed=args.seed)
     out = _outdir(args)
@@ -500,8 +491,6 @@ def cmd_experiment(args) -> int:
     kind = args.kind
     series = points = measure = None
     if kind == "twist":
-        if args.n > experiments.TWIST_COUNT_MAX:
-            raise BudgetError(f"twist n capped at {experiments.TWIST_COUNT_MAX}")
         r = experiments.twist_experiment(args.n)
         r["plane_line_count"] = experiments.twist_plane_count(args.n)
         summary = {
@@ -515,8 +504,6 @@ def cmd_experiment(args) -> int:
         points = r["line_points"]
         measure = r["measure"]
     elif kind == "skew":
-        if args.n > experiments.SKEW_DEPTH_MAX:
-            raise BudgetError(f"skew depth capped at {experiments.SKEW_DEPTH_MAX}")
         r = experiments.skew_cantor_experiment(args.eta0, args.n)
         summary = {
             "kind": kind, "params": {"eta0": args.eta0, "depth": args.n},
@@ -525,8 +512,6 @@ def cmd_experiment(args) -> int:
         points = r["line_points"]
         measure = r["measure"]
     else:
-        if args.n > experiments.BACKWARD_DEPTH_MAX:
-            raise BudgetError(f"backward depth capped at {experiments.BACKWARD_DEPTH_MAX}")
         model = kind.split("-", 1)[1]
         text = args.seed_point if args.seed_point is not None else _SEED_POINT[model]
         seed_point = complex(text) if model == "square" else float(text)

@@ -28,12 +28,14 @@ from spectral_renorm.spectra import (
     cdf_distance,
     julia_backward,
     kolmogorov_to_cdf,
+    preimages,
 )
 
 TWIST_COUNT_MAX = 200
 SKEW_DEPTH_MAX = 14
 # 2^20 preimages: on 2 cores z -> z^2 takes about 1 s at depth 20, the other two models under 3 s
 BACKWARD_DEPTH_MAX = 20
+CANTOR_BASE = (1.0, -1.0, -3.0)  # z^2 - z - 3, the base of the skew product
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def twist_experiment(n: int, curve: Callable[[float], float] | tuple = (math.pi,
         if root is not None:
             roots.append(root)
     etas = twist_rho_inverse(np.array(roots))
-    measure = Measure1D.from_samples(etas, np.full(len(etas), 1.0 / max(len(etas), 1)))
+    measure = Measure1D.from_samples(etas)
     w_wide = w1_to_cdf(measure, arccos_law_cdf, -4.0, 4.0)
     w_narrow = w1_to_cdf(measure, narrow_arc_law_cdf, -4.0, 4.0)
     intercept, slope = line
@@ -252,15 +254,10 @@ def skew_cantor_experiment(eta0: float = 3.0, n: int = 10, line: tuple = (0.7, 0
         raise ValueError("line must not be horizontal")
     pts = np.array([eta0], dtype=complex if domain == "complex" else float)
     for _ in range(n):
-        disc = 13.0 + 4.0 * pts
-        if domain == "real" and np.any(disc < 0):
-            raise ValueError("complex branch encountered in real mode; "
-                             "rerun with domain='complex'")
-        root = np.sqrt(disc if domain == "real" else disc.astype(complex))
-        pts = np.concatenate([(1.0 + root) / 2.0, (1.0 - root) / 2.0])
+        pts = np.concatenate(preimages(CANTOR_BASE, pts, domain))
     pts = np.real(pts)
-    measure = Measure1D.from_samples(pts, np.full(len(pts), 1.0 / len(pts)))
-    _, reference = julia_backward((1, -1, -3), reference_depth)
+    measure = Measure1D.from_samples(pts)
+    _, reference = julia_backward(CANTOR_BASE, reference_depth)
     w1 = cdf_distance(measure, reference, "wasserstein1")
     return {
         "eta0": eta0,
@@ -334,43 +331,29 @@ def backward_equidistribution(model: str, seed_point, n: int, seed: int = 0) -> 
     """
     if not 1 <= n <= BACKWARD_DEPTH_MAX:
         raise ValueError(f"depth must be in 1..{BACKWARD_DEPTH_MAX}")
-    series = []
     if model == "square":
-        z = complex(seed_point)
-        if z == 0:
+        start = complex(seed_point)
+        if start == 0:
             raise ValueError("exceptional seed")
-        pts = np.array([z], dtype=complex)
-        for depth in range(1, n + 1):
-            root = np.sqrt(pts)
-            pts = np.concatenate([root, -root])
-            series.append(
-                {"depth": depth, "distance": circle_w1_to_uniform(np.angle(pts)),
-                 "metric": "circle_w1"})
+        poly, domain, metric = (1.0, 0.0, 0.0), "complex", "circle_w1"
+        distance = lambda pts: circle_w1_to_uniform(np.angle(pts))
     elif model == "cheb":
-        x = float(seed_point)
-        if not -1.0 <= x <= 1.0:
+        start = float(seed_point)
+        if not -1.0 <= start <= 1.0:
             raise ValueError("seed must lie in [-1, 1]")
-        pts = np.array([x])
-        for depth in range(1, n + 1):
-            root = np.sqrt((pts + 1.0) / 2.0)
-            pts = np.concatenate([root, -root])
-            m = Measure1D.from_samples(pts, np.full(len(pts), 1.0 / len(pts)))
-            series.append(
-                {"depth": depth, "distance": kolmogorov_to_cdf(m, arcsine_cdf),
-                 "metric": "kolmogorov"})
+        poly, domain, metric = (2.0, 0.0, -1.0), "real", "kolmogorov"
+        distance = lambda pts: kolmogorov_to_cdf(Measure1D.from_samples(pts), arcsine_cdf)
     elif model == "cantor":
-        _, reference = julia_backward((1, -1, -3), 12)
-        pts = np.array([float(seed_point)])
-        for depth in range(1, n + 1):
-            disc = 13.0 + 4.0 * pts
-            if np.any(disc < 0):
-                raise ValueError("complex branch encountered in real mode")
-            root = np.sqrt(disc)
-            pts = np.concatenate([(1.0 + root) / 2.0, (1.0 - root) / 2.0])
-            m = Measure1D.from_samples(pts, np.full(len(pts), 1.0 / len(pts)))
-            series.append(
-                {"depth": depth, "distance": cdf_distance(m, reference, "wasserstein1"),
-                 "metric": "wasserstein1"})
+        _, reference = julia_backward(CANTOR_BASE, 12)
+        start = float(seed_point)
+        poly, domain, metric = CANTOR_BASE, "real", "wasserstein1"
+        distance = lambda pts: cdf_distance(Measure1D.from_samples(pts), reference,
+                                            "wasserstein1")
     else:
         raise ValueError("model must be 'square', 'cheb', or 'cantor'")
+    pts = np.array([start])
+    series = []
+    for depth in range(1, n + 1):
+        pts = np.concatenate(preimages(poly, pts, domain))
+        series.append({"depth": depth, "distance": distance(pts), "metric": metric})
     return {"model": model, "seed": repr(seed_point), "series": series}

@@ -87,7 +87,8 @@ def builtin_scheme(name: str) -> PencilScheme:
     """The three builtin pencils with their recursion data."""
     if name == "grigorchuk":
         # M = -lam*a + b + c + d - 1 - mu, branching 2
-        # det M_n = s_n (4 - mu^2)^(2^(n-2)) det M_(n-1)(R_G),  n >= 2
+        # det M_n = s_n (4 - mu^2)^(2^(n-2)) det M_(n-1)(R_G),  n >= 2,
+        # so the seed is the level-1 determinant (2 - lam - mu)(2 + lam - mu)
         return PencilScheme(
             name=name,
             group=build_group("grigorchuk"),
@@ -96,8 +97,9 @@ def builtin_scheme(name: str) -> PencilScheme:
             cmu={"": Fraction(-1)},
             map_name="R_G",
             factors=((_p2({(0, 0): 4, (0, 2): -1}), 1, 2),),
-            seed=_p2({(0, 0): 2, (1, 0): -1, (0, 1): -1}),
-            seed_level=0,
+            seed=_p2({(0, 0): 2, (1, 0): -1, (0, 1): -1})
+            * _p2({(0, 0): 2, (1, 0): 1, (0, 1): -1}),
+            seed_level=1,
             min_level=2,
             max_level=7,
             sign=_grigorchuk_sign,

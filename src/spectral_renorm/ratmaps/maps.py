@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+import numpy as np
+
 from spectral_renorm.exact import primitive_int_vector
 from spectral_renorm.ratmaps.poly import BinaryForm, MultiPoly, binary_forms_gcd
 
@@ -76,10 +78,8 @@ class RationalMapP2:
 
     def eval_float(self, point):
         """Float image, normalized to unit Euclidean norm."""
-        import numpy as np
-
         pt = np.asarray(point, dtype=float)
-        vals = np.array([float_eval_poly(c, pt) for c in self.components])
+        vals = np.array([_grid_eval(c, pt) for c in self.components])
         norm = np.linalg.norm(vals)
         if norm == 0.0 or not np.isfinite(norm):
             raise IndeterminacyError(f"{self.name} numerically indeterminate at {point}")
@@ -153,13 +153,17 @@ def _normalize_triple(comps) -> tuple:
     return tuple(out)
 
 
-def float_eval_poly(poly: MultiPoly, values) -> float:
-    total = 0.0
+def _grid_eval(poly: MultiPoly, pts):
+    """Float value of ``poly`` at the points whose coordinates are the rows
+    of ``pts`` (one point when the rows are scalars), summing terms in dict
+    order."""
+    shape = np.shape(pts[0])
+    total = np.zeros(shape)
     for expo, coeff in poly.terms.items():
-        term = float(coeff)
-        for v, e in zip(values, expo):
+        term = np.full(shape, float(coeff))
+        for i, e in enumerate(expo):
             if e:
-                term *= v ** e
+                term = term * pts[i] ** e
         total += term
     return total
 

@@ -9,32 +9,27 @@ the normalized potential (1/d^n) log |P_n| telescopes to
     u_n(x) = sum_(j=0)^(n-1-s) sum_i m_i d^(-(j+p_i)) log |Q_i(R^j x)|
              + d^(-n) log |P_seed(R^(n-s) x)|,
 
-where s is the level of the closed-form seed polynomial.  Orbits are
-evaluated in floating point with projective renormalization at every step;
-exact zero detection happens on the initial (rational) point.
+where s is the level of the closed-form seed polynomial, so u_n exists for
+n >= s only.  One loop (``_telescope``) evaluates this sum over an array of
+projective points, renormalizing them to max-norm 1 after every step; the
+seed tail is its last weighted log term.  ``potential`` runs it on given
+points and ``potential_grid`` on a window's meshgrid.  A point whose orbit
+meets a zero of a factor or of the seed gets -inf; a dead orbit (one that
+reaches an indeterminacy point or the line at infinity) gets NaN.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from spectral_renorm.ratmaps.maps import RationalMapP2, builtin_map, float_eval_poly
+from spectral_renorm.ratmaps.maps import RationalMapP2, _grid_eval, builtin_map
 from spectral_renorm.ratmaps.poly import MultiPoly
 
 NEG_INF = float("-inf")
-
-
-class OrbitIndeterminate(RuntimeError):
-    """The orbit hit an indeterminacy point; carries the step index."""
-
-    def __init__(self, step: int):
-        super().__init__(f"orbit hit an indeterminacy point at step {step}")
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -72,142 +67,89 @@ def _homogenize(poly2: MultiPoly) -> MultiPoly:
     return MultiPoly(3, terms)
 
 
-def _log_abs_affine(form: MultiPoly, point: np.ndarray) -> float:
-    """log |q(x/w, y/w)| from a homogeneous form at a normalized projective
-    point; -inf at zeros, +inf on the line at infinity."""
-    val = float_eval_poly(form, point)
-    w = point[2]
-    deg = form.total_degree()
-    if val == 0.0:
-        return NEG_INF
-    if w == 0.0:
-        return float("inf")
-    return math.log(abs(val)) - deg * math.log(abs(w))
+def _telescope(spec: RecursionPotential, lam: np.ndarray, mu: np.ndarray, n: int) -> tuple:
+    """u_n at the affine points (lam, mu), flat float arrays of one length.
 
-
-def potential(spec: RecursionPotential, lam, mu, n: int) -> float:
-    """Value of u_n at an affine point; -inf when the orbit meets a factor
-    zero, raising ``OrbitIndeterminate`` when it dies at an indeterminacy.
+    Returns (values, neg_inf, dead): values carry -inf at factor or seed
+    zeros and NaN at dead orbits, which the two boolean masks flag.
     """
-    exact_point = None
-    try:
-        exact_point = (Fraction(lam), Fraction(mu))
-    except (TypeError, ValueError):
-        pass
-    if exact_point is not None:
-        for q, _m, _p in spec.factors:
-            if q.eval(exact_point) == 0:
-                return NEG_INF
-    if not spec.factors and spec.seed.is_constant():
-        c = abs(spec.seed.constant_value())
-        return NEG_INF if c == 0 else spec.d ** (-n) * math.log(float(c))
-    hom_factors = [(_homogenize(q), m, p) for q, m, p in spec.factors]
-    hom_seed = _homogenize(spec.seed)
-    point = np.array([float(lam), float(mu), 1.0])
-    point = point / np.max(np.abs(point))
-    d = spec.d
-    total = 0.0
-    steps = n - spec.seed_level
-    for j in range(steps):
-        for q, mult, offset in hom_factors:
-            contrib = _log_abs_affine(q, point)
-            if contrib == NEG_INF:
-                return NEG_INF
-            if not math.isfinite(contrib):
-                return float("nan")
-            total += mult * d ** (-(j + offset)) * contrib
-        point = _step(spec.map, point, j)
-    tail = _log_abs_affine(hom_seed, point)
-    if tail == NEG_INF:
-        return NEG_INF
-    if not math.isfinite(tail):
-        return float("nan")
-    return total + d ** (-n) * tail
-
-
-def _step(map_: RationalMapP2, point: np.ndarray, step_index: int) -> np.ndarray:
-    vals = np.array([float_eval_poly(c, point) for c in map_.components])
-    m = np.max(np.abs(vals))
-    if m == 0.0 or not np.isfinite(m):
-        raise OrbitIndeterminate(step_index)
-    return vals / m
-
-
-def potential_grid(spec: RecursionPotential, window: Sequence[float], resolution: int,
-                   n: int) -> dict:
-    """Sample u_n on a real window (xmin, xmax, ymin, ymax).
-
-    Returns {"values": (res x res) array with NaN at dead orbits,
-    "neg_inf_mask": bool array, "window": window}.  Vectorized over the grid
-    with per-step projective renormalization.
-    """
-    if resolution < 2 or resolution > 2048:
-        raise ValueError("resolution out of range (2..2048)")
-    xmin, xmax, ymin, ymax = window
-    xs = np.linspace(xmin, xmax, resolution)
-    ys = np.linspace(ymin, ymax, resolution)
-    if not spec.factors and spec.seed.is_constant():
-        c = abs(float(spec.seed.constant_value()))
-        fill = NEG_INF if c == 0.0 else spec.d ** (-n) * math.log(c)
-        values = np.full((resolution, resolution), fill)
-        mask = np.full((resolution, resolution), c == 0.0, dtype=bool)
-        return {"values": values, "neg_inf_mask": mask,
-                "dead_mask": np.zeros_like(mask), "window": tuple(window),
-                "xs": xs, "ys": ys}
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.stack([gx.ravel(), gy.ravel(), np.ones(gx.size)], axis=0)
+    if n < spec.seed_level:
+        raise ValueError(f"level {n} is below the seed level {spec.seed_level}")
+    pts = np.stack([lam, mu, np.ones(lam.size)], axis=0)
     pts = pts / np.max(np.abs(pts), axis=0, keepdims=True)
     d = spec.d
-    total = np.zeros(gx.size)
-    neg_inf = np.zeros(gx.size, dtype=bool)
-    dead = np.zeros(gx.size, dtype=bool)
+    total = np.zeros(lam.size)
+    neg_inf = np.zeros(lam.size, dtype=bool)
+    dead = np.zeros(lam.size, dtype=bool)
     hom_factors = [(_homogenize(q), m, p) for q, m, p in spec.factors]
-    hom_seed = _homogenize(spec.seed)
-    steps = n - spec.seed_level
+    # with no factor and a constant seed, u_n does not depend on the orbit
+    steps = n - spec.seed_level if hom_factors or not spec.seed.is_constant() else 0
+
+    def add_log(form: MultiPoly, weight: float) -> None:
+        nonlocal total, neg_inf, dead
+        vals = _grid_eval(form, pts)
+        logs = np.log(np.abs(vals)) - form.total_degree() * np.log(np.abs(pts[2]))
+        neg_inf |= vals == 0.0
+        dead |= ~np.isfinite(logs) & ~(vals == 0.0)
+        logs[~np.isfinite(logs)] = 0.0
+        total += weight * logs
+
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(steps):
             for q, mult, offset in hom_factors:
-                vals = _grid_eval(q, pts)
-                logs = np.log(np.abs(vals)) - q.total_degree() * np.log(np.abs(pts[2]))
-                neg_inf |= vals == 0.0
-                bad = ~np.isfinite(logs) & ~(vals == 0.0)
-                dead |= bad
-                logs[~np.isfinite(logs)] = 0.0
-                total += mult * d ** (-(j + offset)) * logs
+                add_log(q, mult * d ** (-(j + offset)))
             imgs = np.stack([_grid_eval(c, pts) for c in spec.map.components], axis=0)
             norms = np.max(np.abs(imgs), axis=0)
             zero = (norms == 0.0) | ~np.isfinite(norms)
             dead |= zero
             norms[zero] = 1.0
             pts = imgs / norms
-        vals = _grid_eval(hom_seed, pts)
-        logs = np.log(np.abs(vals)) - hom_seed.total_degree() * np.log(np.abs(pts[2]))
-        neg_inf |= vals == 0.0
-        dead |= ~np.isfinite(logs) & ~(vals == 0.0)
-        logs[~np.isfinite(logs)] = 0.0
-        total += d ** (-n) * logs
-    values = total.reshape(resolution, resolution)
-    neg_mask = neg_inf.reshape(resolution, resolution)
-    dead_mask = dead.reshape(resolution, resolution)
-    values = values.copy()
-    values[neg_mask] = NEG_INF
-    values[dead_mask] = np.nan
+        add_log(_homogenize(spec.seed), d ** (-n))
+    total[neg_inf] = NEG_INF
+    total[dead] = np.nan
+    return total, neg_inf, dead
+
+
+def potential(spec: RecursionPotential, lam, mu, n: int):
+    """Value of u_n at the affine points (lam, mu), scalars or arrays of one
+    shape: a float for scalars, else an array of that shape.
+
+    -inf where the orbit meets a factor or seed zero, NaN where it dies.  A
+    rational scalar point (int, float or Fraction) on a factor's zero set
+    is detected exactly and gives -inf.
+    """
+    try:
+        exact_point = (Fraction(lam), Fraction(mu))
+    except (TypeError, ValueError):
+        exact_point = None
+    if exact_point is not None and any(q.eval(exact_point) == 0 for q, _m, _p in spec.factors):
+        return NEG_INF
+    lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
+    values, _, _ = _telescope(spec, lam.ravel(), mu.ravel(), n)
+    return float(values[0]) if lam.ndim == 0 else values.reshape(lam.shape)
+
+
+def potential_grid(spec: RecursionPotential, window: Sequence[float], resolution: int,
+                   n: int) -> dict:
+    """Sample u_n on a real window (xmin, xmax, ymin, ymax).
+
+    Returns {"values": (res x res) array with -inf at factor zeros and NaN at
+    dead orbits, "neg_inf_mask", "dead_mask": bool arrays, "window", "xs",
+    "ys"}; row i, column j is the point (xs[j], ys[i]).
+    """
+    if resolution < 2 or resolution > 2048:
+        raise ValueError("resolution out of range (2..2048)")
+    xmin, xmax, ymin, ymax = window
+    xs = np.linspace(xmin, xmax, resolution)
+    ys = np.linspace(ymin, ymax, resolution)
+    gx, gy = np.meshgrid(xs, ys)
+    values, neg_inf, dead = _telescope(spec, gx.ravel(), gy.ravel(), n)
+    shape = (resolution, resolution)
     return {
-        "values": values,
-        "neg_inf_mask": neg_mask,
-        "dead_mask": dead_mask,
+        "values": values.reshape(shape),
+        "neg_inf_mask": neg_inf.reshape(shape),
+        "dead_mask": dead.reshape(shape),
         "window": tuple(window),
         "xs": xs,
         "ys": ys,
     }
-
-
-def _grid_eval(poly: MultiPoly, pts: np.ndarray) -> np.ndarray:
-    total = np.zeros(pts.shape[1])
-    for expo, coeff in poly.terms.items():
-        term = np.full(pts.shape[1], float(coeff))
-        for i, e in enumerate(expo):
-            if e:
-                term = term * pts[i] ** e
-        total += term
-    return total

@@ -56,7 +56,7 @@ class Measure1D:
         """Build from unsorted, possibly repeated values; equal values merge."""
         vals = np.asarray(values, dtype=float)
         if weights is None:
-            w = np.full(vals.shape, 1.0 / len(vals))
+            w = np.full(vals.shape, 1.0 / max(len(vals), 1))
         else:
             w = np.asarray(weights, dtype=float)
         order = np.argsort(vals, kind="stable")
@@ -159,7 +159,7 @@ def _decimate(fiber: tuple, terminal: tuple, born: Callable[[int], tuple], n: in
     for k in range(1, n + 1):
         lift = ~np.isin(pts, terminal)
         new = [(p, m) for p, m in born(k) if m]
-        pts = np.concatenate([_inverse_both(*fiber, pts[lift], "real"), [p for p, _ in new]])
+        pts = np.concatenate([*preimages(fiber, pts[lift]), [p for p, _ in new]])
         mults = np.concatenate([np.tile(mults[lift], 2),
                                 np.array([m for _, m in new], dtype=np.int64)])
     return pts, mults
@@ -174,7 +174,9 @@ def _lamplighter_atoms(n: int) -> tuple:
         for p in range(1, q):
             if math.gcd(p, q) == 1:
                 # = 4 cos(pi p/q); exactly 0 at p/q = 1/2 and odd under p -> q - p
-                pts.append(4.0 * math.sin(math.pi * (q - 2 * p) / (2 * q)))
+                x = 4.0 * math.sin(math.pi * (q - 2 * p) / (2 * q))
+                # rational only for q <= 3 (Niven's theorem), and then 0 or +-2
+                pts.append(float(round(x)) if q <= 3 else x)
                 mults.append(mult)
     return np.array(pts), np.array(mults, dtype=np.int64)
 
@@ -189,10 +191,10 @@ def decimated_spectrum(group_tag: str, n: int, grig_slice: float = -1.0) -> tupl
     lam = ``grig_slice``.  No matrix is built.
 
     hanoi and grigorchuk are spectral decimation: positions are backward
-    orbits under the fiber polynomial, by the inverse-branch step of
-    ``julia_backward``.  Level n is the preimage of level n-1's lifted atoms,
-    each preimage inheriting its parent's multiplicity, plus the exceptional
-    atoms born at level n.
+    orbits under the fiber polynomial, by ``preimages``, the inverse-branch
+    step of every backward orbit.  Level n is the preimage of level n-1's
+    lifted atoms, each preimage inheriting its parent's multiplicity, plus
+    the exceptional atoms born at level n.
 
     hanoi: the fiber polynomial is f(z) = z^2 - z - 3 (the semiconjugacy
     pi1 o R_H = f o pi1, with pi1 = f on the slice mu = 1).  The fixed point 3
@@ -241,7 +243,8 @@ def decimated_spectrum(group_tag: str, n: int, grig_slice: float = -1.0) -> tupl
     So 4 has multiplicity 1, and 4 cos(pi p/q), 2 <= q <= n + 1, has
     [q | n+1] + sum_(j<n, q | j+1) 2^(n-1-j), the nearest integer to
     2^n/(2^q - 1).  Each position is computed once, from p/q in lowest terms,
-    as 4 sin(pi (q - 2p)/(2q)).
+    as 4 sin(pi (q - 2p)/(2q)), and the rational ones (q <= 3: 0 and +-2)
+    exactly.
 
     The closed forms above are checked against ``slice_matrix``'s eigenvalues
     in the tests.  ``n`` is at most ``DECIMATION_MAX_LEVEL``.
@@ -521,20 +524,22 @@ def julia_backward(p: Sequence[float], depth: int, mode: str = "full_tree",
             raise ValueError("full-tree depth capped at 16")
         pts = np.array([z0], dtype=complex if domain == "complex" else float)
         for _ in range(depth):
-            pts = _inverse_both(a, b, c, pts, domain)
+            pts = np.concatenate(preimages((a, b, c), pts, domain))
     elif mode == "random_walk":
         pts = np.full(samples, z0, dtype=complex if domain == "complex" else float)
         for _ in range(depth):
-            signs = np.where(rng.random(len(pts)) < 0.5, 1.0, -1.0)
-            pts = _inverse_pick(a, b, c, pts, signs, domain)
+            plus, minus = preimages((a, b, c), pts, domain)
+            pts = np.where(rng.random(len(pts)) < 0.5, plus, minus)
     else:
         raise ValueError("mode must be 'full_tree' or 'random_walk'")
-    reals = np.real(pts)
-    measure = Measure1D.from_samples(reals, np.full(len(reals), 1.0 / len(reals)))
-    return pts, measure
+    return pts, Measure1D.from_samples(np.real(pts))
 
 
-def _inverse_both(a, b, c, w, domain):
+def preimages(p: Sequence[float], w: np.ndarray, domain: str = "real") -> tuple:
+    """Both inverse branches (plus, minus) of a z^2 + b z + c at the points
+    ``w``: (-b +- sqrt(b^2 - 4 a (c - w))) / (2 a).  In real mode a negative
+    discriminant raises; ``domain='complex'`` takes complex square roots."""
+    a, b, c = p
     disc = b * b - 4.0 * a * (c - w)
     if domain == "real":
         if np.any(disc < 0):
@@ -542,20 +547,7 @@ def _inverse_both(a, b, c, w, domain):
         root = np.sqrt(disc)
     else:
         root = np.sqrt(disc.astype(complex))
-    plus = (-b + root) / (2.0 * a)
-    minus = (-b - root) / (2.0 * a)
-    return np.concatenate([plus, minus])
-
-
-def _inverse_pick(a, b, c, w, signs, domain):
-    disc = b * b - 4.0 * a * (c - w)
-    if domain == "real":
-        if np.any(disc < 0):
-            raise ValueError("complex inverse image in real mode")
-        root = np.sqrt(disc)
-    else:
-        root = np.sqrt(disc.astype(complex))
-    return (-b + signs * root) / (2.0 * a)
+    return (-b + root) / (2.0 * a), (-b - root) / (2.0 * a)
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,7 @@ BAD_INPUT = [
             "--n", str(experiments.BACKWARD_DEPTH_MAX + 1)]),
     (None, ["experiment", "--kind", "backward-cantor",
             "--n", str(experiments.BACKWARD_DEPTH_MAX + 1)]),
+    (None, ["potential-grid", "--group", "hanoi", "--iters", "0"]),
 ]
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spectral_renorm.experiments import (
     BACKWARD_DEPTH_MAX,
+    CANTOR_BASE,
     ModelSystem,
     arccos_law_cdf,
     backward_equidistribution,
@@ -18,6 +19,14 @@ from spectral_renorm.experiments import (
     twist_plane_count,
     twist_rho,
     twist_rho_inverse,
+)
+from spectral_renorm.spectra import (
+    Measure1D,
+    arcsine_cdf,
+    cdf_distance,
+    julia_backward,
+    kolmogorov_to_cdf,
+    preimages,
 )
 
 
@@ -189,3 +198,77 @@ def test_backward_depth_is_capped(model, seed_point):
     for depth in (0, BACKWARD_DEPTH_MAX + 1):
         with pytest.raises(ValueError, match="depth must be in"):
             backward_equidistribution(model, seed_point, depth)
+
+
+# The hand-written preimage loops that ``spectra.preimages`` replaced.
+
+
+def _uniform(pts):
+    return Measure1D.from_samples(pts, np.full(len(pts), 1.0 / len(pts)))
+
+
+def _reference_skew_points(eta0, n, domain):
+    pts = np.array([eta0], dtype=complex if domain == "complex" else float)
+    for _ in range(n):
+        disc = 13.0 + 4.0 * pts
+        if domain == "real" and np.any(disc < 0):
+            raise ValueError("complex branch encountered in real mode")
+        root = np.sqrt(disc if domain == "real" else disc.astype(complex))
+        pts = np.concatenate([(1.0 + root) / 2.0, (1.0 - root) / 2.0])
+    return np.real(pts)
+
+
+def _reference_backward_levels(model, seed_point, n):
+    """The preimage set at each depth 1..n, as the old per-model loops built it."""
+    if model == "square":
+        pts = np.array([complex(seed_point)], dtype=complex)
+    else:
+        pts = np.array([float(seed_point)])
+    levels = []
+    for _ in range(n):
+        if model == "square":
+            root = np.sqrt(pts)
+            pts = np.concatenate([root, -root])
+        elif model == "cheb":
+            root = np.sqrt((pts + 1.0) / 2.0)
+            pts = np.concatenate([root, -root])
+        else:
+            root = np.sqrt(13.0 + 4.0 * pts)
+            pts = np.concatenate([(1.0 + root) / 2.0, (1.0 - root) / 2.0])
+        levels.append(pts)
+    return levels
+
+
+@pytest.mark.parametrize("eta0,n,domain", [(3.0, 12, "real"), (0.37, 9, "real"),
+                                           (-4.0, 6, "complex"), (2.2, 8, "complex")])
+def test_skew_cantor_matches_the_reference_loop_bit_for_bit(eta0, n, domain):
+    r = skew_cantor_experiment(eta0, n, domain=domain)
+    pts = _reference_skew_points(eta0, n, domain)
+    measure = _uniform(pts)
+    assert r["measure"] == measure
+    assert r["line_points"] == [(float(e), float(0.7 + 0.4 * e)) for e in pts[:64]]
+    _, reference = julia_backward((1, -1, -3), 12)
+    assert r["w1_to_balanced"] == cdf_distance(measure, reference, "wasserstein1")
+
+
+@pytest.mark.parametrize("model,seed_point,n", [
+    ("square", 1.7, 16), ("square", complex(-0.6, 0.8), 10), ("square", -2.0, 10),
+    ("cheb", 0.3, 16), ("cheb", -1.0, 8), ("cantor", 1.7, 16), ("cantor", 3.0, 10)])
+def test_backward_series_match_the_reference_loops(model, seed_point, n):
+    series = backward_equidistribution(model, seed_point, n)["series"]
+    levels = _reference_backward_levels(model, seed_point, n)
+    if model == "square":
+        # the generic step meets the branch cut with other signed zeros, so
+        # the preimages come out in another order: compare the sets
+        expected = [circle_w1_to_uniform(np.angle(pts)) for pts in levels]
+        pts = np.array([complex(seed_point)])
+        for level in levels:
+            pts = np.concatenate(preimages((1.0, 0.0, 0.0), pts, "complex"))
+            assert np.array_equal(np.sort_complex(pts), np.sort_complex(level))
+    elif model == "cheb":
+        expected = [kolmogorov_to_cdf(_uniform(pts), arcsine_cdf) for pts in levels]
+    else:
+        _, reference = julia_backward(CANTOR_BASE, 12)
+        expected = [cdf_distance(_uniform(pts), reference, "wasserstein1") for pts in levels]
+    assert [row["distance"] for row in series] == expected
+    assert [row["depth"] for row in series] == list(range(1, n + 1))

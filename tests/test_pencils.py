@@ -42,9 +42,10 @@ def test_symbolic_determinants_match_closed_forms():
     s = builtin_scheme("grigorchuk")
     d1 = det_symbolic(assemble(s, 1, LAM, MU))
     assert d1 == (2 - MU - LAM) * (2 - MU + LAM)
-    # seed at level 0
+    # the recursion starts at level 2, so the seed is the level-1 determinant
+    assert d1 == s.seed
     d0 = det_symbolic(assemble(s, 0, LAM, MU))
-    assert d0 == s.seed
+    assert d0 == 2 - LAM - MU
     # three-letter tower at level 1: -(lam-1-2mu)(lam-1+mu)^2
     h = builtin_scheme("hanoi")
     d1 = det_symbolic(assemble(h, 1, LAM, MU))

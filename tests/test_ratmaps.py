@@ -23,7 +23,14 @@ from spectral_renorm.ratmaps.maps import (
     univar,
 )
 from spectral_renorm.ratmaps.poly import MultiPoly
-from spectral_renorm.ratmaps.potential import NEG_INF, RecursionPotential, potential, potential_grid
+from spectral_renorm.ratmaps.potential import (
+    NEG_INF,
+    RecursionPotential,
+    _homogenize,
+    potential,
+    potential_grid,
+)
+from spectral_renorm.spectra import DECIMATION_MAX_LEVEL, decimated_spectrum
 from spectral_renorm import verification
 from spectral_renorm.verification import contracted_curve_report, indeterminacy_report
 
@@ -253,3 +260,122 @@ def test_potential_hanoi_depth_zero_ridges():
     # points on lam^2 = (1+mu)^2 are exact factor zeros
     assert potential(spec, Fraction(3), Fraction(2), 3) == NEG_INF
     assert potential(spec, Fraction(-3), Fraction(2), 3) == NEG_INF
+
+
+# The scalar orbit loop that the vectorized ``potential`` replaced, with its
+# own float evaluator and exception on indeterminate orbits.
+
+
+class _OrbitIndeterminate(RuntimeError):
+    pass
+
+
+def _reference_eval(poly, values):
+    total = 0.0
+    for expo, coeff in poly.terms.items():
+        term = float(coeff)
+        for v, e in zip(values, expo):
+            if e:
+                term *= v ** e
+        total += term
+    return total
+
+
+def _reference_log_abs_affine(form, point):
+    val = _reference_eval(form, point)
+    if val == 0.0:
+        return NEG_INF
+    if point[2] == 0.0:
+        return float("inf")
+    return math.log(abs(val)) - form.total_degree() * math.log(abs(point[2]))
+
+
+def _reference_step(map_, point):
+    vals = np.array([_reference_eval(c, point) for c in map_.components])
+    m = np.max(np.abs(vals))
+    if m == 0.0 or not np.isfinite(m):
+        raise _OrbitIndeterminate
+    return vals / m
+
+
+def _reference_potential(spec, lam, mu, n):
+    for q, _m, _p in spec.factors:
+        if q.eval((Fraction(lam), Fraction(mu))) == 0:
+            return NEG_INF
+    hom_factors = [(_homogenize(q), m, p) for q, m, p in spec.factors]
+    point = np.array([float(lam), float(mu), 1.0])
+    point = point / np.max(np.abs(point))
+    total = 0.0
+    for j in range(n - spec.seed_level):
+        for q, mult, offset in hom_factors:
+            contrib = _reference_log_abs_affine(q, point)
+            if contrib == NEG_INF:
+                return NEG_INF
+            if not math.isfinite(contrib):
+                return float("nan")
+            total += mult * spec.d ** (-(j + offset)) * contrib
+        point = _reference_step(spec.map, point)
+    tail = _reference_log_abs_affine(_homogenize(spec.seed), point)
+    if not math.isfinite(tail):
+        return tail if tail == NEG_INF else float("nan")
+    return total + spec.d ** (-n) * tail
+
+
+@pytest.mark.parametrize("group", ["grigorchuk", "lamplighter", "hanoi"])
+def test_potential_matches_the_scalar_reference_loop(group):
+    spec = RecursionPotential.from_scheme(builtin_scheme(group))
+    rng = random.Random(11)
+    points = [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(6)]
+    points += [(Fraction(3), Fraction(2)), (0.5, 2.0), (-1.0, 0.2)]
+    for n in (spec.seed_level, 3, 8, 14):
+        for lam, mu in points:
+            u = potential(spec, lam, mu, n)
+            ref = _reference_potential(spec, lam, mu, n)
+            if math.isfinite(ref):
+                assert abs(u - ref) <= 1e-13 * abs(ref) + 1e-300
+            else:
+                assert u == ref or (math.isnan(u) and math.isnan(ref))
+
+
+@pytest.mark.parametrize("group", ["grigorchuk", "lamplighter", "hanoi"])
+def test_potential_equals_the_grid_bit_for_bit(group):
+    spec = RecursionPotential.from_scheme(builtin_scheme(group))
+    grid = potential_grid(spec, (-4, 4, -4, 4), 33, 7)
+    gx, gy = np.meshgrid(grid["xs"], grid["ys"])
+    assert potential(spec, gx, gy, 7).tobytes() == grid["values"].tobytes()
+    # scalar calls off the factor zeros, where the exact test does not answer first
+    for i, j in ((5, 17), (32, 9), (20, 3), (1, 30)):
+        u = potential(spec, float(grid["xs"][j]), float(grid["ys"][i]), 7)
+        assert np.float64(u).tobytes() == grid["values"][i, j].tobytes()
+
+
+def test_potential_refuses_levels_below_the_seed():
+    spec = RecursionPotential.from_scheme(builtin_scheme("hanoi"))
+    assert spec.seed_level == 1
+    with pytest.raises(ValueError, match="seed level"):
+        potential(spec, 0.3, 0.2, 0)
+    with pytest.raises(ValueError, match="seed level"):
+        potential_grid(spec, (-1, 1, -1, 1), 4, 0)
+
+
+# Each group's slice line (lam, mu) as a function of the spectral coordinate
+# e, and five points of it off the atoms.
+SLICE_LINES = {
+    "hanoi": (lambda e: (e, 1.0), [-2.7, -1.3, 0.41, 1.7, 3.6]),
+    "lamplighter": (lambda e: (e, 0.0), [-4.3, -2.2, 0.37, 1.3, 3.1]),
+    "grigorchuk": (lambda e: (-1.0, e), [-3.2, -1.45, 0.3, 1.7, 2.6]),
+}
+
+
+@pytest.mark.parametrize("group", sorted(SLICE_LINES))
+def test_potential_is_the_log_potential_of_the_decimated_spectrum(group):
+    """The spectral current, checked: on the slice line, u_n is the
+    log-potential sum_i (m_i / d^n) log |x_i - e| of the level-n atoms."""
+    spec = RecursionPotential.from_scheme(builtin_scheme(group))
+    line, es = SLICE_LINES[group]
+    lam, mu = line(np.array(es))
+    for n in range(max(spec.seed_level, 1), DECIMATION_MAX_LEVEL + 1):
+        atoms, mults = decimated_spectrum(group, n)
+        expected = np.array([np.sum(mults * np.log(np.abs(atoms - e))) for e in es]) / spec.d ** n
+        u = potential(spec, lam, mu, n)
+        assert np.all(np.abs(u - expected) <= 1e-12 * (1.0 + np.abs(expected))), (n, u - expected)

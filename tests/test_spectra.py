@@ -228,6 +228,59 @@ def test_julia_random_walk_mode():
     assert measure.mass == pytest.approx(1.0)
 
 
+def _reference_inverse_both(a, b, c, w, domain):
+    disc = b * b - 4.0 * a * (c - w)
+    if domain == "real":
+        if np.any(disc < 0):
+            raise ValueError("complex inverse image in real mode")
+        root = np.sqrt(disc)
+    else:
+        root = np.sqrt(disc.astype(complex))
+    plus = (-b + root) / (2.0 * a)
+    minus = (-b - root) / (2.0 * a)
+    return np.concatenate([plus, minus])
+
+
+def _reference_inverse_pick(a, b, c, w, signs, domain):
+    disc = b * b - 4.0 * a * (c - w)
+    if domain == "real":
+        if np.any(disc < 0):
+            raise ValueError("complex inverse image in real mode")
+        root = np.sqrt(disc)
+    else:
+        root = np.sqrt(disc.astype(complex))
+    return (-b + signs * root) / (2.0 * a)
+
+
+def _reference_julia(p, depth, mode, domain, samples=4096, seed=0):
+    """The separate full-tree and random-walk steps that ``preimages`` replaced."""
+    a, b, c = (float(v) for v in p)
+    z0 = repelling_fixed_point(a, b, c)
+    rng = np.random.default_rng(seed)
+    dtype = complex if domain == "complex" else float
+    if mode == "full_tree":
+        pts = np.array([z0], dtype=dtype)
+        for _ in range(depth):
+            pts = _reference_inverse_both(a, b, c, pts, domain)
+    else:
+        pts = np.full(samples, z0, dtype=dtype)
+        for _ in range(depth):
+            signs = np.where(rng.random(len(pts)) < 0.5, 1.0, -1.0)
+            pts = _reference_inverse_pick(a, b, c, pts, signs, domain)
+    reals = np.real(pts)
+    return pts, Measure1D.from_samples(reals, np.full(len(reals), 1.0 / len(reals)))
+
+
+@pytest.mark.parametrize("poly,domain", [((1, -1, -3), "real"), ((2, 0, -1), "real"),
+                                         ((1, -1, -3), "complex"), ((1, 0, -2.5), "complex")])
+@pytest.mark.parametrize("mode,depth", [("full_tree", 12), ("random_walk", 25)])
+def test_julia_backward_matches_the_reference_steps_bit_for_bit(poly, domain, mode, depth):
+    pts, measure = julia_backward(poly, depth, mode=mode, domain=domain, samples=512, seed=3)
+    ref_pts, ref_measure = _reference_julia(poly, depth, mode, domain, samples=512, seed=3)
+    assert pts.dtype == ref_pts.dtype and pts.tobytes() == ref_pts.tobytes()
+    assert measure == ref_measure
+
+
 def test_convergence_report_structure():
     rep = convergence_report("grigorchuk", range(4, 8))
     assert rep["target"] == "continuous limit law"
@@ -344,6 +397,13 @@ def test_decimated_spectrum_closed_forms(group_tag, d, top, closed_form):
         expected = closed_form(n)
         assert list(mults) == [k for _, k in expected]
         assert np.abs(points - [p for p, _ in expected]).max() <= 1e-9
+
+
+def test_lamplighter_rational_atoms_are_exact():
+    # 4 cos(pi p/q) is rational only for q <= 3: the atoms 0 and +-2
+    for n in (2, 3, 12, DECIMATION_MAX_LEVEL):
+        points, _ = decimated_spectrum("lamplighter", n)
+        assert [p for p in points if abs(p) < 1e-9 or abs(abs(p) - 2.0) < 1e-9] == [-2.0, 0.0, 2.0]
 
 
 def test_born_multiplicities_match_the_factor_exponents():
