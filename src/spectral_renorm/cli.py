@@ -251,8 +251,8 @@ def cmd_spectrum(args) -> int:
     m = result.measure
     stem = f"spectrum_{args.group}_n{args.level}"
     if "csv" in fmts:
-        rows = [(args.level, p, k) for p, k in zip(m.points, result.multiplicities)]
-        output.write_csv(out / f"{stem}.csv", ["level", "eigenvalue", "multiplicity"], rows)
+        output.write_csv(out / f"{stem}.csv", ["level", "eigenvalue", "multiplicity"],
+                         [[args.level] * len(m.points), m.points, result.multiplicities])
     if "json" in fmts:
         clusters = spectra.atoms(m, 1e-8 * max(abs(m.points[0]), abs(m.points[-1]), 1.0))
         output.write_json(out / f"{stem}.json", {
@@ -287,8 +287,9 @@ def cmd_dos_compare(args) -> int:
     out = _outdir(args)
     stem = f"dos_compare_{args.group}"
     if "csv" in fmts:
-        output.write_csv(out / f"{stem}.csv", ["level", "distance", "metric"],
-                         [(r["level"], r["distance"], r["metric"]) for r in report["rows"]])
+        header = ["level", "distance", "metric"]
+        output.write_csv(out / f"{stem}.csv", header,
+                         [[r[k] for r in report["rows"]] for k in header])
     if "json" in fmts:
         output.write_json(out / f"{stem}.json", report)
     if "svg" in fmts:
@@ -310,7 +311,7 @@ def cmd_schur_verify(args) -> int:
         output.write_json(out / f"{stem}.json", report)
     if "csv" in _formats(args):
         output.write_csv(out / f"{stem}.csv", ["lambda", "mu"],
-                         [(l, m) for l, m in report["points"]])
+                         [[l for l, _ in report["points"]], [m for _, m in report["points"]]])
     return 0 if not report["failures"] else 1
 
 
@@ -364,7 +365,7 @@ def cmd_dyndeg(args) -> int:
         output.write_json(out / f"{stem}.json", result)
     if "csv" in _formats(args):
         output.write_csv(out / f"{stem}.csv", ["iterate", "degree"],
-                         list(enumerate(result["degrees"], start=1)))
+                         [range(1, len(result["degrees"]) + 1), result["degrees"]])
     if "svg" in _formats(args):
         output.svg_series(out / f"{stem}.svg", list(range(1, len(result["degrees"]) + 1)),
                           result["degrees"], title=f"deg {args.map_name}^n", logy=True)
@@ -411,6 +412,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_potential_grid(args) -> int:
+    import numpy as np
+
     from spectral_renorm import output, pencils
     from spectral_renorm.ratmaps.potential import RecursionPotential, potential_grid
 
@@ -426,15 +429,12 @@ def cmd_potential_grid(args) -> int:
     stem = f"potential_{args.group}_r{args.resolution}_n{args.iters}"
     fmts = _formats(args)
     if "csv" in fmts:
-        rows = []
-        values = grid["values"]
-        for i, y in enumerate(grid["ys"]):
-            for j, x in enumerate(grid["xs"]):
-                rows.append((x, y, values[i, j]))
-        output.write_csv(out / f"{stem}.csv", ["x", "y", "value"], rows)
+        # cells in row-major order: cell (i, j) is the point (xs[j], ys[i])
+        res = args.resolution
+        output.write_csv(out / f"{stem}.csv", ["x", "y", "value"],
+                         [np.tile(grid["xs"], res), np.repeat(grid["ys"], res),
+                          grid["values"].ravel()])
     if "json" in fmts:
-        import numpy as np
-
         finite = grid["values"][np.isfinite(grid["values"])]
         output.write_json(out / f"{stem}.json", {
             "group": args.group,
@@ -452,6 +452,8 @@ def cmd_potential_grid(args) -> int:
 
 
 def cmd_julia(args) -> int:
+    import numpy as np
+
     from spectral_renorm import output, spectra
 
     coeffs = tuple(float(v) for v in args.poly.split(","))
@@ -463,8 +465,7 @@ def cmd_julia(args) -> int:
     stem = f"julia_d{args.depth}"
     fmts = _formats(args)
     if "csv" in fmts:
-        output.write_csv(out / f"{stem}.csv", ["re", "im"],
-                         [(complex(p).real, complex(p).imag) for p in pts])
+        output.write_csv(out / f"{stem}.csv", ["re", "im"], [np.real(pts), np.imag(pts)])
     if "json" in fmts:
         output.write_json(out / f"{stem}.json", {
             "poly": list(coeffs),
@@ -523,14 +524,16 @@ def cmd_experiment(args) -> int:
         }
     out = _outdir(args)
     if series is not None and "csv" in fmts:
-        output.write_csv(out / f"experiment_{kind}.csv", ["depth", "distance", "metric"],
-                         [(row["depth"], row["distance"], row["metric"]) for row in series])
+        header = ["depth", "distance", "metric"]
+        output.write_csv(out / f"experiment_{kind}.csv", header,
+                         [[row[k] for row in series] for k in header])
     if series is not None and "svg" in fmts:
         output.svg_series(out / f"experiment_{kind}.svg",
                           [row["depth"] for row in series],
                           [row["distance"] for row in series], title=kind, logy=True)
     if points is not None and "csv" in fmts:
-        output.write_csv(out / f"experiment_{kind}.csv", ["x", "y"], points)
+        output.write_csv(out / f"experiment_{kind}.csv", ["x", "y"],
+                         [[p[0] for p in points], [p[1] for p in points]])
     if points is not None and "svg" in fmts and len(points) > 1:
         output.svg_scatter(out / f"experiment_{kind}_points.svg",
                            [p[0] for p in points], [p[1] for p in points],

@@ -9,9 +9,8 @@ no timestamps, no generated ids).
 from __future__ import annotations
 
 import json
-import struct
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,13 +26,26 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _csv_fields(column) -> list:
+    """The CSV fields of one column, each as ``fmt`` renders it.  A float64
+    array has each distinct value formatted once; values are told apart by
+    their bits, so -0.0 and 0.0 keep their own fields."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        bits, where = np.unique(column.view(np.uint64), return_inverse=True)
+        fields = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
+        return [fields[k] for k in where.tolist()]
+    return [fmt(v) for v in column]
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """CSV with a header line and one row per index; ``columns`` holds one
+    sequence of values per header field, all of one length."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    fields = [_csv_fields(c) for c in columns]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*fields))
 
 
 def _jsonable(obj):
@@ -193,4 +205,4 @@ def write_pgm16(path, values: np.ndarray) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n65535\n".encode())
-        fh.write(struct.pack(f">{arr.size}H", *scaled.ravel().tolist()))
+        fh.write(scaled.astype(">u2").tobytes())

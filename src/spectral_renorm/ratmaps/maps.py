@@ -78,8 +78,8 @@ class RationalMapP2:
 
     def eval_float(self, point):
         """Float image, normalized to unit Euclidean norm."""
-        pt = np.asarray(point, dtype=float)
-        vals = np.array([_grid_eval(c, pt) for c in self.components])
+        powers = PowerTable(np.asarray(point, dtype=float))
+        vals = np.array([_grid_eval(c, powers) for c in self.components])
         norm = np.linalg.norm(vals)
         if norm == 0.0 or not np.isfinite(norm):
             raise IndeterminacyError(f"{self.name} numerically indeterminate at {point}")
@@ -153,17 +153,34 @@ def _normalize_triple(comps) -> tuple:
     return tuple(out)
 
 
-def _grid_eval(poly: MultiPoly, pts):
-    """Float value of ``poly`` at the points whose coordinates are the rows
-    of ``pts`` (one point when the rows are scalars), summing terms in dict
-    order."""
-    shape = np.shape(pts[0])
+class PowerTable(dict):
+    """The powers ``pts[i] ** e`` of one set of points, keyed by ``(i, e)``
+    and computed on first use.  ``pts`` holds one coordinate per row (a
+    scalar per row for one point).  Polynomials evaluated at the same
+    points share one table, so each power is computed once however many
+    terms and polynomials use it; points that move need a new table."""
+
+    def __init__(self, pts):
+        super().__init__()
+        self.pts = pts
+
+    def __missing__(self, key):
+        i, e = key
+        power = self[key] = self.pts[i] ** e
+        return power
+
+
+def _grid_eval(poly: MultiPoly, powers: PowerTable):
+    """Float value of ``poly`` at the points of a ``PowerTable``, summing
+    terms in dict order; each term is its coefficient times the table's
+    powers, multiplied in variable order."""
+    shape = np.shape(powers.pts[0])
     total = np.zeros(shape)
     for expo, coeff in poly.terms.items():
-        term = np.full(shape, float(coeff))
+        term = float(coeff)
         for i, e in enumerate(expo):
             if e:
-                term = term * pts[i] ** e
+                term *= powers[i, e]
         total += term
     return total
 

@@ -11,10 +11,11 @@ common factors of iterated map compositions along a line.
 
 Both products run on plain integers.  ``MultiPoly`` multiplies the factors'
 cleared-denominator numerators in the schoolbook double loop, which keeps the
-term order of the ``Fraction`` loop it replaced: the float evaluator (``maps._grid_eval``,
-behind the potential and ``RationalMapP2.eval_float``) sums terms in dict
-order, so a product that reordered terms would change the last bits of float
-artifacts.
+term order of the ``Fraction`` loop it replaced: the float evaluator
+(``maps._grid_eval``, behind the potential and ``RationalMapP2.eval_float``)
+sums terms in dict order, each term its coefficient times the powers of a
+shared ``PowerTable`` in variable order, so a product that reordered terms
+would change the last bits of float artifacts.
 Integer coefficient lists (``_poly_mul_int``, behind ``BinaryForm``) take one
 big-integer multiply by Kronecker substitution.
 

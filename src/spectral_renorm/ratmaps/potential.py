@@ -12,10 +12,12 @@ the normalized potential (1/d^n) log |P_n| telescopes to
 where s is the level of the closed-form seed polynomial, so u_n exists for
 n >= s only.  One loop (``_telescope``) evaluates this sum over an array of
 projective points, renormalizing them to max-norm 1 after every step; the
-seed tail is its last weighted log term.  ``potential`` runs it on given
-points and ``potential_grid`` on a window's meshgrid.  A point whose orbit
-meets a zero of a factor or of the seed gets -inf; a dead orbit (one that
-reaches an indeterminacy point or the line at infinity) gets NaN.
+seed tail is its last weighted log term.  The forms evaluated at one orbit
+step share one table of coordinate powers.  ``potential`` runs the loop on
+given points and ``potential_grid`` on a window's meshgrid.  The first event
+of an orbit decides its value: a zero of a factor or of the seed gets -inf,
+and a dead orbit (one that reaches an indeterminacy point or the line at
+infinity) gets NaN, also where a zero follows its death.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from spectral_renorm.ratmaps.maps import RationalMapP2, _grid_eval, builtin_map
+from spectral_renorm.ratmaps.maps import PowerTable, RationalMapP2, _grid_eval, builtin_map
 from spectral_renorm.ratmaps.poly import MultiPoly
 
 NEG_INF = float("-inf")
@@ -71,7 +73,8 @@ def _telescope(spec: RecursionPotential, lam: np.ndarray, mu: np.ndarray, n: int
     """u_n at the affine points (lam, mu), flat float arrays of one length.
 
     Returns (values, neg_inf, dead): values carry -inf at factor or seed
-    zeros and NaN at dead orbits, which the two boolean masks flag.
+    zeros met while the orbit lives and NaN at orbits that died first, which
+    the two disjoint boolean masks flag.
     """
     if n < spec.seed_level:
         raise ValueError(f"level {n} is below the seed level {spec.seed_level}")
@@ -87,24 +90,29 @@ def _telescope(spec: RecursionPotential, lam: np.ndarray, mu: np.ndarray, n: int
 
     def add_log(form: MultiPoly, weight: float) -> None:
         nonlocal total, neg_inf, dead
-        vals = _grid_eval(form, pts)
+        vals = _grid_eval(form, powers)
         logs = np.log(np.abs(vals)) - form.total_degree() * np.log(np.abs(pts[2]))
-        neg_inf |= vals == 0.0
-        dead |= ~np.isfinite(logs) & ~(vals == 0.0)
+        zero = vals == 0.0
+        neg_inf |= zero & ~dead
+        dead |= ~np.isfinite(logs) & ~zero
         logs[~np.isfinite(logs)] = 0.0
         total += weight * logs
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(steps):
+            powers = PowerTable(pts)
             for q, mult, offset in hom_factors:
                 add_log(q, mult * d ** (-(j + offset)))
-            imgs = np.stack([_grid_eval(c, pts) for c in spec.map.components], axis=0)
+            imgs = np.stack([_grid_eval(c, powers) for c in spec.map.components], axis=0)
             norms = np.max(np.abs(imgs), axis=0)
             zero = (norms == 0.0) | ~np.isfinite(norms)
             dead |= zero
             norms[zero] = 1.0
             pts = imgs / norms
+        powers = PowerTable(pts)
         add_log(_homogenize(spec.seed), d ** (-n))
+    # the first event of an orbit decides: a zero met while it lives is -inf
+    dead &= ~neg_inf
     total[neg_inf] = NEG_INF
     total[dead] = np.nan
     return total, neg_inf, dead
@@ -134,8 +142,8 @@ def potential_grid(spec: RecursionPotential, window: Sequence[float], resolution
     """Sample u_n on a real window (xmin, xmax, ymin, ymax).
 
     Returns {"values": (res x res) array with -inf at factor zeros and NaN at
-    dead orbits, "neg_inf_mask", "dead_mask": bool arrays, "window", "xs",
-    "ys"}; row i, column j is the point (xs[j], ys[i]).
+    dead orbits, "neg_inf_mask", "dead_mask": disjoint bool arrays, "window",
+    "xs", "ys"}; row i, column j is the point (xs[j], ys[i]).
     """
     if resolution < 2 or resolution > 2048:
         raise ValueError("resolution out of range (2..2048)")

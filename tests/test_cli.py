@@ -1,13 +1,19 @@
 """CLI behaviors: artifacts, determinism, exit codes."""
 
 import json
+import struct
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spectral_renorm import cli, experiments
 from spectral_renorm.cli import main
+from spectral_renorm.output import fmt, write_csv, write_pgm16
+from spectral_renorm.pencils import builtin_scheme
+from spectral_renorm.ratmaps.potential import RecursionPotential, potential_grid
 
 
 def run_cli(args, tmp_path):
@@ -31,6 +37,46 @@ def test_csv_floats_have_17_significant_digits(tmp_path):
     rows = (tmp_path / "spectrum_grigorchuk_n2.csv").read_text().splitlines()[1:]
     vals = [r.split(",")[1] for r in rows]
     assert "0.80901699437494745" in vals
+
+
+def _row_by_row_csv(header, rows):
+    """The CSV rendering before the column-wise writer: ``fmt`` per value."""
+    return "\n".join([",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]) + "\n"
+
+
+def test_potential_grid_csv_equals_the_row_by_row_rendering(tmp_path):
+    assert run_cli(["potential-grid", "--group", "hanoi", "--window=-4,-0,-4,4",
+                    "--resolution", "17", "--iters", "7", "--format", "csv"], tmp_path) == 0
+    spec = RecursionPotential.from_scheme(builtin_scheme("hanoi"))
+    grid = potential_grid(spec, (-4.0, -0.0, -4.0, 4.0), 17, 7)
+    values = grid["values"]
+    assert np.isnan(values).any() and np.isneginf(values).any()
+    assert np.signbit(grid["xs"][-1]) and grid["xs"][-1] == 0.0
+    rows = [(x, y, values[i, j]) for i, y in enumerate(grid["ys"])
+            for j, x in enumerate(grid["xs"])]
+    expected = _row_by_row_csv(["x", "y", "value"], rows)
+    assert "\n-0," in expected and ",nan\n" in expected and ",-inf\n" in expected
+    assert (tmp_path / "potential_hanoi_r17_n7.csv").read_bytes() == expected.encode()
+
+
+def test_write_csv_renders_every_column_kind_as_fmt_does(tmp_path):
+    floats = np.array([0.1, -0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, 0.1, -0.0, 2.5])
+    cplx = floats * (1 - 1j)
+    columns = [
+        list(range(10)),
+        np.arange(10, dtype=np.int64),
+        floats,
+        np.imag(cplx),  # a strided view
+        [True, False] * 5,
+        [Fraction(k, 3) for k in range(10)],
+        ["a", "b"] * 5,
+        floats.tolist(),
+    ]
+    header = [f"c{k}" for k in range(len(columns))]
+    write_csv(tmp_path / "t.csv", header, columns)
+    assert (tmp_path / "t.csv").read_text() == _row_by_row_csv(header, zip(*columns))
+    write_csv(tmp_path / "empty.csv", ["a", "b"], [[], np.array([])])
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
 
 
 def test_hanoi_spectrum_rows_carry_exact_multiplicities(tmp_path):
@@ -174,6 +220,19 @@ def test_pgm_heatmap_written(tmp_path):
     pgm = (tmp_path / "potential_lamplighter_r24_n6.pgm").read_bytes()
     assert pgm.startswith(b"P5\n24 24\n65535\n")
     assert len(pgm) == len(b"P5\n24 24\n65535\n") + 24 * 24 * 2
+
+
+def test_pgm_bytes_equal_the_packed_big_endian_words(tmp_path):
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(40, 56))
+    values[3, 5], values[7, 0] = np.nan, -np.inf
+    write_pgm16(tmp_path / "t.pgm", values)
+    finite = values[np.isfinite(values)]
+    lo, hi = finite.min(), finite.max()
+    words = [0 if not np.isfinite(v) else int(1 + (v - lo) / (hi - lo) * 65534)
+             for v in values.ravel()]
+    expected = b"P5\n56 40\n65535\n" + struct.pack(f">{len(words)}H", *words)
+    assert (tmp_path / "t.pgm").read_bytes() == expected
 
 
 def test_julia_rejects_a_zero_or_non_finite_polynomial(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Projective maps: formulas, evaluation, degree growth, potentials."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -347,6 +348,86 @@ def test_potential_equals_the_grid_bit_for_bit(group):
     for i, j in ((5, 17), (32, 9), (20, 3), (1, 30)):
         u = potential(spec, float(grid["xs"][j]), float(grid["ys"][i]), 7)
         assert np.float64(u).tobytes() == grid["values"][i, j].tobytes()
+
+
+# The float evaluator before the shared power table: every term computes its
+# own powers pts[i] ** e.
+
+
+def _reference_grid_eval(poly, pts):
+    shape = np.shape(pts[0])
+    total = np.zeros(shape)
+    for expo, coeff in poly.terms.items():
+        term = np.full(shape, float(coeff))
+        for i, e in enumerate(expo):
+            if e:
+                term = term * pts[i] ** e
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("group", ["grigorchuk", "lamplighter", "hanoi"])
+@pytest.mark.parametrize("window", [(-4, 4, -4, 4), (0.25, 3.5, 0.5, 2.75)])
+def test_power_table_evaluator_matches_the_per_term_powers_bit_for_bit(group, window,
+                                                                       monkeypatch):
+    spec = RecursionPotential.from_scheme(builtin_scheme(group))
+    fast = potential_grid(spec, window, 48, 9)
+    lowest = []
+
+    def per_term(poly, powers):
+        lowest.append(float(np.min(powers.pts[:2])))
+        return _reference_grid_eval(poly, powers.pts)
+
+    monkeypatch.setattr(importlib.import_module("spectral_renorm.ratmaps.potential"),
+                        "_grid_eval", per_term)
+    slow = potential_grid(spec, window, 48, 9)
+    assert min(lowest) < 0.0  # the orbits reach negative coordinates
+    assert fast["values"].tobytes() == slow["values"].tobytes()
+    for mask in ("neg_inf_mask", "dead_mask"):
+        assert np.array_equal(fast[mask], slow[mask])
+
+
+def test_eval_float_matches_the_per_term_powers_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for name in ("R_G", "R_L", "R_H", "model_skew"):
+        map_ = builtin_map(name)
+        for pt in rng.uniform(-3, 3, size=(20, 3)):
+            vals = np.array([_reference_grid_eval(c, pt) for c in map_.components])
+            assert map_.eval_float(pt).tobytes() == (vals / np.linalg.norm(vals)).tobytes()
+
+
+def test_lamplighter_diagonal_is_neg_inf_in_array_and_scalar_form():
+    # mu = lam is a factor zero that R_L sends to the line at infinity
+    spec = RecursionPotential.from_scheme(builtin_scheme("lamplighter"))
+    assert potential(spec, -4.0, -4.0, 7) == NEG_INF
+    assert potential(spec, np.array([-4.0]), np.array([-4.0]), 7).tolist() == [NEG_INF]
+    grid = potential_grid(spec, (-4, 4, -4, 4), 33, 7)
+    assert np.all(np.diag(grid["values"]) == NEG_INF)
+
+
+@pytest.mark.parametrize("group", ["grigorchuk", "lamplighter", "hanoi"])
+def test_grid_masks_are_disjoint_and_mark_the_non_finite_cells(group):
+    spec = RecursionPotential.from_scheme(builtin_scheme(group))
+    grid = potential_grid(spec, (-4, 4, -4, 4), 33, 7)
+    neg_inf, dead = grid["neg_inf_mask"], grid["dead_mask"]
+    assert neg_inf.any() and not (neg_inf & dead).any()
+    assert np.array_equal(neg_inf, np.isneginf(grid["values"]))
+    assert np.array_equal(dead, np.isnan(grid["values"]))
+
+
+def test_a_zero_met_before_the_orbit_dies_is_neg_inf_and_after_it_is_not():
+    lam = MultiPoly.variable(2, 0)
+    spec = RecursionPotential(map=builtin_map("R_G"), factors=((lam + 1, 1, 1),),
+                              seed=MultiPoly.constant(2, 1), d=2)
+    grid = potential_grid(spec, (-1, 0, 2, 3), 2, 3)
+    # (-1, 2) and (-1, 3) lie on the factor's zero set lam = -1, and R_G sends
+    # (-1, 2) to the line at infinity.  (0, 2) is an indeterminacy point of
+    # R_G: its orbit dies there, and the factor vanishes at the zero vector
+    # only afterwards.
+    assert grid["neg_inf_mask"].tolist() == [[True, False], [True, False]]
+    assert grid["dead_mask"].tolist() == [[False, True], [False, False]]
+    assert grid["values"][:, 0].tolist() == [NEG_INF, NEG_INF]
+    assert np.isnan(grid["values"][0, 1]) and np.isfinite(grid["values"][1, 1])
 
 
 def test_potential_refuses_levels_below_the_seed():
