@@ -237,21 +237,38 @@ def fiber_base() -> tuple:
     return _rf(t * t + 1, 2 * t), _rf(t * t - 1, 2 * t), _rf(MultiPoly.variable(2, 1))
 
 
+def _fiber_inverse_den(eta, s, z):
+    return 1 + z * z + eta * s * (z * z - 1) - eta * eta * (1 + z * z)
+
+
+def fiber_inverse(eta, s, z) -> tuple:
+    """(lam, mu) at z on the fiber of eta, with s^2 = eta^2 - 1, in any field:
+    Q(t, z) at ``fiber_base()``, complex numbers in the spot check."""
+    d = _fiber_inverse_den(eta, s, z)
+    return (-4) * (eta * eta - 1) * z / d, 2 * s * (z - 1) * (z + 1) / d
+
+
+def _fiber_coordinate_den(lam, mu, eta, s):
+    return (-2) + lam + eta * mu - mu * s
+
+
+def fiber_coordinate(lam, mu, eta, s):
+    """Slope coordinate on the fiber over eta, in any field: the
+    Moebius-normalized slope of the line through (lam, mu) and (2, 0)."""
+    return (2 - lam - eta * mu - mu * s) / _fiber_coordinate_den(lam, mu, eta, s)
+
+
 def fiber_inverse_symbolic() -> tuple:
     """(lam(z), mu(z)) parametrizing the fiber of the invariant eta, as
     rational functions of (t, z)."""
-    eta, s, z = fiber_base()
-    d = 1 + z * z + eta * s * (z * z - 1) - eta * eta * (1 + z * z)
-    lam = (-4) * (eta * eta - 1) * z / d
-    mu = 2 * s * (z - 1) * (z + 1) / d
-    return lam, mu
+    return fiber_inverse(*fiber_base())
 
 
 def fiber_coordinate_symbolic(lam: RationalFunction2, mu: RationalFunction2) -> RationalFunction2:
-    """Slope coordinate on the fiber over eta: the Moebius-normalized slope
-    of the line through (lam, mu) and (2, 0)."""
+    """``fiber_coordinate`` over the fibers of eta, as a rational function
+    of (t, z)."""
     eta, s, _ = fiber_base()
-    return (2 - lam - eta * mu - mu * s) / ((-2) + lam + eta * mu - mu * s)
+    return fiber_coordinate(lam, mu, eta, s)
 
 
 def fiber_checks_symbolic() -> dict:
@@ -279,6 +296,8 @@ def fiber_conjugation_check(n_samples: int = 100, tol: float = 1e-9, seed: int =
     consistently, so no branch bookkeeping is needed pointwise.
     """
     rng = np.random.default_rng(seed)
+    f = map_affine("R_G")
+    psi = grig_semiconjugator()
     max_err = 0.0
     worst = None
     count = 0
@@ -288,22 +307,16 @@ def fiber_conjugation_check(n_samples: int = 100, tol: float = 1e-9, seed: int =
         if abs(eta - 1) < 0.2 or abs(eta + 1) < 0.2 or abs(z) < 0.2 or abs(abs(z) - 1) < 1e-3:
             continue
         s = np.sqrt(complex(eta * eta - 1))
-        d = 1 + z * z + eta * s * (z * z - 1) - eta * eta * (1 + z * z)
-        if abs(d) < 1e-9:
+        if abs(_fiber_inverse_den(eta, s, z)) < 1e-9:
             continue
-        lam = -4 * (eta * eta - 1) * z / d
-        mu = 2 * s * (z - 1) * (z + 1) / d
+        lam, mu = fiber_inverse(eta, s, z)
         if abs(4 - mu * mu) < 1e-9 or abs(lam) < 1e-12:
             continue
-        f1 = 2 * lam * lam / (4 - mu * mu)
-        f2 = mu + mu * lam * lam / (4 - mu * mu)
-        num = 2 - f1 - eta * f2 - f2 * s
-        den = -2 + f1 + eta * f2 - f2 * s
-        if abs(den) < 1e-12:
+        f1, f2 = (c.eval((lam, mu)) for c in f)
+        if abs(_fiber_coordinate_den(f1, f2, eta, s)) < 1e-12:
             continue
-        err1 = abs(num / den - z * z)
-        psi_val = (4 - mu * mu + lam * lam) / (4 * lam)
-        err2 = abs(psi_val - 0.5 * (z + 1 / z))
+        err1 = abs(fiber_coordinate(f1, f2, eta, s) - z * z)
+        err2 = abs(psi.eval((lam, mu)) - 0.5 * (z + 1 / z))
         err = max(err1, err2)
         if err > max_err:
             max_err, worst = err, (eta, z)

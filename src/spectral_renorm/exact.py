@@ -160,27 +160,38 @@ def _permutation_sign(perm: dict) -> int:
     return sign
 
 
+def _row_reduce(rows: list, ncols: int) -> list:
+    """Gauss-Jordan reduction of ``rows`` in place over their first ``ncols``
+    columns, each pivot the first nonzero entry at or below the current row;
+    returns the pivot columns."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots
+
+
 def solve_exact(a: FracMatrix, b: FracMatrix) -> FracMatrix:
     """Solve a X = b exactly (b may have several columns).
 
     Raises ``ValueError`` on a singular system.
     """
     n = len(a)
-    m = len(b[0])
     aug = [[Fraction(x) for x in row_a] + [Fraction(x) for x in row_b]
            for row_a, row_b in zip(a, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n: n + m] for row in aug]
+    if len(_row_reduce(aug, n)) < n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in aug]
 
 
 def mat_inverse(a: FracMatrix) -> FracMatrix:
@@ -191,28 +202,10 @@ def rational_kernel(a: FracMatrix) -> list:
     """Basis of the right kernel, each vector scaled to a primitive integer
     vector with positive leading entry."""
     rows = [list(map(Fraction, row)) for row in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(rows[0]) if rows else 0
+    pivots = _row_reduce(rows, ncols)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
@@ -270,17 +263,13 @@ def integer_roots(coeffs: Sequence[Fraction]) -> list:
             divisors.update((d, -d, const // d, -(const // d)))
         d += 1
     for cand in sorted(divisors, key=abs):
-        while len(core) > 1 and eval_int_poly(core, cand) == 0:
+        while len(core) > 1:
+            try:
+                core = poly_deflate(core, cand)
+            except ValueError:  # not a root (again)
+                break
             roots.append(cand)
-            core = poly_deflate(core, cand)
     return sorted(roots)
-
-
-def eval_int_poly(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def poly_deflate(coeffs: Sequence[int], root: int) -> list:

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from spectral_renorm.spectra import (
+    _HANOI_FIBER,
     Measure1D,
     arcsine_cdf,
     cdf_distance,
@@ -35,7 +36,7 @@ TWIST_COUNT_MAX = 200
 SKEW_DEPTH_MAX = 14
 # 2^20 preimages: on 2 cores z -> z^2 takes about 1 s at depth 20, the other two models under 3 s
 BACKWARD_DEPTH_MAX = 20
-CANTOR_BASE = (1.0, -1.0, -3.0)  # z^2 - z - 3, the base of the skew product
+CANTOR_BASE = _HANOI_FIBER  # z^2 - z - 3, the base of the skew product
 
 
 @dataclass(frozen=True)
@@ -70,20 +71,12 @@ def twist_rho_inverse(omega: np.ndarray) -> np.ndarray:
 
 def arccos_law_cdf(eta: float) -> float:
     """CDF of d(eta)/(pi sqrt(16 - eta^2)) on (-4, 4)."""
-    if eta <= -4.0:
-        return 0.0
-    if eta >= 4.0:
-        return 1.0
-    return 1.0 - math.acos(eta / 4.0) / math.pi
+    return arcsine_cdf(eta / 4.0)
 
 
 def narrow_arc_law_cdf(eta: float) -> float:
     """CDF of the narrower candidate law on (-2, 2) (see the report fields)."""
-    if eta <= -2.0:
-        return 0.0
-    if eta >= 2.0:
-        return 1.0
-    return 1.0 - math.acos(eta / 2.0) / math.pi
+    return arcsine_cdf(eta / 2.0)
 
 
 def w1_to_cdf(measure: Measure1D, cdf: Callable[[float], float], lo: float, hi: float,

@@ -114,8 +114,7 @@ def svg_histogram(path, values: Sequence[float], bins: int = 80, title: str = ""
     Path(path).write_text(_svg_frame("\n".join(parts), title))
 
 
-def svg_cdf(path, points: Sequence[float], weights: Sequence[float], title: str = "",
-            reference=None) -> None:
+def svg_cdf(path, points: Sequence[float], weights: Sequence[float], title: str = "") -> None:
     pts = np.asarray(points, dtype=float)
     cum = np.cumsum(weights)
     lo, hi = float(pts.min()), float(pts.max())
@@ -131,12 +130,6 @@ def svg_cdf(path, points: Sequence[float], weights: Sequence[float], title: str 
         prev_y = y
     steps.append(f"{_W - _PAD:.2f},{prev_y:.2f}")
     parts = [f'<polyline points="{" ".join(steps)}" fill="none" stroke="steelblue" stroke-width="1.2"/>']
-    if reference is not None:
-        grid = np.linspace(lo, hi, 256)
-        ref_y = _H - _PAD - np.array([reference(g) for g in grid]) * (_H - 2 * _PAD)
-        ref_x = _scale(grid, lo, hi, _PAD, _W - _PAD)
-        ref_pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(ref_x, ref_y))
-        parts.append(f'<polyline points="{ref_pts}" fill="none" stroke="firebrick" stroke-width="1" stroke-dasharray="4 3"/>')
     parts.append(_axes(lo, hi, 0, 1))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(_svg_frame("\n".join(parts), title))

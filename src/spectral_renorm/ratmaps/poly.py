@@ -82,11 +82,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in expo) for expo in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.terms.get((0,) * self.arity, Fraction(0))
-
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:

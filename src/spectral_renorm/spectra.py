@@ -60,16 +60,8 @@ class Measure1D:
         else:
             w = np.asarray(weights, dtype=float)
         order = np.argsort(vals, kind="stable")
-        vals, w = vals[order], w[order]
-        pts: list = []
-        wts: list = []
-        for v, ww in zip(vals, w):
-            if pts and v == pts[-1]:
-                wts[-1] += ww
-            else:
-                pts.append(float(v))
-                wts.append(float(ww))
-        return cls(points=tuple(pts), weights=tuple(wts))
+        pts, wts = _merge_equal(vals[order], w[order])
+        return cls(points=tuple(pts.tolist()), weights=tuple(wts.tolist()))
 
     @property
     def mass(self) -> float:
@@ -266,11 +258,32 @@ def decimated_spectrum(group_tag: str, n: int, grig_slice: float = -1.0) -> tupl
     return _merge_equal(pts[order], mults[order])
 
 
-def _merge_equal(pts: np.ndarray, mults: np.ndarray) -> tuple:
+def _runs(pts: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """Start indices of the runs of ascending ``pts``: a point starts a run
+    unless it lies within ``tol`` of the previous one, so at ``tol`` 0 a run
+    is the points of one value."""
+    joined = np.diff(pts) <= tol
+    return np.flatnonzero(np.concatenate(([len(pts) > 0], ~joined)))
+
+
+def _run_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum of ``values`` over each run, from 0 and left to right as a loop
+    adds.  ``np.cumsum`` adds in order, here over the runs of one length at
+    a time; ``np.add.reduceat`` and ``np.sum`` add runs of 8 or more
+    pairwise, which moves the last bits of a float sum."""
+    lengths = np.diff(starts, append=len(values))
+    sums = np.zeros(len(starts), dtype=values.dtype)
+    for size in np.unique(lengths):
+        runs = lengths == size
+        sums[runs] += np.cumsum(values[starts[runs, None] + np.arange(size)], axis=1)[:, -1]
+    return sums
+
+
+def _merge_equal(pts: np.ndarray, weights: np.ndarray) -> tuple:
     """Ascending points with equal ones merged into the first of their run,
-    their multiplicities added."""
-    starts = np.flatnonzero(np.diff(pts, prepend=-np.inf))
-    return pts[starts], np.add.reduceat(mults, starts)
+    their weights added."""
+    starts = _runs(pts)
+    return pts[starts], _run_sums(weights, starts)
 
 
 def _check_level(group_tag: str, n: int) -> None:
@@ -315,24 +328,11 @@ def atoms(measure: Measure1D, cluster_tol: float) -> list:
     """
     if cluster_tol <= 0:
         raise ValueError("cluster tolerance must be positive")
-    out = []
-    cur_pts: list = []
-    cur_wts: list = []
-    for p, w in zip(measure.points, measure.weights):
-        if cur_pts and p - cur_pts[-1] > cluster_tol:
-            out.append(_finish_cluster(cur_pts, cur_wts))
-            cur_pts, cur_wts = [], []
-        cur_pts.append(p)
-        cur_wts.append(w)
-    if cur_pts:
-        out.append(_finish_cluster(cur_pts, cur_wts))
-    return out
-
-
-def _finish_cluster(pts, wts):
-    total = sum(wts)
-    center = sum(p * w for p, w in zip(pts, wts)) / total
-    return (center, total)
+    pts = np.asarray(measure.points, dtype=float)
+    wts = np.asarray(measure.weights, dtype=float)
+    starts = _runs(pts, cluster_tol)
+    total = _run_sums(wts, starts)
+    return list(zip((_run_sums(pts * wts, starts) / total).tolist(), total.tolist()))
 
 
 def cdf_distance(m1: Measure1D, m2: Measure1D, metric: str = "kolmogorov") -> float:
@@ -360,24 +360,14 @@ def tv_distance(m1: Measure1D, m2: Measure1D, atom_tol: float = 1e-7) -> float:
     the mass of the defect measure between consecutive levels
     (1-Wasserstein also weights atom displacement).
 
-    The signed union is clustered exactly like ``atoms``: runs of support
-    points with gaps below the tolerance count as one atom.
+    The signed union is split into runs exactly like ``atoms``: support
+    points within the tolerance of their predecessor count as one atom.
     """
-    signed = sorted(
-        [(p, w) for p, w in zip(m1.points, m1.weights)]
-        + [(p, -w) for p, w in zip(m2.points, m2.weights)]
-    )
-    total = 0.0
-    acc = 0.0
-    last = None
-    for p, w in signed:
-        if last is not None and p - last > atom_tol:
-            total += abs(acc)
-            acc = 0.0
-        acc += w
-        last = p
-    total += abs(acc)
-    return total / 2.0
+    pts = np.array(m1.points + m2.points, dtype=float)
+    wts = np.array(m1.weights + tuple(-w for w in m2.weights), dtype=float)
+    order = np.lexsort((wts, pts))
+    net = _run_sums(wts[order], _runs(pts[order], atom_tol))
+    return float(np.cumsum(np.abs(np.concatenate(([0.0], net))))[-1]) / 2.0
 
 
 def kolmogorov_to_cdf(measure: Measure1D, cdf: Callable[[float], float]) -> float:

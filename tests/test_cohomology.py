@@ -137,6 +137,19 @@ def test_verify_printed_matrices_all_surfaces():
         verify_printed_matrices("nope")
 
 
+def test_all_ok_fails_on_one_wrong_printed_entry(monkeypatch):
+    def false_keys(report):
+        return {k for k, v in report.items() if v is False}
+
+    before = false_keys(verify_printed_matrices("hanoi4"))
+    assert before == {"jordan_block"}  # a datum: hanoi4 has no Jordan block
+    wrong = [row[:] for row in PULLBACK_PRINTED["hanoi4"]]
+    wrong[2][3] += 1
+    monkeypatch.setitem(PULLBACK_PRINTED, "hanoi4", wrong)
+    after = false_keys(verify_printed_matrices("hanoi4"))
+    assert after - before == {"pullback_matches_printed", "all_ok"}
+
+
 def test_custom_surface_from_incidences():
     x = surface("custom", incidences=[True, False])
     assert x.k == 2

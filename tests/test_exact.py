@@ -13,6 +13,7 @@ from spectral_renorm.exact import (
     bareiss_det_int,
     charpoly,
     det_exact,
+    identity,
     integer_roots,
     mat_inverse,
     mat_mul,
@@ -161,6 +162,41 @@ def test_solve_and_inverse():
     assert mat_mul(a, x) == [[Fraction(1)], [Fraction(0)]]
     with pytest.raises(ValueError):
         solve_exact(frac_matrix([[1, 1], [1, 1]]), [[Fraction(1)], [Fraction(1)]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_int_matrix(max_n=6, bound=5), st.data())
+def test_row_reduction_solves_exactly_when_the_determinant_is_nonzero(rows, data):
+    # solve_exact, mat_inverse and rational_kernel share one row reduction
+    a = frac_matrix(rows)
+    n = len(rows)
+    x = frac_matrix(data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2),
+                                       min_size=n, max_size=n)))
+    if det_exact(a) == 0:
+        with pytest.raises(ValueError):
+            solve_exact(a, mat_mul(a, x))
+        with pytest.raises(ValueError):
+            mat_inverse(a)
+    else:
+        assert solve_exact(a, mat_mul(a, x)) == x
+        assert mat_mul(a, mat_inverse(a)) == identity(n)
+    # integer entries of at most 5 on at most 6 rows: every nonzero singular
+    # value is far above matrix_rank's tolerance
+    rank = int(np.linalg.matrix_rank(np.array(rows, dtype=float)))
+    basis = rational_kernel(a)
+    assert len(basis) == n - rank
+    for vec in basis:
+        assert all(v == 0 for (v,) in mat_mul(a, [[v] for v in vec]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-6, 6), max_size=5), st.sampled_from([[3], [-2, 0, 1], [1, 1, 1]]))
+def test_integer_roots_deflate_every_integer_root(roots, cofactor):
+    # cofactors without integer roots: 3, x^2 - 2, x^2 + x + 1
+    coeffs = [Fraction(c, 2) for c in cofactor]
+    for r in roots:  # times (x - r), lowest degree first
+        coeffs = [a - r * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+    assert integer_roots(coeffs) == sorted(roots)
 
 
 def test_rational_kernel():

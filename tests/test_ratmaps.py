@@ -3,6 +3,8 @@
 import importlib
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +36,15 @@ from spectral_renorm.ratmaps.potential import (
 from spectral_renorm.spectra import DECIMATION_MAX_LEVEL, decimated_spectrum
 from spectral_renorm import verification
 from spectral_renorm.verification import contracted_curve_report, indeterminacy_report
+
+
+def test_importing_pencils_leaves_degrees_and_potential_unloaded():
+    code = ("import sys, spectral_renorm.pencils; "
+            "print([m in sys.modules for m in "
+            "('spectral_renorm.ratmaps.degrees', 'spectral_renorm.ratmaps.potential')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[False, False]"
 
 
 def test_builtin_degrees_and_formulas():

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_renorm.pencils import assemble, builtin_scheme
 from spectral_renorm.spectra import (
@@ -306,6 +308,133 @@ def test_tv_distance():
     b = Measure1D(points=(0.0, 2.0), weights=(0.5, 0.5))
     assert tv_distance(a, b) == pytest.approx(0.5)
     assert tv_distance(a, a) == 0.0
+
+
+# The merging and clustering loops that ``spectra._runs`` and ``_run_sums``
+# replaced.  Their float sums run left to right; a pairwise sum
+# (np.add.reduceat, np.sum) moves the last bits on runs of 8 or more terms.
+
+
+def _loop_sum(terms):
+    # the builtin sum up to Python 3.11; from 3.12 on it is compensated
+    total = 0
+    for t in terms:
+        total += t
+    return total
+
+
+def _reference_from_samples(values, weights):
+    vals = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    order = np.argsort(vals, kind="stable")
+    vals, w = vals[order], w[order]
+    pts, wts = [], []
+    for v, ww in zip(vals, w):
+        if pts and v == pts[-1]:
+            wts[-1] += ww
+        else:
+            pts.append(float(v))
+            wts.append(float(ww))
+    return pts, wts
+
+
+def _reference_atoms(measure, cluster_tol):
+    out, cur_pts, cur_wts = [], [], []
+    for p, w in zip(measure.points, measure.weights):
+        if cur_pts and p - cur_pts[-1] > cluster_tol:
+            out.append(_finish_cluster(cur_pts, cur_wts))
+            cur_pts, cur_wts = [], []
+        cur_pts.append(p)
+        cur_wts.append(w)
+    if cur_pts:
+        out.append(_finish_cluster(cur_pts, cur_wts))
+    return out
+
+
+def _finish_cluster(pts, wts):
+    total = _loop_sum(wts)
+    center = _loop_sum(p * w for p, w in zip(pts, wts)) / total
+    return (center, total)
+
+
+def _reference_tv_distance(m1, m2, atom_tol):
+    signed = sorted([(p, w) for p, w in zip(m1.points, m1.weights)]
+                    + [(p, -w) for p, w in zip(m2.points, m2.weights)])
+    total, acc, last = 0.0, 0.0, None
+    for p, w in signed:
+        if last is not None and p - last > atom_tol:
+            total += abs(acc)
+            acc = 0.0
+        acc += w
+        last = p
+    total += abs(acc)
+    return total / 2.0
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# weights of mixed magnitudes, so the order of a float sum shows in its last bits
+mixed_weight = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-9, 3))
+
+
+@st.composite
+def clustered_points(draw, tol):
+    """Runs of 1 to 20 points, at least one of 8 or more, each step within
+    ``tol`` of the last; the runs lie at least 1 apart."""
+    sizes = draw(st.lists(st.integers(1, 20), min_size=1, max_size=6))
+    sizes[draw(st.integers(0, len(sizes) - 1))] = draw(st.integers(8, 20))
+    pts, start = [], draw(st.floats(-50.0, 50.0))
+    for size in sizes:
+        for step in draw(st.lists(st.floats(0.01, 0.99), min_size=size, max_size=size)):
+            pts.append(start)
+            start += step * tol
+        start += draw(st.floats(1.0, 5.0))
+    return pts
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6, unique=True), st.data())
+def test_from_samples_merges_equal_values_like_the_reference_loop(distinct, data):
+    counts = data.draw(st.lists(st.integers(1, 20), min_size=len(distinct),
+                                max_size=len(distinct)))
+    counts[0] = data.draw(st.integers(8, 20))
+    values = [v for v, c in zip(distinct, counts) for _ in range(c)]
+    values = data.draw(st.permutations(values))
+    weights = data.draw(st.lists(mixed_weight, min_size=len(values), max_size=len(values)))
+    for w in (weights, np.full(len(values), 1.0 / len(values))):
+        got = Measure1D.from_samples(values, w)
+        ref_pts, ref_wts = _reference_from_samples(values, w)
+        assert _bits(got.points) == _bits(ref_pts)
+        assert _bits(got.weights) == _bits(ref_wts)
+    assert Measure1D.from_samples([]) == Measure1D(points=(), weights=())
+
+
+@settings(max_examples=100, deadline=None)
+@given(clustered_points(1e-3), st.data())
+def test_atoms_cluster_like_the_reference_loop(pts, data):
+    weights = data.draw(st.lists(mixed_weight, min_size=len(pts), max_size=len(pts)))
+    m = Measure1D(points=tuple(pts), weights=tuple(weights))
+    got, ref = atoms(m, 1e-3), _reference_atoms(m, 1e-3)
+    assert len(got) == len(ref)
+    assert _bits(got) == _bits(ref)
+    assert atoms(Measure1D(points=(), weights=()), 1e-3) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(clustered_points(1e-7), st.data())
+def test_tv_distance_clusters_like_the_reference_loop(pts, data):
+    weights = data.draw(st.lists(mixed_weight, min_size=len(pts), max_size=len(pts)))
+    # each point goes to the first measure, the second, or both
+    sides = data.draw(st.lists(st.sampled_from([1, 2, 3]), min_size=len(pts),
+                               max_size=len(pts)))
+    m1, m2 = ([(p, w) for p, w, s in zip(pts, weights, sides) if s & side]
+              for side in (1, 2))
+    m1, m2 = (Measure1D(points=tuple(p for p, _ in m), weights=tuple(w for _, w in m))
+              for m in (m1, m2))
+    got = tv_distance(m1, m2, 1e-7)
+    assert _bits([got]) == _bits([_reference_tv_distance(m1, m2, 1e-7)])
 
 
 # ---------------------------------------------------------------------------
