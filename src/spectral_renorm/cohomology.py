@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from spectral_renorm.exact import (
-    bareiss_det_int,
     charpoly,
+    det_exact,
     identity,
     integer_roots,
     mat_inverse,
@@ -71,7 +71,7 @@ class BlowupSurface:
         return (_sign_changes(cp), _sign_changes([c * (-1) ** i for i, c in enumerate(cp)]))
 
     def det(self) -> int:
-        return bareiss_det_int([list(r) for r in self.intersection])
+        return int(det_exact(self.intersection))
 
 
 def _apply(m: Sequence[Sequence[int]], v: Sequence[int]) -> list:

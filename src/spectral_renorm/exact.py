@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of lists of ``Fraction``.  ``det_exact`` runs sparse
-Gaussian elimination over Q with Markowitz pivoting: the pencils it serves are
-sums of a few permutation matrices, so only the nonzeros are stored and
-touched.  ``bareiss_det_int`` is the dense fraction-free routine for integer
-matrices.
+Matrices are plain lists of lists of ``Fraction``.  ``det_exact`` is the one
+exact determinant: sparse Gaussian elimination over Q with Markowitz
+pivoting.  The pencils it serves are sums of a few permutation matrices, so
+only the nonzeros are stored and touched.  The elimination is fraction-free:
+each row is kept as integers with content 1 times one exact ``Fraction``
+scale, and a row update cross-multiplies and divides out the row's new
+content, so no entry is a ``Fraction`` and none needs a gcd of its own.
 """
 
 from __future__ import annotations
@@ -40,31 +42,6 @@ def mat_sub(a: FracMatrix, b: FracMatrix) -> FracMatrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def bareiss_det_int(rows: list) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pkk * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pkk
-    return sign * m[n - 1][n - 1]
-
-
 def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a rational matrix by sparse elimination over Q.
 
@@ -96,9 +73,25 @@ def _markowitz_pivots(matrix: Sequence[Sequence[Fraction]]):
     Ties in Markowitz cost go to the lowest column, then the lowest row.
     Entries that cancel to an exact 0 are deleted, so a singular matrix
     empties a column by the last step at the latest.
+
+    Row i is stored as integers with content 1 and one exact scale
+    ``scales[i]``: its entries are the scale times the stored integers.
+    Eliminating with a pivot p cross-multiplies, row <- (p/g) row - (a/g)
+    pivot_row with a the row's entry in the pivot column and g = gcd(a, p),
+    then divides out the row's content, so no entry is ever a ``Fraction``.
     """
     n = len(matrix)
-    rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in matrix]
+    rows = []
+    scales = []
+    for row in matrix:
+        entries = {j: Fraction(x) for j, x in enumerate(row) if x}
+        den = lcm(*(x.denominator for x in entries.values()))
+        ints = {j: x.numerator * (den // x.denominator) for j, x in entries.items()}
+        content = gcd(*ints.values())
+        if content > 1:
+            ints = {j: v // content for j, v in ints.items()}
+        rows.append(ints)
+        scales.append(Fraction(content, den))
     cols = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
@@ -119,23 +112,35 @@ def _markowitz_pivots(matrix: Sequence[Sequence[Fraction]]):
                 break
         _cost, c, r = best
         pivot_row = rows[r]
-        value = pivot_row.pop(c)
-        pivots.append((r, c, value))
+        p = pivot_row.pop(c)
+        pivots.append((r, c, scales[r] * p))
         live_cols.remove(c)
         cols[c].discard(r)
         for j in pivot_row:
             cols[j].discard(r)
         for i in cols[c]:
             row = rows[i]
-            factor = row.pop(c) / value
-            for j, v in pivot_row.items():
-                new = row.get(j, 0) - factor * v
-                if new:
-                    row[j] = new
+            a = row.pop(c)
+            g0 = gcd(a, p)
+            pa, aa = p // g0, a // g0
+            new = [(j, pa * row.pop(j, 0) - aa * v) for j, v in pivot_row.items()]
+            # A prime of pa that divided the new row would divide the whole
+            # pivot row, whose content is 1; so the content divides the
+            # entries left in ``row`` before they are scaled by pa.
+            content = gcd(*row.values(), *(v for _j, v in new))
+            if content > 1:
+                for j in row:
+                    row[j] = row[j] // content * pa
+            elif pa != 1:
+                for j in row:
+                    row[j] *= pa
+            for j, v in new:
+                if v:
+                    row[j] = v // content
                     cols[j].add(i)
                 else:
-                    del row[j]
                     cols[j].discard(i)
+            scales[i] = scales[i] * content / pa
         cols[c].clear()
         if any(not cols[j] for j in pivot_row):
             return None

@@ -17,7 +17,10 @@ step share one table of coordinate powers.  ``potential`` runs the loop on
 given points and ``potential_grid`` on a window's meshgrid.  The first event
 of an orbit decides its value: a zero of a factor or of the seed gets -inf,
 and a dead orbit (one that reaches an indeterminacy point or the line at
-infinity) gets NaN, also where a zero follows its death.
+infinity) gets NaN, also where a zero follows its death.  Floats can miss a
+zero that the orbit starts on, so a dead orbit's starting point gets the
+exact ``Fraction`` test of the factors that the scalar form applies to every
+rational point, and reads -inf if it lies on a factor's zero set.
 """
 
 from __future__ import annotations
@@ -113,9 +116,19 @@ def _telescope(spec: RecursionPotential, lam: np.ndarray, mu: np.ndarray, n: int
         add_log(_homogenize(spec.seed), d ** (-n))
     # the first event of an orbit decides: a zero met while it lives is -inf
     dead &= ~neg_inf
+    for k in np.flatnonzero(dead & np.isfinite(lam) & np.isfinite(mu)):
+        if _on_factor_zero(spec, lam[k], mu[k]):
+            dead[k] = False
+            neg_inf[k] = True
     total[neg_inf] = NEG_INF
     total[dead] = np.nan
     return total, neg_inf, dead
+
+
+def _on_factor_zero(spec: RecursionPotential, lam, mu) -> bool:
+    """Whether the rational point (lam, mu) lies exactly on a factor's zero set."""
+    point = (Fraction(lam), Fraction(mu))
+    return any(q.eval(point) == 0 for q, _m, _p in spec.factors)
 
 
 def potential(spec: RecursionPotential, lam, mu, n: int):
@@ -127,11 +140,10 @@ def potential(spec: RecursionPotential, lam, mu, n: int):
     is detected exactly and gives -inf.
     """
     try:
-        exact_point = (Fraction(lam), Fraction(mu))
-    except (TypeError, ValueError):
-        exact_point = None
-    if exact_point is not None and any(q.eval(exact_point) == 0 for q, _m, _p in spec.factors):
-        return NEG_INF
+        if _on_factor_zero(spec, lam, mu):
+            return NEG_INF
+    except (TypeError, ValueError):  # arrays, NaN
+        pass
     lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
     values, _, _ = _telescope(spec, lam.ravel(), mu.ravel(), n)
     return float(values[0]) if lam.ndim == 0 else values.reshape(lam.shape)

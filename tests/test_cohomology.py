@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from exact_reference import bareiss_det_int
 from spectral_renorm.cohomology import (
     EXPECTED_JORDAN,
     EXPECTED_RHO,
@@ -28,6 +29,7 @@ def test_intersection_forms_match_printed():
         assert [list(r) for r in x.intersection] == printed
         assert x.signature() == (1, x.k)
         assert abs(x.det()) == 1
+        assert x.det() == bareiss_det_int([list(r) for r in x.intersection])
 
 
 def test_signature_is_the_inertia_of_the_form():

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_reference import bareiss_det_int, fraction_markowitz_pivots
 from spectral_renorm.exact import (
     _markowitz_pivots,
-    bareiss_det_int,
     charpoly,
     det_exact,
     identity,
@@ -118,6 +118,7 @@ def test_det_exact_cancellation_to_zero():
     m = frac_matrix([[1, 2, 3], [4, 5, 6], [5, 7, 9]])
     assert det_exact(m) == 0
     assert _markowitz_pivots(m) is None
+    assert fraction_markowitz_pivots(m) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,6 +140,58 @@ def test_det_exact_under_row_and_column_permutations(rows, rng):
     paq = [[rows[p[i]][q[j]] for j in range(n)] for i in range(n)]
     expected = permutation_sign(p) * permutation_sign(q) * det_exact(frac_matrix(rows))
     assert det_exact(frac_matrix(paq)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_int_matrix(), st.lists(st.integers(1, 7), min_size=64, max_size=64),
+       st.lists(st.sampled_from([1, 2, 6, 10, 30]), min_size=8, max_size=8))
+def test_markowitz_pivots_match_the_fraction_reference_on_sparse_rational_matrices(
+        rows, dens, row_factors):
+    # row factors give rows a common factor, so the setup divides out a content
+    n = len(rows)
+    m = [[Fraction(rows[i][j] * row_factors[i], dens[i * n + j]) for j in range(n)]
+         for i in range(n)]
+    assert _markowitz_pivots(m) == fraction_markowitz_pivots(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_int_matrix(max_n=7), st.data())
+def test_markowitz_pivots_match_the_fraction_reference_on_singular_matrices(rows, data):
+    n = len(rows)
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1))
+    dens = data.draw(st.lists(st.integers(1, 7), min_size=n, max_size=n))
+    repeated = [row[:] for row in rows]
+    repeated[j] = repeated[i][:]
+    zero_col = [row[:j] + [0] + row[j + 1:] for row in rows]
+    cases = [repeated, zero_col]
+    if n >= 3 and i != j:
+        # a combination of two other rows cancels to 0 during the elimination
+        k = next(k for k in range(n) if k not in (i, j))
+        a, b = data.draw(st.integers(1, 5)), data.draw(st.integers(-5, -1))
+        combo = [row[:] for row in rows]
+        combo[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        cases.append(combo)
+    for case in cases:
+        m = [[Fraction(x, dens[c]) for c, x in enumerate(row)] for row in case]
+        assert _markowitz_pivots(m) == fraction_markowitz_pivots(m)
+
+
+def test_markowitz_pivots_divide_out_row_contents_and_pivot_gcds():
+    # Pivot 4 at (0, 0) meets a = 6 in row 1: gcd(6, 4) = 2, so row 1 becomes
+    # 2 (6, 4, 9) - 3 (4, 1, 1) -> (5, 15), content 5, scale 5/2.  Row 2 is
+    # cleared to (3, 2, 6) with scale 1/6, becomes 4 (3, 2, 6) - 3 (4, 1, 1)
+    # -> (5, 21) with scale 1/24, then (5, 21) - 5 (1, 3) -> (6), content 6.
+    m = [[Fraction(4), Fraction(1), Fraction(1)],
+         [Fraction(6), Fraction(4), Fraction(9)],
+         [Fraction(1, 2), Fraction(1, 3), Fraction(1)]]
+    expected = [(0, 0, Fraction(4)), (1, 1, Fraction(5, 2)), (2, 2, Fraction(1, 4))]
+    assert _markowitz_pivots(m) == fraction_markowitz_pivots(m) == expected
+    assert det_exact(m) == laplace_det(m) == Fraction(5, 2)
+    # negative pivots and a common factor of every row
+    neg = [[-x * 6 for x in row] for row in m]
+    assert _markowitz_pivots(neg) == fraction_markowitz_pivots(neg)
+    assert det_exact(neg) == (-6) ** 3 * Fraction(5, 2)
 
 
 def test_markowitz_pivots_break_ties_by_lowest_column_then_row():

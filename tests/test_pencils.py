@@ -6,7 +6,8 @@ from math import lcm
 
 import pytest
 
-from spectral_renorm.exact import _markowitz_pivots, bareiss_det_int
+from exact_reference import bareiss_det_int, fraction_markowitz_pivots
+from spectral_renorm.exact import _markowitz_pivots
 from spectral_renorm.pencils import (
     assemble,
     builtin_scheme,
@@ -142,6 +143,7 @@ def test_det_exact_matches_bareiss_on_pencils(name, level):
         mu = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
         m = assemble(s, level, lam, mu)
         assert det_exact(m) == bareiss_det(m)
+        assert _markowitz_pivots(m) == fraction_markowitz_pivots(m)
     # the pivot order is a function of the matrix alone
     first = _markowitz_pivots(m)
     assert first is not None and len(first) == len(m)

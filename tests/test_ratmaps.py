@@ -416,6 +416,25 @@ def test_lamplighter_diagonal_is_neg_inf_in_array_and_scalar_form():
     assert np.all(np.diag(grid["values"]) == NEG_INF)
 
 
+def test_a_dead_orbit_starting_on_a_factor_zero_is_neg_inf_in_array_form():
+    # (1.75, 0.75) lies on lam^2 = (1 + mu)^2; the homogenized factor
+    # evaluates to about 5e-16 in floats, and R_H then sends the point to the
+    # line at infinity, so only the exact test sees the zero
+    spec = RecursionPotential.from_scheme(builtin_scheme("hanoi"))
+    assert potential(spec, 1.75, 0.75, 7) == NEG_INF
+    assert potential(spec, np.array([1.75]), np.array([0.75]), 7).tolist() == [NEG_INF]
+
+
+def test_every_masked_hanoi_grid_cell_agrees_with_the_scalar_form():
+    spec = RecursionPotential.from_scheme(builtin_scheme("hanoi"))
+    grid = potential_grid(spec, (-4, 4, -4, 4), 33, 7)
+    masked = grid["neg_inf_mask"] | grid["dead_mask"]
+    assert grid["dead_mask"].any()
+    for i, j in zip(*np.nonzero(masked)):
+        u = potential(spec, float(grid["xs"][j]), float(grid["ys"][i]), 7)
+        assert np.float64(u).tobytes() == grid["values"][i, j].tobytes()
+
+
 @pytest.mark.parametrize("group", ["grigorchuk", "lamplighter", "hanoi"])
 def test_grid_masks_are_disjoint_and_mark_the_non_finite_cells(group):
     spec = RecursionPotential.from_scheme(builtin_scheme(group))
