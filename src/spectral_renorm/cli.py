@@ -89,6 +89,15 @@ def _at_least(minimum: int):
     return count
 
 
+def _format_list(text: str) -> str:
+    """argparse type of ``--format``: a comma list of names from csv,json,svg."""
+    unknown = set(text.split(",")) - {"csv", "json", "svg"}
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown format {', '.join(map(repr, sorted(unknown)))}; choose from csv,json,svg")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="spectral-renorm",
@@ -101,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", default="csv,json",
+        p.add_argument("--format", type=_format_list, default="csv,json",
                        help="comma list from csv,json,svg")
 
     p = sub.add_parser("spectrum", help="eigenvalues and atoms of one level")

@@ -140,25 +140,6 @@ def _adapted_intersection(inc: Sequence[bool]) -> list:
     return m
 
 
-def basis_change_to_standard(x: BlowupSurface, cls: Sequence[int]) -> list:
-    """Class vector in the adapted basis -> standard (H, E_i) coordinates.
-
-    Lt = H - sum of incident E_i, so a Lt + sum b_i E_i reads as
-    a H + sum (b_i - a [i incident]) E_i.
-    """
-    if x.basis != "adapted":
-        return list(cls)
-    return [cls[0]] + [cls[i] - (cls[0] if x.incidences[i - 1] else 0)
-                       for i in range(1, x.dim)]
-
-
-def intersection(x: BlowupSurface, c1: Sequence[int], c2: Sequence[int]) -> int:
-    """Intersection number c1 . c2 in the surface's active basis."""
-    if len(c1) != x.dim or len(c2) != x.dim:
-        raise ValueError("class vector has wrong length for this surface")
-    return x.pairing(c1, c2)
-
-
 @dataclass(frozen=True)
 class MapAction:
     """Pushforward/pullback pair on the class lattice of a surface."""

@@ -1,4 +1,4 @@
-"""Symbolic (semi-)conjugacy verification and model-system experiments.
+"""Symbolic (semi-)conjugacy identities and fiber-coordinate checks.
 
 Identities between compositions of rational expressions are checked exactly
 by cross-multiplication of ``num/den`` pairs of sparse polynomials.  The
@@ -77,9 +77,6 @@ class RationalFunction2:
     def equals(self, other) -> bool:
         other = _coerce_rf(other, self.num.arity)
         return (self.num * other.den - other.num * self.den).is_zero()
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
 
     def eval(self, values):
         return self.num.eval(values) / self.den.eval(values)

@@ -38,10 +38,6 @@ def mat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
     return out
 
 
-def mat_sub(a: FracMatrix, b: FracMatrix) -> FracMatrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a rational matrix by sparse elimination over Q.
 

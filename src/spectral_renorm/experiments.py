@@ -16,8 +16,8 @@ transverse law on the eta-axis is therefore d(eta) / (pi sqrt(16 - eta^2)).
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,22 +37,6 @@ SKEW_DEPTH_MAX = 14
 # 2^20 preimages: on 2 cores z -> z^2 takes about 1 s at depth 20, the other two models under 3 s
 BACKWARD_DEPTH_MAX = 20
 CANTOR_BASE = _HANOI_FIBER  # z^2 - z - 3, the base of the skew product
-
-
-@dataclass(frozen=True)
-class ModelSystem:
-    """One of the three plane model systems."""
-
-    tag: str  # product_square | twist | skew_cantor
-
-    def step(self, eta, z):
-        if self.tag == "product_square":
-            return eta, z * z
-        if self.tag == "twist":
-            return eta, (eta * z - 4.0) / z
-        if self.tag == "skew_cantor":
-            return eta * eta - eta - 3.0, (eta - 1.0) * (eta + 2.0) / (eta + 3.0) * z
-        raise ValueError(f"unknown model '{self.tag}'")
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +226,8 @@ def skew_cantor_experiment(eta0: float = 3.0, n: int = 10, line: tuple = (0.7, 0
     """
     if not 1 <= n <= SKEW_DEPTH_MAX:
         raise ValueError(f"depth must be in 1..{SKEW_DEPTH_MAX}")
+    if not math.isfinite(eta0):
+        raise ValueError(f"eta0 must be finite, not {eta0}")
     intercept, slope = line
     if slope == 0:
         raise ValueError("line must not be horizontal")
@@ -326,6 +312,8 @@ def backward_equidistribution(model: str, seed_point, n: int, seed: int = 0) -> 
         raise ValueError(f"depth must be in 1..{BACKWARD_DEPTH_MAX}")
     if model == "square":
         start = complex(seed_point)
+        if not cmath.isfinite(start):
+            raise ValueError(f"seed point must be finite, not {seed_point}")
         if start == 0:
             raise ValueError("exceptional seed")
         poly, domain, metric = (1.0, 0.0, 0.0), "complex", "circle_w1"
@@ -337,8 +325,10 @@ def backward_equidistribution(model: str, seed_point, n: int, seed: int = 0) -> 
         poly, domain, metric = (2.0, 0.0, -1.0), "real", "kolmogorov"
         distance = lambda pts: kolmogorov_to_cdf(Measure1D.from_samples(pts), arcsine_cdf)
     elif model == "cantor":
-        _, reference = julia_backward(CANTOR_BASE, 12)
         start = float(seed_point)
+        if not math.isfinite(start):
+            raise ValueError(f"seed point must be finite, not {seed_point}")
+        _, reference = julia_backward(CANTOR_BASE, 12)
         poly, domain, metric = CANTOR_BASE, "real", "wasserstein1"
         distance = lambda pts: cdf_distance(Measure1D.from_samples(pts), reference,
                                             "wasserstein1")

@@ -17,7 +17,7 @@ Conventions, fixed once and documented here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 IDENTITY = "1"
 
@@ -74,10 +74,6 @@ class GroupSpec:
                 if s != IDENTITY and s not in self.generators:
                     raise GroupError(f"section '{s}' of '{name}' does not resolve")
 
-    @property
-    def names(self) -> list:
-        return list(self.generators)
-
 
 def build_group(name_or_table, d: int | None = None) -> GroupSpec:
     """Return a builtin presentation or validate a custom recursion table.
@@ -108,9 +104,6 @@ class LevelAction:
 
     def __len__(self):
         return len(self.perm)
-
-    def is_identity(self) -> bool:
-        return all(p == v for v, p in enumerate(self.perm))
 
 
 def parse_word(word: str | Sequence) -> list:
@@ -195,43 +188,3 @@ def level_action(group: GroupSpec, word: str | Sequence, n: int) -> LevelAction:
 # permutation caches keyed by GroupSpec identity (specs are frozen)
 _perm_cache: dict = {}
 
-
-def generator_matrix(group: GroupSpec, word: str | Sequence, n: int):
-    """Sparse 0/1 permutation matrix of the word's level-n action.
-
-    Returned as (size, rows) where rows[v] is the row index of the single 1
-    in column v, i.e. M[rows[v], v] = 1 realizes vertex v -> rows[v].
-    """
-    action = level_action(group, word, n)
-    return len(action.perm), list(action.perm)
-
-
-def schreier_graph(group: GroupSpec, generating_set: Sequence, n: int) -> list:
-    """Edge multiset {(v, s.v, label)} on the d^n level-n vertices.
-
-    Loops are retained; one edge per (generator, vertex) pair.
-    """
-    if n < 1:
-        raise GroupError("schreier graphs start at level 1")
-    edges = []
-    for word in generating_set:
-        action = level_action(group, word, n)
-        label = word if isinstance(word, str) else "".join(
-            name + ("'" if e < 0 else "") for name, e in word)
-        for v, w in enumerate(action.perm):
-            edges.append((v, w, label))
-    return edges
-
-
-def graph_to_csv_rows(edges: Sequence) -> Iterator[str]:
-    yield "src,dst,label"
-    for v, w, label in edges:
-        yield f"{v},{w},{label}"
-
-
-def graph_to_adjacency(edges: Sequence, n_vertices: int) -> dict:
-    """Adjacency-list dict suitable for JSON export."""
-    adj: dict = {str(v): [] for v in range(n_vertices)}
-    for v, w, label in edges:
-        adj[str(v)].append({"to": w, "label": label})
-    return adj

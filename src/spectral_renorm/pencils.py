@@ -21,9 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
-from spectral_renorm.exact import det_exact, solve_exact, mat_mul, mat_sub
+from spectral_renorm.exact import det_exact
 from spectral_renorm.groups import GroupSpec, build_group, level_action
 from spectral_renorm.ratmaps.maps import builtin_map
 from spectral_renorm.ratmaps.poly import MultiPoly
@@ -34,8 +34,6 @@ __all__ = [
     "pencil_terms",
     "assemble",
     "det_exact",
-    "det_symbolic",
-    "schur_complement",
     "verify_recursion",
 ]
 
@@ -198,51 +196,6 @@ def assemble(scheme: PencilScheme, n: int, lam, mu) -> list:
         for v, w in enumerate(rows):
             m[w][v] += coeff
     return m
-
-
-def det_symbolic(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant of a small polynomial matrix by cofactor expansion."""
-    size = len(matrix)
-    if size == 0:
-        raise ValueError("empty matrix")
-    if size == 1:
-        return matrix[0][0]
-    arity = matrix[0][0].arity
-    total = MultiPoly.zero(arity)
-    for i in range(size):
-        entry = matrix[i][0]
-        if entry.is_zero():
-            continue
-        minor = [row[1:] for r, row in enumerate(matrix) if r != i]
-        cof = det_symbolic(minor)
-        term = entry * cof
-        total = total + term if i % 2 == 0 else total - term
-    return total
-
-
-def schur_complement(matrix: Sequence[Sequence[Fraction]], split: int, which: int = 1) -> list:
-    """Schur complement of a 2x2 block decomposition at row/column ``split``.
-
-    ``which=1`` eliminates the lower-right block: S1 = A - B D^-1 C, and
-    det M = det D * det S1 holds exactly.  ``which=2`` eliminates the
-    upper-left block instead.
-
-    Raises ``ValueError`` if the designated block is singular.
-    """
-    size = len(matrix)
-    if not 0 < split < size:
-        raise ValueError("split must cut the matrix into two nonempty blocks")
-    a = [row[:split] for row in matrix[:split]]
-    b = [row[split:] for row in matrix[:split]]
-    c = [row[:split] for row in matrix[split:]]
-    d = [row[split:] for row in matrix[split:]]
-    if which == 1:
-        x = solve_exact(d, c)  # D^-1 C
-        return mat_sub(a, mat_mul(b, x))
-    if which == 2:
-        x = solve_exact(a, b)  # A^-1 B
-        return mat_sub(d, mat_mul(c, x))
-    raise ValueError("which must be 1 or 2")
 
 
 def _sample_rational(rng: random.Random, bound: int = 100) -> Fraction:

@@ -76,30 +76,7 @@ class RationalMapP2:
             return None
         return (Fraction(img[0], img[2]), Fraction(img[1], img[2]))
 
-    def eval_float(self, point):
-        """Float image, normalized to unit Euclidean norm."""
-        powers = PowerTable(np.asarray(point, dtype=float))
-        vals = np.array([_grid_eval(c, powers) for c in self.components])
-        norm = np.linalg.norm(vals)
-        if norm == 0.0 or not np.isfinite(norm):
-            raise IndeterminacyError(f"{self.name} numerically indeterminate at {point}")
-        return vals / norm
-
     # -- algebra -------------------------------------------------------------
-
-    def compose(self, inner: "RationalMapP2") -> "RationalMapP2":
-        """Composition self o inner with content normalization.
-
-        Common polynomial factors beyond content are not removed; use
-        ``coprimality_certificate`` to detect them.
-        """
-        comps = tuple(c.subs(inner.components) for c in self.components)
-        comps = _normalize_triple(comps)
-        return RationalMapP2(
-            name=f"{self.name}*{inner.name}",
-            components=comps,
-            degree=comps[0].total_degree(),
-        )
 
     def restrict_to_line(self, line: Sequence) -> tuple:
         """Binary forms of the restriction to the parametrized line

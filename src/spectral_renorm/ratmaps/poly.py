@@ -12,7 +12,7 @@ common factors of iterated map compositions along a line.
 Both products run on plain integers.  ``MultiPoly`` multiplies the factors'
 cleared-denominator numerators in the schoolbook double loop, which keeps the
 term order of the ``Fraction`` loop it replaced: the float evaluator
-(``maps._grid_eval``, behind the potential and ``RationalMapP2.eval_float``)
+(``maps._grid_eval``, behind the potential)
 sums terms in dict order, each term its coefficient times the powers of a
 shared ``PowerTable`` in variable order, so a product that reordered terms
 would change the last bits of float artifacts.
@@ -78,9 +78,6 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in expo) for expo in self.terms)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -625,13 +622,6 @@ class BinaryForm:
         return BinaryForm(
             [a + b for a, b in zip(self.coeffs, other.coeffs)], self.degree
         )
-
-    def eval(self, s, t):
-        acc = 0
-        for k, c in enumerate(self.coeffs):
-            if c:
-                acc += c * s ** (self.degree - k) * t ** k
-        return acc
 
 
 def _strip_to_deg(coeffs: list, degree: int) -> list:

@@ -88,8 +88,6 @@ def _telescope(spec: RecursionPotential, lam: np.ndarray, mu: np.ndarray, n: int
     neg_inf = np.zeros(lam.size, dtype=bool)
     dead = np.zeros(lam.size, dtype=bool)
     hom_factors = [(_homogenize(q), m, p) for q, m, p in spec.factors]
-    # with no factor and a constant seed, u_n does not depend on the orbit
-    steps = n - spec.seed_level if hom_factors or not spec.seed.is_constant() else 0
 
     def add_log(form: MultiPoly, weight: float) -> None:
         nonlocal total, neg_inf, dead
@@ -102,7 +100,7 @@ def _telescope(spec: RecursionPotential, lam: np.ndarray, mu: np.ndarray, n: int
         total += weight * logs
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(steps):
+        for j in range(n - spec.seed_level):
             powers = PowerTable(pts)
             for q, mult, offset in hom_factors:
                 add_log(q, mult * d ** (-(j + offset)))

@@ -15,8 +15,8 @@ as -identity), which gives
 Every slice spectrum comes from the renormalization (``decimated_spectrum``),
 with exact integer multiplicities and no matrix: hanoi and grigorchuk (at
 any grig_slice) as backward orbits of the fiber polynomial, lamplighter from
-the exponents of its telescoped determinant.  ``slice_matrix`` builds the
-same slices as dense matrices, the reference the tests diagonalize.
+the exponents of its telescoped determinant.  The tests check these atoms
+against the eigenvalues of the sliced pencil built as a dense matrix.
 
 The grigorchuk limit law is the slice of an explicit family of hyperbolas
 weighted by the Chebyshev equilibrium measure; it has a closed-form CDF.
@@ -30,8 +30,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-
-from spectral_renorm.pencils import builtin_scheme, pencil_terms
 
 DOS_BUDGET = {"grigorchuk": 12, "lamplighter": 12, "hanoi": 7}
 
@@ -93,7 +91,9 @@ class DOSResult:
 
 
 def slice_point(group_tag: str, grig_slice: float = -1.0) -> tuple:
-    """Point (lam, mu) at which ``slice_matrix`` evaluates the group's pencil."""
+    """Point (lam, mu) at which the group's pencil is sliced: the pencil of
+    ``pencils.builtin_scheme`` there, with its spectral variable at 0, is the
+    slice operator."""
     if group_tag == "grigorchuk":
         if not math.isfinite(grig_slice):
             raise ValueError(f"grig_slice must be finite, not {grig_slice}")
@@ -103,27 +103,6 @@ def slice_point(group_tag: str, grig_slice: float = -1.0) -> tuple:
     if group_tag == "hanoi":
         return (0.0, 1.0)
     raise ValueError(f"unknown group tag '{group_tag}'")
-
-
-def slice_matrix(group_tag: str, n: int, grig_slice: float = -1.0) -> np.ndarray:
-    """Dense symmetric matrix of the sliced pencil at level n.
-
-    This is the float instantiation of ``pencils.pencil_terms`` at
-    ``slice_point``, where the spectral variable is 0.  Permutation terms are
-    accumulated in place, so this is one d^n x d^n allocation.  No spectrum
-    is computed from it: tests diagonalize it as the reference for
-    ``decimated_spectrum``.
-    """
-    lam, mu = (Fraction(x) for x in slice_point(group_tag, grig_slice))
-    scheme = builtin_scheme(group_tag)
-    size = scheme.d ** n
-    m = np.zeros((size, size))
-    cols = np.arange(size)
-    for a, b, c, rows in pencil_terms(scheme, n):
-        coeff = a + b * lam + c * mu  # exact, so each term is rounded once
-        if coeff:
-            np.add.at(m, (np.asarray(rows), cols), float(coeff))
-    return m
 
 
 # Decimation data: the fiber polynomial (a, b, c) of a z^2 + b z + c, the
@@ -238,8 +217,9 @@ def decimated_spectrum(group_tag: str, n: int, grig_slice: float = -1.0) -> tupl
     as 4 sin(pi (q - 2p)/(2q)), and the rational ones (q <= 3: 0 and +-2)
     exactly.
 
-    The closed forms above are checked against ``slice_matrix``'s eigenvalues
-    in the tests.  ``n`` is at most ``DECIMATION_MAX_LEVEL``.
+    The tests check the closed forms above against the eigenvalues of the
+    sliced pencil built as a dense matrix.  ``n`` is at most
+    ``DECIMATION_MAX_LEVEL``.
     """
     if not 1 <= n <= DECIMATION_MAX_LEVEL:
         raise ValueError(f"decimation level {n} outside 1..{DECIMATION_MAX_LEVEL}")
@@ -423,14 +403,6 @@ class GrigLimitMeasure:
         g_max = 4.0 + self.lam0 ** 2 + 4.0 * abs(self.lam0)
         return g_min, g_max
 
-    def support(self) -> list:
-        g_min, g_max = self._g_range()
-        lo, hi = math.sqrt(g_min), math.sqrt(g_max)
-        intervals = [(-hi, -lo), (lo, hi)]
-        if self.transformed:
-            intervals = [((a + 1) / 4, (b + 1) / 4) for a, b in intervals]
-        return intervals
-
     def cdf(self, x: float) -> float:
         if self.transformed:
             x = 4.0 * x - 1.0
@@ -457,13 +429,6 @@ class GrigLimitMeasure:
         p_le = arcsine_cdf(theta_star)
         # -sqrt(g) <= x  <=>  g >= x^2
         return (1.0 - p_le) if self.lam0 < 0 else p_le
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        theta = np.cos(np.pi * rng.random(size))
-        g = 4.0 + self.lam0 ** 2 - 4.0 * theta * self.lam0
-        sign = np.where(rng.random(size) < 0.5, 1.0, -1.0)
-        mu = sign * np.sqrt(np.maximum(g, 0.0))
-        return (mu + 1.0) / 4.0 if self.transformed else mu
 
 
 def grig_limit_measure(lam0: float = -1.0, transformed: bool | None = None) -> GrigLimitMeasure:

@@ -1,12 +1,26 @@
-"""Independent exact determinant routines that the tests check ``exact`` against.
+"""Reference routines the tests check the package against.
 
 ``bareiss_det_int`` is dense fraction-free Bareiss elimination on an integer
 matrix.  ``fraction_markowitz_pivots`` is the sparse Markowitz elimination
 with every entry a ``Fraction``; ``exact._markowitz_pivots`` keeps integer
-rows with one scale each and must return the same pivots.
+rows with one scale each and must return the same pivots.  ``det_symbolic``
+expands polynomial determinants by cofactors, ``schur_complement`` splits a
+rational matrix into blocks, ``slice_matrix`` is the sliced pencil as a
+dense float matrix for the eigensolver, and ``compose`` and
+``eval_binary_form`` compose rational maps and evaluate binary forms
+directly.
 """
 
 from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from spectral_renorm.exact import mat_mul, solve_exact
+from spectral_renorm.pencils import builtin_scheme, pencil_terms
+from spectral_renorm.ratmaps.maps import RationalMapP2, _normalize_triple
+from spectral_renorm.ratmaps.poly import BinaryForm, MultiPoly
+from spectral_renorm.spectra import slice_point
 
 
 def bareiss_det_int(rows: list) -> int:
@@ -81,3 +95,95 @@ def fraction_markowitz_pivots(matrix):
         if any(not cols[j] for j in pivot_row):
             return None
     return pivots
+
+
+def det_symbolic(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    """Determinant of a small polynomial matrix by cofactor expansion."""
+    size = len(matrix)
+    if size == 0:
+        raise ValueError("empty matrix")
+    if size == 1:
+        return matrix[0][0]
+    arity = matrix[0][0].arity
+    total = MultiPoly.zero(arity)
+    for i in range(size):
+        entry = matrix[i][0]
+        if entry.is_zero():
+            continue
+        minor = [row[1:] for r, row in enumerate(matrix) if r != i]
+        cof = det_symbolic(minor)
+        term = entry * cof
+        total = total + term if i % 2 == 0 else total - term
+    return total
+
+
+def mat_sub(a: list, b: list) -> list:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def schur_complement(matrix: Sequence[Sequence[Fraction]], split: int, which: int = 1) -> list:
+    """Schur complement of a 2x2 block decomposition at row/column ``split``.
+
+    ``which=1`` eliminates the lower-right block: S1 = A - B D^-1 C, and
+    det M = det D * det S1 holds exactly.  ``which=2`` eliminates the
+    upper-left block instead.
+
+    Raises ``ValueError`` if the designated block is singular.
+    """
+    size = len(matrix)
+    if not 0 < split < size:
+        raise ValueError("split must cut the matrix into two nonempty blocks")
+    a = [row[:split] for row in matrix[:split]]
+    b = [row[split:] for row in matrix[:split]]
+    c = [row[:split] for row in matrix[split:]]
+    d = [row[split:] for row in matrix[split:]]
+    if which == 1:
+        x = solve_exact(d, c)  # D^-1 C
+        return mat_sub(a, mat_mul(b, x))
+    if which == 2:
+        x = solve_exact(a, b)  # A^-1 B
+        return mat_sub(d, mat_mul(c, x))
+    raise ValueError("which must be 1 or 2")
+
+
+def slice_matrix(group_tag: str, n: int, grig_slice: float = -1.0) -> np.ndarray:
+    """Dense symmetric matrix of the sliced pencil at level n.
+
+    This is the float instantiation of ``pencils.pencil_terms`` at
+    ``spectra.slice_point``, where the spectral variable is 0.  Permutation
+    terms are accumulated in place, so this is one d^n x d^n allocation.
+    Its eigenvalues are the reference for ``spectra.decimated_spectrum``.
+    """
+    lam, mu = (Fraction(x) for x in slice_point(group_tag, grig_slice))
+    scheme = builtin_scheme(group_tag)
+    size = scheme.d ** n
+    m = np.zeros((size, size))
+    cols = np.arange(size)
+    for a, b, c, rows in pencil_terms(scheme, n):
+        coeff = a + b * lam + c * mu  # exact, so each term is rounded once
+        if coeff:
+            np.add.at(m, (np.asarray(rows), cols), float(coeff))
+    return m
+
+
+def compose(outer: RationalMapP2, inner: RationalMapP2) -> RationalMapP2:
+    """Composition outer o inner with content normalization.
+
+    Common polynomial factors beyond content are not removed; use
+    ``coprimality_certificate`` to detect them.
+    """
+    comps = _normalize_triple(tuple(c.subs(inner.components) for c in outer.components))
+    return RationalMapP2(
+        name=f"{outer.name}*{inner.name}",
+        components=comps,
+        degree=comps[0].total_degree(),
+    )
+
+
+def eval_binary_form(form: BinaryForm, s, t):
+    """Value of ``form`` at (s, t), term by term."""
+    acc = 0
+    for k, c in enumerate(form.coeffs):
+        if c:
+            acc += c * s ** (form.degree - k) * t ** k
+    return acc

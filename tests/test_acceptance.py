@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 
+from exact_reference import det_symbolic, slice_matrix
 from spectral_renorm import cohomology
 from spectral_renorm.conjugacy import (
     chebyshev_semiconj_check,
@@ -31,7 +32,6 @@ from spectral_renorm.experiments import (
 from spectral_renorm.pencils import (
     assemble,
     builtin_scheme,
-    det_symbolic,
     verify_recursion,
 )
 from spectral_renorm.ratmaps.charts import standard_chart_checks
@@ -45,7 +45,6 @@ from spectral_renorm.spectra import (
     grig_limit_measure,
     julia_backward,
     kolmogorov_to_cdf,
-    slice_matrix,
     tv_distance,
 )
 from spectral_renorm.verification import contracted_curve_report, indeterminacy_report

@@ -287,6 +287,10 @@ BAD_INPUT = [
     (None, ["experiment", "--kind", "backward-cantor",
             "--n", str(experiments.BACKWARD_DEPTH_MAX + 1)]),
     (None, ["potential-grid", "--group", "hanoi", "--iters", "0"]),
+    (None, ["spectrum", "--group", "hanoi", "--level", "2", "--format", "jsn"]),
+    (None, ["experiment", "--kind", "skew", "--eta0", "nan"]),
+    (None, ["experiment", "--kind", "backward-cantor", "--seed-point", "nan"]),
+    (None, ["experiment", "--kind", "backward-square", "--seed-point", "inf"]),
 ]
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from spectral_renorm.experiments import (
     BACKWARD_DEPTH_MAX,
     CANTOR_BASE,
-    ModelSystem,
     arccos_law_cdf,
     backward_equidistribution,
     circle_w1_to_uniform,
@@ -28,18 +27,6 @@ from spectral_renorm.spectra import (
     kolmogorov_to_cdf,
     preimages,
 )
-
-
-def test_model_system_steps():
-    sq = ModelSystem("product_square")
-    assert sq.step(2.0, 3.0) == (2.0, 9.0)
-    tw = ModelSystem("twist")
-    assert tw.step(2.0, 1.0) == (2.0, -2.0)
-    sk = ModelSystem("skew_cantor")
-    eta, z = sk.step(3.0, 1.0)
-    assert eta == 3.0 and abs(z - (2.0 * 5.0 / 6.0)) < 1e-12
-    with pytest.raises(ValueError):
-        ModelSystem("nope").step(0, 1)
 
 
 def test_rotation_number_monotone_and_surjective():

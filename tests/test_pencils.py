@@ -6,15 +6,18 @@ from math import lcm
 
 import pytest
 
-from exact_reference import bareiss_det_int, fraction_markowitz_pivots
+from exact_reference import (
+    bareiss_det_int,
+    det_symbolic,
+    fraction_markowitz_pivots,
+    schur_complement,
+)
 from spectral_renorm.exact import _markowitz_pivots
 from spectral_renorm.pencils import (
     assemble,
     builtin_scheme,
     det_exact,
-    det_symbolic,
     pencil_terms,
-    schur_complement,
     verify_recursion,
 )
 from spectral_renorm.ratmaps.poly import MultiPoly

