@@ -16,7 +16,6 @@ transverse law on the eta-axis is therefore d(eta) / (pi sqrt(16 - eta^2)).
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Callable
 
@@ -36,6 +35,8 @@ TWIST_COUNT_MAX = 200
 SKEW_DEPTH_MAX = 14
 # 2^20 preimages: on 2 cores z -> z^2 takes about 1 s at depth 20, the other two models under 3 s
 BACKWARD_DEPTH_MAX = 20
+# |seed| bound of the square and cantor models: a preimage step computes 4·seed
+SEED_POINT_MAX = 1e300
 CANTOR_BASE = _HANOI_FIBER  # z^2 - z - 3, the base of the skew product
 
 
@@ -295,6 +296,12 @@ def circle_w1_to_uniform(angles: np.ndarray) -> float:
     return float(vals.sum())
 
 
+def _check_seed_modulus(start) -> None:
+    if not abs(start) <= SEED_POINT_MAX:  # also refuses inf and nan
+        raise ValueError(f"seed point must be finite with modulus at most {SEED_POINT_MAX:g}, "
+                         f"not {start}")
+
+
 def backward_equidistribution(model: str, seed_point, n: int, seed: int = 0) -> dict:
     """Distance series of backward-orbit empirical measures to the limit law.
 
@@ -312,8 +319,7 @@ def backward_equidistribution(model: str, seed_point, n: int, seed: int = 0) -> 
         raise ValueError(f"depth must be in 1..{BACKWARD_DEPTH_MAX}")
     if model == "square":
         start = complex(seed_point)
-        if not cmath.isfinite(start):
-            raise ValueError(f"seed point must be finite, not {seed_point}")
+        _check_seed_modulus(start)
         if start == 0:
             raise ValueError("exceptional seed")
         poly, domain, metric = (1.0, 0.0, 0.0), "complex", "circle_w1"
@@ -326,8 +332,7 @@ def backward_equidistribution(model: str, seed_point, n: int, seed: int = 0) -> 
         distance = lambda pts: kolmogorov_to_cdf(Measure1D.from_samples(pts), arcsine_cdf)
     elif model == "cantor":
         start = float(seed_point)
-        if not math.isfinite(start):
-            raise ValueError(f"seed point must be finite, not {seed_point}")
+        _check_seed_modulus(start)
         _, reference = julia_backward(CANTOR_BASE, 12)
         poly, domain, metric = CANTOR_BASE, "real", "wasserstein1"
         distance = lambda pts: cdf_distance(Measure1D.from_samples(pts), reference,

@@ -5,9 +5,10 @@ triples of coprime homogeneous polynomials with integer coefficients.  This
 subpackage provides:
 
 - ``poly``      sparse exact-rational multivariate polynomials and binary forms
+- ``modp``      polynomials and binary forms over F_p, p < 2^31
 - ``maps``      the builtin maps, exact/float evaluation, projective equality
                 (``proportional``) and indeterminacy verification
 - ``charts``    blow-up chart computations (images of exceptional divisors)
-- ``degrees``   degree growth along generic lines and dynamical degrees
+- ``degrees``   degree growth along random lines over F_p, dynamical degrees
 - ``potential`` the renormalized logarithmic potential of a determinant cascade
 """

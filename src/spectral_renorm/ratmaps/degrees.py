@@ -1,87 +1,85 @@
-"""Degree growth of iterated rational maps along generic lines.
+"""Degree growth of iterated rational maps along random lines.
 
 Iterating a plane map and cancelling common factors of its components is
-expensive; restricting to a line first is equivalent for generic lines and
-keeps everything univariate.  The iteration maintains a triple of binary
-forms, cancels their gcd after every step, and records the degrees.  The
-dynamical degree is then classified from the degree sequence.
+expensive; restricting to a line first keeps everything univariate.  The
+iteration keeps a triple of binary forms over F_p, cancels their gcd after
+every step, and records the degrees, for each of the two largest primes
+below 2^31.
+
+A degree mod p is a lower bound of the degree over the integers on the same
+line: the reduced integer triple, read mod p, is a polynomial multiple of the
+reduced triple mod p.  That degree is in turn a lower bound of deg F^k, with
+equality on generic lines.  Lines with six random coefficients in
+[-2^31, 2^31) are generic but for a vanishing fraction, so the maximum over
+lines and primes is a lower bound of deg F^k that equals it but with
+negligible probability.  The tests check the degrees mod p against the exact integer
+iteration (``tests/exact_reference.py``) line by line.  The dynamical degree
+is then classified from the degree sequence.
 """
 
 from __future__ import annotations
 
 import random
-from math import gcd
 from typing import Sequence
 
+from spectral_renorm.ratmaps import modp
 from spectral_renorm.ratmaps.maps import RationalMapP2
-from spectral_renorm.ratmaps.poly import BinaryForm, binary_form_divexact, binary_forms_gcd
 
 MAX_ITERATES = 10
+LINE_PRIMES = 2  # the iteration runs mod each of the LINE_PRIMES largest primes below 2^31
+LINE_COEFF_BITS = 31  # line coefficients are drawn from [-2^31, 2^31)
 
 
-def compose_along_line(map_: RationalMapP2, line: Sequence, iterations: int) -> list:
-    """Degrees of the iterates restricted to a parametrized line.
+def degrees_mod_p(map_: RationalMapP2, line: Sequence, iterations: int, p: int) -> list:
+    """Degrees of the iterates restricted to a parametrized line, over F_p.
 
     ``line`` is three (a, b) integer pairs giving the parametrization
     ``(s, t) -> (a0 s + b0 t, a1 s + b1 t, a2 s + b2 t)``.  After each
-    composition the gcd of the three binary forms is cancelled, so the k-th
-    reported degree is deg(F^k) for a generic line.
+    composition the gcd of the three binary forms is cancelled.  Raises
+    ``ValueError`` when the line is zero mod p or the forms all vanish.
     """
-    return [max(f.degree for f in forms if not f.is_zero())
-            for forms in iterate_line_forms(map_, line, iterations)]
-
-
-def _joint_primitive(forms: list) -> list:
-    """Divide the triple by the gcd of all its integer coefficients; the
-    components must keep their relative scale (they are one projective
-    parametrization)."""
-    g = gcd(*(c for f in forms for c in f.coeffs))
-    if g > 1:
-        forms = [BinaryForm([c // g for c in f.coeffs], f.degree) for f in forms]
-    return forms
-
-
-def _reduced_step(map_: RationalMapP2, forms: list) -> list:
-    forms = [c.subs(forms) for c in map_.components]
-    if all(f.is_zero() for f in forms):
-        raise ValueError("line collapsed into the indeterminacy locus")
-    g = binary_forms_gcd([f for f in forms if not f.is_zero()])
-    if g.degree > 0:
-        forms = [f if f.is_zero() else binary_form_divexact(f, g) for f in forms]
-    return _joint_primitive(forms)
-
-
-def iterate_line_forms(map_: RationalMapP2, line: Sequence, iterations: int) -> list:
-    """The reduced form triples of the iterates along a line (see
-    ``compose_along_line``)."""
-    forms = [BinaryForm([int(a), int(b)]) for a, b in line]
+    forms = [modp.FormModP([a % p, b % p], 1, p) for a, b in line]
     if all(f.is_zero() for f in forms):
         raise ValueError("degenerate line")
     out = []
     for _ in range(iterations):
-        forms = _reduced_step(map_, forms)
-        out.append(tuple(forms))
+        powers: list = []  # one power cache for the three components
+        forms = [c.subs(forms, powers) for c in map_.components]
+        if all(f.is_zero() for f in forms):
+            raise ValueError("line collapsed into the indeterminacy locus")
+        forms = modp.cancel_common_factor(forms)
+        out.append(max(f.degree for f in forms))
     return out
+
+
+def compose_along_line(map_: RationalMapP2, line: Sequence, iterations: int) -> list:
+    """Degrees of the iterates restricted to a line: the elementwise maximum
+    of ``degrees_mod_p`` over the ``LINE_PRIMES`` primes.  Raises
+    ``ValueError`` when any prime does."""
+    runs = [degrees_mod_p(map_, line, iterations, p) for p in modp.primes(LINE_PRIMES)]
+    return [max(degs) for degs in zip(*runs)]
 
 
 def dynamical_degree(map_: RationalMapP2, iterations: int = 8, trials: int = 3,
                      seed: int = 2) -> dict:
     """Estimate the first dynamical degree from degree growth.
 
-    Degrees are measured along ``trials`` random lines and aggregated by
-    maximum (degenerate lines only lose degree).  The growth class is
-    ``bounded``, ``linear``, or ``exponential`` with a base estimated from
-    the last degree ratio.
+    Degrees are measured along ``trials`` random lines with coefficients in
+    [-2^31, 2^31) and aggregated by maximum over lines and primes (special
+    lines and primes only lose degree).  The growth class is ``bounded``,
+    ``linear``, or ``exponential`` with a base estimated from the last
+    degree ratio; ``primes`` lists the primes of the iteration.
     """
     if iterations > MAX_ITERATES:
         raise ValueError(f"iteration budget is {MAX_ITERATES}")
     rng = random.Random(seed)
+    bound = 2 ** LINE_COEFF_BITS
     best: list = [0] * iterations
     used = 0
     attempts = 0
     while used < trials and attempts < 20 * trials:
         attempts += 1
-        line = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)]
+        line = [(rng.randrange(-bound, bound), rng.randrange(-bound, bound)) for _ in range(3)]
         try:
             degs = compose_along_line(map_, line, iterations)
         except ValueError:
@@ -90,7 +88,9 @@ def dynamical_degree(map_: RationalMapP2, iterations: int = 8, trials: int = 3,
         used += 1
     if used == 0:
         raise RuntimeError("no usable line found")
-    return classify_growth(best)
+    result = classify_growth(best)
+    result["primes"] = list(modp.primes(LINE_PRIMES))
+    return result
 
 
 def classify_growth(degrees: Sequence[int]) -> dict:

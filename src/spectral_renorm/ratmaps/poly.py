@@ -5,24 +5,28 @@ coefficients.  Everything downstream (pencil determinants, conjugacy
 identities, contracted-curve checks) relies on this arithmetic being exact, so
 no floating point enters here.
 
-``BinaryForm`` is the degree-tracking workhorse: a homogeneous univariate pair
-form with big-integer coefficients, with primitive-PRS gcd used to cancel
-common factors of iterated map compositions along a line.
+``BinaryForm`` is a homogeneous form in (s, t) with big-integer
+coefficients: a map restricted to a line.  ``binary_forms_gcd`` finds the
+common factor of such forms (primitive-PRS gcd of the cores), which
+certifies that a map's components are coprime.  Degree growth along lines
+runs the same substitution and gcd over F_p (``modp``); the exact integer
+iteration it replaced is kept in ``tests/exact_reference.py`` as the tests'
+oracle.
 
-Both products run on plain integers.  ``MultiPoly`` multiplies the factors'
-cleared-denominator numerators in the schoolbook double loop, which keeps the
-term order of the ``Fraction`` loop it replaced: the float evaluator
-(``maps._grid_eval``, behind the potential)
-sums terms in dict order, each term its coefficient times the powers of a
-shared ``PowerTable`` in variable order, so a product that reordered terms
-would change the last bits of float artifacts.
-Integer coefficient lists (``_poly_mul_int``, behind ``BinaryForm``) take one
-big-integer multiply by Kronecker substitution.
+Both products run on plain integers in the schoolbook double loop.
+``MultiPoly`` multiplies the factors' cleared-denominator numerators, which
+keeps the term order of the ``Fraction`` loop it replaced: the float
+evaluator (``maps._grid_eval``, behind the potential) sums terms in dict
+order, each term its coefficient times the powers of a shared ``PowerTable``
+in variable order, so a product that reordered terms would change the last
+bits of float artifacts.  ``BinaryForm`` products (``_poly_mul_int``) serve
+the low-degree restrictions of the coprimality certificate.
 
 ``MultiPoly.subs`` is the one substitution routine.  The same loop composes
 with polynomials (map composition, charts, affine restrictions), restricts to
-a line when the values are ``BinaryForm`` objects, and evaluates at a point
-when they are scalars (``eval`` is an alias).
+a line when the values are binary forms (``BinaryForm`` over the integers,
+``modp.FormModP`` over F_p), and evaluates at a point when they are scalars
+(``eval`` is an alias).
 """
 
 from __future__ import annotations
@@ -212,19 +216,26 @@ class MultiPoly:
 
     # -- evaluation and substitution ---------------------------------------
 
-    def subs(self, values: Sequence):
+    def subs(self, values: Sequence, powers: list | None = None):
         """Substitute ``values[i]`` for variable i.
 
         One routine for every kind of value: ``MultiPoly`` values compose,
-        ``BinaryForm`` values restrict to a parametrized line, and scalars
-        (Fractions, ints, floats) evaluate at a point.  The terms are summed
-        in ``terms`` order, each as its coefficient times a product of cached
-        powers of the values, so with ``MultiPoly`` values the result's term
-        order is fixed by the operands' orders.
+        binary forms (``BinaryForm``, ``modp.FormModP``) restrict to a
+        parametrized line, and scalars (Fractions, ints, floats) evaluate at
+        a point.  The terms are summed in ``terms`` order, each as its
+        coefficient times a product of cached powers of the values, so with
+        ``MultiPoly`` values the result's term order is fixed by the
+        operands' orders.  The cache, ``powers[i] = [v^0, v, v^2, ...]`` for
+        ``v = values[i]``, grows as terms need it; polynomials substituted
+        with the same values may share it by passing the same list, which
+        starts as ``[]``.
         """
         if len(values) != self.arity:
             raise ValueError("wrong number of values")
-        powers = [[v ** 0, v] for v in values]
+        if powers is None:
+            powers = []
+        if not powers:
+            powers.extend([v ** 0, v] for v in values)
 
         def power(i, e):
             cache = powers[i]
@@ -286,58 +297,16 @@ def _primitive_int(coeffs: Sequence[int]) -> list:
 
 
 def _poly_mul_int(a: Sequence[int], b: Sequence[int]) -> list:
-    """Product of integer coefficient lists.
-
-    Short factors take the schoolbook loop.  Longer ones go through signed
-    Kronecker substitution: each list is read as the base-2^(8·nbytes)
-    digits of one integer, the two integers are multiplied once, and the
-    product's digits are the product's coefficients.  CPython big-int
-    multiplication is subquadratic, which beats the schoolbook loop by a
-    wide margin on the degree-several-hundred forms produced by iterated
-    composition.
-    """
+    """Product of integer coefficient lists (schoolbook)."""
     if not a or not b:
         return []
-    if min(len(a), len(b)) < 16:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return out
-    # A product coefficient sums at most min(len a, len b) terms a_i·b_j, so
-    # its absolute value is at most ``bound``; with the max(…, 1) factors the
-    # bound also covers every input coefficient.  One sign bit on top makes
-    # every such value a signed digit in [-2^(8·nbytes-1), 2^(8·nbytes-1)).
-    bound = max(max(map(abs, a)), 1) * max(max(map(abs, b)), 1) * min(len(a), len(b))
-    nbytes = (bound.bit_length() + 8) // 8
-    count = len(a) + len(b) - 1
-    data = (_kronecker_pack(a, nbytes) * _kronecker_pack(b, nbytes)).to_bytes(
-        count * nbytes, "little", signed=True)
-    # Two's-complement digits: a digit at or above half the base stands for
-    # itself minus the base and borrows one from the digit above.
-    base = 1 << (8 * nbytes)
-    half = base >> 1
-    out = [0] * count
-    borrow = 0
-    for i in range(count):
-        d = int.from_bytes(data[i * nbytes: (i + 1) * nbytes], "little") + borrow
-        borrow = d >= half
-        out[i] = d - base if borrow else d
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
     return out
-
-
-def _kronecker_pack(coeffs: Sequence[int], nbytes: int) -> int:
-    """sum(c_i · 2^(8·nbytes·i)) for signed digits c_i.
-
-    Joining the two's-complement digits reads each negative c_i as
-    c_i + 2^(8·nbytes); the second join subtracts those carries from the
-    digit above."""
-    digits = b"".join(c.to_bytes(nbytes, "little", signed=True) for c in coeffs)
-    one, zero = (1).to_bytes(nbytes, "little"), bytes(nbytes)
-    carries = b"".join(one if c < 0 else zero for c in coeffs)
-    return int.from_bytes(digits, "little") - (int.from_bytes(carries, "little") << (8 * nbytes))
 
 
 def _pseudo_rem(f: list, g: list) -> list:
@@ -358,12 +327,7 @@ def _pseudo_rem(f: list, g: list) -> list:
 
 def poly_gcd_int(f: Sequence[int], g: Sequence[int]) -> list:
     """Gcd of two integer polynomials (coefficient lists, lowest degree
-    first).
-
-    Large inputs go through modular images recombined by CRT and verified by
-    exact trial division; the primitive-PRS chain is the small-case path and
-    the fallback when the prime budget is exhausted.
-    """
+    first), by the primitive-PRS chain on the primitive parts."""
     f = _strip(list(f))
     g = _strip(list(g))
     if not f:
@@ -376,11 +340,7 @@ def poly_gcd_int(f: Sequence[int], g: Sequence[int]) -> list:
     g = [x // cg for x in g]
     if len(f) < len(g):
         f, g = g, f
-    result = None
-    if len(g) > 24:
-        result = _try_modular_gcd(f, g)
-    if result is None:
-        result = _prs_gcd(f, g)
+    result = _prs_gcd(f, g)
     return [x * c for x in result] if c > 1 else result
 
 
@@ -393,164 +353,6 @@ def _prs_gcd(f: list, g: list) -> list:
         r = _primitive_int(r)
         f, g = g, r
     return _primitive_int(g)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes_below_2_31(count: int) -> tuple:
-    out = []
-    n = 2 ** 31 - 1
-    while len(out) < count:
-        if _is_prime(n):
-            out.append(n)
-        n -= 2
-    return tuple(out)
-
-
-_GCD_PRIMES = _primes_below_2_31(96)
-
-
-def _rem_mod_p(f, g, p: int):
-    """Remainder of numpy int64 coefficient vectors mod a sub-2^31 prime
-    (products stay below 2^62, inside int64)."""
-    dg = len(g) - 1
-    inv = pow(int(g[-1]), p - 2, p)
-    f = f.copy()
-    top = len(f)
-    while top - 1 >= dg:
-        lead = int(f[top - 1])
-        if lead:
-            factor = lead * inv % p
-            shift = top - 1 - dg
-            f[shift: top] = (f[shift: top] - factor * g) % p
-        top -= 1
-        while top and not f[top - 1]:
-            top -= 1
-    return f[:top]
-
-
-def _gcd_mod_p(f: Sequence[int], g: Sequence[int], p: int) -> list:
-    import numpy as np
-
-    a = np.array([c % p for c in f], dtype=np.int64)
-    b = np.array([c % p for c in g], dtype=np.int64)
-    a = a[: _top(a)]
-    b = b[: _top(b)]
-    while len(b):
-        a, b = b, _rem_mod_p(a, b, p)
-    inv = pow(int(a[-1]), p - 2, p)
-    return [int(c) * inv % p for c in a]
-
-
-def _top(arr) -> int:
-    n = len(arr)
-    while n and not arr[n - 1]:
-        n -= 1
-    return n
-
-
-def _crt_list(res1: list, m1: int, res2: list, p2: int) -> list:
-    # combine coefficient lists x = res1 mod m1, x = res2 mod p2
-    inv = pow(m1 % p2, p2 - 2, p2)
-    return [r1 + m1 * ((r2 - r1) % p2 * inv % p2) for r1, r2 in zip(res1, res2)]
-
-
-def _try_modular_gcd(f: list, g: list) -> list | None:
-    """Gcd of primitive integer polynomials by modular images + CRT, verified
-    by exact trial division; None when the prime budget runs out.
-
-    Images are accumulated prime by prime (discarding unlucky primes whose
-    gcd degree is too high) and the trial division runs on an exponential
-    schedule, since each attempt on big inputs is itself costly.
-    """
-    lc = gcd(abs(f[-1]), abs(g[-1]))
-    best_deg = None
-    combined: list = []
-    modulus = 1
-    next_check = 1
-    used = 0
-    for p in _GCD_PRIMES:
-        if f[-1] % p == 0 or g[-1] % p == 0:
-            continue
-        img = _gcd_mod_p(f, g, p)
-        deg = len(img) - 1
-        if deg == 0:
-            return [1]
-        if best_deg is None or deg < best_deg:
-            best_deg = deg
-            combined = [lc * c % p for c in img]
-            modulus = p
-            used = 1
-            next_check = 1
-        elif deg == best_deg:
-            combined = _crt_list(combined, modulus, [lc * c % p for c in img], p)
-            modulus *= p
-            used += 1
-        else:
-            continue  # unlucky prime
-        if used < next_check:
-            continue
-        next_check *= 2
-        lifted = [c - modulus if c > modulus // 2 else c for c in combined]
-        cand = _primitive_int(lifted)
-        if not cand or not cand[-1]:
-            continue
-        try:
-            poly_divexact_int(f, cand)
-            poly_divexact_int(g, cand)
-            return cand
-        except ValueError:
-            continue
-    return None
-
-
-def poly_divexact_int(f: Sequence[int], g: Sequence[int]) -> list:
-    """Exact division of integer polynomials; raises if not divisible."""
-    f = _strip(list(f))
-    g = _strip(list(g))
-    if not g:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not f:
-        return []
-    q = [0] * (len(f) - len(g) + 1)
-    r = f
-    dg = len(g) - 1
-    lg = g[-1]
-    while r and len(r) - 1 >= dg:
-        dr = len(r) - 1
-        lead = r[-1]
-        if lead % lg:
-            raise ValueError("not an exact polynomial division")
-        qq = lead // lg
-        q[dr - dg] = qq
-        for i, gi in enumerate(g):
-            r[i + dr - dg] -= qq * gi
-        r = _strip(r)
-    if r:
-        raise ValueError("not an exact polynomial division")
-    return q
 
 
 class BinaryForm:
@@ -630,37 +432,33 @@ def _strip_to_deg(coeffs: list, degree: int) -> list:
 
 
 def binary_forms_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
-    """Gcd of binary forms of a common degree.
-
-    Factors of t and s correspond to leading/trailing zero coefficients; the
-    middle part is a univariate primitive-PRS gcd.
-    """
+    """Gcd of binary forms of a common degree (``_common_factor`` with the
+    primitive-PRS gcd of the cores)."""
     forms = [f for f in forms if not f.is_zero()]
     if not forms:
         return BinaryForm([], -1)
-    t_ord = min(_leading_zeros(f.coeffs) for f in forms)
-    s_ord = min(_trailing_zeros(f.coeffs) for f in forms)
-    cores = [f.coeffs[_leading_zeros(f.coeffs): len(f.coeffs) - _trailing_zeros(f.coeffs)]
-             for f in forms]
+    t_ord, g, s_ord = _common_factor([f.coeffs for f in forms], poly_gcd_int)
+    return BinaryForm([0] * t_ord + g + [0] * s_ord)
+
+
+def _common_factor(coeff_lists: Sequence, core_gcd) -> tuple:
+    """The common factor t^a s^b g of nonzero binary forms, given by their
+    coefficient lists, as (a, g's coefficients, b).
+
+    Factors of t and s correspond to leading/trailing zero coefficients; g
+    is the univariate ``core_gcd`` of the cores, the parts between each
+    list's zero runs.
+    """
+    t_ord = min(_leading_zeros(c) for c in coeff_lists)
+    s_ord = min(_trailing_zeros(c) for c in coeff_lists)
+    cores = [c[_leading_zeros(c): len(c) - _trailing_zeros(c)] for c in coeff_lists]
     g = cores[0]
     for core in cores[1:]:
-        g = poly_gcd_int(g, core)
+        g = core_gcd(g, core)
         if len(g) == 1:
             g = [1]
             break
-    # g is a polynomial in t of the core; rebuild a form of matching degree
-    core_deg = len(g) - 1
-    coeffs = [0] * t_ord + list(g) + [0] * s_ord
-    return BinaryForm(coeffs, t_ord + core_deg + s_ord)
-
-
-def binary_form_divexact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    if g.is_zero():
-        raise ZeroDivisionError
-    if f.is_zero():
-        return f
-    q = poly_divexact_int(f.coeffs, g.coeffs)
-    return BinaryForm(_strip_to_deg(q, f.degree - g.degree), f.degree - g.degree)
+    return t_ord, list(g), s_ord
 
 
 def _leading_zeros(coeffs: Sequence[int]) -> int:

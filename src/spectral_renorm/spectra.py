@@ -90,13 +90,18 @@ class DOSResult:
     multiplicities: tuple
 
 
+# |lam| bound of the grigorchuk slice: its atoms are +-sqrt(4 + lam^2 - 4 lam theta)
+GRIG_SLICE_MAX = 1e150
+
+
 def slice_point(group_tag: str, grig_slice: float = -1.0) -> tuple:
     """Point (lam, mu) at which the group's pencil is sliced: the pencil of
     ``pencils.builtin_scheme`` there, with its spectral variable at 0, is the
     slice operator."""
     if group_tag == "grigorchuk":
-        if not math.isfinite(grig_slice):
-            raise ValueError(f"grig_slice must be finite, not {grig_slice}")
+        if not abs(grig_slice) <= GRIG_SLICE_MAX:  # also refuses inf and nan
+            raise ValueError(f"--grig-slice must be finite with modulus at most "
+                             f"{GRIG_SLICE_MAX:g}, not {grig_slice}")
         return (grig_slice, 0.0)
     if group_tag == "lamplighter":
         return (0.0, 0.0)

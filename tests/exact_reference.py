@@ -9,9 +9,17 @@ rational matrix into blocks, ``slice_matrix`` is the sliced pencil as a
 dense float matrix for the eigensolver, and ``compose`` and
 ``eval_binary_form`` compose rational maps and evaluate binary forms
 directly.
+
+``iterate_line_forms`` is the exact integer iteration of a map along a line
+that ``degrees.degrees_mod_p`` runs over F_p: after each step it divides the
+integer forms by their gcd (``modular_poly_gcd_int``: modular images of the
+cores recombined by CRT and checked by exact trial division, with the
+primitive PRS as the fallback) and by their joint content.
+``degrees_along_line_int`` reads its degrees.
 """
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +27,16 @@ import numpy as np
 from spectral_renorm.exact import mat_mul, solve_exact
 from spectral_renorm.pencils import builtin_scheme, pencil_terms
 from spectral_renorm.ratmaps.maps import RationalMapP2, _normalize_triple
-from spectral_renorm.ratmaps.poly import BinaryForm, MultiPoly
+from spectral_renorm.ratmaps import modp
+from spectral_renorm.ratmaps.poly import (
+    BinaryForm,
+    MultiPoly,
+    _common_factor,
+    _primitive_int,
+    _strip,
+    _strip_to_deg,
+    poly_gcd_int,
+)
 from spectral_renorm.spectra import slice_point
 
 
@@ -187,3 +204,148 @@ def eval_binary_form(form: BinaryForm, s, t):
         if c:
             acc += c * s ** (form.degree - k) * t ** k
     return acc
+
+
+def degrees_along_line_int(map_: RationalMapP2, line: Sequence, iterations: int) -> list:
+    """Degrees of the iterates restricted to a line, over the integers."""
+    return [max(f.degree for f in forms if not f.is_zero())
+            for forms in iterate_line_forms(map_, line, iterations)]
+
+
+def iterate_line_forms(map_: RationalMapP2, line: Sequence, iterations: int) -> list:
+    """The reduced integer form triples of the iterates along a line
+    ``(s, t) -> (a0 s + b0 t, a1 s + b1 t, a2 s + b2 t)``."""
+    forms = [BinaryForm([int(a), int(b)]) for a, b in line]
+    if all(f.is_zero() for f in forms):
+        raise ValueError("degenerate line")
+    out = []
+    for _ in range(iterations):
+        forms = _reduced_step(map_, forms)
+        out.append(tuple(forms))
+    return out
+
+
+def _reduced_step(map_: RationalMapP2, forms: list) -> list:
+    forms = [c.subs(forms) for c in map_.components]
+    if all(f.is_zero() for f in forms):
+        raise ValueError("line collapsed into the indeterminacy locus")
+    t_ord, core, s_ord = _common_factor([f.coeffs for f in forms if not f.is_zero()],
+                                        modular_poly_gcd_int)
+    g = BinaryForm([0] * t_ord + core + [0] * s_ord)
+    if g.degree > 0:
+        forms = [f if f.is_zero() else binary_form_divexact(f, g) for f in forms]
+    return _joint_primitive(forms)
+
+
+def _joint_primitive(forms: list) -> list:
+    """Divide the triple by the gcd of all its integer coefficients; the
+    components must keep their relative scale (they are one projective
+    parametrization)."""
+    g = gcd(*(c for f in forms for c in f.coeffs))
+    if g > 1:
+        forms = [BinaryForm([c // g for c in f.coeffs], f.degree) for f in forms]
+    return forms
+
+
+def binary_form_divexact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
+    if g.is_zero():
+        raise ZeroDivisionError
+    if f.is_zero():
+        return f
+    q = poly_divexact_int(f.coeffs, g.coeffs)
+    return BinaryForm(_strip_to_deg(q, f.degree - g.degree), f.degree - g.degree)
+
+
+def modular_poly_gcd_int(f: Sequence[int], g: Sequence[int]) -> list:
+    """``poly.poly_gcd_int``, with inputs of more than 24 coefficients tried
+    by modular images first."""
+    f, g = _strip(list(f)), _strip(list(g))
+    if min(len(f), len(g)) > 24:
+        cf, cg = gcd(*f), gcd(*g)
+        result = _try_modular_gcd([x // cf for x in f], [x // cg for x in g])
+        if result is not None:
+            c = gcd(cf, cg)
+            return [x * c for x in result] if c > 1 else result
+    return poly_gcd_int(f, g)
+
+
+def _crt_list(res1: list, m1: int, res2: list, p2: int) -> list:
+    # combine coefficient lists x = res1 mod m1, x = res2 mod p2
+    inv = pow(m1 % p2, p2 - 2, p2)
+    return [r1 + m1 * ((r2 - r1) % p2 * inv % p2) for r1, r2 in zip(res1, res2)]
+
+
+def _try_modular_gcd(f: list, g: list) -> list | None:
+    """Gcd of primitive integer polynomials by modular images + CRT, verified
+    by exact trial division; None when the 96 primes run out.
+
+    Images are accumulated prime by prime (discarding unlucky primes whose
+    gcd degree is too high) and the trial division runs on an exponential
+    schedule, since each attempt on big inputs is itself costly.
+    """
+    lc = gcd(abs(f[-1]), abs(g[-1]))
+    best_deg = None
+    combined: list = []
+    modulus = 1
+    next_check = 1
+    used = 0
+    for p in modp.primes(96):
+        if f[-1] % p == 0 or g[-1] % p == 0:
+            continue
+        img = modp.gcd(f, g, p)
+        deg = len(img) - 1
+        if deg == 0:
+            return [1]
+        if best_deg is None or deg < best_deg:
+            best_deg = deg
+            combined = [lc * c % p for c in img]
+            modulus = p
+            used = 1
+            next_check = 1
+        elif deg == best_deg:
+            combined = _crt_list(combined, modulus, [lc * c % p for c in img], p)
+            modulus *= p
+            used += 1
+        else:
+            continue  # unlucky prime
+        if used < next_check:
+            continue
+        next_check *= 2
+        lifted = [c - modulus if c > modulus // 2 else c for c in combined]
+        cand = _primitive_int(lifted)
+        if not cand or not cand[-1]:
+            continue
+        try:
+            poly_divexact_int(f, cand)
+            poly_divexact_int(g, cand)
+            return cand
+        except ValueError:
+            continue
+    return None
+
+
+def poly_divexact_int(f: Sequence[int], g: Sequence[int]) -> list:
+    """Exact division of integer polynomials; raises if not divisible."""
+    f = _strip(list(f))
+    g = _strip(list(g))
+    if not g:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not f:
+        return []
+    q = [0] * (len(f) - len(g) + 1)
+    r = f
+    dg = len(g) - 1
+    lg = g[-1]
+    while r and len(r) - 1 >= dg:
+        dr = len(r) - 1
+        lead = r[-1]
+        if lead % lg:
+            raise ValueError("not an exact polynomial division")
+        qq = lead // lg
+        q[dr - dg] = qq
+        for i, gi in enumerate(g):
+            r[i + dr - dg] -= qq * gi
+        r = _strip(r)
+    if r:
+        raise ValueError("not an exact polynomial division")
+    return q

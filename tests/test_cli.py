@@ -132,6 +132,23 @@ def test_invariant_class_flag(tmp_path):
     assert report["invariant_classes"]["candidates"] == [[2, 1, 1, -1, -1]]
 
 
+@pytest.mark.parametrize("name, iters, seed, degrees", [
+    ("R_H", "6", "443", [4, 10, 22, 46, 94, 190]),
+    ("R_G", "7", "175", [3, 7, 15, 31, 63, 127, 255]),
+])
+def test_dyndeg_writes_the_reference_degrees_at_seeds_that_drew_special_lines(
+        name, iters, seed, degrees, tmp_path):
+    """Narrow lines made these two seeds short of deg R^n; wide lines are
+    generic."""
+    assert run_cli(["dyndeg", "--map", name, "--iters", iters, "--trials", "3",
+                    "--seed", seed, "--format", "csv,json"], tmp_path) == 0
+    report = json.loads((tmp_path / f"dyndeg_{name}.json").read_text())
+    assert report["degrees"] == degrees
+    assert report["primes"] == [2 ** 31 - 1, 2 ** 31 - 19]
+    rows = (tmp_path / f"dyndeg_{name}.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[1]) for row in rows] == degrees
+
+
 def test_help_lists_every_subcommand():
     proc = subprocess.run(
         [sys.executable, "-m", "spectral_renorm.cli", "--help"],
@@ -291,6 +308,10 @@ BAD_INPUT = [
     (None, ["experiment", "--kind", "skew", "--eta0", "nan"]),
     (None, ["experiment", "--kind", "backward-cantor", "--seed-point", "nan"]),
     (None, ["experiment", "--kind", "backward-square", "--seed-point", "inf"]),
+    (None, ["experiment", "--kind", "backward-square", "--seed-point", "1e308+1e308j",
+            "--n", "5"]),
+    (None, ["experiment", "--kind", "backward-cantor", "--seed-point", "1e308", "--n", "5"]),
+    (None, ["spectrum", "--group", "grigorchuk", "--level", "3", "--grig-slice", "1e200"]),
 ]
 
 
@@ -306,3 +327,11 @@ def test_bad_input_exits_2_with_one_json_error(config, command, tmp_path, capsys
     assert captured.err.count("\n") == 1
     assert set(json.loads(captured.err)) == {"error"}
     assert not (tmp_path / "out").exists()
+
+
+def test_grig_slice_beyond_its_bound_is_refused_by_name(tmp_path, capsys):
+    assert run_cli(["spectrum", "--group", "grigorchuk", "--level", "3",
+                    "--grig-slice", "1e200"], tmp_path / "out") == 2
+    assert "--grig-slice" in json.loads(capsys.readouterr().err)["error"]
+    assert run_cli(["spectrum", "--group", "grigorchuk", "--level", "3",
+                    "--grig-slice", "1e150"], tmp_path / "ok") == 0

@@ -8,21 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import eval_binary_form
+from exact_reference import (
+    _try_modular_gcd,
+    binary_form_divexact,
+    eval_binary_form,
+    modular_poly_gcd_int,
+    poly_divexact_int,
+)
+from spectral_renorm.ratmaps import modp
 from spectral_renorm.ratmaps.maps import builtin_map
 from spectral_renorm.ratmaps.poly import (
-    _GCD_PRIMES,
     BinaryForm,
     MultiPoly,
-    _gcd_mod_p,
     _poly_mul_int,
     _prs_gcd,
     _primitive_int,
     _strip,
-    _try_modular_gcd,
-    binary_form_divexact,
     binary_forms_gcd,
-    poly_divexact_int,
     poly_gcd_int,
 )
 
@@ -250,52 +252,6 @@ def test_binary_form_takes_integer_scalars_only():
         Fraction(1, 2) * f
 
 
-def schoolbook_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-@st.composite
-def int_coeff_lists(draw):
-    bits = draw(st.sampled_from([1, 5, 64, 300, 2000]))
-    coeff = st.integers(-2 ** bits, 2 ** bits)
-    shape = draw(st.sampled_from(["any", "negative", "single", "zero-padded"]))
-    length = draw(st.integers(1, 80))
-    if shape == "single":
-        coeffs = [0] * length
-        coeffs[draw(st.integers(0, length - 1))] = draw(coeff.filter(bool))
-        return coeffs
-    coeffs = draw(st.lists(coeff, min_size=length, max_size=length))
-    if shape == "negative":
-        return [-abs(c) - 1 for c in coeffs]
-    if shape == "zero-padded":
-        return ([0] * draw(st.integers(1, 5)) + coeffs[: max(1, length - 10)]
-                + [0] * draw(st.integers(1, 5)))
-    return coeffs
-
-
-@settings(max_examples=300, deadline=None)
-@given(int_coeff_lists(), int_coeff_lists())
-def test_kronecker_multiplication_matches_schoolbook(a, b):
-    assert _poly_mul_int(a, b) == schoolbook_int(a, b)
-
-
-def test_kronecker_multiplication_on_both_sides_of_the_cutoff():
-    for la, lb in ((15, 80), (16, 16), (16, 17), (80, 80)):
-        a = [(-1) ** i * (i + 1) ** 40 for i in range(la)]
-        b = [-(3 ** (j % 7)) for j in range(lb)]
-        assert _poly_mul_int(a, b) == schoolbook_int(a, b)
-        assert _poly_mul_int(a, [0] * 3 + b + [0] * 2) == schoolbook_int(a, [0] * 3 + b + [0] * 2)
-    # Equal coefficients make the middle product coefficient reach the size
-    # bound 16·(2^30 - 1)^2, a 64-bit number: it needs the sign bit's byte.
-    m = [2 ** 30 - 1] * 16
-    for a, b in ((m, m), ([-c for c in m], m)):
-        assert _poly_mul_int(a, b) == schoolbook_int(a, b)
-
-
 small_coeffs = st.lists(st.integers(-30, 30), min_size=1, max_size=12)
 
 
@@ -322,7 +278,7 @@ def test_modular_gcd_agrees_with_prs_on_large_inputs():
         g = [rng.randint(-9, 9) for _ in range(30)] + [rng.randint(1, 9)]
         a = [rng.randint(-9, 9) for _ in range(30)] + [rng.randint(1, 9)]
         f1, f2 = _poly_mul_int(g, a), _poly_mul_int(g, g)
-        got = poly_gcd_int(f1, f2)
+        got = modular_poly_gcd_int(f1, f2)
         cf = gcd(*f1)
         cg = gcd(*f2)
         ff = [x // cf for x in f1]
@@ -345,7 +301,7 @@ def test_modular_gcd_agrees_with_prs_under_unlucky_primes(g, lead, r, s, unlucky
     """f = g·a and h = g·b where a and b share a root modulo the first
     and/or second gcd prime but not over the integers, so those primes give
     images of too high a degree and must be discarded."""
-    p0, p1 = _GCD_PRIMES[0], _GCD_PRIMES[1]
+    p0, p1 = modp.primes(2)
     g = g + [lead]
     if unlucky == "first":
         a, b, forced = [-r, 1], [-r - p0, 1], (p0,)
@@ -361,10 +317,10 @@ def test_modular_gcd_agrees_with_prs_under_unlucky_primes(g, lead, r, s, unlucky
     expected = _prs_gcd(ff, hh)
     assert len(expected) == len(g)
     for p in forced:
-        assert len(_gcd_mod_p(ff, hh, p)) > len(expected)
+        assert len(modp.gcd(ff, hh, p)) > len(expected)
     assert _try_modular_gcd(ff, hh) == expected
     c = gcd(cf, ch)
-    assert poly_gcd_int(f, h) == [x * c for x in expected]
+    assert modular_poly_gcd_int(f, h) == [x * c for x in expected]
 
 
 def test_divexact_rejects_inexact():

@@ -10,14 +10,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exact_reference import compose, eval_binary_form
+from exact_reference import compose, degrees_along_line_int, eval_binary_form, iterate_line_forms
 from spectral_renorm.pencils import builtin_scheme
+from spectral_renorm.ratmaps import modp
 from spectral_renorm.ratmaps.charts import standard_chart_checks
 from spectral_renorm.ratmaps.degrees import (
+    LINE_PRIMES,
     classify_growth,
     compose_along_line,
+    degrees_mod_p,
     dynamical_degree,
-    iterate_line_forms,
 )
 from spectral_renorm.ratmaps.maps import (
     IndeterminacyError,
@@ -43,7 +45,7 @@ from spectral_renorm.verification import contracted_curve_report, indeterminacy_
 
 def test_importing_pencils_leaves_degrees_and_potential_unloaded():
     for module, unloaded in (
-            ("pencils", ("ratmaps.degrees", "ratmaps.potential")),
+            ("pencils", ("ratmaps.degrees", "ratmaps.potential", "ratmaps.modp")),
             ("spectra", ("pencils", "groups", "exact", "ratmaps.poly"))):
         names = [f"spectral_renorm.{m}" for m in unloaded]
         code = (f"import sys, spectral_renorm.{module}; "
@@ -184,6 +186,64 @@ def test_dynamical_degree_bounded_by_algebraic_degree():
         r = dynamical_degree(m, 6, 2)
         if r["estimate"] is not None:
             assert r["estimate"] <= m.degree + 1e-9
+
+
+BUILTIN_MAPS = ("R_G", "G_G", "H_inv", "R_L", "R_H", "model_square", "model_twist",
+                "model_skew", "cheb")
+# The reference degrees deg F^k of the two renormalization maps.
+REFERENCE_DEGREES = {"R_H": [4, 10, 22, 46, 94, 190], "R_G": [3, 7, 15, 31, 63, 127, 255]}
+# x = w, the line at infinity w = 0, the coordinate lines x = 0 and y = 0,
+# y = 2w (through R_G's indeterminacy point [0:2:1]), x = 2w, and a
+# parametrized point: none is generic for every map.
+SPECIAL_LINES = [
+    [(4, -5), (1, 2), (4, -5)],
+    [(1, 0), (0, 1), (0, 0)],
+    [(0, 0), (1, 2), (3, -1)],
+    [(1, 2), (0, 0), (3, -1)],
+    [(1, -1), (2, 4), (1, 2)],
+    [(2, 4), (1, 3), (1, 2)],
+    [(1, 2), (2, 4), (3, 6)],
+]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def test_degrees_mod_p_equal_the_integer_oracle_line_by_line():
+    """On narrow lines, special ones included, each prime gives the exact
+    integer iteration's degrees, or refuses the line where it does."""
+    rng = random.Random(20)
+    primes = modp.primes(LINE_PRIMES)
+    for name in BUILTIN_MAPS:
+        m = builtin_map(name)
+        iterations = 4 if name == "R_H" else 5
+        lines = SPECIAL_LINES + [[(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)]
+                                 for _ in range(6)]
+        for line in lines:
+            exact = _outcome(lambda: degrees_along_line_int(m, line, iterations))
+            for p in primes:
+                assert _outcome(lambda: degrees_mod_p(m, line, iterations, p)) == exact, \
+                    (name, line, p)
+
+
+def test_special_line_gives_the_same_short_sequence_over_the_integers_and_mod_p():
+    line = [(4, -5), (1, 2), (4, -5)]  # x = w
+    rh = builtin_map("R_H")
+    short = [2, 5, 11, 23, 47, 95]
+    assert degrees_along_line_int(rh, line, 6) == short
+    assert all(degrees_mod_p(rh, line, 6, p) == short for p in modp.primes(LINE_PRIMES))
+    assert compose_along_line(rh, line, 6) == short
+
+
+def test_dynamical_degree_gives_the_reference_degrees_for_every_seed():
+    for name, reference in REFERENCE_DEGREES.items():
+        m = builtin_map(name)
+        for seed in range(200):
+            assert dynamical_degree(m, 4, 3, seed)["degrees"] == reference[:4], (name, seed)
 
 
 def test_contracted_curves_and_indeterminacy_reports():

@@ -35,7 +35,7 @@ CASES = [
     (0, ["--config", "{tmp}/run.cfg", "schur-verify", "--group", "hanoi", "--level", "2"]),
     (0, ["conjugacy-verify", "--samples", "2"]),
     (0, ["maps-verify"]),
-    # R_H at three iterations is the first to reach the modular gcd
+    # dyndeg iterates over F_p (ratmaps.modp); the integer iteration is the tests' oracle
     *[(0, ["dyndeg", "--map", m, "--iters", it, "--trials", "1", "--format", "csv,json,svg"])
       for m, it in (("R_G", "2"), ("R_H", "3"), ("R_L", "2"))],
     (0, ["cohomology", "--surface", "lamplighter2", "--check"]),
