@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -67,7 +69,17 @@ def _load_config(path: str | None) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ``BudgetError`` instead of printing the usage text,
-    so ``main`` reports them as one JSON error with exit status 2."""
+    so ``main`` reports them as one JSON error with exit status 2.
+
+    An argument that starts with "-" and a digit or "." is a value: no option
+    of this CLI starts so, and argparse's own pattern takes plain decimals
+    only, so ``--grig-slice -1e150``, ``--seed-point -1+2j`` and
+    ``--window -4,4,-4,4`` would read as unknown options.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):
         raise BudgetError(message)
@@ -429,6 +441,8 @@ def cmd_potential_grid(args) -> int:
     window = tuple(float(v) for v in args.window.split(","))
     if len(window) != 4:
         raise BudgetError("window must be xmin,xmax,ymin,ymax")
+    if not all(math.isfinite(v) for v in window):
+        raise BudgetError("window bounds must be finite")
     if not (window[0] < window[1] and window[2] < window[3]):
         raise BudgetError("window needs xmin < xmax and ymin < ymax")
     scheme = pencils.builtin_scheme(args.group)

@@ -14,7 +14,9 @@ equality on generic lines.  Lines with six random coefficients in
 lines and primes is a lower bound of deg F^k that equals it but with
 negligible probability.  The tests check the degrees mod p against the exact integer
 iteration (``tests/exact_reference.py``) line by line.  The dynamical degree
-is then classified from the degree sequence.
+is then classified from the degree sequence.  One iteration certifies that a
+map's components are coprime (``verification.components_coprime``): a common
+factor would lower the first degree on every line.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ plane.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from spectral_renorm.exact import primitive_int_vector
-from spectral_renorm.ratmaps.poly import BinaryForm, MultiPoly, binary_forms_gcd
+from spectral_renorm.ratmaps.poly import MultiPoly
 
 
 class IndeterminacyError(ValueError):
@@ -75,48 +74,6 @@ class RationalMapP2:
         if img[2] == 0:
             return None
         return (Fraction(img[0], img[2]), Fraction(img[1], img[2]))
-
-    # -- algebra -------------------------------------------------------------
-
-    def restrict_to_line(self, line: Sequence) -> tuple:
-        """Binary forms of the restriction to the parametrized line
-        ``(s,t) -> (a0 s + b0 t, a1 s + b1 t, a2 s + b2 t)``."""
-        basis = [BinaryForm([int(a), int(b)]) for a, b in line]
-        return tuple(c.subs(basis) for c in self.components)
-
-    def coprimality_certificate(self, lines: int = 3, seed: int = 17) -> bool:
-        """True when the components share no curve, certified by constant gcd
-        of the restricted binary forms on ``lines`` random lines.
-
-        A common curve of zeros blocks every line, so finding ``lines`` many
-        samples with trivial gcd certifies coprimality.  Lines hitting an
-        isolated common zero (an indeterminacy point) or degenerating to a
-        point are simply not counted.
-        """
-        rng = random.Random(seed)
-        ok = 0
-        attempts = 0
-        while ok < lines and attempts < 40 * lines:
-            attempts += 1
-            line = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(3)]
-            if _line_rank(line) < 2:
-                continue
-            forms = self.restrict_to_line(line)
-            if all(f.is_zero() for f in forms):
-                continue
-            g = binary_forms_gcd([f for f in forms if not f.is_zero()])
-            if g.degree == 0:
-                ok += 1
-        return ok >= lines
-
-
-def _line_rank(line) -> int:
-    """Rank of the 3x2 coefficient matrix of a line parametrization."""
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if line[i][0] * line[j][1] - line[i][1] * line[j][0] != 0:
-                return 2
-    return 1 if any(a or b for a, b in line) else 0
 
 
 def _normalize_triple(comps) -> tuple:
@@ -223,7 +180,7 @@ def _mk(name, comps, degree, dtop) -> RationalMapP2:
 
 
 # ---------------------------------------------------------------------------
-# Projective equality, curves and indeterminacy points
+# Projective equality and curves
 # ---------------------------------------------------------------------------
 
 
@@ -243,20 +200,3 @@ def proportional(a: Sequence, b: Sequence) -> bool:
 def univar(coeffs: Sequence) -> MultiPoly:
     """Univariate polynomial from ascending coefficients, e.g. [0, 1] is t."""
     return MultiPoly(1, {(k,): Fraction(c) for k, c in enumerate(coeffs) if c})
-
-
-def verify_indeterminacy(map_: RationalMapP2, candidates: Sequence) -> dict:
-    """Check that every candidate point kills all three components, and
-    certify coprimality of the components on random lines."""
-    confirmed = []
-    rejected = []
-    for point in candidates:
-        pt = [Fraction(v) for v in point]
-        vals = [c.eval(pt) for c in map_.components]
-        (confirmed if all(v == 0 for v in vals) else rejected).append(tuple(point))
-    return {
-        "map": map_.name,
-        "confirmed": confirmed,
-        "rejected": rejected,
-        "components_coprime": map_.coprimality_certificate(),
-    }

@@ -6,10 +6,14 @@ one factor into 16-bit halves (``mul``), division updates f - c·g with
 0 <= c, g < p < 2^31 stay above -2^62, and sums and scalings of residues
 stay below 2^62.
 
-``FormModP`` is a binary form over F_p with the operations that
-``MultiPoly.subs`` uses, so restricting a map to a line mod p is the same
-substitution as over the integers.  ``cancel_common_factor`` divides a triple
-of forms by their gcd.
+``FormModP``, the package's one binary-form type, is a form in (s, t) over
+F_p with the operations that ``MultiPoly.subs`` uses, so restricting a map
+to a line mod p is a substitution like any other.  ``cancel_common_factor``
+divides a triple of forms by their gcd (``_common_factor``: the powers of s
+and t, then ``gcd`` of the cores).  Degree growth along lines (``degrees``)
+runs on these, and so does the coprimality certificate of the builtin maps
+(``verification``).  The exact integer forms and their PRS gcd are the
+tests' oracle (``tests/exact_reference.py``).
 
 The prime table (``primes``) is built on first use.
 """
@@ -19,8 +23,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-from spectral_renorm.ratmaps.poly import _common_factor, _leading_zeros, _trailing_zeros
 
 _PRIMES: list = []
 
@@ -186,7 +188,7 @@ class FormModP:
 def cancel_common_factor(forms: Sequence[FormModP]) -> list:
     """The forms divided by the gcd of the nonzero ones (not all zero).
 
-    The gcd is t^a s^b g with g prime to s and t (``poly._common_factor``),
+    The gcd is t^a s^b g with g prime to s and t (``_common_factor``),
     so each form drops a leading and b trailing zero coefficients, and only
     its core, the part between its own zero runs, is divided by g.
     """
@@ -207,3 +209,41 @@ def cancel_common_factor(forms: Sequence[FormModP]) -> list:
             quotient = divexact(quotient, core, p)
         out.append(FormModP(np.pad(quotient, (lead - t_ord, trail - s_ord)), f.degree - drop, p))
     return out
+
+
+def _common_factor(coeff_lists: Sequence, core_gcd) -> tuple:
+    """The common factor t^a s^b g of nonzero binary forms, given by their
+    coefficient lists, as (a, g's coefficients, b).
+
+    Factors of t and s correspond to leading/trailing zero coefficients; g
+    is the univariate ``core_gcd`` of the cores, the parts between each
+    list's zero runs.
+    """
+    t_ord = min(_leading_zeros(c) for c in coeff_lists)
+    s_ord = min(_trailing_zeros(c) for c in coeff_lists)
+    cores = [c[_leading_zeros(c): len(c) - _trailing_zeros(c)] for c in coeff_lists]
+    g = cores[0]
+    for core in cores[1:]:
+        g = core_gcd(g, core)
+        if len(g) == 1:
+            g = [1]
+            break
+    return t_ord, list(g), s_ord
+
+
+def _leading_zeros(coeffs: Sequence[int]) -> int:
+    n = 0
+    for c in coeffs:
+        if c != 0:
+            break
+        n += 1
+    return n
+
+
+def _trailing_zeros(coeffs: Sequence[int]) -> int:
+    n = 0
+    for c in reversed(coeffs):
+        if c != 0:
+            break
+        n += 1
+    return n

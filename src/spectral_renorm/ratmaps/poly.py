@@ -1,38 +1,29 @@
-"""Sparse exact-rational multivariate polynomials and integer binary forms.
+"""Sparse exact-rational multivariate polynomials.
 
 ``MultiPoly`` stores a mapping from exponent tuples to nonzero ``Fraction``
 coefficients.  Everything downstream (pencil determinants, conjugacy
 identities, contracted-curve checks) relies on this arithmetic being exact, so
 no floating point enters here.
 
-``BinaryForm`` is a homogeneous form in (s, t) with big-integer
-coefficients: a map restricted to a line.  ``binary_forms_gcd`` finds the
-common factor of such forms (primitive-PRS gcd of the cores), which
-certifies that a map's components are coprime.  Degree growth along lines
-runs the same substitution and gcd over F_p (``modp``); the exact integer
-iteration it replaced is kept in ``tests/exact_reference.py`` as the tests'
-oracle.
-
-Both products run on plain integers in the schoolbook double loop.
-``MultiPoly`` multiplies the factors' cleared-denominator numerators, which
-keeps the term order of the ``Fraction`` loop it replaced: the float
-evaluator (``maps._grid_eval``, behind the potential) sums terms in dict
-order, each term its coefficient times the powers of a shared ``PowerTable``
-in variable order, so a product that reordered terms would change the last
-bits of float artifacts.  ``BinaryForm`` products (``_poly_mul_int``) serve
-the low-degree restrictions of the coprimality certificate.
+Products run on plain integers in the schoolbook double loop: ``MultiPoly``
+multiplies the factors' cleared-denominator numerators, which keeps the term
+order of the ``Fraction`` loop it replaced.  The float evaluator
+(``maps._grid_eval``, behind the potential) sums terms in dict order, each
+term its coefficient times the powers of a shared ``PowerTable`` in variable
+order, so a product that reordered terms would change the last bits of float
+artifacts.
 
 ``MultiPoly.subs`` is the one substitution routine.  The same loop composes
 with polynomials (map composition, charts, affine restrictions), restricts to
-a line when the values are binary forms (``BinaryForm`` over the integers,
-``modp.FormModP`` over F_p), and evaluates at a point when they are scalars
-(``eval`` is an alias).
+a line when the values are binary forms over F_p (``modp.FormModP``, behind
+degree growth and the coprimality certificate), and evaluates at a point when
+they are scalars (``eval`` is an alias).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Mapping, Sequence
 
 
@@ -220,9 +211,8 @@ class MultiPoly:
         """Substitute ``values[i]`` for variable i.
 
         One routine for every kind of value: ``MultiPoly`` values compose,
-        binary forms (``BinaryForm``, ``modp.FormModP``) restrict to a
-        parametrized line, and scalars (Fractions, ints, floats) evaluate at
-        a point.  The terms are summed in ``terms`` order, each as its
+        binary forms (``modp.FormModP``) restrict to a parametrized line,
+        and scalars (Fractions, ints, floats) evaluate at a point.  The terms are summed in ``terms`` order, each as its
         coefficient times a product of cached powers of the values, so with
         ``MultiPoly`` values the result's term order is fixed by the
         operands' orders.  The cache, ``powers[i] = [v^0, v, v^2, ...]`` for
@@ -274,206 +264,3 @@ class MultiPoly:
             )
             parts.append(f"{coeff}" + (f"*{mono}" if mono else ""))
         return "MultiPoly(" + " + ".join(parts) + ")"
-
-
-# ---------------------------------------------------------------------------
-# Integer univariate helpers (shared by BinaryForm and the PRS gcd)
-# ---------------------------------------------------------------------------
-
-
-def _strip(coeffs: list) -> list:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _primitive_int(coeffs: Sequence[int]) -> list:
-    g = gcd(*coeffs)
-    if g == 0:
-        return []
-    if coeffs[-1] < 0:
-        g = -g
-    return [c // g for c in coeffs]
-
-
-def _poly_mul_int(a: Sequence[int], b: Sequence[int]) -> list:
-    """Product of integer coefficient lists (schoolbook)."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _pseudo_rem(f: list, g: list) -> list:
-    """Pseudo-remainder of integer polynomials, deg f >= deg g >= 0."""
-    f = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    while len(f) - 1 >= dg and f:
-        df = len(f) - 1
-        lead = f[-1]
-        f = [c * lg for c in f]
-        shift = df - dg
-        for i, gi in enumerate(g):
-            f[i + shift] -= lead * gi
-        f = _strip(f)
-    return f
-
-
-def poly_gcd_int(f: Sequence[int], g: Sequence[int]) -> list:
-    """Gcd of two integer polynomials (coefficient lists, lowest degree
-    first), by the primitive-PRS chain on the primitive parts."""
-    f = _strip(list(f))
-    g = _strip(list(g))
-    if not f:
-        return _primitive_int(g)
-    if not g:
-        return _primitive_int(f)
-    cf, cg = gcd(*f), gcd(*g)
-    c = gcd(cf, cg)
-    f = [x // cf for x in f]
-    g = [x // cg for x in g]
-    if len(f) < len(g):
-        f, g = g, f
-    result = _prs_gcd(f, g)
-    return [x * c for x in result] if c > 1 else result
-
-
-def _prs_gcd(f: list, g: list) -> list:
-    """Primitive pseudo-remainder chain on primitive inputs."""
-    while True:
-        r = _pseudo_rem(f, g)
-        if not r:
-            break
-        r = _primitive_int(r)
-        f, g = g, r
-    return _primitive_int(g)
-
-
-class BinaryForm:
-    """Homogeneous form in (s, t) with integer coefficients.
-
-    ``coeffs[k]`` is the coefficient of ``s^(degree-k) t^k``.  The zero form
-    has ``degree == -1`` and an empty coefficient list.
-    """
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, coeffs: Sequence[int], degree: int | None = None):
-        coeffs = [int(c) for c in coeffs]
-        if degree is None:
-            degree = len(coeffs) - 1
-        if degree >= 0 and len(coeffs) != degree + 1:
-            raise ValueError("coefficient list does not match degree")
-        if all(c == 0 for c in coeffs):
-            self.degree = -1
-            self.coeffs = []
-        else:
-            self.degree = degree
-            self.coeffs = coeffs
-
-    def is_zero(self) -> bool:
-        return self.degree < 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryForm)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __mul__(self, other) -> "BinaryForm":
-        """Product with a form, or with an integer scalar (an int or an
-        integral Fraction); any other scalar raises ``ValueError``."""
-        if not isinstance(other, BinaryForm):
-            k = Fraction(other)
-            if k.denominator != 1:
-                raise ValueError(f"cannot scale an integer binary form by {other}")
-            return BinaryForm([c * k.numerator for c in self.coeffs], self.degree)
-        if self.is_zero() or other.is_zero():
-            return BinaryForm([], -1)
-        return BinaryForm(
-            _strip_to_deg(_poly_mul_int(self.coeffs, other.coeffs), self.degree + other.degree),
-            self.degree + other.degree,
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BinaryForm":
-        result = BinaryForm([1], 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __add__(self, other: "BinaryForm") -> "BinaryForm":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degree")
-        return BinaryForm(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.degree
-        )
-
-
-def _strip_to_deg(coeffs: list, degree: int) -> list:
-    coeffs = list(coeffs) + [0] * (degree + 1 - len(coeffs))
-    return coeffs[: degree + 1]
-
-
-def binary_forms_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
-    """Gcd of binary forms of a common degree (``_common_factor`` with the
-    primitive-PRS gcd of the cores)."""
-    forms = [f for f in forms if not f.is_zero()]
-    if not forms:
-        return BinaryForm([], -1)
-    t_ord, g, s_ord = _common_factor([f.coeffs for f in forms], poly_gcd_int)
-    return BinaryForm([0] * t_ord + g + [0] * s_ord)
-
-
-def _common_factor(coeff_lists: Sequence, core_gcd) -> tuple:
-    """The common factor t^a s^b g of nonzero binary forms, given by their
-    coefficient lists, as (a, g's coefficients, b).
-
-    Factors of t and s correspond to leading/trailing zero coefficients; g
-    is the univariate ``core_gcd`` of the cores, the parts between each
-    list's zero runs.
-    """
-    t_ord = min(_leading_zeros(c) for c in coeff_lists)
-    s_ord = min(_trailing_zeros(c) for c in coeff_lists)
-    cores = [c[_leading_zeros(c): len(c) - _trailing_zeros(c)] for c in coeff_lists]
-    g = cores[0]
-    for core in cores[1:]:
-        g = core_gcd(g, core)
-        if len(g) == 1:
-            g = [1]
-            break
-    return t_ord, list(g), s_ord
-
-
-def _leading_zeros(coeffs: Sequence[int]) -> int:
-    n = 0
-    for c in coeffs:
-        if c != 0:
-            break
-        n += 1
-    return n
-
-
-def _trailing_zeros(coeffs: Sequence[int]) -> int:
-    n = 0
-    for c in reversed(coeffs):
-        if c != 0:
-            break
-        n += 1
-    return n

@@ -10,6 +10,14 @@ dense float matrix for the eigensolver, and ``compose`` and
 ``eval_binary_form`` compose rational maps and evaluate binary forms
 directly.
 
+``BinaryForm`` is a binary form with integer coefficients, the integer
+counterpart of ``modp.FormModP``: ``MultiPoly.subs`` restricts a map to a
+line with either.  ``poly_gcd_int`` is the primitive-PRS gcd of integer
+polynomials (over ``_pseudo_rem``, ``_primitive_int`` and the schoolbook
+``_poly_mul_int``), and ``binary_forms_gcd`` the gcd of integer forms; the
+tests check the coprimality certificate of ``verification`` against it
+line by line.
+
 ``iterate_line_forms`` is the exact integer iteration of a map along a line
 that ``degrees.degrees_mod_p`` runs over F_p: after each step it divides the
 integer forms by their gcd (``modular_poly_gcd_int``: modular images of the
@@ -28,15 +36,7 @@ from spectral_renorm.exact import mat_mul, solve_exact
 from spectral_renorm.pencils import builtin_scheme, pencil_terms
 from spectral_renorm.ratmaps.maps import RationalMapP2, _normalize_triple
 from spectral_renorm.ratmaps import modp
-from spectral_renorm.ratmaps.poly import (
-    BinaryForm,
-    MultiPoly,
-    _common_factor,
-    _primitive_int,
-    _strip,
-    _strip_to_deg,
-    poly_gcd_int,
-)
+from spectral_renorm.ratmaps.poly import MultiPoly
 from spectral_renorm.spectra import slice_point
 
 
@@ -186,8 +186,8 @@ def slice_matrix(group_tag: str, n: int, grig_slice: float = -1.0) -> np.ndarray
 def compose(outer: RationalMapP2, inner: RationalMapP2) -> RationalMapP2:
     """Composition outer o inner with content normalization.
 
-    Common polynomial factors beyond content are not removed; use
-    ``coprimality_certificate`` to detect them.
+    Common polynomial factors beyond content are not removed;
+    ``verification.components_coprime`` detects them.
     """
     comps = _normalize_triple(tuple(c.subs(inner.components) for c in outer.components))
     return RationalMapP2(
@@ -195,6 +195,167 @@ def compose(outer: RationalMapP2, inner: RationalMapP2) -> RationalMapP2:
         components=comps,
         degree=comps[0].total_degree(),
     )
+
+
+def _strip(coeffs: list) -> list:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _primitive_int(coeffs: Sequence[int]) -> list:
+    g = gcd(*coeffs)
+    if g == 0:
+        return []
+    if coeffs[-1] < 0:
+        g = -g
+    return [c // g for c in coeffs]
+
+
+def _poly_mul_int(a: Sequence[int], b: Sequence[int]) -> list:
+    """Product of integer coefficient lists (schoolbook)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def _pseudo_rem(f: list, g: list) -> list:
+    """Pseudo-remainder of integer polynomials, deg f >= deg g >= 0."""
+    f = list(f)
+    dg = len(g) - 1
+    lg = g[-1]
+    while len(f) - 1 >= dg and f:
+        df = len(f) - 1
+        lead = f[-1]
+        f = [c * lg for c in f]
+        shift = df - dg
+        for i, gi in enumerate(g):
+            f[i + shift] -= lead * gi
+        f = _strip(f)
+    return f
+
+
+def poly_gcd_int(f: Sequence[int], g: Sequence[int]) -> list:
+    """Gcd of two integer polynomials (coefficient lists, lowest degree
+    first), by the primitive-PRS chain on the primitive parts."""
+    f = _strip(list(f))
+    g = _strip(list(g))
+    if not f:
+        return _primitive_int(g)
+    if not g:
+        return _primitive_int(f)
+    cf, cg = gcd(*f), gcd(*g)
+    c = gcd(cf, cg)
+    f = [x // cf for x in f]
+    g = [x // cg for x in g]
+    if len(f) < len(g):
+        f, g = g, f
+    result = _prs_gcd(f, g)
+    return [x * c for x in result] if c > 1 else result
+
+
+def _prs_gcd(f: list, g: list) -> list:
+    """Primitive pseudo-remainder chain on primitive inputs."""
+    while True:
+        r = _pseudo_rem(f, g)
+        if not r:
+            break
+        r = _primitive_int(r)
+        f, g = g, r
+    return _primitive_int(g)
+
+
+class BinaryForm:
+    """Homogeneous form in (s, t) with integer coefficients, the integer
+    counterpart of ``modp.FormModP``.
+
+    ``coeffs[k]`` is the coefficient of ``s^(degree-k) t^k``.  The zero form
+    has ``degree == -1`` and an empty coefficient list.
+    """
+
+    __slots__ = ("degree", "coeffs")
+
+    def __init__(self, coeffs: Sequence[int], degree: int | None = None):
+        coeffs = [int(c) for c in coeffs]
+        if degree is None:
+            degree = len(coeffs) - 1
+        if degree >= 0 and len(coeffs) != degree + 1:
+            raise ValueError("coefficient list does not match degree")
+        if all(c == 0 for c in coeffs):
+            self.degree = -1
+            self.coeffs = []
+        else:
+            self.degree = degree
+            self.coeffs = coeffs
+
+    def is_zero(self) -> bool:
+        return self.degree < 0
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, BinaryForm)
+            and self.degree == other.degree
+            and self.coeffs == other.coeffs
+        )
+
+    def __mul__(self, other) -> "BinaryForm":
+        """Product with a form, or with an integer scalar (an int or an
+        integral Fraction); any other scalar raises ``ValueError``."""
+        if not isinstance(other, BinaryForm):
+            k = Fraction(other)
+            if k.denominator != 1:
+                raise ValueError(f"cannot scale an integer binary form by {other}")
+            return BinaryForm([c * k.numerator for c in self.coeffs], self.degree)
+        if self.is_zero() or other.is_zero():
+            return BinaryForm([], -1)
+        return BinaryForm(
+            _strip_to_deg(_poly_mul_int(self.coeffs, other.coeffs), self.degree + other.degree),
+            self.degree + other.degree,
+        )
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "BinaryForm":
+        result = BinaryForm([1], 0)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __add__(self, other: "BinaryForm") -> "BinaryForm":
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        if self.degree != other.degree:
+            raise ValueError("cannot add forms of different degree")
+        return BinaryForm(
+            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.degree
+        )
+
+
+def _strip_to_deg(coeffs: list, degree: int) -> list:
+    coeffs = list(coeffs) + [0] * (degree + 1 - len(coeffs))
+    return coeffs[: degree + 1]
+
+
+def binary_forms_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
+    """Gcd of binary forms of a common degree (``modp._common_factor`` with
+    the primitive-PRS gcd of the cores)."""
+    forms = [f for f in forms if not f.is_zero()]
+    if not forms:
+        return BinaryForm([], -1)
+    t_ord, g, s_ord = modp._common_factor([f.coeffs for f in forms], poly_gcd_int)
+    return BinaryForm([0] * t_ord + g + [0] * s_ord)
 
 
 def eval_binary_form(form: BinaryForm, s, t):
@@ -229,7 +390,7 @@ def _reduced_step(map_: RationalMapP2, forms: list) -> list:
     forms = [c.subs(forms) for c in map_.components]
     if all(f.is_zero() for f in forms):
         raise ValueError("line collapsed into the indeterminacy locus")
-    t_ord, core, s_ord = _common_factor([f.coeffs for f in forms if not f.is_zero()],
+    t_ord, core, s_ord = modp._common_factor([f.coeffs for f in forms if not f.is_zero()],
                                         modular_poly_gcd_int)
     g = BinaryForm([0] * t_ord + core + [0] * s_ord)
     if g.degree > 0:
@@ -257,7 +418,7 @@ def binary_form_divexact(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 
 
 def modular_poly_gcd_int(f: Sequence[int], g: Sequence[int]) -> list:
-    """``poly.poly_gcd_int``, with inputs of more than 24 coefficients tried
+    """``poly_gcd_int``, with inputs of more than 24 coefficients tried
     by modular images first."""
     f, g = _strip(list(f)), _strip(list(g))
     if min(len(f), len(g)) > 24:

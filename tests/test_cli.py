@@ -212,6 +212,25 @@ def test_non_finite_grig_slice_exits_2(tmp_path):
                         "--grig-slice", value], tmp_path) == 2
 
 
+# (command, artifact, key, value): each value starts with "-"
+MINUS_VALUES = [
+    (["potential-grid", "--group", "hanoi", "--window", "-4,4,-4,4", "--resolution", "4",
+      "--iters", "2"], "potential_hanoi_r4_n2.json", "window", [-4.0, 4.0, -4.0, 4.0]),
+    (["julia", "--poly", "-1,1,3", "--depth", "2"], "julia_d2.json", "poly", [-1.0, 1.0, 3.0]),
+    (["spectrum", "--group", "grigorchuk", "--level", "3", "--grig-slice", "-1e150"],
+     "spectrum_grigorchuk_n3.json", "slice", "lam=-1e+150, x=(mu+1)/4"),
+    (["experiment", "--kind", "backward-square", "--seed-point", "-1+2j", "--n", "2"],
+     "experiment_backward-square.json", "params", {"depth": 2, "seed_point": "-1+2j"}),
+]
+
+
+@pytest.mark.parametrize("command, artifact, key, value", MINUS_VALUES)
+def test_a_value_starting_with_a_minus_sign_is_read_as_a_value(command, artifact, key, value,
+                                                               tmp_path):
+    assert run_cli(command, tmp_path) == 0
+    assert json.loads((tmp_path / artifact).read_text())[key] == value
+
+
 def test_experiment_backward_outputs(tmp_path):
     rc = run_cli(["experiment", "--kind", "backward-cheb", "--n", "10",
                   "--seed-point", "0.3", "--format", "csv,json,svg"], tmp_path)
@@ -312,6 +331,10 @@ BAD_INPUT = [
             "--n", "5"]),
     (None, ["experiment", "--kind", "backward-cantor", "--seed-point", "1e308", "--n", "5"]),
     (None, ["spectrum", "--group", "grigorchuk", "--level", "3", "--grig-slice", "1e200"]),
+    (None, ["potential-grid", "--group", "hanoi", "--window=-inf,0,0,1", "--resolution", "4",
+            "--iters", "2"]),
+    (None, ["potential-grid", "--group", "hanoi", "--window=0,inf,0,1", "--resolution", "4",
+            "--iters", "2"]),
 ]
 
 

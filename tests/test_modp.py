@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import poly_divexact_int
+from exact_reference import BinaryForm, _poly_mul_int, poly_divexact_int, poly_gcd_int
 from spectral_renorm.ratmaps import modp
 from spectral_renorm.ratmaps.maps import builtin_map
-from spectral_renorm.ratmaps.poly import BinaryForm, _poly_mul_int, poly_gcd_int
 
 P = modp.primes(2)
 

@@ -9,24 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_reference import (
-    _try_modular_gcd,
-    binary_form_divexact,
-    eval_binary_form,
-    modular_poly_gcd_int,
-    poly_divexact_int,
-)
-from spectral_renorm.ratmaps import modp
-from spectral_renorm.ratmaps.maps import builtin_map
-from spectral_renorm.ratmaps.poly import (
     BinaryForm,
-    MultiPoly,
     _poly_mul_int,
     _prs_gcd,
     _primitive_int,
     _strip,
+    _try_modular_gcd,
+    binary_form_divexact,
     binary_forms_gcd,
+    eval_binary_form,
+    modular_poly_gcd_int,
+    poly_divexact_int,
     poly_gcd_int,
 )
+from spectral_renorm.ratmaps import modp
+from spectral_renorm.ratmaps.maps import builtin_map
+from spectral_renorm.ratmaps.poly import MultiPoly
 
 
 def poly_of(terms, arity=2):

@@ -10,7 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exact_reference import compose, degrees_along_line_int, eval_binary_form, iterate_line_forms
+from exact_reference import (
+    BinaryForm,
+    binary_forms_gcd,
+    compose,
+    degrees_along_line_int,
+    eval_binary_form,
+    iterate_line_forms,
+)
 from spectral_renorm.pencils import builtin_scheme
 from spectral_renorm.ratmaps import modp
 from spectral_renorm.ratmaps.charts import standard_chart_checks
@@ -40,7 +47,11 @@ from spectral_renorm.ratmaps.potential import (
 )
 from spectral_renorm.spectra import DECIMATION_MAX_LEVEL, decimated_spectrum
 from spectral_renorm import verification
-from spectral_renorm.verification import contracted_curve_report, indeterminacy_report
+from spectral_renorm.verification import (
+    components_coprime,
+    contracted_curve_report,
+    indeterminacy_report,
+)
 
 
 def test_importing_pencils_leaves_degrees_and_potential_unloaded():
@@ -162,8 +173,6 @@ def test_degenerate_line_is_rejected():
 
 
 def test_gcd_cancellation_idempotent():
-    from spectral_renorm.ratmaps.poly import binary_forms_gcd
-
     rg = builtin_map("R_G")
     forms = iterate_line_forms(rg, [(1, 2), (3, -1), (0, 1)], 3)[-1]
     g = binary_forms_gcd([f for f in forms if not f.is_zero()])
@@ -249,6 +258,47 @@ def test_dynamical_degree_gives_the_reference_degrees_for_every_seed():
 def test_contracted_curves_and_indeterminacy_reports():
     assert all(r["ok"] for r in contracted_curve_report())
     assert all(r["ok"] for r in indeterminacy_report())
+
+
+def _with_common_factor(name: str, factor: str) -> RationalMapP2:
+    """The builtin map with every component multiplied by x + 2y - w, or by
+    w (a factor at infinity)."""
+    m = builtin_map(name)
+    x, y, w = (MultiPoly.variable(3, i) for i in range(3))
+    h = {"x+2y-w": x + 2 * y - w, "w": w}[factor]
+    return RationalMapP2(f"{name}*({factor})", tuple(c * h for c in m.components), m.degree + 1)
+
+
+NOT_COPRIME = [(name, factor) for name in ("R_G", "R_H", "R_L") for factor in ("x+2y-w", "w")]
+
+
+def test_every_builtin_map_is_certified_coprime():
+    assert all(components_coprime(builtin_map(name)) for name in BUILTIN_MAPS)
+
+
+@pytest.mark.parametrize("name, factor", NOT_COPRIME)
+def test_components_with_a_common_factor_are_not_certified(name, factor):
+    assert not components_coprime(_with_common_factor(name, factor))
+
+
+def test_coprimality_over_f_p_agrees_with_the_integer_gcd_line_by_line():
+    """On narrow lines, where lines through indeterminacy points, lines of
+    rank 1 and degenerate lines are common, the first iterate mod the two
+    primes keeps the map's degree exactly when the integer forms of the
+    restriction have a constant gcd (``exact_reference.binary_forms_gcd``)."""
+    maps = [builtin_map(name) for name in verification.INDETERMINACY]
+    maps += [_with_common_factor(name, factor) for name, factor in NOT_COPRIME]
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        line = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
+        for m in maps:
+            over_f_p = _outcome(lambda: compose_along_line(m, line, 1)) == [m.degree]
+            forms = [c.subs([BinaryForm([a, b]) for a, b in line]) for c in m.components]
+            over_z = binary_forms_gcd(forms).degree == 0  # -1 when all forms vanish
+            assert over_f_p == over_z, (m.name, line)
+            seen.add((m.name, over_z))
+    assert {(name, v) for name in verification.INDETERMINACY for v in (True, False)} <= seen
 
 
 def test_curve_in_the_indeterminacy_closure_gets_an_error_row(monkeypatch):
