@@ -443,6 +443,8 @@ def cmd_potential_grid(args) -> int:
         raise BudgetError("window must be xmin,xmax,ymin,ymax")
     if not all(math.isfinite(v) for v in window):
         raise BudgetError("window bounds must be finite")
+    if not (math.isfinite(window[1] - window[0]) and math.isfinite(window[3] - window[2])):
+        raise BudgetError("window width and height must be finite")
     if not (window[0] < window[1] and window[2] < window[3]):
         raise BudgetError("window needs xmin < xmax and ymin < ymax")
     scheme = pencils.builtin_scheme(args.group)

@@ -38,6 +38,13 @@ BACKWARD_DEPTH_MAX = 20
 # |seed| bound of the square and cantor models: a preimage step computes 4·seed
 SEED_POINT_MAX = 1e300
 CANTOR_BASE = _HANOI_FIBER  # z^2 - z - 3, the base of the skew product
+# twist-model graphs as (intercept, slope): the curve eta -> angle in the
+# angular model coordinate, its plane counterpart alpha -> beta, and the
+# plane line alpha -> beta that carries the output measure
+TWIST_CURVE = (math.pi, 0.45)
+TWIST_PLANE_CURVE = (0.6, 0.35)
+TWIST_LINE = (0.0, 1.0)
+TWIST_REFINE = 64  # bracketing subdivisions per rotation subinterval, 8x on failure
 
 
 # ---------------------------------------------------------------------------
@@ -76,19 +83,17 @@ def w1_to_cdf(measure: Measure1D, cdf: Callable[[float], float], lo: float, hi: 
     return float(np.sum(0.5 * (diff[:-1] + diff[1:]) * dx))
 
 
-def twist_experiment(n: int, curve: Callable[[float], float] | tuple = (math.pi, 0.45),
-                     line: tuple = (0.0, 1.0), refine: int = 64) -> dict:
+def twist_experiment(n: int) -> dict:
     """Fiber intersection count and law for the twist model at time n.
 
-    ``curve`` is the analytic graph of the pulled-back curve over the
-    elliptic locus in the angular model coordinate: either a callable
-    eta -> angle or (intercept, slope) for an affine graph.  The graph must
-    take its angle values inside (0, 2 pi) (the canonical representative);
-    each subinterval [2 pi k / n, 2 pi (k+1) / n] of the rotation coordinate
-    then brackets exactly one solution of g(rho^-1(omega)) - n omega = 0
-    (mod 2 pi).  Bracketing failures trigger a refined subdivision.  The
-    line (intercept, slope in plane coordinates) carries the output measure;
-    the count and the eta-marginal do not depend on it.
+    ``TWIST_CURVE`` is the affine graph g of the pulled-back curve over the
+    elliptic locus in the angular model coordinate.  It takes its angle
+    values inside (0, 2 pi) (the canonical representative), so each
+    subinterval [2 pi k / n, 2 pi (k+1) / n] of the rotation coordinate
+    brackets exactly one solution of g(rho^-1(omega)) - n omega = 0
+    (mod 2 pi).  Bracketing failures trigger a refined subdivision.
+    ``TWIST_LINE`` (intercept, slope in plane coordinates) carries the
+    output measure; the count and the eta-marginal do not depend on it.
 
     Returns the count, the empirical measure of the eta values, and the
     1-Wasserstein distances to the two candidate limit laws (the measured
@@ -97,30 +102,26 @@ def twist_experiment(n: int, curve: Callable[[float], float] | tuple = (math.pi,
     if not 1 <= n <= TWIST_COUNT_MAX:
         raise ValueError(f"n must be in 1..{TWIST_COUNT_MAX}")
     _certify_rotation_number()
-    if callable(curve):
-        g = curve
-    else:
-        c0, c1 = curve
-        g = lambda eta: c0 + c1 * eta
+    c0, c1 = TWIST_CURVE
 
     def lifted(omega: float) -> float:
-        return g(float(twist_rho_inverse(omega))) - n * omega
+        return c0 + c1 * float(twist_rho_inverse(omega)) - n * omega
 
     two_pi = 2.0 * math.pi
     roots = []
     for k in range(n):
         a = two_pi * k / n
         b = two_pi * (k + 1) / n
-        root = _circle_root(lifted, a, b, two_pi, refine)
+        root = _circle_root(lifted, a, b, two_pi, TWIST_REFINE)
         if root is None:
-            root = _circle_root(lifted, a, b, two_pi, refine * 8)
+            root = _circle_root(lifted, a, b, two_pi, TWIST_REFINE * 8)
         if root is not None:
             roots.append(root)
     etas = twist_rho_inverse(np.array(roots))
     measure = Measure1D.from_samples(etas)
     w_wide = w1_to_cdf(measure, arccos_law_cdf, -4.0, 4.0)
     w_narrow = w1_to_cdf(measure, narrow_arc_law_cdf, -4.0, 4.0)
-    intercept, slope = line
+    intercept, slope = TWIST_LINE
     line_points = [(float(e), float(intercept + slope * e)) for e in etas]
     return {
         "n": n,
@@ -175,10 +176,11 @@ def _circle_root(f: Callable[[float], float], a: float, b: float, period: float,
     return None
 
 
-def twist_plane_count(n: int, curve: tuple = (0.6, 0.35), line: tuple = (0.0, 1.0)) -> int:
+def twist_plane_count(n: int) -> int:
     """Exact-coordinate cross-check: intersections of the time-n pullback of
-    the plane line beta = curve(alpha) with beta = line(alpha), counted as
-    real roots of the Moebius-power polynomial in the elliptic strip.
+    the plane line beta = TWIST_PLANE_CURVE(alpha) with
+    beta = TWIST_LINE(alpha), counted as real roots of the Moebius-power
+    polynomial in the elliptic strip.
 
     For affine plane lines this exceeds the model count by the relative
     winding of the two transported graphs (one extra point generically).
@@ -196,8 +198,8 @@ def twist_plane_count(n: int, curve: tuple = (0.6, 0.35), line: tuple = (0.0, 1.
             ]
             for i in range(2)
         ]
-    lpoly = np.array([line[0], line[1]])
-    gpoly = np.array([curve[0], curve[1]])
+    lpoly = np.array(TWIST_LINE)
+    gpoly = np.array(TWIST_PLANE_CURVE)
     h = P.polysub(
         P.polyadd(P.polymul(cur[0][0], lpoly), cur[0][1]),
         P.polymul(gpoly, P.polyadd(P.polymul(cur[1][0], lpoly), cur[1][1])),

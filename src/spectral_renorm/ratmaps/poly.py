@@ -14,7 +14,7 @@ order, so a product that reordered terms would change the last bits of float
 artifacts.
 
 ``MultiPoly.subs`` is the one substitution routine.  The same loop composes
-with polynomials (map composition, charts, affine restrictions), restricts to
+with polynomials (map composition, charts, conjugacy identities), restricts to
 a line when the values are binary forms over F_p (``modp.FormModP``, behind
 degree growth and the coprimality certificate), and evaluates at a point when
 they are scalars (``eval`` is an alias).

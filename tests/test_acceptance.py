@@ -99,7 +99,7 @@ def test_criterion_2_closed_form_determinants():
 def test_criterion_3_conjugacy_identities():
     ids = conjugacy_checks()
     pin = chebyshev_semiconj_check()
-    fiber = fiber_conjugation_check(n_samples=100, tol=1e-9, seed=5)
+    fiber = fiber_conjugation_check(n_samples=100, seed=5)
     ok = (all(ids.values()) and pin["2z^2-1"] and not pin["z^2"]
           and fiber["passed"] and all(fiber["symbolic"].values()))
     report(3, ok, f"identities={ids}, normalization={pin['normalization']}, "

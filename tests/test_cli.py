@@ -335,6 +335,10 @@ BAD_INPUT = [
             "--iters", "2"]),
     (None, ["potential-grid", "--group", "hanoi", "--window=0,inf,0,1", "--resolution", "4",
             "--iters", "2"]),
+    (None, ["potential-grid", "--group", "hanoi", "--window=-1e308,1e308,0,1", "--resolution",
+            "4", "--iters", "2"]),
+    (None, ["potential-grid", "--group", "hanoi", "--window=0,1,-1e308,1e308", "--resolution",
+            "4", "--iters", "2"]),
 ]
 
 
