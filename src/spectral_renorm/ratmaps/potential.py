@@ -18,9 +18,13 @@ given points and ``potential_grid`` on a window's meshgrid.  The first event
 of an orbit decides its value: a zero of a factor or of the seed gets -inf,
 and a dead orbit (one that reaches an indeterminacy point or the line at
 infinity) gets NaN, also where a zero follows its death.  Floats can miss a
-zero that the orbit starts on, so a dead orbit's starting point gets the
-exact ``Fraction`` test of the factors that the scalar form applies to every
-rational point, and reads -inf if it lies on a factor's zero set.
+zero that the orbit starts on, so each factor's starting value carries the
+bound ``maps._error_bound`` on its rounding error, and every starting point
+whose value is within that bound of 0, and only those, gets the exact
+``Fraction`` test of the factors that the scalar form applies to every
+rational point: it reads -inf if it lies on a factor's zero set, whatever
+its orbit does later.  A point on a zero set has its value within the bound,
+so no such point is missed.
 """
 
 from __future__ import annotations
@@ -31,7 +35,13 @@ from typing import Sequence
 
 import numpy as np
 
-from spectral_renorm.ratmaps.maps import PowerTable, RationalMapP2, _grid_eval, builtin_map
+from spectral_renorm.ratmaps.maps import (
+    PowerTable,
+    RationalMapP2,
+    _error_bound,
+    _grid_eval,
+    builtin_map,
+)
 from spectral_renorm.ratmaps.poly import MultiPoly
 
 NEG_INF = float("-inf")
@@ -100,8 +110,14 @@ def _telescope(spec: RecursionPotential, lam: np.ndarray, mu: np.ndarray, n: int
         total += weight * logs
 
     with np.errstate(divide="ignore", invalid="ignore"):
+        # starting points within their factors' error bounds of a zero set
+        powers = PowerTable(pts)
+        near_zero = np.zeros(lam.size, dtype=bool)
+        for q, _m, _p in hom_factors:
+            near_zero |= np.abs(_grid_eval(q, powers)) <= _error_bound(q, powers)
         for j in range(n - spec.seed_level):
-            powers = PowerTable(pts)
+            if j:
+                powers = PowerTable(pts)
             for q, mult, offset in hom_factors:
                 add_log(q, mult * d ** (-(j + offset)))
             imgs = np.stack([_grid_eval(c, powers) for c in spec.map.components], axis=0)
@@ -114,7 +130,7 @@ def _telescope(spec: RecursionPotential, lam: np.ndarray, mu: np.ndarray, n: int
         add_log(_homogenize(spec.seed), d ** (-n))
     # the first event of an orbit decides: a zero met while it lives is -inf
     dead &= ~neg_inf
-    for k in np.flatnonzero(dead & np.isfinite(lam) & np.isfinite(mu)):
+    for k in np.flatnonzero(near_zero & np.isfinite(lam) & np.isfinite(mu)):
         if _on_factor_zero(spec, lam[k], mu[k]):
             dead[k] = False
             neg_inf[k] = True

@@ -32,6 +32,7 @@ from spectral_renorm.ratmaps.maps import (
     IndeterminacyError,
     PowerTable,
     RationalMapP2,
+    _error_bound,
     _grid_eval,
     builtin_map,
     proportional,
@@ -42,6 +43,7 @@ from spectral_renorm.ratmaps.potential import (
     NEG_INF,
     RecursionPotential,
     _homogenize,
+    _on_factor_zero,
     potential,
     potential_grid,
 )
@@ -473,7 +475,7 @@ def test_potential_equals_the_grid_bit_for_bit(group):
 
 
 # The float evaluator before the shared power table: every term computes its
-# own powers pts[i] ** e.
+# own powers by the product chain x^e = x^(e-1) * x.
 
 
 def _reference_grid_eval(poly, pts):
@@ -483,7 +485,10 @@ def _reference_grid_eval(poly, pts):
         term = np.full(shape, float(coeff))
         for i, e in enumerate(expo):
             if e:
-                term = term * pts[i] ** e
+                power = pts[i]
+                for _ in range(e - 1):
+                    power = power * pts[i]
+                term = term * power
         total += term
     return total
 
@@ -535,6 +540,105 @@ def test_every_masked_hanoi_grid_cell_agrees_with_the_scalar_form():
     for i, j in zip(*np.nonzero(masked)):
         u = potential(spec, float(grid["xs"][j]), float(grid["ys"][i]), 7)
         assert np.float64(u).tobytes() == grid["values"][i, j].tobytes()
+
+
+def _forms(group):
+    """Every form the potential evaluates for one group: the homogenized
+    factors and seed, and the map's components."""
+    spec = RecursionPotential.from_scheme(builtin_scheme(group))
+    return ([_homogenize(q) for q, _m, _p in spec.factors] + [_homogenize(spec.seed)]
+            + list(spec.map.components))
+
+
+def _python_float_eval(poly, point):
+    total = 0.0
+    for expo, coeff in poly.terms.items():
+        term = float(coeff)
+        for x, e in zip(point, expo):
+            if e:
+                power = x
+                for _ in range(e - 1):
+                    power *= x
+                term *= power
+        total += term
+    return total
+
+
+def _random_points(rng, count):
+    """Affine points of mixed sign over all binades, some coordinates 0."""
+    def coordinate():
+        return rng.choice([0.0, rng.uniform(-4, 4),
+                           rng.uniform(-1, 1) * 2.0 ** rng.randint(-1100, 60)])
+    return [(coordinate(), coordinate()) for _ in range(count)]
+
+
+def _normalized(lam, mu):
+    # the starting points as potential._telescope normalizes them
+    pts = np.stack([lam, mu, np.ones(lam.size)], axis=0)
+    return pts / np.max(np.abs(pts), axis=0, keepdims=True)
+
+
+@pytest.mark.parametrize("group", ["grigorchuk", "lamplighter", "hanoi"])
+def test_grid_eval_equals_a_pure_python_float_loop_bit_for_bit(group):
+    rng = random.Random(23)
+    lam, mu = np.array(_random_points(rng, 300)).T
+    for pts in (np.stack([lam, mu, np.ones(lam.size)]), _normalized(lam, mu)):
+        for form in _forms(group):
+            expected = [_python_float_eval(form, point) for point in pts.T.tolist()]
+            assert _grid_eval(form, PowerTable(pts)).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("group", ["grigorchuk", "lamplighter", "hanoi"])
+def test_float_forms_are_within_the_error_bound_of_the_exact_value(group):
+    xs = np.linspace(-4, 4, 33)
+    gx, gy = np.meshgrid(xs, xs)
+    # terms that underflow: 2 lam^2 w of R_G is 0 in floats at lam = 1e-170
+    underflow = [(1e-170, 0.5), (1e-200, 1e-200 * (1 + 2 ** -52)), (5e-324, -3.0)]
+    randoms = np.array(_random_points(random.Random(29), 200) + underflow).T
+    lam, mu = np.concatenate([gx.ravel(), randoms[0]]), np.concatenate([gy.ravel(), randoms[1]])
+    pts = _normalized(lam, mu)
+    exact_pts = []
+    for a, b in zip(lam.tolist(), mu.tolist()):
+        m = max(abs(a), abs(b), 1.0)
+        exact_pts.append((Fraction(a) / Fraction(m), Fraction(b) / Fraction(m), 1 / Fraction(m)))
+    for form in _forms(group):
+        powers = PowerTable(pts)
+        values, bounds = _grid_eval(form, powers), _error_bound(form, powers)
+        for value, bound, point in zip(values.tolist(), bounds.tolist(), exact_pts):
+            assert abs(Fraction(value) - form.eval(point)) <= Fraction(bound), (form, point)
+
+
+def _neg_inf_disagreements(spec, resolution):
+    """Cells of the grid on (-4, 4)^2 at n = 7 where the grid and the scalar
+    form disagree on -inf.  The scalar form is called at every cell on a
+    factor's zero set and every -inf cell; at any other cell it runs the
+    grid's loop on that one point (see
+    ``test_potential_equals_the_grid_bit_for_bit``) and reads what the grid
+    reads, which is not -inf."""
+    grid = potential_grid(spec, (-4, 4, -4, 4), resolution, 7)
+    xs, ys, neg_inf = grid["xs"].tolist(), grid["ys"].tolist(), grid["neg_inf_mask"]
+    on_zero = np.array([[_on_factor_zero(spec, x, y) for x in xs] for y in ys])
+    return [(xs[j], ys[i]) for i, j in zip(*np.nonzero(on_zero | neg_inf))
+            if (potential(spec, xs[j], ys[i], 7) == NEG_INF) != neg_inf[i, j]]
+
+
+@pytest.mark.parametrize("resolution", [33, 65, 129])
+def test_every_hanoi_grid_cell_agrees_with_the_scalar_form_on_neg_inf(resolution):
+    # 9, 27 and 74 cells on a factor's zero set read finite when only the
+    # dead orbits got the exact test
+    spec = RecursionPotential.from_scheme(builtin_scheme("hanoi"))
+    assert _neg_inf_disagreements(spec, resolution) == []
+    # a living orbit that starts on lam^2 = (1 + mu)^2
+    assert potential(spec, -2.75, -3.75, 7) == NEG_INF
+    assert potential(spec, np.array([-2.75]), np.array([-3.75]), 7).tolist() == [NEG_INF]
+
+
+def test_the_error_bound_decides_which_cells_get_the_exact_test(monkeypatch):
+    spec = RecursionPotential.from_scheme(builtin_scheme("hanoi"))
+    module = importlib.import_module("spectral_renorm.ratmaps.potential")
+    monkeypatch.setattr(module, "_error_bound",
+                        lambda form, powers: _error_bound(form, powers) / 2 ** 20)
+    assert _neg_inf_disagreements(spec, 33) != []
 
 
 @pytest.mark.parametrize("group", ["grigorchuk", "lamplighter", "hanoi"])
