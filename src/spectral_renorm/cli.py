@@ -356,13 +356,13 @@ def cmd_conjugacy_verify(args) -> int:
 
 def cmd_maps_verify(args) -> int:
     from spectral_renorm import output
-    from spectral_renorm.ratmaps import charts
-    from spectral_renorm.verification import contracted_curve_report, indeterminacy_report
+    from spectral_renorm.verification import fact_report, indeterminacy_report
 
+    facts = fact_report()
     report = {
-        "contracted": contracted_curve_report(),
+        "contracted": facts["contracted"],
         "indeterminacy": indeterminacy_report(),
-        "charts": charts.standard_chart_checks(),
+        "charts": facts["charts"],
     }
     out = _outdir(args)
     if "json" in _formats(args):
@@ -436,7 +436,7 @@ def cmd_potential_grid(args) -> int:
     import numpy as np
 
     from spectral_renorm import output, pencils
-    from spectral_renorm.ratmaps.potential import RecursionPotential, potential_grid
+    from spectral_renorm.ratmaps.potential import potential_grid
 
     window = tuple(float(v) for v in args.window.split(","))
     if len(window) != 4:
@@ -447,9 +447,7 @@ def cmd_potential_grid(args) -> int:
         raise BudgetError("window width and height must be finite")
     if not (window[0] < window[1] and window[2] < window[3]):
         raise BudgetError("window needs xmin < xmax and ymin < ymax")
-    scheme = pencils.builtin_scheme(args.group)
-    spec = RecursionPotential.from_scheme(scheme)
-    grid = potential_grid(spec, window, args.resolution, args.iters)
+    grid = potential_grid(pencils.builtin_scheme(args.group), window, args.resolution, args.iters)
     out = _outdir(args)
     stem = f"potential_{args.group}_r{args.resolution}_n{args.iters}"
     fmts = _formats(args)

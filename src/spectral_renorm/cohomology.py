@@ -117,15 +117,27 @@ def surface(name: str, points: Sequence | None = None,
     )
 
 
-def action_from_json(data: dict) -> "MapAction":
+def action_from_json(data) -> "MapAction":
     """Surface and pushforward from a JSON-style dict:
     {"k": 2, "incidences": [true, true], "F_star": [[...], ...], "d_top": 1}.
+    Data of another shape raises ``ValueError`` naming the key.
     """
-    inc = list(data["incidences"])
-    if "k" in data and int(data["k"]) != len(inc):
+    if not isinstance(data, dict):
+        raise ValueError("surface JSON must be an object")
+    for key in ("incidences", "F_star"):
+        if not isinstance(data.get(key), list):
+            raise ValueError(f"surface JSON needs {key!r} as a list")
+    if not all(isinstance(row, list) and all(isinstance(v, int) for v in row)
+               for row in data["F_star"]):
+        raise ValueError("surface JSON needs 'F_star' as a list of integer lists")
+    for key in ("k", "d_top"):
+        if not isinstance(data.get(key, 1), int):
+            raise ValueError(f"surface JSON needs {key!r} as an integer")
+    inc = data["incidences"]
+    if "k" in data and data["k"] != len(inc):
         raise ValueError("k does not match the incidence list")
     x = surface("custom", incidences=inc, basis=data.get("basis", "adapted"))
-    return map_action(x, data["F_star"], int(data.get("d_top", 1)))
+    return map_action(x, data["F_star"], data.get("d_top", 1))
 
 
 def _adapted_intersection(inc: Sequence[bool]) -> list:

@@ -1,11 +1,11 @@
 """Exact (semi-)conjugacy identities and the fibers of the invariant eta.
 
-Every identity is stated as ``verification`` and ``ratmaps.charts`` state
-theirs.  A function on P^2 is a pair (A, B) of homogeneous forms of one
-degree in (x, y, w), with value A/B at [lam : mu : 1]; a one-variable map is
-a pair of binary forms in (a, b), sending a/b to A(a, b)/B(a, b).
-Composition is substitution, ``MultiPoly.subs`` on each form (``compose``):
-f o F is f with the components of F substituted, T o (A, B) is T with (A, B)
+Every identity is stated as the map facts of ``verification`` are.  A
+function on P^2 is a pair (A, B) of homogeneous forms of one degree in
+(x, y, w), with value A/B at [lam : mu : 1]; a one-variable map is a pair of
+binary forms in (a, b), sending a/b to A(a, b)/B(a, b).  Composition is
+substitution, ``MultiPoly.subs`` on each form (``maps.compose``): f o F is
+f with the components of F substituted, T o (A, B) is T with (A, B)
 substituted.  Two pairs are the same function when they are proportional
 (``maps.proportional``: A1 B2 = A2 B1, the first pair not (0, 0)), so no
 fraction is formed and none needs cancelling.
@@ -28,11 +28,9 @@ check at rational points that they are iota and its inverse.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from spectral_renorm.ratmaps.maps import builtin_map, proportional
+from spectral_renorm.ratmaps.maps import builtin_map, compose, proportional
 from spectral_renorm.ratmaps.poly import MultiPoly
 
 FIBER_TOL = 1e-9  # largest error of the fiber identities the float spot check accepts
@@ -57,13 +55,6 @@ LAMPLIGHTER_FIBER = (_a0 * _b0 - 4 * _a1 * _b1, _a1 * _b0)
 # hanoi: v -> v (z - 1)(z + 2)/(z + 3) over z
 HANOI_FIBER = ((_a0 - _a1) * (_a0 + 2 * _a1) * _b0, (_a0 + 3 * _a1) * _a1 * _b1)
 FIBER_POINT = (-2 * (_t * _t - 1) * _z, 2 * _t * (_z * _z - 1), _z * _z - _t * _t)
-
-
-def compose(forms: Sequence[MultiPoly], inner: Sequence) -> tuple:
-    """``forms`` o ``inner``: ``inner`` substituted into each form, the
-    forms sharing one cache of powers of ``inner``."""
-    powers: list = []
-    return tuple(f.subs(inner, powers) for f in forms)
 
 
 def conjugacy_checks() -> dict:

@@ -38,6 +38,9 @@ BACKWARD_DEPTH_MAX = 20
 # |seed| bound of the square and cantor models: a preimage step computes 4·seed
 SEED_POINT_MAX = 1e300
 CANTOR_BASE = _HANOI_FIBER  # z^2 - z - 3, the base of the skew product
+# depth of the backward orbit of CANTOR_BASE's repelling fixed point that
+# stands for its balanced measure
+CANTOR_REFERENCE_DEPTH = 12
 # twist-model graphs as (intercept, slope): the curve eta -> angle in the
 # angular model coordinate, its plane counterpart alpha -> beta, and the
 # plane line alpha -> beta that carries the output measure
@@ -215,7 +218,7 @@ def twist_plane_count(n: int) -> int:
 
 
 def skew_cantor_experiment(eta0: float = 3.0, n: int = 10, line: tuple = (0.7, 0.4),
-                           reference_depth: int = 12, domain: str = "real") -> dict:
+                           domain: str = "real") -> dict:
     """Vertical-fiber preimages of {eta0} x C under the skew product over
     z^2 - z - 3, sliced by a line.
 
@@ -239,7 +242,7 @@ def skew_cantor_experiment(eta0: float = 3.0, n: int = 10, line: tuple = (0.7, 0
         pts = np.concatenate(preimages(CANTOR_BASE, pts, domain))
     pts = np.real(pts)
     measure = Measure1D.from_samples(pts)
-    _, reference = julia_backward(CANTOR_BASE, reference_depth)
+    _, reference = julia_backward(CANTOR_BASE, CANTOR_REFERENCE_DEPTH)
     w1 = cdf_distance(measure, reference, "wasserstein1")
     return {
         "eta0": eta0,
@@ -304,7 +307,7 @@ def _check_seed_modulus(start) -> None:
                          f"not {start}")
 
 
-def backward_equidistribution(model: str, seed_point, n: int, seed: int = 0) -> dict:
+def backward_equidistribution(model: str, seed_point, n: int) -> dict:
     """Distance series of backward-orbit empirical measures to the limit law.
 
     - ``square``: preimages of a nonzero seed under z -> z^2; angular
@@ -312,8 +315,8 @@ def backward_equidistribution(model: str, seed_point, n: int, seed: int = 0) -> 
     - ``cheb``: preimages under z -> 2 z^2 - 1; Kolmogorov distance to the
       arcsine law on [-1, 1].
     - ``cantor``: preimages under z -> z^2 - z - 3 from the given real seed;
-      1-Wasserstein distance to the depth-12 backward orbit of the repelling
-      fixed point.
+      1-Wasserstein distance to the depth-``CANTOR_REFERENCE_DEPTH``
+      backward orbit of the repelling fixed point.
 
     The depth ``n`` is at most ``BACKWARD_DEPTH_MAX``.
     """
@@ -335,7 +338,7 @@ def backward_equidistribution(model: str, seed_point, n: int, seed: int = 0) -> 
     elif model == "cantor":
         start = float(seed_point)
         _check_seed_modulus(start)
-        _, reference = julia_backward(CANTOR_BASE, 12)
+        _, reference = julia_backward(CANTOR_BASE, CANTOR_REFERENCE_DEPTH)
         poly, domain, metric = CANTOR_BASE, "real", "wasserstein1"
         distance = lambda pts: cdf_distance(Measure1D.from_samples(pts), reference,
                                             "wasserstein1")

@@ -241,7 +241,7 @@ def _mk(name, comps, degree, dtop) -> RationalMapP2:
 
 
 # ---------------------------------------------------------------------------
-# Projective equality and curves
+# Projective equality and composition
 # ---------------------------------------------------------------------------
 
 
@@ -258,6 +258,8 @@ def proportional(a: Sequence, b: Sequence) -> bool:
                               for i in range(len(a)) for j in range(i + 1, len(a)))
 
 
-def univar(coeffs: Sequence) -> MultiPoly:
-    """Univariate polynomial from ascending coefficients, e.g. [0, 1] is t."""
-    return MultiPoly(1, {(k,): Fraction(c) for k, c in enumerate(coeffs) if c})
+def compose(forms: Sequence[MultiPoly], inner: Sequence) -> tuple:
+    """``forms`` o ``inner``: ``inner`` substituted into each form, the
+    forms sharing one cache of powers of ``inner``."""
+    powers: list = []
+    return tuple(f.subs(inner, powers) for f in forms)

@@ -29,48 +29,15 @@ so no such point is missed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from spectral_renorm.ratmaps.maps import (
-    PowerTable,
-    RationalMapP2,
-    _error_bound,
-    _grid_eval,
-    builtin_map,
-)
+from spectral_renorm.ratmaps.maps import PowerTable, _error_bound, _grid_eval, builtin_map
 from spectral_renorm.ratmaps.poly import MultiPoly
 
 NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class RecursionPotential:
-    """Evaluation data for the cascade potential.
-
-    ``factors`` are (Q_i as affine 2-variable polynomial, m_i, p_i);
-    ``seed`` the closed-form determinant at level ``seed_level``; ``d`` the
-    branching of the cascade; ``map`` the renormalization map.
-    """
-
-    map: RationalMapP2
-    factors: tuple
-    seed: MultiPoly
-    d: int
-    seed_level: int = 0
-
-    @classmethod
-    def from_scheme(cls, scheme) -> "RecursionPotential":
-        return cls(
-            map=builtin_map(scheme.map_name),
-            factors=tuple(scheme.factors),
-            seed=scheme.seed,
-            d=scheme.d,
-            seed_level=scheme.seed_level,
-        )
 
 
 def _homogenize(poly2: MultiPoly) -> MultiPoly:
@@ -82,22 +49,26 @@ def _homogenize(poly2: MultiPoly) -> MultiPoly:
     return MultiPoly(3, terms)
 
 
-def _telescope(spec: RecursionPotential, lam: np.ndarray, mu: np.ndarray, n: int) -> tuple:
-    """u_n at the affine points (lam, mu), flat float arrays of one length.
+def _telescope(scheme, lam: np.ndarray, mu: np.ndarray, n: int) -> tuple:
+    """u_n of a ``pencils.PencilScheme`` at the affine points (lam, mu), flat
+    float arrays of one length.  The scheme gives the factors (Q_i as affine
+    polynomials in (lam, mu), m_i, p_i), the seed polynomial at its seed
+    level, the branching d and the name of the renormalization map.
 
     Returns (values, neg_inf, dead): values carry -inf at factor or seed
     zeros met while the orbit lives and NaN at orbits that died first, which
     the two disjoint boolean masks flag.
     """
-    if n < spec.seed_level:
-        raise ValueError(f"level {n} is below the seed level {spec.seed_level}")
+    if n < scheme.seed_level:
+        raise ValueError(f"level {n} is below the seed level {scheme.seed_level}")
     pts = np.stack([lam, mu, np.ones(lam.size)], axis=0)
     pts = pts / np.max(np.abs(pts), axis=0, keepdims=True)
-    d = spec.d
+    d = scheme.d
+    components = builtin_map(scheme.map_name).components
     total = np.zeros(lam.size)
     neg_inf = np.zeros(lam.size, dtype=bool)
     dead = np.zeros(lam.size, dtype=bool)
-    hom_factors = [(_homogenize(q), m, p) for q, m, p in spec.factors]
+    hom_factors = [(_homogenize(q), m, p) for q, m, p in scheme.factors]
 
     def add_log(form: MultiPoly, weight: float) -> None:
         nonlocal total, neg_inf, dead
@@ -115,23 +86,23 @@ def _telescope(spec: RecursionPotential, lam: np.ndarray, mu: np.ndarray, n: int
         near_zero = np.zeros(lam.size, dtype=bool)
         for q, _m, _p in hom_factors:
             near_zero |= np.abs(_grid_eval(q, powers)) <= _error_bound(q, powers)
-        for j in range(n - spec.seed_level):
+        for j in range(n - scheme.seed_level):
             if j:
                 powers = PowerTable(pts)
             for q, mult, offset in hom_factors:
                 add_log(q, mult * d ** (-(j + offset)))
-            imgs = np.stack([_grid_eval(c, powers) for c in spec.map.components], axis=0)
+            imgs = np.stack([_grid_eval(c, powers) for c in components], axis=0)
             norms = np.max(np.abs(imgs), axis=0)
             zero = (norms == 0.0) | ~np.isfinite(norms)
             dead |= zero
             norms[zero] = 1.0
             pts = imgs / norms
         powers = PowerTable(pts)
-        add_log(_homogenize(spec.seed), d ** (-n))
+        add_log(_homogenize(scheme.seed), d ** (-n))
     # the first event of an orbit decides: a zero met while it lives is -inf
     dead &= ~neg_inf
     for k in np.flatnonzero(near_zero & np.isfinite(lam) & np.isfinite(mu)):
-        if _on_factor_zero(spec, lam[k], mu[k]):
+        if _on_factor_zero(scheme, lam[k], mu[k]):
             dead[k] = False
             neg_inf[k] = True
     total[neg_inf] = NEG_INF
@@ -139,33 +110,34 @@ def _telescope(spec: RecursionPotential, lam: np.ndarray, mu: np.ndarray, n: int
     return total, neg_inf, dead
 
 
-def _on_factor_zero(spec: RecursionPotential, lam, mu) -> bool:
+def _on_factor_zero(scheme, lam, mu) -> bool:
     """Whether the rational point (lam, mu) lies exactly on a factor's zero set."""
     point = (Fraction(lam), Fraction(mu))
-    return any(q.eval(point) == 0 for q, _m, _p in spec.factors)
+    return any(q.eval(point) == 0 for q, _m, _p in scheme.factors)
 
 
-def potential(spec: RecursionPotential, lam, mu, n: int):
-    """Value of u_n at the affine points (lam, mu), scalars or arrays of one
-    shape: a float for scalars, else an array of that shape.
+def potential(scheme, lam, mu, n: int):
+    """Value of u_n of a ``pencils.PencilScheme`` at the affine points
+    (lam, mu), scalars or arrays of one shape: a float for scalars, else an
+    array of that shape.
 
     -inf where the orbit meets a factor or seed zero, NaN where it dies.  A
     rational scalar point (int, float or Fraction) on a factor's zero set
     is detected exactly and gives -inf.
     """
     try:
-        if _on_factor_zero(spec, lam, mu):
+        if _on_factor_zero(scheme, lam, mu):
             return NEG_INF
     except (TypeError, ValueError):  # arrays, NaN
         pass
     lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
-    values, _, _ = _telescope(spec, lam.ravel(), mu.ravel(), n)
+    values, _, _ = _telescope(scheme, lam.ravel(), mu.ravel(), n)
     return float(values[0]) if lam.ndim == 0 else values.reshape(lam.shape)
 
 
-def potential_grid(spec: RecursionPotential, window: Sequence[float], resolution: int,
-                   n: int) -> dict:
-    """Sample u_n on a real window (xmin, xmax, ymin, ymax).
+def potential_grid(scheme, window: Sequence[float], resolution: int, n: int) -> dict:
+    """Sample u_n of a ``pencils.PencilScheme`` on a real window
+    (xmin, xmax, ymin, ymax).
 
     Returns {"values": (res x res) array with -inf at factor zeros and NaN at
     dead orbits, "neg_inf_mask", "dead_mask": disjoint bool arrays, "window",
@@ -177,7 +149,7 @@ def potential_grid(spec: RecursionPotential, window: Sequence[float], resolution
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
     gx, gy = np.meshgrid(xs, ys)
-    values, neg_inf, dead = _telescope(spec, gx.ravel(), gy.ravel(), n)
+    values, neg_inf, dead = _telescope(scheme, gx.ravel(), gy.ravel(), n)
     shape = (resolution, resolution)
     return {
         "values": values.reshape(shape),

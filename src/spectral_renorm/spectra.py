@@ -461,17 +461,27 @@ def repelling_fixed_point(a: float, b: float, c: float) -> float:
     return best
 
 
+# deepest backward orbit per mode: 2^16 points for the full tree; 10^4 steps
+# of the 4096 default walks take about 1 s on 2 cores
+JULIA_DEPTH_MAX = {"full_tree": 16, "random_walk": 10_000}
+
+
 def julia_backward(p: Sequence[float], depth: int, mode: str = "full_tree",
                    domain: str = "real", samples: int = 4096, seed: int = 0):
     """Backward orbit of the repelling fixed point of a quadratic polynomial.
 
     ``p`` is (a, b, c) for a z^2 + b z + c.  ``full_tree`` returns the
-    complete 2^depth-point preimage set (depth <= 16); ``random_walk`` draws
-    ``samples`` random inverse-branch paths.  In real mode a complex inverse
-    image raises; ``domain='complex'`` allows them.
+    complete 2^depth-point preimage set; ``random_walk`` draws ``samples``
+    random inverse-branch paths.  ``depth`` is at most
+    ``JULIA_DEPTH_MAX[mode]``.  In real mode a complex inverse image raises;
+    ``domain='complex'`` allows them.
 
     Returns (points array, empirical Measure1D of the real-part support).
     """
+    if mode not in JULIA_DEPTH_MAX:
+        raise ValueError("mode must be 'full_tree' or 'random_walk'")
+    if depth > JULIA_DEPTH_MAX[mode]:
+        raise ValueError(f"{mode} depth capped at {JULIA_DEPTH_MAX[mode]}")
     a, b, c = (float(v) for v in p)
     if not all(math.isfinite(v) for v in (a, b, c)):
         raise ValueError("polynomial coefficients must be finite")
@@ -480,18 +490,14 @@ def julia_backward(p: Sequence[float], depth: int, mode: str = "full_tree",
     z0 = repelling_fixed_point(a, b, c)
     rng = np.random.default_rng(seed)
     if mode == "full_tree":
-        if depth > 16:
-            raise ValueError("full-tree depth capped at 16")
         pts = np.array([z0], dtype=complex if domain == "complex" else float)
         for _ in range(depth):
             pts = np.concatenate(preimages((a, b, c), pts, domain))
-    elif mode == "random_walk":
+    else:
         pts = np.full(samples, z0, dtype=complex if domain == "complex" else float)
         for _ in range(depth):
             plus, minus = preimages((a, b, c), pts, domain)
             pts = np.where(rng.random(len(pts)) < 0.5, plus, minus)
-    else:
-        raise ValueError("mode must be 'full_tree' or 'random_walk'")
     return pts, Measure1D.from_samples(np.real(pts))
 
 

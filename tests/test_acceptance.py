@@ -34,7 +34,6 @@ from spectral_renorm.pencils import (
     builtin_scheme,
     verify_recursion,
 )
-from spectral_renorm.ratmaps.charts import standard_chart_checks
 from spectral_renorm.ratmaps.degrees import dynamical_degree
 from spectral_renorm.ratmaps.maps import builtin_map
 from spectral_renorm.ratmaps.poly import MultiPoly
@@ -47,7 +46,7 @@ from spectral_renorm.spectra import (
     kolmogorov_to_cdf,
     tv_distance,
 )
-from spectral_renorm.verification import contracted_curve_report, indeterminacy_report
+from spectral_renorm.verification import fact_report, indeterminacy_report
 
 # frozen from the quadrature/diagonalization oracle at level 9 (criterion 4)
 GRIG_K9_THRESHOLD = 0.0019531250000019984
@@ -244,9 +243,9 @@ def test_criterion_9_cohomology_matrices():
 
 
 def test_criterion_10_contracted_curves_and_indeterminacy():
-    contracted = contracted_curve_report()
+    facts = fact_report()
+    contracted, charts = facts["contracted"], facts["charts"]
     indet = indeterminacy_report()
-    charts = standard_chart_checks()
     c_ok = all(r["ok"] for r in contracted)
     i_ok = all(r["ok"] for r in indet)
     ch_ok = all(charts.values())

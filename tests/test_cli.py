@@ -9,11 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectral_renorm import cli, experiments
+from spectral_renorm import cli, experiments, spectra
 from spectral_renorm.cli import main
 from spectral_renorm.output import fmt, write_csv, write_pgm16
 from spectral_renorm.pencils import builtin_scheme
-from spectral_renorm.ratmaps.potential import RecursionPotential, potential_grid
+from spectral_renorm.ratmaps.potential import potential_grid
 
 
 def run_cli(args, tmp_path):
@@ -47,8 +47,7 @@ def _row_by_row_csv(header, rows):
 def test_potential_grid_csv_equals_the_row_by_row_rendering(tmp_path):
     assert run_cli(["potential-grid", "--group", "hanoi", "--window=-4,-0,-4,4",
                     "--resolution", "17", "--iters", "7", "--format", "csv"], tmp_path) == 0
-    spec = RecursionPotential.from_scheme(builtin_scheme("hanoi"))
-    grid = potential_grid(spec, (-4.0, -0.0, -4.0, 4.0), 17, 7)
+    grid = potential_grid(builtin_scheme("hanoi"), (-4.0, -0.0, -4.0, 4.0), 17, 7)
     values = grid["values"]
     assert np.isnan(values).any() and np.isneginf(values).any()
     assert np.signbit(grid["xs"][-1]) and grid["xs"][-1] == 0.0
@@ -317,6 +316,9 @@ BAD_INPUT = [
     (None, ["spectrum", "--group", "grigorchuk", "--level", "13"]),
     (None, ["schur-verify", "--group", "hanoi", "--level", "6"]),
     (None, ["julia", "--depth", "40"]),
+    (None, ["julia", "--mode", "random_walk",
+            "--depth", str(spectra.JULIA_DEPTH_MAX["random_walk"] + 1)]),
+    (None, ["julia", "--mode", "random_walk", "--depth", "100000000"]),
     (None, ["dos-compare", "--group", "hanoi", "--levels", "3..9"]),
     (None, ["experiment", "--kind", "backward-square",
             "--n", str(experiments.BACKWARD_DEPTH_MAX + 1)]),
@@ -353,6 +355,28 @@ def test_bad_input_exits_2_with_one_json_error(config, command, tmp_path, capsys
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert set(json.loads(captured.err)) == {"error"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[1, 2]", "object"),
+    ('{"k": 2}', "'incidences'"),
+    ('{"incidences": [true, true]}', "'F_star'"),
+    ('{"incidences": "ab", "F_star": [[0, 1, 1], [0, 1, 0], [0, 1, 1]]}', "'incidences'"),
+    ('{"incidences": [true, true], "F_star": 5}', "'F_star'"),
+    ('{"incidences": [true, true], "F_star": [1, 2, 3]}', "'F_star'"),
+    ('{"incidences": [true, true], "F_star": [[0, 1, 1], [0, 1, 0], [0, 1, 1]], "k": [2]}',
+     "'k'"),
+    ('{"incidences": [true, true], "F_star": [[0, 1, 1], [0, 1, 0], [0, 1, 1]], "d_top": [1]}',
+     "'d_top'"),
+])
+def test_a_malformed_surface_json_exits_2_naming_the_key(text, named, tmp_path, capsys):
+    (tmp_path / "surface.json").write_text(text)
+    assert main(["cohomology", "--surface-json", str(tmp_path / "surface.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert named in json.loads(captured.err)["error"]
     assert not (tmp_path / "out").exists()
 
 

@@ -11,14 +11,13 @@ from spectral_renorm.conjugacy import (
     GRIG_INVARIANT,
     GRIG_SEMICONJUGATOR,
     chebyshev_semiconj_check,
-    compose,
     conjugacy_checks,
     fiber_checks_symbolic,
     fiber_conjugation_check,
     fiber_coordinate,
     fiber_inverse,
 )
-from spectral_renorm.ratmaps.maps import builtin_map, proportional
+from spectral_renorm.ratmaps.maps import builtin_map, compose, proportional
 from spectral_renorm.ratmaps.poly import MultiPoly
 
 

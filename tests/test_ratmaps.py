@@ -1,5 +1,6 @@
 """Projective maps: formulas, evaluation, degree growth, potentials."""
 
+import dataclasses
 import importlib
 import math
 import random
@@ -20,7 +21,6 @@ from exact_reference import (
 )
 from spectral_renorm.pencils import builtin_scheme
 from spectral_renorm.ratmaps import modp
-from spectral_renorm.ratmaps.charts import standard_chart_checks
 from spectral_renorm.ratmaps.degrees import (
     LINE_PRIMES,
     classify_growth,
@@ -36,12 +36,10 @@ from spectral_renorm.ratmaps.maps import (
     _grid_eval,
     builtin_map,
     proportional,
-    univar,
 )
 from spectral_renorm.ratmaps.poly import MultiPoly
 from spectral_renorm.ratmaps.potential import (
     NEG_INF,
-    RecursionPotential,
     _homogenize,
     _on_factor_zero,
     potential,
@@ -50,8 +48,10 @@ from spectral_renorm.ratmaps.potential import (
 from spectral_renorm.spectra import DECIMATION_MAX_LEVEL, decimated_spectrum
 from spectral_renorm import verification
 from spectral_renorm.verification import (
+    FACTS,
     components_coprime,
-    contracted_curve_report,
+    fact_report,
+    image,
     indeterminacy_report,
 )
 
@@ -258,7 +258,7 @@ def test_dynamical_degree_gives_the_reference_degrees_for_every_seed():
 
 
 def test_contracted_curves_and_indeterminacy_reports():
-    assert all(r["ok"] for r in contracted_curve_report())
+    assert all(r["ok"] for r in fact_report()["contracted"])
     assert all(r["ok"] for r in indeterminacy_report())
 
 
@@ -305,18 +305,52 @@ def test_coprimality_over_f_p_agrees_with_the_integer_gcd_line_by_line():
 
 def test_curve_in_the_indeterminacy_closure_gets_an_error_row(monkeypatch):
     # the constant curve [0:2:1] sits on an indeterminacy point of R_G
-    monkeypatch.setattr(verification, "CONTRACTED", [("R_G", "point", [[0], [2], [1]], (0, 2, 1))])
-    rows = contracted_curve_report()
-    assert rows[0] == {"map": "R_G", "curve": "point", "ok": False,
-                       "error": "curve lies in the indeterminacy closure"}
+    t = MultiPoly.variable(1, 0)
+    monkeypatch.setattr(verification, "FACTS", [
+        ("contracted", "R_G", "point", (0 * t, 2, 1), (0, 2, 1)),
+        ("contracted", "R_G", "point onto a line", (0 * t, 2, 1), MultiPoly.variable(3, 2))])
+    error = "curve lies in the indeterminacy closure"
+    assert fact_report() == {"contracted": [
+        {"map": "R_G", "curve": "point", "ok": False, "error": error},
+        {"map": "R_G", "curve": "point onto a line", "ok": False, "error": error}], "charts": {}}
 
 
 def test_verify_contracted_rejects_wrong_target():
-    rg = builtin_map("R_G")
-    curve = [univar([0, 1]), univar([2]), univar([1])]
-    image = [c.subs(curve) for c in rg.components]
-    assert proportional(image, (1, 1, 0))
-    assert not proportional(image, (1, 0, 0))
+    t = MultiPoly.variable(1, 0)
+    curve = image(builtin_map("R_G").components, (t, 2, 1))
+    assert proportional(curve, (1, 1, 0))
+    assert not proportional(curve, (1, 0, 0))
+
+
+def _shifted(target):
+    """A target that no image meeting ``target`` meets.  A point, curve or
+    pair gets 1 added to its last entry, or to its first when the last is
+    its only nonzero entry: a vector changed in one entry stays proportional
+    only when it is zero elsewhere.  An orbit gets its last point shifted so.
+    A line gets its coefficient vector shifted so: a curve that is not a
+    point lies on one line at most."""
+    if isinstance(target, list):
+        return target[:-1] + [_shifted(target[-1])]
+    if isinstance(target, MultiPoly):
+        units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert set(target.terms) <= set(units)
+        coeffs = _shifted(tuple(target.terms.get(u, 0) for u in units))
+        return sum(c * MultiPoly.variable(3, i) for i, c in enumerate(coeffs))
+    k = len(target) - 1 if any(target[:-1]) else 0
+    return target[:k] + (target[k] + 1,) + target[k + 1:]
+
+
+def test_every_fact_fails_with_a_target_that_is_not_proportional(monkeypatch):
+    wrong = []
+    for section, name, label, source, target, *rows in FACTS:
+        for goal, expected in ((target, True), (_shifted(target), False)):
+            monkeypatch.setattr(verification, "FACTS",
+                                [(section, name, label, source, goal, *rows)])
+            report = fact_report()
+            oks = [r["ok"] for r in report["contracted"]] + list(report["charts"].values())
+            if oks != [expected]:
+                wrong.append((name, label, goal))
+    assert wrong == []
 
 
 def test_proportional_over_ints_fractions_and_polynomials():
@@ -324,11 +358,11 @@ def test_proportional_over_ints_fractions_and_polynomials():
     assert not proportional((2, -4, 6), (-1, 2, 3))
     assert proportional((Fraction(1, 3), Fraction(-1, 2)), (Fraction(2), Fraction(-3)))
     assert not proportional((Fraction(1, 3), Fraction(1, 2)), (Fraction(2), Fraction(-3)))
-    t = univar([0, 1])
-    curve = (t, t * t - 1, univar([3]))
+    t = MultiPoly.variable(1, 0)
+    curve = (t, t * t - 1, MultiPoly.constant(1, 3))
     assert proportional(tuple(c * (t + 1) for c in curve), curve)
-    assert proportional((2 * t, univar([1]), 0), (t, Fraction(1, 2), 0))
-    assert not proportional(curve, (t, t * t + 1, univar([3])))
+    assert proportional((2 * t, MultiPoly.constant(1, 1), 0), (t, Fraction(1, 2), 0))
+    assert not proportional(curve, (t, t * t + 1, MultiPoly.constant(1, 3)))
     with pytest.raises(ValueError):
         proportional((1, 2), (1, 2, 3))
 
@@ -337,13 +371,22 @@ def test_proportional_rejects_the_zero_vector():
     zero = MultiPoly.zero(1)
     assert not proportional((0, 0, 0), (1, 2, 3))
     assert not proportional((0, 0), (0, 0))
-    assert not proportional((zero, zero, zero), (univar([0, 1]), univar([1]), 0))
+    assert not proportional((zero, zero, zero),
+                            (MultiPoly.variable(1, 0), MultiPoly.constant(1, 1), 0))
     assert not proportional((Fraction(0), Fraction(0)), (Fraction(1), Fraction(5)))
 
 
+def test_a_contracted_divisor_does_not_meet_a_line_target(monkeypatch):
+    # R_L contracts E2 over [1:1:0] to [1:0:0], a point on the line {mu = 0}
+    e, l = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    monkeypatch.setattr(verification, "FACTS", [("charts", "R_L", "E2 onto mu=0", (1 + l * e, 1, e),
+                                                 MultiPoly.variable(3, 1))])
+    assert fact_report()["charts"] == {"E2 onto mu=0": False}
+
+
 def test_chart_checks_all_pass():
-    results = standard_chart_checks()
-    assert results and all(results.values())
+    results = fact_report()["charts"]
+    assert len(results) == 25 and all(results.values())
 
 
 # ---------------------------------------------------------------------------
@@ -352,39 +395,39 @@ def test_chart_checks_all_pass():
 
 
 def test_potential_zero_factor_gives_neg_inf():
-    spec = RecursionPotential.from_scheme(builtin_scheme("grigorchuk"))
-    assert potential(spec, Fraction(1, 3), Fraction(2), 5) == NEG_INF
+    scheme = builtin_scheme("grigorchuk")
+    assert potential(scheme, Fraction(1, 3), Fraction(2), 5) == NEG_INF
 
 
 def test_potential_stabilizes_along_orbit():
-    spec = RecursionPotential.from_scheme(builtin_scheme("grigorchuk"))
-    u18 = potential(spec, -1.0, 0.2, 18)
-    u20 = potential(spec, -1.0, 0.2, 20)
+    scheme = builtin_scheme("grigorchuk")
+    u18 = potential(scheme, -1.0, 0.2, 18)
+    u20 = potential(scheme, -1.0, 0.2, 20)
     assert math.isfinite(u18) and abs(u20 - u18) < 1e-6
 
 
 def test_potential_lamplighter_tail_decay():
-    spec = RecursionPotential.from_scheme(builtin_scheme("lamplighter"))
-    values = {n: potential(spec, 0.37, 1.21, n) for n in (8, 10, 12, 14)}
+    scheme = builtin_scheme("lamplighter")
+    values = {n: potential(scheme, 0.37, 1.21, n) for n in (8, 10, 12, 14)}
     for n in (8, 10, 12):
         assert abs(values[n + 2] - values[n]) < 40 * (n / 2 ** n)
 
 
 def test_potential_grid_flags_factor_zeros():
-    spec = RecursionPotential.from_scheme(builtin_scheme("grigorchuk"))
-    grid = potential_grid(spec, (-4, 4, -4, 4), 33, 4)
+    scheme = builtin_scheme("grigorchuk")
+    grid = potential_grid(scheme, (-4, 4, -4, 4), 33, 4)
     # mu = 2 row sits on the factor zero set 4 - mu^2 = 0
     row = np.argmin(np.abs(grid["ys"] - 2.0))
     assert grid["neg_inf_mask"][row].any()
     with pytest.raises(ValueError):
-        potential_grid(spec, (-1, 1, -1, 1), 4096, 2)
+        potential_grid(scheme, (-1, 1, -1, 1), 4096, 2)
 
 
 def test_potential_hanoi_depth_zero_ridges():
-    spec = RecursionPotential.from_scheme(builtin_scheme("hanoi"))
+    scheme = builtin_scheme("hanoi")
     # points on lam^2 = (1+mu)^2 are exact factor zeros
-    assert potential(spec, Fraction(3), Fraction(2), 3) == NEG_INF
-    assert potential(spec, Fraction(-3), Fraction(2), 3) == NEG_INF
+    assert potential(scheme, Fraction(3), Fraction(2), 3) == NEG_INF
+    assert potential(scheme, Fraction(-3), Fraction(2), 3) == NEG_INF
 
 
 # The scalar orbit loop that the vectorized ``potential`` replaced, with its
@@ -423,39 +466,39 @@ def _reference_step(map_, point):
     return vals / m
 
 
-def _reference_potential(spec, lam, mu, n):
-    for q, _m, _p in spec.factors:
+def _reference_potential(scheme, lam, mu, n):
+    for q, _m, _p in scheme.factors:
         if q.eval((Fraction(lam), Fraction(mu))) == 0:
             return NEG_INF
-    hom_factors = [(_homogenize(q), m, p) for q, m, p in spec.factors]
+    hom_factors = [(_homogenize(q), m, p) for q, m, p in scheme.factors]
     point = np.array([float(lam), float(mu), 1.0])
     point = point / np.max(np.abs(point))
     total = 0.0
-    for j in range(n - spec.seed_level):
+    for j in range(n - scheme.seed_level):
         for q, mult, offset in hom_factors:
             contrib = _reference_log_abs_affine(q, point)
             if contrib == NEG_INF:
                 return NEG_INF
             if not math.isfinite(contrib):
                 return float("nan")
-            total += mult * spec.d ** (-(j + offset)) * contrib
-        point = _reference_step(spec.map, point)
-    tail = _reference_log_abs_affine(_homogenize(spec.seed), point)
+            total += mult * scheme.d ** (-(j + offset)) * contrib
+        point = _reference_step(builtin_map(scheme.map_name), point)
+    tail = _reference_log_abs_affine(_homogenize(scheme.seed), point)
     if not math.isfinite(tail):
         return tail if tail == NEG_INF else float("nan")
-    return total + spec.d ** (-n) * tail
+    return total + scheme.d ** (-n) * tail
 
 
 @pytest.mark.parametrize("group", ["grigorchuk", "lamplighter", "hanoi"])
 def test_potential_matches_the_scalar_reference_loop(group):
-    spec = RecursionPotential.from_scheme(builtin_scheme(group))
+    scheme = builtin_scheme(group)
     rng = random.Random(11)
     points = [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(6)]
     points += [(Fraction(3), Fraction(2)), (0.5, 2.0), (-1.0, 0.2)]
-    for n in (spec.seed_level, 3, 8, 14):
+    for n in (scheme.seed_level, 3, 8, 14):
         for lam, mu in points:
-            u = potential(spec, lam, mu, n)
-            ref = _reference_potential(spec, lam, mu, n)
+            u = potential(scheme, lam, mu, n)
+            ref = _reference_potential(scheme, lam, mu, n)
             if math.isfinite(ref):
                 assert abs(u - ref) <= 1e-13 * abs(ref) + 1e-300
             else:
@@ -464,13 +507,13 @@ def test_potential_matches_the_scalar_reference_loop(group):
 
 @pytest.mark.parametrize("group", ["grigorchuk", "lamplighter", "hanoi"])
 def test_potential_equals_the_grid_bit_for_bit(group):
-    spec = RecursionPotential.from_scheme(builtin_scheme(group))
-    grid = potential_grid(spec, (-4, 4, -4, 4), 33, 7)
+    scheme = builtin_scheme(group)
+    grid = potential_grid(scheme, (-4, 4, -4, 4), 33, 7)
     gx, gy = np.meshgrid(grid["xs"], grid["ys"])
-    assert potential(spec, gx, gy, 7).tobytes() == grid["values"].tobytes()
+    assert potential(scheme, gx, gy, 7).tobytes() == grid["values"].tobytes()
     # scalar calls off the factor zeros, where the exact test does not answer first
     for i, j in ((5, 17), (32, 9), (20, 3), (1, 30)):
-        u = potential(spec, float(grid["xs"][j]), float(grid["ys"][i]), 7)
+        u = potential(scheme, float(grid["xs"][j]), float(grid["ys"][i]), 7)
         assert np.float64(u).tobytes() == grid["values"][i, j].tobytes()
 
 
@@ -497,8 +540,8 @@ def _reference_grid_eval(poly, pts):
 @pytest.mark.parametrize("window", [(-4, 4, -4, 4), (0.25, 3.5, 0.5, 2.75)])
 def test_power_table_evaluator_matches_the_per_term_powers_bit_for_bit(group, window,
                                                                        monkeypatch):
-    spec = RecursionPotential.from_scheme(builtin_scheme(group))
-    fast = potential_grid(spec, window, 48, 9)
+    scheme = builtin_scheme(group)
+    fast = potential_grid(scheme, window, 48, 9)
     lowest = []
 
     def per_term(poly, powers):
@@ -507,7 +550,7 @@ def test_power_table_evaluator_matches_the_per_term_powers_bit_for_bit(group, wi
 
     monkeypatch.setattr(importlib.import_module("spectral_renorm.ratmaps.potential"),
                         "_grid_eval", per_term)
-    slow = potential_grid(spec, window, 48, 9)
+    slow = potential_grid(scheme, window, 48, 9)
     assert min(lowest) < 0.0  # the orbits reach negative coordinates
     assert fast["values"].tobytes() == slow["values"].tobytes()
     for mask in ("neg_inf_mask", "dead_mask"):
@@ -516,10 +559,10 @@ def test_power_table_evaluator_matches_the_per_term_powers_bit_for_bit(group, wi
 
 def test_lamplighter_diagonal_is_neg_inf_in_array_and_scalar_form():
     # mu = lam is a factor zero that R_L sends to the line at infinity
-    spec = RecursionPotential.from_scheme(builtin_scheme("lamplighter"))
-    assert potential(spec, -4.0, -4.0, 7) == NEG_INF
-    assert potential(spec, np.array([-4.0]), np.array([-4.0]), 7).tolist() == [NEG_INF]
-    grid = potential_grid(spec, (-4, 4, -4, 4), 33, 7)
+    scheme = builtin_scheme("lamplighter")
+    assert potential(scheme, -4.0, -4.0, 7) == NEG_INF
+    assert potential(scheme, np.array([-4.0]), np.array([-4.0]), 7).tolist() == [NEG_INF]
+    grid = potential_grid(scheme, (-4, 4, -4, 4), 33, 7)
     assert np.all(np.diag(grid["values"]) == NEG_INF)
 
 
@@ -527,27 +570,27 @@ def test_a_dead_orbit_starting_on_a_factor_zero_is_neg_inf_in_array_form():
     # (1.75, 0.75) lies on lam^2 = (1 + mu)^2; the homogenized factor
     # evaluates to about 5e-16 in floats, and R_H then sends the point to the
     # line at infinity, so only the exact test sees the zero
-    spec = RecursionPotential.from_scheme(builtin_scheme("hanoi"))
-    assert potential(spec, 1.75, 0.75, 7) == NEG_INF
-    assert potential(spec, np.array([1.75]), np.array([0.75]), 7).tolist() == [NEG_INF]
+    scheme = builtin_scheme("hanoi")
+    assert potential(scheme, 1.75, 0.75, 7) == NEG_INF
+    assert potential(scheme, np.array([1.75]), np.array([0.75]), 7).tolist() == [NEG_INF]
 
 
 def test_every_masked_hanoi_grid_cell_agrees_with_the_scalar_form():
-    spec = RecursionPotential.from_scheme(builtin_scheme("hanoi"))
-    grid = potential_grid(spec, (-4, 4, -4, 4), 33, 7)
+    scheme = builtin_scheme("hanoi")
+    grid = potential_grid(scheme, (-4, 4, -4, 4), 33, 7)
     masked = grid["neg_inf_mask"] | grid["dead_mask"]
     assert grid["dead_mask"].any()
     for i, j in zip(*np.nonzero(masked)):
-        u = potential(spec, float(grid["xs"][j]), float(grid["ys"][i]), 7)
+        u = potential(scheme, float(grid["xs"][j]), float(grid["ys"][i]), 7)
         assert np.float64(u).tobytes() == grid["values"][i, j].tobytes()
 
 
 def _forms(group):
     """Every form the potential evaluates for one group: the homogenized
     factors and seed, and the map's components."""
-    spec = RecursionPotential.from_scheme(builtin_scheme(group))
-    return ([_homogenize(q) for q, _m, _p in spec.factors] + [_homogenize(spec.seed)]
-            + list(spec.map.components))
+    scheme = builtin_scheme(group)
+    return ([_homogenize(q) for q, _m, _p in scheme.factors] + [_homogenize(scheme.seed)]
+            + list(builtin_map(scheme.map_name).components))
 
 
 def _python_float_eval(poly, point):
@@ -608,43 +651,43 @@ def test_float_forms_are_within_the_error_bound_of_the_exact_value(group):
             assert abs(Fraction(value) - form.eval(point)) <= Fraction(bound), (form, point)
 
 
-def _neg_inf_disagreements(spec, resolution):
+def _neg_inf_disagreements(scheme, resolution):
     """Cells of the grid on (-4, 4)^2 at n = 7 where the grid and the scalar
     form disagree on -inf.  The scalar form is called at every cell on a
     factor's zero set and every -inf cell; at any other cell it runs the
     grid's loop on that one point (see
     ``test_potential_equals_the_grid_bit_for_bit``) and reads what the grid
     reads, which is not -inf."""
-    grid = potential_grid(spec, (-4, 4, -4, 4), resolution, 7)
+    grid = potential_grid(scheme, (-4, 4, -4, 4), resolution, 7)
     xs, ys, neg_inf = grid["xs"].tolist(), grid["ys"].tolist(), grid["neg_inf_mask"]
-    on_zero = np.array([[_on_factor_zero(spec, x, y) for x in xs] for y in ys])
+    on_zero = np.array([[_on_factor_zero(scheme, x, y) for x in xs] for y in ys])
     return [(xs[j], ys[i]) for i, j in zip(*np.nonzero(on_zero | neg_inf))
-            if (potential(spec, xs[j], ys[i], 7) == NEG_INF) != neg_inf[i, j]]
+            if (potential(scheme, xs[j], ys[i], 7) == NEG_INF) != neg_inf[i, j]]
 
 
 @pytest.mark.parametrize("resolution", [33, 65, 129])
 def test_every_hanoi_grid_cell_agrees_with_the_scalar_form_on_neg_inf(resolution):
     # 9, 27 and 74 cells on a factor's zero set read finite when only the
     # dead orbits got the exact test
-    spec = RecursionPotential.from_scheme(builtin_scheme("hanoi"))
-    assert _neg_inf_disagreements(spec, resolution) == []
+    scheme = builtin_scheme("hanoi")
+    assert _neg_inf_disagreements(scheme, resolution) == []
     # a living orbit that starts on lam^2 = (1 + mu)^2
-    assert potential(spec, -2.75, -3.75, 7) == NEG_INF
-    assert potential(spec, np.array([-2.75]), np.array([-3.75]), 7).tolist() == [NEG_INF]
+    assert potential(scheme, -2.75, -3.75, 7) == NEG_INF
+    assert potential(scheme, np.array([-2.75]), np.array([-3.75]), 7).tolist() == [NEG_INF]
 
 
 def test_the_error_bound_decides_which_cells_get_the_exact_test(monkeypatch):
-    spec = RecursionPotential.from_scheme(builtin_scheme("hanoi"))
+    scheme = builtin_scheme("hanoi")
     module = importlib.import_module("spectral_renorm.ratmaps.potential")
     monkeypatch.setattr(module, "_error_bound",
                         lambda form, powers: _error_bound(form, powers) / 2 ** 20)
-    assert _neg_inf_disagreements(spec, 33) != []
+    assert _neg_inf_disagreements(scheme, 33) != []
 
 
 @pytest.mark.parametrize("group", ["grigorchuk", "lamplighter", "hanoi"])
 def test_grid_masks_are_disjoint_and_mark_the_non_finite_cells(group):
-    spec = RecursionPotential.from_scheme(builtin_scheme(group))
-    grid = potential_grid(spec, (-4, 4, -4, 4), 33, 7)
+    scheme = builtin_scheme(group)
+    grid = potential_grid(scheme, (-4, 4, -4, 4), 33, 7)
     neg_inf, dead = grid["neg_inf_mask"], grid["dead_mask"]
     assert neg_inf.any() and not (neg_inf & dead).any()
     assert np.array_equal(neg_inf, np.isneginf(grid["values"]))
@@ -653,9 +696,10 @@ def test_grid_masks_are_disjoint_and_mark_the_non_finite_cells(group):
 
 def test_a_zero_met_before_the_orbit_dies_is_neg_inf_and_after_it_is_not():
     lam = MultiPoly.variable(2, 0)
-    spec = RecursionPotential(map=builtin_map("R_G"), factors=((lam + 1, 1, 1),),
-                              seed=MultiPoly.constant(2, 1), d=2)
-    grid = potential_grid(spec, (-1, 0, 2, 3), 2, 3)
+    scheme = dataclasses.replace(builtin_scheme("grigorchuk"), factors=((lam + 1, 1, 1),),
+                                 seed=MultiPoly.constant(2, 1), seed_level=0)
+    assert scheme.map_name == "R_G" and scheme.d == 2
+    grid = potential_grid(scheme, (-1, 0, 2, 3), 2, 3)
     # (-1, 2) and (-1, 3) lie on the factor's zero set lam = -1, and R_G sends
     # (-1, 2) to the line at infinity.  (0, 2) is an indeterminacy point of
     # R_G: its orbit dies there, and the factor vanishes at the zero vector
@@ -667,12 +711,12 @@ def test_a_zero_met_before_the_orbit_dies_is_neg_inf_and_after_it_is_not():
 
 
 def test_potential_refuses_levels_below_the_seed():
-    spec = RecursionPotential.from_scheme(builtin_scheme("hanoi"))
-    assert spec.seed_level == 1
+    scheme = builtin_scheme("hanoi")
+    assert scheme.seed_level == 1
     with pytest.raises(ValueError, match="seed level"):
-        potential(spec, 0.3, 0.2, 0)
+        potential(scheme, 0.3, 0.2, 0)
     with pytest.raises(ValueError, match="seed level"):
-        potential_grid(spec, (-1, 1, -1, 1), 4, 0)
+        potential_grid(scheme, (-1, 1, -1, 1), 4, 0)
 
 
 # Each group's slice line (lam, mu) as a function of the spectral coordinate
@@ -688,11 +732,11 @@ SLICE_LINES = {
 def test_potential_is_the_log_potential_of_the_decimated_spectrum(group):
     """The spectral current, checked: on the slice line, u_n is the
     log-potential sum_i (m_i / d^n) log |x_i - e| of the level-n atoms."""
-    spec = RecursionPotential.from_scheme(builtin_scheme(group))
+    scheme = builtin_scheme(group)
     line, es = SLICE_LINES[group]
     lam, mu = line(np.array(es))
-    for n in range(max(spec.seed_level, 1), DECIMATION_MAX_LEVEL + 1):
+    for n in range(max(scheme.seed_level, 1), DECIMATION_MAX_LEVEL + 1):
         atoms, mults = decimated_spectrum(group, n)
-        expected = np.array([np.sum(mults * np.log(np.abs(atoms - e))) for e in es]) / spec.d ** n
-        u = potential(spec, lam, mu, n)
+        expected = np.array([np.sum(mults * np.log(np.abs(atoms - e))) for e in es]) / scheme.d ** n
+        u = potential(scheme, lam, mu, n)
         assert np.all(np.abs(u - expected) <= 1e-12 * (1.0 + np.abs(expected))), (n, u - expected)
