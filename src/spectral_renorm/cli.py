@@ -165,7 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", default=None,
                    choices=["grigorchuk4", "lamplighter2", "hanoi4"])
     p.add_argument("--surface-json", default=None, metavar="FILE",
-                   help='custom surface/action as {"k", "incidences", "F_star"}')
+                   help='custom surface/action as a JSON object with keys "incidences" '
+                        '(booleans) and "F_star" (integer rows), optional "k", "d_top" '
+                        '(integers) and "basis" ("adapted" or "standard")')
     p.add_argument("--check", action="store_true",
                    help="verify the printed matrices")
     p.add_argument("--invariant-classes", type=_at_least(1), default=None, metavar="D",
@@ -339,10 +341,12 @@ def cmd_schur_verify(args) -> int:
 def cmd_conjugacy_verify(args) -> int:
     from spectral_renorm import conjugacy, output
 
+    # the spot check first: it refuses a sample count beyond its cap before any work
+    fiber = conjugacy.fiber_conjugation_check(args.samples, seed=args.seed)
     report = {
         "identities": conjugacy.conjugacy_checks(),
         "chebyshev_normalization": conjugacy.chebyshev_semiconj_check(),
-        "fiber": conjugacy.fiber_conjugation_check(args.samples, seed=args.seed),
+        "fiber": fiber,
     }
     out = _outdir(args)
     if "json" in _formats(args):
@@ -419,9 +423,7 @@ def cmd_cohomology(args) -> int:
             if not check["all_ok"]:
                 status = 1
         if args.invariant_classes is not None:
-            x = cohomology.surface(args.surface)
-            action = cohomology.map_action(x, cohomology.PUSHFORWARD[args.surface],
-                                           cohomology.TOP_DEGREE[args.surface])
+            action = cohomology.SURFACES[args.surface].action()
             report["invariant_classes"] = cohomology.invariant_classes(
                 action, args.invariant_classes)
         name = args.surface

@@ -7,11 +7,13 @@ incident to the line at infinity.  Pushforward matrices of the lifted maps
 act on column vectors; pullback is always derived through the intersection
 form as F^* = I^-1 F_*^T I, and the invariant-fibration detector looks for
 integer classes c with F^* c = d c, c.c = 0, c.K < 0 that pair
-non-negatively with a supplied effective set.
+non-negatively with the exceptional divisors.  ``SURFACES`` holds the three
+builtin surfaces, one row each.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -29,25 +31,13 @@ from spectral_renorm.exact import (
     poly_deflate,
     rational_kernel,
 )
-
-BUILTIN_POINTS = {
-    "grigorchuk4": (
-        [(-1, 1, 0), (1, 1, 0), (0, -2, 1), (0, 2, 1)],
-        [True, True, False, False],
-    ),
-    "lamplighter2": ([(-1, 1, 0), (1, 1, 0)], [True, True]),
-    "hanoi4": (
-        [(-1, 1, 0), (2, 1, 0), (-1, 0, 1), (1, 0, 1)],
-        [True, True, False, False],
-    ),
-}
+from spectral_renorm.ratmaps.maps import builtin_map
 
 
 @dataclass(frozen=True)
 class BlowupSurface:
     """Plane blow-up with a fixed class basis and intersection form."""
 
-    name: str
     k: int
     incidences: tuple  # True for base points on the line at infinity
     basis: str  # "adapted" (Lt, E_i) or "standard" (H, E_i)
@@ -84,60 +74,48 @@ def _sign_changes(coeffs: Sequence[Fraction]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def surface(name: str, points: Sequence | None = None,
-            incidences: Sequence[bool] | None = None, basis: str = "adapted") -> BlowupSurface:
-    """A builtin blow-up surface, or a custom one from incidence flags."""
-    if name in BUILTIN_POINTS:
-        _, inc = BUILTIN_POINTS[name]
-    elif name == "custom":
-        if incidences is None:
-            raise ValueError("custom surfaces need incidence flags")
-        inc = list(incidences)
-    else:
-        raise ValueError(f"unknown surface '{name}'")
-    k = len(inc)
-    if basis == "standard":
-        inter = [[0] * (k + 1) for _ in range(k + 1)]
-        inter[0][0] = 1
-        for i in range(1, k + 1):
-            inter[i][i] = -1
-        canonical = tuple([-3] + [1] * k)
-    elif basis == "adapted":
-        inter = _adapted_intersection(inc)
-        canonical = tuple([-3] + [(-2 if on_line else 1) for on_line in inc])
-    else:
+def surface(incidences: Sequence[bool], basis: str = "adapted") -> BlowupSurface:
+    """The plane blown up at points whose incidences with the line at
+    infinity are ``incidences``."""
+    inc = tuple(bool(b) for b in incidences)
+    if basis not in ("adapted", "standard"):
         raise ValueError("basis must be 'adapted' or 'standard'")
+    # the standard basis is the adapted one with no point on the line: Lt = H
+    on_line = inc if basis == "adapted" else (False,) * len(inc)
     return BlowupSurface(
-        name=name,
-        k=k,
-        incidences=tuple(bool(b) for b in inc),
+        k=len(inc),
+        incidences=inc,
         basis=basis,
-        intersection=tuple(tuple(row) for row in inter),
-        canonical=canonical,
+        intersection=tuple(tuple(row) for row in _adapted_intersection(on_line)),
+        canonical=tuple([-3] + [(-2 if b else 1) for b in on_line]),
     )
 
 
 def action_from_json(data) -> "MapAction":
     """Surface and pushforward from a JSON-style dict:
-    {"k": 2, "incidences": [true, true], "F_star": [[...], ...], "d_top": 1}.
-    Data of another shape raises ``ValueError`` naming the key.
+    {"k": 2, "incidences": [true, true], "F_star": [[...], ...], "d_top": 1,
+    "basis": "adapted"}; all but "incidences" and "F_star" are optional, and
+    "d_top" is checked but not used.  Data of another shape raises
+    ``ValueError`` naming the key.
     """
     if not isinstance(data, dict):
         raise ValueError("surface JSON must be an object")
     for key in ("incidences", "F_star"):
         if not isinstance(data.get(key), list):
             raise ValueError(f"surface JSON needs {key!r} as a list")
-    if not all(isinstance(row, list) and all(isinstance(v, int) for v in row)
+    if not all(isinstance(b, bool) for b in data["incidences"]):
+        raise ValueError("surface JSON needs 'incidences' as a list of booleans")
+    # type(), not isinstance(): bool is an int subclass, and true is no count
+    if not all(isinstance(row, list) and all(type(v) is int for v in row)
                for row in data["F_star"]):
         raise ValueError("surface JSON needs 'F_star' as a list of integer lists")
     for key in ("k", "d_top"):
-        if not isinstance(data.get(key, 1), int):
+        if type(data.get(key, 1)) is not int:
             raise ValueError(f"surface JSON needs {key!r} as an integer")
     inc = data["incidences"]
     if "k" in data and data["k"] != len(inc):
         raise ValueError("k does not match the incidence list")
-    x = surface("custom", incidences=inc, basis=data.get("basis", "adapted"))
-    return map_action(x, data["F_star"], data.get("d_top", 1))
+    return map_action(surface(inc, data.get("basis", "adapted")), data["F_star"])
 
 
 def _adapted_intersection(inc: Sequence[bool]) -> list:
@@ -159,14 +137,11 @@ class MapAction:
     surface: BlowupSurface
     push: tuple  # F_* as row tuples
     pull: tuple  # F^* = I^-1 F_*^T I
-    topological_degree: int
     spectral_radius: Fraction
     jordan_block: bool
-    charpoly: tuple  # ascending coefficients of det(x I - F^*)
 
 
-def map_action(x: BlowupSurface, f_star: Sequence[Sequence[int]],
-               d_top: int = 1) -> MapAction:
+def map_action(x: BlowupSurface, f_star: Sequence[Sequence[int]]) -> MapAction:
     """Derive the pullback action and its spectral data from a pushforward."""
     n = x.dim
     push = [[int(v) for v in row] for row in f_star]
@@ -189,10 +164,8 @@ def map_action(x: BlowupSurface, f_star: Sequence[Sequence[int]],
         surface=x,
         push=tuple(tuple(r) for r in push),
         pull=tuple(tuple(r) for r in pull),
-        topological_degree=d_top,
         spectral_radius=rho,
         jordan_block=jordan,
-        charpoly=tuple(cp),
     )
 
 
@@ -225,18 +198,16 @@ def _spectral_data(pull: list, cp: list) -> tuple:
     return rho, jordan
 
 
-def invariant_classes(action: MapAction, d: int, effective: Sequence | None = None) -> dict:
+def invariant_classes(action: MapAction, d: int) -> dict:
     """Integer classes with F^* c = d c passing the fibration conditions.
 
     Conditions per candidate (both signs of each kernel vector): c.c = 0,
-    c.K < 0, and c.e >= 0 against every supplied effective class (defaults
-    to the exceptional divisors).  Nefness is only certified against the
-    supplied set, and the report says so.
+    c.K < 0, and c.E_i >= 0 against every exceptional divisor.  Nefness is
+    only certified against that set, and the report says so.
     """
     x = action.surface
     n = x.dim
-    if effective is None:
-        effective = identity(n)[1:]
+    effective = identity(n)[1:]
     shifted = [[Fraction(action.pull[i][j]) - (Fraction(d) if i == j else 0)
                 for j in range(n)] for i in range(n)]
     kernel = rational_kernel(shifted)
@@ -267,121 +238,116 @@ def invariant_classes(action: MapAction, d: int, effective: Sequence | None = No
 
 
 # ---------------------------------------------------------------------------
-# Printed matrices and their verification
+# The builtin surfaces and the verification of their printed matrices
 # ---------------------------------------------------------------------------
 
-PUSHFORWARD = {
-    "grigorchuk4": [
-        [1, 1, 1, 1, 1],
-        [0, 1, 1, 0, 1],
-        [0, 1, 1, 1, 0],
-        [0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 1],
-    ],
-    # the E1 column is Lt + E1 + E2 (the divisor maps onto the full line
-    # {mu = 0}), which is what makes the adjoint reproduce the pullback
-    "lamplighter2": [
-        [0, 1, 1],
-        [0, 1, 0],
-        [0, 1, 1],
-    ],
-    "hanoi4": [
-        [1, 2, 1, 1, 2],
-        [0, 2, 1, 1, 1],
-        [0, 1, 1, 0, 1],
-        [0, 0, 0, 1, 0],
-        [0, -1, 0, 0, 0],
-    ],
+
+@dataclass(frozen=True)
+class BuiltinSurface:
+    """One builtin surface: its blown-up points and the printed data of its
+    renormalization map.  Classes are in the adapted basis (Lt, E_1..E_k)."""
+
+    points: list  # blown-up points [u:v:w]; w == 0 is on the line at infinity
+    map: str  # the builtin map (``ratmaps.maps.builtin_map``), which pins its degree d
+    push: list  # printed F_*
+    fiber: list  # fiber class c, with F^* c = d c
+    rho: int  # spectral radius of F^*
+    jordan: bool  # whether F^* has a Jordan block on the spectral radius
+    pull: list  # printed F^*
+    intersection: list  # printed intersection form
+    relations: list = ()  # further (class, F^* class) pairs
+    involution: list | None = None  # printed H_*, for the second map G = H F
+    second_push: list | None = None  # printed G_*
+    second_pull: list | None = None  # printed G^*
+
+    def action(self) -> MapAction:
+        return map_action(surface([w == 0 for _, _, w in self.points]), self.push)
+
+
+SURFACES = {
+    "grigorchuk4": BuiltinSurface(
+        points=[(-1, 1, 0), (1, 1, 0), (0, -2, 1), (0, 2, 1)],
+        map="R_G",
+        push=[[1, 1, 1, 1, 1],
+              [0, 1, 1, 0, 1],
+              [0, 1, 1, 1, 0],
+              [0, 0, 0, 1, 0],
+              [0, 0, 0, 0, 1]],
+        fiber=[2, 1, 1, -1, -1], rho=2, jordan=False,
+        pull=[[1, 1, 1, 0, 0],
+              [0, 1, 1, 0, 0],
+              [0, 1, 1, 0, 0],
+              [0, -1, 0, 1, 0],
+              [0, 0, -1, 0, 1]],
+        intersection=[[-1, 1, 1, 0, 0],
+                      [1, -1, 0, 0, 0],
+                      [1, 0, -1, 0, 0],
+                      [0, 0, 0, -1, 0],
+                      [0, 0, 0, 0, -1]],
+        involution=[[1, 0, 0, 0, 0],
+                    [1, 0, 0, 0, 1],
+                    [1, 0, 0, 1, 0],
+                    [-1, 0, 1, 0, 0],
+                    [-1, 1, 0, 0, 0]],
+        second_push=[[1, 1, 1, 1, 1],
+                     [1, 1, 1, 1, 2],
+                     [1, 1, 1, 2, 1],
+                     [-1, 0, 0, 0, -1],
+                     [-1, 0, 0, -1, 0]],
+        second_pull=[[3, 0, 0, 1, 1],
+                     [2, 0, 0, 1, 1],
+                     [2, 0, 0, 1, 1],
+                     [-2, 0, 1, 0, -1],
+                     [-2, 1, 0, -1, 0]],
+    ),
+    "lamplighter2": BuiltinSurface(
+        points=[(-1, 1, 0), (1, 1, 0)],
+        map="R_L",
+        # the E1 column is Lt + E1 + E2 (the divisor maps onto the full line
+        # {mu = 0}), which is what makes the adjoint reproduce the pullback
+        push=[[0, 1, 1],
+              [0, 1, 0],
+              [0, 1, 1]],
+        fiber=[1, 0, 1], rho=1, jordan=True,
+        relations=[([1, 1, 0], [2, 1, 1])],  # d2 -> d1 + d2, with d1 the fiber
+        pull=[[1, 1, 0],
+              [0, 1, 0],
+              [1, 0, 0]],
+        intersection=[[-1, 1, 1],
+                      [1, -1, 0],
+                      [1, 0, -1]],
+    ),
+    "hanoi4": BuiltinSurface(
+        points=[(-1, 1, 0), (2, 1, 0), (-1, 0, 1), (1, 0, 1)],
+        map="R_H",
+        push=[[1, 2, 1, 1, 2],
+              [0, 2, 1, 1, 1],
+              [0, 1, 1, 0, 1],
+              [0, 0, 0, 1, 0],
+              [0, -1, 0, 0, 0]],
+        fiber=[2, 1, 1, -1, -1], rho=2, jordan=False,
+        pull=[[1, 1, 2, 0, 1],
+              [0, 1, 1, 0, 0],
+              [0, 1, 2, 0, 1],
+              [0, 0, -1, 1, 0],
+              [0, -1, -1, 0, 0]],
+        intersection=[[-1, 1, 1, 0, 0],
+                      [1, -1, 0, 0, 0],
+                      [1, 0, -1, 0, 0],
+                      [0, 0, 0, -1, 0],
+                      [0, 0, 0, 0, -1]],
+    ),
 }
 
-PULLBACK_PRINTED = {
-    "grigorchuk4": [
-        [1, 1, 1, 0, 0],
-        [0, 1, 1, 0, 0],
-        [0, 1, 1, 0, 0],
-        [0, -1, 0, 1, 0],
-        [0, 0, -1, 0, 1],
-    ],
-    "lamplighter2": [
-        [1, 1, 0],
-        [0, 1, 0],
-        [1, 0, 0],
-    ],
-    "hanoi4": [
-        [1, 1, 2, 0, 1],
-        [0, 1, 1, 0, 0],
-        [0, 1, 2, 0, 1],
-        [0, 0, -1, 1, 0],
-        [0, -1, -1, 0, 0],
-    ],
-}
 
-INTERSECTION_PRINTED = {
-    "grigorchuk4": [
-        [-1, 1, 1, 0, 0],
-        [1, -1, 0, 0, 0],
-        [1, 0, -1, 0, 0],
-        [0, 0, 0, -1, 0],
-        [0, 0, 0, 0, -1],
-    ],
-    "lamplighter2": [
-        [-1, 1, 1],
-        [1, -1, 0],
-        [1, 0, -1],
-    ],
-    "hanoi4": [
-        [-1, 1, 1, 0, 0],
-        [1, -1, 0, 0, 0],
-        [1, 0, -1, 0, 0],
-        [0, 0, 0, -1, 0],
-        [0, 0, 0, 0, -1],
-    ],
-}
-
-INVOLUTION_PUSH = {
-    "grigorchuk4": [
-        [1, 0, 0, 0, 0],
-        [1, 0, 0, 0, 1],
-        [1, 0, 0, 1, 0],
-        [-1, 0, 1, 0, 0],
-        [-1, 1, 0, 0, 0],
-    ],
-}
-
-SECOND_MAP_PUSH = {
-    "grigorchuk4": [
-        [1, 1, 1, 1, 1],
-        [1, 1, 1, 1, 2],
-        [1, 1, 1, 2, 1],
-        [-1, 0, 0, 0, -1],
-        [-1, 0, 0, -1, 0],
-    ],
-}
-
-SECOND_MAP_PULL_PRINTED = {
-    "grigorchuk4": [
-        [3, 0, 0, 1, 1],
-        [2, 0, 0, 1, 1],
-        [2, 0, 0, 1, 1],
-        [-2, 0, 1, 0, -1],
-        [-2, 1, 0, -1, 0],
-    ],
-}
-
-EXPECTED_RHO = {"grigorchuk4": 2, "lamplighter2": 1, "hanoi4": 2}
-EXPECTED_JORDAN = {"grigorchuk4": False, "lamplighter2": True, "hanoi4": False}
-TOP_DEGREE = {"grigorchuk4": 2, "lamplighter2": 1, "hanoi4": 2}
-
-
-def _adjoint_ok(x: BlowupSurface, action: MapAction, trials: int = 100, seed: int = 3) -> bool:
+def _adjoint_ok(action: MapAction) -> bool:
     """(F_* a).b == a.(F^* b) on basis pairs and random integer pairs."""
-    import random
-
-    rng = random.Random(seed)
+    x = action.surface
+    rng = random.Random(3)
     n = x.dim
     pairs = [(a, b) for a in identity(n) for b in identity(n)]
     pairs += [([rng.randint(-9, 9) for _ in range(n)], [rng.randint(-9, 9) for _ in range(n)])
-              for _ in range(trials)]
+              for _ in range(100)]
     for a, b in pairs:
         lhs = x.pairing(_apply(action.push, a), b)
         rhs = x.pairing(a, _apply(action.pull, b))
@@ -396,55 +362,42 @@ def verify_printed_matrices(name: str) -> dict:
     Verifies the printed intersection form, the adjoint derivation of every
     printed pullback, the projection formula on random class pairs, the
     invariant-class eigen-relations, spectral radii, Jordan-block flags, and
-    (for the four-generator surface) the factorization of the second map
-    through the involution.
+    (where the row has one) the factorization of the second map through the
+    involution.
     """
-    if name not in PUSHFORWARD:
+    if name not in SURFACES:
         raise ValueError(f"unknown surface '{name}'")
-    x = surface(name)
+    row = SURFACES[name]
+    action = row.action()
+    x = action.surface
     report: dict = {"surface": name}
-    report["intersection_matches_printed"] = (
-        [list(r) for r in x.intersection] == INTERSECTION_PRINTED[name])
+    report["intersection_matches_printed"] = [list(r) for r in x.intersection] == row.intersection
     report["signature"] = x.signature()
     report["signature_ok"] = x.signature() == (1, x.k)
     report["unimodular"] = abs(x.det()) == 1
 
-    action = map_action(x, PUSHFORWARD[name], TOP_DEGREE[name])
-    report["pullback_matches_printed"] = (
-        [list(r) for r in action.pull] == PULLBACK_PRINTED[name])
-    report["adjointness_ok"] = _adjoint_ok(x, action)
+    report["pullback_matches_printed"] = [list(r) for r in action.pull] == row.pull
+    report["adjointness_ok"] = _adjoint_ok(action)
     report["spectral_radius"] = str(action.spectral_radius)
-    report["spectral_radius_ok"] = action.spectral_radius == EXPECTED_RHO[name]
+    report["spectral_radius_ok"] = action.spectral_radius == row.rho
     report["jordan_block"] = action.jordan_block
-    report["jordan_block_ok"] = action.jordan_block == EXPECTED_JORDAN[name]
+    report["jordan_block_ok"] = action.jordan_block == row.jordan
 
-    if name in ("grigorchuk4", "hanoi4"):
-        d_cls = [2, 1, 1, -1, -1]
-        report["invariant_relation_ok"] = _apply(action.pull, d_cls) == [2 * v for v in d_cls]
-        found = invariant_classes(action, 2)
-        report["kernel_recovers_class"] = found["candidates"] == [d_cls]
-    else:
-        d1 = [1, 0, 1]
-        d2 = [1, 1, 0]
-        rel1 = _apply(action.pull, d1) == d1
-        rel2 = _apply(action.pull, d2) == [a + b for a, b in zip(d1, d2)]
-        report["invariant_relation_ok"] = rel1 and rel2
-        found = invariant_classes(action, 1)
-        report["kernel_recovers_class"] = found["candidates"] == [d1]
+    d, c = builtin_map(row.map).topological_degree, row.fiber
+    report["invariant_relation_ok"] = (
+        _apply(action.pull, c) == [d * v for v in c]
+        and all(_apply(action.pull, cls) == image for cls, image in row.relations))
+    report["kernel_recovers_class"] = invariant_classes(action, d)["candidates"] == [c]
 
-    if name == "grigorchuk4":
-        h = INVOLUTION_PUSH[name]
-        g = SECOND_MAP_PUSH[name]
-        report["second_map_factors"] = mat_mul(h, PUSHFORWARD[name]) == g
-        h_action = map_action(x, h, 1)
+    if row.involution is not None:
+        h, g = row.involution, row.second_push
+        report["second_map_factors"] = mat_mul(h, row.push) == g
         report["involution_squares_to_identity"] = mat_mul(h, h) == identity(x.dim)
-        g_action = map_action(x, g, 2)
+        g_action = map_action(x, g)
         report["second_map_pull_matches_printed"] = (
-            [list(r) for r in g_action.pull] == SECOND_MAP_PULL_PRINTED[name])
-        d_cls = [2, 1, 1, -1, -1]
-        report["second_map_invariant_ok"] = (
-            _apply(g_action.pull, d_cls) == [2 * v for v in d_cls])
-        report["involution_adjoint_ok"] = _adjoint_ok(x, h_action)
+            [list(r) for r in g_action.pull] == row.second_pull)
+        report["second_map_invariant_ok"] = _apply(g_action.pull, c) == [d * v for v in c]
+        report["involution_adjoint_ok"] = _adjoint_ok(map_action(x, h))
 
     # jordan_block is a datum (hanoi4 has none); every other boolean is a check
     report["all_ok"] = all(v for k, v in report.items()

@@ -204,13 +204,22 @@ def _sample_rational(rng: random.Random, bound: int = 100) -> Fraction:
     return Fraction(num, den)
 
 
+# points per recursion check: 200 take 18-23 s at lamplighter level 7, the
+# slowest top level, 11-14 s at hanoi level 5 and 4 s at grigorchuk level 7
+# (CLI on 2 cores)
+VERIFY_SAMPLES_MAX = 200
+
+
 def verify_recursion(scheme: PencilScheme, n: int, samples: int = 20, seed: int = 0) -> dict:
     """Check the determinant recursion exactly at random rational points.
 
     Points are drawn with numerators and denominators bounded by 100 and
     rejected if they hit a factor zero or a pole of the renormalization map.
-    Returns a JSON-able report; ``report["failures"]`` is empty on success.
+    At most ``VERIFY_SAMPLES_MAX`` points.  Returns a JSON-able report;
+    ``report["failures"]`` is empty on success.
     """
+    if samples > VERIFY_SAMPLES_MAX:
+        raise ValueError(f"samples capped at {VERIFY_SAMPLES_MAX}")
     if n < scheme.min_level:
         raise ValueError(f"recursion for '{scheme.name}' starts at level {scheme.min_level}")
     if n > scheme.max_level:

@@ -382,64 +382,20 @@ def arcsine_cdf(t: float) -> float:
     return 0.5 + math.asin(t) / math.pi
 
 
-@dataclass(frozen=True)
-class GrigLimitMeasure:
-    """Slice of the hyperbola family measure by the line lam = lam0.
+def grig_limit_cdf(x: float) -> float:
+    """CDF of the limit law of the Grigorchuk slice lam = -1 at x = (mu + 1)/4.
 
-    The slice is the pushforward of the Chebyshev equilibrium measure
+    The law is the pushforward of the Chebyshev equilibrium measure
     d(theta)/(pi sqrt(1 - theta^2)) on [-1, 1] under the two branches
-    mu = +-sqrt(4 + lam0^2 - 4 theta lam0), each carrying half the mass.
-    With ``transformed`` the axis is x = (mu + 1)/4 (the density-of-states
-    normalization at lam0 = -1).
+    mu = +-sqrt(5 + 4 theta), each carrying half the mass.  With
+    p = arcsine_cdf((mu^2 - 5)/4): for mu >= 0 the lower branch lies below mu
+    and the upper one with probability p (0 below mu = 1, 1 from mu = 3 on);
+    for mu < 0 the upper branch lies above mu and the lower one below it with
+    probability 1 - p.
     """
-
-    lam0: float
-    transformed: bool
-
-    def __post_init__(self):
-        if self.lam0 == 0:
-            raise ValueError("lam0 must be nonzero")
-        lo = 4.0 + self.lam0 ** 2 - 4.0 * abs(self.lam0)
-        if lo < 0:
-            raise ValueError(f"branch degeneracy: unsupported lam0={self.lam0}")
-
-    def _g_range(self):
-        g_min = 4.0 + self.lam0 ** 2 - 4.0 * abs(self.lam0)
-        g_max = 4.0 + self.lam0 ** 2 + 4.0 * abs(self.lam0)
-        return g_min, g_max
-
-    def cdf(self, x: float) -> float:
-        if self.transformed:
-            x = 4.0 * x - 1.0
-        return 0.5 * (self._branch_cdf(x, +1) + self._branch_cdf(x, -1))
-
-    def _branch_cdf(self, x: float, branch: int) -> float:
-        # P(branch * sqrt(g(theta)) <= x) with theta Chebyshev-distributed
-        g_min, g_max = self._g_range()
-        lo, hi = math.sqrt(g_min), math.sqrt(g_max)
-        if branch == +1:
-            if x < lo:
-                return 0.0
-            if x >= hi:
-                return 1.0
-            theta_star = (4.0 + self.lam0 ** 2 - x * x) / (4.0 * self.lam0)
-            # g increasing in theta when lam0 < 0
-            p_le = arcsine_cdf(theta_star)
-            return p_le if self.lam0 < 0 else 1.0 - p_le
-        if x >= -lo:
-            return 1.0
-        if x < -hi:
-            return 0.0
-        theta_star = (4.0 + self.lam0 ** 2 - x * x) / (4.0 * self.lam0)
-        p_le = arcsine_cdf(theta_star)
-        # -sqrt(g) <= x  <=>  g >= x^2
-        return (1.0 - p_le) if self.lam0 < 0 else p_le
-
-
-def grig_limit_measure(lam0: float = -1.0, transformed: bool | None = None) -> GrigLimitMeasure:
-    if transformed is None:
-        transformed = lam0 == -1.0
-    return GrigLimitMeasure(lam0=float(lam0), transformed=transformed)
+    mu = 4.0 * x - 1.0
+    p = arcsine_cdf((5.0 - mu * mu) / -4.0)
+    return 0.5 * (p + 1.0) if mu >= 0 else 0.5 * (1.0 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +533,8 @@ def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
         _check_level(group_tag, n)
     rows = []
     if group_tag == "grigorchuk":
-        limit = grig_limit_measure(-1.0)
         for n in levels:
-            d = kolmogorov_to_cdf(dos(group_tag, n).measure, limit.cdf)
+            d = kolmogorov_to_cdf(dos(group_tag, n).measure, grig_limit_cdf)
             rows.append({"level": n, "distance": d, "metric": "kolmogorov"})
         target = "continuous limit law"
     elif group_tag in ("lamplighter", "hanoi"):

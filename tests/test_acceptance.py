@@ -41,7 +41,7 @@ from spectral_renorm.spectra import (
     atoms,
     cdf_distance,
     dos,
-    grig_limit_measure,
+    grig_limit_cdf,
     julia_backward,
     kolmogorov_to_cdf,
     tv_distance,
@@ -110,14 +110,13 @@ def test_criterion_3_conjugacy_identities():
 
 def test_criterion_4_grigorchuk_dos():
     t0 = time.time()
-    lim = grig_limit_measure(-1.0)
     m11 = dos("grigorchuk", 11).measure
     in_support = all(
         (-0.5 - 1e-9 <= p <= 1e-9)
         or (0.5 - 1e-9 <= p <= 1.0 + 1e-9)
         for p in m11.points
     )
-    dists = {n: kolmogorov_to_cdf(dos("grigorchuk", n).measure, lim.cdf)
+    dists = {n: kolmogorov_to_cdf(dos("grigorchuk", n).measure, grig_limit_cdf)
              for n in range(6, 12)}
     decreasing = all(dists[n + 1] < dists[n] for n in range(6, 11))
     below = dists[11] < GRIG_K9_THRESHOLD
@@ -215,9 +214,7 @@ def test_criterion_8_dynamical_degrees():
     rhos = {}
     jordans = {}
     for name in ("grigorchuk4", "lamplighter2", "hanoi4"):
-        x = cohomology.surface(name)
-        action = cohomology.map_action(x, cohomology.PUSHFORWARD[name],
-                                       cohomology.TOP_DEGREE[name])
+        action = cohomology.SURFACES[name].action()
         rhos[name] = action.spectral_radius
         jordans[name] = action.jordan_block
     rho_ok = (rhos["grigorchuk4"] == 2 and rhos["lamplighter2"] == 1

@@ -9,10 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectral_renorm import cli, experiments, spectra
+from spectral_renorm import cli, conjugacy, experiments, pencils, spectra
 from spectral_renorm.cli import main
 from spectral_renorm.output import fmt, write_csv, write_pgm16
 from spectral_renorm.pencils import builtin_scheme
+from spectral_renorm.ratmaps import degrees, potential
 from spectral_renorm.ratmaps.potential import potential_grid
 
 
@@ -341,6 +342,12 @@ BAD_INPUT = [
             "4", "--iters", "2"]),
     (None, ["potential-grid", "--group", "hanoi", "--window=0,1,-1e308,1e308", "--resolution",
             "4", "--iters", "2"]),
+    (None, ["schur-verify", "--group", "hanoi", "--level", "3",
+            "--samples", str(pencils.VERIFY_SAMPLES_MAX + 1)]),
+    (None, ["conjugacy-verify", "--samples", str(conjugacy.FIBER_SAMPLES_MAX + 1)]),
+    (None, ["dyndeg", "--map", "R_G", "--trials", str(degrees.MAX_TRIALS + 1)]),
+    (None, ["potential-grid", "--group", "hanoi",
+            "--iters", str(potential.GRID_ITERS_MAX + 1)]),
 ]
 
 
@@ -368,6 +375,14 @@ def test_bad_input_exits_2_with_one_json_error(config, command, tmp_path, capsys
     ('{"incidences": [true, true], "F_star": [[0, 1, 1], [0, 1, 0], [0, 1, 1]], "k": [2]}',
      "'k'"),
     ('{"incidences": [true, true], "F_star": [[0, 1, 1], [0, 1, 0], [0, 1, 1]], "d_top": [1]}',
+     "'d_top'"),
+    ('{"incidences": ["no", 0], "F_star": [[0, 1, 1], [0, 1, 0], [0, 1, 1]]}', "'incidences'"),
+    ('{"incidences": [true, 1], "F_star": [[0, 1, 1], [0, 1, 0], [0, 1, 1]]}', "'incidences'"),
+    ('{"incidences": [true, true], "F_star": [[false, true, true], [0, 1, 0], [0, 1, 1]]}',
+     "'F_star'"),
+    ('{"incidences": [true, true], "F_star": [[0, 1, 1], [0, 1, 0], [0, 1, 1]], "k": true}',
+     "'k'"),
+    ('{"incidences": [true, true], "F_star": [[0, 1, 1], [0, 1, 0], [0, 1, 1]], "d_top": false}',
      "'d_top'"),
 ])
 def test_a_malformed_surface_json_exits_2_naming_the_key(text, named, tmp_path, capsys):

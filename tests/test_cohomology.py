@@ -8,12 +8,7 @@ import pytest
 
 from exact_reference import bareiss_det_int
 from spectral_renorm.cohomology import (
-    EXPECTED_JORDAN,
-    EXPECTED_RHO,
-    INTERSECTION_PRINTED,
-    PULLBACK_PRINTED,
-    PUSHFORWARD,
-    TOP_DEGREE,
+    SURFACES,
     invariant_classes,
     map_action,
     surface,
@@ -21,10 +16,15 @@ from spectral_renorm.cohomology import (
 )
 
 
+def builtin(name):
+    """The surface of a builtin row, blown up at its points."""
+    return SURFACES[name].action().surface
+
+
 def test_intersection_forms_match_printed():
-    for name, printed in INTERSECTION_PRINTED.items():
-        x = surface(name)
-        assert [list(r) for r in x.intersection] == printed
+    for name, row in SURFACES.items():
+        x = builtin(name)
+        assert [list(r) for r in x.intersection] == row.intersection
         assert x.signature() == (1, x.k)
         assert abs(x.det()) == 1
         assert x.det() == bareiss_det_int([list(r) for r in x.intersection])
@@ -32,7 +32,7 @@ def test_intersection_forms_match_printed():
 
 def test_signature_is_the_inertia_of_the_form():
     # indefinite and singular forms too, against the float eigenvalue signs
-    x = surface("hanoi4")
+    x = builtin("hanoi4")
     rng = np.random.default_rng(5)
     for trial in range(200):
         n = int(rng.integers(1, 7))
@@ -46,25 +46,25 @@ def test_signature_is_the_inertia_of_the_form():
 
 
 def test_basic_intersection_numbers():
-    g = surface("grigorchuk4")
+    g = builtin("grigorchuk4")
     e1 = [0, 1, 0, 0, 0]
     assert g.pairing(e1, e1) == -1
     lt = [1, 0, 0, 0, 0]
     assert g.pairing(lt, lt) == -1
-    std = surface("grigorchuk4", basis="standard")
+    std = surface(g.incidences, basis="standard")
     h = [1, 0, 0, 0, 0]
     assert std.pairing(h, h) == 1
 
 
 def test_canonical_class_and_basis_change():
-    g = surface("grigorchuk4")
+    g = builtin("grigorchuk4")
     assert list(g.canonical) == [-3, -2, -2, 1, 1]
     # Lt = H - E_1 - E_2, so a Lt + sum b_i E_i = a H + sum (b_i - a [E_i on the line]) E_i
     a, *b = g.canonical
     standard = [a] + [bi - (a if inc else 0) for bi, inc in zip(b, g.incidences)]
     assert standard == [-3, 1, 1, 1, 1]
-    assert standard == list(surface("grigorchuk4", basis="standard").canonical)
-    l = surface("lamplighter2")
+    assert standard == list(surface(g.incidences, basis="standard").canonical)
+    l = builtin("lamplighter2")
     assert list(l.canonical) == [-3, -2, -2]
     d1 = [1, 0, 1]
     assert l.pairing(d1, l.canonical) == -2
@@ -72,10 +72,10 @@ def test_canonical_class_and_basis_change():
 
 def test_pullbacks_match_printed_and_adjointness():
     rng = random.Random(8)
-    for name in PUSHFORWARD:
-        x = surface(name)
-        action = map_action(x, PUSHFORWARD[name], TOP_DEGREE[name])
-        assert [list(r) for r in action.pull] == PULLBACK_PRINTED[name]
+    for row in SURFACES.values():
+        action = row.action()
+        x = action.surface
+        assert [list(r) for r in action.pull] == row.pull
         n = x.dim
         for _ in range(100):
             a = [rng.randint(-9, 9) for _ in range(n)]
@@ -86,17 +86,16 @@ def test_pullbacks_match_printed_and_adjointness():
 
 
 def test_spectral_radii_and_jordan_flags():
-    for name in PUSHFORWARD:
-        x = surface(name)
-        action = map_action(x, PUSHFORWARD[name], TOP_DEGREE[name])
-        assert action.spectral_radius == EXPECTED_RHO[name]
-        assert action.jordan_block == EXPECTED_JORDAN[name]
+    for row in SURFACES.values():
+        action = row.action()
+        assert action.spectral_radius == row.rho
+        assert action.jordan_block == row.jordan
 
 
 def test_identity_pushforward_is_trivial():
-    x = surface("lamplighter2")
+    x = builtin("lamplighter2")
     ident = [[int(i == j) for j in range(3)] for i in range(3)]
-    action = map_action(x, ident, 1)
+    action = map_action(x, ident)
     assert action.pull == tuple(tuple(r) for r in ident)
     assert action.spectral_radius == 1
     assert not action.jordan_block
@@ -109,8 +108,8 @@ def test_invariant_classes_recovered_from_kernel():
         "lamplighter2": (1, [1, 0, 1]),
     }
     for name, (d, cls) in expectations.items():
-        x = surface(name)
-        action = map_action(x, PUSHFORWARD[name], TOP_DEGREE[name])
+        action = SURFACES[name].action()
+        x = action.surface
         found = invariant_classes(action, d)
         assert found["candidates"] == [cls]
         assert x.pairing(cls, cls) == 0
@@ -118,8 +117,7 @@ def test_invariant_classes_recovered_from_kernel():
 
 
 def test_lamplighter_jordan_relation():
-    x = surface("lamplighter2")
-    action = map_action(x, PUSHFORWARD["lamplighter2"], 1)
+    action = SURFACES["lamplighter2"].action()
     d1 = [1, 0, 1]
     d2 = [1, 1, 0]
     apply = lambda m, v: [sum(m[i][j] * v[j] for j in range(3)) for i in range(3)]
@@ -145,23 +143,63 @@ def test_all_ok_fails_on_one_wrong_printed_entry(monkeypatch):
 
     before = false_keys(verify_printed_matrices("hanoi4"))
     assert before == {"jordan_block"}  # a datum: hanoi4 has no Jordan block
-    wrong = [row[:] for row in PULLBACK_PRINTED["hanoi4"]]
+    wrong = [row[:] for row in SURFACES["hanoi4"].pull]
     wrong[2][3] += 1
-    monkeypatch.setitem(PULLBACK_PRINTED, "hanoi4", wrong)
+    monkeypatch.setitem(SURFACES, "hanoi4", replace(SURFACES["hanoi4"], pull=wrong))
     after = false_keys(verify_printed_matrices("hanoi4"))
     assert after - before == {"pullback_matches_printed", "all_ok"}
 
 
+# each pinned column of a SURFACES row and the report key that checks it
+PINNED = {
+    "pull": "pullback_matches_printed",
+    "intersection": "intersection_matches_printed",
+    "rho": "spectral_radius_ok",
+    "jordan": "jordan_block_ok",
+    "fiber": "kernel_recovers_class",
+    "relations": "invariant_relation_ok",
+    "involution": "involution_squares_to_identity",
+    "second_push": "second_map_factors",
+    "second_pull": "second_map_pull_matches_printed",
+}
+
+
+def _shift_last(value):
+    """``value`` with its last entry changed: a flag negated, an integer plus 1."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return [*value[:-1], _shift_last(value[-1])]
+
+
+@pytest.mark.parametrize("name, columns", [("grigorchuk4", 8), ("lamplighter2", 6),
+                                           ("hanoi4", 5)])
+def test_every_pinned_column_fails_when_shifted(name, columns, monkeypatch):
+    row = SURFACES[name]
+    assert verify_printed_matrices(name)["all_ok"]
+    shifted = []
+    for column, key in PINNED.items():
+        value = getattr(row, column)
+        if value is None or value == ():
+            continue
+        monkeypatch.setitem(SURFACES, name, replace(row, **{column: _shift_last(value)}))
+        report = verify_printed_matrices(name)
+        assert report[key] is False and report["all_ok"] is False, column
+        shifted.append(column)
+    assert len(shifted) == columns
+
+
 def test_custom_surface_from_incidences():
-    x = surface("custom", incidences=[True, False])
+    x = surface([True, False])
     assert x.k == 2
     assert x.intersection[0][0] == 0  # Lt^2 = 1 - 1
     assert x.signature() == (1, 2)
     with pytest.raises(ValueError):
-        surface("custom")
+        surface([True, False], basis="nope")
 
 
 def test_nonintegral_pullback_rejected():
-    x = surface("lamplighter2")
+    x = builtin("lamplighter2")
     with pytest.raises(ValueError):
-        map_action(x, [[1, 0], [0, 1]], 1)
+        map_action(x, [[1, 0], [0, 1]])

@@ -22,7 +22,7 @@ from spectral_renorm.spectra import (
     convergence_report,
     decimated_spectrum,
     dos,
-    grig_limit_measure,
+    grig_limit_cdf,
     hanoi_unborn_mass,
     julia_backward,
     kolmogorov_to_cdf,
@@ -153,26 +153,21 @@ def test_cdf_distance_examples():
 
 
 def test_grigorchuk_kolmogorov_monotone_improvement():
-    lim = grig_limit_measure(-1.0)
-    k6 = kolmogorov_to_cdf(dos("grigorchuk", 6).measure, lim.cdf)
-    k4 = kolmogorov_to_cdf(dos("grigorchuk", 4).measure, lim.cdf)
-    k8 = kolmogorov_to_cdf(dos("grigorchuk", 8).measure, lim.cdf)
+    k6 = kolmogorov_to_cdf(dos("grigorchuk", 6).measure, grig_limit_cdf)
+    k4 = kolmogorov_to_cdf(dos("grigorchuk", 4).measure, grig_limit_cdf)
+    k8 = kolmogorov_to_cdf(dos("grigorchuk", 8).measure, grig_limit_cdf)
     assert k8 < k6 < k4
 
 
 def test_grig_limit_measure_closed_form():
-    lim = grig_limit_measure(-1.0)
-    assert lim.cdf(0.0) == lim.cdf(0.5) == 0.5  # no mass between the two intervals
-    assert lim.cdf(1.0) == 1.0
-    assert lim.cdf(-0.5) == 0.0
-    assert abs(lim.cdf(0.25) - 0.5) < 1e-15  # gap between the two intervals
-    with pytest.raises(ValueError):
-        grig_limit_measure(0.0)
+    assert grig_limit_cdf(0.0) == grig_limit_cdf(0.5) == 0.5  # no mass between the two intervals
+    assert grig_limit_cdf(1.0) == 1.0
+    assert grig_limit_cdf(-0.5) == 0.0
+    assert abs(grig_limit_cdf(0.25) - 0.5) < 1e-15  # gap between the two intervals
 
 
 def test_grig_limit_cdf_against_quadrature_oracle():
     scipy = pytest.importorskip("scipy.integrate")
-    lim = grig_limit_measure(-1.0)
 
     def density(x):
         # pushforward of the Chebyshev weight under both branches, then the
@@ -189,33 +184,32 @@ def test_grig_limit_cdf_against_quadrature_oracle():
     for x in (0.6, 0.75, 0.9, -0.1, -0.3):
         val, _ = scipy.quad(density, -0.51, x, limit=300,
                             points=[-0.5, 0.0, 0.5, 1.0] if x > 0.5 else [-0.5, 0.0])
-        assert abs(val - lim.cdf(x)) < 1e-6
+        assert abs(val - grig_limit_cdf(x)) < 1e-6
 
 
 def test_grig_limit_upper_branch_median():
     # the median of the upper branch sits at theta = 0, i.e. mu = sqrt(5),
-    # transformed to x = (1 + sqrt 5)/4
-    lim = grig_limit_measure(-1.0)
+    # transformed to x = (1 + sqrt 5)/4: the lower branch's half of the mass
+    # and half of the upper branch's lie below it
     x_med = (1.0 + math.sqrt(5.0)) / 4.0
-    assert abs(lim._branch_cdf(4.0 * x_med - 1.0, +1) - 0.5) < 1e-12
+    assert abs(grig_limit_cdf(x_med) - 0.75) < 1e-12
 
 
-def _sample_grig_limit(lim, rng, size):
+def _sample_grig_limit(rng, size):
     """Draws from the limit law: theta Chebyshev-distributed, then a branch
-    +-sqrt(g(theta)) with probability 1/2 each."""
+    +-sqrt(g(theta)), g = 5 + 4 theta, with probability 1/2 each, at x = (mu + 1)/4."""
     theta = np.cos(np.pi * rng.random(size))
-    g = 4.0 + lim.lam0 ** 2 - 4.0 * theta * lim.lam0
+    g = 4.0 + 1.0 + 4.0 * theta
     sign = np.where(rng.random(size) < 0.5, 1.0, -1.0)
     mu = sign * np.sqrt(np.maximum(g, 0.0))
-    return (mu + 1.0) / 4.0 if lim.transformed else mu
+    return (mu + 1.0) / 4.0
 
 
 def test_grig_limit_sampler_matches_cdf():
-    lim = grig_limit_measure(-1.0)
     rng = np.random.default_rng(0)
-    samples = _sample_grig_limit(lim, rng, 40000)
+    samples = _sample_grig_limit(rng, 40000)
     emp = Measure1D.from_samples(samples, np.full(len(samples), 1.0 / len(samples)))
-    assert kolmogorov_to_cdf(emp, lim.cdf) < 0.02
+    assert kolmogorov_to_cdf(emp, grig_limit_cdf) < 0.02
 
 
 def test_julia_backward_examples():
