@@ -110,6 +110,17 @@ def _format_list(text: str) -> str:
     return text
 
 
+def _level_range(text: str) -> list:
+    """argparse type of ``--levels``: the levels a..b, both included."""
+    lo, dots, hi = text.partition("..")
+    try:
+        if not dots:
+            raise ValueError
+        return list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a range a..b of integers") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="spectral-renorm",
@@ -135,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dos-compare", help="convergence diagnostics across levels")
     p.add_argument("--group", required=True,
                    choices=["grigorchuk", "lamplighter", "hanoi"])
-    p.add_argument("--levels", default="", help="a..b (inclusive)")
+    p.add_argument("--levels", type=_level_range, help="a..b (inclusive)")
     common(p)
 
     p = sub.add_parser("schur-verify", help="exact recursion check")
@@ -300,10 +311,8 @@ def cmd_dos_compare(args) -> int:
     from spectral_renorm import output, spectra
 
     fmts = _formats(args)
-    if args.levels:
-        lo, hi = args.levels.split("..")
-        levels = list(range(int(lo), int(hi) + 1))
-    else:
+    levels = args.levels
+    if levels is None:
         levels = {"grigorchuk": list(range(4, 12)), "lamplighter": list(range(4, 13)),
                   "hanoi": list(range(3, 8))}[args.group]
     report = spectra.convergence_report(args.group, levels)
@@ -319,7 +328,7 @@ def cmd_dos_compare(args) -> int:
         output.svg_series(out / f"{stem}.svg",
                           [r["level"] for r in report["rows"]],
                           [r["distance"] for r in report["rows"]],
-                          title=f"{args.group}: distance to limit", logy=True)
+                          title=f"{args.group}: distance to limit")
     return 0
 
 
@@ -393,7 +402,7 @@ def cmd_dyndeg(args) -> int:
                          [range(1, len(result["degrees"]) + 1), result["degrees"]])
     if "svg" in _formats(args):
         output.svg_series(out / f"{stem}.svg", list(range(1, len(result["degrees"]) + 1)),
-                          result["degrees"], title=f"deg {args.map_name}^n", logy=True)
+                          result["degrees"], title=f"deg {args.map_name}^n")
     return 0
 
 
@@ -518,14 +527,13 @@ def cmd_experiment(args) -> int:
     series = points = measure = None
     if kind == "twist":
         r = experiments.twist_experiment(args.n)
-        r["plane_line_count"] = experiments.twist_plane_count(args.n)
         summary = {
             "kind": kind,
             "params": {"n": args.n, "curve": "angular graph pi + 0.45 eta",
                        "line": "beta = alpha"},
             "count": r["count"],
             "distances": [r["w1_arccos_law"], r["w1_narrow_law"]],
-            "plane_line_count": r["plane_line_count"],
+            "plane_line_count": experiments.twist_plane_count(args.n),
         }
         points = r["line_points"]
         measure = r["measure"]
@@ -555,7 +563,7 @@ def cmd_experiment(args) -> int:
     if series is not None and "svg" in fmts:
         output.svg_series(out / f"experiment_{kind}.svg",
                           [row["depth"] for row in series],
-                          [row["distance"] for row in series], title=kind, logy=True)
+                          [row["distance"] for row in series], title=kind)
     if points is not None and "csv" in fmts:
         output.write_csv(out / f"experiment_{kind}.csv", ["x", "y"],
                          [[p[0] for p in points], [p[1] for p in points]])

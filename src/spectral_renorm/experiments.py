@@ -47,6 +47,9 @@ CANTOR_REFERENCE_DEPTH = 12
 TWIST_CURVE = (math.pi, 0.45)
 TWIST_PLANE_CURVE = (0.6, 0.35)
 TWIST_LINE = (0.0, 1.0)
+# the line eta -> y, neither vertical nor horizontal, that slices the skew
+# product's vertical fibers, as (intercept, slope)
+SKEW_LINE = (0.7, 0.4)
 TWIST_REFINE = 64  # bracketing subdivisions per rotation subinterval
 
 
@@ -134,7 +137,6 @@ def twist_experiment(n: int) -> dict:
         "line_points": line_points,
         "w1_arccos_law": w_wide,
         "w1_narrow_law": w_narrow,
-        "plane_line_count": None,
     }
 
 
@@ -218,33 +220,28 @@ def twist_plane_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def skew_cantor_experiment(eta0: float = 3.0, n: int = 10, line: tuple = (0.7, 0.4),
-                           domain: str = "real") -> dict:
+def skew_cantor_experiment(eta0: float = 3.0, n: int = 10) -> dict:
     """Vertical-fiber preimages of {eta0} x C under the skew product over
-    z^2 - z - 3, sliced by a line.
+    z^2 - z - 3, sliced by the line ``SKEW_LINE``.
 
     The time-n preimage is a union of 2^n vertical fibers over the n-th
-    inverse images of eta0; the slice measure on the line (neither vertical
-    nor horizontal) is carried by the eta-marginal, which is compared in
-    1-Wasserstein distance to the backward-orbit approximation of the
-    balanced measure of the base polynomial.  A complex inverse branch in
-    real mode raises; pass ``domain='complex'`` to keep going (the measure
-    then lives on the real parts).
+    inverse images of eta0; the slice measure on the line is carried by the
+    eta-marginal, which is compared in 1-Wasserstein distance to the
+    backward-orbit approximation of the balanced measure of the base
+    polynomial.  The inverse images are real: a complex inverse branch
+    raises, as it does at eta0 = -4.
     """
     if not 1 <= n <= SKEW_DEPTH_MAX:
         raise ValueError(f"depth must be in 1..{SKEW_DEPTH_MAX}")
     if not math.isfinite(eta0):
         raise ValueError(f"eta0 must be finite, not {eta0}")
-    intercept, slope = line
-    if slope == 0:
-        raise ValueError("line must not be horizontal")
-    pts = np.array([eta0], dtype=complex if domain == "complex" else float)
+    pts = np.array([eta0], dtype=float)
     for _ in range(n):
-        pts = np.concatenate(preimages(CANTOR_BASE, pts, domain))
-    pts = np.real(pts)
+        pts = np.concatenate(preimages(CANTOR_BASE, pts))
     measure = Measure1D.from_samples(pts)
     _, reference = julia_backward(CANTOR_BASE, CANTOR_REFERENCE_DEPTH)
     w1 = cdf_distance(measure, reference, "wasserstein1")
+    intercept, slope = SKEW_LINE
     return {
         "eta0": eta0,
         "depth": n,

@@ -12,12 +12,15 @@ Conventions, fixed once and documented here:
   so the permutation of "xy" is y o x and its matrix is M(y) M(x);
 - an apostrophe in a word inverts the preceding generator ("b'a" is
   b^{-1} followed by a).
+
+``build_group`` gives the three builtin presentations; ``GroupSpec``
+validates any presentation it is built from.  Each spec memoizes the
+level permutations of its generators, so the memo is freed with the spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 IDENTITY = "1"
 
@@ -60,7 +63,8 @@ class GroupSpec:
 
     d: int
     generators: dict  # name -> (root_perm tuple, sections tuple)
-    builtin: str = "custom"
+    # level-n permutation of each generator, memoized over (name, n)
+    perms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.d < 2:
@@ -75,45 +79,15 @@ class GroupSpec:
                     raise GroupError(f"section '{s}' of '{name}' does not resolve")
 
 
-def build_group(name_or_table, d: int | None = None) -> GroupSpec:
-    """Return a builtin presentation or validate a custom recursion table.
-
-    ``name_or_table`` is one of "grigorchuk", "lamplighter", "hanoi", or a
-    mapping ``{gen: (root_perm, sections)}`` together with alphabet size ``d``.
-    """
-    if isinstance(name_or_table, str):
-        try:
-            d, table = _BUILTINS[name_or_table]
-        except KeyError:
-            raise GroupError(f"unknown builtin group '{name_or_table}'") from None
-        return GroupSpec(d=d, generators={k: (tuple(p), tuple(s)) for k, (p, s) in table.items()},
-                         builtin=name_or_table)
-    if d is None:
-        raise GroupError("custom recursion tables need an explicit alphabet size")
-    table = {k: (tuple(p), tuple(s)) for k, (p, s) in dict(name_or_table).items()}
-    return GroupSpec(d=d, generators=table, builtin="custom")
+def build_group(name: str) -> GroupSpec:
+    """The builtin presentation "grigorchuk", "lamplighter" or "hanoi"."""
+    d, table = _BUILTINS[name]
+    return GroupSpec(d=d, generators=dict(table))
 
 
-@dataclass(frozen=True)
-class LevelAction:
-    """Permutation of the d^n level-n vertices induced by a word."""
-
-    n: int
-    d: int
-    perm: tuple
-
-    def __len__(self):
-        return len(self.perm)
-
-
-def parse_word(word: str | Sequence) -> list:
-    """Split a word into (generator, exponent) letters.
-
-    Accepts "ab'c" style strings (apostrophe = inverse) or iterables of
-    (name, +-1) pairs.
-    """
-    if not isinstance(word, str):
-        return [(name, exp) for name, exp in word]
+def parse_word(word: str) -> list:
+    """Split a word like "ab'c" into (generator, exponent) letters; an
+    apostrophe inverts the preceding generator."""
     letters = []
     i = 0
     while i < len(word):
@@ -130,9 +104,10 @@ def parse_word(word: str | Sequence) -> list:
     return letters
 
 
-def _generator_perm(group: GroupSpec, name: str, n: int, cache: dict) -> tuple:
-    """Level-n permutation of a single generator, memoized over (name, n)."""
+def _generator_perm(group: GroupSpec, name: str, n: int) -> tuple:
+    """Level-n permutation of a single generator, memoized in ``group.perms``."""
     key = (name, n)
+    cache = group.perms
     if key in cache:
         return cache[key]
     if n == 0:
@@ -144,7 +119,7 @@ def _generator_perm(group: GroupSpec, name: str, n: int, cache: dict) -> tuple:
             if s == IDENTITY:
                 sub.append(None)
             else:
-                sub.append(_generator_perm(group, s, n - 1, cache))
+                sub.append(_generator_perm(group, s, n - 1))
         block = group.d ** (n - 1)
         out = [0] * (group.d ** n)
         for i in range(group.d):
@@ -162,29 +137,24 @@ def _generator_perm(group: GroupSpec, name: str, n: int, cache: dict) -> tuple:
     return perm
 
 
-def level_action(group: GroupSpec, word: str | Sequence, n: int) -> LevelAction:
-    """Permutation of level-n vertices for a word of generators.
+def level_action(group: GroupSpec, word: str, n: int) -> tuple:
+    """Permutation of the d^n level-n vertices induced by a word of
+    generators, as the tuple of images.
 
     The word acts left to right: the first letter is applied first.
     """
     if n < 0:
         raise GroupError("level must be non-negative")
-    cache = _perm_cache.setdefault(id(group), ({}, group))[0]
     size = group.d ** n
     current = list(range(size))
     for name, exp in parse_word(word):
         if name not in group.generators:
             raise GroupError(f"unknown generator '{name}'")
-        perm = _generator_perm(group, name, n, cache)
+        perm = _generator_perm(group, name, n)
         if exp == -1:
             inv = [0] * size
             for v, w in enumerate(perm):
                 inv[w] = v
             perm = inv
         current = [perm[v] for v in current]
-    return LevelAction(n=n, d=group.d, perm=tuple(current))
-
-
-# permutation caches keyed by GroupSpec identity (specs are frozen)
-_perm_cache: dict = {}
-
+    return tuple(current)

@@ -135,11 +135,10 @@ def svg_cdf(path, points: Sequence[float], weights: Sequence[float], title: str 
     Path(path).write_text(_svg_frame("\n".join(parts), title))
 
 
-def svg_series(path, xs: Sequence[float], ys: Sequence[float], title: str = "",
-               logy: bool = False) -> None:
+def svg_series(path, xs: Sequence[float], ys: Sequence[float], title: str = "") -> None:
+    """Points (x, y) joined by a line, on a log10 y axis."""
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    plot_y = np.log10(np.maximum(ys, 1e-300)) if logy else ys
+    plot_y = np.log10(np.maximum(np.asarray(ys, dtype=float), 1e-300))
     ylo, yhi = float(plot_y.min()), float(plot_y.max())
     sx = _scale(xs, xs.min(), xs.max(), _PAD, _W - _PAD)
     sy = _H - _PAD - _scale(plot_y, ylo, yhi, 0, _H - 2 * _PAD)

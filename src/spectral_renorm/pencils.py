@@ -167,7 +167,7 @@ def pencil_terms(scheme: PencilScheme, n: int) -> list:
     for k, words in enumerate((scheme.c0, scheme.clam, scheme.cmu)):
         for word, c in words.items():
             coeffs.setdefault(word, [Fraction(0)] * 3)[k] += c
-    terms = [(a, b, c, level_action(scheme.group, word, n).perm)
+    terms = [(a, b, c, level_action(scheme.group, word, n))
              for word, (a, b, c) in coeffs.items() if a or b or c]
     if scheme.has_coupling():
         size = scheme.d ** n

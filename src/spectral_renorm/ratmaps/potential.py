@@ -13,18 +13,19 @@ where s is the level of the closed-form seed polynomial, so u_n exists for
 n >= s only.  One loop (``_telescope``) evaluates this sum over an array of
 projective points, renormalizing them to max-norm 1 after every step; the
 seed tail is its last weighted log term.  The forms evaluated at one orbit
-step share one table of coordinate powers.  ``potential`` runs the loop on
-given points and ``potential_grid`` on a window's meshgrid.  The first event
-of an orbit decides its value: a zero of a factor or of the seed gets -inf,
-and a dead orbit (one that reaches an indeterminacy point or the line at
-infinity) gets NaN, also where a zero follows its death.  Floats can miss a
-zero that the orbit starts on, so each factor's starting value carries the
-bound ``maps._error_bound`` on its rounding error, and every starting point
-whose value is within that bound of 0, and only those, gets the exact
-``Fraction`` test of the factors that the scalar form applies to every
-rational point: it reads -inf if it lies on a factor's zero set, whatever
-its orbit does later.  A point on a zero set has its value within the bound,
-so no such point is missed.
+step share one table of coordinate powers.  ``potential_grid`` runs the
+loop on a window's meshgrid.  The first event of an orbit decides its
+value: a zero of a factor or of the seed gets -inf, and a dead orbit (one
+that reaches an indeterminacy point or the line at infinity) gets NaN, also
+where a zero follows its death.  Floats can miss a zero that the orbit
+starts on, so each factor's starting value carries the bound
+``maps._error_bound`` on its rounding error, and every starting point whose
+value is within that bound of 0, and only those, gets the exact
+``Fraction`` test of the factors (``_on_factor_zero``): it reads -inf if it
+lies on a factor's zero set, whatever its orbit does later.  A point on a
+zero set has its value within the bound, so no such point is missed.  The
+tests evaluate the same loop at single points with the scalar form
+``potential`` of ``tests/exact_reference.py``.
 """
 
 from __future__ import annotations
@@ -116,25 +117,6 @@ def _on_factor_zero(scheme, lam, mu) -> bool:
     """Whether the rational point (lam, mu) lies exactly on a factor's zero set."""
     point = (Fraction(lam), Fraction(mu))
     return any(q.eval(point) == 0 for q, _m, _p in scheme.factors)
-
-
-def potential(scheme, lam, mu, n: int):
-    """Value of u_n of a ``pencils.PencilScheme`` at the affine points
-    (lam, mu), scalars or arrays of one shape: a float for scalars, else an
-    array of that shape.
-
-    -inf where the orbit meets a factor or seed zero, NaN where it dies.  A
-    rational scalar point (int, float or Fraction) on a factor's zero set
-    is detected exactly and gives -inf.
-    """
-    try:
-        if _on_factor_zero(scheme, lam, mu):
-            return NEG_INF
-    except (TypeError, ValueError):  # arrays, NaN
-        pass
-    lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
-    values, _, _ = _telescope(scheme, lam.ravel(), mu.ravel(), n)
-    return float(values[0]) if lam.ndim == 0 else values.reshape(lam.shape)
 
 
 def potential_grid(scheme, window: Sequence[float], resolution: int, n: int) -> dict:

@@ -50,15 +50,11 @@ class Measure1D:
             raise ValueError("points must be strictly increasing")
 
     @classmethod
-    def from_samples(cls, values: Sequence[float], weights: Sequence[float] | None = None):
-        """Build from unsorted, possibly repeated values; equal values merge."""
-        vals = np.asarray(values, dtype=float)
-        if weights is None:
-            w = np.full(vals.shape, 1.0 / max(len(vals), 1))
-        else:
-            w = np.asarray(weights, dtype=float)
-        order = np.argsort(vals, kind="stable")
-        pts, wts = _merge_equal(vals[order], w[order])
+    def from_samples(cls, values: Sequence[float]):
+        """The empirical measure of unsorted, possibly repeated values: weight
+        1/len each, equal values merged."""
+        vals = np.sort(np.asarray(values, dtype=float), kind="stable")
+        pts, wts = _merge_equal(vals, np.full(vals.shape, 1.0 / max(len(vals), 1)))
         return cls(points=tuple(pts.tolist()), weights=tuple(wts.tolist()))
 
     @property
@@ -418,21 +414,21 @@ def repelling_fixed_point(a: float, b: float, c: float) -> float:
 
 
 # deepest backward orbit per mode: 2^16 points for the full tree; 10^4 steps
-# of the 4096 default walks take about 1 s on 2 cores
+# of the JULIA_WALKS walks take about 1 s on 2 cores
 JULIA_DEPTH_MAX = {"full_tree": 16, "random_walk": 10_000}
+JULIA_WALKS = 4096  # random inverse-branch paths of the random_walk mode
 
 
-def julia_backward(p: Sequence[float], depth: int, mode: str = "full_tree",
-                   domain: str = "real", samples: int = 4096, seed: int = 0):
+def julia_backward(p: Sequence[float], depth: int, mode: str = "full_tree", seed: int = 0):
     """Backward orbit of the repelling fixed point of a quadratic polynomial.
 
     ``p`` is (a, b, c) for a z^2 + b z + c.  ``full_tree`` returns the
-    complete 2^depth-point preimage set; ``random_walk`` draws ``samples``
-    random inverse-branch paths.  ``depth`` is at most
-    ``JULIA_DEPTH_MAX[mode]``.  In real mode a complex inverse image raises;
-    ``domain='complex'`` allows them.
+    complete 2^depth-point preimage set; ``random_walk`` draws
+    ``JULIA_WALKS`` random inverse-branch paths.  ``depth`` is at most
+    ``JULIA_DEPTH_MAX[mode]``.  The orbit is real: a complex inverse image
+    raises.
 
-    Returns (points array, empirical Measure1D of the real-part support).
+    Returns (points array, empirical Measure1D of the points).
     """
     if mode not in JULIA_DEPTH_MAX:
         raise ValueError("mode must be 'full_tree' or 'random_walk'")
@@ -444,17 +440,17 @@ def julia_backward(p: Sequence[float], depth: int, mode: str = "full_tree",
     if a == 0:
         raise ValueError("a must be nonzero: a z^2 + b z + c is not quadratic")
     z0 = repelling_fixed_point(a, b, c)
-    rng = np.random.default_rng(seed)
     if mode == "full_tree":
-        pts = np.array([z0], dtype=complex if domain == "complex" else float)
+        pts = np.array([z0])
         for _ in range(depth):
-            pts = np.concatenate(preimages((a, b, c), pts, domain))
+            pts = np.concatenate(preimages((a, b, c), pts))
     else:
-        pts = np.full(samples, z0, dtype=complex if domain == "complex" else float)
+        rng = np.random.default_rng(seed)
+        pts = np.full(JULIA_WALKS, z0)
         for _ in range(depth):
-            plus, minus = preimages((a, b, c), pts, domain)
+            plus, minus = preimages((a, b, c), pts)
             pts = np.where(rng.random(len(pts)) < 0.5, plus, minus)
-    return pts, Measure1D.from_samples(np.real(pts))
+    return pts, Measure1D.from_samples(pts)
 
 
 def preimages(p: Sequence[float], w: np.ndarray, domain: str = "real") -> tuple:

@@ -24,6 +24,10 @@ integer forms by their gcd (``modular_poly_gcd_int``: modular images of the
 cores recombined by CRT and checked by exact trial division, with the
 primitive PRS as the fallback) and by their joint content.
 ``degrees_along_line_int`` reads its degrees.
+
+``potential`` is the scalar form of ``ratmaps.potential.potential_grid``:
+the package's telescoping loop at given points, after the exact factor test
+on a rational scalar point.
 """
 
 from fractions import Fraction
@@ -37,6 +41,7 @@ from spectral_renorm.pencils import builtin_scheme, pencil_terms
 from spectral_renorm.ratmaps.maps import RationalMapP2, _normalize_triple
 from spectral_renorm.ratmaps import modp
 from spectral_renorm.ratmaps.poly import MultiPoly
+from spectral_renorm.ratmaps.potential import NEG_INF, _on_factor_zero, _telescope
 from spectral_renorm.spectra import slice_point
 
 
@@ -510,3 +515,22 @@ def poly_divexact_int(f: Sequence[int], g: Sequence[int]) -> list:
     if r:
         raise ValueError("not an exact polynomial division")
     return q
+
+
+def potential(scheme, lam, mu, n: int):
+    """Value of u_n of a ``pencils.PencilScheme`` at the affine points
+    (lam, mu), scalars or arrays of one shape: a float for scalars, else an
+    array of that shape.
+
+    -inf where the orbit meets a factor or seed zero, NaN where it dies.  A
+    rational scalar point (int, float or Fraction) on a factor's zero set
+    is detected exactly and gives -inf.
+    """
+    try:
+        if _on_factor_zero(scheme, lam, mu):
+            return NEG_INF
+    except (TypeError, ValueError):  # arrays, NaN
+        pass
+    lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
+    values, _, _ = _telescope(scheme, lam.ravel(), mu.ravel(), n)
+    return float(values[0]) if lam.ndim == 0 else values.reshape(lam.shape)

@@ -348,6 +348,9 @@ BAD_INPUT = [
     (None, ["dyndeg", "--map", "R_G", "--trials", str(degrees.MAX_TRIALS + 1)]),
     (None, ["potential-grid", "--group", "hanoi",
             "--iters", str(potential.GRID_ITERS_MAX + 1)]),
+    (None, ["dos-compare", "--group", "hanoi", "--levels", "3.."]),
+    (None, ["dos-compare", "--group", "hanoi", "--levels", "x"]),
+    ("levels = x", ["dos-compare", "--group", "hanoi"]),
 ]
 
 
@@ -392,6 +395,13 @@ def test_a_malformed_surface_json_exits_2_naming_the_key(text, named, tmp_path, 
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert named in json.loads(captured.err)["error"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("levels", ["3..", "x", "3..5..7"])
+def test_a_malformed_level_range_is_refused_by_name(levels, tmp_path, capsys):
+    assert run_cli(["dos-compare", "--group", "hanoi", "--levels", levels], tmp_path / "out") == 2
+    assert "--levels" in json.loads(capsys.readouterr().err)["error"]
     assert not (tmp_path / "out").exists()
 
 

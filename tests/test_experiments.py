@@ -80,15 +80,11 @@ def test_skew_cantor_fibers_and_decay():
     assert d12 < d10 < d8
     with pytest.raises(ValueError):
         skew_cantor_experiment(3.0, 99)
-    with pytest.raises(ValueError):
-        skew_cantor_experiment(3.0, 3, line=(0.5, 0.0))
 
 
 def test_skew_cantor_complex_branch_handling():
     with pytest.raises(ValueError):
         skew_cantor_experiment(-4.0, 2)  # disc < 0 on the first pullback
-    r = skew_cantor_experiment(-4.0, 2, domain="complex")
-    assert r["count"] == 4
 
 
 def test_circle_w1_on_known_configurations():
@@ -190,19 +186,15 @@ def test_backward_depth_is_capped(model, seed_point):
 # The hand-written preimage loops that ``spectra.preimages`` replaced.
 
 
-def _uniform(pts):
-    return Measure1D.from_samples(pts, np.full(len(pts), 1.0 / len(pts)))
-
-
-def _reference_skew_points(eta0, n, domain):
-    pts = np.array([eta0], dtype=complex if domain == "complex" else float)
+def _reference_skew_points(eta0, n):
+    pts = np.array([eta0], dtype=float)
     for _ in range(n):
         disc = 13.0 + 4.0 * pts
-        if domain == "real" and np.any(disc < 0):
+        if np.any(disc < 0):
             raise ValueError("complex branch encountered in real mode")
-        root = np.sqrt(disc if domain == "real" else disc.astype(complex))
+        root = np.sqrt(disc)
         pts = np.concatenate([(1.0 + root) / 2.0, (1.0 - root) / 2.0])
-    return np.real(pts)
+    return pts
 
 
 def _reference_backward_levels(model, seed_point, n):
@@ -226,12 +218,12 @@ def _reference_backward_levels(model, seed_point, n):
     return levels
 
 
-@pytest.mark.parametrize("eta0,n,domain", [(3.0, 12, "real"), (0.37, 9, "real"),
-                                           (-4.0, 6, "complex"), (2.2, 8, "complex")])
-def test_skew_cantor_matches_the_reference_loop_bit_for_bit(eta0, n, domain):
-    r = skew_cantor_experiment(eta0, n, domain=domain)
-    pts = _reference_skew_points(eta0, n, domain)
-    measure = _uniform(pts)
+@pytest.mark.parametrize("eta0,n", [(3.0, 12), (0.37, 9), (2.2, 8)],
+                         ids=["3.0-12-real", "0.37-9-real", "2.2-8-real"])
+def test_skew_cantor_matches_the_reference_loop_bit_for_bit(eta0, n):
+    r = skew_cantor_experiment(eta0, n)
+    pts = _reference_skew_points(eta0, n)
+    measure = Measure1D.from_samples(pts)
     assert r["measure"] == measure
     assert r["line_points"] == [(float(e), float(0.7 + 0.4 * e)) for e in pts[:64]]
     _, reference = julia_backward((1, -1, -3), 12)
@@ -253,9 +245,11 @@ def test_backward_series_match_the_reference_loops(model, seed_point, n):
             pts = np.concatenate(preimages((1.0, 0.0, 0.0), pts, "complex"))
             assert np.array_equal(np.sort_complex(pts), np.sort_complex(level))
     elif model == "cheb":
-        expected = [kolmogorov_to_cdf(_uniform(pts), arcsine_cdf) for pts in levels]
+        expected = [kolmogorov_to_cdf(Measure1D.from_samples(pts), arcsine_cdf)
+                    for pts in levels]
     else:
         _, reference = julia_backward(CANTOR_BASE, 12)
-        expected = [cdf_distance(_uniform(pts), reference, "wasserstein1") for pts in levels]
+        expected = [cdf_distance(Measure1D.from_samples(pts), reference, "wasserstein1")
+                    for pts in levels]
     assert [row["distance"] for row in series] == expected
     assert [row["depth"] for row in series] == list(range(1, n + 1))

@@ -5,15 +5,19 @@ g(i w) = sigma(i) . g_i(w), independent of the packed integer indexing used
 by the implementation.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from spectral_renorm.groups import (
     IDENTITY,
     GroupError,
+    GroupSpec,
     build_group,
     level_action,
-    parse_word,
 )
+from spectral_renorm.pencils import builtin_scheme, pencil_terms
 
 
 def oracle_action(group, gen_name, word_vertex):
@@ -56,19 +60,19 @@ def test_level_actions_match_string_oracle(name, n):
     g = build_group(name)
     for gen in g.generators:
         for level in range(n + 1):
-            assert level_action(g, gen, level).perm == oracle_perm(g, gen, level)
+            assert level_action(g, gen, level) == oracle_perm(g, gen, level)
 
 
 def test_spec_examples():
     g = build_group("grigorchuk")
-    assert level_action(g, "a", 2).perm == (2, 3, 0, 1)
-    assert level_action(g, "b", 1).perm == (0, 1)
-    assert level_action(g, "b", 2).perm == (1, 0, 2, 3)
-    assert level_action(g, "d", 2).perm == (0, 1, 2, 3)
+    assert level_action(g, "a", 2) == (2, 3, 0, 1)
+    assert level_action(g, "b", 1) == (0, 1)
+    assert level_action(g, "b", 2) == (1, 0, 2, 3)
+    assert level_action(g, "d", 2) == (0, 1, 2, 3)
     h = build_group("hanoi")
-    assert level_action(h, "a", 1).perm == (1, 0, 2)
+    assert level_action(h, "a", 1) == (1, 0, 2)
     l = build_group("lamplighter")
-    assert level_action(l, "b", 1).perm == (0, 1)
+    assert level_action(l, "b", 1) == (0, 1)
 
 
 def test_builtin_presentations():
@@ -82,16 +86,16 @@ def test_builtin_presentations():
 
 
 def test_custom_group_trivial_action():
-    g = build_group({"a": ((0, 1), ("a", "a"))}, d=2)
+    g = GroupSpec(d=2, generators={"a": ((0, 1), ("a", "a"))})
     for n in range(4):
-        assert level_action(g, "a", n).perm == tuple(range(2 ** n))
+        assert level_action(g, "a", n) == tuple(range(2 ** n))
 
 
 def test_custom_group_validation_errors():
     with pytest.raises(GroupError):
-        build_group({"a": ((0, 0), (IDENTITY, IDENTITY))}, d=2)  # not a bijection
+        GroupSpec(d=2, generators={"a": ((0, 0), (IDENTITY, IDENTITY))})  # not a bijection
     with pytest.raises(GroupError):
-        build_group({"a": ((1, 0), ("z", IDENTITY))}, d=2)  # unresolved section
+        GroupSpec(d=2, generators={"a": ((1, 0), ("z", IDENTITY))})  # unresolved section
     with pytest.raises(GroupError):
         level_action(build_group("grigorchuk"), "x", 2)  # unknown generator
 
@@ -99,15 +103,15 @@ def test_custom_group_validation_errors():
 def test_klein_four_group_of_bcd():
     g = build_group("grigorchuk")
     for n in range(0, 11):
-        b = level_action(g, "b", n).perm
-        c = level_action(g, "c", n).perm
-        d = level_action(g, "d", n).perm
-        for p in (level_action(g, "a", n).perm, b, c, d):
+        b = level_action(g, "b", n)
+        c = level_action(g, "c", n)
+        d = level_action(g, "d", n)
+        for p in (level_action(g, "a", n), b, c, d):
             assert tuple(p[p[v]] for v in range(len(p))) == tuple(range(len(p)))
         # products: bc = d, cd = b, bd = c (as level actions)
-        assert level_action(g, "bc", n).perm == d
-        assert level_action(g, "cd", n).perm == b
-        assert level_action(g, "bd", n).perm == c
+        assert level_action(g, "bc", n) == d
+        assert level_action(g, "cd", n) == b
+        assert level_action(g, "bd", n) == c
 
 
 def test_lamplighter_sigma_is_block_swap():
@@ -115,14 +119,14 @@ def test_lamplighter_sigma_is_block_swap():
     for n in range(1, 13):
         half = 2 ** (n - 1)
         expected = tuple((v + half) % 2 ** n for v in range(2 ** n))
-        assert level_action(g, "b'a", n).perm == expected
+        assert level_action(g, "b'a", n) == expected
 
 
 def test_hanoi_generators_are_symmetric_involutions():
     g = build_group("hanoi")
     for n in range(0, 8):
         for gen in "abc":
-            perm = level_action(g, gen, n).perm
+            perm = level_action(g, gen, n)
             assert tuple(perm[perm[v]] for v in range(len(perm))) == tuple(range(len(perm)))
 
 
@@ -131,27 +135,26 @@ def test_level_compatibility(name):
     g = build_group(name)
     for gen in g.generators:
         for n in range(1, 6):
-            fine = level_action(g, gen, n).perm
-            coarse = level_action(g, gen, n - 1).perm
+            fine = level_action(g, gen, n)
+            coarse = level_action(g, gen, n - 1)
             for v, w in enumerate(fine):
                 assert coarse[v // g.d] == w // g.d
 
 
 def test_word_inverses():
     g = build_group("lamplighter")
-    for word in ["a", "b", "ab", "a'b"]:
+    for word, inverse in [("a", "a'"), ("b", "b'"), ("ab", "b'a'"), ("a'b", "b'a")]:
         fwd = level_action(g, word, 4)
-        letters = [(n, -e) for n, e in reversed(parse_word(word))]
-        back = level_action(g, letters, 4)
-        composed = [back.perm[fwd.perm[v]] for v in range(len(fwd.perm))]
-        assert composed == list(range(len(fwd.perm)))
+        back = level_action(g, inverse, 4)
+        composed = [back[fwd[v]] for v in range(len(fwd))]
+        assert composed == list(range(len(fwd)))
 
 
 def _schreier_edges(group, generating_set, n):
     """The level-n Schreier graph as (v, s.v) pairs, one per generator and
     vertex, loops included."""
     return [(v, w) for word in generating_set
-            for v, w in enumerate(level_action(group, word, n).perm)]
+            for v, w in enumerate(level_action(group, word, n))]
 
 
 def test_schreier_graph():
@@ -167,6 +170,15 @@ def test_schreier_graph():
 
 
 def test_identity_only_generating_set_gives_loops():
-    g = build_group({"e": ((0, 1), (IDENTITY, IDENTITY))}, d=2)
+    g = GroupSpec(d=2, generators={"e": ((0, 1), (IDENTITY, IDENTITY))})
     edges = _schreier_edges(g, ["e"], 2)
     assert all(v == w for v, w in edges)
+
+
+def test_a_dropped_spec_is_freed_with_its_permutations():
+    scheme = builtin_scheme("hanoi")
+    assert pencil_terms(scheme, 4)  # fills the permutation memo
+    ref = weakref.ref(scheme.group)
+    del scheme
+    gc.collect()
+    assert ref() is None

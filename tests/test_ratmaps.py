@@ -18,6 +18,7 @@ from exact_reference import (
     degrees_along_line_int,
     eval_binary_form,
     iterate_line_forms,
+    potential,
 )
 from spectral_renorm.pencils import builtin_scheme
 from spectral_renorm.ratmaps import modp
@@ -42,7 +43,6 @@ from spectral_renorm.ratmaps.potential import (
     NEG_INF,
     _homogenize,
     _on_factor_zero,
-    potential,
     potential_grid,
 )
 from spectral_renorm.spectra import DECIMATION_MAX_LEVEL, decimated_spectrum

@@ -4,9 +4,7 @@ One fresh interpreter runs ``cli.main`` in process, once per case of
 ``CASES``, under ``sys.setprofile``, and records the first line of every
 function it enters.  A fresh interpreter is used so that what runs at import
 time is seen whatever the tests before this one imported.  The test then
-names every ``def`` in the package that no case entered.  Dunders are exempt,
-and so is the scalar form ``ratmaps.potential.potential``, which the tests
-check the array form against.
+names every ``def`` in the package that no case entered.  Dunders are exempt.
 
 Run as a script, ``python tests/test_reachability.py DIR`` runs the cases
 with DIR as scratch space and writes the entered lines and the exit codes to
@@ -19,7 +17,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-EXEMPT = {("ratmaps/potential.py", "potential")}
 # the lamplighter surface, given as a custom one
 SURFACE = {"k": 2, "incidences": [True, True], "F_star": [[0, 1, 1], [0, 1, 0], [0, 1, 1]],
            "d_top": 1}
@@ -111,7 +108,7 @@ def definitions() -> dict:
     for file in sorted(package.rglob("*.py")):
         path = file.relative_to(package).as_posix()
         visit(ast.parse(file.read_text()), path, "")
-    return {key: name for key, name in found.items() if (key[0], name) not in EXEMPT}
+    return found
 
 
 def test_every_function_in_the_package_is_entered_by_a_cli_run(tmp_path):

@@ -16,7 +16,9 @@ from spectral_renorm.pencils import assemble, builtin_scheme
 from spectral_renorm.spectra import (
     DECIMATION_MAX_LEVEL,
     DOS_BUDGET,
+    JULIA_WALKS,
     Measure1D,
+    _merge_equal,
     atoms,
     cdf_distance,
     convergence_report,
@@ -27,6 +29,7 @@ from spectral_renorm.spectra import (
     julia_backward,
     kolmogorov_to_cdf,
     lamplighter_unborn_mass,
+    preimages,
     repelling_fixed_point,
     slice_point,
     tv_distance,
@@ -122,7 +125,7 @@ def test_spectrum_nesting(tag):
 
 
 def test_atoms_merging():
-    m = Measure1D.from_samples([1.0, 1.0 + 1e-12], [0.5, 0.5])
+    m = Measure1D.from_samples([1.0, 1.0 + 1e-12])
     assert atoms(m, 1e-9) == [(pytest.approx(1.0), pytest.approx(1.0))]
     lamp4 = dos("lamplighter", 4).measure
     top = [w for p, w in zip(lamp4.points, lamp4.weights) if abs(p - 4) < 1e-9]
@@ -208,7 +211,7 @@ def _sample_grig_limit(rng, size):
 def test_grig_limit_sampler_matches_cdf():
     rng = np.random.default_rng(0)
     samples = _sample_grig_limit(rng, 40000)
-    emp = Measure1D.from_samples(samples, np.full(len(samples), 1.0 / len(samples)))
+    emp = Measure1D.from_samples(samples)
     assert kolmogorov_to_cdf(emp, grig_limit_cdf) < 0.02
 
 
@@ -217,7 +220,10 @@ def test_julia_backward_examples():
     assert list(pts) == [3.0]
     pts, _ = julia_backward((1, -1, -3), 1)
     assert sorted(pts) == [-2.0, 3.0]
-    pts, _ = julia_backward((1, 0, 0), 3, domain="complex")
+    # z^2's backward orbit of 1 stays on the unit circle
+    pts = np.array([1.0 + 0j])
+    for _ in range(3):
+        pts = np.concatenate(preimages((1.0, 0.0, 0.0), pts, "complex"))
     assert np.allclose(np.abs(pts), 1.0)
     assert len(pts) == 8
     # the full backward orbit stays inside [-2, 3]
@@ -229,60 +235,52 @@ def test_julia_backward_examples():
 
 
 def test_julia_random_walk_mode():
-    pts, measure = julia_backward((1, -1, -3), 30, mode="random_walk", samples=512, seed=1)
-    assert len(pts) == 512
+    pts, measure = julia_backward((1, -1, -3), 30, mode="random_walk", seed=1)
+    assert len(pts) == JULIA_WALKS
     assert measure.mass == pytest.approx(1.0)
 
 
-def _reference_inverse_both(a, b, c, w, domain):
+def _reference_inverse_both(a, b, c, w):
     disc = b * b - 4.0 * a * (c - w)
-    if domain == "real":
-        if np.any(disc < 0):
-            raise ValueError("complex inverse image in real mode")
-        root = np.sqrt(disc)
-    else:
-        root = np.sqrt(disc.astype(complex))
+    if np.any(disc < 0):
+        raise ValueError("complex inverse image in real mode")
+    root = np.sqrt(disc)
     plus = (-b + root) / (2.0 * a)
     minus = (-b - root) / (2.0 * a)
     return np.concatenate([plus, minus])
 
 
-def _reference_inverse_pick(a, b, c, w, signs, domain):
+def _reference_inverse_pick(a, b, c, w, signs):
     disc = b * b - 4.0 * a * (c - w)
-    if domain == "real":
-        if np.any(disc < 0):
-            raise ValueError("complex inverse image in real mode")
-        root = np.sqrt(disc)
-    else:
-        root = np.sqrt(disc.astype(complex))
-    return (-b + signs * root) / (2.0 * a)
+    if np.any(disc < 0):
+        raise ValueError("complex inverse image in real mode")
+    return (-b + signs * np.sqrt(disc)) / (2.0 * a)
 
 
-def _reference_julia(p, depth, mode, domain, samples=4096, seed=0):
+def _reference_julia(p, depth, mode, seed=0):
     """The separate full-tree and random-walk steps that ``preimages`` replaced."""
     a, b, c = (float(v) for v in p)
     z0 = repelling_fixed_point(a, b, c)
     rng = np.random.default_rng(seed)
-    dtype = complex if domain == "complex" else float
     if mode == "full_tree":
-        pts = np.array([z0], dtype=dtype)
+        pts = np.array([z0])
         for _ in range(depth):
-            pts = _reference_inverse_both(a, b, c, pts, domain)
+            pts = _reference_inverse_both(a, b, c, pts)
     else:
-        pts = np.full(samples, z0, dtype=dtype)
+        pts = np.full(JULIA_WALKS, z0)
         for _ in range(depth):
             signs = np.where(rng.random(len(pts)) < 0.5, 1.0, -1.0)
-            pts = _reference_inverse_pick(a, b, c, pts, signs, domain)
-    reals = np.real(pts)
-    return pts, Measure1D.from_samples(reals, np.full(len(reals), 1.0 / len(reals)))
+            pts = _reference_inverse_pick(a, b, c, pts, signs)
+    return pts, Measure1D.from_samples(pts)
 
 
-@pytest.mark.parametrize("poly,domain", [((1, -1, -3), "real"), ((2, 0, -1), "real"),
-                                         ((1, -1, -3), "complex"), ((1, 0, -2.5), "complex")])
+# (1, 0, -2.5): c < -2, so the Julia set of z^2 + c is a Cantor set on the real line
+@pytest.mark.parametrize("poly", [(1, -1, -3), (2, 0, -1), (1, 0, -2.5)],
+                         ids=["poly0-real", "poly1-real", "poly2-real"])
 @pytest.mark.parametrize("mode,depth", [("full_tree", 12), ("random_walk", 25)])
-def test_julia_backward_matches_the_reference_steps_bit_for_bit(poly, domain, mode, depth):
-    pts, measure = julia_backward(poly, depth, mode=mode, domain=domain, samples=512, seed=3)
-    ref_pts, ref_measure = _reference_julia(poly, depth, mode, domain, samples=512, seed=3)
+def test_julia_backward_matches_the_reference_steps_bit_for_bit(poly, mode, depth):
+    pts, measure = julia_backward(poly, depth, mode=mode, seed=3)
+    ref_pts, ref_measure = _reference_julia(poly, depth, mode, seed=3)
     assert pts.dtype == ref_pts.dtype and pts.tobytes() == ref_pts.tobytes()
     assert measure == ref_measure
 
@@ -407,11 +405,16 @@ def test_from_samples_merges_equal_values_like_the_reference_loop(distinct, data
     values = [v for v, c in zip(distinct, counts) for _ in range(c)]
     values = data.draw(st.permutations(values))
     weights = data.draw(st.lists(mixed_weight, min_size=len(values), max_size=len(values)))
-    for w in (weights, np.full(len(values), 1.0 / len(values))):
-        got = Measure1D.from_samples(values, w)
-        ref_pts, ref_wts = _reference_from_samples(values, w)
-        assert _bits(got.points) == _bits(ref_pts)
-        assert _bits(got.weights) == _bits(ref_wts)
+    # mixed weights: the merge itself, on the values sorted as from_samples sorts them
+    order = np.argsort(values, kind="stable")
+    pts, wts = _merge_equal(np.asarray(values)[order], np.asarray(weights)[order])
+    ref_pts, ref_wts = _reference_from_samples(values, weights)
+    assert _bits(pts) == _bits(ref_pts)
+    assert _bits(wts) == _bits(ref_wts)
+    got = Measure1D.from_samples(values)
+    ref_pts, ref_wts = _reference_from_samples(values, np.full(len(values), 1.0 / len(values)))
+    assert _bits(got.points) == _bits(ref_pts)
+    assert _bits(got.weights) == _bits(ref_wts)
     assert Measure1D.from_samples([]) == Measure1D(points=(), weights=())
 
 
