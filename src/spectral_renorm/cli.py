@@ -1,6 +1,11 @@
 """Batch front-end: reproducible data files and static plots.
 
-Subcommands (each writes CSV + JSON into --out, plus SVG when requested):
+Each subcommand's handler computes its artifacts and returns them, keyed by
+file name, with its exit status; one writer then creates --out and writes
+the artifacts whose suffix --format lists (csv,json by default; a plot is
+drawn only under svg), and always the pgm of potential-grid.
+
+Subcommands:
 
   spectrum          eigenvalues and atom summary of one level
   dos-compare       level-to-limit distances and fitted decay rates
@@ -110,15 +115,44 @@ def _format_list(text: str) -> str:
     return text
 
 
-def _level_range(text: str) -> list:
+def _level_range(text: str) -> range:
     """argparse type of ``--levels``: the levels a..b, both included."""
     lo, dots, hi = text.partition("..")
     try:
         if not dots:
             raise ValueError
-        return list(range(int(lo), int(hi) + 1))
+        return range(int(lo), int(hi) + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a range a..b of integers") from None
+
+
+def _floats(text: str, names: str) -> tuple:
+    """The comma list ``text`` as floats, one per name of the comma list ``names``."""
+    try:
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != len(names.split(",")):
+        raise argparse.ArgumentTypeError(f"{text!r} is not the numbers {names}")
+    return values
+
+
+def _window(text: str) -> tuple:
+    """argparse type of ``--window``: finite xmin,xmax,ymin,ymax with a finite,
+    positive width and height."""
+    x0, x1, y0, y1 = window = _floats(text, "xmin,xmax,ymin,ymax")
+    if not all(math.isfinite(v) for v in window):
+        raise argparse.ArgumentTypeError("window bounds must be finite")
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise argparse.ArgumentTypeError("window width and height must be finite")
+    if not (x0 < x1 and y0 < y1):
+        raise argparse.ArgumentTypeError("window needs xmin < xmax and ymin < ymax")
+    return window
+
+
+def _poly(text: str) -> tuple:
+    """argparse type of ``--poly``: the coefficients a,b,c of a z^2 + b z + c."""
+    return _floats(text, "a,b,c")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,13 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("potential-grid", help="cascade potential on a window")
     p.add_argument("--group", required=True,
                    choices=["grigorchuk", "lamplighter", "hanoi"])
-    p.add_argument("--window", default="-4,4,-4,4")
+    p.add_argument("--window", type=_window, default="-4,4,-4,4")
     p.add_argument("--resolution", type=_at_least(2), default=256)
     p.add_argument("--iters", type=_at_least(0), default=12)
     common(p)
 
     p = sub.add_parser("julia", help="backward orbit of a quadratic")
-    p.add_argument("--poly", default="1,-1,-3", help="a,b,c of a z^2 + b z + c")
+    p.add_argument("--poly", type=_poly, default="1,-1,-3", help="a,b,c of a z^2 + b z + c")
     p.add_argument("--depth", type=_at_least(0), default=12)
     p.add_argument("--mode", default="full_tree",
                    choices=["full_tree", "random_walk"])
@@ -248,8 +282,9 @@ def main(argv=None) -> int:
             # config values become the subcommand's defaults, so explicit flags win
             subparser.set_defaults(**_config_defaults(subparser, config))
             args = parser.parse_args(argv)
-        handler = _HANDLERS[args.command]
-        return handler(args)
+        status, artifacts = _HANDLERS[args.command](args)
+        _write(args, artifacts)
+        return status
     except (BudgetError, ValueError) as exc:
         _err(str(exc))
         return 2
@@ -266,89 +301,94 @@ def _err(message: str) -> None:
     sys.stderr.write(json.dumps({"error": message}, sort_keys=True) + "\n")
 
 
-def _formats(args):
-    return set(args.format.split(","))
+def _write(args, artifacts: dict) -> None:
+    """Create ``--out`` and write into it each artifact whose suffix
+    ``--format`` lists, and every pgm.  An artifact is, by suffix: csv a
+    ``(header, columns)`` pair, json its object, pgm its matrix, svg a
+    function that draws the plot at the path it is given.  An ``--out`` that
+    cannot be made or written is bad input, not an internal error."""
+    from spectral_renorm import output
+
+    writers = {"csv": lambda path, table: output.write_csv(path, *table),
+               "json": output.write_json, "pgm": output.write_pgm16,
+               "svg": lambda path, draw: draw(path)}
+    wanted = set(args.format.split(",")) | {"pgm"}
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in artifacts.items():
+            suffix = name.rsplit(".", 1)[1]
+            if suffix in wanted:
+                writers[suffix](out / name, content)
+    except OSError as exc:
+        raise BudgetError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
-def _outdir(args) -> Path:
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _series(stem: str, rows: list, x: str, title: str) -> dict:
+    """The csv and svg of a distance series whose rows carry ``x``,
+    "distance" and "metric"."""
+    from spectral_renorm import output
+
+    header = [x, "distance", "metric"]
+    columns = [[row[k] for row in rows] for k in header]
+    return {f"{stem}.csv": (header, columns),
+            f"{stem}.svg": lambda path: output.svg_series(path, *columns[:2], title=title)}
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[int, dict]:
+    import numpy as np
+
     from spectral_renorm import output, spectra
 
-    fmts = _formats(args)
     result = spectra.dos(args.group, args.level, args.grig_slice)
-    out = _outdir(args)
     m = result.measure
+    clusters = spectra.atoms(m, 1e-8 * max(abs(m.points[0]), abs(m.points[-1]), 1.0))
     stem = f"spectrum_{args.group}_n{args.level}"
-    if "csv" in fmts:
-        output.write_csv(out / f"{stem}.csv", ["level", "eigenvalue", "multiplicity"],
-                         [[args.level] * len(m.points), m.points, result.multiplicities])
-    if "json" in fmts:
-        clusters = spectra.atoms(m, 1e-8 * max(abs(m.points[0]), abs(m.points[-1]), 1.0))
-        output.write_json(out / f"{stem}.json", {
+    title = f"{args.group} level {args.level}"
+    return 0, {
+        f"{stem}.csv": (["level", "eigenvalue", "multiplicity"],
+                        [[args.level] * len(m.points), m.points, result.multiplicities]),
+        f"{stem}.json": {
             "group": result.group,
             "level": result.level,
             "slice": result.slice_descriptor,
             "mass": m.mass,
             "atoms": [{"center": c, "mass": w} for c, w in clusters],
-        })
-    if "svg" in fmts:
-        import numpy as np
-
-        output.svg_cdf(out / f"{stem}_cdf.svg", m.points, m.weights,
-                       title=f"{args.group} level {args.level} spectral CDF")
-        output.svg_histogram(out / f"{stem}_hist.svg",
-                             np.repeat(m.points, result.multiplicities),
-                             title=f"{args.group} level {args.level} spectrum")
-    return 0
+        },
+        f"{stem}_cdf.svg": lambda path: output.svg_cdf(
+            path, m.points, m.weights, title=f"{title} spectral CDF"),
+        f"{stem}_hist.svg": lambda path: output.svg_histogram(
+            path, np.repeat(m.points, result.multiplicities), title=f"{title} spectrum"),
+    }
 
 
-def cmd_dos_compare(args) -> int:
-    from spectral_renorm import output, spectra
+def cmd_dos_compare(args) -> tuple[int, dict]:
+    from spectral_renorm import spectra
 
-    fmts = _formats(args)
     levels = args.levels
     if levels is None:
-        levels = {"grigorchuk": list(range(4, 12)), "lamplighter": list(range(4, 13)),
-                  "hanoi": list(range(3, 8))}[args.group]
+        levels = {"grigorchuk": range(4, 12), "lamplighter": range(4, 13),
+                  "hanoi": range(3, 8)}[args.group]
     report = spectra.convergence_report(args.group, levels)
-    out = _outdir(args)
     stem = f"dos_compare_{args.group}"
-    if "csv" in fmts:
-        header = ["level", "distance", "metric"]
-        output.write_csv(out / f"{stem}.csv", header,
-                         [[r[k] for r in report["rows"]] for k in header])
-    if "json" in fmts:
-        output.write_json(out / f"{stem}.json", report)
-    if "svg" in fmts:
-        output.svg_series(out / f"{stem}.svg",
-                          [r["level"] for r in report["rows"]],
-                          [r["distance"] for r in report["rows"]],
-                          title=f"{args.group}: distance to limit")
-    return 0
+    return 0, {**_series(stem, report["rows"], "level", f"{args.group}: distance to limit"),
+               f"{stem}.json": report}
 
 
-def cmd_schur_verify(args) -> int:
-    from spectral_renorm import output, pencils
+def cmd_schur_verify(args) -> tuple[int, dict]:
+    from spectral_renorm import pencils
 
     scheme = pencils.builtin_scheme(args.group)
     report = pencils.verify_recursion(scheme, args.level, args.samples, args.seed)
-    out = _outdir(args)
     stem = f"schur_{args.group}_n{args.level}"
-    if "json" in _formats(args):
-        output.write_json(out / f"{stem}.json", report)
-    if "csv" in _formats(args):
-        output.write_csv(out / f"{stem}.csv", ["lambda", "mu"],
-                         [[l for l, _ in report["points"]], [m for _, m in report["points"]]])
-    return 0 if not report["failures"] else 1
+    return 1 if report["failures"] else 0, {
+        f"{stem}.json": report,
+        f"{stem}.csv": (["lambda", "mu"], list(zip(*report["points"]))),
+    }
 
 
-def cmd_conjugacy_verify(args) -> int:
-    from spectral_renorm import conjugacy, output
+def cmd_conjugacy_verify(args) -> tuple[int, dict]:
+    from spectral_renorm import conjugacy
 
     # the spot check first: it refuses a sample count beyond its cap before any work
     fiber = conjugacy.fiber_conjugation_check(args.samples, seed=args.seed)
@@ -357,18 +397,14 @@ def cmd_conjugacy_verify(args) -> int:
         "chebyshev_normalization": conjugacy.chebyshev_semiconj_check(),
         "fiber": fiber,
     }
-    out = _outdir(args)
-    if "json" in _formats(args):
-        output.write_json(out / "conjugacy_verify.json", report)
     ok = (all(report["identities"].values())
           and report["chebyshev_normalization"]["2z^2-1"]
           and report["fiber"]["passed"]
           and all(report["fiber"]["symbolic"].values()))
-    return 0 if ok else 1
+    return 0 if ok else 1, {"conjugacy_verify.json": report}
 
 
-def cmd_maps_verify(args) -> int:
-    from spectral_renorm import output
+def cmd_maps_verify(args) -> tuple[int, dict]:
     from spectral_renorm.verification import fact_report, indeterminacy_report
 
     facts = fact_report()
@@ -377,37 +413,31 @@ def cmd_maps_verify(args) -> int:
         "indeterminacy": indeterminacy_report(),
         "charts": facts["charts"],
     }
-    out = _outdir(args)
-    if "json" in _formats(args):
-        output.write_json(out / "maps_verify.json", report)
     ok = (all(r["ok"] for r in report["contracted"])
           and all(r["ok"] for r in report["indeterminacy"])
           and all(report["charts"].values()))
-    return 0 if ok else 1
+    return 0 if ok else 1, {"maps_verify.json": report}
 
 
-def cmd_dyndeg(args) -> int:
+def cmd_dyndeg(args) -> tuple[int, dict]:
     from spectral_renorm import output
     from spectral_renorm.ratmaps import degrees, maps
 
     result = degrees.dynamical_degree(maps.builtin_map(args.map_name),
                                       iterations=args.iters, trials=args.trials,
                                       seed=args.seed)
-    out = _outdir(args)
     stem = f"dyndeg_{args.map_name}"
-    if "json" in _formats(args):
-        output.write_json(out / f"{stem}.json", result)
-    if "csv" in _formats(args):
-        output.write_csv(out / f"{stem}.csv", ["iterate", "degree"],
-                         [range(1, len(result["degrees"]) + 1), result["degrees"]])
-    if "svg" in _formats(args):
-        output.svg_series(out / f"{stem}.svg", list(range(1, len(result["degrees"]) + 1)),
-                          result["degrees"], title=f"deg {args.map_name}^n")
-    return 0
+    iterates = list(range(1, len(result["degrees"]) + 1))
+    return 0, {
+        f"{stem}.json": result,
+        f"{stem}.csv": (["iterate", "degree"], [iterates, result["degrees"]]),
+        f"{stem}.svg": lambda path: output.svg_series(
+            path, iterates, result["degrees"], title=f"deg {args.map_name}^n"),
+    }
 
 
-def cmd_cohomology(args) -> int:
-    from spectral_renorm import cohomology, output
+def cmd_cohomology(args) -> tuple[int, dict]:
+    from spectral_renorm import cohomology
 
     status = 0
     if args.surface_json:
@@ -438,93 +468,69 @@ def cmd_cohomology(args) -> int:
         name = args.surface
     else:
         raise BudgetError("cohomology needs --surface or --surface-json")
-    if "json" in _formats(args):
-        output.write_json(_outdir(args) / f"cohomology_{name}.json", report)
-    return status
+    return status, {f"cohomology_{name}.json": report}
 
 
-def cmd_potential_grid(args) -> int:
+def cmd_potential_grid(args) -> tuple[int, dict]:
     import numpy as np
 
-    from spectral_renorm import output, pencils
+    from spectral_renorm import pencils
     from spectral_renorm.ratmaps.potential import potential_grid
 
-    window = tuple(float(v) for v in args.window.split(","))
-    if len(window) != 4:
-        raise BudgetError("window must be xmin,xmax,ymin,ymax")
-    if not all(math.isfinite(v) for v in window):
-        raise BudgetError("window bounds must be finite")
-    if not (math.isfinite(window[1] - window[0]) and math.isfinite(window[3] - window[2])):
-        raise BudgetError("window width and height must be finite")
-    if not (window[0] < window[1] and window[2] < window[3]):
-        raise BudgetError("window needs xmin < xmax and ymin < ymax")
-    grid = potential_grid(pencils.builtin_scheme(args.group), window, args.resolution, args.iters)
-    out = _outdir(args)
-    stem = f"potential_{args.group}_r{args.resolution}_n{args.iters}"
-    fmts = _formats(args)
-    if "csv" in fmts:
+    grid = potential_grid(pencils.builtin_scheme(args.group), args.window, args.resolution,
+                          args.iters)
+    values, res = grid["values"], args.resolution
+    finite = values[np.isfinite(values)]
+    stem = f"potential_{args.group}_r{res}_n{args.iters}"
+    return 0, {
         # cells in row-major order: cell (i, j) is the point (xs[j], ys[i])
-        res = args.resolution
-        output.write_csv(out / f"{stem}.csv", ["x", "y", "value"],
-                         [np.tile(grid["xs"], res), np.repeat(grid["ys"], res),
-                          grid["values"].ravel()])
-    if "json" in fmts:
-        finite = grid["values"][np.isfinite(grid["values"])]
-        output.write_json(out / f"{stem}.json", {
+        f"{stem}.csv": (["x", "y", "value"],
+                        [np.tile(grid["xs"], res), np.repeat(grid["ys"], res), values.ravel()]),
+        f"{stem}.json": {
             "group": args.group,
             "window": grid["window"],
-            "resolution": args.resolution,
+            "resolution": res,
             "iters": args.iters,
             "finite_cells": int(finite.size),
             "neg_inf_cells": int(grid["neg_inf_mask"].sum()),
             "dead_cells": int(grid["dead_mask"].sum()),
             "min": float(finite.min()) if finite.size else None,
             "max": float(finite.max()) if finite.size else None,
-        })
-    output.write_pgm16(out / f"{stem}.pgm", grid["values"])
-    return 0
+        },
+        f"{stem}.pgm": values,
+    }
 
 
-def cmd_julia(args) -> int:
-    import numpy as np
-
+def cmd_julia(args) -> tuple[int, dict]:
     from spectral_renorm import output, spectra
 
-    coeffs = tuple(float(v) for v in args.poly.split(","))
-    if len(coeffs) != 3:
-        raise BudgetError("--poly needs a,b,c")
-    pts, measure = spectra.julia_backward(coeffs, args.depth, mode=args.mode,
+    pts, measure = spectra.julia_backward(args.poly, args.depth, mode=args.mode,
                                           seed=args.seed)
-    out = _outdir(args)
     stem = f"julia_d{args.depth}"
-    fmts = _formats(args)
-    if "csv" in fmts:
-        output.write_csv(out / f"{stem}.csv", ["re", "im"], [np.real(pts), np.imag(pts)])
-    if "json" in fmts:
-        output.write_json(out / f"{stem}.json", {
-            "poly": list(coeffs),
+    return 0, {
+        f"{stem}.csv": (["re"], [pts]),
+        f"{stem}.json": {
+            "poly": list(args.poly),
             "depth": args.depth,
             "mode": args.mode,
             "count": len(pts),
             "support_min": measure.points[0],
             "support_max": measure.points[-1],
-        })
-    if "svg" in fmts:
-        output.svg_histogram(out / f"{stem}.svg", [complex(p).real for p in pts],
-                             title=f"backward orbit depth {args.depth}")
-    return 0
+        },
+        f"{stem}.svg": lambda path: output.svg_histogram(
+            path, pts, title=f"backward orbit depth {args.depth}"),
+    }
 
 
 # Default backward seed per model: the Chebyshev seed must lie in [-1, 1].
 _SEED_POINT = {"square": "1.7", "cheb": "0.3", "cantor": "1.7"}
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> tuple[int, dict]:
     from spectral_renorm import experiments, output
 
-    fmts = _formats(args)
     kind = args.kind
-    series = points = measure = None
+    stem = f"experiment_{kind}"
     if kind == "twist":
         r = experiments.twist_experiment(args.n)
         summary = {
@@ -535,16 +541,12 @@ def cmd_experiment(args) -> int:
             "distances": [r["w1_arccos_law"], r["w1_narrow_law"]],
             "plane_line_count": experiments.twist_plane_count(args.n),
         }
-        points = r["line_points"]
-        measure = r["measure"]
     elif kind == "skew":
         r = experiments.skew_cantor_experiment(args.eta0, args.n)
         summary = {
             "kind": kind, "params": {"eta0": args.eta0, "depth": args.n},
             "count": r["count"], "distances": [r["w1_to_balanced"]],
         }
-        points = r["line_points"]
-        measure = r["measure"]
     else:
         model = kind.split("-", 1)[1]
         text = args.seed_point if args.seed_point is not None else _SEED_POINT[model]
@@ -555,28 +557,19 @@ def cmd_experiment(args) -> int:
             "count": 2 ** args.n,
             "distances": [row["distance"] for row in series],
         }
-    out = _outdir(args)
-    if series is not None and "csv" in fmts:
-        header = ["depth", "distance", "metric"]
-        output.write_csv(out / f"experiment_{kind}.csv", header,
-                         [[row[k] for row in series] for k in header])
-    if series is not None and "svg" in fmts:
-        output.svg_series(out / f"experiment_{kind}.svg",
-                          [row["depth"] for row in series],
-                          [row["distance"] for row in series], title=kind)
-    if points is not None and "csv" in fmts:
-        output.write_csv(out / f"experiment_{kind}.csv", ["x", "y"],
-                         [[p[0] for p in points], [p[1] for p in points]])
-    if points is not None and "svg" in fmts and len(points) > 1:
-        output.svg_scatter(out / f"experiment_{kind}_points.svg",
-                           [p[0] for p in points], [p[1] for p in points],
-                           title=f"{kind} intersection points")
-    if measure is not None and "svg" in fmts:
-        output.svg_cdf(out / f"experiment_{kind}_cdf.svg", measure.points,
-                       measure.weights, title=kind)
-    if "json" in fmts:
-        output.write_json(out / f"experiment_{kind}.json", summary)
-    return 0
+        return 0, {**_series(stem, series, "depth", kind), f"{stem}.json": summary}
+    xs, ys = [p[0] for p in r["line_points"]], [p[1] for p in r["line_points"]]
+    measure = r["measure"]
+    artifacts = {
+        f"{stem}.csv": (["x", "y"], [xs, ys]),
+        f"{stem}_cdf.svg": lambda path: output.svg_cdf(path, measure.points, measure.weights,
+                                                       title=kind),
+        f"{stem}.json": summary,
+    }
+    if len(xs) > 1:
+        artifacts[f"{stem}_points.svg"] = lambda path: output.svg_scatter(
+            path, xs, ys, title=f"{kind} intersection points")
+    return 0, artifacts
 
 
 _HANDLERS = {

@@ -3,7 +3,8 @@
 Everything here is byte-deterministic for identical inputs: numeric CSV
 fields are printed with 17 significant digits, JSON keys are sorted, and the
 SVG plots are assembled from explicit element strings (no plotting library,
-no timestamps, no generated ids).
+no timestamps, no generated ids).  Each writer takes its path first and
+writes into a directory that exists.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ def _csv_fields(column) -> list:
 def write_csv(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """CSV with a header line and one row per index; ``columns`` holds one
     sequence of values per header field, all of one length."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     fields = [_csv_fields(c) for c in columns]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -65,9 +64,7 @@ def _jsonable(obj):
 
 
 def write_json(path, obj) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=1) + "\n")
+    Path(path).write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +107,6 @@ def svg_histogram(path, values: Sequence[float], bins: int = 80, title: str = ""
             f'height="{h:.2f}" fill="steelblue"/>'
         )
     parts.append(_axes(edges[0], edges[-1], 0, top))
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(_svg_frame("\n".join(parts), title))
 
 
@@ -131,7 +127,6 @@ def svg_cdf(path, points: Sequence[float], weights: Sequence[float], title: str 
     steps.append(f"{_W - _PAD:.2f},{prev_y:.2f}")
     parts = [f'<polyline points="{" ".join(steps)}" fill="none" stroke="steelblue" stroke-width="1.2"/>']
     parts.append(_axes(lo, hi, 0, 1))
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(_svg_frame("\n".join(parts), title))
 
 
@@ -151,7 +146,6 @@ def svg_series(path, xs: Sequence[float], ys: Sequence[float], title: str = "") 
         ),
         _axes(xs.min(), xs.max(), ylo, yhi),
     ]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(_svg_frame("\n".join(parts), title))
 
 
@@ -165,7 +159,6 @@ def svg_scatter(path, xs: Sequence[float], ys: Sequence[float], title: str = "")
         for x, y in zip(sx, sy)
     )
     body = dots + _axes(xs.min(), xs.max(), ys.min(), ys.max())
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(_svg_frame(body, title))
 
 
@@ -193,8 +186,6 @@ def write_pgm16(path, values: np.ndarray) -> None:
     scaled = np.zeros(arr.shape, dtype=np.uint16)
     mask = np.isfinite(arr)
     scaled[mask] = (1 + (arr[mask] - lo) / (hi - lo) * 65534).astype(np.uint16)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n65535\n".encode())
         fh.write(scaled.astype(">u2").tobytes())

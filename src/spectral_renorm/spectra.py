@@ -522,11 +522,11 @@ def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
     drift rate and the 2/3 mass rate, which shows in the ``tv_to_next``
     ratios.
     """
+    for n in n_range:  # refuse the range before sorting it or computing any level
+        _check_level(group_tag, n)
     levels = sorted(n_range)
     if len(levels) < 3:
         raise ValueError("need at least 3 levels to fit a rate")
-    for n in levels:  # refuse the whole range before computing any level
-        _check_level(group_tag, n)
     rows = []
     if group_tag == "grigorchuk":
         for n in levels:

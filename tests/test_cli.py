@@ -351,6 +351,7 @@ BAD_INPUT = [
     (None, ["dos-compare", "--group", "hanoi", "--levels", "3.."]),
     (None, ["dos-compare", "--group", "hanoi", "--levels", "x"]),
     ("levels = x", ["dos-compare", "--group", "hanoi"]),
+    (None, ["dos-compare", "--group", "hanoi", "--levels", "3..1000000000000000000"]),
 ]
 
 
@@ -411,3 +412,63 @@ def test_grig_slice_beyond_its_bound_is_refused_by_name(tmp_path, capsys):
     assert "--grig-slice" in json.loads(capsys.readouterr().err)["error"]
     assert run_cli(["spectrum", "--group", "grigorchuk", "--level", "3",
                     "--grig-slice", "1e150"], tmp_path / "ok") == 0
+
+
+@pytest.mark.parametrize("config, command, named", [
+    (None, ["potential-grid", "--group", "hanoi", "--window=0,1,x,1"], "--window"),
+    (None, ["potential-grid", "--group", "hanoi", "--window=0,1,2"], "--window"),
+    (None, ["potential-grid", "--group", "hanoi", "--window=1,1,0,1"], "--window"),
+    (None, ["potential-grid", "--group", "hanoi", "--window=0,inf,0,1"], "--window"),
+    (None, ["julia", "--poly", "1,x,3"], "--poly"),
+    (None, ["julia", "--poly", "1,2"], "--poly"),
+    ("window = 0,1,x,1", ["potential-grid", "--group", "hanoi"], "config window"),
+    ("poly = 1,x,3", ["julia"], "config poly"),
+])
+def test_a_malformed_window_or_poly_is_refused_by_name(config, command, named, tmp_path,
+                                                       capsys):
+    argv = command + ["--out", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        argv = ["--config", str(tmp_path / "run.cfg")] + argv
+    assert main(argv) == 2
+    assert named in json.loads(capsys.readouterr().err)["error"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_out_that_cannot_be_a_directory_exits_2_naming_out(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "file", tmp_path / "file" / "sub"):
+        assert main(["julia", "--depth", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "--out" in json.loads(captured.err)["error"]
+
+
+# a cheap run of every subcommand; experiment has two kinds of artifacts
+FORMAT_CASES = [
+    ["spectrum", "--group", "hanoi", "--level", "3"],
+    ["dos-compare", "--group", "hanoi", "--levels", "2..4"],
+    ["schur-verify", "--group", "hanoi", "--level", "2", "--samples", "1"],
+    ["conjugacy-verify", "--samples", "2"],
+    ["maps-verify"],
+    ["dyndeg", "--map", "R_G", "--iters", "2", "--trials", "1"],
+    ["cohomology", "--surface", "hanoi4", "--invariant-classes", "2"],
+    ["potential-grid", "--group", "hanoi", "--resolution", "4", "--iters", "3"],
+    ["julia", "--depth", "3"],
+    ["experiment", "--kind", "twist", "--n", "3"],
+    ["experiment", "--kind", "backward-cheb", "--n", "2"],
+]
+
+
+@pytest.mark.parametrize("command", FORMAT_CASES, ids=lambda command: command[0])
+def test_a_single_format_writes_that_subset_of_the_full_run(command, tmp_path):
+    written = {}
+    for formats in ("csv,json,svg", "json", "csv"):
+        out = tmp_path / formats
+        assert run_cli(command + ["--format", formats], out) == 0
+        written[formats] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert written["csv,json,svg"]
+    for single in ("json", "csv"):
+        subset = {name: data for name, data in written["csv,json,svg"].items()
+                  if name.endswith((f".{single}", ".pgm"))}
+        assert written[single] == subset
