@@ -47,6 +47,47 @@ class BudgetError(RuntimeError):
     pass
 
 
+# Cost caps, checked by ``_check_budgets`` before any handler runs: per
+# subcommand and option, an int, or a dict keyed by the value of the option that
+# selects the cap (--group, --mode or --kind).  Times are the CLI's on 2 cores.
+BUDGETS = {
+    # the sizes of the old eigensolver's slices
+    "spectrum": {"--level": {"grigorchuk": 12, "lamplighter": 12, "hanoi": 7}},
+    "dos-compare": {"--levels": {"grigorchuk": 12, "lamplighter": 12, "hanoi": 7}},
+    # exact-determinant levels; 200 samples take 18-23 s at lamplighter level 7, the
+    # slowest top level, 11-14 s at hanoi level 5 and 4 s at grigorchuk level 7
+    "schur-verify": {"--level": {"grigorchuk": 7, "lamplighter": 7, "hanoi": 5},
+                     "--samples": 200},
+    "conjugacy-verify": {"--samples": 100_000},  # fiber spot-check points: about 6 s
+    # lines per estimate: both caps take about 23 s for R_H, 8 s for R_G and G_G, 1 s for R_L
+    "dyndeg": {"--iters": 10, "--trials": 10},
+    # 1000 steps take about 6 s on a hanoi 256^2 grid
+    "potential-grid": {"--iters": 1000, "--resolution": 2048},
+    # 2^16 points for the full tree; 10^4 steps of 4096 random walks take about 1 s
+    "julia": {"--depth": {"full_tree": 16, "random_walk": 10_000}},
+    # 2^20 backward preimages: about 1 s for z -> z^2, under 3 s for the other two models
+    "experiment": {"--n": {"twist": 200, "skew": 14, "backward-square": 20,
+                           "backward-cheb": 20, "backward-cantor": 20}},
+}
+
+
+def _check_budgets(args) -> None:
+    """Refuse an option above its cap in ``BUDGETS``, naming the flag; a
+    level range is checked by its two ends."""
+    for flag, cap in BUDGETS.get(args.command, {}).items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        selected = ""
+        if isinstance(cap, dict):
+            selector = next(s for s in ("group", "mode", "kind") if hasattr(args, s))
+            cap = cap[getattr(args, selector)]
+            selected = f" for --{selector} {getattr(args, selector)}"
+        for end in (value.start, value.stop - 1) if isinstance(value, range) else (value,):
+            if end > cap:
+                raise BudgetError(f"argument {flag}: {end} is above the budget {cap}{selected}")
+
+
 def _read_input(path: str) -> str:
     """Text of an input file named on the command line; a file that cannot
     be read is bad input, not an internal error."""
@@ -116,14 +157,14 @@ def _format_list(text: str) -> str:
 
 
 def _level_range(text: str) -> range:
-    """argparse type of ``--levels``: the levels a..b, both included."""
+    """argparse type of ``--levels``: the levels a..b, both included, from 1."""
     lo, dots, hi = text.partition("..")
     try:
-        if not dots:
+        if not dots or int(lo) < 1:
             raise ValueError
         return range(int(lo), int(hi) + 1)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a range a..b of integers") from None
+        raise argparse.ArgumentTypeError(f"{text!r} is not a range a..b of levels >= 1") from None
 
 
 def _floats(text: str, names: str) -> tuple:
@@ -150,6 +191,16 @@ def _window(text: str) -> tuple:
     return window
 
 
+def _complex(text: str) -> str:
+    """argparse type of ``--seed-point``: the text of a complex number, kept
+    as written, since the experiment's JSON repeats it."""
+    try:
+        complex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a complex number") from None
+    return text
+
+
 def _poly(text: str) -> tuple:
     """argparse type of ``--poly``: the coefficients a,b,c of a z^2 + b z + c."""
     return _floats(text, "a,b,c")
@@ -166,14 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_at_least(0), default=0)
         p.add_argument("--format", type=_format_list, default="csv,json",
                        help="comma list from csv,json,svg")
 
     p = sub.add_parser("spectrum", help="eigenvalues and atoms of one level")
     p.add_argument("--group", required=True,
                    choices=["grigorchuk", "lamplighter", "hanoi"])
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_at_least(1), required=True)
     p.add_argument("--grig-slice", type=float, default=-1.0)
     common(p)
 
@@ -240,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "backward-cantor"])
     p.add_argument("--n", type=_at_least(1), default=10, help="time / depth parameter")
     p.add_argument("--eta0", type=float, default=3.0)
-    p.add_argument("--seed-point", default=None,
+    p.add_argument("--seed-point", type=_complex, default=None,
                    help="backward seed; default 1.7 (0.3 for backward-cheb)")
     common(p)
     parser.subcommands = sub.choices
@@ -282,6 +333,7 @@ def main(argv=None) -> int:
             # config values become the subcommand's defaults, so explicit flags win
             subparser.set_defaults(**_config_defaults(subparser, config))
             args = parser.parse_args(argv)
+        _check_budgets(args)
         status, artifacts = _HANDLERS[args.command](args)
         _write(args, artifacts)
         return status
@@ -390,12 +442,10 @@ def cmd_schur_verify(args) -> tuple[int, dict]:
 def cmd_conjugacy_verify(args) -> tuple[int, dict]:
     from spectral_renorm import conjugacy
 
-    # the spot check first: it refuses a sample count beyond its cap before any work
-    fiber = conjugacy.fiber_conjugation_check(args.samples, seed=args.seed)
     report = {
         "identities": conjugacy.conjugacy_checks(),
         "chebyshev_normalization": conjugacy.chebyshev_semiconj_check(),
-        "fiber": fiber,
+        "fiber": conjugacy.fiber_conjugation_check(args.samples, seed=args.seed),
     }
     ok = (all(report["identities"].values())
           and report["chebyshev_normalization"]["2z^2-1"]
@@ -439,6 +489,9 @@ def cmd_dyndeg(args) -> tuple[int, dict]:
 def cmd_cohomology(args) -> tuple[int, dict]:
     from spectral_renorm import cohomology
 
+    if args.surface_json and (args.surface or args.check):
+        other = "--surface" if args.surface else "--check"
+        raise BudgetError(f"argument --surface-json: not allowed with argument {other}")
     status = 0
     if args.surface_json:
         data = json.loads(_read_input(args.surface_json))
@@ -550,7 +603,12 @@ def cmd_experiment(args) -> tuple[int, dict]:
     else:
         model = kind.split("-", 1)[1]
         text = args.seed_point if args.seed_point is not None else _SEED_POINT[model]
-        seed_point = complex(text) if model == "square" else float(text)
+        seed_point = complex(text)
+        if model != "square":
+            if seed_point.imag:
+                raise BudgetError(f"argument --seed-point: the {model} model needs a real "
+                                  f"seed, not {text}")
+            seed_point = seed_point.real
         series = experiments.backward_equidistribution(model, seed_point, args.n)["series"]
         summary = {
             "kind": kind, "params": {"seed_point": text, "depth": args.n},

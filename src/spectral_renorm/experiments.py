@@ -31,10 +31,6 @@ from spectral_renorm.spectra import (
     preimages,
 )
 
-TWIST_COUNT_MAX = 200
-SKEW_DEPTH_MAX = 14
-# 2^20 preimages: on 2 cores z -> z^2 takes about 1 s at depth 20, the other two models under 3 s
-BACKWARD_DEPTH_MAX = 20
 # |seed| bound of the square and cantor models: a preimage step computes 4·seed
 SEED_POINT_MAX = 1e300
 CANTOR_BASE = _HANOI_FIBER  # z^2 - z - 3, the base of the skew product
@@ -108,8 +104,6 @@ def twist_experiment(n: int) -> dict:
     1-Wasserstein distances to the two candidate limit laws (the measured
     rotation-number law on (-4, 4) and the narrower arc law on (-2, 2)).
     """
-    if not 1 <= n <= TWIST_COUNT_MAX:
-        raise ValueError(f"n must be in 1..{TWIST_COUNT_MAX}")
     _certify_rotation_number()
     c0, c1 = TWIST_CURVE
 
@@ -231,8 +225,6 @@ def skew_cantor_experiment(eta0: float = 3.0, n: int = 10) -> dict:
     polynomial.  The inverse images are real: a complex inverse branch
     raises, as it does at eta0 = -4.
     """
-    if not 1 <= n <= SKEW_DEPTH_MAX:
-        raise ValueError(f"depth must be in 1..{SKEW_DEPTH_MAX}")
     if not math.isfinite(eta0):
         raise ValueError(f"eta0 must be finite, not {eta0}")
     pts = np.array([eta0], dtype=float)
@@ -315,11 +307,7 @@ def backward_equidistribution(model: str, seed_point, n: int) -> dict:
     - ``cantor``: preimages under z -> z^2 - z - 3 from the given real seed;
       1-Wasserstein distance to the depth-``CANTOR_REFERENCE_DEPTH``
       backward orbit of the repelling fixed point.
-
-    The depth ``n`` is at most ``BACKWARD_DEPTH_MAX``.
     """
-    if not 1 <= n <= BACKWARD_DEPTH_MAX:
-        raise ValueError(f"depth must be in 1..{BACKWARD_DEPTH_MAX}")
     if model == "square":
         start = complex(seed_point)
         _check_seed_modulus(start)

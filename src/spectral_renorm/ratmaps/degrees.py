@@ -27,10 +27,6 @@ from typing import Sequence
 from spectral_renorm.ratmaps import modp
 from spectral_renorm.ratmaps.maps import RationalMapP2
 
-MAX_ITERATES = 10
-# lines per estimate: at MAX_ITERATES on 2 cores the cap takes about 23 s for R_H,
-# 8 s for R_G and G_G, 1 s for R_L
-MAX_TRIALS = 10
 LINE_PRIMES = 2  # the iteration runs mod each of the LINE_PRIMES largest primes below 2^31
 LINE_COEFF_BITS = 31  # line coefficients are drawn from [-2^31, 2^31)
 
@@ -75,10 +71,6 @@ def dynamical_degree(map_: RationalMapP2, iterations: int = 8, trials: int = 3,
     ``linear``, or ``exponential`` with a base estimated from the last
     degree ratio; ``primes`` lists the primes of the iteration.
     """
-    if iterations > MAX_ITERATES:
-        raise ValueError(f"iteration budget is {MAX_ITERATES}")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"trials capped at {MAX_TRIALS}")
     rng = random.Random(seed)
     bound = 2 ** LINE_COEFF_BITS
     best: list = [0] * iterations

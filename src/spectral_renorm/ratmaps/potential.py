@@ -39,8 +39,6 @@ from spectral_renorm.ratmaps.maps import PowerTable, _error_bound, _grid_eval, b
 from spectral_renorm.ratmaps.poly import MultiPoly
 
 NEG_INF = float("-inf")
-# steps of the potential grid: 1000 take about 6 s on a hanoi 256^2 grid on 2 cores
-GRID_ITERS_MAX = 1000
 
 
 def _homogenize(poly2: MultiPoly) -> MultiPoly:
@@ -127,10 +125,6 @@ def potential_grid(scheme, window: Sequence[float], resolution: int, n: int) -> 
     dead orbits, "neg_inf_mask", "dead_mask": disjoint bool arrays, "window",
     "xs", "ys"}; row i, column j is the point (xs[j], ys[i]).
     """
-    if resolution < 2 or resolution > 2048:
-        raise ValueError("resolution out of range (2..2048)")
-    if n > GRID_ITERS_MAX:
-        raise ValueError(f"iters capped at {GRID_ITERS_MAX}")
     xmin, xmax, ymin, ymax = window
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)

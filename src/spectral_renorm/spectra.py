@@ -31,8 +31,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-DOS_BUDGET = {"grigorchuk": 12, "lamplighter": 12, "hanoi": 7}
-
 
 @dataclass(frozen=True)
 class Measure1D:
@@ -267,14 +265,6 @@ def _merge_equal(pts: np.ndarray, weights: np.ndarray) -> tuple:
     return pts[starts], _run_sums(weights, starts)
 
 
-def _check_level(group_tag: str, n: int) -> None:
-    budget = DOS_BUDGET.get(group_tag)
-    if budget is None:
-        raise ValueError(f"unknown group tag '{group_tag}'")
-    if not 1 <= n <= budget:
-        raise ValueError(f"level {n} outside the budget 1..{budget} for {group_tag}")
-
-
 def dos(group_tag: str, n: int, grig_slice: float = -1.0) -> DOSResult:
     """Density of states of the level-n Schreier graph slice, with the atoms
     and multiplicities of ``decimated_spectrum``.
@@ -283,7 +273,6 @@ def dos(group_tag: str, n: int, grig_slice: float = -1.0) -> DOSResult:
     axis x = (mu + 1)/4; ``grig_slice`` selects the line lam = grig_slice
     (the determinant is even in lam, so -1 and +1 agree; both are exposed).
     """
-    _check_level(group_tag, n)
     vals, mults = decimated_spectrum(group_tag, n, grig_slice)
     if group_tag == "grigorchuk":
         # the axis change can round eigenvalues a few ulps apart to one point
@@ -413,9 +402,6 @@ def repelling_fixed_point(a: float, b: float, c: float) -> float:
     return best
 
 
-# deepest backward orbit per mode: 2^16 points for the full tree; 10^4 steps
-# of the JULIA_WALKS walks take about 1 s on 2 cores
-JULIA_DEPTH_MAX = {"full_tree": 16, "random_walk": 10_000}
 JULIA_WALKS = 4096  # random inverse-branch paths of the random_walk mode
 
 
@@ -424,16 +410,11 @@ def julia_backward(p: Sequence[float], depth: int, mode: str = "full_tree", seed
 
     ``p`` is (a, b, c) for a z^2 + b z + c.  ``full_tree`` returns the
     complete 2^depth-point preimage set; ``random_walk`` draws
-    ``JULIA_WALKS`` random inverse-branch paths.  ``depth`` is at most
-    ``JULIA_DEPTH_MAX[mode]``.  The orbit is real: a complex inverse image
-    raises.
+    ``JULIA_WALKS`` random inverse-branch paths.  The orbit is real: a
+    complex inverse image raises.
 
     Returns (points array, empirical Measure1D of the points).
     """
-    if mode not in JULIA_DEPTH_MAX:
-        raise ValueError("mode must be 'full_tree' or 'random_walk'")
-    if depth > JULIA_DEPTH_MAX[mode]:
-        raise ValueError(f"{mode} depth capped at {JULIA_DEPTH_MAX[mode]}")
     a, b, c = (float(v) for v in p)
     if not all(math.isfinite(v) for v in (a, b, c)):
         raise ValueError("polynomial coefficients must be finite")
@@ -522,8 +503,6 @@ def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
     drift rate and the 2/3 mass rate, which shows in the ``tv_to_next``
     ratios.
     """
-    for n in n_range:  # refuse the range before sorting it or computing any level
-        _check_level(group_tag, n)
     levels = sorted(n_range)
     if len(levels) < 3:
         raise ValueError("need at least 3 levels to fit a rate")

@@ -1,19 +1,22 @@
 """CLI behaviors: artifacts, determinism, exit codes."""
 
+import ast
 import json
+import re
 import struct
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_reachability import SURFACE
 
-from spectral_renorm import cli, conjugacy, experiments, pencils, spectra
-from spectral_renorm.cli import main
+from spectral_renorm import cli
+from spectral_renorm.cli import BUDGETS, main
 from spectral_renorm.output import fmt, write_csv, write_pgm16
 from spectral_renorm.pencils import builtin_scheme
-from spectral_renorm.ratmaps import degrees, potential
 from spectral_renorm.ratmaps.potential import potential_grid
 
 
@@ -318,13 +321,13 @@ BAD_INPUT = [
     (None, ["schur-verify", "--group", "hanoi", "--level", "6"]),
     (None, ["julia", "--depth", "40"]),
     (None, ["julia", "--mode", "random_walk",
-            "--depth", str(spectra.JULIA_DEPTH_MAX["random_walk"] + 1)]),
+            "--depth", str(BUDGETS["julia"]["--depth"]["random_walk"] + 1)]),
     (None, ["julia", "--mode", "random_walk", "--depth", "100000000"]),
     (None, ["dos-compare", "--group", "hanoi", "--levels", "3..9"]),
     (None, ["experiment", "--kind", "backward-square",
-            "--n", str(experiments.BACKWARD_DEPTH_MAX + 1)]),
+            "--n", str(BUDGETS["experiment"]["--n"]["backward-square"] + 1)]),
     (None, ["experiment", "--kind", "backward-cantor",
-            "--n", str(experiments.BACKWARD_DEPTH_MAX + 1)]),
+            "--n", str(BUDGETS["experiment"]["--n"]["backward-cantor"] + 1)]),
     (None, ["potential-grid", "--group", "hanoi", "--iters", "0"]),
     (None, ["spectrum", "--group", "hanoi", "--level", "2", "--format", "jsn"]),
     (None, ["experiment", "--kind", "skew", "--eta0", "nan"]),
@@ -343,20 +346,31 @@ BAD_INPUT = [
     (None, ["potential-grid", "--group", "hanoi", "--window=0,1,-1e308,1e308", "--resolution",
             "4", "--iters", "2"]),
     (None, ["schur-verify", "--group", "hanoi", "--level", "3",
-            "--samples", str(pencils.VERIFY_SAMPLES_MAX + 1)]),
-    (None, ["conjugacy-verify", "--samples", str(conjugacy.FIBER_SAMPLES_MAX + 1)]),
-    (None, ["dyndeg", "--map", "R_G", "--trials", str(degrees.MAX_TRIALS + 1)]),
+            "--samples", str(BUDGETS["schur-verify"]["--samples"] + 1)]),
+    (None, ["conjugacy-verify", "--samples", str(BUDGETS["conjugacy-verify"]["--samples"] + 1)]),
+    (None, ["dyndeg", "--map", "R_G", "--trials", str(BUDGETS["dyndeg"]["--trials"] + 1)]),
     (None, ["potential-grid", "--group", "hanoi",
-            "--iters", str(potential.GRID_ITERS_MAX + 1)]),
+            "--iters", str(BUDGETS["potential-grid"]["--iters"] + 1)]),
     (None, ["dos-compare", "--group", "hanoi", "--levels", "3.."]),
     (None, ["dos-compare", "--group", "hanoi", "--levels", "x"]),
     ("levels = x", ["dos-compare", "--group", "hanoi"]),
     (None, ["dos-compare", "--group", "hanoi", "--levels", "3..1000000000000000000"]),
+    (None, ["schur-verify", "--group", "hanoi", "--level", "2", "--seed", "-1"]),
+    (None, ["dyndeg", "--map", "R_G", "--seed", "-1"]),
+    (None, ["spectrum", "--group", "hanoi", "--level", "2", "--seed", "-1"]),
+    (None, ["julia", "--mode", "random_walk", "--seed", "-1"]),
+    (None, ["conjugacy-verify", "--seed", "-1"]),
+    ("seed = -1", ["julia"]),
+    (None, ["cohomology", "--surface", "hanoi4", "--surface-json", "{tmp}/surface.json"]),
+    (None, ["cohomology", "--surface-json", "{tmp}/surface.json", "--check"]),
+    ("surface = hanoi4", ["cohomology", "--surface-json", "{tmp}/surface.json"]),
+    ("check = true", ["cohomology", "--surface-json", "{tmp}/surface.json"]),
 ]
 
 
 @pytest.mark.parametrize("config, command", BAD_INPUT)
 def test_bad_input_exits_2_with_one_json_error(config, command, tmp_path, capsys):
+    (tmp_path / "surface.json").write_text(json.dumps(SURFACE))
     argv = [arg.format(tmp=tmp_path) for arg in command] + ["--out", str(tmp_path / "out")]
     if config is not None:
         (tmp_path / "run.cfg").write_text(config + "\n")
@@ -367,6 +381,60 @@ def test_bad_input_exits_2_with_one_json_error(config, command, tmp_path, capsys
     assert captured.err.count("\n") == 1
     assert set(json.loads(captured.err)) == {"error"}
     assert not (tmp_path / "out").exists()
+
+
+# the options a budgeted subcommand needs besides the budgeted one (a later
+# flag overrides), and the option whose value selects a cap given per value
+REQUIRED = {"schur-verify": ["--group", "hanoi", "--level", "2"], "dyndeg": ["--map", "R_G"],
+            "potential-grid": ["--group", "hanoi"]}
+SELECTOR = {"spectrum": "--group", "dos-compare": "--group", "schur-verify": "--group",
+            "julia": "--mode", "experiment": "--kind"}
+BUDGET_CASES = [
+    pytest.param([command, *REQUIRED.get(command, []), *([SELECTOR[command], selected]
+                                                         if selected else [])], flag, cap,
+                 id=f"{command} {flag} {selected or ''}".strip())
+    for command, row in BUDGETS.items() for flag, caps in row.items()
+    for selected, cap in (caps.items() if isinstance(caps, dict) else [(None, caps)])
+]
+
+
+@pytest.mark.parametrize("command, flag, cap", BUDGET_CASES)
+def test_a_budget_admits_its_cap_and_refuses_one_more_before_the_handler(
+        command, flag, cap, tmp_path, capsys, monkeypatch):
+    entered = []
+    monkeypatch.setitem(cli._HANDLERS, command[0], lambda args: entered.append(args) or (0, {}))
+    ranged = flag == "--levels"
+    assert main(command + [flag, f"1..{cap}" if ranged else str(cap),
+                           "--out", str(tmp_path / "ok")]) == 0
+    assert len(entered) == 1
+    # a level range is refused by either end
+    for value in [f"1..{cap + 1}", f"{cap + 1}..{cap}"] if ranged else [str(cap + 1)]:
+        assert main(command + [flag, value, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        message = json.loads(captured.err)["error"]
+        assert message.startswith(f"argument {flag}: {cap + 1} is above the budget {cap}")
+    assert len(entered) == 1
+    assert not (tmp_path / "out").exists()
+
+
+# bounds of the mathematics or of float and int64 overflow, not of cost
+DOMAIN_BOUNDS = {"DECIMATION_MAX_LEVEL", "GRIG_SLICE_MAX", "SEED_POINT_MAX", "MUL_MAX_SHORTER"}
+
+
+def test_every_cost_cap_is_a_row_of_the_budget_table():
+    package = Path(cli.__file__).parent
+    caps = []
+    for file in sorted(package.rglob("*.py")):
+        if file == Path(cli.__file__):
+            continue
+        for node in ast.walk(ast.parse(file.read_text())):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            caps += [f"{file.relative_to(package)}: {t.id}" for t in targets
+                     if isinstance(t, ast.Name) and t.id.isupper()
+                     and re.search(r"(^|_)MAX(_|$)|BUDGET", t.id) and t.id not in DOMAIN_BOUNDS]
+    assert not caps, "a cap outside cli.BUDGETS:\n" + "\n".join(caps)
 
 
 @pytest.mark.parametrize("text, named", [
@@ -423,6 +491,19 @@ def test_grig_slice_beyond_its_bound_is_refused_by_name(tmp_path, capsys):
     (None, ["julia", "--poly", "1,2"], "--poly"),
     ("window = 0,1,x,1", ["potential-grid", "--group", "hanoi"], "config window"),
     ("poly = 1,x,3", ["julia"], "config poly"),
+    (None, ["experiment", "--kind", "backward-square", "--seed-point", "x"], "--seed-point"),
+    (None, ["experiment", "--kind", "backward-cantor", "--seed-point", "1+2j"], "--seed-point"),
+    (None, ["experiment", "--kind", "backward-cheb", "--seed-point", "0.3j"], "--seed-point"),
+    ("seed-point = x", ["experiment", "--kind", "backward-square"], "config seed_point"),
+    ("seed-point = 1+2j", ["experiment", "--kind", "backward-cantor"], "--seed-point"),
+    (None, ["cohomology", "--surface-json", "s.json", "--surface", "hanoi4"],
+     "--surface-json: not allowed with argument --surface"),
+    (None, ["cohomology", "--surface-json", "s.json", "--check"],
+     "--surface-json: not allowed with argument --check"),
+    ("surface = hanoi4", ["cohomology", "--surface-json", "s.json"],
+     "--surface-json: not allowed with argument --surface"),
+    ("check = true", ["cohomology", "--surface-json", "s.json"],
+     "--surface-json: not allowed with argument --check"),
 ])
 def test_a_malformed_window_or_poly_is_refused_by_name(config, command, named, tmp_path,
                                                        capsys):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectral_renorm import experiments
+from spectral_renorm.cli import BUDGETS, main
 from spectral_renorm.experiments import (
-    BACKWARD_DEPTH_MAX,
     CANTOR_BASE,
     arccos_law_cdf,
     backward_equidistribution,
@@ -51,9 +52,9 @@ def test_twist_law_improves_and_decides_the_support():
     assert r50["w1_arccos_law"] < 0.1 < r50["w1_narrow_law"]
 
 
-def test_twist_budget():
-    with pytest.raises(ValueError):
-        twist_experiment(500)
+def test_twist_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "twist_experiment", lambda n: pytest.fail("it ran"))
+    assert main(["experiment", "--kind", "twist", "--n", "500", "--out", str(tmp_path)]) == 2
 
 
 def test_twist_plane_coordinates_cross_check():
@@ -78,8 +79,6 @@ def test_skew_cantor_fibers_and_decay():
     d10 = skew_cantor_experiment(3.0, 10)["w1_to_balanced"]
     d12 = skew_cantor_experiment(3.0, 12)["w1_to_balanced"]
     assert d12 < d10 < d8
-    with pytest.raises(ValueError):
-        skew_cantor_experiment(3.0, 99)
 
 
 def test_skew_cantor_complex_branch_handling():
@@ -177,10 +176,13 @@ def test_backward_cantor_non_increasing_after_burn_in():
 
 
 @pytest.mark.parametrize("model,seed_point", [("square", 1.7), ("cheb", 0.3), ("cantor", 3.0)])
-def test_backward_depth_is_capped(model, seed_point):
-    for depth in (0, BACKWARD_DEPTH_MAX + 1):
-        with pytest.raises(ValueError, match="depth must be in"):
-            backward_equidistribution(model, seed_point, depth)
+def test_backward_depth_is_capped(model, seed_point, tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "backward_equidistribution",
+                        lambda *args: pytest.fail("it ran"))
+    kind = f"backward-{model}"
+    for depth in (0, BUDGETS["experiment"]["--n"][kind] + 1):
+        assert main(["experiment", "--kind", kind, "--seed-point", str(seed_point),
+                     "--n", str(depth), "--out", str(tmp_path)]) == 2
 
 
 # The hand-written preimage loops that ``spectra.preimages`` replaced.

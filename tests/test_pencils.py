@@ -12,6 +12,7 @@ from exact_reference import (
     fraction_markowitz_pivots,
     schur_complement,
 )
+from spectral_renorm.cli import BUDGETS, main
 from spectral_renorm.exact import _markowitz_pivots
 from spectral_renorm.pencils import (
     assemble,
@@ -228,17 +229,15 @@ def test_verify_recursion_budget_error():
         verify_recursion(s, 1, samples=1)
 
 
-def test_verify_recursion_refuses_levels_above_the_cap(monkeypatch):
-    caps = {name: builtin_scheme(name).max_level
-            for name in ("grigorchuk", "lamplighter", "hanoi")}
-    assert caps == {"grigorchuk": 7, "lamplighter": 7, "hanoi": 5}
+def test_verify_recursion_refuses_levels_above_the_cap(tmp_path, monkeypatch):
+    assert BUDGETS["schur-verify"]["--level"] == {"grigorchuk": 7, "lamplighter": 7, "hanoi": 5}
 
     def no_work(*args):
         raise AssertionError("assembly started above the level cap")
 
     monkeypatch.setattr("spectral_renorm.pencils.assemble", no_work)
-    with pytest.raises(ValueError, match="budget"):
-        verify_recursion(builtin_scheme("hanoi"), 6, samples=1)
+    assert main(["schur-verify", "--group", "hanoi", "--level", "6", "--samples", "1",
+                 "--out", str(tmp_path)]) == 2
 
 
 def test_recursion_identity_at_pinned_points():

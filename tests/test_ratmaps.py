@@ -187,8 +187,6 @@ def test_dynamical_degree_classes():
     assert r["growth"] == "exponential" and abs(r["estimate"] - 2.0) < 1e-9
     assert dynamical_degree(builtin_map("H_inv"), 5, 2)["growth"] == "bounded"
     assert classify_growth([3, 3])["growth"] == "inconclusive"
-    with pytest.raises(ValueError):
-        dynamical_degree(builtin_map("R_L"), 99, 1)
 
 
 def test_dynamical_degree_bounded_by_algebraic_degree():
@@ -419,8 +417,6 @@ def test_potential_grid_flags_factor_zeros():
     # mu = 2 row sits on the factor zero set 4 - mu^2 = 0
     row = np.argmin(np.abs(grid["ys"] - 2.0))
     assert grid["neg_inf_mask"][row].any()
-    with pytest.raises(ValueError):
-        potential_grid(scheme, (-1, 1, -1, 1), 4096, 2)
 
 
 def test_potential_hanoi_depth_zero_ridges():

@@ -47,6 +47,7 @@ CASES = [
     (0, ["experiment", "--kind", "twist", "--n", "3", "--format", "csv,json,svg"]),
     *[(0, ["experiment", "--kind", k, "--n", "2", "--format", "csv,json,svg"])
       for k in ("skew", "backward-square", "backward-cheb", "backward-cantor")],
+    (0, ["experiment", "--kind", "backward-cantor", "--seed-point", "3", "--n", "2"]),
     (2, ["spectrum", "--group", "hanoi"]),  # a usage error: no --level
 ]
 

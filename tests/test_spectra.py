@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_reference import slice_matrix
+from spectral_renorm.cli import BUDGETS, main
 from spectral_renorm.pencils import assemble, builtin_scheme
 from spectral_renorm.spectra import (
     DECIMATION_MAX_LEVEL,
-    DOS_BUDGET,
     JULIA_WALKS,
     Measure1D,
     _merge_equal,
@@ -98,9 +98,8 @@ def test_dos_counts_and_mass():
             assert r.multiplicities == tuple(mult)
 
 
-def test_dos_budget_and_slice_flag():
-    with pytest.raises(ValueError):
-        dos("hanoi", 8)
+def test_dos_budget_and_slice_flag(tmp_path):
+    assert main(["spectrum", "--group", "hanoi", "--level", "8", "--out", str(tmp_path)]) == 2
     with pytest.raises(ValueError):
         dos("nope", 2)
     # the determinant is even in lam: slices at -1 and +1 agree
@@ -215,7 +214,7 @@ def test_grig_limit_sampler_matches_cdf():
     assert kolmogorov_to_cdf(emp, grig_limit_cdf) < 0.02
 
 
-def test_julia_backward_examples():
+def test_julia_backward_examples(tmp_path):
     pts, _ = julia_backward((1, -1, -3), 0)
     assert list(pts) == [3.0]
     pts, _ = julia_backward((1, -1, -3), 1)
@@ -230,8 +229,7 @@ def test_julia_backward_examples():
     pts, _ = julia_backward((1, -1, -3), 12)
     assert pts.min() >= -2.0 - 1e-9 and pts.max() <= 3.0 + 1e-9
     assert repelling_fixed_point(1, -1, -3) == 3.0
-    with pytest.raises(ValueError):
-        julia_backward((1, -1, -3), 20)
+    assert main(["julia", "--poly", "1,-1,-3", "--depth", "20", "--out", str(tmp_path)]) == 2
 
 
 def test_julia_random_walk_mode():
@@ -297,12 +295,14 @@ def test_convergence_report_structure():
         convergence_report("grigorchuk", [4, 5])
 
 
-def test_convergence_report_checks_every_level_before_computing_any(monkeypatch):
+def test_convergence_report_checks_every_level_before_computing_any(tmp_path, monkeypatch):
+    """The levels of ``dos-compare`` are checked before ``convergence_report``
+    computes any."""
     from spectral_renorm import spectra
 
     monkeypatch.setattr(spectra, "dos", lambda *args: pytest.fail("a level was computed"))
-    with pytest.raises(ValueError, match="budget"):
-        convergence_report("grigorchuk", range(4, 14))
+    assert main(["dos-compare", "--group", "grigorchuk", "--levels", "4..13",
+                 "--out", str(tmp_path)]) == 2
 
 
 def test_tv_distance():
@@ -575,10 +575,10 @@ def test_dos_routes_the_decimated_slices_around_the_eigensolver(monkeypatch):
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
     for group_tag in ("hanoi", "lamplighter"):
-        for n in range(1, DOS_BUDGET[group_tag] + 1):
+        for n in range(1, BUDGETS["spectrum"]["--level"][group_tag] + 1):
             r = dos(group_tag, n)
             assert sum(r.multiplicities) == builtin_scheme(group_tag).d ** n
-    for n in range(1, DOS_BUDGET["grigorchuk"] + 1):
+    for n in range(1, BUDGETS["spectrum"]["--level"]["grigorchuk"] + 1):
         minus, plus = dos("grigorchuk", n, -1.0), dos("grigorchuk", n, 1.0)
         assert minus.measure == plus.measure
         assert minus.multiplicities == plus.multiplicities
