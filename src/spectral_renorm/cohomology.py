@@ -19,8 +19,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-import numpy as np
-
 from spectral_renorm.exact import (
     charpoly,
     det_exact,
@@ -179,6 +177,10 @@ def _spectral_data(pull: list, cp: list) -> tuple:
         rest = poly_deflate(rest, r)
     numeric_max = 0.0
     if len(rest) > 1:
+        # only custom surfaces get here: the builtin surfaces' characteristic
+        # polynomials split into integer roots, so they never load numpy
+        import numpy as np
+
         roots = np.roots([float(c) for c in reversed(rest)])
         numeric_max = float(np.abs(roots).max()) if len(roots) else 0.0
     int_max = max((abs(r) for r in int_roots), default=0)

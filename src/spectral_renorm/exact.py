@@ -3,10 +3,12 @@
 Matrices are plain lists of lists of ``Fraction``.  ``det_exact`` is the one
 exact determinant: sparse Gaussian elimination over Q with Markowitz
 pivoting.  The pencils it serves are sums of a few permutation matrices, so
-only the nonzeros are stored and touched.  The elimination is fraction-free:
-each row is kept as integers with content 1 times one exact ``Fraction``
-scale, and a row update cross-multiplies and divides out the row's new
-content, so no entry is a ``Fraction`` and none needs a gcd of its own.
+only the nonzeros are stored and touched; it also takes a matrix whose rows
+are already ``{column: entry}`` dicts of nonzeros, as ``pencils.assemble``
+builds them.  The elimination is fraction-free: each row is kept as integers
+with content 1 times one exact ``Fraction`` scale, and a row update
+cross-multiplies and divides out the row's new content, so no entry is a
+``Fraction`` and none needs a gcd of its own.
 """
 
 from __future__ import annotations
@@ -38,20 +40,19 @@ def mat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
     return out
 
 
-def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix by sparse elimination over Q.
+def det_exact(matrix: Sequence) -> Fraction:
+    """Exact determinant of a square rational matrix by sparse elimination
+    over Q.
 
-    Only the nonzeros are stored.  Each step takes the pivot of least
-    Markowitz cost (r - 1)(c - 1), where r and c count the nonzeros in its
-    row and column, so the elimination creates little fill.  The result is
-    the sign of the row-to-column pivot permutation times the product of the
-    pivots.
+    Each row is a dense sequence of entries or a ``{column: entry}`` dict of
+    its nonzeros.  Only the nonzeros are stored.  Each step takes the pivot
+    of least Markowitz cost (r - 1)(c - 1), where r and c count the nonzeros
+    in its row and column, so the elimination creates little fill.  The
+    result is the sign of the row-to-column pivot permutation times the
+    product of the pivots.
     """
-    n = len(matrix)
-    if n == 0:
+    if len(matrix) == 0:
         return Fraction(1)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
     pivots = _markowitz_pivots(matrix)
     if pivots is None:
         return Fraction(0)
@@ -61,10 +62,24 @@ def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     return det
 
 
-def _markowitz_pivots(matrix: Sequence[Sequence[Fraction]]):
+def _nonzeros(row, n: int) -> dict:
+    """The nonzeros ``{column: Fraction}`` of a row of an n x n matrix,
+    given dense or as a dict of entries."""
+    if isinstance(row, dict):
+        if not all(0 <= j < n for j in row):
+            raise ValueError("matrix is not square")
+        entries = row.items()
+    elif len(row) == n:
+        entries = enumerate(row)
+    else:
+        raise ValueError("matrix is not square")
+    return {j: Fraction(x) for j, x in entries if x}
+
+
+def _markowitz_pivots(matrix: Sequence):
     """Pivots ``(row, col, value)`` of the sparse elimination of a square
-    matrix, in elimination order, or ``None`` once a column empties (the
-    matrix is singular).
+    matrix, its rows dense or dicts of nonzeros, in elimination order, or
+    ``None`` once a column empties (the matrix is singular).
 
     Ties in Markowitz cost go to the lowest column, then the lowest row.
     Entries that cancel to an exact 0 are deleted, so a singular matrix
@@ -80,7 +95,7 @@ def _markowitz_pivots(matrix: Sequence[Sequence[Fraction]]):
     rows = []
     scales = []
     for row in matrix:
-        entries = {j: Fraction(x) for j, x in enumerate(row) if x}
+        entries = _nonzeros(row, n)
         den = lcm(*(x.denominator for x in entries.values()))
         ints = {j: x.numerator * (den // x.denominator) for j, x in entries.items()}
         content = gcd(*ints.values())

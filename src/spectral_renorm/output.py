@@ -5,24 +5,43 @@ fields are printed with 17 significant digits, JSON keys are sorted, and the
 SVG plots are assembled from explicit element strings (no plotting library,
 no timestamps, no generated ids).  Each writer takes its path first and
 writes into a directory that exists.
+
+Importing this module does not import numpy, so the exact subcommands run
+without it.  Numpy scalars and arrays are recognised through the numpy
+module that created them (``_number_types``), and only the writers that take
+arrays (the SVG plots, ``write_pgm16`` and the float64 columns of
+``write_csv``) import numpy, which is loaded whenever they run.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
+# Rows rendered at a time by ``write_csv``: memory holds one chunk's fields.
+CSV_CHUNK_ROWS = 16384
+
+
+def _number_types() -> tuple:
+    """(integer types, float types, array types) for ``isinstance``.  A value
+    is a numpy scalar or array only once numpy is loaded, so the numpy types
+    join the builtins only then, and these type tests never import numpy."""
+    np = sys.modules.get("numpy")
+    if np is None:
+        return int, float, ()
+    return (int, np.integer), (float, np.floating), np.ndarray
 
 
 def fmt(x) -> str:
     """17-significant-digit rendering of numbers; strings pass through."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    ints, floats, _arrays = _number_types()
+    if isinstance(x, ints):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, floats):
         return f"{float(x):.17g}"
     return str(x)
 
@@ -31,7 +50,9 @@ def _csv_fields(column) -> list:
     """The CSV fields of one column, each as ``fmt`` renders it.  A float64
     array has each distinct value formatted once; values are told apart by
     their bits, so -0.0 and 0.0 keep their own fields."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+    if isinstance(column, _number_types()[2]) and column.dtype == "float64":
+        import numpy as np
+
         bits, where = np.unique(column.view(np.uint64), return_inverse=True)
         fields = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
         return [fields[k] for k in where.tolist()]
@@ -40,11 +61,14 @@ def _csv_fields(column) -> list:
 
 def write_csv(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """CSV with a header line and one row per index; ``columns`` holds one
-    sequence of values per header field, all of one length."""
-    fields = [_csv_fields(c) for c in columns]
+    sequence of values per header field, all of one length.  Rows are
+    rendered and written ``CSV_CHUNK_ROWS`` at a time."""
+    length = min((len(c) for c in columns), default=0)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*fields))
+        for start in range(0, length, CSV_CHUNK_ROWS):
+            fields = [_csv_fields(c[start:start + CSV_CHUNK_ROWS]) for c in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*fields))
 
 
 def _jsonable(obj):
@@ -52,14 +76,15 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
+    if isinstance(obj, (bool, str)) or obj is None:
         return obj
+    ints, floats, arrays = _number_types()
+    if isinstance(obj, ints):
+        return int(obj)
+    if isinstance(obj, floats):
+        return float(obj)
+    if isinstance(obj, arrays):
+        return [_jsonable(v) for v in obj.tolist()]
     return str(obj)
 
 
@@ -86,6 +111,8 @@ def _svg_frame(body: str, title: str) -> str:
 
 
 def _scale(xs, lo, hi, out_lo, out_hi):
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     if hi == lo:
         hi = lo + 1.0
@@ -93,6 +120,8 @@ def _scale(xs, lo, hi, out_lo, out_hi):
 
 
 def svg_histogram(path, values: Sequence[float], bins: int = 80, title: str = "") -> None:
+    import numpy as np
+
     values = np.asarray(values, dtype=float)
     counts, edges = np.histogram(values, bins=bins)
     top = max(int(counts.max()), 1)
@@ -111,6 +140,8 @@ def svg_histogram(path, values: Sequence[float], bins: int = 80, title: str = ""
 
 
 def svg_cdf(path, points: Sequence[float], weights: Sequence[float], title: str = "") -> None:
+    import numpy as np
+
     pts = np.asarray(points, dtype=float)
     cum = np.cumsum(weights)
     lo, hi = float(pts.min()), float(pts.max())
@@ -132,6 +163,8 @@ def svg_cdf(path, points: Sequence[float], weights: Sequence[float], title: str 
 
 def svg_series(path, xs: Sequence[float], ys: Sequence[float], title: str = "") -> None:
     """Points (x, y) joined by a line, on a log10 y axis."""
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     plot_y = np.log10(np.maximum(np.asarray(ys, dtype=float), 1e-300))
     ylo, yhi = float(plot_y.min()), float(plot_y.max())
@@ -150,6 +183,8 @@ def svg_series(path, xs: Sequence[float], ys: Sequence[float], title: str = "") 
 
 
 def svg_scatter(path, xs: Sequence[float], ys: Sequence[float], title: str = "") -> None:
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     sx = _scale(xs, xs.min(), xs.max(), _PAD, _W - _PAD)
@@ -173,8 +208,10 @@ def _axes(xlo, xhi, ylo, yhi) -> str:
     )
 
 
-def write_pgm16(path, values: np.ndarray) -> None:
+def write_pgm16(path, values) -> None:
     """16-bit grayscale PGM of a real matrix; NaN and -inf map to 0."""
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     finite = arr[np.isfinite(arr)]
     if finite.size == 0:

@@ -3,7 +3,8 @@
 A pencil is an operator family ``M(lam, mu) = C0 + lam*Clam + mu*Cmu`` whose
 coefficients are formal combinations of group-algebra words (plus, for the
 three-letter tower group, a coupling operator acting on the first letter
-only).  Instantiated at level n it becomes a d^n x d^n rational matrix.
+only).  Instantiated at level n it becomes a d^n x d^n rational matrix, held
+as the nonzeros of each row: a few per row, one per term at most.
 
 The determinant of the level-n matrix satisfies a renormalization recursion
 
@@ -173,23 +174,28 @@ def pencil_terms(scheme: PencilScheme, n: int) -> list:
 
 
 def assemble(scheme: PencilScheme, n: int, lam, mu) -> list:
-    """Matrix of the pencil at level n and point (lam, mu).
+    """The pencil at level n and point (lam, mu), as one ``{column: entry}``
+    dict of nonzeros per row, summed from ``pencil_terms``.
 
-    Rational points give exact ``Fraction`` entries; ``MultiPoly`` variables
-    give entries in Q[lam, mu] (small levels only).
+    Rational and float points give exact ``Fraction`` entries; ``MultiPoly``
+    variables give entries in Q[lam, mu] (small levels only).  Entries that
+    cancel are left out.  ``det_exact`` eliminates these rows as they are.
     """
     terms = pencil_terms(scheme, n)
     lam, mu = (x if isinstance(x, MultiPoly) else Fraction(x) for x in (lam, mu))
-    size = scheme.d ** n
-    zero = 0 * (lam + mu)  # Fraction(0), or the zero polynomial
-    m = [[zero] * size for _ in range(size)]
+    matrix = [{} for _ in range(scheme.d ** n)]
     for a, b, c, rows in terms:
         coeff = a + b * lam + c * mu
         if not coeff:
             continue
         for v, w in enumerate(rows):
-            m[w][v] += coeff
-    return m
+            row = matrix[w]
+            entry = row[v] + coeff if v in row else coeff
+            if entry:
+                row[v] = entry
+            else:
+                del row[v]
+    return matrix
 
 
 def _sample_rational(rng: random.Random, bound: int = 100) -> Fraction:

@@ -8,9 +8,9 @@ no floating point enters here.
 Products run on plain integers in the schoolbook double loop: ``MultiPoly``
 multiplies the factors' cleared-denominator numerators, which keeps the term
 order of the ``Fraction`` loop it replaced.  The float evaluator
-(``maps._grid_eval``, behind the potential) sums terms in dict order, each
-term its coefficient times the powers of a shared ``PowerTable`` (product
-chains x^e = x^(e-1) * x, no ``pow``) in variable order, so a product that
+(``potential._grid_eval``) sums terms in dict order, each term its
+coefficient times the powers of a shared ``PowerTable`` (product chains
+x^e = x^(e-1) * x, no ``pow``) in variable order, so a product that
 reordered terms would change the last bits of float artifacts.
 
 ``MultiPoly.subs`` is the one substitution routine.  The same loop composes

@@ -19,7 +19,7 @@ value: a zero of a factor or of the seed gets -inf, and a dead orbit (one
 that reaches an indeterminacy point or the line at infinity) gets NaN, also
 where a zero follows its death.  Floats can miss a zero that the orbit
 starts on, so each factor's starting value carries the bound
-``maps._error_bound`` on its rounding error, and every starting point whose
+``_error_bound`` on its rounding error, and every starting point whose
 value is within that bound of 0, and only those, gets the exact
 ``Fraction`` test of the factors (``_on_factor_zero``): it reads -inf if it
 lies on a factor's zero set, whatever its orbit does later.  A point on a
@@ -31,14 +31,108 @@ tests evaluate the same loop at single points with the scalar form
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf, nextafter
 from typing import Sequence
 
 import numpy as np
 
-from spectral_renorm.ratmaps.maps import PowerTable, _error_bound, _grid_eval, builtin_map
+from spectral_renorm.ratmaps.maps import builtin_map
 from spectral_renorm.ratmaps.poly import MultiPoly
 
 NEG_INF = float("-inf")
+
+
+class PowerTable(dict):
+    """The powers x_i^e of one set of points, keyed by ``(i, e)`` for
+    e >= 1 and computed on first use by the product chain
+    x_i^e = x_i^(e-1) * x_i, the earlier power taken from the same table and
+    x_i^1 being the row ``pts[i]`` itself: e - 1 rounded IEEE products, the
+    same on every platform, and no ``pow``.  ``pts`` holds one coordinate
+    per row (a scalar per row for one point).  Polynomials evaluated at the
+    same points share one table, so each power is computed once however many
+    terms and polynomials use it; points that move need a new table."""
+
+    def __init__(self, pts):
+        super().__init__()
+        self.pts = pts
+
+    def __missing__(self, key):
+        i, e = key
+        power = self[key] = self.pts[i] if e == 1 else self[i, e - 1] * self.pts[i]
+        return power
+
+
+def _grid_eval(poly: MultiPoly, powers: PowerTable):
+    """Float value of ``poly`` at the points of a ``PowerTable``, summing
+    terms in dict order from 0; each term is its coefficient, rounded to a
+    float, times the table's powers, multiplied in variable order.  Only
+    IEEE products and sums in this fixed order, so a pure-Python float loop
+    in the same order gives the same bits."""
+    shape = np.shape(powers.pts[0])
+    total = np.zeros(shape)
+    for expo, coeff in poly.terms.items():
+        term = float(coeff)
+        for i, e in enumerate(expo):
+            if e:
+                term *= powers[i, e]
+        total += term
+    return total
+
+
+_U = Fraction(1, 2 ** 53)  # unit roundoff of IEEE double
+
+
+def _gamma(k: int) -> Fraction:
+    return k * _U / (1 - k * _U)
+
+
+def _round_up(x: Fraction) -> float:
+    return nextafter(float(x), inf)
+
+
+def _error_bound(poly: MultiPoly, powers: PowerTable):
+    """Bound on |``_grid_eval(poly, powers)`` - poly(p / m)| at each point,
+    where ``powers.pts`` is fl(p / m): an exact point p divided by
+    m = max_i |p_i| and rounded, as ``potential._telescope`` normalizes.
+
+    With D the total degree of ``poly``, T its number of terms c_t x^(e_t)
+    and u = 2^-53, each computed term is c_t (p / m)^(e_t) (1 + theta) with
+    |theta| <= gamma_j = j u / (1 - j u) (Higham 2002, lemma 3.1), where j
+    counts the roundings it went through: 1 for the coefficient's conversion
+    to float, D for the normalization (each coordinate's quotient enters
+    the monomial once per degree), sum(e_i - 1) over its variables for the
+    power chain and one product per variable for the term, so 2D + 1 in
+    all; the recursive sum from 0 adds at most T - 1 more.  Hence
+
+        |value - poly(p / m)| <= gamma_k sum_t |c_t (p / m)^(e_t)|,
+        k = 2D + T.
+
+    The sum on the right is not known; it is computed as S, the same
+    evaluation of sum_t |c_t| |x^(e_t)| on ``np.abs`` of the table's
+    powers (rounding is symmetric in sign, so these are the moduli of the
+    computed terms, each within a factor 1 - gamma_(2D+1) of the exact one, and
+    their sum within 1 - gamma_(T-1)).  The bound is
+
+        g * S + f,  g = gamma_k / ((1 - gamma_(2D+1)) (1 - gamma_(T-1)) (1 - u)^2),
+
+    with g rounded up, where (1 - u)^2 covers the product g * S and the sum
+    with f.  f covers gradual underflow, which the model above leaves out:
+    each of the at most T (2D + 2) products, quotients and sums adds at most
+    2^-1075 absolutely, later multiplied by at most max(1, max |c_t|) (1 + u)
+    since every |x_i| <= 1, so f = (T (2D + 2) + 1) max(1, max |c_t|) 2^-1073
+    rounded up keeps a factor 2 to spare and also covers the rounding of
+    g * S below the normal range.  A point whose exact value is 0 has
+    |value| within the bound.
+    """
+    deg, terms = poly.total_degree(), len(poly.terms)
+    k = 2 * deg + terms
+    g = _gamma(k) / ((1 - _gamma(2 * deg + 1)) * (1 - _gamma(terms - 1)) * (1 - _U) ** 2)
+    cmax = max([Fraction(1)] + [abs(c) for c in poly.terms.values()])
+    f = (terms * (2 * deg + 2) + 1) * cmax * Fraction(1, 2 ** 1073) / (1 - _U)
+    moduli = PowerTable(np.abs(powers.pts))
+    moduli.update((key, np.abs(power)) for key, power in powers.items())
+    size = _grid_eval(MultiPoly(poly.arity, {e: abs(c) for e, c in poly.terms.items()}), moduli)
+    return _round_up(g) * size + _round_up(f)
 
 
 def _homogenize(poly2: MultiPoly) -> MultiPoly:

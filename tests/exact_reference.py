@@ -3,8 +3,9 @@
 ``bareiss_det_int`` is dense fraction-free Bareiss elimination on an integer
 matrix.  ``fraction_markowitz_pivots`` is the sparse Markowitz elimination
 with every entry a ``Fraction``; ``exact._markowitz_pivots`` keeps integer
-rows with one scale each and must return the same pivots.  ``det_symbolic``
-expands polynomial determinants by cofactors, ``schur_complement`` splits a
+rows with one scale each and must return the same pivots.  ``densify``
+turns ``pencils.assemble``'s rows of nonzeros into the dense matrix.
+``det_symbolic`` expands polynomial determinants by cofactors, ``schur_complement`` splits a
 rational matrix into blocks, ``slice_matrix`` is the sliced pencil as a
 dense float matrix for the eigensolver, and ``compose`` and
 ``eval_binary_form`` compose rational maps and evaluate binary forms
@@ -117,6 +118,14 @@ def fraction_markowitz_pivots(matrix):
         if any(not cols[j] for j in pivot_row):
             return None
     return pivots
+
+
+def densify(rows: Sequence[dict]) -> list:
+    """The dense matrix of a square matrix given as ``{column: entry}`` dicts
+    of nonzeros, its other entries the zero of the entries' type (``Fraction``
+    or ``MultiPoly``)."""
+    zero = 0 * next(x for row in rows for x in row.values())
+    return [[row.get(j, zero) for j in range(len(rows))] for row in rows]
 
 
 def det_symbolic(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:

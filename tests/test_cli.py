@@ -15,7 +15,7 @@ from test_reachability import SURFACE
 
 from spectral_renorm import cli
 from spectral_renorm.cli import BUDGETS, main
-from spectral_renorm.output import fmt, write_csv, write_pgm16
+from spectral_renorm.output import CSV_CHUNK_ROWS, _jsonable, fmt, write_csv, write_pgm16
 from spectral_renorm.pencils import builtin_scheme
 from spectral_renorm.ratmaps.potential import potential_grid
 
@@ -80,6 +80,90 @@ def test_write_csv_renders_every_column_kind_as_fmt_does(tmp_path):
     assert (tmp_path / "t.csv").read_text() == _row_by_row_csv(header, zip(*columns))
     write_csv(tmp_path / "empty.csv", ["a", "b"], [[], np.array([])])
     assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+
+
+# (value, fmt(value), _jsonable(value)); the types of the JSON values count,
+# so True must stay a bool and 1/3 a string
+SCALARS = [
+    (1, "1", 1),
+    (True, "true", True),
+    (False, "false", False),
+    (0.1, "0.10000000000000001", 0.1),
+    (Fraction(1, 3), "1/3", "1/3"),
+    ("s", "s", "s"),
+    (None, "None", None),
+    (np.int64(-3), "-3", -3),
+    (np.float64(2.5), "2.5", 2.5),
+    (np.bool_(True), "True", "True"),
+    (np.array([1.5, -0.0]), "[ 1.5 -0. ]", [1.5, -0.0]),
+]
+
+
+@pytest.mark.parametrize("value,text,plain", SCALARS)
+def test_fmt_and_jsonable_pin_each_kind_of_value(value, text, plain):
+    assert fmt(value) == text
+    got = _jsonable(value)
+    assert (type(got), got) == (type(plain), plain)
+    if isinstance(plain, list):
+        assert [type(v) for v in got] == [float, float] and np.signbit(got[1])
+
+
+def test_a_zero_dimensional_array_is_rendered_by_fmt_but_has_no_json_form():
+    assert fmt(np.array(1.5)) == "1.5"
+    with pytest.raises(TypeError):  # tolist() gives a scalar, which does not iterate
+        _jsonable(np.array(1.5))
+
+
+def _whole_column_csv(path, header, columns):
+    """The writer before rows were rendered in chunks: every field of every
+    column at once, each distinct float64 formatted once per column."""
+    fields = []
+    for column in columns:
+        if isinstance(column, np.ndarray) and column.dtype == np.float64:
+            bits, where = np.unique(column.view(np.uint64), return_inverse=True)
+            texts = [f"{v:.17g}" for v in bits.view(np.float64).tolist()]
+            fields.append([texts[k] for k in where.tolist()])
+        else:
+            fields.append([fmt(v) for v in column])
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*fields))
+
+
+@pytest.mark.parametrize("length", [0, 1, CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS + 7])
+def test_write_csv_in_chunks_equals_the_whole_column_writer(length, tmp_path):
+    # a 7-value cycle, so equal values fall on both sides of each chunk boundary
+    cycle = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, 1e-300])
+    floats = np.resize(cycle, length)
+    columns = [
+        floats,
+        floats.tolist(),
+        np.resize(cycle[::-1], length),
+        list(range(length)),
+        [k % 3 == 0 for k in range(length)],
+    ]
+    header = [f"c{k}" for k in range(len(columns))]
+    write_csv(tmp_path / "chunked.csv", header, columns)
+    _whole_column_csv(tmp_path / "whole.csv", header, columns)
+    text = (tmp_path / "chunked.csv").read_text()
+    assert text == (tmp_path / "whole.csv").read_text()
+    assert text.count("\n") == length + 1
+
+
+def test_the_exact_subcommands_load_no_numpy(tmp_path):
+    from spectral_renorm.cohomology import SURFACES
+
+    runs = [["schur-verify", "--group", g, "--level", "2", "--samples", "2"]
+            for g in ("grigorchuk", "lamplighter", "hanoi")]
+    runs += [["cohomology", "--surface", name, "--check"] for name in SURFACES]
+    script = ("import json, sys\n"
+              "from spectral_renorm.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    print(main(argv + ['--out', sys.argv[2]]), 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["0 False"] * len(runs) + [""]
 
 
 def test_hanoi_spectrum_rows_carry_exact_multiplicities(tmp_path):

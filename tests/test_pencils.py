@@ -8,6 +8,7 @@ import pytest
 
 from exact_reference import (
     bareiss_det_int,
+    densify,
     det_symbolic,
     fraction_markowitz_pivots,
     schur_complement,
@@ -35,7 +36,7 @@ MU = MultiPoly.variable(2, 1)
 def test_grigorchuk_level_zero_and_one():
     s = builtin_scheme("grigorchuk")
     m0 = assemble(s, 0, Fraction(0), Fraction(0))
-    assert m0 == [[Fraction(2)]]
+    assert m0 == [{0: Fraction(2)}]
     sym = assemble(s, 1, LAM, MU)
     two_minus_mu = 2 - MU
     assert sym[0][0] == two_minus_mu and sym[1][1] == two_minus_mu
@@ -45,29 +46,29 @@ def test_grigorchuk_level_zero_and_one():
 def test_symbolic_determinants_match_closed_forms():
     # level-1 determinant of the four-generator pencil: (2-mu)^2 - lam^2
     s = builtin_scheme("grigorchuk")
-    d1 = det_symbolic(assemble(s, 1, LAM, MU))
+    d1 = det_symbolic(densify(assemble(s, 1, LAM, MU)))
     assert d1 == (2 - MU - LAM) * (2 - MU + LAM)
     # the recursion starts at level 2, so the seed is the level-1 determinant
     assert d1 == s.seed
-    d0 = det_symbolic(assemble(s, 0, LAM, MU))
+    d0 = det_symbolic(densify(assemble(s, 0, LAM, MU)))
     assert d0 == 2 - LAM - MU
     # three-letter tower at level 1: -(lam-1-2mu)(lam-1+mu)^2
     h = builtin_scheme("hanoi")
-    d1 = det_symbolic(assemble(h, 1, LAM, MU))
+    d1 = det_symbolic(densify(assemble(h, 1, LAM, MU)))
     expected = -1 * (LAM - 1 - 2 * MU) * (LAM - 1 + MU) ** 2
     assert d1 == expected
     assert d1 == h.seed
     # lamplighter level 0 and the symbolic level-2 expansion
     l = builtin_scheme("lamplighter")
-    assert det_symbolic(assemble(l, 0, LAM, MU)) == l.seed
-    d2 = det_symbolic(assemble(l, 2, LAM, MU))
+    assert det_symbolic(densify(assemble(l, 0, LAM, MU))) == l.seed
+    d2 = det_symbolic(densify(assemble(l, 2, LAM, MU)))
     assert d2 == (MU - LAM) * (LAM * LAM - MU * MU - 4) * (4 - LAM - MU)
 
 
 def test_hanoi_level_one_is_coupled_all_ones():
     h = builtin_scheme("hanoi")
     lam, mu = Fraction(2, 3), Fraction(1, 5)
-    m = assemble(h, 1, lam, mu)
+    m = densify(assemble(h, 1, lam, mu))
     for i in range(3):
         for j in range(3):
             assert m[i][j] == (1 - lam if i == j else mu)
@@ -101,12 +102,12 @@ def test_symbolic_instantiation_matches_exact_at_random_points(name):
     s = builtin_scheme(name)
     rng = random.Random(17)
     for n in range(1 if s.has_coupling() else 0, 3):
-        sym = assemble(s, n, LAM, MU)
+        sym = densify(assemble(s, n, LAM, MU))
         for _ in range(3):
             lam = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
             mu = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
             evaluated = [[entry.eval((lam, mu)) for entry in row] for row in sym]
-            assert evaluated == assemble(s, n, lam, mu)
+            assert evaluated == densify(assemble(s, n, lam, mu))
 
 
 @pytest.mark.parametrize("name", ["grigorchuk", "lamplighter", "hanoi"])
@@ -118,13 +119,30 @@ def test_assembled_matrices_are_symmetric(name):
             continue
         lam = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
         mu = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-        m = assemble(s, n, lam, mu)
+        m = densify(assemble(s, n, lam, mu))
         assert all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(len(m)))
 
 
 def test_det_exact_examples():
     assert det_exact([[Fraction(2 - 1), Fraction(-1)], [Fraction(-1), Fraction(2 - 1)]]) == 0
     assert det_exact([[Fraction(int(i == j)) for j in range(8)] for i in range(8)]) == 1
+
+
+@pytest.mark.parametrize("name", ["grigorchuk", "lamplighter", "hanoi"])
+def test_the_rows_of_nonzeros_give_the_pivots_of_the_dense_matrix(name):
+    # levels 2 up to the schur-verify level cap, where the benchmark runs
+    s = builtin_scheme(name)
+    rng = random.Random(23)
+    for level in range(2, BUDGETS["schur-verify"]["--level"][name] + 1):
+        lam = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
+        mu = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
+        rows = assemble(s, level, lam, mu)
+        assert all(all(row.values()) for row in rows)  # nonzeros only
+        dense = densify(rows)
+        pivots = _markowitz_pivots(rows)
+        assert pivots is not None and len(pivots) == len(rows)
+        assert pivots == _markowitz_pivots(dense)
+        assert det_exact(rows) == det_exact(dense)
 
 
 def bareiss_det(matrix):
@@ -145,9 +163,10 @@ def test_det_exact_matches_bareiss_on_pencils(name, level):
     for _ in range(2):
         lam = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
         mu = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
-        m = assemble(s, level, lam, mu)
-        assert det_exact(m) == bareiss_det(m)
-        assert _markowitz_pivots(m) == fraction_markowitz_pivots(m)
+        rows = assemble(s, level, lam, mu)
+        m = densify(rows)
+        assert det_exact(rows) == bareiss_det(m)
+        assert _markowitz_pivots(rows) == fraction_markowitz_pivots(m)
     # the pivot order is a function of the matrix alone
     first = _markowitz_pivots(m)
     assert first is not None and len(first) == len(m)
@@ -197,7 +216,7 @@ def test_grigorchuk_schur_step_reproduces_renormalized_pencil():
 
     rmap = builtin_map("R_G")
     lam, mu = Fraction(1, 3), Fraction(1, 7)
-    m2 = assemble(s, 2, lam, mu)
+    m2 = densify(assemble(s, 2, lam, mu))
     d_block = [row[2:] for row in m2[2:]]
     s1 = schur_complement(m2, 2, which=1)
     assert det_exact(m2) == det_exact(d_block) * det_exact(s1)

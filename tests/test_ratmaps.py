@@ -31,16 +31,16 @@ from spectral_renorm.ratmaps.degrees import (
 )
 from spectral_renorm.ratmaps.maps import (
     IndeterminacyError,
-    PowerTable,
     RationalMapP2,
-    _error_bound,
-    _grid_eval,
     builtin_map,
     proportional,
 )
 from spectral_renorm.ratmaps.poly import MultiPoly
 from spectral_renorm.ratmaps.potential import (
     NEG_INF,
+    PowerTable,
+    _error_bound,
+    _grid_eval,
     _homogenize,
     _on_factor_zero,
     potential_grid,
