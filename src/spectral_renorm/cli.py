@@ -47,6 +47,9 @@ class BudgetError(RuntimeError):
     pass
 
 
+GROUPS = ("grigorchuk", "lamplighter", "hanoi")  # the --group choices
+
+
 # Cost caps, checked by ``_check_budgets`` before any handler runs: per
 # subcommand and option, an int, or a dict keyed by the value of the option that
 # selects the cap (--group, --mode or --kind).  Times are the CLI's on 2 cores.
@@ -157,14 +160,18 @@ def _format_list(text: str) -> str:
 
 
 def _level_range(text: str) -> range:
-    """argparse type of ``--levels``: the levels a..b, both included, from 1."""
+    """argparse type of ``--levels``: the levels a..b, both included, from 1;
+    at least three, the fewest a decay rate is fitted to."""
     lo, dots, hi = text.partition("..")
     try:
         if not dots or int(lo) < 1:
             raise ValueError
-        return range(int(lo), int(hi) + 1)
+        levels = range(int(lo), int(hi) + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a range a..b of levels >= 1") from None
+    if len(levels) < 3:
+        raise argparse.ArgumentTypeError(f"{text!r} has fewer than 3 levels to fit a rate")
+    return levels
 
 
 def _floats(text: str, names: str) -> tuple:
@@ -222,21 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list from csv,json,svg")
 
     p = sub.add_parser("spectrum", help="eigenvalues and atoms of one level")
-    p.add_argument("--group", required=True,
-                   choices=["grigorchuk", "lamplighter", "hanoi"])
+    p.add_argument("--group", required=True, choices=GROUPS)
     p.add_argument("--level", type=_at_least(1), required=True)
     p.add_argument("--grig-slice", type=float, default=-1.0)
     common(p)
 
     p = sub.add_parser("dos-compare", help="convergence diagnostics across levels")
-    p.add_argument("--group", required=True,
-                   choices=["grigorchuk", "lamplighter", "hanoi"])
+    p.add_argument("--group", required=True, choices=GROUPS)
     p.add_argument("--levels", type=_level_range, help="a..b (inclusive)")
     common(p)
 
     p = sub.add_parser("schur-verify", help="exact recursion check")
-    p.add_argument("--group", required=True,
-                   choices=["grigorchuk", "lamplighter", "hanoi"])
+    p.add_argument("--group", required=True, choices=GROUPS)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--samples", type=_at_least(1), default=20)
     common(p)
@@ -271,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("potential-grid", help="cascade potential on a window")
-    p.add_argument("--group", required=True,
-                   choices=["grigorchuk", "lamplighter", "hanoi"])
+    p.add_argument("--group", required=True, choices=GROUPS)
     p.add_argument("--window", type=_window, default="-4,4,-4,4")
     p.add_argument("--resolution", type=_at_least(2), default=256)
     p.add_argument("--iters", type=_at_least(0), default=12)

@@ -84,7 +84,7 @@ def _jsonable(obj):
     if isinstance(obj, floats):
         return float(obj)
     if isinstance(obj, arrays):
-        return [_jsonable(v) for v in obj.tolist()]
+        return _jsonable(obj.tolist())
     return str(obj)
 
 

@@ -1,20 +1,20 @@
 """Matrix pencils on tree levels and their exact determinant recursions.
 
-A pencil is an operator family ``M(lam, mu) = C0 + lam*Clam + mu*Cmu`` whose
-coefficients are formal combinations of group-algebra words (plus, for the
-three-letter tower group, a coupling operator acting on the first letter
-only).  Instantiated at level n it becomes a d^n x d^n rational matrix, held
-as the nonzeros of each row: a few per row, one per term at most.
+A pencil is an operator family ``M(lam, mu) = sum_w (a_w + b_w lam + c_w mu) w``
+over words w in the generators of a self-similar group.  Instantiated at
+level n it becomes a d^n x d^n rational matrix, held as the nonzeros of each
+row: a few per row, one per term at most.  ``PENCILS`` holds the three
+builtin pencils, one row each.
 
 The determinant of the level-n matrix satisfies a renormalization recursion
 
-    det M_n(lam, mu) = s_n * prod_i Q_i(lam, mu)^(m_i d^(n-p_i))
-                           * det M_(n-1)(R(lam, mu)),
+    det M_n(lam, mu) = s_n * prod_i Q_i(lam, mu)^(m_i d^(n-1-seed_level))
+                           * det M_(n-1)(R(lam, mu)),   n > seed_level,
 
 with a rational renormalization map R and a sign s_n that we normalize
 explicitly (determinants are taken literally, with no sign convention hidden
-in the polynomials).  ``verify_recursion`` checks the identity exactly at
-random rational points.
+in the polynomials).  It starts from the closed-form seed det M_seed_level.
+``verify_recursion`` checks the identity exactly at random rational points.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from fractions import Fraction
 from typing import Callable
 
 from spectral_renorm.exact import det_exact
-from spectral_renorm.groups import GroupSpec, build_group, level_action
-from spectral_renorm.ratmaps.maps import builtin_map
+from spectral_renorm.groups import IDENTITY, GroupSpec, build_group, level_action
+from spectral_renorm.ratmaps.maps import builtin_map, compose
 from spectral_renorm.ratmaps.poly import MultiPoly
 
 __all__ = [
+    "PENCILS",
     "PencilScheme",
     "builtin_scheme",
     "pencil_terms",
@@ -43,134 +44,95 @@ __all__ = [
 class PencilScheme:
     """Pencil data plus its renormalization recursion.
 
-    ``c0``/``clam``/``cmu`` map generator words to rational coefficients.
-    ``coupling_*`` are the coefficients of the first-letter coupling operator
-    (the all-off-diagonal-ones matrix acting on the first letter), used by the
-    three-peg tower pencil only.  ``factors`` is a list of
-    (Q_i, multiplier m_i, offset p_i); ``seed`` is the closed-form determinant
-    at ``seed_level``; ``min_level`` is the smallest n for which the recursion
-    step n -> n-1 is valid; ``sign`` gives s_n.
+    ``terms`` maps each generator word to the coefficients (a, b, c) of its
+    term ``(a + b*lam + c*mu) * word``.  ``factors`` is a tuple of pairs
+    (Q_i, m_i); ``seed`` is the closed-form determinant at ``seed_level``;
+    ``sign`` gives s_n.
     """
 
     name: str
     group: GroupSpec
-    c0: dict
-    clam: dict
-    cmu: dict
-    coupling_c0: Fraction = Fraction(0)
-    coupling_cmu: Fraction = Fraction(0)
-    map_name: str = ""
-    factors: tuple = ()
-    seed: MultiPoly | None = None
-    seed_level: int = 0
-    min_level: int = 1
+    terms: dict
+    map_name: str
+    factors: tuple
+    seed: MultiPoly
+    seed_level: int
     sign: Callable[[int], int] = lambda n: 1
 
     @property
     def d(self) -> int:
         return self.group.d
 
-    def has_coupling(self) -> bool:
-        return self.coupling_c0 != 0 or self.coupling_cmu != 0
-
 
 def _p2(terms) -> MultiPoly:
     """Helper: polynomial in (lam, mu) from {(i, j): coeff}."""
-    return MultiPoly(2, {e: Fraction(c) for e, c in terms.items()})
+    return MultiPoly(2, terms)
+
+
+#: builtin pencils: name -> generators added to the group's alphabet, and the
+#: ``PencilScheme`` fields but name and group
+PENCILS = {
+    # M = -lam*a + b + c + d - 1 - mu, branching 2
+    # det M_n = s_n (4 - mu^2)^(2^(n-2)) det M_(n-1)(R_G),  n >= 2,
+    # so the seed is the level-1 determinant (2 - lam - mu)(2 + lam - mu);
+    # the sign, established by the exact-determinant suite, is -1 at n = 2 only
+    "grigorchuk": ({}, dict(
+        terms={"b": (1, 0, 0), "c": (1, 0, 0), "d": (1, 0, 0), "": (-1, 0, -1),
+               "a": (0, -1, 0)},
+        map_name="R_G",
+        factors=((_p2({(0, 0): 4, (0, 2): -1}), 1),),
+        seed=_p2({(0, 0): 2, (1, 0): -1, (0, 1): -1})
+        * _p2({(0, 0): 2, (1, 0): 1, (0, 1): -1}),
+        seed_level=1,
+        sign=lambda n: -1 if n == 2 else 1,
+    )),
+    # M = a + a^-1 + b + b^-1 - lam - mu*sigma with sigma = b^-1 a,
+    # det M_n = (mu - lam)^(2^(n-1)) det M_(n-1)(R_L),  n >= 1
+    "lamplighter": ({}, dict(
+        terms={"a": (1, 0, 0), "a'": (1, 0, 0), "b": (1, 0, 0), "b'": (1, 0, 0),
+               "": (0, -1, 0), "b'a": (0, 0, -1)},
+        map_name="R_L",
+        factors=((_p2({(0, 1): 1, (1, 0): -1}), 1),),
+        seed=_p2({(0, 0): 4, (1, 0): -1, (0, 1): -1}),
+        seed_level=0,
+    )),
+    # M = a + b + c - lam + (mu - 1)(s + ss), branching 3, where s cycles the
+    # first letter, so s + ss is all off-diagonal ones on the first letter;
+    # det M_n = (lam^2-(1+mu)^2)^(3^(n-2)) (lam^2-1+mu-mu^2)^(2*3^(n-2))
+    #           * det M_(n-1)(R_H),  n >= 2
+    "hanoi": ({"s": ((1, 2, 0), (IDENTITY,) * 3)}, dict(
+        terms={"a": (1, 0, 0), "b": (1, 0, 0), "c": (1, 0, 0), "": (0, -1, 0),
+               "s": (-1, 0, 1), "ss": (-1, 0, 1)},
+        map_name="R_H",
+        factors=((_p2({(2, 0): 1, (0, 0): -1, (0, 1): -2, (0, 2): -1}), 1),
+                 (_p2({(2, 0): 1, (0, 0): -1, (0, 1): 1, (0, 2): -1}), 2)),
+        seed=_p2({(1, 0): -1, (0, 0): 1, (0, 1): 2})
+        * _p2({(1, 0): -1, (0, 0): 1, (0, 1): -1}) ** 2,
+        seed_level=1,
+    )),
+}
 
 
 def builtin_scheme(name: str) -> PencilScheme:
-    """The three builtin pencils with their recursion data."""
-    if name == "grigorchuk":
-        # M = -lam*a + b + c + d - 1 - mu, branching 2
-        # det M_n = s_n (4 - mu^2)^(2^(n-2)) det M_(n-1)(R_G),  n >= 2,
-        # so the seed is the level-1 determinant (2 - lam - mu)(2 + lam - mu)
-        return PencilScheme(
-            name=name,
-            group=build_group("grigorchuk"),
-            c0={"b": Fraction(1), "c": Fraction(1), "d": Fraction(1), "": Fraction(-1)},
-            clam={"a": Fraction(-1)},
-            cmu={"": Fraction(-1)},
-            map_name="R_G",
-            factors=((_p2({(0, 0): 4, (0, 2): -1}), 1, 2),),
-            seed=_p2({(0, 0): 2, (1, 0): -1, (0, 1): -1})
-            * _p2({(0, 0): 2, (1, 0): 1, (0, 1): -1}),
-            seed_level=1,
-            min_level=2,
-            sign=_grigorchuk_sign,
-        )
-    if name == "lamplighter":
-        # M = a + a^-1 + b + b^-1 - lam - mu*sigma with sigma = b^-1 a,
-        # det M_n = (mu - lam)^(2^(n-1)) det M_(n-1)(R_L),  n >= 1
-        return PencilScheme(
-            name=name,
-            group=build_group("lamplighter"),
-            c0={"a": Fraction(1), "a'": Fraction(1), "b": Fraction(1), "b'": Fraction(1)},
-            clam={"": Fraction(-1)},
-            cmu={"b'a": Fraction(-1)},
-            map_name="R_L",
-            factors=((_p2({(0, 1): 1, (1, 0): -1}), 1, 1),),
-            seed=_p2({(0, 0): 4, (1, 0): -1, (0, 1): -1}),
-            seed_level=0,
-            min_level=1,
-        )
-    if name == "hanoi":
-        # M = a + b + c - lam + (mu - 1) A, branching 3, two factors:
-        # det M_n = (lam^2-(1+mu)^2)^(3^(n-2)) (lam^2-1+mu-mu^2)^(2*3^(n-2))
-        #           * det M_(n-1)(R_H),  n >= 2
-        return PencilScheme(
-            name=name,
-            group=build_group("hanoi"),
-            c0={"a": Fraction(1), "b": Fraction(1), "c": Fraction(1)},
-            clam={"": Fraction(-1)},
-            cmu={},
-            coupling_c0=Fraction(-1),
-            coupling_cmu=Fraction(1),
-            map_name="R_H",
-            factors=(
-                (_p2({(2, 0): 1, (0, 0): -1, (0, 1): -2, (0, 2): -1}), 1, 2),
-                (_p2({(2, 0): 1, (0, 0): -1, (0, 1): 1, (0, 2): -1}), 2, 2),
-            ),
-            seed=_p2({(1, 0): -1, (0, 0): 1, (0, 1): 2})
-            * _p2({(1, 0): -1, (0, 0): 1, (0, 1): -1}) ** 2,
-            seed_level=1,
-            min_level=2,
-        )
-    raise ValueError(f"unknown pencil '{name}'")
-
-
-def _grigorchuk_sign(n: int) -> int:
-    # sign of det M_n relative to the factored recursion; established by the
-    # exact-determinant suite (see tests): -1 at n = 2, +1 afterwards.
-    return -1 if n == 2 else 1
+    """The builtin pencil ``name`` of ``PENCILS``, on a fresh group spec."""
+    if name not in PENCILS:
+        raise ValueError(f"unknown pencil '{name}'")
+    added, fields = PENCILS[name]
+    base = build_group(name)
+    group = GroupSpec(d=base.d, generators={**base.generators, **added})
+    return PencilScheme(name=name, group=group, **fields)
 
 
 def pencil_terms(scheme: PencilScheme, n: int) -> list:
-    """The level-n pencil as ``(a, b, c, rows)`` terms.
+    """The level-n pencil as ``(a, b, c, rows)`` terms, one per word of
+    ``scheme.terms``, in its order.
 
     Each term stands for the matrix ``(a + b*lam + c*mu) * P`` with
-    ``P[rows[v], v] = 1``.  The generator words of ``c0``/``clam``/``cmu``
-    come first, merged per word; then come the d - 1 cyclic shifts of the
-    first letter, whose sum is the coupling operator.  Every instantiation
-    (exact, symbolic, float) sums these terms.
+    ``P[rows[v], v] = 1``, the level-n permutation of its word.  Every
+    instantiation (exact, symbolic, float) sums these terms.
     """
-    if n < 0:
-        raise ValueError("level must be non-negative")
-    if scheme.has_coupling() and n < 1:
-        raise ValueError("the coupled pencil needs at least one letter (n >= 1)")
-    coeffs: dict = {}
-    for k, words in enumerate((scheme.c0, scheme.clam, scheme.cmu)):
-        for word, c in words.items():
-            coeffs.setdefault(word, [Fraction(0)] * 3)[k] += c
-    terms = [(a, b, c, level_action(scheme.group, word, n))
-             for word, (a, b, c) in coeffs.items() if a or b or c]
-    if scheme.has_coupling():
-        size = scheme.d ** n
-        block = size // scheme.d
-        for shift in range(1, scheme.d):
-            rows = tuple((v + shift * block) % size for v in range(size))
-            terms.append((scheme.coupling_c0, Fraction(0), scheme.coupling_cmu, rows))
-    return terms
+    return [(a, b, c, level_action(scheme.group, word, n))
+            for word, (a, b, c) in scheme.terms.items()]
 
 
 def assemble(scheme: PencilScheme, n: int, lam, mu) -> list:
@@ -211,30 +173,29 @@ def verify_recursion(scheme: PencilScheme, n: int, samples: int = 20, seed: int 
     rejected if they hit a factor zero or a pole of the renormalization map.
     Returns a JSON-able report; ``report["failures"]`` is empty on success.
     """
-    if n < scheme.min_level:
-        raise ValueError(f"recursion for '{scheme.name}' starts at level {scheme.min_level}")
+    if n <= scheme.seed_level:
+        raise ValueError(f"recursion for '{scheme.name}' starts at level {scheme.seed_level + 1}")
     rng = random.Random(seed)
-    rmap = builtin_map(scheme.map_name)
-    d = scheme.d
+    components = builtin_map(scheme.map_name).components
+    exponent = scheme.d ** (n - 1 - scheme.seed_level)
     report = {"group": scheme.name, "level": n, "samples": samples, "failures": []}
     checked = []
     for _ in range(samples):
         for _attempt in range(400):
             lam = _sample_rational(rng)
             mu = _sample_rational(rng)
-            if any(q.eval((lam, mu)) == 0 for q, _m, _p in scheme.factors):
+            if any(q.eval((lam, mu)) == 0 for q, _m in scheme.factors):
                 continue
-            image = rmap.eval_exact_affine(lam, mu)
-            if image is None:
-                continue
-            break
+            x, y, w = compose(components, (lam, mu, 1))
+            if w:
+                break
         else:
             raise RuntimeError("sample rejection budget exhausted")
         lhs = det_exact(assemble(scheme, n, lam, mu))
         rhs = Fraction(scheme.sign(n))
-        for q, mult, offset in scheme.factors:
-            rhs *= q.eval((lam, mu)) ** (mult * d ** (n - offset))
-        rhs *= det_exact(assemble(scheme, n - 1, image[0], image[1]))
+        for q, mult in scheme.factors:
+            rhs *= q.eval((lam, mu)) ** (mult * exponent)
+        rhs *= det_exact(assemble(scheme, n - 1, x / w, y / w))
         checked.append((lam, mu))
         if lhs != rhs:
             report["failures"].append(

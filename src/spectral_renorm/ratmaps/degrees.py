@@ -25,7 +25,7 @@ import random
 from typing import Sequence
 
 from spectral_renorm.ratmaps import modp
-from spectral_renorm.ratmaps.maps import RationalMapP2
+from spectral_renorm.ratmaps.maps import RationalMapP2, compose
 
 LINE_PRIMES = 2  # the iteration runs mod each of the LINE_PRIMES largest primes below 2^31
 LINE_COEFF_BITS = 31  # line coefficients are drawn from [-2^31, 2^31)
@@ -44,8 +44,7 @@ def degrees_mod_p(map_: RationalMapP2, line: Sequence, iterations: int, p: int) 
         raise ValueError("degenerate line")
     out = []
     for _ in range(iterations):
-        powers: list = []  # one power cache for the three components
-        forms = [c.subs(forms, powers) for c in map_.components]
+        forms = compose(map_.components, forms)
         if all(f.is_zero() for f in forms):
             raise ValueError("line collapsed into the indeterminacy locus")
         forms = modp.cancel_common_factor(forms)

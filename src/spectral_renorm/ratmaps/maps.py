@@ -13,12 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from spectral_renorm.exact import primitive_int_vector
 from spectral_renorm.ratmaps.poly import MultiPoly
-
-
-class IndeterminacyError(ValueError):
-    """Evaluation hit a point where all three components vanish."""
 
 
 def _var(i):
@@ -46,32 +41,6 @@ class RationalMapP2:
             raise ValueError("components must be homogeneous")
         if any(v.denominator != 1 for c in self.components for v in c.terms.values()):
             raise ValueError("components must have integer coefficients")
-
-    # -- evaluation ---------------------------------------------------------
-
-    def eval_exact(self, point: Sequence) -> tuple:
-        """Image of a projective point, as a primitive integer triple.
-
-        Raises ``IndeterminacyError`` when the point is indeterminate.
-        """
-        ints = primitive_int_vector(point)
-        if not any(ints):
-            raise ValueError("zero vector is not a projective point")
-        image = primitive_int_vector([c.eval(ints) for c in self.components])
-        if not any(image):
-            raise IndeterminacyError(f"{self.name} is indeterminate at {tuple(ints)}")
-        return tuple(image)
-
-    def eval_exact_affine(self, x, y):
-        """Affine image of (x, y); None when the image is at infinity or the
-        point is indeterminate."""
-        try:
-            img = self.eval_exact((Fraction(x), Fraction(y), Fraction(1)))
-        except IndeterminacyError:
-            return None
-        if img[2] == 0:
-            return None
-        return (Fraction(img[0], img[2]), Fraction(img[1], img[2]))
 
 
 def _normalize_triple(comps) -> tuple:

@@ -2,19 +2,19 @@
 
 For a pencil whose level-n determinant satisfies
 
-    P_n = s_n * prod_i Q_i^(m_i d^(n - p_i)) * P_(n-1) o R,
+    P_n = s_n * prod_i Q_i^(m_i d^(n-1-s)) * P_(n-1) o R,   n > s,
 
-the normalized potential (1/d^n) log |P_n| telescopes to
+where s is the level of the closed-form seed polynomial, the normalized
+potential (1/d^n) log |P_n| telescopes to
 
-    u_n(x) = sum_(j=0)^(n-1-s) sum_i m_i d^(-(j+p_i)) log |Q_i(R^j x)|
+    u_n(x) = sum_(j=0)^(n-1-s) sum_i m_i d^(-(j+1+s)) log |Q_i(R^j x)|
              + d^(-n) log |P_seed(R^(n-s) x)|,
 
-where s is the level of the closed-form seed polynomial, so u_n exists for
-n >= s only.  One loop (``_telescope``) evaluates this sum over an array of
-projective points, renormalizing them to max-norm 1 after every step; the
-seed tail is its last weighted log term.  The forms evaluated at one orbit
-step share one table of coordinate powers.  ``potential_grid`` runs the
-loop on a window's meshgrid.  The first event of an orbit decides its
+so u_n exists for n >= s only.  One loop (``_telescope``) evaluates this
+sum over an array of projective points, renormalizing them to max-norm 1
+after every step; the seed tail is its last weighted log term.  The forms
+evaluated at one orbit step share one table of coordinate powers.
+``potential_grid`` runs the loop on a window's meshgrid.  The first event of an orbit decides its
 value: a zero of a factor or of the seed gets -inf, and a dead orbit (one
 that reaches an indeterminacy point or the line at infinity) gets NaN, also
 where a zero follows its death.  Floats can miss a zero that the orbit
@@ -147,7 +147,7 @@ def _homogenize(poly2: MultiPoly) -> MultiPoly:
 def _telescope(scheme, lam: np.ndarray, mu: np.ndarray, n: int) -> tuple:
     """u_n of a ``pencils.PencilScheme`` at the affine points (lam, mu), flat
     float arrays of one length.  The scheme gives the factors (Q_i as affine
-    polynomials in (lam, mu), m_i, p_i), the seed polynomial at its seed
+    polynomials in (lam, mu), m_i), the seed polynomial at its seed
     level, the branching d and the name of the renormalization map.
 
     Returns (values, neg_inf, dead): values carry -inf at factor or seed
@@ -163,7 +163,7 @@ def _telescope(scheme, lam: np.ndarray, mu: np.ndarray, n: int) -> tuple:
     total = np.zeros(lam.size)
     neg_inf = np.zeros(lam.size, dtype=bool)
     dead = np.zeros(lam.size, dtype=bool)
-    hom_factors = [(_homogenize(q), m, p) for q, m, p in scheme.factors]
+    hom_factors = [(_homogenize(q), m) for q, m in scheme.factors]
 
     def add_log(form: MultiPoly, weight: float) -> None:
         nonlocal total, neg_inf, dead
@@ -179,13 +179,13 @@ def _telescope(scheme, lam: np.ndarray, mu: np.ndarray, n: int) -> tuple:
         # starting points within their factors' error bounds of a zero set
         powers = PowerTable(pts)
         near_zero = np.zeros(lam.size, dtype=bool)
-        for q, _m, _p in hom_factors:
+        for q, _m in hom_factors:
             near_zero |= np.abs(_grid_eval(q, powers)) <= _error_bound(q, powers)
         for j in range(n - scheme.seed_level):
             if j:
                 powers = PowerTable(pts)
-            for q, mult, offset in hom_factors:
-                add_log(q, mult * d ** (-(j + offset)))
+            for q, mult in hom_factors:
+                add_log(q, mult * d ** (-(j + 1 + scheme.seed_level)))
             imgs = np.stack([_grid_eval(c, powers) for c in components], axis=0)
             norms = np.max(np.abs(imgs), axis=0)
             zero = (norms == 0.0) | ~np.isfinite(norms)
@@ -208,7 +208,7 @@ def _telescope(scheme, lam: np.ndarray, mu: np.ndarray, n: int) -> tuple:
 def _on_factor_zero(scheme, lam, mu) -> bool:
     """Whether the rational point (lam, mu) lies exactly on a factor's zero set."""
     point = (Fraction(lam), Fraction(mu))
-    return any(q.eval(point) == 0 for q, _m, _p in scheme.factors)
+    return any(q.eval(point) == 0 for q, _m in scheme.factors)
 
 
 def potential_grid(scheme, window: Sequence[float], resolution: int, n: int) -> dict:

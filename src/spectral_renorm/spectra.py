@@ -305,22 +305,18 @@ def atoms(measure: Measure1D, cluster_tol: float) -> list:
     return list(zip((_run_sums(pts * wts, starts) / total).tolist(), total.tolist()))
 
 
-def cdf_distance(m1: Measure1D, m2: Measure1D, metric: str = "kolmogorov") -> float:
-    """Kolmogorov or 1-Wasserstein distance between two probability measures."""
+def cdf_distance(m1: Measure1D, m2: Measure1D, metric: str) -> float:
+    """1-Wasserstein distance between two probability measures; ``metric``
+    must name it, "wasserstein1"."""
+    if metric != "wasserstein1":
+        raise ValueError("metric must be 'wasserstein1'")
     if abs(m1.mass - 1.0) > 1e-9 or abs(m2.mass - 1.0) > 1e-9:
         raise ValueError("both measures must have mass 1")
     grid = np.union1d(np.asarray(m1.points), np.asarray(m2.points))
     f1 = m1.cdf_array(grid)
     f2 = m2.cdf_array(grid)
-    if metric == "kolmogorov":
-        # CDFs are right-continuous steps: compare after each jump and just
-        # before (the value after the previous grid point)
-        left = np.abs(np.concatenate([[0.0], f1[:-1]]) - np.concatenate([[0.0], f2[:-1]]))
-        return float(max(np.abs(f1 - f2).max(), left.max()))
-    if metric == "wasserstein1":
-        gaps = np.diff(grid)
-        return float(np.sum(np.abs(f1[:-1] - f2[:-1]) * gaps))
-    raise ValueError("metric must be 'kolmogorov' or 'wasserstein1'")
+    gaps = np.diff(grid)
+    return float(np.sum(np.abs(f1[:-1] - f2[:-1]) * gaps))
 
 
 def tv_distance(m1: Measure1D, m2: Measure1D, atom_tol: float = 1e-7) -> float:

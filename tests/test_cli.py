@@ -108,10 +108,12 @@ def test_fmt_and_jsonable_pin_each_kind_of_value(value, text, plain):
         assert [type(v) for v in got] == [float, float] and np.signbit(got[1])
 
 
-def test_a_zero_dimensional_array_is_rendered_by_fmt_but_has_no_json_form():
+def test_a_zero_dimensional_array_is_rendered_as_its_scalar():
     assert fmt(np.array(1.5)) == "1.5"
-    with pytest.raises(TypeError):  # tolist() gives a scalar, which does not iterate
-        _jsonable(np.array(1.5))
+    # by fmt and in json, where tolist() gives the scalar
+    assert _jsonable(np.array(1.5)) == 1.5
+    assert _jsonable(np.array(3)) == 3 and type(_jsonable(np.array(3))) is int
+    assert _jsonable(np.array([[1, 2]])) == [[1, 2]]
 
 
 def _whole_column_csv(path, header, columns):
@@ -492,7 +494,7 @@ def test_a_budget_admits_its_cap_and_refuses_one_more_before_the_handler(
                            "--out", str(tmp_path / "ok")]) == 0
     assert len(entered) == 1
     # a level range is refused by either end
-    for value in [f"1..{cap + 1}", f"{cap + 1}..{cap}"] if ranged else [str(cap + 1)]:
+    for value in [f"1..{cap + 1}", f"{cap + 1}..{cap + 3}"] if ranged else [str(cap + 1)]:
         assert main(command + [flag, value, "--out", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
@@ -588,6 +590,11 @@ def test_grig_slice_beyond_its_bound_is_refused_by_name(tmp_path, capsys):
      "--surface-json: not allowed with argument --surface"),
     ("check = true", ["cohomology", "--surface-json", "s.json"],
      "--surface-json: not allowed with argument --check"),
+    (None, ["dos-compare", "--group", "hanoi", "--levels", "3..4"], "argument --levels: "),
+    (None, ["dos-compare", "--group", "hanoi", "--levels", "7..7"], "argument --levels: "),
+    (None, ["dos-compare", "--group", "hanoi", "--levels", "5..3"], "argument --levels: "),
+    ("levels = 3..4", ["dos-compare", "--group", "hanoi"], "config levels: "),
+    ("levels = 5..3", ["dos-compare", "--group", "hanoi"], "config levels: "),
 ])
 def test_a_malformed_window_or_poly_is_refused_by_name(config, command, named, tmp_path,
                                                        capsys):

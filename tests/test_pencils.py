@@ -1,5 +1,6 @@
 """Pencil assembly, exact determinants, Schur complements, recursions."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import lcm
@@ -15,13 +16,16 @@ from exact_reference import (
 )
 from spectral_renorm.cli import BUDGETS, main
 from spectral_renorm.exact import _markowitz_pivots
+from spectral_renorm.groups import build_group
 from spectral_renorm.pencils import (
+    PENCILS,
     assemble,
     builtin_scheme,
     det_exact,
     pencil_terms,
     verify_recursion,
 )
+from spectral_renorm.ratmaps.maps import builtin_map, compose
 from spectral_renorm.ratmaps.poly import MultiPoly
 
 
@@ -31,6 +35,12 @@ def _p(terms):
 
 LAM = MultiPoly.variable(2, 0)
 MU = MultiPoly.variable(2, 1)
+
+
+def _affine_image(map_name, lam, mu):
+    """R(lam, mu) of a builtin map, at a point off its poles."""
+    x, y, w = compose(builtin_map(map_name).components, (lam, mu, 1))
+    return x / w, y / w
 
 
 def test_grigorchuk_level_zero_and_one():
@@ -72,36 +82,45 @@ def test_hanoi_level_one_is_coupled_all_ones():
     for i in range(3):
         for j in range(3):
             assert m[i][j] == (1 - lam if i == j else mu)
-    with pytest.raises(ValueError):
-        assemble(h, 0, lam, mu)
+    # level 0 is the 1 x 1 matrix its words give: a + b + c - lam + 2 (mu - 1)
+    assert densify(assemble(h, 0, lam, mu)) == [[1 - lam + 2 * mu]]
 
 
 def test_pencil_terms_merge_words_then_shift_the_first_letter():
     g = builtin_scheme("grigorchuk")
     terms = pencil_terms(g, 2)
-    # b, c, d, then the identity (from c0 and cmu, merged), then a
+    # the row's words in its order: b, c, d, the identity, then a
     assert [t[:3] for t in terms] == [(1, 0, 0)] * 3 + [(-1, 0, -1), (0, -1, 0)]
     assert terms[3][3] == (0, 1, 2, 3)
     h = builtin_scheme("hanoi")
     terms = pencil_terms(h, 2)
     assert len(terms) == 6
     shifts = terms[-2:]
+    assert list(h.terms)[-2:] == ["s", "ss"]
     assert all(t[:3] == (-1, 0, 1) for t in shifts)
     # the two shifts sum to the all-off-diagonal-ones first-letter coupling
     entries = sorted((rows[v], v) for *_, rows in shifts for v in range(9))
     assert entries == sorted((3 * i + w, 3 * j + w) for i in range(3) for j in range(3)
                              if i != j for w in range(3))
-    with pytest.raises(ValueError):
-        pencil_terms(h, 0)
+    assert [t[3] for t in pencil_terms(h, 0)] == [(0,)] * 6
     with pytest.raises(ValueError):
         pencil_terms(g, -1)
+
+
+def test_the_hanoi_shift_joins_the_pencil_alphabet_only():
+    assert sorted(build_group("hanoi").generators) == ["a", "b", "c"]
+    h = builtin_scheme("hanoi")
+    assert sorted(h.group.generators) == ["a", "b", "c", "s"]
+    assert h.group.generators["s"] == ((1, 2, 0), ("1", "1", "1"))
+    # each call builds its own group spec, so the permutation memo goes with it
+    assert builtin_scheme("hanoi").group is not h.group
 
 
 @pytest.mark.parametrize("name", ["grigorchuk", "lamplighter", "hanoi"])
 def test_symbolic_instantiation_matches_exact_at_random_points(name):
     s = builtin_scheme(name)
     rng = random.Random(17)
-    for n in range(1 if s.has_coupling() else 0, 3):
+    for n in range(3):
         sym = densify(assemble(s, n, LAM, MU))
         for _ in range(3):
             lam = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
@@ -114,9 +133,7 @@ def test_symbolic_instantiation_matches_exact_at_random_points(name):
 def test_assembled_matrices_are_symmetric(name):
     s = builtin_scheme(name)
     rng = random.Random(4)
-    for n in range(s.min_level - 1, s.min_level + 2):
-        if s.has_coupling() and n < 1:
-            continue
+    for n in range(s.seed_level, s.seed_level + 3):
         lam = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
         mu = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
         m = densify(assemble(s, n, lam, mu))
@@ -212,15 +229,12 @@ def test_grigorchuk_schur_step_reproduces_renormalized_pencil():
     # first Schur complement of the level-2 pencil against the level-1 pencil
     # at the image point: determinants match through the block identity
     s = builtin_scheme("grigorchuk")
-    from spectral_renorm.ratmaps.maps import builtin_map
-
-    rmap = builtin_map("R_G")
     lam, mu = Fraction(1, 3), Fraction(1, 7)
     m2 = densify(assemble(s, 2, lam, mu))
     d_block = [row[2:] for row in m2[2:]]
     s1 = schur_complement(m2, 2, which=1)
     assert det_exact(m2) == det_exact(d_block) * det_exact(s1)
-    image = rmap.eval_exact_affine(lam, mu)
+    image = _affine_image("R_G", lam, mu)
     m1_image = assemble(s, 1, image[0], image[1])
     # det S1 equals det M_1(R(lam,mu)) up to the scalar from the recursion
     lhs = det_exact(s1)
@@ -242,10 +256,19 @@ def test_verify_recursion_small_levels(name, levels):
         assert len(report["points"]) == 4
 
 
-def test_verify_recursion_budget_error():
-    s = builtin_scheme("grigorchuk")
-    with pytest.raises(ValueError):
-        verify_recursion(s, 1, samples=1)
+@pytest.mark.parametrize("name", sorted(PENCILS))
+def test_verify_recursion_starts_above_the_seed_level(name):
+    s = builtin_scheme(name)
+    with pytest.raises(ValueError, match=f"starts at level {s.seed_level + 1}$"):
+        verify_recursion(s, s.seed_level, samples=1)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_hanoi_without_its_second_shift_fails_the_recursion(level):
+    h = builtin_scheme("hanoi")
+    mutant = dataclasses.replace(h, terms={w: t for w, t in h.terms.items() if w != "ss"})
+    assert verify_recursion(h, level, samples=2, seed=5)["failures"] == []
+    assert len(verify_recursion(mutant, level, samples=2, seed=5)["failures"]) == 2
 
 
 def test_verify_recursion_refuses_levels_above_the_cap(tmp_path, monkeypatch):
@@ -260,12 +283,10 @@ def test_verify_recursion_refuses_levels_above_the_cap(tmp_path, monkeypatch):
 
 
 def test_recursion_identity_at_pinned_points():
-    from spectral_renorm.ratmaps.maps import builtin_map
-
     # two-letter four-generator cascade at (1/3, 1/5), level 3
     s = builtin_scheme("grigorchuk")
     lam, mu = Fraction(1, 3), Fraction(1, 5)
-    image = builtin_map("R_G").eval_exact_affine(lam, mu)
+    image = _affine_image("R_G", lam, mu)
     lhs = det_exact(assemble(s, 3, lam, mu))
     q = s.factors[0][0].eval((lam, mu))
     rhs = s.sign(3) * q ** 2 * det_exact(assemble(s, 2, image[0], image[1]))
@@ -274,7 +295,7 @@ def test_recursion_identity_at_pinned_points():
     # three-letter tower at (2/7, 1/3), level 3: exponents 3^(n-2), 2*3^(n-2)
     h = builtin_scheme("hanoi")
     lam, mu = Fraction(2, 7), Fraction(1, 3)
-    image = builtin_map("R_H").eval_exact_affine(lam, mu)
+    image = _affine_image("R_H", lam, mu)
     q1 = h.factors[0][0].eval((lam, mu))
     q2 = h.factors[1][0].eval((lam, mu))
     lhs = det_exact(assemble(h, 3, lam, mu))

@@ -142,16 +142,17 @@ def test_measure_invariants():
 
 def test_cdf_distance_examples():
     m = dos("grigorchuk", 3).measure
-    assert cdf_distance(m, m, "kolmogorov") == 0.0
     assert cdf_distance(m, m, "wasserstein1") == 0.0
     d0 = Measure1D(points=(0.0,), weights=(1.0,))
     d1 = Measure1D(points=(1.0,), weights=(1.0,))
     assert abs(cdf_distance(d0, d1, "wasserstein1") - 1.0) < 1e-15
-    assert cdf_distance(d0, d1, "kolmogorov") == 1.0
     with pytest.raises(ValueError):
-        cdf_distance(d0, Measure1D(points=(0.0,), weights=(0.5,)), "kolmogorov")
-    with pytest.raises(ValueError):
-        cdf_distance(d0, d1, "nope")
+        cdf_distance(d0, Measure1D(points=(0.0,), weights=(0.5,)), "wasserstein1")
+    for other in ("nope", "kolmogorov"):
+        with pytest.raises(ValueError):
+            cdf_distance(d0, d1, other)
+    with pytest.raises(TypeError):  # the metric has no default
+        cdf_distance(d0, d1)
 
 
 def test_grigorchuk_kolmogorov_monotone_improvement():
@@ -546,7 +547,7 @@ def test_born_multiplicities_match_the_factor_exponents():
     for group_tag, lo in (("hanoi", 2), ("grigorchuk", 2)):
         scheme = builtin_scheme(group_tag)
         for n in range(lo, 10):
-            exponents = sum(m * scheme.d ** (n - p) for _, m, p in scheme.factors)
+            exponents = sum(m * scheme.d ** (n - 1 - scheme.seed_level) for _, m in scheme.factors)
             points, mults = decimated_spectrum(group_tag, n)
             if group_tag == "hanoi":
                 # a_n + b_n - 1: born multiplicity beyond the lifts of 0 and 3
