@@ -318,7 +318,9 @@ def _config_defaults(subparser: argparse.ArgumentParser, config: dict) -> dict:
             continue
         try:
             out[action.dest] = action.type(value) if action.type else value
-        except (ValueError, argparse.ArgumentTypeError):
+        except argparse.ArgumentTypeError as exc:
+            raise BudgetError(f"config {key}: {exc}") from None
+        except ValueError:
             raise BudgetError(f"config {key}: {value!r} is not a valid value") from None
         if action.choices is not None and out[action.dest] not in action.choices:
             raise BudgetError(f"config {key}: {value!r} is not one of {list(action.choices)}")

@@ -3,7 +3,7 @@
 These are the desk-scale companions of the conjugacy module: backward
 iteration toward measures of maximal entropy, fiber counting on the elliptic
 cylinder of the twist family, and vertical-fiber transport over the Cantor
-base dynamics.
+base dynamics, which is the backward ``cantor`` model read at depth n.
 
 The twist fiber map z -> (eta z - 4)/z has Moebius matrix [[eta, -4], [1, 0]]
 of determinant 4, so it is elliptic exactly for |eta| < 4 and its fixed
@@ -12,6 +12,8 @@ onto the unit circle turns the map into multiplication by e^(i rho(eta))
 with rho = 2 pi - 2 arccos(eta / 4): the matrix half-angle doubles on the
 sphere, so rho sweeps the full circle as eta crosses (-4, 4).  The invariant
 transverse law on the eta-axis is therefore d(eta) / (pi sqrt(16 - eta^2)).
+The powers of the matrix have the closed form M^n = s_n M - 4 s_(n-1) I with
+s_k = 2^(k-1) sin(k phi) / sin(phi), which the plane-coordinates count reads.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from spectral_renorm.spectra import (
     preimages,
 )
 
-# |seed| bound of the square and cantor models: a preimage step computes 4·seed
+# |seed| bound of the square and cantor models and of the skew product's eta0:
+# a preimage step computes 4·seed
 SEED_POINT_MAX = 1e300
 CANTOR_BASE = _HANOI_FIBER  # z^2 - z - 3, the base of the skew product
 # depth of the backward orbit of CANTOR_BASE's repelling fixed point that
@@ -46,7 +49,9 @@ TWIST_LINE = (0.0, 1.0)
 # the line eta -> y, neither vertical nor horizontal, that slices the skew
 # product's vertical fibers, as (intercept, slope)
 SKEW_LINE = (0.7, 0.4)
-TWIST_REFINE = 64  # bracketing subdivisions per rotation subinterval
+# grid points per rotation subinterval of the model count, and per 1/(n + 1)
+# of the half circle in the plane count
+TWIST_REFINE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -54,12 +59,8 @@ TWIST_REFINE = 64  # bracketing subdivisions per rotation subinterval
 # ---------------------------------------------------------------------------
 
 
-def twist_rho(eta: np.ndarray) -> np.ndarray:
-    """Rotation number of the fiber map, increasing from 0 to 2 pi on (-4, 4)."""
-    return 2.0 * math.pi - 2.0 * np.arccos(np.clip(np.asarray(eta, dtype=float) / 4.0, -1, 1))
-
-
 def twist_rho_inverse(omega: np.ndarray) -> np.ndarray:
+    """eta at rotation number omega, the inverse of 2 pi - 2 arccos(eta / 4)."""
     return -4.0 * np.cos(np.asarray(omega, dtype=float) / 2.0)
 
 
@@ -104,7 +105,6 @@ def twist_experiment(n: int) -> dict:
     1-Wasserstein distances to the two candidate limit laws (the measured
     rotation-number law on (-4, 4) and the narrower arc law on (-2, 2)).
     """
-    _certify_rotation_number()
     c0, c1 = TWIST_CURVE
 
     def lifted(omega: float) -> float:
@@ -132,23 +132,6 @@ def twist_experiment(n: int) -> dict:
         "w1_arccos_law": w_wide,
         "w1_narrow_law": w_narrow,
     }
-
-
-_ROTATION_CERTIFIED = False
-
-
-def _certify_rotation_number(grid: int = 4001) -> None:
-    """One-time grid certificate that the rotation number is strictly
-    monotone on the elliptic locus (a precondition of the subinterval root
-    bracketing)."""
-    global _ROTATION_CERTIFIED
-    if _ROTATION_CERTIFIED:
-        return
-    etas = np.linspace(-4.0 + 1e-9, 4.0 - 1e-9, grid)
-    rho = twist_rho(etas)
-    if not np.all(np.diff(rho) > 0):
-        raise AssertionError("rotation number not strictly monotone on the grid")
-    _ROTATION_CERTIFIED = True
 
 
 def _circle_root(f: Callable[[float], float], a: float, b: float, period: float,
@@ -179,34 +162,28 @@ def _circle_root(f: Callable[[float], float], a: float, b: float, period: float,
 def twist_plane_count(n: int) -> int:
     """Exact-coordinate cross-check: intersections of the time-n pullback of
     the plane line beta = TWIST_PLANE_CURVE(alpha) with
-    beta = TWIST_LINE(alpha), counted as real roots of the Moebius-power
-    polynomial in the elliptic strip.
+    beta = TWIST_LINE(alpha) over the elliptic strip.
+
+    With M = [[eta, -4], [1, 0]] and eta = 4 cos(phi), Cayley-Hamilton gives
+    M^n = s_n M - 4 s_(n-1) I with s_k = 2^(k-1) sin(k phi) / sin(phi), so
+    on phi in (0, pi) the degree-(n + 1) polynomial in eta whose real roots
+    are the intersections has the sign of
+    sin(n phi)(eta l - 4 - g l) - 2 sin((n-1) phi)(l - g), where l and g are
+    the two graphs at eta.  Its sign changes are counted on a grid of
+    ``TWIST_REFINE`` points per 1/(n + 1) of the half circle; n + 1 changes
+    account for every root.
 
     For affine plane lines this exceeds the model count by the relative
     winding of the two transported graphs (one extra point generically).
     """
-    import numpy.polynomial.polynomial as P
-
-    ident = [[np.array([1.0]), np.array([0.0])], [np.array([0.0]), np.array([1.0])]]
-    gen = [[np.array([0.0, 1.0]), np.array([-4.0])], [np.array([1.0]), np.array([0.0])]]
-    cur = ident
-    for _ in range(n):
-        cur = [
-            [
-                P.polyadd(P.polymul(gen[i][0], cur[0][j]), P.polymul(gen[i][1], cur[1][j]))
-                for j in range(2)
-            ]
-            for i in range(2)
-        ]
-    lpoly = np.array(TWIST_LINE)
-    gpoly = np.array(TWIST_PLANE_CURVE)
-    h = P.polysub(
-        P.polyadd(P.polymul(cur[0][0], lpoly), cur[0][1]),
-        P.polymul(gpoly, P.polyadd(P.polymul(cur[1][0], lpoly), cur[1][1])),
-    )
-    roots = np.roots(h[::-1])
-    real = roots[np.abs(roots.imag) < 1e-9].real
-    return int(np.count_nonzero((real > -4.0) & (real < 4.0)))
+    phi = np.linspace(0.0, math.pi, TWIST_REFINE * (n + 1) + 1)[1:-1]
+    eta = 4.0 * np.cos(phi)
+    line = TWIST_LINE[0] + TWIST_LINE[1] * eta
+    curve = TWIST_PLANE_CURVE[0] + TWIST_PLANE_CURVE[1] * eta
+    value = (np.sin(n * phi) * (eta * line - 4.0 - curve * line)
+             - 2.0 * np.sin((n - 1) * phi) * (line - curve))
+    signs = np.sign(value[value != 0])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -219,20 +196,15 @@ def skew_cantor_experiment(eta0: float = 3.0, n: int = 10) -> dict:
     z^2 - z - 3, sliced by the line ``SKEW_LINE``.
 
     The time-n preimage is a union of 2^n vertical fibers over the n-th
-    inverse images of eta0; the slice measure on the line is carried by the
-    eta-marginal, which is compared in 1-Wasserstein distance to the
-    backward-orbit approximation of the balanced measure of the base
-    polynomial.  The inverse images are real: a complex inverse branch
-    raises, as it does at eta0 = -4.
+    inverse images of eta0: the ``cantor`` model of
+    ``backward_equidistribution`` read at depth n.  The slice measure on the
+    line is carried by the eta-marginal, compared in 1-Wasserstein distance
+    to the balanced measure of the base polynomial.  The inverse images are
+    real: a complex inverse branch raises, as it does at eta0 = -4.
     """
-    if not math.isfinite(eta0):
-        raise ValueError(f"eta0 must be finite, not {eta0}")
-    pts = np.array([eta0], dtype=float)
-    for _ in range(n):
-        pts = np.concatenate(preimages(CANTOR_BASE, pts))
+    _check_seed_modulus(eta0, "--eta0")
+    *_, pts = _preimage_levels(CANTOR_BASE, float(eta0), n)
     measure = Measure1D.from_samples(pts)
-    _, reference = julia_backward(CANTOR_BASE, CANTOR_REFERENCE_DEPTH)
-    w1 = cdf_distance(measure, reference, "wasserstein1")
     intercept, slope = SKEW_LINE
     return {
         "eta0": eta0,
@@ -240,7 +212,7 @@ def skew_cantor_experiment(eta0: float = 3.0, n: int = 10) -> dict:
         "count": len(pts),
         "measure": measure,
         "line_points": [(float(e), float(intercept + slope * e)) for e in pts[:64]],
-        "w1_to_balanced": w1,
+        "w1_to_balanced": cdf_distance(measure, _balanced(), "wasserstein1"),
     }
 
 
@@ -291,10 +263,24 @@ def circle_w1_to_uniform(angles: np.ndarray) -> float:
     return float(vals.sum())
 
 
-def _check_seed_modulus(start) -> None:
+def _check_seed_modulus(start, name: str = "seed point") -> None:
     if not abs(start) <= SEED_POINT_MAX:  # also refuses inf and nan
-        raise ValueError(f"seed point must be finite with modulus at most {SEED_POINT_MAX:g}, "
+        raise ValueError(f"{name} must be finite with modulus at most {SEED_POINT_MAX:g}, "
                          f"not {start}")
+
+
+def _balanced() -> Measure1D:
+    """The balanced measure of ``CANTOR_BASE``: its depth-
+    ``CANTOR_REFERENCE_DEPTH`` backward orbit of the repelling fixed point."""
+    return julia_backward(CANTOR_BASE, CANTOR_REFERENCE_DEPTH)[1]
+
+
+def _preimage_levels(poly, start, n: int, domain: str = "real"):
+    """The preimage sets of ``start`` under ``poly`` at depths 1..n."""
+    pts = np.array([start])
+    for _ in range(n):
+        pts = np.concatenate(preimages(poly, pts, domain))
+        yield pts
 
 
 def backward_equidistribution(model: str, seed_point, n: int) -> dict:
@@ -305,8 +291,7 @@ def backward_equidistribution(model: str, seed_point, n: int) -> dict:
     - ``cheb``: preimages under z -> 2 z^2 - 1; Kolmogorov distance to the
       arcsine law on [-1, 1].
     - ``cantor``: preimages under z -> z^2 - z - 3 from the given real seed;
-      1-Wasserstein distance to the depth-``CANTOR_REFERENCE_DEPTH``
-      backward orbit of the repelling fixed point.
+      1-Wasserstein distance to the balanced measure (``_balanced``).
     """
     if model == "square":
         start = complex(seed_point)
@@ -324,15 +309,12 @@ def backward_equidistribution(model: str, seed_point, n: int) -> dict:
     elif model == "cantor":
         start = float(seed_point)
         _check_seed_modulus(start)
-        _, reference = julia_backward(CANTOR_BASE, CANTOR_REFERENCE_DEPTH)
+        reference = _balanced()
         poly, domain, metric = CANTOR_BASE, "real", "wasserstein1"
         distance = lambda pts: cdf_distance(Measure1D.from_samples(pts), reference,
                                             "wasserstein1")
     else:
         raise ValueError("model must be 'square', 'cheb', or 'cantor'")
-    pts = np.array([start])
-    series = []
-    for depth in range(1, n + 1):
-        pts = np.concatenate(preimages(poly, pts, domain))
-        series.append({"depth": depth, "distance": distance(pts), "metric": metric})
+    series = [{"depth": depth, "distance": distance(pts), "metric": metric}
+              for depth, pts in enumerate(_preimage_levels(poly, start, n, domain), 1)]
     return {"model": model, "seed": repr(seed_point), "series": series}

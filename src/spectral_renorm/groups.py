@@ -15,7 +15,8 @@ Conventions, fixed once and documented here:
 
 ``build_group`` gives the three builtin presentations; ``GroupSpec``
 validates any presentation it is built from.  Each spec memoizes the
-level permutations of its generators, so the memo is freed with the spec.
+level permutations of its generators and of the words ``level_action`` was
+asked for, so the memo is freed with the spec.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ class GroupSpec:
 
     d: int
     generators: dict  # name -> (root_perm tuple, sections tuple)
-    # level-n permutation of each generator, memoized over (name, n)
+    # level-n permutation of each generator and each word, memoized over
+    # (name, n) and ("word", word, n)
     perms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -141,10 +143,14 @@ def level_action(group: GroupSpec, word: str, n: int) -> tuple:
     """Permutation of the d^n level-n vertices induced by a word of
     generators, as the tuple of images.
 
-    The word acts left to right: the first letter is applied first.
+    The word acts left to right: the first letter is applied first.  The
+    result is memoized in ``group.perms``.
     """
     if n < 0:
         raise GroupError("level must be non-negative")
+    key = ("word", word, n)
+    if key in group.perms:
+        return group.perms[key]
     size = group.d ** n
     current = list(range(size))
     for name, exp in parse_word(word):
@@ -157,4 +163,5 @@ def level_action(group: GroupSpec, word: str, n: int) -> tuple:
                 inv[w] = v
             perm = inv
         current = [perm[v] for v in current]
-    return tuple(current)
+    group.perms[key] = perm = tuple(current)
+    return perm

@@ -184,7 +184,8 @@ def verify_recursion(scheme: PencilScheme, n: int, samples: int = 20, seed: int 
         for _attempt in range(400):
             lam = _sample_rational(rng)
             mu = _sample_rational(rng)
-            if any(q.eval((lam, mu)) == 0 for q, _m in scheme.factors):
+            values = [q.eval((lam, mu)) for q, _m in scheme.factors]
+            if 0 in values:
                 continue
             x, y, w = compose(components, (lam, mu, 1))
             if w:
@@ -193,8 +194,8 @@ def verify_recursion(scheme: PencilScheme, n: int, samples: int = 20, seed: int 
             raise RuntimeError("sample rejection budget exhausted")
         lhs = det_exact(assemble(scheme, n, lam, mu))
         rhs = Fraction(scheme.sign(n))
-        for q, mult in scheme.factors:
-            rhs *= q.eval((lam, mu)) ** (mult * exponent)
+        for value, (_q, mult) in zip(values, scheme.factors):
+            rhs *= value ** (mult * exponent)
         rhs *= det_exact(assemble(scheme, n - 1, x / w, y / w))
         checked.append((lam, mu))
         if lhs != rhs:

@@ -30,7 +30,6 @@ class RationalMapP2:
 
     name: str
     components: tuple
-    degree: int
     topological_degree: int | None = None
 
     def __post_init__(self):
@@ -41,6 +40,10 @@ class RationalMapP2:
             raise ValueError("components must be homogeneous")
         if any(v.denominator != 1 for c in self.components for v in c.terms.values()):
             raise ValueError("components must have integer coefficients")
+
+    @property
+    def degree(self) -> int:
+        return self.components[0].total_degree()
 
 
 def _normalize_triple(comps) -> tuple:
@@ -74,16 +77,16 @@ def builtin_map(name: str) -> RationalMapP2:
     if name == "R_G":
         four_w2_minus_mu2 = 4 * w * w - y * y
         comps = (2 * x * x * w, y * four_w2_minus_mu2 + y * x * x, w * four_w2_minus_mu2)
-        return _mk(name, comps, 3, 2)
+        return _mk(name, comps, 2)
     if name == "G_G":
         four_w2_minus_mu2 = 4 * w * w - y * y
         comps = (2 * four_w2_minus_mu2 * w, -y * (x * x + four_w2_minus_mu2), x * x * w)
-        return _mk(name, comps, 3, 2)
+        return _mk(name, comps, 2)
     if name == "H_inv":
-        return _mk(name, (4 * w, -2 * y, x), 1, 1)
+        return _mk(name, (4 * w, -2 * y, x), 1)
     if name == "R_L":
         comps = (-x * x + y * y + 2 * w * w, -2 * w * w, (y - x) * w)
-        return _mk(name, comps, 2, 1)
+        return _mk(name, comps, 1)
     if name == "R_H":
         f1 = x - w - y
         f2 = x * x - w * w + y * w - y * y
@@ -92,26 +95,22 @@ def builtin_map(name: str) -> RationalMapP2:
             y * y * w * (x - w + y),
             f1 * f2 * w,
         )
-        return _mk(name, comps, 4, 2)
+        return _mk(name, comps, 2)
     if name == "model_square":
-        return _mk(name, (x * w, y * y, w * w), 2, 2)
+        return _mk(name, (x * w, y * y, w * w), 2)
     if name == "model_twist":
-        return _mk(name, (x * y, x * y - 4 * w * w, y * w), 2, 1)
+        return _mk(name, (x * y, x * y - 4 * w * w, y * w), 1)
     if name == "model_skew":
         base = x * x - x * w - 3 * w * w
         comps = (base * (x + 3 * w), (x - w) * (x + 2 * w) * y, w * w * (x + 3 * w))
-        return _mk(name, comps, 3, 2)
+        return _mk(name, comps, 2)
     if name == "cheb":
-        return _mk(name, (x * w, 2 * y * y - w * w, w * w), 2, 2)
+        return _mk(name, (x * w, 2 * y * y - w * w, w * w), 2)
     raise ValueError(f"unknown builtin map '{name}'")
 
 
-def _mk(name, comps, degree, dtop) -> RationalMapP2:
-    comps = _normalize_triple(comps)
-    m = RationalMapP2(name=name, components=comps, degree=degree, topological_degree=dtop)
-    if m.components[0].total_degree() != degree:
-        raise AssertionError(f"{name}: degree mismatch")
-    return m
+def _mk(name, comps, dtop) -> RationalMapP2:
+    return RationalMapP2(name=name, components=_normalize_triple(comps), topological_degree=dtop)
 
 
 # ---------------------------------------------------------------------------

@@ -510,11 +510,11 @@ def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
         target = "continuous limit law"
     elif group_tag in ("lamplighter", "hanoi"):
         ref_level = max(levels)
-        reference = dos(group_tag, ref_level).measure
-        for n in levels:
-            if n == ref_level:
-                continue
-            here, after = dos(group_tag, n).measure, dos(group_tag, n + 1).measure
+        below = [n for n in levels if n != ref_level]
+        measures = {n: dos(group_tag, n).measure for n in {*levels, *(n + 1 for n in below)}}
+        reference = measures[ref_level]
+        for n in below:
+            here, after = measures[n], measures[n + 1]
             d = cdf_distance(here, reference, "wasserstein1")
             row = {"level": n, "distance": d, "metric": "wasserstein1"}
             row["tv_to_next"] = tv_distance(here, after)

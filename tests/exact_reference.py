@@ -204,11 +204,7 @@ def compose(outer: RationalMapP2, inner: RationalMapP2) -> RationalMapP2:
     ``verification.components_coprime`` detects them.
     """
     comps = _normalize_triple(tuple(c.subs(inner.components) for c in outer.components))
-    return RationalMapP2(
-        name=f"{outer.name}*{inner.name}",
-        components=comps,
-        degree=comps[0].total_degree(),
-    )
+    return RationalMapP2(name=f"{outer.name}*{inner.name}", components=comps)
 
 
 def _strip(coeffs: list) -> list:

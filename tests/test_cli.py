@@ -593,8 +593,10 @@ def test_grig_slice_beyond_its_bound_is_refused_by_name(tmp_path, capsys):
     (None, ["dos-compare", "--group", "hanoi", "--levels", "3..4"], "argument --levels: "),
     (None, ["dos-compare", "--group", "hanoi", "--levels", "7..7"], "argument --levels: "),
     (None, ["dos-compare", "--group", "hanoi", "--levels", "5..3"], "argument --levels: "),
-    ("levels = 3..4", ["dos-compare", "--group", "hanoi"], "config levels: "),
-    ("levels = 5..3", ["dos-compare", "--group", "hanoi"], "config levels: "),
+    ("levels = 3..4", ["dos-compare", "--group", "hanoi"],
+     "config levels: '3..4' has fewer than 3 levels to fit a rate"),
+    ("levels = 5..3", ["dos-compare", "--group", "hanoi"],
+     "config levels: '5..3' has fewer than 3 levels to fit a rate"),
 ])
 def test_a_malformed_window_or_poly_is_refused_by_name(config, command, named, tmp_path,
                                                        capsys):

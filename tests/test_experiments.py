@@ -1,6 +1,9 @@
 """Model-system equidistribution experiments."""
 
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +20,6 @@ from spectral_renorm.experiments import (
     skew_cantor_experiment,
     twist_experiment,
     twist_plane_count,
-    twist_rho,
     twist_rho_inverse,
 )
 from spectral_renorm.spectra import (
@@ -30,7 +32,15 @@ from spectral_renorm.spectra import (
 )
 
 
+def twist_rho(eta):
+    """Rotation number of the twist fiber map, increasing from 0 to 2 pi on (-4, 4)."""
+    return 2.0 * math.pi - 2.0 * np.arccos(np.clip(np.asarray(eta, dtype=float) / 4.0, -1, 1))
+
+
 def test_rotation_number_monotone_and_surjective():
+    # strictly monotone on the elliptic locus, the precondition of the
+    # subinterval root bracketing of ``twist_experiment``
+    assert np.all(np.diff(twist_rho(np.linspace(-4.0 + 1e-9, 4.0 - 1e-9, 4001))) > 0)
     etas = np.linspace(-3.999, 3.999, 2001)
     rho = twist_rho(etas)
     assert np.all(np.diff(rho) > 0)
@@ -61,6 +71,11 @@ def test_twist_plane_coordinates_cross_check():
     # honest plane-line intersections carry one extra winding point
     assert twist_plane_count(10) == 11
     assert twist_plane_count(3) == 4
+    # exact Sturm counts of the degree-(n + 1) polynomial: every root is real
+    # and in the strip; the float monomial expansion lost roots from n = 42 on
+    assert twist_plane_count(42) == 43
+    assert twist_plane_count(50) == 51
+    assert [twist_plane_count(n) for n in range(1, 201)] == list(range(2, 202))
 
 
 def test_arccos_law_cdf_endpoints():
@@ -84,6 +99,24 @@ def test_skew_cantor_fibers_and_decay():
 def test_skew_cantor_complex_branch_handling():
     with pytest.raises(ValueError):
         skew_cantor_experiment(-4.0, 2)  # disc < 0 on the first pullback
+
+
+@pytest.mark.parametrize("eta0,n", [(3.0, 10), (0.37, 9), (2.2, 14), (1.7, 12)])
+def test_skew_is_the_cantor_model_read_at_depth_n(eta0, n):
+    series = backward_equidistribution("cantor", eta0, n)["series"]
+    assert skew_cantor_experiment(eta0, n)["w1_to_balanced"] == series[-1]["distance"]
+
+
+@pytest.mark.parametrize("eta0", ["1e308", "nan"])
+def test_skew_refuses_an_eta0_beyond_the_seed_bound_by_name(eta0, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectral_renorm.cli", "experiment", "--kind", "skew",
+         "--eta0", eta0, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.count("\n") == 1
+    assert "--eta0" in json.loads(proc.stderr)["error"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_circle_w1_on_known_configurations():

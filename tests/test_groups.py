@@ -182,3 +182,12 @@ def test_a_dropped_spec_is_freed_with_its_permutations():
     del scheme
     gc.collect()
     assert ref() is None
+
+
+def test_a_word_permutation_is_memoized_on_its_spec():
+    g = build_group("lamplighter")
+    first = level_action(g, "b'a", 4)
+    assert level_action(g, "b'a", 4) is first
+    fresh = build_group("lamplighter")
+    a, b_inverse = level_action(fresh, "a", 4), level_action(fresh, "b'", 4)
+    assert first == tuple(a[w] for w in b_inverse)  # b^-1 acts first

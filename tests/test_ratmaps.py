@@ -148,8 +148,8 @@ def test_maps_take_integer_coefficients_only():
     x, y, w = (MultiPoly.variable(3, i) for i in range(3))
     half = Fraction(1, 2)
     with pytest.raises(ValueError, match="integer coefficients"):
-        RationalMapP2("h", (x * x * half, y * y, w * w * half), 2)
-    m = RationalMapP2("h", (x * x, 2 * y * y, w * w), 2)
+        RationalMapP2("h", (x * x * half, y * y, w * w * half))
+    m = RationalMapP2("h", (x * x, 2 * y * y, w * w))
     assert compose_along_line(m, [(1, 2), (3, -1), (0, 1)], 3) == [2, 4, 8]
 
 
@@ -263,7 +263,7 @@ def _with_common_factor(name: str, factor: str) -> RationalMapP2:
     m = builtin_map(name)
     x, y, w = (MultiPoly.variable(3, i) for i in range(3))
     h = {"x+2y-w": x + 2 * y - w, "w": w}[factor]
-    return RationalMapP2(f"{name}*({factor})", tuple(c * h for c in m.components), m.degree + 1)
+    return RationalMapP2(f"{name}*({factor})", tuple(c * h for c in m.components))
 
 
 NOT_COPRIME = [(name, factor) for name in ("R_G", "R_H", "R_L") for factor in ("x+2y-w", "w")]

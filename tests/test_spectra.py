@@ -296,6 +296,22 @@ def test_convergence_report_structure():
         convergence_report("grigorchuk", [4, 5])
 
 
+@pytest.mark.parametrize("group_tag,levels", [("hanoi", range(3, 8)),
+                                              ("lamplighter", [4, 6, 7, 7, 9])])
+def test_convergence_report_builds_each_level_once(group_tag, levels, monkeypatch):
+    """One ``dos`` per level the report reads: the given levels and the level
+    after each one below the largest."""
+    from spectral_renorm import spectra
+
+    calls = []
+    dos = spectra.dos
+    monkeypatch.setattr(spectra, "dos", lambda tag, n: calls.append(n) or dos(tag, n))
+    rows = convergence_report(group_tag, levels)["rows"]
+    top = max(levels)
+    assert sorted(calls) == sorted({*levels, *(n + 1 for n in levels if n < top)})
+    assert [r["level"] for r in rows] == [n for n in sorted(levels) if n < top]
+
+
 def test_convergence_report_checks_every_level_before_computing_any(tmp_path, monkeypatch):
     """The levels of ``dos-compare`` are checked before ``convergence_report``
     computes any."""
