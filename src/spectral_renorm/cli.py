@@ -134,6 +134,21 @@ class _Parser(argparse.ArgumentParser):
         raise BudgetError(message)
 
 
+class _ConfigSubcommands(argparse._SubParsersAction):
+    """Reads ``--config``, which precedes the subcommand, once the subcommand
+    is known: its values become that subcommand's defaults, so a flag still
+    wins and an option the config supplies is not required."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        subparser = self.choices[values[0]]  # argparse checked the choice
+        defaults = _config_defaults(subparser, _load_config(namespace.config))
+        subparser.set_defaults(**defaults)
+        for action in subparser._actions:
+            if action.dest in defaults:
+                action.required = False
+        super().__call__(parser, namespace, values, option_string)
+
+
 def _at_least(minimum: int):
     """argparse type of a count option: an int no smaller than ``minimum``.
     ``--config`` values pass through it too."""
@@ -220,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--config", help="key=value file; flags override it")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, action=_ConfigSubcommands)
 
     def common(p):
         p.add_argument("--out", default="out", help="output directory")
@@ -332,12 +347,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(args.config)
-        if config:
-            subparser = parser.subcommands[args.command]
-            # config values become the subcommand's defaults, so explicit flags win
-            subparser.set_defaults(**_config_defaults(subparser, config))
-            args = parser.parse_args(argv)
         _check_budgets(args)
         status, artifacts = _HANDLERS[args.command](args)
         _write(args, artifacts)

@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Matrices are plain lists of lists of ``Fraction``.  ``det_exact`` is the one
-exact determinant: sparse Gaussian elimination over Q with Markowitz
-pivoting.  The pencils it serves are sums of a few permutation matrices, so
-only the nonzeros are stored and touched; it also takes a matrix whose rows
-are already ``{column: entry}`` dicts of nonzeros, as ``pencils.assemble``
-builds them.  The elimination is fraction-free: each row is kept as integers
-with content 1 times one exact ``Fraction`` scale, and a row update
+exact determinant: sparse Gaussian elimination over Q with the columns in
+descending index.  The pencils it serves are sums of a few permutation
+matrices in the Schreier tree's vertex order, where this fixed order makes
+little fill (a Markowitz search for pivots cost more than it saved).  Only
+the nonzeros are stored and touched; it also takes a matrix whose rows are
+already ``{column: entry}`` dicts of nonzeros, as ``pencils.assemble``
+builds them.  The elimination is fraction-free: each row is kept as
+integers with content 1 times one exact ``Fraction`` scale, and a row update
 cross-multiplies and divides out the row's new content, so no entry is a
 ``Fraction`` and none needs a gcd of its own.
 """
@@ -45,15 +47,15 @@ def det_exact(matrix: Sequence) -> Fraction:
     over Q.
 
     Each row is a dense sequence of entries or a ``{column: entry}`` dict of
-    its nonzeros.  Only the nonzeros are stored.  Each step takes the pivot
-    of least Markowitz cost (r - 1)(c - 1), where r and c count the nonzeros
-    in its row and column, so the elimination creates little fill.  The
-    result is the sign of the row-to-column pivot permutation times the
-    product of the pivots.
+    its nonzeros.  Only the nonzeros are stored.  The columns are eliminated
+    in descending index, each with its live row of fewest nonzeros as the
+    pivot row.  The result is correct for any square matrix; only its speed
+    depends on the order.  It is the sign of the row-to-column pivot
+    permutation times the product of the pivots.
     """
     if len(matrix) == 0:
         return Fraction(1)
-    pivots = _markowitz_pivots(matrix)
+    pivots = _pivots(matrix)
     if pivots is None:
         return Fraction(0)
     det = Fraction(_permutation_sign({r: c for r, c, _ in pivots}))
@@ -76,14 +78,15 @@ def _nonzeros(row, n: int) -> dict:
     return {j: Fraction(x) for j, x in entries if x}
 
 
-def _markowitz_pivots(matrix: Sequence):
+def _pivots(matrix: Sequence):
     """Pivots ``(row, col, value)`` of the sparse elimination of a square
     matrix, its rows dense or dicts of nonzeros, in elimination order, or
     ``None`` once a column empties (the matrix is singular).
 
-    Ties in Markowitz cost go to the lowest column, then the lowest row.
-    Entries that cancel to an exact 0 are deleted, so a singular matrix
-    empties a column by the last step at the latest.
+    The columns go in descending index, and each column's pivot is its live
+    row with the fewest nonzeros, ties to the lowest row.  Entries that
+    cancel to an exact 0 are deleted, so a singular matrix empties a column
+    by the last step at the latest.
 
     Row i is stored as integers with content 1 and one exact scale
     ``scales[i]``: its entries are the scale times the stored integers.
@@ -107,25 +110,14 @@ def _markowitz_pivots(matrix: Sequence):
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    if not all(cols):
-        return None
-    live_cols = list(range(n))  # ascending
     pivots = []
-    for _step in range(n):
-        best = None
-        for c in live_cols:
-            below = len(cols[c]) - 1
-            for i in cols[c]:
-                key = ((len(rows[i]) - 1) * below, c, i)
-                if best is None or key < best:
-                    best = key
-            if best[0] == 0:  # later columns cannot beat it
-                break
-        _cost, c, r = best
+    for c in range(n - 1, -1, -1):
+        if not cols[c]:
+            return None
+        r = min(cols[c], key=lambda i: (len(rows[i]), i))
         pivot_row = rows[r]
         p = pivot_row.pop(c)
         pivots.append((r, c, scales[r] * p))
-        live_cols.remove(c)
         cols[c].discard(r)
         for j in pivot_row:
             cols[j].discard(r)
@@ -152,9 +144,6 @@ def _markowitz_pivots(matrix: Sequence):
                 else:
                     cols[j].discard(i)
             scales[i] = scales[i] * content / pa
-        cols[c].clear()
-        if any(not cols[j] for j in pivot_row):
-            return None
     return pivots
 
 

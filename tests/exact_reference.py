@@ -1,9 +1,9 @@
 """Reference routines the tests check the package against.
 
 ``bareiss_det_int`` is dense fraction-free Bareiss elimination on an integer
-matrix.  ``fraction_markowitz_pivots`` is the sparse Markowitz elimination
-with every entry a ``Fraction``; ``exact._markowitz_pivots`` keeps integer
-rows with one scale each and must return the same pivots.  ``densify``
+matrix.  ``fraction_pivots`` is the sparse elimination in descending column
+order with every entry a ``Fraction``; ``exact._pivots`` keeps integer rows
+with one scale each and must return the same pivots.  ``densify``
 turns ``pencils.assemble``'s rows of nonzeros into the dense matrix.
 ``det_symbolic`` expands polynomial determinants by cofactors, ``schur_complement`` splits a
 rational matrix into blocks, ``slice_matrix`` is the sliced pencil as a
@@ -71,9 +71,9 @@ def bareiss_det_int(rows: list) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def fraction_markowitz_pivots(matrix):
-    """Pivots ``(row, col, value)`` of the sparse elimination over Q, with the
-    same Markowitz search and tie-break as ``exact._markowitz_pivots``, or
+def fraction_pivots(matrix):
+    """Pivots ``(row, col, value)`` of the sparse elimination over Q, in the
+    same column order and with the same pivot rows as ``exact._pivots``, or
     ``None`` once a column empties."""
     n = len(matrix)
     rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in matrix]
@@ -81,25 +81,14 @@ def fraction_markowitz_pivots(matrix):
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    if not all(cols):
-        return None
-    live_cols = list(range(n))  # ascending
     pivots = []
-    for _step in range(n):
-        best = None
-        for c in live_cols:
-            below = len(cols[c]) - 1
-            for i in cols[c]:
-                key = ((len(rows[i]) - 1) * below, c, i)
-                if best is None or key < best:
-                    best = key
-            if best[0] == 0:  # later columns cannot beat it
-                break
-        _cost, c, r = best
+    for c in range(n - 1, -1, -1):
+        if not cols[c]:
+            return None
+        r = min(cols[c], key=lambda i: (len(rows[i]), i))
         pivot_row = rows[r]
         value = pivot_row.pop(c)
         pivots.append((r, c, value))
-        live_cols.remove(c)
         cols[c].discard(r)
         for j in pivot_row:
             cols[j].discard(r)
@@ -114,9 +103,6 @@ def fraction_markowitz_pivots(matrix):
                 else:
                     del row[j]
                     cols[j].discard(i)
-        cols[c].clear()
-        if any(not cols[j] for j in pivot_row):
-            return None
     return pivots
 
 

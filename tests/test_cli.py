@@ -258,6 +258,28 @@ def test_config_file_provides_defaults(tmp_path):
     assert (tmp_path / "spectrum_hanoi_n2.csv").exists()
 
 
+def test_config_supplies_a_required_option(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group = hanoi\n")
+    assert main(["--config", str(cfg), "spectrum", "--level", "3",
+                 "--out", str(tmp_path / "config")]) == 0
+    assert main(["spectrum", "--group", "hanoi", "--level", "3",
+                 "--out", str(tmp_path / "flag")]) == 0
+    names = sorted(p.name for p in (tmp_path / "flag").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "config").iterdir())
+    for name in names:
+        assert (tmp_path / "config" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+    # a flag still overrides the config value
+    assert main(["--config", str(cfg), "spectrum", "--group", "lamplighter", "--level", "3",
+                 "--out", str(tmp_path / "override")]) == 0
+    assert sorted(p.name for p in (tmp_path / "override").iterdir()) == [
+        "spectrum_lamplighter_n3.csv", "spectrum_lamplighter_n3.json"]
+    # a config that lacks the key leaves the option required
+    cfg.write_text("level = 3\n")
+    assert main(["--config", str(cfg), "spectrum", "--out", str(tmp_path / "none")]) == 2
+    assert "--group" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_config_values_reach_the_subcommand(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("samples = 2\n")

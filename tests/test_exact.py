@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import bareiss_det_int, fraction_markowitz_pivots
+from exact_reference import bareiss_det_int, fraction_pivots
 from spectral_renorm.exact import (
-    _markowitz_pivots,
+    _pivots,
     charpoly,
     det_exact,
     identity,
@@ -117,8 +117,8 @@ def test_det_exact_cancellation_to_zero():
     # every row is nonzero, and the last pivot cancels to an exact 0
     m = frac_matrix([[1, 2, 3], [4, 5, 6], [5, 7, 9]])
     assert det_exact(m) == 0
-    assert _markowitz_pivots(m) is None
-    assert fraction_markowitz_pivots(m) is None
+    assert _pivots(m) is None
+    assert fraction_pivots(m) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -145,18 +145,18 @@ def test_det_exact_under_row_and_column_permutations(rows, rng):
 @settings(max_examples=150, deadline=None)
 @given(sparse_int_matrix(), st.lists(st.integers(1, 7), min_size=64, max_size=64),
        st.lists(st.sampled_from([1, 2, 6, 10, 30]), min_size=8, max_size=8))
-def test_markowitz_pivots_match_the_fraction_reference_on_sparse_rational_matrices(
+def test_pivots_match_the_fraction_reference_on_sparse_rational_matrices(
         rows, dens, row_factors):
     # row factors give rows a common factor, so the setup divides out a content
     n = len(rows)
     m = [[Fraction(rows[i][j] * row_factors[i], dens[i * n + j]) for j in range(n)]
          for i in range(n)]
-    assert _markowitz_pivots(m) == fraction_markowitz_pivots(m)
+    assert _pivots(m) == fraction_pivots(m)
 
 
 @settings(max_examples=100, deadline=None)
 @given(sparse_int_matrix(max_n=7), st.data())
-def test_markowitz_pivots_match_the_fraction_reference_on_singular_matrices(rows, data):
+def test_pivots_match_the_fraction_reference_on_singular_matrices(rows, data):
     n = len(rows)
     i = data.draw(st.integers(0, n - 1))
     j = data.draw(st.integers(0, n - 1))
@@ -174,37 +174,52 @@ def test_markowitz_pivots_match_the_fraction_reference_on_singular_matrices(rows
         cases.append(combo)
     for case in cases:
         m = [[Fraction(x, dens[c]) for c, x in enumerate(row)] for row in case]
-        assert _markowitz_pivots(m) == fraction_markowitz_pivots(m)
+        assert _pivots(m) == fraction_pivots(m)
 
 
-def test_markowitz_pivots_divide_out_row_contents_and_pivot_gcds():
-    # Pivot 4 at (0, 0) meets a = 6 in row 1: gcd(6, 4) = 2, so row 1 becomes
-    # 2 (6, 4, 9) - 3 (4, 1, 1) -> (5, 15), content 5, scale 5/2.  Row 2 is
-    # cleared to (3, 2, 6) with scale 1/6, becomes 4 (3, 2, 6) - 3 (4, 1, 1)
-    # -> (5, 21) with scale 1/24, then (5, 21) - 5 (1, 3) -> (6), content 6.
+def test_pivots_divide_out_row_contents_and_pivot_gcds():
+    # Column 2 first: its three rows tie at 3 nonzeros, so row 0 pivots with
+    # 1.  Row 1 becomes (6, 4) - 9 (4, 1) -> (-30, -5), content 5, scale 5.
+    # Row 2 is cleared to (3, 2, 6) with scale 1/6 and becomes
+    # (3, 2) - 6 (4, 1) -> (-21, -4).  Column 1: rows 1 and 2 tie at 2, so
+    # row 1 pivots with 5 * -1 = -5, and row 2 becomes
+    # -1 * -21 - (-4) * -6 -> (-3), content 3, scale 1/6 * 3 / -1 = -1/2:
+    # the last pivot is -1/2 * -1 = 1/2.
     m = [[Fraction(4), Fraction(1), Fraction(1)],
          [Fraction(6), Fraction(4), Fraction(9)],
          [Fraction(1, 2), Fraction(1, 3), Fraction(1)]]
-    expected = [(0, 0, Fraction(4)), (1, 1, Fraction(5, 2)), (2, 2, Fraction(1, 4))]
-    assert _markowitz_pivots(m) == fraction_markowitz_pivots(m) == expected
+    expected = [(0, 2, Fraction(1)), (1, 1, Fraction(-5)), (2, 0, Fraction(1, 2))]
+    assert _pivots(m) == fraction_pivots(m) == expected
     assert det_exact(m) == laplace_det(m) == Fraction(5, 2)
     # negative pivots and a common factor of every row
     neg = [[-x * 6 for x in row] for row in m]
-    assert _markowitz_pivots(neg) == fraction_markowitz_pivots(neg)
+    assert _pivots(neg) == fraction_pivots(neg)
     assert det_exact(neg) == (-6) ** 3 * Fraction(5, 2)
+    # Pivot 4 at (0, 1) meets a = 6 in row 1: gcd(6, 4) = 2, so row 1
+    # becomes 2 (3) - 3 (1) -> (3), content 3, scale 3/2.
+    m = frac_matrix([[1, 4], [3, 6]])
+    expected = [(0, 1, Fraction(4)), (1, 0, Fraction(3, 2))]
+    assert _pivots(m) == fraction_pivots(m) == expected
+    assert det_exact(m) == -6
 
 
-def test_markowitz_pivots_break_ties_by_lowest_column_then_row():
-    # an anti-diagonal matrix: every pivot costs 0, so the columns go in order
+def test_pivots_take_columns_in_descending_order_and_the_sparsest_row():
+    # an anti-diagonal matrix: each column has one row
     n = 5
     anti = frac_matrix([[int(i + j == n - 1) for j in range(n)] for i in range(n)])
-    assert [(r, c) for r, c, _ in _markowitz_pivots(anti)] == [(n - 1 - c, c) for c in range(n)]
+    assert [(r, c) for r, c, _ in _pivots(anti)] == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
     assert det_exact(anti) == permutation_sign(list(range(n - 1, -1, -1)))
-    # all-ones 2x2 block plus a singleton: the singleton (cost 0) goes first,
-    # then the block's tie goes to column 0, row 0
+    # all-ones 2x2 block plus a singleton: the singleton's column 2 goes
+    # first, then the block's rows tie in column 1 and the lowest goes
     m = frac_matrix([[1, 1, 0], [1, 2, 0], [0, 0, 3]])
-    assert [(r, c) for r, c, _ in _markowitz_pivots(m)] == [(2, 2), (0, 0), (1, 1)]
+    assert [(r, c) for r, c, _ in _pivots(m)] == [(2, 2), (0, 1), (1, 0)]
     assert det_exact(m) == 3
+    # column 2's lowest live row 0 has 3 nonzeros and row 1 has 1, so row 1
+    # pivots; then row 2 (1 nonzero) beats row 0 (2) in column 1
+    m = frac_matrix([[1, 1, 1], [0, 0, 2], [0, 3, 0]])
+    assert [(r, c) for r, c, _ in _pivots(m)] == [(1, 2), (2, 1), (0, 0)]
+    assert _pivots(m) == fraction_pivots(m)
+    assert det_exact(m) == laplace_det(m) == -6
 
 
 def test_solve_and_inverse():

@@ -11,11 +11,11 @@ from exact_reference import (
     bareiss_det_int,
     densify,
     det_symbolic,
-    fraction_markowitz_pivots,
+    fraction_pivots,
     schur_complement,
 )
 from spectral_renorm.cli import BUDGETS, main
-from spectral_renorm.exact import _markowitz_pivots
+from spectral_renorm.exact import _pivots
 from spectral_renorm.groups import build_group
 from spectral_renorm.pencils import (
     PENCILS,
@@ -156,9 +156,9 @@ def test_the_rows_of_nonzeros_give_the_pivots_of_the_dense_matrix(name):
         rows = assemble(s, level, lam, mu)
         assert all(all(row.values()) for row in rows)  # nonzeros only
         dense = densify(rows)
-        pivots = _markowitz_pivots(rows)
+        pivots = _pivots(rows)
         assert pivots is not None and len(pivots) == len(rows)
-        assert pivots == _markowitz_pivots(dense)
+        assert pivots == _pivots(dense)
         assert det_exact(rows) == det_exact(dense)
 
 
@@ -183,11 +183,11 @@ def test_det_exact_matches_bareiss_on_pencils(name, level):
         rows = assemble(s, level, lam, mu)
         m = densify(rows)
         assert det_exact(rows) == bareiss_det(m)
-        assert _markowitz_pivots(rows) == fraction_markowitz_pivots(m)
+        assert _pivots(rows) == fraction_pivots(m)
     # the pivot order is a function of the matrix alone
-    first = _markowitz_pivots(m)
+    first = _pivots(m)
     assert first is not None and len(first) == len(m)
-    assert _markowitz_pivots([row[:] for row in m]) == first
+    assert _pivots([row[:] for row in m]) == first
 
 
 def test_schur_complement_identity_and_examples():
@@ -254,6 +254,14 @@ def test_verify_recursion_small_levels(name, levels):
         report = verify_recursion(s, n, samples=4, seed=11)
         assert report["failures"] == []
         assert len(report["points"]) == 4
+
+
+@pytest.mark.parametrize("name,level", [("hanoi", 6), ("lamplighter", 8), ("grigorchuk", 8)])
+def test_verify_recursion_one_level_above_the_cap(name, level):
+    # one level above cli.BUDGETS["schur-verify"]["--level"] (5/7/7)
+    report = verify_recursion(builtin_scheme(name), level, samples=1, seed=7)
+    assert report["failures"] == []
+    assert len(report["points"]) == 1
 
 
 @pytest.mark.parametrize("name", sorted(PENCILS))
