@@ -57,8 +57,8 @@ BUDGETS = {
     # the sizes of the old eigensolver's slices
     "spectrum": {"--level": {"grigorchuk": 12, "lamplighter": 12, "hanoi": 7}},
     "dos-compare": {"--levels": {"grigorchuk": 12, "lamplighter": 12, "hanoi": 7}},
-    # exact-determinant levels; 200 samples take 18-23 s at lamplighter level 7, the
-    # slowest top level, 11-14 s at hanoi level 5 and 4 s at grigorchuk level 7
+    # exact-determinant levels; 200 samples take 11 s at lamplighter level 7, the
+    # slowest top level, 4 s at hanoi level 5 and 1.5 s at grigorchuk level 7
     "schur-verify": {"--level": {"grigorchuk": 7, "lamplighter": 7, "hanoi": 5},
                      "--samples": 200},
     "conjugacy-verify": {"--samples": 100_000},  # fiber spot-check points: about 6 s
@@ -408,7 +408,6 @@ def cmd_spectrum(args) -> tuple[int, dict]:
 
     result = spectra.dos(args.group, args.level, args.grig_slice)
     m = result.measure
-    clusters = spectra.atoms(m, 1e-8 * max(abs(m.points[0]), abs(m.points[-1]), 1.0))
     stem = f"spectrum_{args.group}_n{args.level}"
     title = f"{args.group} level {args.level}"
     return 0, {
@@ -419,7 +418,7 @@ def cmd_spectrum(args) -> tuple[int, dict]:
             "level": result.level,
             "slice": result.slice_descriptor,
             "mass": m.mass,
-            "atoms": [{"center": c, "mass": w} for c, w in clusters],
+            "atoms": [{"center": c, "mass": w} for c, w in zip(m.points, m.weights)],
         },
         f"{stem}_cdf.svg": lambda path: output.svg_cdf(
             path, m.points, m.weights, title=f"{title} spectral CDF"),

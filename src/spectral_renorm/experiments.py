@@ -30,7 +30,7 @@ from spectral_renorm.spectra import (
     cdf_distance,
     julia_backward,
     kolmogorov_to_cdf,
-    preimages,
+    preimage_levels,
 )
 
 # |seed| bound of the square and cantor models and of the skew product's eta0:
@@ -203,7 +203,7 @@ def skew_cantor_experiment(eta0: float = 3.0, n: int = 10) -> dict:
     real: a complex inverse branch raises, as it does at eta0 = -4.
     """
     _check_seed_modulus(eta0, "--eta0")
-    *_, pts = _preimage_levels(CANTOR_BASE, float(eta0), n)
+    *_, pts = preimage_levels(CANTOR_BASE, float(eta0), n)
     measure = Measure1D.from_samples(pts)
     intercept, slope = SKEW_LINE
     return {
@@ -275,14 +275,6 @@ def _balanced() -> Measure1D:
     return julia_backward(CANTOR_BASE, CANTOR_REFERENCE_DEPTH)[1]
 
 
-def _preimage_levels(poly, start, n: int, domain: str = "real"):
-    """The preimage sets of ``start`` under ``poly`` at depths 1..n."""
-    pts = np.array([start])
-    for _ in range(n):
-        pts = np.concatenate(preimages(poly, pts, domain))
-        yield pts
-
-
 def backward_equidistribution(model: str, seed_point, n: int) -> dict:
     """Distance series of backward-orbit empirical measures to the limit law.
 
@@ -316,5 +308,5 @@ def backward_equidistribution(model: str, seed_point, n: int) -> dict:
     else:
         raise ValueError("model must be 'square', 'cheb', or 'cantor'")
     series = [{"depth": depth, "distance": distance(pts), "metric": metric}
-              for depth, pts in enumerate(_preimage_levels(poly, start, n, domain), 1)]
+              for depth, pts in enumerate(preimage_levels(poly, start, n, domain), 1)]
     return {"model": model, "seed": repr(seed_point), "series": series}

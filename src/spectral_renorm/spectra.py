@@ -49,11 +49,11 @@ class Measure1D:
 
     @classmethod
     def from_samples(cls, values: Sequence[float]):
-        """The empirical measure of unsorted, possibly repeated values: weight
-        1/len each, equal values merged."""
+        """The empirical measure of unsorted, possibly repeated values: a value
+        seen k times among N has weight k/N."""
         vals = np.sort(np.asarray(values, dtype=float), kind="stable")
-        pts, wts = _merge_equal(vals, np.full(vals.shape, 1.0 / max(len(vals), 1)))
-        return cls(points=tuple(pts.tolist()), weights=tuple(wts.tolist()))
+        pts, counts = _merge_equal(vals, np.ones(len(vals), dtype=np.int64))
+        return cls(points=tuple(pts.tolist()), weights=tuple((counts / len(vals)).tolist()))
 
     @property
     def mass(self) -> float:
@@ -237,32 +237,16 @@ def decimated_spectrum(group_tag: str, n: int, grig_slice: float = -1.0) -> tupl
     return _merge_equal(pts[order], mults[order])
 
 
-def _runs(pts: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Start indices of the runs of ascending ``pts``: a point starts a run
-    unless it lies within ``tol`` of the previous one, so at ``tol`` 0 a run
-    is the points of one value."""
-    joined = np.diff(pts) <= tol
-    return np.flatnonzero(np.concatenate(([len(pts) > 0], ~joined)))
+def _runs(pts: np.ndarray) -> np.ndarray:
+    """Start indices of the runs of equal values in ascending ``pts``."""
+    return np.flatnonzero(np.concatenate(([len(pts) > 0], np.diff(pts) != 0)))
 
 
-def _run_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sum of ``values`` over each run, from 0 and left to right as a loop
-    adds.  ``np.cumsum`` adds in order, here over the runs of one length at
-    a time; ``np.add.reduceat`` and ``np.sum`` add runs of 8 or more
-    pairwise, which moves the last bits of a float sum."""
-    lengths = np.diff(starts, append=len(values))
-    sums = np.zeros(len(starts), dtype=values.dtype)
-    for size in np.unique(lengths):
-        runs = lengths == size
-        sums[runs] += np.cumsum(values[starts[runs, None] + np.arange(size)], axis=1)[:, -1]
-    return sums
-
-
-def _merge_equal(pts: np.ndarray, weights: np.ndarray) -> tuple:
+def _merge_equal(pts: np.ndarray, counts: np.ndarray) -> tuple:
     """Ascending points with equal ones merged into the first of their run,
-    their weights added."""
+    their integer counts added."""
     starts = _runs(pts)
-    return pts[starts], _run_sums(weights, starts)
+    return pts[starts], np.add.reduceat(counts, starts)
 
 
 def dos(group_tag: str, n: int, grig_slice: float = -1.0) -> DOSResult:
@@ -290,21 +274,6 @@ def dos(group_tag: str, n: int, grig_slice: float = -1.0) -> DOSResult:
                      measure=measure, multiplicities=mults)
 
 
-def atoms(measure: Measure1D, cluster_tol: float) -> list:
-    """Cluster nearby support points; returns (center, mass) pairs.
-
-    Points within ``cluster_tol`` of the running cluster edge merge; the
-    center is the mass-weighted mean.
-    """
-    if cluster_tol <= 0:
-        raise ValueError("cluster tolerance must be positive")
-    pts = np.asarray(measure.points, dtype=float)
-    wts = np.asarray(measure.weights, dtype=float)
-    starts = _runs(pts, cluster_tol)
-    total = _run_sums(wts, starts)
-    return list(zip((_run_sums(pts * wts, starts) / total).tolist(), total.tolist()))
-
-
 def cdf_distance(m1: Measure1D, m2: Measure1D, metric: str) -> float:
     """1-Wasserstein distance between two probability measures; ``metric``
     must name it, "wasserstein1"."""
@@ -319,20 +288,21 @@ def cdf_distance(m1: Measure1D, m2: Measure1D, metric: str) -> float:
     return float(np.sum(np.abs(f1[:-1] - f2[:-1]) * gaps))
 
 
-def tv_distance(m1: Measure1D, m2: Measure1D, atom_tol: float = 1e-7) -> float:
+def tv_distance(m1: Measure1D, m2: Measure1D) -> float:
     """Total-variation distance sup_A |m1(A) - m2(A)| of two atomic measures
-    of equal mass, identifying atoms closer than ``atom_tol``: half the sum
-    of |m1 - m2| over the clustered atoms.  This is the metric that tracks
-    the mass of the defect measure between consecutive levels
-    (1-Wasserstein also weights atom displacement).
-
-    The signed union is split into runs exactly like ``atoms``: support
-    points within the tolerance of their predecessor count as one atom.
+    of equal mass: half the sum of |m1 - m2| over their atoms, where an atom
+    of both measures is one point, matched by value.  This is the metric that
+    tracks the mass of the defect measure between consecutive levels
+    (1-Wasserstein also weights atom displacement).  Matching by value is
+    exact for the levels of ``dos``: level n + 1 recomputes each atom of
+    level n by the same float operations.
     """
     pts = np.array(m1.points + m2.points, dtype=float)
     wts = np.array(m1.weights + tuple(-w for w in m2.weights), dtype=float)
-    order = np.lexsort((wts, pts))
-    net = _run_sums(wts[order], _runs(pts[order], atom_tol))
+    order = np.argsort(pts, kind="stable")
+    # each measure's points strictly increase, so a run of equal points holds
+    # at most one atom of each and its sum has at most two terms
+    net = np.add.reduceat(wts[order], _runs(pts[order]))
     return float(np.cumsum(np.abs(np.concatenate(([0.0], net))))[-1]) / 2.0
 
 
@@ -418,9 +388,7 @@ def julia_backward(p: Sequence[float], depth: int, mode: str = "full_tree", seed
         raise ValueError("a must be nonzero: a z^2 + b z + c is not quadratic")
     z0 = repelling_fixed_point(a, b, c)
     if mode == "full_tree":
-        pts = np.array([z0])
-        for _ in range(depth):
-            pts = np.concatenate(preimages((a, b, c), pts))
+        *_, pts = np.array([z0]), *preimage_levels((a, b, c), z0, depth)
     else:
         rng = np.random.default_rng(seed)
         pts = np.full(JULIA_WALKS, z0)
@@ -443,6 +411,15 @@ def preimages(p: Sequence[float], w: np.ndarray, domain: str = "real") -> tuple:
     else:
         root = np.sqrt(disc.astype(complex))
     return (-b + root) / (2.0 * a), (-b - root) / (2.0 * a)
+
+
+def preimage_levels(p: Sequence[float], start, n: int, domain: str = "real"):
+    """The preimage sets of ``start`` under ``p`` at depths 1..n, by
+    ``preimages``."""
+    pts = np.array([start])
+    for _ in range(n):
+        pts = np.concatenate(preimages(p, pts, domain))
+        yield pts
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from spectral_renorm.ratmaps.degrees import dynamical_degree
 from spectral_renorm.ratmaps.maps import builtin_map
 from spectral_renorm.ratmaps.poly import MultiPoly
 from spectral_renorm.spectra import (
-    atoms,
     cdf_distance,
     dos,
     grig_limit_cdf,
@@ -141,20 +140,23 @@ def test_criterion_5_grigorchuk_level2_exact_atoms():
 
 def test_criterion_6_lamplighter_atomicity():
     t0 = time.time()
-    masses = {}
+    masses, gaps = {}, {}
     for n in (10, 11, 12):
         m = dos("lamplighter", n).measure
-        clusters = atoms(m, 1e-8)
+        # the atoms are distinct eigenvalues, no two within 1e-8 of each other
+        gaps[n] = float(np.diff(m.points).min())
         single = 1.0 / 2 ** n
-        masses[n] = sum(w for _, w in clusters if w > 1.5 * single)
+        masses[n] = sum(w for w in m.weights if w > 1.5 * single)
     bound_ok = all(masses[n] >= 1.0 - 8.0 * n / 2 ** n for n in (10, 11, 12))
+    gap_ok = all(gap > 1e-8 for gap in gaps.values())
     growth = dynamical_degree(builtin_map("R_L"), iterations=8, trials=3)
     linear_ok = growth["growth"] == "linear"
     elapsed = time.time() - t0
-    ok = bound_ok and linear_ok and elapsed < 300.0
+    ok = bound_ok and gap_ok and linear_ok and elapsed < 300.0
     report(6, ok, f"multiplicity mass {['%.4f' % masses[n] for n in (10, 11, 12)]} "
-                  f">= 1-8n/2^n, R_L growth={growth['growth']}; {elapsed:.0f}s (< 300s)")
-    assert bound_ok and linear_ok
+                  f">= 1-8n/2^n, atom gaps >= {min(gaps.values()):.2g} > 1e-8, "
+                  f"R_L growth={growth['growth']}; {elapsed:.0f}s (< 300s)")
+    assert bound_ok and gap_ok and linear_ok
     assert elapsed < 300.0
 
 
@@ -171,9 +173,12 @@ def test_criterion_7_hanoi_atomicity_and_cantor_accumulation():
     targets = np.concatenate([np.asarray(pts, dtype=float),
                               np.array(HANOI_EXCEPTIONAL)])
     near_ok = True
-    prev = [c for c, _ in atoms(dos("hanoi", 1).measure, 1e-6)]
+    prev = dos("hanoi", 1).measure.points
+    # the atoms are distinct eigenvalues, no two within 1e-6 of each other
+    gap_ok = True
     for n in range(2, 7):
-        cur = [c for c, _ in atoms(dos("hanoi", n).measure, 1e-6)]
+        cur = dos("hanoi", n).measure.points
+        gap_ok = gap_ok and float(np.diff(cur).min()) > 1e-6
         new = [c for c in cur if min(abs(c - p) for p in prev) > 1e-6]
         for c in new:
             near_ok = near_ok and np.min(np.abs(targets - c)) <= 0.05
@@ -190,14 +195,16 @@ def test_criterion_7_hanoi_atomicity_and_cantor_accumulation():
     w1_ok = all(math.isclose(w1[n], 2 * 3.0 ** (-n), rel_tol=1e-9) for n in w1)
     ratios = [w1[n] / w1[n - 1] for n in (4, 5, 6)]
     elapsed = time.time() - t0
-    ok = atom3_ok and near_ok and band_ok and trace_ok and w1_ok and elapsed < 300.0
+    ok = (atom3_ok and near_ok and gap_ok and band_ok and trace_ok and w1_ok
+          and elapsed < 300.0)
     report(7, ok,
-           f"atom3={atom3_ok}, cantor accumulation={near_ok}, "
+           f"atom3={atom3_ok}, cantor accumulation={near_ok}, atom gaps > 1e-6={gap_ok}, "
            f"TV ratios {[f'{r:.3f}' for r in tv_ratios]} in [0.46,0.9]={band_ok}; "
            f"trace 3={trace_ok}, W1 = 2*3^-n={w1_ok} "
            f"(W1 ratios {[f'{r:.3f}' for r in ratios]}); {elapsed:.0f}s")
     assert atom3_ok
     assert near_ok
+    assert gap_ok
     assert elapsed < 300.0
     assert band_ok, f"TV ratios {tv_ratios} outside [0.46, 0.9]"
     assert trace_ok

@@ -9,6 +9,8 @@ import pytest
 from exact_reference import bareiss_det_int
 from spectral_renorm.cohomology import (
     SURFACES,
+    _adjoint_ok,
+    action_from_json,
     invariant_classes,
     map_action,
     surface,
@@ -90,6 +92,31 @@ def test_spectral_radii_and_jordan_flags():
         action = row.action()
         assert action.spectral_radius == row.rho
         assert action.jordan_block == row.jordan
+
+
+def test_jordan_block_counts_only_eigenvalues_of_modulus_rho():
+    # the pullback is J_2(1) + the companion matrix of x^2 - 3x + 1: its one
+    # Jordan block sits at 1, below the simple rho = (3 + sqrt 5)/2
+    action = action_from_json({"incidences": [False, False, False], "basis": "standard",
+                               "F_star": [[1, 0, 0, 0], [-1, 1, 0, 0], [0, 0, 0, 1],
+                                          [0, 0, -1, 3]]})
+    assert action.pull == ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 0, -1), (0, 0, 1, 3))
+    assert float(action.spectral_radius) == pytest.approx((3 + 5 ** 0.5) / 2)
+    assert not action.jordan_block
+
+
+def test_the_adjointness_check_fails_on_any_one_wrong_pullback_entry():
+    """The basis pairs decide (F_* a).b == a.(F^* b): a change of +-1 to any
+    single entry of a builtin pullback breaks it on one of them."""
+    for name, row in SURFACES.items():
+        action = row.action()
+        assert _adjoint_ok(action)
+        n = action.surface.dim
+        for i, j, delta in ((i, j, delta) for i in range(n) for j in range(n) for delta in (1, -1)):
+            pull = [list(r) for r in action.pull]
+            pull[i][j] += delta
+            wrong = replace(action, pull=tuple(tuple(r) for r in pull))
+            assert not _adjoint_ok(wrong), (name, i, j, delta)
 
 
 def test_identity_pushforward_is_trivial():

@@ -19,7 +19,6 @@ from spectral_renorm.spectra import (
     JULIA_WALKS,
     Measure1D,
     _merge_equal,
-    atoms,
     cdf_distance,
     convergence_report,
     decimated_spectrum,
@@ -69,13 +68,9 @@ def test_slice_matrix_is_the_pencil_at_the_slice_point(group_tag, levels, grig_s
 
 
 def test_dos_level_one_atoms():
-    assert atoms(dos("grigorchuk", 1).measure, 1e-9) == [(0.5, 0.5), (1.0, 0.5)]
-    got = atoms(dos("lamplighter", 1).measure, 1e-9)
-    assert got == [(0.0, 0.5), (4.0, 0.5)]
-    got = atoms(dos("hanoi", 1).measure, 1e-9)
-    assert len(got) == 2
-    assert abs(got[0][0]) < 1e-12 and abs(got[0][1] - 2 / 3) < 1e-12
-    assert abs(got[1][0] - 3.0) < 1e-12 and abs(got[1][1] - 1 / 3) < 1e-12
+    assert dos("grigorchuk", 1).measure == Measure1D(points=(0.5, 1.0), weights=(0.5, 0.5))
+    assert dos("lamplighter", 1).measure == Measure1D(points=(0.0, 4.0), weights=(0.5, 0.5))
+    assert dos("hanoi", 1).measure == Measure1D(points=(0.0, 3.0), weights=(2 / 3, 1 / 3))
 
 
 def test_dos_grigorchuk_level2_exact_atoms():
@@ -114,23 +109,45 @@ def test_eigenvalue_bounds():
     assert all(-1 - 1e-9 <= p <= 1.5 for p in dos("grigorchuk", 6).measure.points)
 
 
-@pytest.mark.parametrize("tag", ["grigorchuk", "lamplighter", "hanoi"])
-def test_spectrum_nesting(tag):
-    for n in range(1, 6):
-        lo = dos(tag, n).measure.points
-        hi = np.array(dos(tag, n + 1).measure.points)
-        for p in lo:
-            assert np.min(np.abs(hi - p)) < 1e-7
+@pytest.fixture(scope="module", params=["grigorchuk", "lamplighter", "hanoi"])
+def level_measures(request):
+    """A group and its ``dos`` measures at levels 1..DECIMATION_MAX_LEVEL,
+    computed once per group."""
+    tag = request.param
+    return tag, [None] + [dos(tag, n).measure for n in range(1, DECIMATION_MAX_LEVEL + 1)]
+
+
+def test_spectrum_nesting(level_measures):
+    """Every atom of level n is bitwise an atom of level n + 1: the decimation
+    recomputes it by the same float operations, which ``tv_distance``'s
+    pairing by value rests on."""
+    _, measures = level_measures
+    for n in range(1, DECIMATION_MAX_LEVEL):
+        lo, hi = (np.array(measures[k].points).view(np.int64) for k in (n, n + 1))
+        assert np.isin(lo, hi).all(), n
+
+
+def test_tv_to_the_next_level_is_the_closed_form_defect_mass(level_measures):
+    """TV(mu_n, mu_(n+1)) d^(n+1) is 3·2^n - 1 for hanoi, n + 1 for
+    lamplighter and 2^n for grigorchuk (on its x-axis): the mass that level
+    n + 1 moves, in units of one eigenvalue."""
+    tag, measures = level_measures
+    d, closed_form = {"grigorchuk": (2, lambda n: 2 ** n),
+                      "lamplighter": (2, lambda n: n + 1),
+                      "hanoi": (3, lambda n: 3 * 2 ** n - 1)}[tag]
+    for n in range(1, DECIMATION_MAX_LEVEL):
+        tv = tv_distance(measures[n], measures[n + 1]) * d ** (n + 1)
+        assert tv == pytest.approx(closed_form(n), rel=1e-9), n
 
 
 def test_atoms_merging():
-    m = Measure1D.from_samples([1.0, 1.0 + 1e-12])
-    assert atoms(m, 1e-9) == [(pytest.approx(1.0), pytest.approx(1.0))]
+    # equal values merge, and distinct values stay apart however close
+    assert Measure1D.from_samples([1.0, 1.0]) == Measure1D(points=(1.0,), weights=(1.0,))
+    m = Measure1D.from_samples([1.0 + 1e-12, 1.0])
+    assert m == Measure1D(points=(1.0, 1.0 + 1e-12), weights=(0.5, 0.5))
     lamp4 = dos("lamplighter", 4).measure
     top = [w for p, w in zip(lamp4.points, lamp4.weights) if abs(p - 4) < 1e-9]
     assert top and top[0] >= 1 / 16 - 1e-12
-    with pytest.raises(ValueError):
-        atoms(m, 0.0)
 
 
 def test_measure_invariants():
@@ -329,59 +346,29 @@ def test_tv_distance():
     assert tv_distance(a, a) == 0.0
 
 
-# The merging and clustering loops that ``spectra._runs`` and ``_run_sums``
-# replaced.  Their float sums run left to right; a pairwise sum
-# (np.add.reduceat, np.sum) moves the last bits on runs of 8 or more terms.
+# Plain loops that merge equal values and pair atoms by value: the references
+# of ``_merge_equal``, ``Measure1D.from_samples`` and ``tv_distance``.
 
 
-def _loop_sum(terms):
-    # the builtin sum up to Python 3.11; from 3.12 on it is compensated
-    total = 0
-    for t in terms:
-        total += t
-    return total
-
-
-def _reference_from_samples(values, weights):
+def _reference_from_samples(values, counts):
     vals = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
     order = np.argsort(vals, kind="stable")
-    vals, w = vals[order], w[order]
-    pts, wts = [], []
-    for v, ww in zip(vals, w):
+    pts, sums = [], []
+    for v, k in zip(vals[order], np.asarray(counts)[order]):
         if pts and v == pts[-1]:
-            wts[-1] += ww
+            sums[-1] += int(k)
         else:
             pts.append(float(v))
-            wts.append(float(ww))
-    return pts, wts
+            sums.append(int(k))
+    return pts, sums
 
 
-def _reference_atoms(measure, cluster_tol):
-    out, cur_pts, cur_wts = [], [], []
-    for p, w in zip(measure.points, measure.weights):
-        if cur_pts and p - cur_pts[-1] > cluster_tol:
-            out.append(_finish_cluster(cur_pts, cur_wts))
-            cur_pts, cur_wts = [], []
-        cur_pts.append(p)
-        cur_wts.append(w)
-    if cur_pts:
-        out.append(_finish_cluster(cur_pts, cur_wts))
-    return out
-
-
-def _finish_cluster(pts, wts):
-    total = _loop_sum(wts)
-    center = _loop_sum(p * w for p, w in zip(pts, wts)) / total
-    return (center, total)
-
-
-def _reference_tv_distance(m1, m2, atom_tol):
+def _reference_tv_distance(m1, m2):
     signed = sorted([(p, w) for p, w in zip(m1.points, m1.weights)]
                     + [(p, -w) for p, w in zip(m2.points, m2.weights)])
     total, acc, last = 0.0, 0.0, None
     for p, w in signed:
-        if last is not None and p - last > atom_tol:
+        if last is not None and p != last:
             total += abs(acc)
             acc = 0.0
         acc += w
@@ -398,21 +385,6 @@ def _bits(values):
 mixed_weight = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-9, 3))
 
 
-@st.composite
-def clustered_points(draw, tol):
-    """Runs of 1 to 20 points, at least one of 8 or more, each step within
-    ``tol`` of the last; the runs lie at least 1 apart."""
-    sizes = draw(st.lists(st.integers(1, 20), min_size=1, max_size=6))
-    sizes[draw(st.integers(0, len(sizes) - 1))] = draw(st.integers(8, 20))
-    pts, start = [], draw(st.floats(-50.0, 50.0))
-    for size in sizes:
-        for step in draw(st.lists(st.floats(0.01, 0.99), min_size=size, max_size=size)):
-            pts.append(start)
-            start += step * tol
-        start += draw(st.floats(1.0, 5.0))
-    return pts
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6, unique=True), st.data())
 def test_from_samples_merges_equal_values_like_the_reference_loop(distinct, data):
@@ -421,44 +393,38 @@ def test_from_samples_merges_equal_values_like_the_reference_loop(distinct, data
     counts[0] = data.draw(st.integers(8, 20))
     values = [v for v, c in zip(distinct, counts) for _ in range(c)]
     values = data.draw(st.permutations(values))
-    weights = data.draw(st.lists(mixed_weight, min_size=len(values), max_size=len(values)))
-    # mixed weights: the merge itself, on the values sorted as from_samples sorts them
+    weights = data.draw(st.lists(st.integers(1, 2 ** 40), min_size=len(values),
+                                 max_size=len(values)))
+    # integer weights: the merge itself, on the values sorted as from_samples sorts them
     order = np.argsort(values, kind="stable")
-    pts, wts = _merge_equal(np.asarray(values)[order], np.asarray(weights)[order])
-    ref_pts, ref_wts = _reference_from_samples(values, weights)
+    pts, sums = _merge_equal(np.asarray(values)[order], np.asarray(weights)[order])
+    ref_pts, ref_sums = _reference_from_samples(values, weights)
     assert _bits(pts) == _bits(ref_pts)
-    assert _bits(wts) == _bits(ref_wts)
+    assert sums.tolist() == ref_sums
+    # a value seen k times among N has weight k/N
     got = Measure1D.from_samples(values)
-    ref_pts, ref_wts = _reference_from_samples(values, np.full(len(values), 1.0 / len(values)))
+    ref_pts, ref_counts = _reference_from_samples(values, np.ones(len(values), dtype=int))
     assert _bits(got.points) == _bits(ref_pts)
-    assert _bits(got.weights) == _bits(ref_wts)
+    assert _bits(got.weights) == _bits([k / len(values) for k in ref_counts])
     assert Measure1D.from_samples([]) == Measure1D(points=(), weights=())
 
 
 @settings(max_examples=100, deadline=None)
-@given(clustered_points(1e-3), st.data())
-def test_atoms_cluster_like_the_reference_loop(pts, data):
-    weights = data.draw(st.lists(mixed_weight, min_size=len(pts), max_size=len(pts)))
-    m = Measure1D(points=tuple(pts), weights=tuple(weights))
-    got, ref = atoms(m, 1e-3), _reference_atoms(m, 1e-3)
-    assert len(got) == len(ref)
-    assert _bits(got) == _bits(ref)
-    assert atoms(Measure1D(points=(), weights=()), 1e-3) == []
-
-
-@settings(max_examples=100, deadline=None)
-@given(clustered_points(1e-7), st.data())
-def test_tv_distance_clusters_like_the_reference_loop(pts, data):
-    weights = data.draw(st.lists(mixed_weight, min_size=len(pts), max_size=len(pts)))
-    # each point goes to the first measure, the second, or both
+@given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40, unique=True), st.data())
+def test_tv_distance_matches_the_reference_loop(pts, data):
+    pts = sorted(pts)
+    weights = [data.draw(st.lists(mixed_weight, min_size=len(pts), max_size=len(pts)))
+               for _ in range(2)]
+    # each point goes to the first measure, the second, or both: an atom of
+    # both is an exact coincidence of the signed union
     sides = data.draw(st.lists(st.sampled_from([1, 2, 3]), min_size=len(pts),
                                max_size=len(pts)))
-    m1, m2 = ([(p, w) for p, w, s in zip(pts, weights, sides) if s & side]
+    m1, m2 = ([(p, w) for p, w, s in zip(pts, weights[side - 1], sides) if s & side]
               for side in (1, 2))
     m1, m2 = (Measure1D(points=tuple(p for p, _ in m), weights=tuple(w for _, w in m))
               for m in (m1, m2))
-    got = tv_distance(m1, m2, 1e-7)
-    assert _bits([got]) == _bits([_reference_tv_distance(m1, m2, 1e-7)])
+    got = tv_distance(m1, m2)
+    assert _bits([got]) == _bits([_reference_tv_distance(m1, m2)])
 
 
 # ---------------------------------------------------------------------------
