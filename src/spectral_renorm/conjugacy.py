@@ -28,7 +28,8 @@ check at rational points that they are iota and its inverse.
 
 from __future__ import annotations
 
-import numpy as np
+import cmath
+import random
 
 from spectral_renorm.ratmaps.maps import builtin_map, compose, proportional
 from spectral_renorm.ratmaps.poly import MultiPoly
@@ -145,7 +146,7 @@ def fiber_conjugation_check(n_samples: int = 100, seed: int = 5) -> dict:
     the identities hold for either determination as long as it is used
     consistently, so no branch bookkeeping is needed pointwise.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     components = builtin_map("R_G").components
     psi_num, psi_den = GRIG_SEMICONJUGATOR
     max_err = 0.0
@@ -156,7 +157,7 @@ def fiber_conjugation_check(n_samples: int = 100, seed: int = 5) -> dict:
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if abs(eta - 1) < 0.2 or abs(eta + 1) < 0.2 or abs(z) < 0.2 or abs(abs(z) - 1) < 1e-3:
             continue
-        s = np.sqrt(complex(eta * eta - 1))
+        s = cmath.sqrt(eta * eta - 1)
         if abs(_fiber_inverse_den(eta, s, z)) < 1e-9:
             continue
         lam, mu = fiber_inverse(eta, s, z)

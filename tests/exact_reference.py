@@ -42,7 +42,7 @@ from spectral_renorm.pencils import builtin_scheme, pencil_terms
 from spectral_renorm.ratmaps.maps import RationalMapP2, _normalize_triple
 from spectral_renorm.ratmaps import modp
 from spectral_renorm.ratmaps.poly import MultiPoly
-from spectral_renorm.ratmaps.potential import NEG_INF, _on_factor_zero, _telescope
+from spectral_renorm.ratmaps.potential import NEG_INF, _forms, _on_factor_zero, _telescope
 from spectral_renorm.spectra import slice_point
 
 
@@ -523,5 +523,5 @@ def potential(scheme, lam, mu, n: int):
     except (TypeError, ValueError):  # arrays, NaN
         pass
     lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
-    values, _, _ = _telescope(scheme, lam.ravel(), mu.ravel(), n)
+    values, _, _ = _telescope(scheme, _forms(scheme), lam.ravel(), mu.ravel(), n)
     return float(values[0]) if lam.ndim == 0 else values.reshape(lam.shape)

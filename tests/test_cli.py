@@ -152,12 +152,21 @@ def test_write_csv_in_chunks_equals_the_whole_column_writer(length, tmp_path):
     assert text.count("\n") == length + 1
 
 
+def test_cap_threads_pins_blas_to_one_thread_unless_preset(monkeypatch):
+    environ = {"OPENBLAS_NUM_THREADS": "3"}
+    monkeypatch.setattr(cli.os, "environ", environ)
+    cli._cap_threads()
+    assert environ == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "3",
+                       "MKL_NUM_THREADS": "1", "NUMEXPR_NUM_THREADS": "1"}
+
+
 def test_the_exact_subcommands_load_no_numpy(tmp_path):
     from spectral_renorm.cohomology import SURFACES
 
     runs = [["schur-verify", "--group", g, "--level", "2", "--samples", "2"]
             for g in ("grigorchuk", "lamplighter", "hanoi")]
     runs += [["cohomology", "--surface", name, "--check"] for name in SURFACES]
+    runs += [["conjugacy-verify", "--samples", "20"]]
     script = ("import json, sys\n"
               "from spectral_renorm.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n"

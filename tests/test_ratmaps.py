@@ -6,6 +6,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -576,6 +577,46 @@ def test_every_masked_hanoi_grid_cell_agrees_with_the_scalar_form():
     for i, j in zip(*np.nonzero(masked)):
         u = potential(scheme, float(grid["xs"][j]), float(grid["ys"][i]), 7)
         assert np.float64(u).tobytes() == grid["values"][i, j].tobytes()
+
+
+# (group, window, resolution, n, block): blocks that end mid-row, and the
+# hanoi 33^2 grid whose near-zero cells, some needing the exact factor test,
+# fall in several blocks
+BLOCK_CASES = [
+    *[(g, (-3.7, 4.1, -4.2, 3.3), 129, 12, 1000) for g in ("grigorchuk", "lamplighter", "hanoi")],
+    ("hanoi", (-4, 4, -4, 4), 33, 7, 100),
+]
+
+
+@pytest.mark.parametrize("group, window, resolution, n, block", BLOCK_CASES)
+def test_blocks_do_not_change_a_bit(group, window, resolution, n, block, monkeypatch):
+    scheme = builtin_scheme(group)
+    module = importlib.import_module("spectral_renorm.ratmaps.potential")
+    monkeypatch.setattr(module, "GRID_BLOCK", resolution * resolution)
+    whole = potential_grid(scheme, window, resolution, n)
+    monkeypatch.setattr(module, "GRID_BLOCK", block)
+    blocked = potential_grid(scheme, window, resolution, n)
+    assert blocked["values"].tobytes() == whole["values"].tobytes()
+    for mask in ("neg_inf_mask", "dead_mask"):
+        assert np.array_equal(blocked[mask], whole[mask])
+    if resolution == 33:
+        assert len(set(np.flatnonzero(whole["neg_inf_mask"]) // block)) > 1
+        assert whole["dead_mask"].any()
+
+
+def test_the_working_set_of_the_grid_does_not_grow_with_the_grid():
+    scheme = builtin_scheme("hanoi")
+    excess = []
+    for resolution in (256, 1024):
+        tracemalloc.start()
+        try:
+            grid = potential_grid(scheme, (-4, 4, -4, 4), resolution, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        excess.append(peak - sum(v.nbytes for v in grid.values() if isinstance(v, np.ndarray)))
+    # a pass over the whole grid at once gives 16x
+    assert excess[1] <= 1.25 * excess[0], excess
 
 
 def _forms(group):
