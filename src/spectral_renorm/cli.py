@@ -371,15 +371,15 @@ def _err(message: str) -> None:
 
 def _write(args, artifacts: dict) -> None:
     """Create ``--out`` and write into it each artifact whose suffix
-    ``--format`` lists, and every pgm.  An artifact is, by suffix: csv a
-    ``(header, columns)`` pair, json its object, pgm its matrix, svg a
-    function that draws the plot at the path it is given.  An ``--out`` that
-    cannot be made or written is bad input, not an internal error."""
+    ``--format`` lists, and every pgm.  An artifact is a function that
+    writes it at the path it is given (every svg and pgm, and the csv of
+    ``potential-grid``), or by suffix: csv a ``(header, columns)`` pair,
+    json its object.  An ``--out`` that cannot be made or written is bad
+    input, not an internal error."""
     from spectral_renorm import output
 
     writers = {"csv": lambda path, table: output.write_csv(path, *table),
-               "json": output.write_json, "pgm": output.write_pgm16,
-               "svg": lambda path, draw: draw(path)}
+               "json": output.write_json}
     wanted = set(args.format.split(",")) | {"pgm"}
     out = Path(args.out)
     try:
@@ -387,7 +387,10 @@ def _write(args, artifacts: dict) -> None:
         for name, content in artifacts.items():
             suffix = name.rsplit(".", 1)[1]
             if suffix in wanted:
-                writers[suffix](out / name, content)
+                if callable(content):
+                    content(out / name)
+                else:
+                    writers[suffix](out / name, content)
     except OSError as exc:
         raise BudgetError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
@@ -542,7 +545,7 @@ def cmd_cohomology(args) -> tuple[int, dict]:
 def cmd_potential_grid(args) -> tuple[int, dict]:
     import numpy as np
 
-    from spectral_renorm import pencils
+    from spectral_renorm import output, pencils
     from spectral_renorm.ratmaps.potential import potential_grid
 
     grid = potential_grid(pencils.builtin_scheme(args.group), args.window, args.resolution,
@@ -550,11 +553,11 @@ def cmd_potential_grid(args) -> tuple[int, dict]:
     values, res = grid["values"], args.resolution
     finite = np.isfinite(values)
     finite_cells = int(np.count_nonzero(finite))
+    lo, hi = ((float(values.min(where=finite, initial=np.inf)),
+               float(values.max(where=finite, initial=-np.inf))) if finite_cells else (None, None))
     stem = f"potential_{args.group}_r{res}_n{args.iters}"
     return 0, {
-        # cells in row-major order: cell (i, j) is the point (xs[j], ys[i])
-        f"{stem}.csv": (["x", "y", "value"],
-                        [np.tile(grid["xs"], res), np.repeat(grid["ys"], res), values.ravel()]),
+        f"{stem}.csv": lambda path: output.write_grid_csv(path, grid["xs"], grid["ys"], values),
         f"{stem}.json": {
             "group": args.group,
             "window": grid["window"],
@@ -563,10 +566,10 @@ def cmd_potential_grid(args) -> tuple[int, dict]:
             "finite_cells": finite_cells,
             "neg_inf_cells": int(grid["neg_inf_mask"].sum()),
             "dead_cells": int(grid["dead_mask"].sum()),
-            "min": float(values.min(where=finite, initial=np.inf)) if finite_cells else None,
-            "max": float(values.max(where=finite, initial=-np.inf)) if finite_cells else None,
+            "min": lo,
+            "max": hi,
         },
-        f"{stem}.pgm": values,
+        f"{stem}.pgm": lambda path: output.write_pgm16(path, values, lo, hi),
     }
 
 

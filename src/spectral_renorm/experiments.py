@@ -234,33 +234,59 @@ def circle_w1_to_uniform(angles: np.ndarray) -> float:
     piecewise-linear parts.
     """
     two_pi = 2.0 * math.pi
-    th = np.sort(np.mod(np.asarray(angles, dtype=float), two_pi))
-    n = len(th)
-    # segment endpoints: 0, th_1, ..., th_n, 2pi; on each segment H is linear
-    ts = np.concatenate([[0.0], th, [two_pi]])
-    jumps = np.concatenate([[0.0], np.full(n, 1.0 / n), [0.0]])
-    counts = np.cumsum(jumps)  # F_emp just after each breakpoint
-    h_left = counts[:-1] - ts[:-1] / two_pi
-    h_right = counts[:-1] - ts[1:] / two_pi
-    lengths = np.diff(ts)
+    angles = np.asarray(angles, dtype=float)
+    n = len(angles)
+    # segment endpoints: 0, th_1, ..., th_n (sorted), 2pi; on each segment H is linear
+    ts = np.empty(n + 2)
+    ts[0], ts[-1] = 0.0, two_pi
+    np.mod(angles, two_pi, out=ts[1:-1]).sort()
+    # ends = [h_right | h_left]; h_left holds F_emp just after each
+    # breakpoint until h_right is taken from it
+    ends = np.empty(2 * n + 2)
+    h_right, h_left = ends[:n + 1], ends[n + 1:]
+    h_left[0] = 0.0
+    h_left[1:] = 1.0 / n
+    np.cumsum(h_left, out=h_left)
+    np.divide(ts[1:], two_pi, out=h_right)
+    np.subtract(h_left, h_right, out=h_right)
+    np.subtract(h_left, ts[:-1] / two_pi, out=h_left)
+    c = _median_of_values(ends)
 
-    ends = np.concatenate([h_right, h_left])
+    # the integral per segment, a block of numpy's buffer size at a time
+    vals = np.empty(n + 1)
+    step = np.getbufsize()
+    for start in range(0, n + 1, step):
+        stop = min(start + step, n + 1)
+        u = h_left[start:stop] - c
+        v = h_right[start:stop] - c
+        lengths = np.diff(ts[start:stop + 1])
+        vals[start:stop] = np.where(
+            u * v >= 0,
+            0.5 * (np.abs(u) + np.abs(v)) * lengths,
+            0.5 * (u * u + v * v) / np.maximum(np.abs(u) + np.abs(v), 1e-300) * lengths,
+        )
+    return float(vals.sum())
+
+
+def _median_of_values(ends: np.ndarray) -> float:
+    """The median of the values of H for ``circle_w1_to_uniform``, where
+    ``ends`` = [h_right | h_left] holds H's value at the right and left end
+    of each segment, the first half the rises of the distribution function
+    of H's values and the second half its falls."""
     order = np.argsort(ends, kind="stable")  # on ties the rises come first
-    ends = ends[order]
-    slope = np.cumsum(np.concatenate([np.ones(n + 1), -np.ones(n + 1)])[order])[:-1]
-    mass = np.concatenate([[0.0], np.cumsum(slope * np.diff(ends))])
+    sorted_ends = ends[order]
+    slope = np.where(order < len(ends) // 2, 1.0, -1.0)
+    del order  # before mass, so that at most four such arrays live at once
+    np.cumsum(slope, out=slope)
+    # mass[i]: the distribution function at sorted_ends[i]
+    mass = np.empty(len(ends))
+    mass[0] = 0.0
+    np.subtract(sorted_ends[1:], sorted_ends[:-1], out=mass[1:])
+    np.multiply(slope[:-1], mass[1:], out=mass[1:])
+    np.cumsum(mass[1:], out=mass[1:])
     half = 0.5 * mass[-1]
     k = int(np.searchsorted(mass, half))
-    c = ends[k - 1] + (half - mass[k - 1]) / slope[k - 1]
-
-    u = h_left - c
-    v = h_right - c
-    vals = np.where(
-        u * v >= 0,
-        0.5 * (np.abs(u) + np.abs(v)) * lengths,
-        0.5 * (u * u + v * v) / np.maximum(np.abs(u) + np.abs(v), 1e-300) * lengths,
-    )
-    return float(vals.sum())
+    return sorted_ends[k - 1] + (half - mass[k - 1]) / slope[k - 1]
 
 
 def _check_seed_modulus(start, name: str = "seed point") -> None:

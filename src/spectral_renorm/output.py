@@ -6,6 +6,13 @@ SVG plots are assembled from explicit element strings (no plotting library,
 no timestamps, no generated ids).  Each writer takes its path first and
 writes into a directory that exists.
 
+The table and image writers stream: ``write_csv`` renders and writes
+``CSV_CHUNK_ROWS`` rows at a time, and ``write_grid_csv`` and
+``write_pgm16`` write a grid of values a block of whole grid rows at a
+time, a block holding about ``CSV_CHUNK_ROWS`` cells, so their working
+memory is set by the block and not by the table or the grid.  The JSON and
+SVG writers build their whole text before writing it.
+
 Importing this module does not import numpy, so the exact subcommands run
 without it.  Numpy scalars and arrays are recognised through the numpy
 module that created them (``_number_types``), and only the writers that take
@@ -20,7 +27,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-# Rows rendered at a time by ``write_csv``: memory holds one chunk's fields.
+# Rows rendered at a time by ``write_csv``, and about the cells per block of
+# the grid writers: memory holds one chunk's fields.
 CSV_CHUNK_ROWS = 16384
 
 
@@ -62,13 +70,42 @@ def _csv_fields(column) -> list:
 def write_csv(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """CSV with a header line and one row per index; ``columns`` holds one
     sequence of values per header field, all of one length.  Rows are
-    rendered and written ``CSV_CHUNK_ROWS`` at a time."""
-    length = min((len(c) for c in columns), default=0)
+    rendered and written ``CSV_CHUNK_ROWS`` at a time.  Columns of
+    different lengths raise ``ValueError``."""
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
+    length = lengths.pop() if lengths else 0
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, length, CSV_CHUNK_ROWS):
             fields = [_csv_fields(c[start:start + CSV_CHUNK_ROWS]) for c in columns]
             fh.writelines(",".join(row) + "\n" for row in zip(*fields))
+
+
+def _grid_rows(values) -> int:
+    """Grid rows per block of the grid writers: about ``CSV_CHUNK_ROWS``
+    cells, and at least one row."""
+    return max(1, CSV_CHUNK_ROWS // values.shape[1])
+
+
+def write_grid_csv(path, xs, ys, values) -> None:
+    """CSV of a float64 grid: a header ``x,y,value`` and one row per cell in
+    row-major order, cell (i, j) being the point (xs[j], ys[i]) with value
+    ``values[i, j]``; each field is what ``fmt`` gives.  One ``%`` template
+    holds the x fields of a grid row, so each x is formatted once per grid
+    and each y once per row, and the values are read ``_grid_rows`` rows at
+    a time."""
+    # b"%.17g" % v is f"{v:.17g}" in ASCII, nan and the infinities included
+    template = "".join(f"{x:.17g},%s,%.17g\n" for x in xs.tolist()).encode()
+    step = _grid_rows(values)
+    with open(path, "wb") as fh:
+        fh.write(b"x,y,value\n")
+        for start in range(0, len(ys), step):
+            for y, row in zip(ys[start:start + step].tolist(), values[start:start + step].tolist()):
+                fields = [f"{y:.17g}".encode(), None] * len(row)
+                fields[1::2] = row
+                fh.write(template % tuple(fields))
 
 
 def _jsonable(obj):
@@ -208,21 +245,22 @@ def _axes(xlo, xhi, ylo, yhi) -> str:
     )
 
 
-def write_pgm16(path, values) -> None:
-    """16-bit grayscale PGM of a real matrix; NaN and -inf map to 0."""
+def write_pgm16(path, values, lo, hi) -> None:
+    """16-bit grayscale PGM of a real matrix whose finite values run from
+    ``lo`` to ``hi`` (both None when none is finite): the finite values map
+    linearly onto 1..65535 and the others to 0.  The words are scaled and
+    packed ``_grid_rows`` rows at a time."""
     import numpy as np
 
-    arr = np.asarray(values, dtype=float)
-    finite = arr[np.isfinite(arr)]
-    if finite.size == 0:
+    if lo is None:
         lo, hi = 0.0, 1.0
-    else:
-        lo, hi = float(finite.min()), float(finite.max())
-        if hi == lo:
-            hi = lo + 1.0
-    scaled = np.zeros(arr.shape, dtype=np.uint16)
-    mask = np.isfinite(arr)
-    scaled[mask] = (1 + (arr[mask] - lo) / (hi - lo) * 65534).astype(np.uint16)
+    elif hi == lo:
+        hi = lo + 1.0
+    step = _grid_rows(values)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n65535\n".encode())
-        fh.write(scaled.astype(">u2").tobytes())
+        fh.write(f"P5\n{values.shape[1]} {values.shape[0]}\n65535\n".encode())
+        for start in range(0, values.shape[0], step):
+            block = values[start:start + step]
+            words = 1 + (block - lo) / (hi - lo) * 65534
+            words[~np.isfinite(block)] = 0
+            fh.write(words.astype(">u2").tobytes())

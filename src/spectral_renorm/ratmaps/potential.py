@@ -13,7 +13,8 @@ potential (1/d^n) log |P_n| telescopes to
 so u_n exists for n >= s only.  One loop (``_telescope``) evaluates this
 sum over an array of projective points, renormalizing them to max-norm 1
 after every step; the seed tail is its last weighted log term.  The forms
-evaluated at one orbit step share one table of coordinate powers.
+evaluated at one orbit step share one table of coordinate powers and one
+log of the last coordinate.
 ``potential_grid`` runs the loop on a window's cells in blocks of
 ``GRID_BLOCK`` consecutive cells in row-major order, each block's points
 made from the window's axes and its results written into arrays allocated
@@ -183,10 +184,12 @@ def _telescope(scheme, forms: tuple, lam: np.ndarray, mu: np.ndarray, n: int) ->
     neg_inf = np.zeros(lam.size, dtype=bool)
     dead = np.zeros(lam.size, dtype=bool)
 
-    def add_log(form: MultiPoly, weight: float) -> None:
+    def add_log(form: MultiPoly, weight: float, log_w: np.ndarray) -> None:
+        """Add ``weight`` log |form(p) / w^deg| at the points p of
+        ``powers``, w being their last coordinate and ``log_w`` log |w|."""
         nonlocal total, neg_inf, dead
         vals = _grid_eval(form, powers)
-        logs = np.log(np.abs(vals)) - form.total_degree() * np.log(np.abs(pts[2]))
+        logs = np.log(np.abs(vals)) - form.total_degree() * log_w
         zero = vals == 0.0
         neg_inf |= zero & ~dead
         dead |= ~np.isfinite(logs) & ~zero
@@ -202,8 +205,9 @@ def _telescope(scheme, forms: tuple, lam: np.ndarray, mu: np.ndarray, n: int) ->
         for j in range(n - scheme.seed_level):
             if j:
                 powers = PowerTable(pts)
+            log_w = np.log(np.abs(pts[2]))
             for q, mult in hom_factors:
-                add_log(q, mult * d ** (-(j + 1 + scheme.seed_level)))
+                add_log(q, mult * d ** (-(j + 1 + scheme.seed_level)), log_w)
             imgs = np.stack([_grid_eval(c, powers) for c in components], axis=0)
             norms = np.max(np.abs(imgs), axis=0)
             zero = (norms == 0.0) | ~np.isfinite(norms)
@@ -211,7 +215,7 @@ def _telescope(scheme, forms: tuple, lam: np.ndarray, mu: np.ndarray, n: int) ->
             norms[zero] = 1.0
             pts = imgs / norms
         powers = PowerTable(pts)
-        add_log(hom_seed, d ** (-n))
+        add_log(hom_seed, d ** (-n), np.log(np.abs(pts[2])))
     # the first event of an orbit decides: a zero met while it lives is -inf
     dead &= ~neg_inf
     for k in np.flatnonzero(near_zero & np.isfinite(lam) & np.isfinite(mu)):

@@ -398,27 +398,33 @@ def julia_backward(p: Sequence[float], depth: int, mode: str = "full_tree", seed
     return pts, Measure1D.from_samples(pts)
 
 
-def preimages(p: Sequence[float], w: np.ndarray, domain: str = "real") -> tuple:
-    """Both inverse branches (plus, minus) of a z^2 + b z + c at the points
-    ``w``: (-b +- sqrt(b^2 - 4 a (c - w))) / (2 a).  In real mode a negative
-    discriminant raises; ``domain='complex'`` takes complex square roots."""
+def preimages(p: Sequence[float], w: np.ndarray, domain: str = "real") -> np.ndarray:
+    """Both inverse branches of a z^2 + b z + c at the points ``w``, as the
+    rows (plus, minus) of one array: (-b +- sqrt(b^2 - 4 a (c - w))) / (2 a).
+    In real mode a negative discriminant raises; ``domain='complex'`` takes
+    complex square roots."""
     a, b, c = p
-    disc = b * b - 4.0 * a * (c - w)
+    disc = np.subtract(c, w)
+    np.multiply(4.0 * a, disc, out=disc)
+    np.subtract(b * b, disc, out=disc)
     if domain == "real":
         if np.any(disc < 0):
             raise ValueError("complex inverse image in real mode")
-        root = np.sqrt(disc)
     else:
-        root = np.sqrt(disc.astype(complex))
-    return (-b + root) / (2.0 * a), (-b - root) / (2.0 * a)
+        disc = disc.astype(complex, copy=False)
+    root = np.sqrt(disc, out=disc)
+    branches = np.empty((2, len(root)), dtype=root.dtype)
+    np.add(-b, root, out=branches[0])
+    np.subtract(-b, root, out=branches[1])
+    return np.divide(branches, 2.0 * a, out=branches)
 
 
 def preimage_levels(p: Sequence[float], start, n: int, domain: str = "real"):
     """The preimage sets of ``start`` under ``p`` at depths 1..n, by
-    ``preimages``."""
+    ``preimages``: one array per depth, its plus branch first."""
     pts = np.array([start])
     for _ in range(n):
-        pts = np.concatenate(preimages(p, pts, domain))
+        pts = preimages(p, pts, domain).reshape(-1)
         yield pts
 
 

@@ -2,10 +2,12 @@
 
 import ast
 import json
+import os
 import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +17,14 @@ from test_reachability import SURFACE
 
 from spectral_renorm import cli
 from spectral_renorm.cli import BUDGETS, main
-from spectral_renorm.output import CSV_CHUNK_ROWS, _jsonable, fmt, write_csv, write_pgm16
+from spectral_renorm.output import (
+    CSV_CHUNK_ROWS,
+    _jsonable,
+    fmt,
+    write_csv,
+    write_grid_csv,
+    write_pgm16,
+)
 from spectral_renorm.pencils import builtin_scheme
 from spectral_renorm.ratmaps.potential import potential_grid
 
@@ -60,6 +69,70 @@ def test_potential_grid_csv_equals_the_row_by_row_rendering(tmp_path):
     expected = _row_by_row_csv(["x", "y", "value"], rows)
     assert "\n-0," in expected and ",nan\n" in expected and ",-inf\n" in expected
     assert (tmp_path / "potential_hanoi_r17_n7.csv").read_bytes() == expected.encode()
+    assert (tmp_path / "potential_hanoi_r17_n7.pgm").read_bytes() == _packed_pgm(values)
+
+
+def _packed_pgm(values):
+    """The PGM as packed big-endian words: 0 at a non-finite value, else
+    1 + (v - lo) / (hi - lo) * 65534 truncated, lo and hi the finite min and
+    max, hi = lo + 1 when they are equal and (0, 1) when nothing is finite."""
+    finite = values[np.isfinite(values)]
+    lo, hi = (finite.min(), finite.max()) if finite.size else (0.0, 1.0)
+    if hi == lo:
+        hi = lo + 1.0
+    words = [0 if not np.isfinite(v) else int(1 + (v - lo) / (hi - lo) * 65534)
+             for v in values.ravel()]
+    rows, cols = values.shape
+    return f"P5\n{cols} {rows}\n65535\n".encode() + struct.pack(f">{len(words)}H", *words)
+
+
+SPECIAL_VALUES = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308]
+
+
+def _grid_values(resolution, kind):
+    rng = np.random.default_rng(resolution)
+    if kind == "non-finite":
+        return rng.choice([np.nan, -np.nan, np.inf, -np.inf], size=(resolution, resolution))
+    if kind == "constant":
+        return np.full((resolution, resolution), -2.5)
+    values = rng.normal(size=(resolution, resolution)) * 10.0 ** rng.integers(-5, 6, (resolution,) * 2)
+    cells = rng.choice(values.size, min(values.size, 3 * len(SPECIAL_VALUES)), replace=False)
+    values.flat[cells] = np.resize(SPECIAL_VALUES, len(cells))
+    return values
+
+
+@pytest.mark.parametrize("resolution, kind", [
+    (2, "mixed"), (17, "mixed"), (300, "mixed"), (9, "non-finite"), (12, "constant")])
+def test_grid_csv_and_pgm_equal_the_row_by_row_oracles(resolution, kind, tmp_path):
+    assert 300 % (CSV_CHUNK_ROWS // 300)  # 300 rows end in a short block of rows
+    values = _grid_values(resolution, kind)
+    xs = np.linspace(-4.0, -0.0, resolution)
+    ys = np.linspace(-1e-300, 7.0, resolution)
+    write_grid_csv(tmp_path / "t.csv", xs, ys, values)
+    rows = [(x, y, values[i, j]) for i, y in enumerate(ys) for j, x in enumerate(xs)]
+    assert (tmp_path / "t.csv").read_bytes() == _row_by_row_csv(["x", "y", "value"], rows).encode()
+    # lo and hi as cmd_potential_grid gives them
+    finite = values[np.isfinite(values)]
+    lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (None, None)
+    write_pgm16(tmp_path / "t.pgm", values, lo, hi)
+    assert (tmp_path / "t.pgm").read_bytes() == _packed_pgm(values)
+
+
+def test_the_working_set_of_the_grid_writers_does_not_grow_with_the_grid():
+    excess = []
+    for resolution in (256, 1024):
+        xs = np.linspace(-4.0, 4.0, resolution)
+        values = np.random.default_rng(resolution).normal(size=(resolution, resolution))
+        lo, hi = float(values.min()), float(values.max())
+        tracemalloc.start()
+        try:
+            write_grid_csv(os.devnull, xs, xs, values)
+            write_pgm16(os.devnull, values, lo, hi)
+            excess.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the writers of whole columns and whole grids give 4.2x
+    assert excess[1] <= 1.25 * excess[0], excess
 
 
 def test_write_csv_renders_every_column_kind_as_fmt_does(tmp_path):
@@ -80,6 +153,11 @@ def test_write_csv_renders_every_column_kind_as_fmt_does(tmp_path):
     assert (tmp_path / "t.csv").read_text() == _row_by_row_csv(header, zip(*columns))
     write_csv(tmp_path / "empty.csv", ["a", "b"], [[], np.array([])])
     assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+
+
+def test_write_csv_refuses_columns_of_different_lengths(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2, 3], np.array([0.5, 1.5])])
 
 
 # (value, fmt(value), _jsonable(value)); the types of the JSON values count,
@@ -382,13 +460,10 @@ def test_pgm_bytes_equal_the_packed_big_endian_words(tmp_path):
     rng = np.random.default_rng(7)
     values = rng.normal(size=(40, 56))
     values[3, 5], values[7, 0] = np.nan, -np.inf
-    write_pgm16(tmp_path / "t.pgm", values)
     finite = values[np.isfinite(values)]
-    lo, hi = finite.min(), finite.max()
-    words = [0 if not np.isfinite(v) else int(1 + (v - lo) / (hi - lo) * 65534)
-             for v in values.ravel()]
-    expected = b"P5\n56 40\n65535\n" + struct.pack(f">{len(words)}H", *words)
-    assert (tmp_path / "t.pgm").read_bytes() == expected
+    write_pgm16(tmp_path / "t.pgm", values, float(finite.min()), float(finite.max()))
+    pgm = (tmp_path / "t.pgm").read_bytes()
+    assert pgm.startswith(b"P5\n56 40\n65535\n") and pgm == _packed_pgm(values)
 
 
 def test_julia_rejects_a_zero_or_non_finite_polynomial(tmp_path, capsys):

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from spectral_renorm.spectra import (
     cdf_distance,
     julia_backward,
     kolmogorov_to_cdf,
+    preimage_levels,
     preimages,
 )
 
@@ -177,6 +179,73 @@ angle_lists = st.one_of(
 def test_circle_w1_median_matches_the_ternary_search(angles):
     expected = circle_w1_ternary(angles)
     assert abs(circle_w1_to_uniform(angles) - expected) <= 1e-12 * expected
+
+
+def circle_w1_whole_arrays(angles):
+    """Reference: ``circle_w1_to_uniform`` as it was before it reused its
+    arrays, every intermediate a new full-length array."""
+    two_pi = 2.0 * math.pi
+    th = np.sort(np.mod(np.asarray(angles, dtype=float), two_pi))
+    n = len(th)
+    ts = np.concatenate([[0.0], th, [two_pi]])
+    jumps = np.concatenate([[0.0], np.full(n, 1.0 / n), [0.0]])
+    counts = np.cumsum(jumps)
+    h_left = counts[:-1] - ts[:-1] / two_pi
+    h_right = counts[:-1] - ts[1:] / two_pi
+    lengths = np.diff(ts)
+
+    ends = np.concatenate([h_right, h_left])
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    slope = np.cumsum(np.concatenate([np.ones(n + 1), -np.ones(n + 1)])[order])[:-1]
+    mass = np.concatenate([[0.0], np.cumsum(slope * np.diff(ends))])
+    half = 0.5 * mass[-1]
+    k = int(np.searchsorted(mass, half))
+    c = ends[k - 1] + (half - mass[k - 1]) / slope[k - 1]
+
+    u = h_left - c
+    v = h_right - c
+    vals = np.where(
+        u * v >= 0,
+        0.5 * (np.abs(u) + np.abs(v)) * lengths,
+        0.5 * (u * u + v * v) / np.maximum(np.abs(u) + np.abs(v), 1e-300) * lengths,
+    )
+    return float(vals.sum())
+
+
+def _angle_sets():
+    """Random angle sets with repeated angles, multiples of 2 pi and
+    negative angles, at sizes on both sides of numpy's buffer size."""
+    rng = np.random.default_rng(34)
+    sets = []
+    for size in (1, 2, 7, 1000, np.getbufsize() - 1, np.getbufsize(), 3 * np.getbufsize() + 5):
+        angles = rng.uniform(-20.0, 20.0, size)
+        angles[: size // 3] = angles[0]
+        turns = rng.integers(-3, 4, size // 4)
+        angles[size - size // 4:] = 2 * math.pi * turns
+        sets.append(rng.permutation(angles))
+        sets.append(np.round(angles, 1))
+    return sets
+
+
+def test_circle_w1_equals_the_whole_array_formulation_bit_for_bit():
+    levels = list(preimage_levels((1.0, 0.0, 0.0), complex(1.7), 16, "complex"))
+    for angles in [np.angle(pts) for pts in levels] + _angle_sets():
+        assert circle_w1_to_uniform(angles).hex() == circle_w1_whole_arrays(angles).hex()
+
+
+def test_the_working_set_of_the_circle_w1_is_about_nine_arrays_per_angle():
+    angles = np.angle(list(preimage_levels((1.0, 0.0, 0.0), complex(1.7), 16, "complex"))[-1])
+    assert len(angles) == 2 ** 16
+    tracemalloc.start()
+    try:
+        circle_w1_to_uniform(angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole-array formulation peaks at about 170 bytes per angle
+    # (10.6 MB here); one float64 per angle is 8 bytes
+    assert peak <= 80 * len(angles), peak
 
 
 def test_backward_square_preimages_stay_on_circle():
