@@ -407,8 +407,6 @@ def _series(stem: str, rows: list, x: str, title: str) -> dict:
 
 
 def cmd_spectrum(args) -> tuple[int, dict]:
-    import numpy as np
-
     from spectral_renorm import output, spectra
 
     result = spectra.dos(args.group, args.level, args.grig_slice)
@@ -428,7 +426,8 @@ def cmd_spectrum(args) -> tuple[int, dict]:
         f"{stem}_cdf.svg": lambda path: output.svg_cdf(
             path, m.points, m.weights, title=f"{title} spectral CDF"),
         f"{stem}_hist.svg": lambda path: output.svg_histogram(
-            path, np.repeat(m.points, result.multiplicities), title=f"{title} spectrum"),
+            path, [p for p, k in zip(m.points, result.multiplicities) for _ in range(k)],
+            title=f"{title} spectrum"),
     }
 
 

@@ -212,7 +212,7 @@ def skew_cantor_experiment(eta0: float = 3.0, n: int = 10) -> dict:
         "count": len(pts),
         "measure": measure,
         "line_points": [(float(e), float(intercept + slope * e)) for e in pts[:64]],
-        "w1_to_balanced": cdf_distance(measure, _balanced(), "wasserstein1"),
+        "w1_to_balanced": cdf_distance(measure, _balanced()),
     }
 
 
@@ -329,8 +329,7 @@ def backward_equidistribution(model: str, seed_point, n: int) -> dict:
         _check_seed_modulus(start)
         reference = _balanced()
         poly, domain, metric = CANTOR_BASE, "real", "wasserstein1"
-        distance = lambda pts: cdf_distance(Measure1D.from_samples(pts), reference,
-                                            "wasserstein1")
+        distance = lambda pts: cdf_distance(Measure1D.from_samples(pts), reference)
     else:
         raise ValueError("model must be 'square', 'cheb', or 'cantor'")
     series = [{"depth": depth, "distance": distance(pts), "metric": metric}

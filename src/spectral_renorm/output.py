@@ -13,11 +13,12 @@ time, a block holding about ``CSV_CHUNK_ROWS`` cells, so their working
 memory is set by the block and not by the table or the grid.  The JSON and
 SVG writers build their whole text before writing it.
 
-Importing this module does not import numpy, so the exact subcommands run
-without it.  Numpy scalars and arrays are recognised through the numpy
-module that created them (``_number_types``), and only the writers that take
-arrays (the SVG plots, ``write_pgm16`` and the float64 columns of
-``write_csv``) import numpy, which is loaded whenever they run.
+Importing this module does not import numpy, so the exact subcommands,
+``spectrum`` and ``dos-compare`` run without it at the default --format.
+Numpy scalars and arrays are recognised through the numpy module that
+created them (``_number_types``), and only the writers that take arrays
+(the SVG plots, ``write_pgm16`` and the float64 columns of ``write_csv``)
+import numpy, which is loaded whenever they run.
 """
 
 from __future__ import annotations

@@ -20,16 +20,29 @@ against the eigenvalues of the sliced pencil built as a dense matrix.
 
 The grigorchuk limit law is the slice of an explicit family of hyperbolas
 weighted by the Chebyshev equilibrium measure; it has a closed-form CDF.
+
+The level measures are pure Python: ``decimated_spectrum``, ``dos``, the
+distances and ``convergence_report`` hold lists of floats and ints, so
+``spectrum`` and ``dos-compare`` run without numpy.  The decimation needs no
+sort: each fiber polynomial has a positive leading coefficient and IEEE
+rounding is monotone, so over ascending w the minus branch of the preimage
+is non-increasing, the plus branch non-decreasing, and every minus value
+lies at or below every plus value.  Its atoms come out ascending, and each
+level's few born atoms go in by bisection.  The backward orbits
+(``preimages``, ``preimage_levels``, ``julia_backward``) and the empirical
+measures of samples take numpy arrays and import numpy when they run.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
+from operator import add, ne, truediv
 from typing import Callable, Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -51,9 +64,14 @@ class Measure1D:
     def from_samples(cls, values: Sequence[float]):
         """The empirical measure of unsorted, possibly repeated values: a value
         seen k times among N has weight k/N."""
+        import numpy as np
+
         vals = np.sort(np.asarray(values, dtype=float), kind="stable")
-        pts, counts = _merge_equal(vals, np.ones(len(vals), dtype=np.int64))
-        return cls(points=tuple(pts.tolist()), weights=tuple((counts / len(vals)).tolist()))
+        # each run of equal values is one point, the first of its run
+        starts = np.flatnonzero(np.concatenate(([len(vals) > 0], np.diff(vals) != 0)))
+        counts = np.diff(starts, append=len(vals))
+        return cls(points=tuple(vals[starts].tolist()),
+                   weights=tuple((counts / len(vals)).tolist()))
 
     @property
     def mass(self) -> float:
@@ -63,6 +81,8 @@ class Measure1D:
         return len(self.points)
 
     def cdf_array(self, xs: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         pts = np.asarray(self.points)
         cum = np.cumsum(self.weights)
         idx = np.searchsorted(pts, xs, side="right")
@@ -120,18 +140,42 @@ def _grig_born(k: int) -> tuple:
     return ((-1.0, 1), (1.0, 1), (0.0, 1 if k > 1 else 0))
 
 
+def _lift(fiber: tuple, ws: list) -> list:
+    """Both inverse branches of the fiber a z^2 + b z + c at the ascending
+    points ``ws``, in ascending order: the minus branch (-b - r)/(2a)
+    reversed, then the plus branch (-b + r)/(2a), r = sqrt(b^2 - 4a(c - w)).
+    With a > 0 and monotone rounding r does not decrease along ``ws``, so
+    the minus values do not increase, the plus values do not decrease, and
+    every minus value lies at or below -b/(2a), below every plus value.
+    Each value takes the float operations of ``preimages``."""
+    a, b, c = fiber
+    bb, a4, nb, a2 = b * b, 4.0 * a, -b, 2.0 * a
+    sqrt = math.sqrt
+    roots = [sqrt(bb - a4 * (c - w)) for w in ws]
+    return [(nb - r) / a2 for r in reversed(roots)] + [(nb + r) / a2 for r in roots]
+
+
+def _insert(pts: list, mults: list, atoms) -> None:
+    """Put the atoms (point, multiplicity) into ascending ``pts`` by
+    bisection, each after the points equal to it."""
+    for p, m in atoms:
+        i = bisect_right(pts, p)
+        pts.insert(i, p)
+        mults.insert(i, m)
+
+
 def _decimate(fiber: tuple, terminal: tuple, born: Callable[[int], tuple], n: int):
-    """Atoms of level n: level k is the preimage under ``fiber`` of level
-    k-1's atoms outside ``terminal``, each preimage inheriting its parent's
-    multiplicity, plus the atoms ``born(k)`` of nonzero multiplicity."""
-    pts = np.zeros(0)
-    mults = np.zeros(0, dtype=np.int64)
+    """Atoms of level n, ascending: level k is the preimage under ``fiber``
+    of level k-1's atoms outside ``terminal``, each preimage inheriting its
+    parent's multiplicity, plus the atoms ``born(k)`` of nonzero
+    multiplicity."""
+    pts, mults = [], []
     for k in range(1, n + 1):
-        lift = ~np.isin(pts, terminal)
-        new = [(p, m) for p, m in born(k) if m]
-        pts = np.concatenate([*preimages(fiber, pts[lift]), [p for p, _ in new]])
-        mults = np.concatenate([np.tile(mults[lift], 2),
-                                np.array([m for _, m in new], dtype=np.int64)])
+        for t in terminal:
+            lo, hi = bisect_left(pts, t), bisect_right(pts, t)
+            del pts[lo:hi], mults[lo:hi]
+        pts, mults = _lift(fiber, pts), mults[::-1] + mults
+        _insert(pts, mults, [(p, m) for p, m in born(k) if m])
     return pts, mults
 
 
@@ -148,14 +192,16 @@ def _lamplighter_atoms(n: int) -> tuple:
                 # rational only for q <= 3 (Niven's theorem), and then 0 or +-2
                 pts.append(float(round(x)) if q <= 3 else x)
                 mults.append(mult)
-    return np.array(pts), np.array(mults, dtype=np.int64)
+    atoms = sorted(zip(pts, mults), key=lambda atom: atom[0])
+    return [p for p, _ in atoms], [m for _, m in atoms]
 
 
 def decimated_spectrum(group_tag: str, n: int, grig_slice: float = -1.0) -> tuple:
     """Eigenvalues of the level-n slice, from the renormalization.
 
-    Returns (points, multiplicities): the distinct eigenvalues in increasing
-    order and their exact integer multiplicities, which sum to d^n.  The
+    Returns (points, multiplicities): lists of the distinct eigenvalues in
+    increasing order and their exact integer multiplicities, which sum to
+    d^n.  The
     slice is ``slice_point``'s: hanoi a + b + c (mu = 1), lamplighter
     a + a^-1 + b + b^-1 (mu = 0), grigorchuk a + b + c + d - 1 at
     lam = ``grig_slice``.  No matrix is built.
@@ -227,26 +273,37 @@ def decimated_spectrum(group_tag: str, n: int, grig_slice: float = -1.0) -> tupl
         pts, mults = _decimate(_HANOI_FIBER, (3.0,), _hanoi_born, n)
     elif group_tag == "grigorchuk":
         theta, mults = _decimate(_CHEBYSHEV, (-1.0, 1.0), _grig_born, n)
-        inner = np.abs(theta) != 1.0
-        root = np.sqrt(4.0 + lam * lam - 4.0 * lam * theta[inner])
-        pts = np.concatenate([root, -root, 2.0 - lam * theta[~inner]])
-        mults = np.concatenate([mults[inner], mults[inner], mults[~inner]])
+        # every theta lies in [-1, 1], so the atoms +-1 sit at the two ends
+        lo, hi = bisect_right(theta, -1.0), bisect_left(theta, 1.0)
+        line = [(2.0 - lam * t, m) for t, m in zip(theta[:lo] + theta[hi:],
+                                                   mults[:lo] + mults[hi:])]
+        # 4 + lam^2 - 4 lam theta moves against theta for lam > 0 and with it
+        # for lam < 0, and monotone rounding keeps that order
+        sqrt, inner = math.sqrt, mults[lo:hi]
+        roots = [sqrt(4.0 + lam * lam - 4.0 * lam * t) for t in theta[lo:hi]]
+        if lam > 0:
+            roots.reverse()
+            inner.reverse()
+        pts, mults = [-r for r in reversed(roots)] + roots, inner[::-1] + inner
+        _insert(pts, mults, line)
     else:
         pts, mults = _lamplighter_atoms(n)
-    order = np.argsort(pts, kind="stable")
-    return _merge_equal(pts[order], mults[order])
+    return _merge_equal(pts, mults)
 
 
-def _runs(pts: np.ndarray) -> np.ndarray:
-    """Start indices of the runs of equal values in ascending ``pts``."""
-    return np.flatnonzero(np.concatenate(([len(pts) > 0], np.diff(pts) != 0)))
-
-
-def _merge_equal(pts: np.ndarray, counts: np.ndarray) -> tuple:
+def _merge_equal(pts: Sequence[float], counts: Sequence[int]) -> tuple:
     """Ascending points with equal ones merged into the first of their run,
-    their integer counts added."""
-    starts = _runs(pts)
-    return pts[starts], np.add.reduceat(counts, starts)
+    their integer counts added, as two lists."""
+    if all(map(ne, pts[1:], pts)):  # no run to merge, the common case
+        return list(pts), list(counts)
+    merged_pts, merged_counts = [], []
+    for p, k in zip(pts, counts):
+        if merged_pts and p == merged_pts[-1]:
+            merged_counts[-1] += k
+        else:
+            merged_pts.append(p)
+            merged_counts.append(k)
+    return merged_pts, merged_counts
 
 
 def dos(group_tag: str, n: int, grig_slice: float = -1.0) -> DOSResult:
@@ -260,50 +317,98 @@ def dos(group_tag: str, n: int, grig_slice: float = -1.0) -> DOSResult:
     vals, mults = decimated_spectrum(group_tag, n, grig_slice)
     if group_tag == "grigorchuk":
         # the axis change can round eigenvalues a few ulps apart to one point
-        vals, mults = _merge_equal((vals + 1.0) / 4.0, mults)
+        vals, mults = _merge_equal([(v + 1.0) / 4.0 for v in vals], mults)
         descriptor = f"lam={grig_slice:g}, x=(mu+1)/4"
     elif group_tag == "lamplighter":
         descriptor = "mu=0"
     else:
         descriptor = "mu=1"
-    mults = tuple(int(m) for m in mults)
     size = sum(mults)
-    measure = Measure1D(points=tuple(float(v) for v in vals),
-                        weights=tuple(m / size for m in mults))
+    measure = Measure1D(points=tuple(vals), weights=tuple(map(truediv, mults, repeat(size))))
     return DOSResult(group=group_tag, level=n, slice_descriptor=descriptor,
-                     measure=measure, multiplicities=mults)
+                     measure=measure, multiplicities=tuple(mults))
 
 
-def cdf_distance(m1: Measure1D, m2: Measure1D, metric: str) -> float:
-    """1-Wasserstein distance between two probability measures; ``metric``
-    must name it, "wasserstein1"."""
-    if metric != "wasserstein1":
-        raise ValueError("metric must be 'wasserstein1'")
+def _pairwise(xs: Sequence[float], start: int, n: int) -> float:
+    """numpy's pairwise sum of xs[start:start + n]: a plain loop below 8
+    terms, eight interleaved accumulators up to 128, and above that the two
+    halves, split at a multiple of 8, summed apart."""
+    if n < 8:
+        total = 0.0
+        for x in xs[start:start + n]:
+            total += x
+        return total
+    if n <= 128:
+        body = n - n % 8
+        r = [reduce(add, xs[start + j:start + body:8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in xs[start + body:start + n]:
+            total += x
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise(xs, start, half) + _pairwise(xs, start + half, n - half)
+
+
+def _pairwise_sum(xs: Sequence[float]) -> float:
+    """The float sum of ``xs`` bit for bit as ``float(np.sum(xs))`` gives it
+    for a float64 array: the pairwise sum added to the start value 0.0."""
+    return 0.0 + _pairwise(xs, 0, len(xs))
+
+
+def _atoms_of_both(m1: Measure1D, m2: Measure1D):
+    """The points of two measures in one ascending pass, each point once, as
+    (point, weight in m1, weight in m2), the weight 0.0 where a measure has
+    no atom; a point of both is matched by value."""
+    p1, w1, p2, w2 = m1.points, m1.weights, m2.points, m2.weights
+    n1, n2 = len(p1), len(p2)
+    i = j = 0
+    while i < n1 and j < n2:
+        x, y = p1[i], p2[j]
+        if x < y:
+            yield x, w1[i], 0.0
+            i += 1
+        elif y < x:
+            yield y, 0.0, w2[j]
+            j += 1
+        else:
+            yield x, w1[i], w2[j]
+            i += 1
+            j += 1
+    yield from zip(p1[i:], w1[i:], repeat(0.0))
+    yield from zip(p2[j:], repeat(0.0), w2[j:])
+
+
+def cdf_distance(m1: Measure1D, m2: Measure1D) -> float:
+    """1-Wasserstein distance between two probability measures: the sum over
+    the gaps of the union of their points of |F1 - F2| times the gap, each
+    CDF accumulated atom by atom and the terms summed as ``_pairwise_sum``
+    does."""
     if abs(m1.mass - 1.0) > 1e-9 or abs(m2.mass - 1.0) > 1e-9:
         raise ValueError("both measures must have mass 1")
-    grid = np.union1d(np.asarray(m1.points), np.asarray(m2.points))
-    f1 = m1.cdf_array(grid)
-    f2 = m2.cdf_array(grid)
-    gaps = np.diff(grid)
-    return float(np.sum(np.abs(f1[:-1] - f2[:-1]) * gaps))
+    atoms = _atoms_of_both(m1, m2)
+    last, f1, f2 = next(atoms)  # both CDFs at the first point
+    terms = []
+    for p, w1, w2 in atoms:
+        terms.append(abs(f1 - f2) * (p - last))
+        f1 += w1
+        f2 += w2
+        last = p
+    return _pairwise_sum(terms)
 
 
 def tv_distance(m1: Measure1D, m2: Measure1D) -> float:
     """Total-variation distance sup_A |m1(A) - m2(A)| of two atomic measures
-    of equal mass: half the sum of |m1 - m2| over their atoms, where an atom
-    of both measures is one point, matched by value.  This is the metric that
-    tracks the mass of the defect measure between consecutive levels
-    (1-Wasserstein also weights atom displacement).  Matching by value is
-    exact for the levels of ``dos``: level n + 1 recomputes each atom of
-    level n by the same float operations.
+    of equal mass: half the sum of |m1 - m2| over their atoms in ascending
+    order, where an atom of both measures is one point, matched by value.
+    This is the metric that tracks the mass of the defect measure between
+    consecutive levels (1-Wasserstein also weights atom displacement).
+    Matching by value is exact for the levels of ``dos``: level n + 1
+    recomputes each atom of level n by the same float operations.
     """
-    pts = np.array(m1.points + m2.points, dtype=float)
-    wts = np.array(m1.weights + tuple(-w for w in m2.weights), dtype=float)
-    order = np.argsort(pts, kind="stable")
-    # each measure's points strictly increase, so a run of equal points holds
-    # at most one atom of each and its sum has at most two terms
-    net = np.add.reduceat(wts[order], _runs(pts[order]))
-    return float(np.cumsum(np.abs(np.concatenate(([0.0], net))))[-1]) / 2.0
+    total = 0.0
+    for _, w1, w2 in _atoms_of_both(m1, m2):
+        total += abs(w1 - w2)
+    return total / 2.0
 
 
 def kolmogorov_to_cdf(measure: Measure1D, cdf: Callable[[float], float]) -> float:
@@ -381,6 +486,8 @@ def julia_backward(p: Sequence[float], depth: int, mode: str = "full_tree", seed
 
     Returns (points array, empirical Measure1D of the points).
     """
+    import numpy as np
+
     a, b, c = (float(v) for v in p)
     if not all(math.isfinite(v) for v in (a, b, c)):
         raise ValueError("polynomial coefficients must be finite")
@@ -403,6 +510,8 @@ def preimages(p: Sequence[float], w: np.ndarray, domain: str = "real") -> np.nda
     rows (plus, minus) of one array: (-b +- sqrt(b^2 - 4 a (c - w))) / (2 a).
     In real mode a negative discriminant raises; ``domain='complex'`` takes
     complex square roots."""
+    import numpy as np
+
     a, b, c = p
     disc = np.subtract(c, w)
     np.multiply(4.0 * a, disc, out=disc)
@@ -422,6 +531,8 @@ def preimages(p: Sequence[float], w: np.ndarray, domain: str = "real") -> np.nda
 def preimage_levels(p: Sequence[float], start, n: int, domain: str = "real"):
     """The preimage sets of ``start`` under ``p`` at depths 1..n, by
     ``preimages``: one array per depth, its plus branch first."""
+    import numpy as np
+
     pts = np.array([start])
     for _ in range(n):
         pts = preimages(p, pts, domain).reshape(-1)
@@ -467,12 +578,25 @@ def lamplighter_unborn_mass(n: int) -> Fraction:
     return 1 - sum(Fraction(phi(q), 2 ** q - 1) for q in range(2, n + 2))
 
 
+def _least_squares_line(xs: Sequence[float], ys: Sequence[float]) -> tuple:
+    """(slope, intercept) of the least-squares line through the points
+    (x, y): exact in ``Fraction`` from the given floats, each rounded once
+    to the nearest float.  The xs must not all be equal."""
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+             / sum((x - x_mean) ** 2 for x in xs))
+    return float(slope), float(y_mean - slope * x_mean)
+
+
 def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
     """Distances of the level measures to the best available limit.
 
     grigorchuk compares against the closed-form law (Kolmogorov); the other
     two compare against the largest computed level (1-Wasserstein).  A
-    log-linear fit of the distances gives the observed decay rate.  Each
+    log-linear fit of the distances gives the observed decay rate: the
+    least-squares line through the points (n, log d_n), computed exactly from
+    those floats and rounded once (``_least_squares_line``).  Each
     lamplighter and hanoi row carries the exact ``unborn_mass`` of its level
     (``lamplighter_unborn_mass``, ``hanoi_unborn_mass``) as a fraction
     string, and the target names that mass rate.  For hanoi the fitted W1
@@ -483,8 +607,8 @@ def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
     ratios.
     """
     levels = sorted(n_range)
-    if len(levels) < 3:
-        raise ValueError("need at least 3 levels to fit a rate")
+    if len(set(levels)) < 3:
+        raise ValueError("need at least 3 distinct levels to fit a rate")
     rows = []
     if group_tag == "grigorchuk":
         for n in levels:
@@ -498,10 +622,10 @@ def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
         reference = measures[ref_level]
         for n in below:
             here, after = measures[n], measures[n + 1]
-            d = cdf_distance(here, reference, "wasserstein1")
+            d = cdf_distance(here, reference)
             row = {"level": n, "distance": d, "metric": "wasserstein1"}
             row["tv_to_next"] = tv_distance(here, after)
-            row["w1_to_next"] = cdf_distance(here, after, "wasserstein1")
+            row["w1_to_next"] = cdf_distance(here, after)
             unborn = hanoi_unborn_mass if group_tag == "hanoi" else lamplighter_unborn_mass
             row["unborn_mass"] = str(unborn(n))
             rows.append(row)
@@ -510,15 +634,15 @@ def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
                   "(1/3)^n W1 drift; (2/3)^n mass rate in tv_to_next")
     else:
         raise ValueError(f"unknown group tag '{group_tag}'")
-    xs = np.array([r["level"] for r in rows], dtype=float)
-    ds = np.array([max(r["distance"], 1e-300) for r in rows])
-    slope, intercept = np.polyfit(xs, np.log(ds), 1)
-    ratios = [float(ds[i + 1] / ds[i]) for i in range(len(ds) - 1)]
+    ds = [max(r["distance"], 1e-300) for r in rows]
+    slope, intercept = _least_squares_line([r["level"] for r in rows],
+                                           [math.log(d) for d in ds])
+    ratios = [ds[i + 1] / ds[i] for i in range(len(ds) - 1)]
     return {
         "group": group_tag,
         "rows": rows,
-        "fitted_rate_per_level": float(math.exp(slope)),
-        "log_intercept": float(intercept),
+        "fitted_rate_per_level": math.exp(slope),
+        "log_intercept": intercept,
         "successive_ratios": ratios,
         "target": target,
     }

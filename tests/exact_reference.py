@@ -7,7 +7,8 @@ with one scale each and must return the same pivots.  ``densify``
 turns ``pencils.assemble``'s rows of nonzeros into the dense matrix.
 ``det_symbolic`` expands polynomial determinants by cofactors, ``schur_complement`` splits a
 rational matrix into blocks, ``slice_matrix`` is the sliced pencil as a
-dense float matrix for the eigensolver, and ``compose`` and
+dense float matrix for the eigensolver, ``decimated_spectrum_numpy`` is
+the array form of the spectral decimation, and ``compose`` and
 ``eval_binary_form`` compose rational maps and evaluate binary forms
 directly.
 
@@ -31,6 +32,7 @@ the package's telescoping loop at given points, after the exact factor test
 on a rational scalar point.
 """
 
+import math
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -43,7 +45,14 @@ from spectral_renorm.ratmaps.maps import RationalMapP2, _normalize_triple
 from spectral_renorm.ratmaps import modp
 from spectral_renorm.ratmaps.poly import MultiPoly
 from spectral_renorm.ratmaps.potential import NEG_INF, _forms, _on_factor_zero, _telescope
-from spectral_renorm.spectra import slice_point
+from spectral_renorm.spectra import (
+    _CHEBYSHEV,
+    _HANOI_FIBER,
+    _grig_born,
+    _hanoi_born,
+    preimages,
+    slice_point,
+)
 
 
 def bareiss_det_int(rows: list) -> int:
@@ -181,6 +190,47 @@ def slice_matrix(group_tag: str, n: int, grig_slice: float = -1.0) -> np.ndarray
         if coeff:
             np.add.at(m, (np.asarray(rows), cols), float(coeff))
     return m
+
+
+def decimated_spectrum_numpy(group_tag: str, n: int, grig_slice: float = -1.0) -> tuple:
+    """``spectra.decimated_spectrum`` as numpy arrays, by the array form it
+    replaced: every level's preimages by ``spectra.preimages`` in the
+    order (plus, minus, born), one stable argsort at the end, and equal
+    points merged into the first of their run with ``np.add.reduceat``."""
+    lam, _ = slice_point(group_tag, grig_slice)
+
+    def decimate(fiber, terminal, born):
+        pts, mults = np.zeros(0), np.zeros(0, dtype=np.int64)
+        for k in range(1, n + 1):
+            lift = ~np.isin(pts, terminal)
+            new = [(p, m) for p, m in born(k) if m]
+            pts = np.concatenate([*preimages(fiber, pts[lift]), [p for p, _ in new]])
+            mults = np.concatenate([np.tile(mults[lift], 2),
+                                    np.array([m for _, m in new], dtype=np.int64)])
+        return pts, mults
+
+    if group_tag == "hanoi":
+        pts, mults = decimate(_HANOI_FIBER, (3.0,), _hanoi_born)
+    elif group_tag == "grigorchuk":
+        theta, mults = decimate(_CHEBYSHEV, (-1.0, 1.0), _grig_born)
+        inner = np.abs(theta) != 1.0
+        root = np.sqrt(4.0 + lam * lam - 4.0 * lam * theta[inner])
+        pts = np.concatenate([root, -root, 2.0 - lam * theta[~inner]])
+        mults = np.concatenate([mults[inner], mults[inner], mults[~inner]])
+    else:
+        pts, mults = [4.0], [1]
+        for q in range(2, n + 2):
+            mult = ((n + 1) % q == 0) + sum(2 ** (n - 1 - j) for j in range(q - 1, n, q))
+            for p in range(1, q):
+                if gcd(p, q) == 1:
+                    x = 4.0 * math.sin(math.pi * (q - 2 * p) / (2 * q))
+                    pts.append(float(round(x)) if q <= 3 else x)
+                    mults.append(mult)
+        pts, mults = np.array(pts), np.array(mults, dtype=np.int64)
+    order = np.argsort(pts, kind="stable")
+    pts, mults = pts[order], mults[order]
+    starts = np.flatnonzero(np.concatenate(([len(pts) > 0], np.diff(pts) != 0)))
+    return pts[starts], np.add.reduceat(mults, starts)
 
 
 def compose(outer: RationalMapP2, inner: RationalMapP2) -> RationalMapP2:

@@ -191,7 +191,7 @@ def test_criterion_7_hanoi_atomicity_and_cantor_accumulation():
     # W1 between consecutive levels is the first-moment drift: trace 3 puts
     # the mean of mu_n at 3^(1-n), and mu_(n+1) lies stochastically below mu_n
     trace_ok = all(np.trace(slice_matrix("hanoi", n)) == 3 for n in range(1, 8))
-    w1 = {n: cdf_distance(ms[n], ms[n + 1], "wasserstein1") for n in range(3, 7)}
+    w1 = {n: cdf_distance(ms[n], ms[n + 1]) for n in range(3, 7)}
     w1_ok = all(math.isclose(w1[n], 2 * 3.0 ** (-n), rel_tol=1e-9) for n in w1)
     ratios = [w1[n] / w1[n - 1] for n in (4, 5, 6)]
     elapsed = time.time() - t0

@@ -255,6 +255,26 @@ def test_the_exact_subcommands_load_no_numpy(tmp_path):
     assert proc.stdout.split("\n") == ["0 False"] * len(runs) + [""]
 
 
+def test_the_level_measure_subcommands_load_no_numpy(tmp_path):
+    """``spectrum`` and ``dos-compare`` at the default --format run without
+    numpy; the svg plots import it, and a run that asks for them still
+    writes both spectrum plots."""
+    runs = [["spectrum", "--group", g, "--level", "5"] for g in cli.GROUPS]
+    runs += [["spectrum", "--group", "grigorchuk", "--level", "6", "--grig-slice", "0.37"]]
+    runs += [["dos-compare", "--group", g] for g in cli.GROUPS]
+    svg = ["spectrum", "--group", "hanoi", "--level", "4", "--format", "csv,json,svg"]
+    script = ("import json, sys\n"
+              "from spectral_renorm.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    print(main(argv + ['--out', sys.argv[2]]), 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs + [svg]), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["0 False"] * len(runs) + ["0 True", ""]
+    for plot in ("spectrum_hanoi_n4_cdf.svg", "spectrum_hanoi_n4_hist.svg"):
+        assert (tmp_path / plot).read_text().startswith("<svg")
+
+
 def test_hanoi_spectrum_rows_carry_exact_multiplicities(tmp_path):
     assert run_cli(["spectrum", "--group", "hanoi", "--level", "4"], tmp_path) == 0
     rows = [r.split(",") for r in

@@ -331,7 +331,7 @@ def test_skew_cantor_matches_the_reference_loop_bit_for_bit(eta0, n):
     assert r["measure"] == measure
     assert r["line_points"] == [(float(e), float(0.7 + 0.4 * e)) for e in pts[:64]]
     _, reference = julia_backward((1, -1, -3), 12)
-    assert r["w1_to_balanced"] == cdf_distance(measure, reference, "wasserstein1")
+    assert r["w1_to_balanced"] == cdf_distance(measure, reference)
 
 
 @pytest.mark.parametrize("model,seed_point,n", [
@@ -353,7 +353,7 @@ def test_backward_series_match_the_reference_loops(model, seed_point, n):
                     for pts in levels]
     else:
         _, reference = julia_backward(CANTOR_BASE, 12)
-        expected = [cdf_distance(Measure1D.from_samples(pts), reference, "wasserstein1")
+        expected = [cdf_distance(Measure1D.from_samples(pts), reference)
                     for pts in levels]
     assert [row["distance"] for row in series] == expected
     assert [row["depth"] for row in series] == list(range(1, n + 1))

@@ -11,14 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import densify, slice_matrix
+from exact_reference import decimated_spectrum_numpy, densify, slice_matrix
 from spectral_renorm.cli import BUDGETS, main
 from spectral_renorm.pencils import assemble, builtin_scheme
 from spectral_renorm.spectra import (
+    _CHEBYSHEV,
+    _HANOI_FIBER,
     DECIMATION_MAX_LEVEL,
     JULIA_WALKS,
     Measure1D,
+    _lift,
     _merge_equal,
+    _pairwise_sum,
     cdf_distance,
     convergence_report,
     decimated_spectrum,
@@ -159,17 +163,68 @@ def test_measure_invariants():
 
 def test_cdf_distance_examples():
     m = dos("grigorchuk", 3).measure
-    assert cdf_distance(m, m, "wasserstein1") == 0.0
+    assert cdf_distance(m, m) == 0.0
     d0 = Measure1D(points=(0.0,), weights=(1.0,))
     d1 = Measure1D(points=(1.0,), weights=(1.0,))
-    assert abs(cdf_distance(d0, d1, "wasserstein1") - 1.0) < 1e-15
+    assert abs(cdf_distance(d0, d1) - 1.0) < 1e-15
     with pytest.raises(ValueError):
-        cdf_distance(d0, Measure1D(points=(0.0,), weights=(0.5,)), "wasserstein1")
-    for other in ("nope", "kolmogorov"):
-        with pytest.raises(ValueError):
-            cdf_distance(d0, d1, other)
-    with pytest.raises(TypeError):  # the metric has no default
-        cdf_distance(d0, d1)
+        cdf_distance(d0, Measure1D(points=(0.0,), weights=(0.5,)))
+    with pytest.raises(TypeError):  # 1-Wasserstein is the only metric: no argument names it
+        cdf_distance(d0, d1, "wasserstein1")
+
+
+def test_pairwise_sum_is_numpys_sum_bit_for_bit():
+    """``_pairwise_sum`` adds in numpy's order, so the W1 terms sum to the
+    bits ``np.sum`` gave them: every length up to 300 (across the 8-term and
+    128-term thresholds) and seeded lengths up to 20,000, with signed zeros,
+    subnormals and magnitudes from 1e-300 to 1e300."""
+    rng = np.random.default_rng(20)
+    lengths = [*range(301), *rng.integers(301, 20_001, size=30).tolist(), 20_000]
+    for length in lengths:
+        arr = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 301, size=length)
+        special = rng.integers(0, 8, size=length)
+        arr[special == 0] = 0.0
+        arr[special == 1] = -0.0
+        arr[special == 2] = rng.integers(-9, 10, size=(special == 2).sum()) * 5e-324
+        got = _pairwise_sum(arr.tolist())
+        assert _bits([got]) == _bits([float(np.sum(arr))]), length
+        # with one sign, no large term cancels and the order shows in the last bits
+        mags = np.abs(arr) * (rng.random(length) < 0.5) + rng.random(length)
+        assert _bits([_pairwise_sum(mags.tolist())]) == _bits([float(np.sum(mags))]), length
+
+
+@pytest.mark.parametrize("fiber", [_HANOI_FIBER, _CHEBYSHEV, (0.7, 0.3, -2.5)],
+                         ids=["hanoi", "chebyshev", "other"])
+def test_the_decimation_step_is_preimages_bit_for_bit(fiber):
+    """``_lift``, the inverse-branch step of the decimation, gives the
+    values of ``preimages`` at ascending points: the minus branch reversed,
+    then the plus branch, in ascending order."""
+    a, b, c = fiber
+    rng = np.random.default_rng(7)
+    low = c - b * b / (4.0 * a)  # the critical value: the real preimages start there
+    ws = np.sort(np.concatenate([low + rng.random(2000) * 6.0, [low, 0.0, -0.0, 3.0]]))
+    ws = ws[ws >= low]
+    plus, minus = preimages(fiber, ws)
+    got = _lift(fiber, ws.tolist())
+    assert _bits(got) == _bits(np.concatenate([minus[::-1], plus]))
+    assert all(x <= y for x, y in zip(got, got[1:]))
+
+
+@pytest.mark.parametrize("group_tag,grig_slice", [
+    pytest.param("hanoi", -1.0, id="hanoi"),
+    pytest.param("lamplighter", -1.0, id="lamplighter"),
+    *(pytest.param("grigorchuk", lam, id=f"grigorchuk-lam{lam}") for lam in (-1.0, 1.0, 0.37, 0.0)),
+])
+def test_decimated_spectrum_is_the_array_form_bit_for_bit(group_tag, grig_slice):
+    """The lists of ``decimated_spectrum`` hold the points of the array form
+    it replaced, bit for bit (so -0.0 is not 0.0), with the same
+    multiplicities, at every level."""
+    for n in range(1, DECIMATION_MAX_LEVEL + 1):
+        points, mults = decimated_spectrum(group_tag, n, grig_slice)
+        ref_points, ref_mults = decimated_spectrum_numpy(group_tag, n, grig_slice)
+        assert np.array_equal(np.asarray(points, dtype=float).view(np.int64),
+                              ref_points.view(np.int64)), n
+        assert mults == ref_mults.tolist(), n
 
 
 def test_grigorchuk_kolmogorov_monotone_improvement():
@@ -311,6 +366,29 @@ def test_convergence_report_structure():
     assert rep["target"] == "(1/3)^n W1 drift; (2/3)^n mass rate in tv_to_next"
     with pytest.raises(ValueError):
         convergence_report("grigorchuk", [4, 5])
+    with pytest.raises(ValueError):  # one level below the reference: no line to fit
+        convergence_report("hanoi", [4, 4, 5])
+
+
+@pytest.mark.parametrize("group_tag,levels", [("grigorchuk", range(4, 12)),
+                                              ("lamplighter", range(4, 13)),
+                                              ("hanoi", range(3, 8))])
+def test_the_fit_is_the_exact_least_squares_line_rounded_once(group_tag, levels):
+    """The decay rate fits (n, log d_n) by least squares exactly: the normal
+    equations solved by Cramer's rule over ``Fraction``, each of slope and
+    intercept rounded once, give its bits; ``np.polyfit`` agrees to a few ulps."""
+    rep = convergence_report(group_tag, levels)
+    xs = [Fraction(r["level"]) for r in rep["rows"]]
+    ys = [Fraction(math.log(max(r["distance"], 1e-300))) for r in rep["rows"]]
+    sx, sy, sxx = sum(xs), sum(ys), sum(x * x for x in xs)
+    sxy = sum(x * y for x, y in zip(xs, ys))
+    det = len(xs) * sxx - sx * sx
+    slope, intercept = (len(xs) * sxy - sx * sy) / det, (sxx * sy - sx * sxy) / det
+    assert rep["fitted_rate_per_level"] == math.exp(float(slope))
+    assert rep["log_intercept"] == float(intercept)
+    np_slope, np_intercept = np.polyfit([float(x) for x in xs], [float(y) for y in ys], 1)
+    assert math.isclose(rep["fitted_rate_per_level"], math.exp(np_slope), rel_tol=1e-14)
+    assert abs(rep["log_intercept"] - np_intercept) <= 1e-14 * (1.0 + abs(np_intercept))
 
 
 @pytest.mark.parametrize("group_tag,levels", [("hanoi", range(3, 8)),
@@ -400,7 +478,7 @@ def test_from_samples_merges_equal_values_like_the_reference_loop(distinct, data
     pts, sums = _merge_equal(np.asarray(values)[order], np.asarray(weights)[order])
     ref_pts, ref_sums = _reference_from_samples(values, weights)
     assert _bits(pts) == _bits(ref_pts)
-    assert sums.tolist() == ref_sums
+    assert np.asarray(sums).tolist() == ref_sums
     # a value seen k times among N has weight k/N
     got = Measure1D.from_samples(values)
     ref_pts, ref_counts = _reference_from_samples(values, np.ones(len(values), dtype=int))
@@ -510,7 +588,7 @@ def _lamplighter_closed_form(n):
 ])
 def test_decimated_spectrum_closed_forms(group_tag, d, top, closed_form):
     for n in range(1, top + 1):
-        points, mults = decimated_spectrum(group_tag, n)
+        points, mults = map(np.asarray, decimated_spectrum(group_tag, n))
         assert np.all(np.diff(points) > 0)
         assert int(mults.sum()) == d ** n
         expected = closed_form(n)
@@ -592,7 +670,7 @@ def test_hanoi_unborn_mass_is_the_exact_two_thirds_rate():
 def test_lamplighter_unborn_mass_is_the_mass_of_the_missing_atoms():
     assert lamplighter_unborn_mass(1) == Fraction(2, 3)
     for n in range(1, 14):
-        points, _ = decimated_spectrum("lamplighter", n)
+        points = np.asarray(decimated_spectrum("lamplighter", n)[0])
         present = Fraction(0)
         for x in points[points != 4.0]:
             # x = 4 cos(pi p/q) with p/q in lowest terms, q <= n + 1
