@@ -17,9 +17,12 @@ from spectral_renorm.pencils import assemble, builtin_scheme
 from spectral_renorm.spectra import (
     _CHEBYSHEV,
     _HANOI_FIBER,
+    CDF_ARRAY_MIN_ATOMS,
     DECIMATION_MAX_LEVEL,
     JULIA_WALKS,
     Measure1D,
+    _cdf_distance_arrays,
+    _cdf_distance_loop,
     _lift,
     _merge_equal,
     _pairwise_sum,
@@ -191,6 +194,38 @@ def test_pairwise_sum_is_numpys_sum_bit_for_bit():
         # with one sign, no large term cancels and the order shows in the last bits
         mags = np.abs(arr) * (rng.random(length) < 0.5) + rng.random(length)
         assert _bits([_pairwise_sum(mags.tolist())]) == _bits([float(np.sum(mags))]), length
+
+
+def _random_measure(rng, points):
+    weights = rng.random(len(points)) * 10.0 ** rng.integers(-9, 4, size=len(points))
+    return Measure1D(points=tuple(points.tolist()),
+                     weights=tuple((weights / weights.sum()).tolist()))
+
+
+def test_cdf_distance_gives_the_same_bits_on_lists_and_on_arrays(monkeypatch):
+    """The list loop and the numpy form of ``cdf_distance`` agree bit for bit
+    on seeded measures from 1 atom to past ``CDF_ARRAY_MIN_ATOMS``, with
+    shared atoms and a 0.0 of one measure against a -0.0 of the other, and
+    the size of the two measures picks the form."""
+    from spectral_renorm import spectra
+
+    rng = np.random.default_rng(41)
+    sizes = [*range(1, 12), *rng.integers(12, 3000, size=25).tolist(), 2047, 2048, 3000]
+    for size in sizes:
+        grid = np.unique(np.append(np.round(rng.standard_normal(2 * size) * 400.0, 1), 0.0))
+        shared = (rng.random(len(grid)) < 0.3) | (grid == 0.0)
+        first = shared | (rng.random(len(grid)) < 0.5)
+        points1, points2 = grid[first], grid[shared | ~first]
+        points2[points2 == 0.0] = -0.0
+        m1, m2 = _random_measure(rng, points1), _random_measure(rng, points2)
+        loop = _cdf_distance_loop(m1, m2)
+        assert _bits([loop]) == _bits([_cdf_distance_arrays(m1, m2)]), size
+        assert _bits([cdf_distance(m1, m2)]) == _bits([loop]), size
+    monkeypatch.setattr(spectra, "_cdf_distance_arrays", lambda m1, m2: "arrays")
+    half = CDF_ARRAY_MIN_ATOMS // 2
+    for n2, form in [(CDF_ARRAY_MIN_ATOMS - half, "arrays"), (CDF_ARRAY_MIN_ATOMS - half - 1, "loop")]:
+        m1, m2 = (_random_measure(rng, np.arange(n, dtype=float)) for n in (half, n2))
+        assert (cdf_distance(m1, m2) == "arrays") == (form == "arrays"), n2
 
 
 @pytest.mark.parametrize("fiber", [_HANOI_FIBER, _CHEBYSHEV, (0.7, 0.3, -2.5)],
