@@ -411,22 +411,23 @@ def cmd_spectrum(args) -> tuple[int, dict]:
 
     result = spectra.dos(args.group, args.level, args.grig_slice)
     m = result.measure
+    weights = m.weights
     stem = f"spectrum_{args.group}_n{args.level}"
     title = f"{args.group} level {args.level}"
     return 0, {
         f"{stem}.csv": (["level", "eigenvalue", "multiplicity"],
-                        [[args.level] * len(m.points), m.points, result.multiplicities]),
+                        [[args.level] * len(m.points), m.points, m.counts]),
         f"{stem}.json": {
             "group": result.group,
             "level": result.level,
             "slice": result.slice_descriptor,
-            "mass": m.mass,
-            "atoms": [{"center": c, "mass": w} for c, w in zip(m.points, m.weights)],
+            "mass": sum(weights),
+            "atoms": [{"center": c, "mass": w} for c, w in zip(m.points, weights)],
         },
         f"{stem}_cdf.svg": lambda path: output.svg_cdf(
-            path, m.points, m.weights, title=f"{title} spectral CDF"),
+            path, m.points, weights, title=f"{title} spectral CDF"),
         f"{stem}_hist.svg": lambda path: output.svg_histogram(
-            path, [p for p, k in zip(m.points, result.multiplicities) for _ in range(k)],
+            path, [p for p, k in zip(m.points, m.counts) for _ in range(k)],
             title=f"{title} spectrum"),
     }
 

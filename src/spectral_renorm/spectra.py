@@ -21,13 +21,15 @@ against the eigenvalues of the sliced pencil built as a dense matrix.
 The grigorchuk limit law is the slice of an explicit family of hyperbolas
 weighted by the Chebyshev equilibrium measure; it has a closed-form CDF.
 
-The level measures are pure Python: ``decimated_spectrum``, ``dos``, the
-distances and ``convergence_report`` hold lists of floats and ints, so
-``spectrum`` and ``dos-compare`` run without numpy.  The decimation needs no
-sort: each fiber polynomial has a positive leading coefficient and IEEE
-rounding is monotone, so over ascending w the minus branch of the preimage
-is non-increasing, the plus branch non-decreasing, and every minus value
-lies at or below every plus value.  Its atoms come out ascending, and each
+The level measures are pure Python lists of floats and integer counts: an
+atom's mass is its count over the level's total d^n, divided where it is
+read.  ``decimated_spectrum`` yields the levels 1..n from one decimation
+pass, which ``dos`` and ``convergence_report`` read, so ``spectrum`` and
+``dos-compare`` run without numpy.  The decimation needs no sort: each
+fiber polynomial has a positive leading coefficient and IEEE rounding is
+monotone, so over ascending w the minus branch of the preimage is
+non-increasing, the plus branch non-decreasing, and every minus value lies
+at or below every plus value.  Its atoms come out ascending, and each
 level's few born atoms go in by bisection.  The backward orbits
 (``preimages``, ``preimage_levels``, ``julia_backward``) and the empirical
 measures of samples take numpy arrays and import numpy when they run, and
@@ -39,71 +41,70 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from operator import add, truediv
+from operator import add
 from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
 class Measure1D:
-    """Finite atomic measure on the line: sorted points, positive weights."""
+    """Finite atomic probability measure on the line: strictly increasing
+    points with positive integer counts.  An atom's mass is its count over
+    ``total``, divided where it is read (``weights``), so the masses sum to 1."""
 
     points: tuple
-    weights: tuple
+    counts: tuple
 
     def __post_init__(self):
-        if len(self.points) != len(self.weights):
-            raise ValueError("points and weights differ in length")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
+        if len(self.points) != len(self.counts):
+            raise ValueError("points and counts differ in length")
+        if any(type(c) is not int or c <= 0 for c in self.counts):
+            raise ValueError("counts must be positive integers")
         if any(a >= b for a, b in zip(self.points, self.points[1:])):
             raise ValueError("points must be strictly increasing")
 
     @classmethod
     def from_samples(cls, values: Sequence[float]):
         """The empirical measure of unsorted, possibly repeated values: a value
-        seen k times among N has weight k/N."""
+        seen k times has count k."""
         import numpy as np
 
         vals = np.sort(np.asarray(values, dtype=float), kind="stable")
         # each run of equal values is one point, the first of its run
         starts = np.flatnonzero(np.concatenate(([len(vals) > 0], np.diff(vals) != 0)))
         counts = np.diff(starts, append=len(vals))
-        return cls(points=tuple(vals[starts].tolist()),
-                   weights=tuple((counts / len(vals)).tolist()))
+        return cls(points=tuple(vals[starts].tolist()), counts=tuple(counts.tolist()))
 
     @property
-    def mass(self) -> float:
-        return float(sum(self.weights))
+    def total(self) -> int:
+        return sum(self.counts)
 
-    def __len__(self):
-        return len(self.points)
+    @property
+    def weights(self) -> tuple:
+        total = self.total
+        return tuple(c / total for c in self.counts)
 
     def cdf_array(self, xs: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        pts = np.asarray(self.points)
-        cum = np.cumsum(self.weights)
-        idx = np.searchsorted(pts, xs, side="right")
-        out = np.zeros_like(np.asarray(xs, dtype=float))
-        mask = idx > 0
-        out[mask] = cum[idx[mask] - 1]
-        return out
+        # every count is below 2^53, so each quotient is the float c / total
+        cum = np.cumsum(np.asarray(self.counts, dtype=np.int64) / self.total)
+        return np.concatenate(([0.0], cum))[np.searchsorted(self.points, xs, side="right")]
 
 
 @dataclass(frozen=True)
 class DOSResult:
     """Density of states at one level: ``measure`` has one atom per distinct
-    eigenvalue, weighted by its integer multiplicity over d^n."""
+    eigenvalue, counted with its integer multiplicity, of total d^n."""
 
     group: str
     level: int
     slice_descriptor: str
     measure: Measure1D
-    multiplicities: tuple
 
 
 # |lam| bound of the grigorchuk slice: its atoms are +-sqrt(4 + lam^2 - 4 lam theta)
@@ -167,18 +168,19 @@ def _insert(pts: list, mults: list, atoms) -> None:
 
 
 def _decimate(fiber: tuple, terminal: tuple, born: Callable[[int], tuple], n: int):
-    """Atoms of level n, ascending: level k is the preimage under ``fiber``
-    of level k-1's atoms outside ``terminal``, each preimage inheriting its
-    parent's multiplicity, plus the atoms ``born(k)`` of nonzero
-    multiplicity."""
+    """Yields the atoms of levels 1..n, each ascending, as (points,
+    multiplicities): level k is the preimage under ``fiber`` of level k-1's
+    atoms outside ``terminal``, each preimage inheriting its parent's
+    multiplicity, plus the atoms ``born(k)`` of nonzero multiplicity.  A
+    yielded level is not changed afterwards."""
     pts, mults = [], []
     for k in range(1, n + 1):
         for t in terminal:
             lo, hi = bisect_left(pts, t), bisect_right(pts, t)
-            del pts[lo:hi], mults[lo:hi]
+            pts, mults = pts[:lo] + pts[hi:], mults[:lo] + mults[hi:]
         pts, mults = _lift(fiber, pts), mults[::-1] + mults
         _insert(pts, mults, [(p, m) for p, m in born(k) if m])
-    return pts, mults
+        yield pts, mults
 
 
 def _lamplighter_atoms(n: int) -> tuple:
@@ -198,21 +200,21 @@ def _lamplighter_atoms(n: int) -> tuple:
     return [p for p, _ in atoms], [m for _, m in atoms]
 
 
-def decimated_spectrum(group_tag: str, n: int, grig_slice: float = -1.0) -> tuple:
-    """Eigenvalues of the level-n slice, from the renormalization.
+def decimated_spectrum(group_tag: str, n: int, grig_slice: float = -1.0):
+    """Eigenvalues of the level-k slices for k = 1..n, from one pass of the
+    renormalization.
 
-    Returns (points, multiplicities): lists of the distinct eigenvalues in
-    increasing order and their exact integer multiplicities, which sum to
-    d^n.  The
-    slice is ``slice_point``'s: hanoi a + b + c (mu = 1), lamplighter
-    a + a^-1 + b + b^-1 (mu = 0), grigorchuk a + b + c + d - 1 at
-    lam = ``grig_slice``.  No matrix is built.
+    Yields (points, multiplicities) for each level in turn: lists of the
+    distinct eigenvalues in increasing order and their exact integer
+    multiplicities, which sum to d^k.  The slice is ``slice_point``'s: hanoi
+    a + b + c (mu = 1), lamplighter a + a^-1 + b + b^-1 (mu = 0), grigorchuk
+    a + b + c + d - 1 at lam = ``grig_slice``.  No matrix is built.
 
     hanoi and grigorchuk are spectral decimation: positions are backward
-    orbits under the fiber polynomial, by ``preimages``, the inverse-branch
-    step of every backward orbit.  Level n is the preimage of level n-1's
-    lifted atoms, each preimage inheriting its parent's multiplicity, plus
-    the exceptional atoms born at level n.
+    orbits under the fiber polynomial, by ``_lift``, both inverse branches at
+    ascending points.  Level n is the preimage of level n-1's lifted atoms,
+    each preimage inheriting its parent's multiplicity, plus the exceptional
+    atoms born at level n, so each level is lifted once and read as it comes.
 
     hanoi: the fiber polynomial is f(z) = z^2 - z - 3 (the semiconjugacy
     pi1 o R_H = f o pi1, with pi1 = f on the slice mu = 1).  The fixed point 3
@@ -264,33 +266,34 @@ def decimated_spectrum(group_tag: str, n: int, grig_slice: float = -1.0) -> tupl
     as 4 sin(pi (q - 2p)/(2q)), and the rational ones (q <= 3: 0 and +-2)
     exactly.
 
-    The tests check the closed forms above against the eigenvalues of the
-    sliced pencil built as a dense matrix.  ``n`` is at most
-    ``DECIMATION_MAX_LEVEL``.
+    The tests check these closed forms against the eigenvalues of the sliced
+    pencil as a dense matrix.  ``n`` is at most ``DECIMATION_MAX_LEVEL``.
     """
     if not 1 <= n <= DECIMATION_MAX_LEVEL:
         raise ValueError(f"decimation level {n} outside 1..{DECIMATION_MAX_LEVEL}")
     lam, _ = slice_point(group_tag, grig_slice)  # refuses a bad tag or slice
     if group_tag == "hanoi":
-        pts, mults = _decimate(_HANOI_FIBER, (3.0,), _hanoi_born, n)
+        for pts, mults in _decimate(_HANOI_FIBER, (3.0,), _hanoi_born, n):
+            yield _merge_equal(pts, mults)
     elif group_tag == "grigorchuk":
-        theta, mults = _decimate(_CHEBYSHEV, (-1.0, 1.0), _grig_born, n)
-        # every theta lies in [-1, 1], so the atoms +-1 sit at the two ends
-        lo, hi = bisect_right(theta, -1.0), bisect_left(theta, 1.0)
-        line = [(2.0 - lam * t, m) for t, m in zip(theta[:lo] + theta[hi:],
-                                                   mults[:lo] + mults[hi:])]
-        # 4 + lam^2 - 4 lam theta moves against theta for lam > 0 and with it
-        # for lam < 0, and monotone rounding keeps that order
-        sqrt, inner = math.sqrt, mults[lo:hi]
-        roots = [sqrt(4.0 + lam * lam - 4.0 * lam * t) for t in theta[lo:hi]]
-        if lam > 0:
-            roots.reverse()
-            inner.reverse()
-        pts, mults = [-r for r in reversed(roots)] + roots, inner[::-1] + inner
-        _insert(pts, mults, line)
+        for theta, mults in _decimate(_CHEBYSHEV, (-1.0, 1.0), _grig_born, n):
+            # every theta lies in [-1, 1], so the atoms +-1 sit at the two ends
+            lo, hi = bisect_right(theta, -1.0), bisect_left(theta, 1.0)
+            line = [(2.0 - lam * t, m) for t, m in zip(theta[:lo] + theta[hi:],
+                                                       mults[:lo] + mults[hi:])]
+            # 4 + lam^2 - 4 lam theta moves against theta for lam > 0 and with
+            # it for lam < 0, and monotone rounding keeps that order
+            sqrt, inner = math.sqrt, mults[lo:hi]
+            roots = [sqrt(4.0 + lam * lam - 4.0 * lam * t) for t in theta[lo:hi]]
+            if lam > 0:
+                roots.reverse()
+                inner.reverse()
+            pts, counts = [-r for r in reversed(roots)] + roots, inner[::-1] + inner
+            _insert(pts, counts, line)
+            yield _merge_equal(pts, counts)
     else:
-        pts, mults = _lamplighter_atoms(n)
-    return _merge_equal(pts, mults)
+        for k in range(1, n + 1):
+            yield _merge_equal(*_lamplighter_atoms(k))
 
 
 def _merge_equal(pts: Sequence[float], counts: Sequence[int]) -> tuple:
@@ -308,27 +311,28 @@ def _merge_equal(pts: Sequence[float], counts: Sequence[int]) -> tuple:
     return merged_pts, merged_counts
 
 
+def _dos_measure(group_tag: str, vals: list, mults: list) -> Measure1D:
+    """The density of states of one level of ``decimated_spectrum``, on
+    grigorchuk's axis x = (mu + 1)/4."""
+    if group_tag == "grigorchuk":
+        # the axis change can round eigenvalues a few ulps apart to one point
+        vals, mults = _merge_equal([(v + 1.0) / 4.0 for v in vals], mults)
+    return Measure1D(points=tuple(vals), counts=tuple(mults))
+
+
 def dos(group_tag: str, n: int, grig_slice: float = -1.0) -> DOSResult:
-    """Density of states of the level-n Schreier graph slice, with the atoms
-    and multiplicities of ``decimated_spectrum``.
+    """Density of states of the level-n Schreier graph slice: the last level
+    of ``decimated_spectrum``, its atoms counted with their multiplicities.
 
     For the grigorchuk tag the returned measure lives on the transformed
     axis x = (mu + 1)/4; ``grig_slice`` selects the line lam = grig_slice
     (the determinant is even in lam, so -1 and +1 agree; both are exposed).
     """
-    vals, mults = decimated_spectrum(group_tag, n, grig_slice)
-    if group_tag == "grigorchuk":
-        # the axis change can round eigenvalues a few ulps apart to one point
-        vals, mults = _merge_equal([(v + 1.0) / 4.0 for v in vals], mults)
-        descriptor = f"lam={grig_slice:g}, x=(mu+1)/4"
-    elif group_tag == "lamplighter":
-        descriptor = "mu=0"
-    else:
-        descriptor = "mu=1"
-    size = sum(mults)
-    measure = Measure1D(points=tuple(vals), weights=tuple(map(truediv, mults, repeat(size))))
+    last = deque(decimated_spectrum(group_tag, n, grig_slice), maxlen=1).pop()
+    descriptor = {"grigorchuk": f"lam={grig_slice:g}, x=(mu+1)/4",
+                  "lamplighter": "mu=0"}.get(group_tag, "mu=1")
     return DOSResult(group=group_tag, level=n, slice_descriptor=descriptor,
-                     measure=measure, multiplicities=tuple(mults))
+                     measure=_dos_measure(group_tag, *last))
 
 
 def _pairwise(xs: Sequence[float], start: int, n: int) -> float:
@@ -359,25 +363,25 @@ def _pairwise_sum(xs: Sequence[float]) -> float:
 
 def _atoms_of_both(m1: Measure1D, m2: Measure1D):
     """The points of two measures in one ascending pass, each point once, as
-    (point, weight in m1, weight in m2), the weight 0.0 where a measure has
-    no atom; a point of both is matched by value."""
-    p1, w1, p2, w2 = m1.points, m1.weights, m2.points, m2.weights
+    (point, count in m1, count in m2), the count 0 where a measure has no
+    atom; a point of both is matched by value."""
+    p1, c1, p2, c2 = m1.points, m1.counts, m2.points, m2.counts
     n1, n2 = len(p1), len(p2)
     i = j = 0
     while i < n1 and j < n2:
         x, y = p1[i], p2[j]
         if x < y:
-            yield x, w1[i], 0.0
+            yield x, c1[i], 0
             i += 1
         elif y < x:
-            yield y, 0.0, w2[j]
+            yield y, 0, c2[j]
             j += 1
         else:
-            yield x, w1[i], w2[j]
+            yield x, c1[i], c2[j]
             i += 1
             j += 1
-    yield from zip(p1[i:], w1[i:], repeat(0.0))
-    yield from zip(p2[j:], repeat(0.0), w2[j:])
+    yield from zip(p1[i:], c1[i:], repeat(0))
+    yield from zip(p2[j:], repeat(0), c2[j:])
 
 
 # Atoms of both measures together from which ``cdf_distance`` runs on numpy
@@ -395,22 +399,22 @@ def cdf_distance(m1: Measure1D, m2: Measure1D) -> float:
     CDF accumulated atom by atom and the terms summed as ``_pairwise_sum``
     does.  From ``CDF_ARRAY_MIN_ATOMS`` atoms on, numpy does the same float
     operations on arrays (``_cdf_distance_arrays``); both give the same bits."""
-    if abs(m1.mass - 1.0) > 1e-9 or abs(m2.mass - 1.0) > 1e-9:
-        raise ValueError("both measures must have mass 1")
-    if len(m1) + len(m2) >= CDF_ARRAY_MIN_ATOMS:
+    if len(m1.points) + len(m2.points) >= CDF_ARRAY_MIN_ATOMS:
         return _cdf_distance_arrays(m1, m2)
     return _cdf_distance_loop(m1, m2)
 
 
 def _cdf_distance_loop(m1: Measure1D, m2: Measure1D) -> float:
     """The W1 sum of ``cdf_distance`` in one ascending pass over the atoms."""
+    t1, t2 = m1.total, m2.total
     atoms = _atoms_of_both(m1, m2)
-    last, f1, f2 = next(atoms)  # both CDFs at the first point
+    last, c1, c2 = next(atoms)  # both CDFs at the first point
+    f1, f2 = c1 / t1, c2 / t2
     terms = []
-    for p, w1, w2 in atoms:
+    for p, c1, c2 in atoms:
         terms.append(abs(f1 - f2) * (p - last))
-        f1 += w1
-        f2 += w2
+        f1 += c1 / t1
+        f2 += c2 / t2
         last = p
     return _pairwise_sum(terms)
 
@@ -427,27 +431,28 @@ def _cdf_distance_arrays(m1: Measure1D, m2: Measure1D) -> float:
 
 
 def tv_distance(m1: Measure1D, m2: Measure1D) -> float:
-    """Total-variation distance sup_A |m1(A) - m2(A)| of two atomic measures
-    of equal mass: half the sum of |m1 - m2| over their atoms in ascending
-    order, where an atom of both measures is one point, matched by value.
+    """Total-variation distance sup_A |m1(A) - m2(A)| of two probability
+    measures: half the sum of |m1 - m2| over their atoms in ascending order,
+    where an atom of both measures is one point, matched by value.
     This is the metric that tracks the mass of the defect measure between
     consecutive levels (1-Wasserstein also weights atom displacement).
     Matching by value is exact for the levels of ``dos``: level n + 1
     recomputes each atom of level n by the same float operations.
     """
+    t1, t2 = m1.total, m2.total
     total = 0.0
-    for _, w1, w2 in _atoms_of_both(m1, m2):
-        total += abs(w1 - w2)
+    for _, c1, c2 in _atoms_of_both(m1, m2):
+        total += abs(c1 / t1 - c2 / t2)
     return total / 2.0
 
 
 def kolmogorov_to_cdf(measure: Measure1D, cdf: Callable[[float], float]) -> float:
     """Sup-distance between an atomic measure and a continuous CDF."""
-    if abs(measure.mass - 1.0) > 1e-9:
-        raise ValueError("measure must have mass 1")
+    total = measure.total
     best = 0.0
     acc = 0.0
-    for p, w in zip(measure.points, measure.weights):
+    for p, c in zip(measure.points, measure.counts):
+        w = c / total
         f = cdf(p)
         best = max(best, abs(acc - f), abs(acc + w - f))
         acc += w
@@ -634,36 +639,30 @@ def convergence_report(group_tag: str, n_range: Sequence[int]) -> dict:
     3^(1-n) - 3^(1-N) to the reference level N (every slice has trace 3, so
     the mean of level n is 3^(1-n)).  The hanoi target names that (1/3)^n
     drift rate and the 2/3 mass rate, which shows in the ``tv_to_next``
-    ratios.
+    ratios.  Every level comes from one pass of ``decimated_spectrum`` up to
+    the largest level.
     """
     levels = sorted(n_range)
-    if len(set(levels)) < 3:
-        raise ValueError("need at least 3 distinct levels to fit a rate")
-    rows = []
+    if len(set(levels)) < 3 or levels[0] < 1:
+        raise ValueError("need at least 3 distinct levels, each at least 1, to fit a rate")
+    top = levels[-1]
+    below = [n for n in levels if n != top]
+    wanted = {*levels} if group_tag == "grigorchuk" else {*levels, *(n + 1 for n in below)}
+    measures = {n: _dos_measure(group_tag, *level) for n, level
+                in enumerate(decimated_spectrum(group_tag, top), 1) if n in wanted}
     if group_tag == "grigorchuk":
-        for n in levels:
-            d = kolmogorov_to_cdf(dos(group_tag, n).measure, grig_limit_cdf)
-            rows.append({"level": n, "distance": d, "metric": "kolmogorov"})
+        rows = [{"level": n, "distance": kolmogorov_to_cdf(measures[n], grig_limit_cdf),
+                 "metric": "kolmogorov"} for n in levels]
         target = "continuous limit law"
-    elif group_tag in ("lamplighter", "hanoi"):
-        ref_level = max(levels)
-        below = [n for n in levels if n != ref_level]
-        measures = {n: dos(group_tag, n).measure for n in {*levels, *(n + 1 for n in below)}}
-        reference = measures[ref_level]
-        for n in below:
-            here, after = measures[n], measures[n + 1]
-            d = cdf_distance(here, reference)
-            row = {"level": n, "distance": d, "metric": "wasserstein1"}
-            row["tv_to_next"] = tv_distance(here, after)
-            row["w1_to_next"] = cdf_distance(here, after)
-            unborn = hanoi_unborn_mass if group_tag == "hanoi" else lamplighter_unborn_mass
-            row["unborn_mass"] = str(unborn(n))
-            rows.append(row)
+    else:
+        unborn = hanoi_unborn_mass if group_tag == "hanoi" else lamplighter_unborn_mass
+        rows = [{"level": n, "distance": cdf_distance(measures[n], measures[top]),
+                 "metric": "wasserstein1", "tv_to_next": tv_distance(measures[n], measures[n + 1]),
+                 "w1_to_next": cdf_distance(measures[n], measures[n + 1]),
+                 "unborn_mass": str(unborn(n))} for n in below]
         target = ("unborn mass 1 - sum_(q=2)^(n+1) phi(q)/(2^q - 1)"
                   if group_tag == "lamplighter" else
                   "(1/3)^n W1 drift; (2/3)^n mass rate in tv_to_next")
-    else:
-        raise ValueError(f"unknown group tag '{group_tag}'")
     ds = [max(r["distance"], 1e-300) for r in rows]
     slope, intercept = _least_squares_line([r["level"] for r in rows],
                                            [math.log(d) for d in ds])

@@ -21,8 +21,10 @@ from spectral_renorm.spectra import (
     DECIMATION_MAX_LEVEL,
     JULIA_WALKS,
     Measure1D,
+    _atoms_of_both,
     _cdf_distance_arrays,
     _cdf_distance_loop,
+    _dos_measure,
     _lift,
     _merge_equal,
     _pairwise_sum,
@@ -75,9 +77,10 @@ def test_slice_matrix_is_the_pencil_at_the_slice_point(group_tag, levels, grig_s
 
 
 def test_dos_level_one_atoms():
-    assert dos("grigorchuk", 1).measure == Measure1D(points=(0.5, 1.0), weights=(0.5, 0.5))
-    assert dos("lamplighter", 1).measure == Measure1D(points=(0.0, 4.0), weights=(0.5, 0.5))
-    assert dos("hanoi", 1).measure == Measure1D(points=(0.0, 3.0), weights=(2 / 3, 1 / 3))
+    assert dos("grigorchuk", 1).measure == Measure1D(points=(0.5, 1.0), counts=(1, 1))
+    assert dos("lamplighter", 1).measure == Measure1D(points=(0.0, 4.0), counts=(1, 1))
+    assert dos("hanoi", 1).measure == Measure1D(points=(0.0, 3.0), counts=(2, 1))
+    assert dos("hanoi", 1).measure.weights == (2 / 3, 1 / 3)
 
 
 def test_dos_grigorchuk_level2_exact_atoms():
@@ -92,12 +95,10 @@ def test_dos_grigorchuk_level2_exact_atoms():
 def test_dos_counts_and_mass():
     for tag, d in (("grigorchuk", 2), ("lamplighter", 2), ("hanoi", 3)):
         for n in (1, 2, 3):
-            r = dos(tag, n)
-            assert abs(r.measure.mass - 1.0) < 1e-12
-            size = d ** n
-            mult = [round(w * size) for w in r.measure.weights]
-            assert sum(mult) == size
-            assert r.multiplicities == tuple(mult)
+            m = dos(tag, n).measure
+            assert abs(sum(m.weights) - 1.0) < 1e-12
+            assert m.total == d ** n
+            assert m.weights == tuple(c / d ** n for c in m.counts)
 
 
 def test_dos_budget_and_slice_flag(tmp_path):
@@ -119,59 +120,110 @@ def test_eigenvalue_bounds():
 @pytest.fixture(scope="module", params=["grigorchuk", "lamplighter", "hanoi"])
 def level_measures(request):
     """A group and its ``dos`` measures at levels 1..DECIMATION_MAX_LEVEL,
-    computed once per group."""
-    tag = request.param
-    return tag, [None] + [dos(tag, n).measure for n in range(1, DECIMATION_MAX_LEVEL + 1)]
+    from one pass of ``decimated_spectrum``, and the number of ``_lift``
+    calls that pass made."""
+    from spectral_renorm import spectra
+
+    tag, lifts = request.param, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_lift", lambda fiber, ws: lifts.append(len(ws)) or _lift(fiber, ws))
+        measures = [None] + [_dos_measure(tag, *level)
+                             for level in decimated_spectrum(tag, DECIMATION_MAX_LEVEL)]
+    return tag, measures, len(lifts)
+
+
+def test_a_sweep_lifts_each_level_once(level_measures):
+    """The sweep to ``DECIMATION_MAX_LEVEL`` is one decimation pass: one
+    ``_lift`` per level (lamplighter's atoms are closed forms, with none)."""
+    tag, measures, lifts = level_measures
+    assert len(measures) == DECIMATION_MAX_LEVEL + 1
+    assert lifts == (0 if tag == "lamplighter" else DECIMATION_MAX_LEVEL)
 
 
 def test_spectrum_nesting(level_measures):
     """Every atom of level n is bitwise an atom of level n + 1: the decimation
     recomputes it by the same float operations, which ``tv_distance``'s
     pairing by value rests on."""
-    _, measures = level_measures
+    _, measures, _ = level_measures
+    points = [None] + [np.array(m.points) for m in measures[1:]]
     for n in range(1, DECIMATION_MAX_LEVEL):
-        lo, hi = (np.array(measures[k].points).view(np.int64) for k in (n, n + 1))
-        assert np.isin(lo, hi).all(), n
+        lo, hi = points[n], points[n + 1]
+        # both strictly increasing: an atom of level n, if anywhere in level
+        # n + 1, is at the first point not below it
+        at = np.minimum(np.searchsorted(hi, lo), len(hi) - 1)
+        assert np.array_equal(hi[at].view(np.int64), lo.view(np.int64)), n
+
+
+DEFECT_MASS = {"grigorchuk": (2, lambda n: 2 ** n),
+               "lamplighter": (2, lambda n: n + 1),
+               "hanoi": (3, lambda n: 3 * 2 ** n - 1)}
+
+
+def _defect_counts(d, measures):
+    """sum_x |d c_n(x) - c_(n+1)(x)| for consecutive levels n, over the
+    atoms of both paired by value in one merge: 2 TV(mu_n, mu_(n+1)) d^(n+1)
+    in integers."""
+    return [sum(abs(d * c1 - c2) for _, c1, c2 in _atoms_of_both(here, after))
+            for here, after in zip(measures, measures[1:])]
 
 
 def test_tv_to_the_next_level_is_the_closed_form_defect_mass(level_measures):
     """TV(mu_n, mu_(n+1)) d^(n+1) is 3·2^n - 1 for hanoi, n + 1 for
     lamplighter and 2^n for grigorchuk (on its x-axis): the mass that level
-    n + 1 moves, in units of one eigenvalue."""
-    tag, measures = level_measures
-    d, closed_form = {"grigorchuk": (2, lambda n: 2 ** n),
-                      "lamplighter": (2, lambda n: n + 1),
-                      "hanoi": (3, lambda n: 3 * 2 ** n - 1)}[tag]
+    n + 1 moves, in units of one eigenvalue.  In the integer counts the
+    identity is exact at every level."""
+    tag, measures, _ = level_measures
+    d, closed_form = DEFECT_MASS[tag]
     for n in range(1, DECIMATION_MAX_LEVEL):
         tv = tv_distance(measures[n], measures[n + 1]) * d ** (n + 1)
         assert tv == pytest.approx(closed_form(n), rel=1e-9), n
+    assert _defect_counts(d, measures[1:]) == [2 * closed_form(n)
+                                               for n in range(1, DECIMATION_MAX_LEVEL)]
+
+
+def test_the_exact_defect_mass_sees_one_born_multiplicity_off_by_one(monkeypatch):
+    """With the born atom 0 of hanoi level 3 counted once too often, the
+    integer identity of the defect mass fails."""
+    from spectral_renorm import spectra
+
+    born = spectra._hanoi_born
+    monkeypatch.setattr(spectra, "_hanoi_born", lambda k: tuple(
+        (p, m + (k == 3 and p == 0.0)) for p, m in born(k)))
+    d, closed_form = DEFECT_MASS["hanoi"]
+    measures = [_dos_measure("hanoi", *level) for level in decimated_spectrum("hanoi", 6)]
+    assert measures[2].total == 3 ** 3 + 1
+    got = _defect_counts(d, measures)
+    assert got[0] == 2 * closed_form(1)  # levels 1 and 2 are untouched
+    assert got != [2 * closed_form(n) for n in range(1, 6)]
 
 
 def test_atoms_merging():
     # equal values merge, and distinct values stay apart however close
-    assert Measure1D.from_samples([1.0, 1.0]) == Measure1D(points=(1.0,), weights=(1.0,))
+    assert Measure1D.from_samples([1.0, 1.0]) == Measure1D(points=(1.0,), counts=(2,))
     m = Measure1D.from_samples([1.0 + 1e-12, 1.0])
-    assert m == Measure1D(points=(1.0, 1.0 + 1e-12), weights=(0.5, 0.5))
+    assert m == Measure1D(points=(1.0, 1.0 + 1e-12), counts=(1, 1))
     lamp4 = dos("lamplighter", 4).measure
     top = [w for p, w in zip(lamp4.points, lamp4.weights) if abs(p - 4) < 1e-9]
     assert top and top[0] >= 1 / 16 - 1e-12
 
 
 def test_measure_invariants():
-    with pytest.raises(ValueError):
-        Measure1D(points=(1.0, 1.0), weights=(0.5, 0.5))
-    with pytest.raises(ValueError):
-        Measure1D(points=(0.0, 1.0), weights=(0.5, -0.5))
+    with pytest.raises(ValueError, match="increasing"):
+        Measure1D(points=(1.0, 1.0), counts=(1, 1))
+    with pytest.raises(ValueError, match="length"):
+        Measure1D(points=(0.0, 1.0), counts=(1,))
+    # a count is a positive int: not zero, not negative, not a float, a bool or a numpy int
+    for bad in (0, -1, 0.5, 1.0, True, np.int64(1)):
+        with pytest.raises(ValueError, match="positive integers"):
+            Measure1D(points=(0.0, 1.0), counts=(1, bad))
 
 
 def test_cdf_distance_examples():
     m = dos("grigorchuk", 3).measure
     assert cdf_distance(m, m) == 0.0
-    d0 = Measure1D(points=(0.0,), weights=(1.0,))
-    d1 = Measure1D(points=(1.0,), weights=(1.0,))
+    d0 = Measure1D(points=(0.0,), counts=(1,))
+    d1 = Measure1D(points=(1.0,), counts=(3,))
     assert abs(cdf_distance(d0, d1) - 1.0) < 1e-15
-    with pytest.raises(ValueError):
-        cdf_distance(d0, Measure1D(points=(0.0,), weights=(0.5,)))
     with pytest.raises(TypeError):  # 1-Wasserstein is the only metric: no argument names it
         cdf_distance(d0, d1, "wasserstein1")
 
@@ -197,9 +249,10 @@ def test_pairwise_sum_is_numpys_sum_bit_for_bit():
 
 
 def _random_measure(rng, points):
-    weights = rng.random(len(points)) * 10.0 ** rng.integers(-9, 4, size=len(points))
+    # counts from 1 to about 10^12, whose masses span 12 orders of magnitude
+    counts = 1 + (rng.random(len(points)) * 10.0 ** rng.integers(0, 13, size=len(points)))
     return Measure1D(points=tuple(points.tolist()),
-                     weights=tuple((weights / weights.sum()).tolist()))
+                     counts=tuple(counts.astype(np.int64).tolist()))
 
 
 def test_cdf_distance_gives_the_same_bits_on_lists_and_on_arrays(monkeypatch):
@@ -254,8 +307,8 @@ def test_decimated_spectrum_is_the_array_form_bit_for_bit(group_tag, grig_slice)
     """The lists of ``decimated_spectrum`` hold the points of the array form
     it replaced, bit for bit (so -0.0 is not 0.0), with the same
     multiplicities, at every level."""
-    for n in range(1, DECIMATION_MAX_LEVEL + 1):
-        points, mults = decimated_spectrum(group_tag, n, grig_slice)
+    levels = decimated_spectrum(group_tag, DECIMATION_MAX_LEVEL, grig_slice)
+    for n, (points, mults) in enumerate(levels, 1):
         ref_points, ref_mults = decimated_spectrum_numpy(group_tag, n, grig_slice)
         assert np.array_equal(np.asarray(points, dtype=float).view(np.int64),
                               ref_points.view(np.int64)), n
@@ -343,7 +396,7 @@ def test_julia_backward_examples(tmp_path):
 def test_julia_random_walk_mode():
     pts, measure = julia_backward((1, -1, -3), 30, mode="random_walk", seed=1)
     assert len(pts) == JULIA_WALKS
-    assert measure.mass == pytest.approx(1.0)
+    assert measure.total == JULIA_WALKS
 
 
 def _reference_inverse_both(a, b, c, w):
@@ -426,20 +479,23 @@ def test_the_fit_is_the_exact_least_squares_line_rounded_once(group_tag, levels)
     assert abs(rep["log_intercept"] - np_intercept) <= 1e-14 * (1.0 + abs(np_intercept))
 
 
-@pytest.mark.parametrize("group_tag,levels", [("hanoi", range(3, 8)),
-                                              ("lamplighter", [4, 6, 7, 7, 9])])
-def test_convergence_report_builds_each_level_once(group_tag, levels, monkeypatch):
-    """One ``dos`` per level the report reads: the given levels and the level
-    after each one below the largest."""
+@pytest.mark.parametrize("group_tag,levels,step", [("hanoi", range(3, 8), "_lift"),
+                                                   ("grigorchuk", [4, 6, 7, 7, 9], "_lift"),
+                                                   ("lamplighter", [4, 6, 7, 7, 9],
+                                                    "_lamplighter_atoms")])
+def test_convergence_report_is_one_decimation_pass(group_tag, levels, step, monkeypatch):
+    """The report builds each level once, up to the largest one, whatever
+    levels it reads: one ``_lift`` per level, or for lamplighter one set of
+    closed-form atoms."""
     from spectral_renorm import spectra
 
-    calls = []
-    dos = spectra.dos
-    monkeypatch.setattr(spectra, "dos", lambda tag, n: calls.append(n) or dos(tag, n))
+    calls, fn = [], getattr(spectra, step)
+    monkeypatch.setattr(spectra, step, lambda *args: calls.append(args) or fn(*args))
     rows = convergence_report(group_tag, levels)["rows"]
     top = max(levels)
-    assert sorted(calls) == sorted({*levels, *(n + 1 for n in levels if n < top)})
-    assert [r["level"] for r in rows] == [n for n in sorted(levels) if n < top]
+    assert len(calls) == top
+    expected = sorted(levels) if group_tag == "grigorchuk" else [n for n in levels if n < top]
+    assert [r["level"] for r in rows] == expected
 
 
 def test_convergence_report_checks_every_level_before_computing_any(tmp_path, monkeypatch):
@@ -447,14 +503,15 @@ def test_convergence_report_checks_every_level_before_computing_any(tmp_path, mo
     computes any."""
     from spectral_renorm import spectra
 
-    monkeypatch.setattr(spectra, "dos", lambda *args: pytest.fail("a level was computed"))
+    monkeypatch.setattr(spectra, "decimated_spectrum",
+                        lambda *args: pytest.fail("a level was computed"))
     assert main(["dos-compare", "--group", "grigorchuk", "--levels", "4..13",
                  "--out", str(tmp_path)]) == 2
 
 
 def test_tv_distance():
-    a = Measure1D(points=(0.0, 1.0), weights=(0.5, 0.5))
-    b = Measure1D(points=(0.0, 2.0), weights=(0.5, 0.5))
+    a = Measure1D(points=(0.0, 1.0), counts=(1, 1))
+    b = Measure1D(points=(0.0, 2.0), counts=(2, 2))
     assert tv_distance(a, b) == pytest.approx(0.5)
     assert tv_distance(a, a) == 0.0
 
@@ -494,8 +551,8 @@ def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
 
-# weights of mixed magnitudes, so the order of a float sum shows in its last bits
-mixed_weight = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-9, 3))
+# counts of mixed magnitudes, so the order of a float sum of masses shows in its last bits
+mixed_count = st.builds(lambda m, e: m * 10 ** e, st.integers(1, 9999), st.integers(0, 9))
 
 
 @settings(max_examples=100, deadline=None)
@@ -518,23 +575,26 @@ def test_from_samples_merges_equal_values_like_the_reference_loop(distinct, data
     got = Measure1D.from_samples(values)
     ref_pts, ref_counts = _reference_from_samples(values, np.ones(len(values), dtype=int))
     assert _bits(got.points) == _bits(ref_pts)
+    assert got.counts == tuple(ref_counts)
     assert _bits(got.weights) == _bits([k / len(values) for k in ref_counts])
-    assert Measure1D.from_samples([]) == Measure1D(points=(), weights=())
+    assert Measure1D.from_samples([]) == Measure1D(points=(), counts=())
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40, unique=True), st.data())
 def test_tv_distance_matches_the_reference_loop(pts, data):
     pts = sorted(pts)
-    weights = [data.draw(st.lists(mixed_weight, min_size=len(pts), max_size=len(pts)))
-               for _ in range(2)]
+    counts = [data.draw(st.lists(mixed_count, min_size=len(pts), max_size=len(pts)))
+              for _ in range(2)]
     # each point goes to the first measure, the second, or both: an atom of
-    # both is an exact coincidence of the signed union
+    # both is an exact coincidence of the signed union; each measure, of mass
+    # 1, has an atom
     sides = data.draw(st.lists(st.sampled_from([1, 2, 3]), min_size=len(pts),
-                               max_size=len(pts)))
-    m1, m2 = ([(p, w) for p, w, s in zip(pts, weights[side - 1], sides) if s & side]
+                               max_size=len(pts))
+                      .filter(lambda sides: all(any(s & side for s in sides) for side in (1, 2))))
+    m1, m2 = ([(p, c) for p, c, s in zip(pts, counts[side - 1], sides) if s & side]
               for side in (1, 2))
-    m1, m2 = (Measure1D(points=tuple(p for p, _ in m), weights=tuple(w for _, w in m))
+    m1, m2 = (Measure1D(points=tuple(p for p, _ in m), counts=tuple(c for _, c in m))
               for m in (m1, m2))
     got = tv_distance(m1, m2)
     assert _bits([got]) == _bits([_reference_tv_distance(m1, m2)])
@@ -565,8 +625,7 @@ def _clustered(vals, tol=1e-9):
       for lam in (0.3, 2.5, 0.0, -0.7)),
 ])
 def test_decimated_spectrum_matches_the_eigensolver(group_tag, top, grig_slice):
-    for n in range(1, top + 1):
-        points, mults = decimated_spectrum(group_tag, n, grig_slice)
+    for n, (points, mults) in enumerate(decimated_spectrum(group_tag, top, grig_slice), 1):
         vals, counts = _clustered(np.linalg.eigvalsh(slice_matrix(group_tag, n, grig_slice)))
         assert list(mults) == counts
         assert np.abs(points - vals).max() <= 1e-9
@@ -577,7 +636,7 @@ def test_decimated_grigorchuk_level_12_matches_the_stored_spectrum():
     ref = ref / "spectrum_grigorchuk_n12.txt"
     rows = [line.split() for line in ref.read_text().splitlines() if not line.startswith("#")]
     r = dos("grigorchuk", 12)
-    assert r.multiplicities == tuple(int(k) for _, k in rows)
+    assert r.measure.counts == tuple(int(k) for _, k in rows)
     assert np.abs(np.array(r.measure.points) - [float(v) for v, _ in rows]).max() <= 1e-9
 
 
@@ -622,8 +681,8 @@ def _lamplighter_closed_form(n):
     ("lamplighter", 2, DECIMATION_MAX_LEVEL, _lamplighter_closed_form),
 ])
 def test_decimated_spectrum_closed_forms(group_tag, d, top, closed_form):
-    for n in range(1, top + 1):
-        points, mults = map(np.asarray, decimated_spectrum(group_tag, n))
+    for n, level in enumerate(decimated_spectrum(group_tag, top), 1):
+        points, mults = map(np.asarray, level)
         assert np.all(np.diff(points) > 0)
         assert int(mults.sum()) == d ** n
         expected = closed_form(n)
@@ -633,34 +692,38 @@ def test_decimated_spectrum_closed_forms(group_tag, d, top, closed_form):
 
 def test_lamplighter_rational_atoms_are_exact():
     # 4 cos(pi p/q) is rational only for q <= 3: the atoms 0 and +-2
-    for n in (2, 3, 12, DECIMATION_MAX_LEVEL):
-        points, _ = decimated_spectrum("lamplighter", n)
+    levels = decimated_spectrum("lamplighter", DECIMATION_MAX_LEVEL)
+    next(levels)  # level 1 is {0, 4}
+    for points, _ in levels:
         assert [p for p in points if abs(p) < 1e-9 or abs(abs(p) - 2.0) < 1e-9] == [-2.0, 0.0, 2.0]
 
 
 def test_born_multiplicities_match_the_factor_exponents():
     for group_tag, lo in (("hanoi", 2), ("grigorchuk", 2)):
         scheme = builtin_scheme(group_tag)
+        levels = list(decimated_spectrum(group_tag, 9))
         for n in range(lo, 10):
             exponents = sum(m * scheme.d ** (n - 1 - scheme.seed_level) for _, m in scheme.factors)
-            points, mults = decimated_spectrum(group_tag, n)
+            points, mults = levels[n - 1]
             if group_tag == "hanoi":
                 # a_n + b_n - 1: born multiplicity beyond the lifts of 0 and 3
                 born = {p: int(k) for p, k in zip(points, mults) if p in (0.0, -2.0)}
                 assert born[0.0] + born[-2.0] - 1 == exponents
             else:
                 # factors of level n-1: one conic per theta other than +-1, one line pair
-                assert (len(decimated_spectrum(group_tag, n - 1)[0]) - 2) // 2 + 1 == exponents
+                assert (len(levels[n - 2][0]) - 2) // 2 + 1 == exponents
 
 
 def test_decimated_spectrum_rejects_other_groups_and_levels():
     with pytest.raises(ValueError, match="unknown group tag"):
-        decimated_spectrum("nope", 3)
+        next(decimated_spectrum("nope", 3))
     with pytest.raises(ValueError, match="finite"):
-        decimated_spectrum("grigorchuk", 3, math.nan)
+        next(decimated_spectrum("grigorchuk", 3, math.nan))
     for n in (0, DECIMATION_MAX_LEVEL + 1):
         with pytest.raises(ValueError, match="level"):
-            decimated_spectrum("hanoi", n)
+            next(decimated_spectrum("hanoi", n))
+        with pytest.raises(ValueError, match="level"):
+            convergence_report("hanoi", [n, 5, 6, 7])
 
 
 def test_dos_routes_the_decimated_slices_around_the_eigensolver(monkeypatch):
@@ -671,14 +734,16 @@ def test_dos_routes_the_decimated_slices_around_the_eigensolver(monkeypatch):
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
     for group_tag in ("hanoi", "lamplighter"):
-        for n in range(1, BUDGETS["spectrum"]["--level"][group_tag] + 1):
-            r = dos(group_tag, n)
-            assert sum(r.multiplicities) == builtin_scheme(group_tag).d ** n
-    for n in range(1, BUDGETS["spectrum"]["--level"]["grigorchuk"] + 1):
-        minus, plus = dos("grigorchuk", n, -1.0), dos("grigorchuk", n, 1.0)
-        assert minus.measure == plus.measure
-        assert minus.multiplicities == plus.multiplicities
-        assert sum(dos("grigorchuk", n, 0.3).multiplicities) == 2 ** n
+        top = BUDGETS["spectrum"]["--level"][group_tag]
+        for n, (_, mults) in enumerate(decimated_spectrum(group_tag, top), 1):
+            assert sum(mults) == builtin_scheme(group_tag).d ** n
+        assert dos(group_tag, top).measure.total == builtin_scheme(group_tag).d ** top
+    top = BUDGETS["spectrum"]["--level"]["grigorchuk"]
+    sweeps = (decimated_spectrum("grigorchuk", top, lam) for lam in (-1.0, 1.0, 0.3))
+    for n, (minus, plus, other) in enumerate(zip(*sweeps), 1):
+        assert _dos_measure("grigorchuk", *minus) == _dos_measure("grigorchuk", *plus)
+        assert sum(other[1]) == 2 ** n
+    assert dos("grigorchuk", top, -1.0).measure == dos("grigorchuk", top, 1.0).measure
 
 
 def test_dos_diagonalizes_the_other_slices():
@@ -688,7 +753,7 @@ def test_dos_diagonalizes_the_other_slices():
                                         ("grigorchuk", 0.3, lambda v: (v + 1.0) / 4.0)):
         r = dos(group_tag, 4, grig_slice)
         vals, counts = _clustered(axis(np.linalg.eigvalsh(slice_matrix(group_tag, 4, grig_slice))))
-        assert list(r.multiplicities) == counts and sum(counts) == 16
+        assert list(r.measure.counts) == counts and sum(counts) == 16
         assert np.abs(np.array(r.measure.points) - vals).max() <= 1e-9
         assert r.measure.weights == tuple(c / 16 for c in counts)
 
@@ -704,8 +769,8 @@ def test_hanoi_unborn_mass_is_the_exact_two_thirds_rate():
 
 def test_lamplighter_unborn_mass_is_the_mass_of_the_missing_atoms():
     assert lamplighter_unborn_mass(1) == Fraction(2, 3)
-    for n in range(1, 14):
-        points = np.asarray(decimated_spectrum("lamplighter", n)[0])
+    for n, (points, _) in enumerate(decimated_spectrum("lamplighter", 13), 1):
+        points = np.asarray(points)
         present = Fraction(0)
         for x in points[points != 4.0]:
             # x = 4 cos(pi p/q) with p/q in lowest terms, q <= n + 1
