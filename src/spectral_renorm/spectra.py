@@ -52,9 +52,9 @@ from typing import Callable, Sequence
 
 @dataclass(frozen=True)
 class Measure1D:
-    """Finite atomic probability measure on the line: strictly increasing
-    points with positive integer counts.  An atom's mass is its count over
-    ``total``, divided where it is read (``weights``), so the masses sum to 1."""
+    """Finite atomic probability measure on the line: at least one atom, at
+    strictly increasing points with positive integer counts.  An atom's mass
+    is its count over ``total``, divided where it is read (``weights``)."""
 
     points: tuple
     counts: tuple
@@ -62,6 +62,8 @@ class Measure1D:
     def __post_init__(self):
         if len(self.points) != len(self.counts):
             raise ValueError("points and counts differ in length")
+        if not self.counts:  # total 0: no probability measure
+            raise ValueError("a measure needs at least one atom")
         if any(type(c) is not int or c <= 0 for c in self.counts):
             raise ValueError("counts must be positive integers")
         if any(a >= b for a, b in zip(self.points, self.points[1:])):
@@ -169,15 +171,14 @@ def _insert(pts: list, mults: list, atoms) -> None:
 
 def _decimate(fiber: tuple, terminal: tuple, born: Callable[[int], tuple], n: int):
     """Yields the atoms of levels 1..n, each ascending, as (points,
-    multiplicities): level k is the preimage under ``fiber`` of level k-1's
-    atoms outside ``terminal``, each preimage inheriting its parent's
-    multiplicity, plus the atoms ``born(k)`` of nonzero multiplicity.  A
-    yielded level is not changed afterwards."""
+    multiplicities), which the next level trims in place: level k is the
+    preimage under ``fiber`` of level k-1's atoms outside ``terminal``, each
+    inheriting its parent's multiplicity, plus ``born(k)``'s nonzero ones."""
     pts, mults = [], []
     for k in range(1, n + 1):
         for t in terminal:
             lo, hi = bisect_left(pts, t), bisect_right(pts, t)
-            pts, mults = pts[:lo] + pts[hi:], mults[:lo] + mults[hi:]
+            del pts[lo:hi], mults[lo:hi]
         pts, mults = _lift(fiber, pts), mults[::-1] + mults
         _insert(pts, mults, [(p, m) for p, m in born(k) if m])
         yield pts, mults
@@ -449,8 +450,7 @@ def tv_distance(m1: Measure1D, m2: Measure1D) -> float:
 def kolmogorov_to_cdf(measure: Measure1D, cdf: Callable[[float], float]) -> float:
     """Sup-distance between an atomic measure and a continuous CDF."""
     total = measure.total
-    best = 0.0
-    acc = 0.0
+    best = acc = 0.0
     for p, c in zip(measure.points, measure.counts):
         w = c / total
         f = cdf(p)

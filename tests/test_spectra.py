@@ -212,6 +212,8 @@ def test_measure_invariants():
         Measure1D(points=(1.0, 1.0), counts=(1, 1))
     with pytest.raises(ValueError, match="length"):
         Measure1D(points=(0.0, 1.0), counts=(1,))
+    with pytest.raises(ValueError, match="at least one atom"):
+        Measure1D(points=(), counts=())
     # a count is a positive int: not zero, not negative, not a float, a bool or a numpy int
     for bad in (0, -1, 0.5, 1.0, True, np.int64(1)):
         with pytest.raises(ValueError, match="positive integers"):
@@ -577,7 +579,8 @@ def test_from_samples_merges_equal_values_like_the_reference_loop(distinct, data
     assert _bits(got.points) == _bits(ref_pts)
     assert got.counts == tuple(ref_counts)
     assert _bits(got.weights) == _bits([k / len(values) for k in ref_counts])
-    assert Measure1D.from_samples([]) == Measure1D(points=(), counts=())
+    with pytest.raises(ValueError, match="at least one atom"):
+        Measure1D.from_samples([])
 
 
 @settings(max_examples=100, deadline=None)
@@ -587,15 +590,17 @@ def test_tv_distance_matches_the_reference_loop(pts, data):
     counts = [data.draw(st.lists(mixed_count, min_size=len(pts), max_size=len(pts)))
               for _ in range(2)]
     # each point goes to the first measure, the second, or both: an atom of
-    # both is an exact coincidence of the signed union; each measure, of mass
-    # 1, has an atom
+    # both is an exact coincidence of the signed union
     sides = data.draw(st.lists(st.sampled_from([1, 2, 3]), min_size=len(pts),
-                               max_size=len(pts))
-                      .filter(lambda sides: all(any(s & side for s in sides) for side in (1, 2))))
-    m1, m2 = ([(p, c) for p, c, s in zip(pts, counts[side - 1], sides) if s & side]
-              for side in (1, 2))
-    m1, m2 = (Measure1D(points=tuple(p for p, _ in m), counts=tuple(c for _, c in m))
-              for m in (m1, m2))
+                               max_size=len(pts)))
+    atoms = [[(p, c) for p, c, s in zip(pts, counts[side - 1], sides) if s & side]
+             for side in (1, 2)]
+    measure = lambda m: Measure1D(points=tuple(p for p, _ in m), counts=tuple(c for _, c in m))
+    if not all(atoms):  # a side without atoms is no probability measure
+        with pytest.raises(ValueError, match="at least one atom"):
+            tv_distance(*map(measure, atoms))
+        return
+    m1, m2 = map(measure, atoms)
     got = tv_distance(m1, m2)
     assert _bits([got]) == _bits([_reference_tv_distance(m1, m2)])
 
