@@ -22,8 +22,7 @@ Exit status: 0 on success, 1 when a verification fails, 2 on bad
 configuration or exceeded budgets, 3 on an internal error; every error is
 one JSON object on stderr.  A fixed --seed makes all CSV/JSON
 outputs byte-identical.  BLAS runs on one thread unless OMP_NUM_THREADS,
-OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or NUMEXPR_NUM_THREADS is set; the
-variable SPECTRAL_RENORM_THREADS is no longer read.
+OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or NUMEXPR_NUM_THREADS is set.
 """
 
 from __future__ import annotations
@@ -411,7 +410,6 @@ def cmd_spectrum(args) -> tuple[int, dict]:
 
     result = spectra.dos(args.group, args.level, args.grig_slice)
     m = result.measure
-    weights = m.weights
     stem = f"spectrum_{args.group}_n{args.level}"
     title = f"{args.group} level {args.level}"
     return 0, {
@@ -421,11 +419,11 @@ def cmd_spectrum(args) -> tuple[int, dict]:
             "group": result.group,
             "level": result.level,
             "slice": result.slice_descriptor,
-            "mass": sum(weights),
-            "atoms": [{"center": c, "mass": w} for c, w in zip(m.points, weights)],
+            "mass": sum(m.weights),
+            "atoms": [{"center": c, "mass": w} for c, w in zip(m.points, m.weights)],
         },
         f"{stem}_cdf.svg": lambda path: output.svg_cdf(
-            path, m.points, weights, title=f"{title} spectral CDF"),
+            path, m.points, m.cumulative, title=f"{title} spectral CDF"),
         f"{stem}_hist.svg": lambda path: output.svg_histogram(
             path, [p for p, k in zip(m.points, m.counts) for _ in range(k)],
             title=f"{title} spectrum"),
@@ -639,8 +637,8 @@ def cmd_experiment(args) -> tuple[int, dict]:
     measure = r["measure"]
     artifacts = {
         f"{stem}.csv": (["x", "y"], [xs, ys]),
-        f"{stem}_cdf.svg": lambda path: output.svg_cdf(path, measure.points, measure.weights,
-                                                       title=kind),
+        f"{stem}_cdf.svg": lambda path: output.svg_cdf(path, measure.points,
+                                                       measure.cumulative, title=kind),
         f"{stem}.json": summary,
     }
     if len(xs) > 1:

@@ -25,12 +25,12 @@ import numpy as np
 
 from spectral_renorm.spectra import (
     _HANOI_FIBER,
-    Measure1D,
+    Samples,
     arcsine_cdf,
-    cdf_distance,
     julia_backward,
     kolmogorov_to_cdf,
     preimage_levels,
+    sample_w1,
 )
 
 # |seed| bound of the square and cantor models and of the skew product's eta0:
@@ -74,12 +74,11 @@ def narrow_arc_law_cdf(eta: float) -> float:
     return arcsine_cdf(eta / 2.0)
 
 
-def w1_to_cdf(measure: Measure1D, cdf: Callable[[float], float], lo: float, hi: float,
-              grid: int = 20001) -> float:
-    """1-Wasserstein distance between an atomic measure and a continuous CDF
-    by integrating |F_emp - F| on a fine grid."""
-    xs = np.linspace(lo, hi, grid)
-    femp = measure.cdf_array(xs)
+def w1_to_cdf(measure: Samples, cdf: Callable[[float], float], lo: float, hi: float) -> float:
+    """1-Wasserstein distance between a sample measure and a continuous CDF
+    by integrating |F_emp - F| on a grid of 20001 points."""
+    xs = np.linspace(lo, hi, 20001)
+    femp = measure.cdf(xs)
     f = np.array([cdf(x) for x in xs])
     diff = np.abs(femp - f)
     dx = xs[1] - xs[0]
@@ -119,7 +118,7 @@ def twist_experiment(n: int) -> dict:
         if root is not None:
             roots.append(root)
     etas = twist_rho_inverse(np.array(roots))
-    measure = Measure1D.from_samples(etas)
+    measure = Samples.of(etas)
     w_wide = w1_to_cdf(measure, arccos_law_cdf, -4.0, 4.0)
     w_narrow = w1_to_cdf(measure, narrow_arc_law_cdf, -4.0, 4.0)
     intercept, slope = TWIST_LINE
@@ -204,7 +203,7 @@ def skew_cantor_experiment(eta0: float = 3.0, n: int = 10) -> dict:
     """
     _check_seed_modulus(eta0, "--eta0")
     *_, pts = preimage_levels(CANTOR_BASE, float(eta0), n)
-    measure = Measure1D.from_samples(pts)
+    measure = Samples.of(pts)
     intercept, slope = SKEW_LINE
     return {
         "eta0": eta0,
@@ -212,7 +211,7 @@ def skew_cantor_experiment(eta0: float = 3.0, n: int = 10) -> dict:
         "count": len(pts),
         "measure": measure,
         "line_points": [(float(e), float(intercept + slope * e)) for e in pts[:64]],
-        "w1_to_balanced": cdf_distance(measure, _balanced()),
+        "w1_to_balanced": sample_w1(measure, _balanced()),
     }
 
 
@@ -295,7 +294,7 @@ def _check_seed_modulus(start, name: str = "seed point") -> None:
                          f"not {start}")
 
 
-def _balanced() -> Measure1D:
+def _balanced() -> Samples:
     """The balanced measure of ``CANTOR_BASE``: its depth-
     ``CANTOR_REFERENCE_DEPTH`` backward orbit of the repelling fixed point."""
     return julia_backward(CANTOR_BASE, CANTOR_REFERENCE_DEPTH)[1]
@@ -323,13 +322,13 @@ def backward_equidistribution(model: str, seed_point, n: int) -> dict:
         if not -1.0 <= start <= 1.0:
             raise ValueError("seed must lie in [-1, 1]")
         poly, domain, metric = (2.0, 0.0, -1.0), "real", "kolmogorov"
-        distance = lambda pts: kolmogorov_to_cdf(Measure1D.from_samples(pts), arcsine_cdf)
+        distance = lambda pts: kolmogorov_to_cdf(Samples.of(pts), arcsine_cdf)
     elif model == "cantor":
         start = float(seed_point)
         _check_seed_modulus(start)
         reference = _balanced()
         poly, domain, metric = CANTOR_BASE, "real", "wasserstein1"
-        distance = lambda pts: cdf_distance(Measure1D.from_samples(pts), reference)
+        distance = lambda pts: sample_w1(Samples.of(pts), reference)
     else:
         raise ValueError("model must be 'square', 'cheb', or 'cantor'")
     series = [{"depth": depth, "distance": distance(pts), "metric": metric}

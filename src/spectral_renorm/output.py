@@ -177,11 +177,11 @@ def svg_histogram(path, values: Sequence[float], bins: int = 80, title: str = ""
     Path(path).write_text(_svg_frame("\n".join(parts), title))
 
 
-def svg_cdf(path, points: Sequence[float], weights: Sequence[float], title: str = "") -> None:
+def svg_cdf(path, points: Sequence[float], cumulative: Sequence[float], title: str = "") -> None:
     import numpy as np
 
     pts = np.asarray(points, dtype=float)
-    cum = np.cumsum(weights)
+    cum = np.asarray(cumulative, dtype=float)
     lo, hi = float(pts.min()), float(pts.max())
     span = (hi - lo) or 1.0
     lo, hi = lo - 0.05 * span, hi + 0.05 * span

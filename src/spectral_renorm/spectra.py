@@ -21,20 +21,14 @@ against the eigenvalues of the sliced pencil built as a dense matrix.
 The grigorchuk limit law is the slice of an explicit family of hyperbolas
 weighted by the Chebyshev equilibrium measure; it has a closed-form CDF.
 
-The level measures are pure Python lists of floats and integer counts: an
-atom's mass is its count over the level's total d^n, divided where it is
-read.  ``decimated_spectrum`` yields the levels 1..n from one decimation
-pass, which ``dos`` and ``convergence_report`` read, so ``spectrum`` and
-``dos-compare`` run without numpy.  The decimation needs no sort: each
-fiber polynomial has a positive leading coefficient and IEEE rounding is
-monotone, so over ascending w the minus branch of the preimage is
-non-increasing, the plus branch non-decreasing, and every minus value lies
-at or below every plus value.  Its atoms come out ascending, and each
-level's few born atoms go in by bisection.  The backward orbits
-(``preimages``, ``preimage_levels``, ``julia_backward``) and the empirical
-measures of samples take numpy arrays and import numpy when they run, and
-``cdf_distance`` runs on arrays for measures of ``CDF_ARRAY_MIN_ATOMS``
-atoms or more, which only those sample measures reach.
+The level measures are ``Measure1D``s of Python floats and integer counts,
+an atom's mass its count over the level's total d^n.  ``decimated_spectrum``
+yields the levels 1..n from one decimation pass that sorts nothing
+(``_lift``), so ``spectrum`` and ``dos-compare`` run without numpy, and
+``cdf_distance`` is their W1.  The backward orbits (``preimages``,
+``preimage_levels``, ``julia_backward``) run on numpy arrays; their float
+samples make a ``Samples``, whose points and running CDF stay arrays, and
+``sample_w1`` is its W1.  ``kolmogorov_to_cdf`` reads either kind.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add
 from typing import Callable, Sequence
 
@@ -69,18 +63,6 @@ class Measure1D:
         if any(a >= b for a, b in zip(self.points, self.points[1:])):
             raise ValueError("points must be strictly increasing")
 
-    @classmethod
-    def from_samples(cls, values: Sequence[float]):
-        """The empirical measure of unsorted, possibly repeated values: a value
-        seen k times has count k."""
-        import numpy as np
-
-        vals = np.sort(np.asarray(values, dtype=float), kind="stable")
-        # each run of equal values is one point, the first of its run
-        starts = np.flatnonzero(np.concatenate(([len(vals) > 0], np.diff(vals) != 0)))
-        counts = np.diff(starts, append=len(vals))
-        return cls(points=tuple(vals[starts].tolist()), counts=tuple(counts.tolist()))
-
     @property
     def total(self) -> int:
         return sum(self.counts)
@@ -90,12 +72,37 @@ class Measure1D:
         total = self.total
         return tuple(c / total for c in self.counts)
 
-    def cdf_array(self, xs: np.ndarray) -> np.ndarray:
+    @property
+    def cumulative(self) -> tuple:
+        return tuple(accumulate(self.weights))
+
+
+@dataclass(frozen=True, eq=False)
+class Samples:
+    """Empirical measure of n float samples as numpy arrays: the distinct
+    values in ascending order, and the running sum of k/n for a value seen k times."""
+
+    points: np.ndarray
+    cumulative: np.ndarray
+
+    @classmethod
+    def of(cls, values) -> Samples:
+        """The measure of unsorted, possibly repeated values: at least one, all finite."""
         import numpy as np
 
-        # every count is below 2^53, so each quotient is the float c / total
-        cum = np.cumsum(np.asarray(self.counts, dtype=np.int64) / self.total)
-        return np.concatenate(([0.0], cum))[np.searchsorted(self.points, xs, side="right")]
+        vals = np.sort(np.asarray(values, dtype=float), kind="stable")
+        if not len(vals) or not np.isfinite(vals[[0, -1]]).all():  # -inf first, inf and nan last
+            raise ValueError("a sample measure needs at least one sample, all finite")
+        # each run of equal values is one point, the first of its run
+        starts = np.flatnonzero(np.concatenate(([True], np.diff(vals) != 0)))
+        counts = np.diff(starts, append=len(vals))
+        return cls(points=vals[starts], cumulative=np.cumsum(counts / len(vals)))
+
+    def cdf(self, xs: np.ndarray) -> np.ndarray:
+        """The running CDF at the points ``xs``, 0 below the first point."""
+        import numpy as np
+
+        return np.concatenate(([0.0], self.cumulative))[np.searchsorted(self.points, xs, "right")]
 
 
 @dataclass(frozen=True)
@@ -385,28 +392,10 @@ def _atoms_of_both(m1: Measure1D, m2: Measure1D):
     yield from zip(p2[j:], repeat(0), c2[j:])
 
 
-# Atoms of both measures together from which ``cdf_distance`` runs on numpy
-# arrays.  The lamplighter and hanoi levels that ``convergence_report``
-# compares have fewer than 300 atoms together within the ``dos-compare``
-# budgets, so they take the list loop and ``dos-compare`` loads no numpy.
-# Every distance to the 4096-atom balanced measure of ``experiments`` takes
-# the arrays, which walk a 2^20-atom sample measure in half the loop's time.
-CDF_ARRAY_MIN_ATOMS = 4096
-
-
 def cdf_distance(m1: Measure1D, m2: Measure1D) -> float:
-    """1-Wasserstein distance between two probability measures: the sum over
-    the gaps of the union of their points of |F1 - F2| times the gap, each
-    CDF accumulated atom by atom and the terms summed as ``_pairwise_sum``
-    does.  From ``CDF_ARRAY_MIN_ATOMS`` atoms on, numpy does the same float
-    operations on arrays (``_cdf_distance_arrays``); both give the same bits."""
-    if len(m1.points) + len(m2.points) >= CDF_ARRAY_MIN_ATOMS:
-        return _cdf_distance_arrays(m1, m2)
-    return _cdf_distance_loop(m1, m2)
-
-
-def _cdf_distance_loop(m1: Measure1D, m2: Measure1D) -> float:
-    """The W1 sum of ``cdf_distance`` in one ascending pass over the atoms."""
+    """1-Wasserstein distance between two level measures: over the gaps of
+    the union of their points, |F1 - F2| times the gap, in one ascending
+    pass, summed as ``_pairwise_sum`` does (the bits ``sample_w1`` gives)."""
     t1, t2 = m1.total, m2.total
     atoms = _atoms_of_both(m1, m2)
     last, c1, c2 = next(atoms)  # both CDFs at the first point
@@ -420,14 +409,13 @@ def _cdf_distance_loop(m1: Measure1D, m2: Measure1D) -> float:
     return _pairwise_sum(terms)
 
 
-def _cdf_distance_arrays(m1: Measure1D, m2: Measure1D) -> float:
-    """The W1 sum of ``cdf_distance`` on numpy arrays: the union grid, both
-    CDFs on it by cumulative sums, and ``np.sum`` of the terms."""
+def sample_w1(s1: Samples, s2: Samples) -> float:
+    """``cdf_distance``'s W1 between two sample measures, on numpy arrays:
+    the union grid, both CDFs on it, and ``np.sum`` of the terms."""
     import numpy as np
 
-    grid = np.union1d(np.asarray(m1.points), np.asarray(m2.points))
-    f1 = m1.cdf_array(grid)
-    f2 = m2.cdf_array(grid)
+    grid = np.union1d(s1.points, s2.points)
+    f1, f2 = s1.cdf(grid), s2.cdf(grid)
     return float(np.sum(np.abs(f1[:-1] - f2[:-1]) * np.diff(grid)))
 
 
@@ -447,15 +435,24 @@ def tv_distance(m1: Measure1D, m2: Measure1D) -> float:
     return total / 2.0
 
 
-def kolmogorov_to_cdf(measure: Measure1D, cdf: Callable[[float], float]) -> float:
-    """Sup-distance between an atomic measure and a continuous CDF."""
-    total = measure.total
-    best = acc = 0.0
-    for p, c in zip(measure.points, measure.counts):
-        w = c / total
-        f = cdf(p)
-        best = max(best, abs(acc - f), abs(acc + w - f))
-        acc += w
+KOLMOGOROV_BLOCK = 8192  # atoms that ``kolmogorov_to_cdf`` reads at a time as floats
+
+
+def kolmogorov_to_cdf(measure: Measure1D | Samples, cdf: Callable[[float], float]) -> float:
+    """Sup-distance between an atomic measure and a continuous CDF: at each
+    point, ``cdf`` against the running CDF below it and at it, read a block
+    at a time, so a ``Samples`` never becomes a full-length list."""
+    points, cumulative = measure.points, measure.cumulative
+    best = below = 0.0
+    for start in range(0, len(points), KOLMOGOROV_BLOCK):
+        block = slice(start, start + KOLMOGOROV_BLOCK)
+        ps, fs = points[block], cumulative[block]
+        if not isinstance(ps, tuple):  # a ``Samples``' arrays
+            ps, fs = ps.tolist(), fs.tolist()
+        for p, at in zip(ps, fs):
+            f = cdf(p)
+            best = max(best, abs(below - f), abs(at - f))
+            below = at
     return best
 
 
@@ -496,13 +493,18 @@ def grig_limit_cdf(x: float) -> float:
 
 def repelling_fixed_point(a: float, b: float, c: float) -> float:
     """Fixed point of a z^2 + b z + c with the largest multiplier modulus."""
-    disc = (b - 1.0) ** 2 - 4.0 * a * c
+    try:
+        disc = (b - 1.0) ** 2 - 4.0 * a * c
+    except OverflowError:
+        raise ValueError("the fixed points overflow") from None
     if disc < 0:
         raise ValueError("no real fixed point")
     r1 = (-(b - 1.0) + math.sqrt(disc)) / (2.0 * a)
     r2 = (-(b - 1.0) - math.sqrt(disc)) / (2.0 * a)
     mult = lambda z: abs(2.0 * a * z + b)
     best = max((r1, r2), key=mult)
+    if not math.isfinite(best):  # 2a or the discriminant overflowed
+        raise ValueError("the fixed points overflow")
     if mult(best) <= 1.0:
         raise ValueError("no repelling real fixed point")
     return best
@@ -519,7 +521,7 @@ def julia_backward(p: Sequence[float], depth: int, mode: str = "full_tree", seed
     ``JULIA_WALKS`` random inverse-branch paths.  The orbit is real: a
     complex inverse image raises.
 
-    Returns (points array, empirical Measure1D of the points).
+    Returns (points array, their ``Samples``).
     """
     import numpy as np
 
@@ -537,7 +539,7 @@ def julia_backward(p: Sequence[float], depth: int, mode: str = "full_tree", seed
         for _ in range(depth):
             plus, minus = preimages((a, b, c), pts)
             pts = np.where(rng.random(len(pts)) < 0.5, plus, minus)
-    return pts, Measure1D.from_samples(pts)
+    return pts, Samples.of(pts)
 
 
 def preimages(p: Sequence[float], w: np.ndarray, domain: str = "real") -> np.ndarray:

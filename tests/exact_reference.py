@@ -192,11 +192,12 @@ def slice_matrix(group_tag: str, n: int, grig_slice: float = -1.0) -> np.ndarray
     return m
 
 
-def decimated_spectrum_numpy(group_tag: str, n: int, grig_slice: float = -1.0) -> tuple:
+def decimated_spectrum_numpy(group_tag: str, n: int, grig_slice: float = -1.0):
     """``spectra.decimated_spectrum`` as numpy arrays, by the array form it
-    replaced: every level's preimages by ``spectra.preimages`` in the
-    order (plus, minus, born), one stable argsort at the end, and equal
-    points merged into the first of their run with ``np.add.reduceat``."""
+    replaced: yields the levels 1..n, each from every level's preimages by
+    ``spectra.preimages`` in the order (plus, minus, born), one stable
+    argsort at the end, and equal points merged into the first of their run
+    with ``np.add.reduceat``."""
     lam, _ = slice_point(group_tag, grig_slice)
 
     def decimate(fiber, terminal, born):
@@ -207,30 +208,36 @@ def decimated_spectrum_numpy(group_tag: str, n: int, grig_slice: float = -1.0) -
             pts = np.concatenate([*preimages(fiber, pts[lift]), [p for p, _ in new]])
             mults = np.concatenate([np.tile(mults[lift], 2),
                                     np.array([m for _, m in new], dtype=np.int64)])
-        return pts, mults
+            yield pts, mults
 
-    if group_tag == "hanoi":
-        pts, mults = decimate(_HANOI_FIBER, (3.0,), _hanoi_born)
-    elif group_tag == "grigorchuk":
-        theta, mults = decimate(_CHEBYSHEV, (-1.0, 1.0), _grig_born)
+    def grigorchuk(theta, mults):
         inner = np.abs(theta) != 1.0
         root = np.sqrt(4.0 + lam * lam - 4.0 * lam * theta[inner])
-        pts = np.concatenate([root, -root, 2.0 - lam * theta[~inner]])
-        mults = np.concatenate([mults[inner], mults[inner], mults[~inner]])
-    else:
+        return (np.concatenate([root, -root, 2.0 - lam * theta[~inner]]),
+                np.concatenate([mults[inner], mults[inner], mults[~inner]]))
+
+    def lamplighter(k):
         pts, mults = [4.0], [1]
-        for q in range(2, n + 2):
-            mult = ((n + 1) % q == 0) + sum(2 ** (n - 1 - j) for j in range(q - 1, n, q))
+        for q in range(2, k + 2):
+            mult = ((k + 1) % q == 0) + sum(2 ** (k - 1 - j) for j in range(q - 1, k, q))
             for p in range(1, q):
                 if gcd(p, q) == 1:
                     x = 4.0 * math.sin(math.pi * (q - 2 * p) / (2 * q))
                     pts.append(float(round(x)) if q <= 3 else x)
                     mults.append(mult)
-        pts, mults = np.array(pts), np.array(mults, dtype=np.int64)
-    order = np.argsort(pts, kind="stable")
-    pts, mults = pts[order], mults[order]
-    starts = np.flatnonzero(np.concatenate(([len(pts) > 0], np.diff(pts) != 0)))
-    return pts[starts], np.add.reduceat(mults, starts)
+        return np.array(pts), np.array(mults, dtype=np.int64)
+
+    if group_tag == "hanoi":
+        levels = decimate(_HANOI_FIBER, (3.0,), _hanoi_born)
+    elif group_tag == "grigorchuk":
+        levels = (grigorchuk(*level) for level in decimate(_CHEBYSHEV, (-1.0, 1.0), _grig_born))
+    else:
+        levels = (lamplighter(k) for k in range(1, n + 1))
+    for pts, mults in levels:
+        order = np.argsort(pts, kind="stable")
+        pts, mults = pts[order], mults[order]
+        starts = np.flatnonzero(np.concatenate(([len(pts) > 0], np.diff(pts) != 0)))
+        yield pts[starts], np.add.reduceat(mults, starts)
 
 
 def compose(outer: RationalMapP2, inner: RationalMapP2) -> RationalMapP2:

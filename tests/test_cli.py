@@ -535,6 +535,9 @@ BAD_INPUT = [
     (None, ["julia", "--mode", "random_walk",
             "--depth", str(BUDGETS["julia"]["--depth"]["random_walk"] + 1)]),
     (None, ["julia", "--mode", "random_walk", "--depth", "100000000"]),
+    # 2a overflows, so the fixed point is nan; (b - 1)^2 overflows
+    (None, ["julia", "--poly=1e308,0,-1e308", "--depth", "4"]),
+    (None, ["julia", "--poly=1,1e308,0"]),
     (None, ["dos-compare", "--group", "hanoi", "--levels", "3..9"]),
     (None, ["experiment", "--kind", "backward-square",
             "--n", str(BUDGETS["experiment"]["--n"]["backward-square"] + 1)]),

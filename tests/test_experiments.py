@@ -24,13 +24,13 @@ from spectral_renorm.experiments import (
     twist_rho_inverse,
 )
 from spectral_renorm.spectra import (
-    Measure1D,
+    Samples,
     arcsine_cdf,
-    cdf_distance,
     julia_backward,
     kolmogorov_to_cdf,
     preimage_levels,
     preimages,
+    sample_w1,
 )
 
 
@@ -327,11 +327,12 @@ def _reference_backward_levels(model, seed_point, n):
 def test_skew_cantor_matches_the_reference_loop_bit_for_bit(eta0, n):
     r = skew_cantor_experiment(eta0, n)
     pts = _reference_skew_points(eta0, n)
-    measure = Measure1D.from_samples(pts)
-    assert r["measure"] == measure
+    measure = Samples.of(pts)
+    assert r["measure"].points.tobytes() == measure.points.tobytes()
+    assert r["measure"].cumulative.tobytes() == measure.cumulative.tobytes()
     assert r["line_points"] == [(float(e), float(0.7 + 0.4 * e)) for e in pts[:64]]
     _, reference = julia_backward((1, -1, -3), 12)
-    assert r["w1_to_balanced"] == cdf_distance(measure, reference)
+    assert r["w1_to_balanced"] == sample_w1(measure, reference)
 
 
 @pytest.mark.parametrize("model,seed_point,n", [
@@ -349,11 +350,11 @@ def test_backward_series_match_the_reference_loops(model, seed_point, n):
             pts = np.concatenate(preimages((1.0, 0.0, 0.0), pts, "complex"))
             assert np.array_equal(np.sort_complex(pts), np.sort_complex(level))
     elif model == "cheb":
-        expected = [kolmogorov_to_cdf(Measure1D.from_samples(pts), arcsine_cdf)
+        expected = [kolmogorov_to_cdf(Samples.of(pts), arcsine_cdf)
                     for pts in levels]
     else:
         _, reference = julia_backward(CANTOR_BASE, 12)
-        expected = [cdf_distance(Measure1D.from_samples(pts), reference)
+        expected = [sample_w1(Samples.of(pts), reference)
                     for pts in levels]
     assert [row["distance"] for row in series] == expected
     assert [row["depth"] for row in series] == list(range(1, n + 1))

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -17,17 +18,17 @@ from spectral_renorm.pencils import assemble, builtin_scheme
 from spectral_renorm.spectra import (
     _CHEBYSHEV,
     _HANOI_FIBER,
-    CDF_ARRAY_MIN_ATOMS,
     DECIMATION_MAX_LEVEL,
     JULIA_WALKS,
+    KOLMOGOROV_BLOCK,
     Measure1D,
+    Samples,
     _atoms_of_both,
-    _cdf_distance_arrays,
-    _cdf_distance_loop,
     _dos_measure,
     _lift,
     _merge_equal,
     _pairwise_sum,
+    arcsine_cdf,
     cdf_distance,
     convergence_report,
     decimated_spectrum,
@@ -39,6 +40,7 @@ from spectral_renorm.spectra import (
     lamplighter_unborn_mass,
     preimages,
     repelling_fixed_point,
+    sample_w1,
     slice_point,
     tv_distance,
 )
@@ -199,9 +201,10 @@ def test_the_exact_defect_mass_sees_one_born_multiplicity_off_by_one(monkeypatch
 
 def test_atoms_merging():
     # equal values merge, and distinct values stay apart however close
-    assert Measure1D.from_samples([1.0, 1.0]) == Measure1D(points=(1.0,), counts=(2,))
-    m = Measure1D.from_samples([1.0 + 1e-12, 1.0])
-    assert m == Measure1D(points=(1.0, 1.0 + 1e-12), counts=(1, 1))
+    s = Samples.of([1.0, 1.0])
+    assert s.points.tolist() == [1.0] and s.cumulative.tolist() == [1.0]
+    s = Samples.of([1.0 + 1e-12, 1.0])
+    assert s.points.tolist() == [1.0, 1.0 + 1e-12] and s.cumulative.tolist() == [0.5, 1.0]
     lamp4 = dos("lamplighter", 4).measure
     top = [w for p, w in zip(lamp4.points, lamp4.weights) if abs(p - 4) < 1e-9]
     assert top and top[0] >= 1 / 16 - 1e-12
@@ -257,13 +260,18 @@ def _random_measure(rng, points):
                      counts=tuple(counts.astype(np.int64).tolist()))
 
 
-def test_cdf_distance_gives_the_same_bits_on_lists_and_on_arrays(monkeypatch):
-    """The list loop and the numpy form of ``cdf_distance`` agree bit for bit
-    on seeded measures from 1 atom to past ``CDF_ARRAY_MIN_ATOMS``, with
-    shared atoms and a 0.0 of one measure against a -0.0 of the other, and
-    the size of the two measures picks the form."""
-    from spectral_renorm import spectra
+def _samples_of(m):
+    """The ``Samples`` with the atoms of a ``Measure1D``: its running CDF is
+    numpy's cumulative sum of the masses c/total."""
+    return Samples(points=np.array(m.points),
+                   cumulative=np.cumsum(np.asarray(m.counts, dtype=np.int64) / m.total))
 
+
+def test_cdf_distance_gives_the_same_bits_on_lists_and_on_arrays():
+    """``cdf_distance``'s list loop on two ``Measure1D`` and ``sample_w1``'s
+    numpy form on the ``Samples`` of the same atoms agree bit for bit on
+    seeded measures from 1 to 3000 atoms, with shared atoms and a 0.0 of one
+    measure against a -0.0 of the other."""
     rng = np.random.default_rng(41)
     sizes = [*range(1, 12), *rng.integers(12, 3000, size=25).tolist(), 2047, 2048, 3000]
     for size in sizes:
@@ -273,14 +281,39 @@ def test_cdf_distance_gives_the_same_bits_on_lists_and_on_arrays(monkeypatch):
         points1, points2 = grid[first], grid[shared | ~first]
         points2[points2 == 0.0] = -0.0
         m1, m2 = _random_measure(rng, points1), _random_measure(rng, points2)
-        loop = _cdf_distance_loop(m1, m2)
-        assert _bits([loop]) == _bits([_cdf_distance_arrays(m1, m2)]), size
-        assert _bits([cdf_distance(m1, m2)]) == _bits([loop]), size
-    monkeypatch.setattr(spectra, "_cdf_distance_arrays", lambda m1, m2: "arrays")
-    half = CDF_ARRAY_MIN_ATOMS // 2
-    for n2, form in [(CDF_ARRAY_MIN_ATOMS - half, "arrays"), (CDF_ARRAY_MIN_ATOMS - half - 1, "loop")]:
-        m1, m2 = (_random_measure(rng, np.arange(n, dtype=float)) for n in (half, n2))
-        assert (cdf_distance(m1, m2) == "arrays") == (form == "arrays"), n2
+        arrays = sample_w1(_samples_of(m1), _samples_of(m2))
+        assert _bits([cdf_distance(m1, m2)]) == _bits([arrays]), size
+
+
+def _reference_kolmogorov(m, cdf):
+    """The per-atom loop that ``kolmogorov_to_cdf`` replaced."""
+    total = m.total
+    best = acc = 0.0
+    for p, c in zip(m.points, m.counts):
+        w = c / total
+        f = cdf(p)
+        best = max(best, abs(acc - f), abs(acc + w - f))
+        acc += w
+    return best
+
+
+@pytest.mark.parametrize("size", [1, 2, KOLMOGOROV_BLOCK - 1, KOLMOGOROV_BLOCK,
+                                  KOLMOGOROV_BLOCK + 1, 2 * KOLMOGOROV_BLOCK + 1])
+def test_kolmogorov_to_cdf_gives_the_same_bits_on_both_kinds(size):
+    """``kolmogorov_to_cdf`` reads a ``Measure1D`` and the ``Samples`` of
+    the same atoms, on both sides of a block boundary, and gives the bits
+    of the per-atom loop it replaced on each."""
+    rng = np.random.default_rng(size)
+    points = np.unique(rng.uniform(-1.2, 1.2, size=size))
+    while len(points) < size:  # a repeated draw: top up with fresh points
+        points = np.unique(np.append(points, rng.uniform(-1.2, 1.2, size - len(points))))
+    counts = rng.integers(1, 6, size=size)
+    m = Measure1D(points=tuple(points.tolist()), counts=tuple(counts.tolist()))
+    s = Samples.of(rng.permutation(np.repeat(points, counts)))
+    assert len(s.points) == size
+    expected = _bits([_reference_kolmogorov(m, arcsine_cdf)])
+    assert _bits([kolmogorov_to_cdf(m, arcsine_cdf)]) == expected
+    assert _bits([kolmogorov_to_cdf(s, arcsine_cdf)]) == expected
 
 
 @pytest.mark.parametrize("fiber", [_HANOI_FIBER, _CHEBYSHEV, (0.7, 0.3, -2.5)],
@@ -309,9 +342,9 @@ def test_decimated_spectrum_is_the_array_form_bit_for_bit(group_tag, grig_slice)
     """The lists of ``decimated_spectrum`` hold the points of the array form
     it replaced, bit for bit (so -0.0 is not 0.0), with the same
     multiplicities, at every level."""
-    levels = decimated_spectrum(group_tag, DECIMATION_MAX_LEVEL, grig_slice)
-    for n, (points, mults) in enumerate(levels, 1):
-        ref_points, ref_mults = decimated_spectrum_numpy(group_tag, n, grig_slice)
+    levels = zip(decimated_spectrum(group_tag, DECIMATION_MAX_LEVEL, grig_slice),
+                 decimated_spectrum_numpy(group_tag, DECIMATION_MAX_LEVEL, grig_slice))
+    for n, ((points, mults), (ref_points, ref_mults)) in enumerate(levels, 1):
         assert np.array_equal(np.asarray(points, dtype=float).view(np.int64),
                               ref_points.view(np.int64)), n
         assert mults == ref_mults.tolist(), n
@@ -373,7 +406,7 @@ def _sample_grig_limit(rng, size):
 def test_grig_limit_sampler_matches_cdf():
     rng = np.random.default_rng(0)
     samples = _sample_grig_limit(rng, 40000)
-    emp = Measure1D.from_samples(samples)
+    emp = Samples.of(samples)
     assert kolmogorov_to_cdf(emp, grig_limit_cdf) < 0.02
 
 
@@ -398,7 +431,10 @@ def test_julia_backward_examples(tmp_path):
 def test_julia_random_walk_mode():
     pts, measure = julia_backward((1, -1, -3), 30, mode="random_walk", seed=1)
     assert len(pts) == JULIA_WALKS
-    assert measure.total == JULIA_WALKS
+    # the sample measure of the walks: their distinct points and running CDF
+    points, counts = np.unique(pts, return_counts=True)
+    assert _bits(measure.points) == _bits(points)
+    assert _bits(measure.cumulative) == _bits(list(accumulate(counts / JULIA_WALKS)))
 
 
 def _reference_inverse_both(a, b, c, w):
@@ -432,7 +468,7 @@ def _reference_julia(p, depth, mode, seed=0):
         for _ in range(depth):
             signs = np.where(rng.random(len(pts)) < 0.5, 1.0, -1.0)
             pts = _reference_inverse_pick(a, b, c, pts, signs)
-    return pts, Measure1D.from_samples(pts)
+    return pts, _reference_samples(pts)
 
 
 # (1, 0, -2.5): c < -2, so the Julia set of z^2 + c is a Cantor set on the real line
@@ -443,7 +479,8 @@ def test_julia_backward_matches_the_reference_steps_bit_for_bit(poly, mode, dept
     pts, measure = julia_backward(poly, depth, mode=mode, seed=3)
     ref_pts, ref_measure = _reference_julia(poly, depth, mode, seed=3)
     assert pts.dtype == ref_pts.dtype and pts.tobytes() == ref_pts.tobytes()
-    assert measure == ref_measure
+    assert _bits(measure.points) == _bits(ref_measure[0])
+    assert _bits(measure.cumulative) == _bits(ref_measure[1])
 
 
 def test_convergence_report_structure():
@@ -519,7 +556,7 @@ def test_tv_distance():
 
 
 # Plain loops that merge equal values and pair atoms by value: the references
-# of ``_merge_equal``, ``Measure1D.from_samples`` and ``tv_distance``.
+# of ``_merge_equal``, ``Samples.of`` and ``tv_distance``.
 
 
 def _reference_from_samples(values, counts):
@@ -533,6 +570,13 @@ def _reference_from_samples(values, counts):
             pts.append(float(v))
             sums.append(int(k))
     return pts, sums
+
+
+def _reference_samples(values):
+    """(points, running CDF) of the sample measure of ``values``: a value
+    seen k times among n adds k/n, summed in order."""
+    pts, counts = _reference_from_samples(values, np.ones(len(values), dtype=int))
+    return pts, list(accumulate(k / len(values) for k in counts))
 
 
 def _reference_tv_distance(m1, m2):
@@ -567,20 +611,20 @@ def test_from_samples_merges_equal_values_like_the_reference_loop(distinct, data
     values = data.draw(st.permutations(values))
     weights = data.draw(st.lists(st.integers(1, 2 ** 40), min_size=len(values),
                                  max_size=len(values)))
-    # integer weights: the merge itself, on the values sorted as from_samples sorts them
+    # integer weights: the merge itself, on the values sorted as Samples.of sorts them
     order = np.argsort(values, kind="stable")
     pts, sums = _merge_equal(np.asarray(values)[order], np.asarray(weights)[order])
     ref_pts, ref_sums = _reference_from_samples(values, weights)
     assert _bits(pts) == _bits(ref_pts)
     assert np.asarray(sums).tolist() == ref_sums
-    # a value seen k times among N has weight k/N
-    got = Measure1D.from_samples(values)
-    ref_pts, ref_counts = _reference_from_samples(values, np.ones(len(values), dtype=int))
+    # a value seen k times among N adds k/N to the running CDF
+    got = Samples.of(values)
+    ref_pts, ref_cumulative = _reference_samples(values)
     assert _bits(got.points) == _bits(ref_pts)
-    assert got.counts == tuple(ref_counts)
-    assert _bits(got.weights) == _bits([k / len(values) for k in ref_counts])
-    with pytest.raises(ValueError, match="at least one atom"):
-        Measure1D.from_samples([])
+    assert _bits(got.cumulative) == _bits(ref_cumulative)
+    for bad in ([], [*values, math.nan], [math.inf, *values], [-math.inf, *values]):
+        with pytest.raises(ValueError, match="at least one sample, all finite"):
+            Samples.of(bad)
 
 
 @settings(max_examples=100, deadline=None)
