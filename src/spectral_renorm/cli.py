@@ -28,6 +28,7 @@ OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or NUMEXPR_NUM_THREADS is set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -374,24 +375,42 @@ def _write(args, artifacts: dict) -> None:
     writes it at the path it is given (every svg and pgm, and the csv of
     ``potential-grid``), or by suffix: csv a ``(header, columns)`` pair,
     json its object.  An ``--out`` that cannot be made or written is bad
-    input, not an internal error."""
+    input, not an internal error.
+
+    A run that fails while writing leaves no artifact: every file it wrote
+    or began to write is removed, and so is each directory it made that is
+    left empty, before the error goes on to ``main``."""
     from spectral_renorm import output
 
     writers = {"csv": lambda path, table: output.write_csv(path, *table),
                "json": output.write_json}
     wanted = set(args.format.split(",")) | {"pgm"}
     out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    started = []
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, content in artifacts.items():
             suffix = name.rsplit(".", 1)[1]
             if suffix in wanted:
+                path = out / name
+                started.append(path)
                 if callable(content):
-                    content(out / name)
+                    content(path)
                 else:
-                    writers[suffix](out / name, content)
-    except OSError as exc:
-        raise BudgetError(f"cannot write --out {args.out}: {exc.strerror}") from None
+                    writers[suffix](path, content)
+    except BaseException as exc:
+        for path in started:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+        if isinstance(exc, OSError):
+            raise BudgetError(f"cannot write --out {args.out}: {exc.strerror}") from None
+        raise
 
 
 def _series(stem: str, rows: list, x: str, title: str) -> dict:

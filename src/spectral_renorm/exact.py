@@ -8,9 +8,11 @@ little fill (a Markowitz search for pivots cost more than it saved).  Only
 the nonzeros are stored and touched; it also takes a matrix whose rows are
 already ``{column: entry}`` dicts of nonzeros, as ``pencils.assemble``
 builds them.  The elimination is fraction-free: each row is kept as
-integers with content 1 times one exact ``Fraction`` scale, and a row update
-cross-multiplies and divides out the row's new content, so no entry is a
-``Fraction`` and none needs a gcd of its own.
+integers with content 1 times a scale held as an integer numerator and
+denominator, and a row update cross-multiplies, divides out the row's new
+content and multiplies it into the scale, so no entry and no scale is a
+``Fraction`` and none needs a gcd of its own.  A scale is reduced once, when
+its row becomes a pivot.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def det_exact(matrix: Sequence) -> Fraction:
     pivots = _pivots(matrix)
     if pivots is None:
         return Fraction(0)
-    det = Fraction(_permutation_sign({r: c for r, c, _ in pivots}))
+    det = _permutation_sign({r: c for r, c, _ in pivots})
     for _r, _c, value in pivots:
         det *= value
     return det
@@ -88,15 +90,19 @@ def _pivots(matrix: Sequence):
     cancel to an exact 0 are deleted, so a singular matrix empties a column
     by the last step at the latest.
 
-    Row i is stored as integers with content 1 and one exact scale
-    ``scales[i]``: its entries are the scale times the stored integers.
-    Eliminating with a pivot p cross-multiplies, row <- (p/g) row - (a/g)
-    pivot_row with a the row's entry in the pivot column and g = gcd(a, p),
-    then divides out the row's content, so no entry is ever a ``Fraction``.
+    Row i is stored as integers with content 1 and a scale
+    ``nums[i] / dens[i]`` of two ints: its entries are the scale times the
+    stored integers.  Eliminating with a pivot p cross-multiplies, row <-
+    (p/g) row - (a/g) pivot_row with a the row's entry in the pivot column and
+    g = gcd(a, p), then divides out the row's content c: ``nums[i]`` takes
+    the factor c and ``dens[i]`` the factor p/g, unreduced.  So no entry and
+    no row update makes a ``Fraction``; a pivot's value is the one reduced
+    ``Fraction`` of its row's scale times p.
     """
     n = len(matrix)
     rows = []
-    scales = []
+    nums = []
+    dens = []
     for row in matrix:
         entries = _nonzeros(row, n)
         den = lcm(*(x.denominator for x in entries.values()))
@@ -105,7 +111,8 @@ def _pivots(matrix: Sequence):
         if content > 1:
             ints = {j: v // content for j, v in ints.items()}
         rows.append(ints)
-        scales.append(Fraction(content, den))
+        nums.append(content)
+        dens.append(den)
     cols = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
@@ -117,7 +124,7 @@ def _pivots(matrix: Sequence):
         r = min(cols[c], key=lambda i: (len(rows[i]), i))
         pivot_row = rows[r]
         p = pivot_row.pop(c)
-        pivots.append((r, c, scales[r] * p))
+        pivots.append((r, c, Fraction(nums[r] * p, dens[r])))
         cols[c].discard(r)
         for j in pivot_row:
             cols[j].discard(r)
@@ -143,7 +150,8 @@ def _pivots(matrix: Sequence):
                     cols[j].add(i)
                 else:
                     cols[j].discard(i)
-            scales[i] = scales[i] * content / pa
+            nums[i] *= content
+            dens[i] *= pa
     return pivots
 
 

@@ -747,6 +747,33 @@ def test_an_out_that_cannot_be_a_directory_exits_2_naming_out(tmp_path, capsys):
         assert "--out" in json.loads(captured.err)["error"]
 
 
+@pytest.mark.parametrize("error,status", [(OSError(28, "No space left on device"), 2),
+                                          (RuntimeError("a defect"), 3)],
+                         ids=["oserror-exits-2", "defect-exits-3"])
+def test_a_failing_writer_leaves_none_of_the_runs_artifacts(error, status, tmp_path, capsys,
+                                                            monkeypatch):
+    from spectral_renorm import output
+
+    def failing_json(path, obj):
+        assert (path.parent / "spectrum_hanoi_n3.csv").exists()  # the csv came first
+        path.write_text("{")
+        raise error
+
+    monkeypatch.setattr(output, "write_json", failing_json)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "earlier.txt").write_text("from an earlier run\n")
+    command = ["spectrum", "--group", "hanoi", "--level", "3", "--format", "csv,json,svg"]
+    assert main(command + ["--out", str(kept)]) == status
+    assert [f.name for f in kept.iterdir()] == ["earlier.txt"]
+    assert (kept / "earlier.txt").read_text() == "from an earlier run\n"
+    fresh = tmp_path / "fresh" / "out"
+    assert main(command + ["--out", str(fresh)]) == status
+    assert not (tmp_path / "fresh").exists()
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and all("error" in json.loads(line) for line in errors)
+
+
 # a cheap run of every subcommand; experiment has two kinds of artifacts
 FORMAT_CASES = [
     ["spectrum", "--group", "hanoi", "--level", "3"],

@@ -177,7 +177,7 @@ def bareiss_det(matrix):
 def test_det_exact_matches_bareiss_on_pencils(name, level):
     s = builtin_scheme(name)
     rng = random.Random(11)
-    for _ in range(2):
+    for _ in range(3):
         lam = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
         mu = Fraction(rng.randint(-100, 100), rng.randint(1, 100))
         rows = assemble(s, level, lam, mu)
@@ -188,6 +188,44 @@ def test_det_exact_matches_bareiss_on_pencils(name, level):
     first = _pivots(m)
     assert first is not None and len(first) == len(m)
     assert _pivots([row[:] for row in m]) == first
+
+
+@pytest.mark.parametrize("name,level,lam,mu", [
+    ("lamplighter", 6, Fraction(7, 3), Fraction(7, 3)),  # mu - lam = 0
+    ("hanoi", 4, Fraction(5, 2), Fraction(3, 2)),  # lam^2 - (1 + mu)^2 = 0
+], ids=["lamplighter", "hanoi"])
+def test_the_elimination_empties_a_column_on_a_factor_zero(name, level, lam, mu):
+    rows = assemble(builtin_scheme(name), level, lam, mu)
+    assert _pivots(rows) is None
+    assert fraction_pivots(densify(rows)) is None
+    assert det_exact(rows) == 0
+
+
+def test_a_determinant_makes_no_fraction_per_row_update(monkeypatch):
+    # lamplighter 6 takes about 640 row updates; the elimination may make a
+    # Fraction per input nonzero and two per pivot (its value and the product)
+    rows = assemble(builtin_scheme("lamplighter"), 6, Fraction(-37, 11), Fraction(52, 17))
+    expected = det_exact(rows)
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if "_from_coprime_ints" in vars(Fraction):  # Python 3.12 on: arithmetic bypasses __new__
+        from_coprime = Fraction._from_coprime_ints
+
+        def counting_from_coprime(cls, numerator, denominator):
+            made.append(cls)
+            return from_coprime(numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_from_coprime))
+    det = det_exact(rows)
+    monkeypatch.undo()
+    assert det == expected
+    assert len(made) <= sum(map(len, rows)) + 2 * len(rows)
 
 
 def test_schur_complement_identity_and_examples():
