@@ -76,6 +76,15 @@ BUDGETS = {
 }
 
 
+# Caps of a --surface-json surface, checked on the file before any exact
+# work: its point count (a random 24-point surface takes 1.6-2.1 s, most of it
+# the characteristic polynomial) and the largest absolute row sum of its F_*,
+# which bounds every eigenvalue and so the integer-root search (0.2 s of trial
+# division at 10^6).  At both caps the characteristic polynomial's coefficients
+# stay below 10^160, in float range.
+SURFACE_JSON_BUDGET = {"max_points": 24, "max_row_sum": 10 ** 6}
+
+
 def _check_budgets(args) -> None:
     """Refuse an option above its cap in ``BUDGETS``, naming the flag; a
     level range is checked by its two ends."""
@@ -248,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalues and atoms of one level")
     p.add_argument("--group", required=True, choices=GROUPS)
     p.add_argument("--level", type=_at_least(1), required=True)
-    p.add_argument("--grig-slice", type=float, default=-1.0)
+    p.add_argument("--grig-slice", type=float, default=None,
+                   help="the slice line lam = GRIG_SLICE of grigorchuk (default -1)")
     common(p)
 
     p = sub.add_parser("dos-compare", help="convergence diagnostics across levels")
@@ -427,7 +437,10 @@ def _series(stem: str, rows: list, x: str, title: str) -> dict:
 def cmd_spectrum(args) -> tuple[int, dict]:
     from spectral_renorm import output, spectra
 
-    result = spectra.dos(args.group, args.level, args.grig_slice)
+    if args.grig_slice is not None and args.group != "grigorchuk":
+        raise BudgetError(f"argument --grig-slice: not allowed with --group {args.group}")
+    result = spectra.dos(args.group, args.level,
+                         -1.0 if args.grig_slice is None else args.grig_slice)
     m = result.measure
     stem = f"spectrum_{args.group}_n{args.level}"
     title = f"{args.group} level {args.level}"
@@ -529,8 +542,11 @@ def cmd_cohomology(args) -> tuple[int, dict]:
         raise BudgetError(f"argument --surface-json: not allowed with argument {other}")
     status = 0
     if args.surface_json:
-        data = json.loads(_read_input(args.surface_json))
-        action = cohomology.action_from_json(data)
+        try:
+            action = cohomology.action_from_json(json.loads(_read_input(args.surface_json)),
+                                                 **SURFACE_JSON_BUDGET)
+        except ValueError as exc:
+            raise BudgetError(f"argument --surface-json: {exc}") from None
         report = {
             "surface": "custom",
             "signature": list(action.surface.signature()),

@@ -58,7 +58,8 @@ class BlowupSurface:
         return (_sign_changes(cp), _sign_changes([c * (-1) ** i for i, c in enumerate(cp)]))
 
     def det(self) -> int:
-        return int(det_exact(self.intersection))
+        return int(det_exact([{j: v for j, v in enumerate(row) if v}
+                              for row in self.intersection]))
 
 
 def _apply(m: Sequence[Sequence[int]], v: Sequence[int]) -> list:
@@ -88,12 +89,14 @@ def surface(incidences: Sequence[bool], basis: str = "adapted") -> BlowupSurface
     )
 
 
-def action_from_json(data) -> "MapAction":
+def action_from_json(data, max_points: int, max_row_sum: int) -> "MapAction":
     """Surface and pushforward from a JSON-style dict:
     {"k": 2, "incidences": [true, true], "F_star": [[...], ...], "d_top": 1,
     "basis": "adapted"}; all but "incidences" and "F_star" are optional, and
     "d_top" is checked but not used.  Data of another shape raises
-    ``ValueError`` naming the key.
+    ``ValueError`` naming the key, and so does, before any exact work, a
+    surface of more than ``max_points`` points or whose F_* has a
+    ``_root_bound`` above ``max_row_sum``.
     """
     if not isinstance(data, dict):
         raise ValueError("surface JSON must be an object")
@@ -112,7 +115,19 @@ def action_from_json(data) -> "MapAction":
     inc = data["incidences"]
     if "k" in data and data["k"] != len(inc):
         raise ValueError("k does not match the incidence list")
+    if len(inc) > max_points:
+        raise ValueError(f"{len(inc)} 'incidences' are above the budget of {max_points} points")
+    bound = _root_bound(data["F_star"])
+    if bound > max_row_sum:
+        raise ValueError(f"the largest absolute row sum of 'F_star', {bound}, is above "
+                         f"the budget {max_row_sum}")
     return map_action(surface(inc, data.get("basis", "adapted")), data["F_star"])
+
+
+def _root_bound(push: Sequence[Sequence[int]]) -> int:
+    """The largest absolute row sum of F_*.  No eigenvalue of F_* exceeds it
+    in modulus, nor one of F^* = I^-1 F_*^T I, which has the same ones."""
+    return max((sum(abs(v) for v in row) for row in push), default=0)
 
 
 def _adapted_intersection(inc: Sequence[bool]) -> list:
@@ -156,7 +171,7 @@ def map_action(x: BlowupSurface, f_star: Sequence[Sequence[int]]) -> MapAction:
             out_row.append(int(v))
         pull.append(out_row)
     cp = charpoly([[Fraction(v) for v in row] for row in pull])
-    rho, jordan = _spectral_data(pull, cp)
+    rho, jordan = _spectral_data(pull, cp, _root_bound(push))
     return MapAction(
         surface=x,
         push=tuple(tuple(r) for r in push),
@@ -166,10 +181,10 @@ def map_action(x: BlowupSurface, f_star: Sequence[Sequence[int]]) -> MapAction:
     )
 
 
-def _spectral_data(pull: list, cp: list) -> tuple:
-    # deflate the exact integer roots first; numeric root-finding on the
-    # remainder avoids the ill-conditioning of multiple roots
-    int_roots = integer_roots(cp)
+def _spectral_data(pull: list, cp: list, bound: int) -> tuple:
+    # deflate the exact integer roots, none above ``bound``, first; numeric
+    # root-finding on the remainder avoids the ill-conditioning of multiple roots
+    int_roots = integer_roots(cp, bound)
     den = lcm(*(c.denominator for c in cp))
     rest = [int(c * den) for c in cp]
     for r in int_roots:

@@ -1,18 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of lists of ``Fraction``.  ``det_exact`` is the one
-exact determinant: sparse Gaussian elimination over Q with the columns in
-descending index.  The pencils it serves are sums of a few permutation
-matrices in the Schreier tree's vertex order, where this fixed order makes
-little fill (a Markowitz search for pivots cost more than it saved).  Only
-the nonzeros are stored and touched; it also takes a matrix whose rows are
-already ``{column: entry}`` dicts of nonzeros, as ``pencils.assemble``
-builds them.  The elimination is fraction-free: each row is kept as
-integers with content 1 times a scale held as an integer numerator and
-denominator, and a row update cross-multiplies, divides out the row's new
-content and multiplies it into the scale, so no entry and no scale is a
-``Fraction`` and none needs a gcd of its own.  A scale is reduced once, when
-its row becomes a pivot.
+Matrices are plain lists of lists of ``Fraction``, except for ``det_exact``,
+the one exact determinant, which takes each row as a ``{column: entry}`` dict
+of its nonzeros, as ``pencils.assemble`` builds them, and reads the entries
+(ints or ``Fraction``s) as they are.  It is sparse Gaussian elimination over
+Q with the columns in descending index.  The pencils it serves are sums of a
+few permutation matrices in the Schreier tree's vertex order, where this
+fixed order makes little fill (a Markowitz search for pivots cost more than
+it saved).  The elimination is fraction-free: each row is kept as integers
+with content 1 times a scale held as an integer numerator and denominator,
+and a row update cross-multiplies, divides out the row's new content and
+multiplies it into the scale, so no entry and no scale is a ``Fraction`` and
+none needs a gcd of its own.  A scale is reduced once, when its row becomes
+a pivot.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ def mat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
     return out
 
 
-def det_exact(matrix: Sequence) -> Fraction:
+def det_exact(matrix: Sequence[dict]) -> Fraction:
     """Exact determinant of a square rational matrix by sparse elimination
     over Q.
 
-    Each row is a dense sequence of entries or a ``{column: entry}`` dict of
-    its nonzeros.  Only the nonzeros are stored.  The columns are eliminated
+    Row i is the dict ``{column: entry}`` of its nonzeros, each entry an int
+    or a ``Fraction``; the rows are not changed.  The columns are eliminated
     in descending index, each with its live row of fewest nonzeros as the
     pivot row.  The result is correct for any square matrix; only its speed
     depends on the order.  It is the sign of the row-to-column pivot
@@ -66,24 +66,10 @@ def det_exact(matrix: Sequence) -> Fraction:
     return det
 
 
-def _nonzeros(row, n: int) -> dict:
-    """The nonzeros ``{column: Fraction}`` of a row of an n x n matrix,
-    given dense or as a dict of entries."""
-    if isinstance(row, dict):
-        if not all(0 <= j < n for j in row):
-            raise ValueError("matrix is not square")
-        entries = row.items()
-    elif len(row) == n:
-        entries = enumerate(row)
-    else:
-        raise ValueError("matrix is not square")
-    return {j: Fraction(x) for j, x in entries if x}
-
-
-def _pivots(matrix: Sequence):
+def _pivots(matrix: Sequence[dict]):
     """Pivots ``(row, col, value)`` of the sparse elimination of a square
-    matrix, its rows dense or dicts of nonzeros, in elimination order, or
-    ``None`` once a column empties (the matrix is singular).
+    matrix given as ``{column: entry}`` dicts of nonzeros, in elimination
+    order, or ``None`` once a column empties (the matrix is singular).
 
     The columns go in descending index, and each column's pivot is its live
     row with the fewest nonzeros, ties to the lowest row.  Entries that
@@ -104,9 +90,8 @@ def _pivots(matrix: Sequence):
     nums = []
     dens = []
     for row in matrix:
-        entries = _nonzeros(row, n)
-        den = lcm(*(x.denominator for x in entries.values()))
-        ints = {j: x.numerator * (den // x.denominator) for j, x in entries.items()}
+        den = lcm(*(x.denominator for x in row.values()))
+        ints = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
         content = gcd(*ints.values())
         if content > 1:
             ints = {j: v // content for j, v in ints.items()}
@@ -255,8 +240,10 @@ def charpoly(a: FracMatrix) -> list:
     return coeffs
 
 
-def integer_roots(coeffs: Sequence[Fraction]) -> list:
-    """All integer roots (with multiplicity) of a rational polynomial."""
+def integer_roots(coeffs: Sequence[Fraction], bound: int) -> list:
+    """All integer roots (with multiplicity) of a rational polynomial that
+    lie in [-bound, bound]: the divisors of the constant term up to ``bound``
+    are tried, so the search takes at most ``bound`` trial divisions."""
     den = lcm(*(Fraction(c).denominator for c in coeffs))
     ints = [int(Fraction(c) * den) for c in coeffs]
     while ints and ints[-1] == 0:
@@ -269,19 +256,18 @@ def integer_roots(coeffs: Sequence[Fraction]) -> list:
     roots = [0] * shift
     core = ints[shift:]
     const = abs(core[0])
-    divisors = set()
-    d = 1
-    while d * d <= const:
-        if const % d == 0:
-            divisors.update((d, -d, const // d, -(const // d)))
-        d += 1
-    for cand in sorted(divisors, key=abs):
-        while len(core) > 1:
-            try:
-                core = poly_deflate(core, cand)
-            except ValueError:  # not a root (again)
-                break
-            roots.append(cand)
+    for d in range(1, min(bound, const) + 1):
+        if len(core) == 1:
+            break
+        if const % d:
+            continue
+        for cand in (d, -d):
+            while len(core) > 1:
+                try:
+                    core = poly_deflate(core, cand)
+                except ValueError:  # not a root (again)
+                    break
+                roots.append(cand)
     return sorted(roots)
 
 

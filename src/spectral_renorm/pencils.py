@@ -141,7 +141,8 @@ def assemble(scheme: PencilScheme, n: int, lam, mu) -> list:
 
     Rational and float points give exact ``Fraction`` entries; ``MultiPoly``
     variables give entries in Q[lam, mu] (small levels only).  Entries that
-    cancel are left out.  ``det_exact`` eliminates these rows as they are.
+    cancel are left out.  These rows are ``det_exact``'s one input format:
+    it reads them as they are, with no copy or conversion of an entry.
     """
     terms = pencil_terms(scheme, n)
     lam, mu = (x if isinstance(x, MultiPoly) else Fraction(x) for x in (lam, mu))

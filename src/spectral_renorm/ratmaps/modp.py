@@ -1,17 +1,19 @@
 """Polynomial arithmetic over F_p for primes p below 2^31.
 
-Coefficient vectors run from the lowest degree up and hold residues in
-[0, p) as numpy int64, and no int64 operation overflows: products split
-one factor into 16-bit halves (``mul``), division updates f - c·g with
-0 <= c, g < p < 2^31 stay above -2^62, and sums and scalings of residues
-stay below 2^62.
+Every routine takes and returns coefficient vectors that run from the
+lowest degree up and hold residues in [0, p) as numpy int64; reducing
+integers mod p is the caller's business.  No int64 operation overflows:
+products split one factor into 16-bit halves (``mul``), division updates
+f - c·g with 0 <= c, g < p < 2^31 stay above -2^62, and sums and scalings of
+residues stay below 2^62.
 
 ``FormModP``, the package's one binary-form type, is a form in (s, t) over
 F_p with the operations that ``MultiPoly.subs`` uses, so restricting a map
 to a line mod p is a substitution like any other.  ``cancel_common_factor``
-divides a triple of forms by their gcd (``_common_factor``: the powers of s
-and t, then ``gcd`` of the cores).  Degree growth along lines (``degrees``)
-runs on these, and so does the coprimality certificate of the builtin maps
+divides a triple of forms by their gcd: the powers of s and t it reads off
+the forms' zero runs, and the rest is the ``gcd`` of the cores, each divided
+out by ``_divmod``.  Degree growth along lines (``degrees``) runs on these,
+and so does the coprimality certificate of the builtin maps
 (``verification``).  The exact integer forms and their PRS gcd are the
 tests' oracle (``tests/exact_reference.py``).
 
@@ -78,12 +80,13 @@ def mul(a, b, p: int) -> np.ndarray:
     return (low + (high << 16)) % p
 
 
-def _rem(f, g, p: int, quotient: list | None = None):
-    """Remainder of numpy int64 coefficient vectors mod p; the quotient's
-    coefficients go into ``quotient`` (of length len(f) - len(g) + 1) when
-    it is given."""
+def _divmod(f, g, p: int) -> tuple:
+    """Quotient and remainder of the residue vectors f / g mod p, g's last
+    coefficient nonzero; the remainder has no zero top coefficients, so it
+    is empty when g divides f."""
     dg = len(g) - 1
     inv = pow(int(g[-1]), -1, p)
+    quotient = np.zeros(max(len(f) - dg, 0), dtype=np.int64)
     f = f.copy()
     top = len(f)
     while top - 1 >= dg:
@@ -92,41 +95,19 @@ def _rem(f, g, p: int, quotient: list | None = None):
             factor = lead * inv % p
             shift = top - 1 - dg
             f[shift: top] = (f[shift: top] - factor * g) % p
-            if quotient is not None:
-                quotient[shift] = factor
+            quotient[shift] = factor
         top -= 1
         while top and not f[top - 1]:
             top -= 1
-    return f[:top]
+    return quotient, f[:top]
 
 
-def gcd(f: Sequence[int], g: Sequence[int], p: int) -> list:
-    """Monic gcd mod p of two integer coefficient lists."""
-    a = np.array([c % p for c in f], dtype=np.int64)
-    b = np.array([c % p for c in g], dtype=np.int64)
-    a = a[: _top(a)]
-    b = b[: _top(b)]
-    while len(b):
-        a, b = b, _rem(a, b, p)
-    inv = pow(int(a[-1]), -1, p)
-    return [int(c) * inv % p for c in a]
-
-
-def _top(arr) -> int:
-    n = len(arr)
-    while n and not arr[n - 1]:
-        n -= 1
-    return n
-
-
-def divexact(f, g, p: int) -> np.ndarray:
-    """Quotient f / g of residue vectors mod p (g's last coefficient
-    nonzero); raises ``ValueError`` when g does not divide f."""
-    quotient = [0] * (len(f) - len(g) + 1)
-    if len(quotient) < 1 or len(_rem(np.array(f, dtype=np.int64),
-                                     np.array(g, dtype=np.int64), p, quotient)):
-        raise ValueError("not an exact polynomial division mod p")
-    return np.array(quotient, dtype=np.int64)
+def gcd(f, g, p: int) -> np.ndarray:
+    """Monic gcd mod p of two residue vectors, each empty or with its last
+    coefficient nonzero, not both empty."""
+    while len(g):
+        f, g = g, _divmod(f, g, p)[1]
+    return f * pow(int(f[-1]), -1, p) % p
 
 
 class FormModP:
@@ -166,14 +147,11 @@ class FormModP:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "FormModP":
-        result = FormModP([1], 0, self.p)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        """The unit form ``f ** 0``, the one power ``MultiPoly.subs`` asks
+        for: it builds the others as products."""
+        if n != 0:
+            raise ValueError("a form mod p has only the power 0")
+        return FormModP([1], 0, self.p)
 
     def __add__(self, other: "FormModP") -> "FormModP":
         if self.is_zero():
@@ -188,62 +166,37 @@ class FormModP:
 def cancel_common_factor(forms: Sequence[FormModP]) -> list:
     """The forms divided by the gcd of the nonzero ones (not all zero).
 
-    The gcd is t^a s^b g with g prime to s and t (``_common_factor``),
-    so each form drops a leading and b trailing zero coefficients, and only
-    its core, the part between its own zero runs, is divided by g.
+    The gcd is t^a s^b g with g prime to s and t: a is the fewest leading
+    and b the fewest trailing zero coefficients of a nonzero form, and g is
+    the ``gcd`` of the cores, the parts between each form's zero runs.  So
+    each form drops a leading and b trailing zeros, and only its core is
+    divided by g.  A division that leaves a remainder raises
+    ``ArithmeticError``: g divides every core, so that is a defect.
     """
     p = forms[0].p
-    t_ord, core, s_ord = _common_factor([f.coeffs for f in forms if not f.is_zero()],
-                                        lambda a, b: gcd(a, b, p))
-    drop = t_ord + len(core) - 1 + s_ord
-    if drop == 0:
-        return list(forms)
-    out = []
-    for f in forms:
-        if f.is_zero():
-            out.append(f)
-            continue
-        lead, trail = _leading_zeros(f.coeffs), _trailing_zeros(f.coeffs)
-        quotient = f.coeffs[lead: len(f.coeffs) - trail]
-        if len(core) > 1:  # a constant core would only rescale the triple
-            quotient = divexact(quotient, core, p)
-        out.append(FormModP(np.pad(quotient, (lead - t_ord, trail - s_ord)), f.degree - drop, p))
-    return out
-
-
-def _common_factor(coeff_lists: Sequence, core_gcd) -> tuple:
-    """The common factor t^a s^b g of nonzero binary forms, given by their
-    coefficient lists, as (a, g's coefficients, b).
-
-    Factors of t and s correspond to leading/trailing zero coefficients; g
-    is the univariate ``core_gcd`` of the cores, the parts between each
-    list's zero runs.
-    """
-    t_ord = min(_leading_zeros(c) for c in coeff_lists)
-    s_ord = min(_trailing_zeros(c) for c in coeff_lists)
-    cores = [c[_leading_zeros(c): len(c) - _trailing_zeros(c)] for c in coeff_lists]
+    spans = {}  # form index -> (start, end) of its core
+    for i, f in enumerate(forms):
+        if not f.is_zero():
+            nonzero = np.flatnonzero(f.coeffs)
+            spans[i] = (int(nonzero[0]), int(nonzero[-1]) + 1)
+    t_ord = min(start for start, _ in spans.values())
+    s_ord = min(len(forms[i].coeffs) - end for i, (_, end) in spans.items())
+    cores = [forms[i].coeffs[start: end] for i, (start, end) in spans.items()]
     g = cores[0]
     for core in cores[1:]:
-        g = core_gcd(g, core)
+        g = gcd(g, core, p)
         if len(g) == 1:
-            g = [1]
             break
-    return t_ord, list(g), s_ord
-
-
-def _leading_zeros(coeffs: Sequence[int]) -> int:
-    n = 0
-    for c in coeffs:
-        if c != 0:
-            break
-        n += 1
-    return n
-
-
-def _trailing_zeros(coeffs: Sequence[int]) -> int:
-    n = 0
-    for c in reversed(coeffs):
-        if c != 0:
-            break
-        n += 1
-    return n
+    drop = t_ord + len(g) - 1 + s_ord
+    if drop == 0:
+        return list(forms)
+    out = list(forms)
+    for (i, (start, end)), quotient in zip(spans.items(), cores):
+        if len(g) > 1:  # a constant gcd would only rescale the triple
+            quotient, remainder = _divmod(quotient, g, p)
+            if len(remainder):
+                raise ArithmeticError("the gcd mod p leaves a remainder")
+        f = forms[i]
+        out[i] = FormModP(np.pad(quotient, (start - t_ord, len(f.coeffs) - end - s_ord)),
+                          f.degree - drop, p)
+    return out

@@ -4,7 +4,8 @@
 matrix.  ``fraction_pivots`` is the sparse elimination in descending column
 order with every entry a ``Fraction``; ``exact._pivots`` keeps integer rows
 with one scale each and must return the same pivots.  ``densify``
-turns ``pencils.assemble``'s rows of nonzeros into the dense matrix.
+turns ``pencils.assemble``'s rows of nonzeros into the dense matrix, and
+``nonzero_rows`` a dense matrix into rows of nonzeros.
 ``det_symbolic`` expands polynomial determinants by cofactors, ``schur_complement`` splits a
 rational matrix into blocks, ``slice_matrix`` is the sliced pencil as a
 dense float matrix for the eigensolver, ``decimated_spectrum_numpy`` is
@@ -16,14 +17,15 @@ directly.
 counterpart of ``modp.FormModP``: ``MultiPoly.subs`` restricts a map to a
 line with either.  ``poly_gcd_int`` is the primitive-PRS gcd of integer
 polynomials (over ``_pseudo_rem``, ``_primitive_int`` and the schoolbook
-``_poly_mul_int``), and ``binary_forms_gcd`` the gcd of integer forms; the
+``_poly_mul_int``), and ``binary_forms_gcd`` the gcd of integer forms,
+with the powers of s and t read off their zero runs by ``_forms_gcd``; the
 tests check the coprimality certificate of ``verification`` against it
-line by line.
+line by line.  None of these calls the F_p layer.
 
 ``iterate_line_forms`` is the exact integer iteration of a map along a line
 that ``degrees.degrees_mod_p`` runs over F_p: after each step it divides the
 integer forms by their gcd (``modular_poly_gcd_int``: modular images of the
-cores recombined by CRT and checked by exact trial division, with the
+cores, ``modp.gcd`` of their ``residues``, recombined by CRT and checked by exact trial division, with the
 primitive PRS as the fallback) and by their joint content.
 ``degrees_along_line_int`` reads its degrees.
 
@@ -113,6 +115,12 @@ def fraction_pivots(matrix):
                     del row[j]
                     cols[j].discard(i)
     return pivots
+
+
+def nonzero_rows(matrix: Sequence[Sequence]) -> list:
+    """The rows of a dense square matrix as ``{column: entry}`` dicts of
+    nonzeros, the input of ``det_exact``; the inverse of ``densify``."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
 
 
 def densify(rows: Sequence[dict]) -> list:
@@ -402,13 +410,34 @@ def _strip_to_deg(coeffs: list, degree: int) -> list:
 
 
 def binary_forms_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
-    """Gcd of binary forms of a common degree (``modp._common_factor`` with
-    the primitive-PRS gcd of the cores)."""
+    """Gcd of binary forms of a common degree (``_forms_gcd`` with the
+    primitive-PRS gcd of the cores)."""
     forms = [f for f in forms if not f.is_zero()]
     if not forms:
         return BinaryForm([], -1)
-    t_ord, g, s_ord = modp._common_factor([f.coeffs for f in forms], poly_gcd_int)
-    return BinaryForm([0] * t_ord + g + [0] * s_ord)
+    return _forms_gcd(forms, poly_gcd_int)
+
+
+def _forms_gcd(forms: Sequence[BinaryForm], core_gcd) -> BinaryForm:
+    """Gcd t^a s^b g of nonzero integer binary forms of a common degree.
+
+    A power of t is a run of zero coefficients at the front of the list and
+    a power of s one at the back, so a and b are the shortest such runs; g
+    is ``core_gcd`` of the cores, what is left of each list between its runs.
+    """
+    fronts, backs, cores = [], [], []
+    for f in forms:
+        nonzero = [k for k, c in enumerate(f.coeffs) if c]
+        fronts.append(nonzero[0])
+        backs.append(len(f.coeffs) - 1 - nonzero[-1])
+        cores.append(f.coeffs[nonzero[0]: nonzero[-1] + 1])
+    g = cores[0]
+    for core in cores[1:]:
+        g = core_gcd(g, core)
+        if len(g) == 1:
+            g = [1]
+            break
+    return BinaryForm([0] * min(fronts) + list(g) + [0] * min(backs))
 
 
 def eval_binary_form(form: BinaryForm, s, t):
@@ -443,9 +472,7 @@ def _reduced_step(map_: RationalMapP2, forms: list) -> list:
     forms = [c.subs(forms) for c in map_.components]
     if all(f.is_zero() for f in forms):
         raise ValueError("line collapsed into the indeterminacy locus")
-    t_ord, core, s_ord = modp._common_factor([f.coeffs for f in forms if not f.is_zero()],
-                                        modular_poly_gcd_int)
-    g = BinaryForm([0] * t_ord + core + [0] * s_ord)
+    g = _forms_gcd([f for f in forms if not f.is_zero()], modular_poly_gcd_int)
     if g.degree > 0:
         forms = [f if f.is_zero() else binary_form_divexact(f, g) for f in forms]
     return _joint_primitive(forms)
@@ -483,6 +510,11 @@ def modular_poly_gcd_int(f: Sequence[int], g: Sequence[int]) -> list:
     return poly_gcd_int(f, g)
 
 
+def residues(coeffs: Sequence[int], p: int) -> np.ndarray:
+    """An integer coefficient list mod p, as the residue vector ``modp`` takes."""
+    return np.array([c % p for c in coeffs], dtype=np.int64)
+
+
 def _crt_list(res1: list, m1: int, res2: list, p2: int) -> list:
     # combine coefficient lists x = res1 mod m1, x = res2 mod p2
     inv = pow(m1 % p2, p2 - 2, p2)
@@ -506,7 +538,7 @@ def _try_modular_gcd(f: list, g: list) -> list | None:
     for p in modp.primes(96):
         if f[-1] % p == 0 or g[-1] % p == 0:
             continue
-        img = modp.gcd(f, g, p)
+        img = modp.gcd(residues(f, p), residues(g, p), p).tolist()
         deg = len(img) - 1
         if deg == 0:
             return [1]

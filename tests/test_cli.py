@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 from test_reachability import SURFACE
 
 from spectral_renorm import cli
-from spectral_renorm.cli import BUDGETS, main
+from spectral_renorm.cli import BUDGETS, SURFACE_JSON_BUDGET, main
 from spectral_renorm.output import (
     CSV_CHUNK_ROWS,
     _jsonable,
@@ -580,6 +581,9 @@ BAD_INPUT = [
     (None, ["cohomology", "--surface-json", "{tmp}/surface.json", "--check"]),
     ("surface = hanoi4", ["cohomology", "--surface-json", "{tmp}/surface.json"]),
     ("check = true", ["cohomology", "--surface-json", "{tmp}/surface.json"]),
+    (None, ["spectrum", "--group", "hanoi", "--level", "3", "--grig-slice", "nan"]),
+    (None, ["spectrum", "--group", "lamplighter", "--level", "3", "--grig-slice", "-1"]),
+    ("grig_slice = -1", ["spectrum", "--group", "hanoi", "--level", "3"]),
 ]
 
 
@@ -652,6 +656,10 @@ def test_every_cost_cap_is_a_row_of_the_budget_table():
     assert not caps, "a cap outside cli.BUDGETS:\n" + "\n".join(caps)
 
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 @pytest.mark.parametrize("text, named", [
     ("[1, 2]", "object"),
     ('{"k": 2}', "'incidences'"),
@@ -671,6 +679,12 @@ def test_every_cost_cap_is_a_row_of_the_budget_table():
      "'k'"),
     ('{"incidences": [true, true], "F_star": [[0, 1, 1], [0, 1, 0], [0, 1, 1]], "d_top": false}',
      "'d_top'"),
+    # one above each cap of a surface
+    (json.dumps({"incidences": [True, False],
+                 "F_star": [[0, 0, SURFACE_JSON_BUDGET["max_row_sum"] + 1], [0, 1, 0],
+                            [1, 0, 0]]}), "'F_star'"),
+    (json.dumps({"incidences": [False] * (SURFACE_JSON_BUDGET["max_points"] + 1),
+                 "F_star": identity(SURFACE_JSON_BUDGET["max_points"] + 2)}), "'incidences'"),
 ])
 def test_a_malformed_surface_json_exits_2_naming_the_key(text, named, tmp_path, capsys):
     (tmp_path / "surface.json").write_text(text)
@@ -680,6 +694,26 @@ def test_a_malformed_surface_json_exits_2_naming_the_key(text, named, tmp_path, 
     assert captured.out == "" and captured.err.count("\n") == 1
     assert named in json.loads(captured.err)["error"]
     assert not (tmp_path / "out").exists()
+
+
+def test_a_surface_json_is_refused_above_its_caps_at_once_and_admitted_at_them(tmp_path):
+    """The integer-root search once ran up to the square root of the
+    characteristic polynomial's constant term, so the first F_* here did not
+    finish in 20 s.  Its largest absolute row sum is above the cap."""
+    points, row_sum = SURFACE_JSON_BUDGET["max_points"], SURFACE_JSON_BUDGET["max_row_sum"]
+
+    def run(incidences, f_star):
+        (tmp_path / "surface.json").write_text(json.dumps(
+            {"incidences": incidences, "F_star": f_star}))
+        return main(["cohomology", "--surface-json", str(tmp_path / "surface.json"),
+                     "--out", str(tmp_path / "out")])
+
+    start = time.perf_counter()
+    assert run([True, False], [[1000003, 7, 0], [5, 999983, 2], [0, 3, 1000033]]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not (tmp_path / "out").exists()
+    assert run([True, False], [[0, 0, row_sum], [0, 1, 0], [1, 0, 0]]) == 0
+    assert run([False] * points, identity(points + 1)) == 0
 
 
 @pytest.mark.parametrize("levels", ["3..", "x", "3..5..7"])
@@ -726,6 +760,12 @@ def test_grig_slice_beyond_its_bound_is_refused_by_name(tmp_path, capsys):
      "config levels: '3..4' has fewer than 3 levels to fit a rate"),
     ("levels = 5..3", ["dos-compare", "--group", "hanoi"],
      "config levels: '5..3' has fewer than 3 levels to fit a rate"),
+    (None, ["spectrum", "--group", "hanoi", "--level", "3", "--grig-slice", "nan"],
+     "argument --grig-slice: not allowed with --group hanoi"),
+    (None, ["spectrum", "--group", "lamplighter", "--level", "3", "--grig-slice", "-1"],
+     "argument --grig-slice: not allowed with --group lamplighter"),
+    ("grig_slice = -1", ["spectrum", "--group", "hanoi", "--level", "3"],
+     "argument --grig-slice: not allowed with --group hanoi"),
 ])
 def test_a_malformed_window_or_poly_is_refused_by_name(config, command, named, tmp_path,
                                                        capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from exact_reference import bareiss_det_int
+from spectral_renorm.cli import SURFACE_JSON_BUDGET
 from spectral_renorm.cohomology import (
     SURFACES,
     _adjoint_ok,
@@ -99,7 +100,7 @@ def test_jordan_block_counts_only_eigenvalues_of_modulus_rho():
     # Jordan block sits at 1, below the simple rho = (3 + sqrt 5)/2
     action = action_from_json({"incidences": [False, False, False], "basis": "standard",
                                "F_star": [[1, 0, 0, 0], [-1, 1, 0, 0], [0, 0, 0, 1],
-                                          [0, 0, -1, 3]]})
+                                          [0, 0, -1, 3]]}, **SURFACE_JSON_BUDGET)
     assert action.pull == ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 0, -1), (0, 0, 1, 3))
     assert float(action.spectral_radius) == pytest.approx((3 + 5 ** 0.5) / 2)
     assert not action.jordan_block

@@ -4,18 +4,21 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from exact_reference import BinaryForm, _poly_mul_int, poly_divexact_int, poly_gcd_int
+from exact_reference import (
+    BinaryForm,
+    _poly_mul_int,
+    bareiss_det_int,
+    poly_divexact_int,
+    poly_gcd_int,
+    residues,
+)
 from spectral_renorm.ratmaps import modp
 from spectral_renorm.ratmaps.maps import builtin_map
 
 P = modp.primes(2)
-
-
-def residues(coeffs, p):
-    return np.array([c % p for c in coeffs], dtype=np.int64)
 
 
 def test_prime_table_holds_the_largest_primes_below_2_31():
@@ -82,7 +85,7 @@ def test_product_refuses_factors_that_could_overflow():
 
 
 @pytest.mark.parametrize("p", P)
-def test_gcd_and_exact_quotient_match_the_integer_ones(p):
+def test_gcd_and_divmod_match_the_integer_ones(p):
     rng = random.Random(5)
     for _ in range(20):
         g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 30))] + [rng.randint(1, 9)]
@@ -91,13 +94,16 @@ def test_gcd_and_exact_quotient_match_the_integer_ones(p):
         f, h = _poly_mul_int(g, a), _poly_mul_int(g, b)
         exact = poly_gcd_int(f, h)
         monic = residues(exact, p) * pow(exact[-1], -1, p) % p
-        assert modp.gcd(f, h, p) == monic.tolist()
-        quotient = modp.divexact(residues(f, p), residues(exact, p), p)
+        got = modp.gcd(residues(f, p), residues(h, p), p)
+        assert got.dtype == np.int64 and got.tolist() == monic.tolist()
+        quotient, remainder = modp._divmod(residues(f, p), residues(exact, p), p)
         assert quotient.tolist() == residues(poly_divexact_int(f, exact), p).tolist()
-    with pytest.raises(ValueError, match="exact"):
-        modp.divexact(residues([1, 0, 1], p), residues([1, 1], p), p)
-    with pytest.raises(ValueError, match="exact"):
-        modp.divexact(residues([1], p), residues([1, 1], p), p)
+        assert len(remainder) == 0
+    # x^2 + 1 = (x - 1)(x + 1) + 2, and 1 = 0 (x + 1) + 1
+    for f, quotient, remainder in (([1, 0, 1], [-1, 1], [2]), ([1], [], [1])):
+        got = modp._divmod(residues(f, p), residues([1, 1], p), p)
+        assert [r.tolist() for r in got] == [residues(quotient, p).tolist(),
+                                             residues(remainder, p).tolist()]
 
 
 @pytest.mark.parametrize("name", ("R_G", "R_H", "model_skew"))
@@ -128,3 +134,46 @@ def test_cancel_strips_the_powers_of_s_and_t_and_divides_the_cores():
     kept = modp.cancel_common_factor([zero, modp.FormModP(residues([1, 1], p), 1, p),
                                       modp.FormModP(residues([1, 0], p), 1, p)])
     assert kept[0].is_zero() and [f.coeffs.tolist() for f in kept[1:]] == [[1, 1], [1, 0]]
+
+
+def sylvester_resultant(a, b):
+    """Resultant of two binary forms of one degree m >= 1, given by their
+    integer coefficient lists: the determinant of their Sylvester matrix.
+    It vanishes mod p exactly when the forms share a factor over F_p."""
+    m = len(a) - 1
+    return bareiss_det_int([[0] * k + f + [0] * (m - 1 - k) for f in (a, b) for k in range(m)])
+
+
+@st.composite
+def planted_factors(draw):
+    """A prime p, residue forms (a, b, c) of one degree with a and b coprime
+    mod p (c may be zero), and the coefficients of a factor s^i t^j g with g
+    prime to s and t: its j leading and i trailing zeros frame g."""
+    p = draw(st.sampled_from(P))
+    residue, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+    m = draw(st.integers(1, 5))
+    a, b, c = (draw(st.lists(residue, min_size=m + 1, max_size=m + 1)) for _ in range(3))
+    assume(sylvester_resultant(a, b) % p)
+    k = draw(st.integers(0, 4))
+    g = [draw(unit)] + ([*draw(st.lists(residue, min_size=k - 1, max_size=k - 1)), draw(unit)]
+                        if k else [])
+    i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return p, (a, b, c), [0] * j + g + [0] * i
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_factors())
+def test_cancelling_a_planted_factor_gives_a_scalar_times_the_coprime_triple(case):
+    p, triple, factor = case
+    forms = [modp.FormModP(residues(_poly_mul_int(f, factor), p), len(f) + len(factor) - 2, p)
+             for f in triple]
+    out = modp.cancel_common_factor(forms)
+    a = triple[0]
+    first = next(k for k, c in enumerate(a) if c)
+    scalar = int(out[0].coeffs[first]) * pow(a[first], -1, p) % p
+    for got, f in zip(out, triple):
+        if any(f):
+            assert got.degree == len(f) - 1
+            assert got.coeffs.tolist() == residues([scalar * c for c in f], p).tolist()
+        else:
+            assert got.is_zero()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import json
 import math
 import random
 import subprocess
@@ -21,6 +22,7 @@ from exact_reference import (
     iterate_line_forms,
     potential,
 )
+from spectral_renorm.cli import main
 from spectral_renorm.pencils import builtin_scheme
 from spectral_renorm.ratmaps import modp
 from spectral_renorm.ratmaps.degrees import (
@@ -251,6 +253,29 @@ def test_dynamical_degree_gives_the_reference_degrees_for_every_seed():
         m = builtin_map(name)
         for seed in range(200):
             assert dynamical_degree(m, 4, 3, seed)["degrees"] == reference[:4], (name, seed)
+
+
+def test_dynamical_degree_gives_python_int_degrees():
+    # the degrees come from numpy's zero runs; an int64 would reach the JSON
+    for name in ("R_G", "R_H", "H_inv"):
+        result = dynamical_degree(builtin_map(name), 4, 2)
+        assert [type(d) for d in result["degrees"]] == [int] * 4, name
+
+
+def test_a_gcd_that_leaves_a_remainder_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    """A gcd mod p that does not divide the forms is a defect, not a
+    degenerate line: ``dyndeg`` exits 3 instead of dropping the line."""
+    gcd, calls = modp.gcd, []
+
+    def planted(f, g, p):
+        # s + t for both gcds of the first cancellation, which divides no
+        # generic form's core
+        calls.append(p)
+        return np.array([1, 1], dtype=np.int64) if len(calls) <= 2 else gcd(f, g, p)
+
+    monkeypatch.setattr(modp, "gcd", planted)
+    assert main(["dyndeg", "--map", "R_H", "--iters", "4", "--out", str(tmp_path / "out")]) == 3
+    assert "ArithmeticError" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_contracted_curves_and_indeterminacy_reports():
