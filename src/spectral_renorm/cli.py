@@ -77,12 +77,12 @@ BUDGETS = {
 
 
 # Caps of a --surface-json surface, checked on the file before any exact
-# work: its point count (a random 24-point surface takes 1.6-2.1 s, most of it
-# the characteristic polynomial) and the largest absolute row sum of its F_*,
-# which bounds every eigenvalue and so the integer-root search (0.2 s of trial
-# division at 10^6).  At both caps the characteristic polynomial's coefficients
-# stay below 10^160, in float range.
-SURFACE_JSON_BUDGET = {"max_points": 24, "max_row_sum": 10 ** 6}
+# work: its point count (a random 40-point surface at the row-sum cap takes
+# 1.0-1.3 s, a 24-point one 0.4-0.6 s) and the largest absolute row sum of its
+# F_*, which bounds every eigenvalue and so the integer-root search (0.2 s of
+# trial division at 10^6).  At both caps the characteristic polynomial's
+# coefficients stay below 10^259, in float range.
+SURFACE_JSON_BUDGET = {"max_points": 40, "max_row_sum": 10 ** 6}
 
 
 def _check_budgets(args) -> None:

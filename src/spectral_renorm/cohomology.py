@@ -15,18 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from spectral_renorm.exact import (
     charpoly,
-    det_exact,
     identity,
     integer_roots,
-    mat_inverse,
     mat_mul,
     poly_deflate,
     rational_kernel,
+    solve_exact,
 )
 from spectral_renorm.ratmaps.maps import builtin_map
 
@@ -54,12 +52,13 @@ class BlowupSurface:
         exactly: its characteristic polynomial has only real roots, so
         Descartes' rule of signs counts the positive ones, and on p(-x) the
         negative ones."""
-        cp = charpoly([[Fraction(v) for v in row] for row in self.intersection])
+        cp = charpoly(self.intersection)
         return (_sign_changes(cp), _sign_changes([c * (-1) ** i for i, c in enumerate(cp)]))
 
     def det(self) -> int:
-        return int(det_exact([{j: v for j, v in enumerate(row) if v}
-                              for row in self.intersection]))
+        """(-1)^n times the constant coefficient of the form's characteristic
+        polynomial."""
+        return (-1) ** self.dim * charpoly(self.intersection)[0]
 
 
 def _apply(m: Sequence[Sequence[int]], v: Sequence[int]) -> list:
@@ -67,7 +66,7 @@ def _apply(m: Sequence[Sequence[int]], v: Sequence[int]) -> list:
     return [sum(a * b for a, b in zip(row, v)) for row in m]
 
 
-def _sign_changes(coeffs: Sequence[Fraction]) -> int:
+def _sign_changes(coeffs: Sequence[int]) -> int:
     signs = [c > 0 for c in coeffs if c]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
@@ -159,19 +158,16 @@ def map_action(x: BlowupSurface, f_star: Sequence[Sequence[int]]) -> MapAction:
     push = [[int(v) for v in row] for row in f_star]
     if len(push) != n or any(len(r) != n for r in push):
         raise ValueError("pushforward matrix has the wrong size")
-    i_frac = [[Fraction(v) for v in row] for row in x.intersection]
-    push_t = [[Fraction(push[j][i]) for j in range(n)] for i in range(n)]
-    pull_frac = mat_mul(mat_inverse(i_frac), mat_mul(push_t, i_frac))
+    push_t = [list(col) for col in zip(*push)]
     pull = []
-    for row in pull_frac:
+    for row in solve_exact(x.intersection, mat_mul(push_t, x.intersection)):
         out_row = []
         for v in row:
             if v.denominator != 1:
                 raise ArithmeticError("pullback is not integral; intersection form mismatch")
             out_row.append(int(v))
         pull.append(out_row)
-    cp = charpoly([[Fraction(v) for v in row] for row in pull])
-    rho, jordan = _spectral_data(pull, cp, _root_bound(push))
+    rho, jordan = _spectral_data(pull, charpoly(pull), _root_bound(push))
     return MapAction(
         surface=x,
         push=tuple(tuple(r) for r in push),
@@ -185,8 +181,7 @@ def _spectral_data(pull: list, cp: list, bound: int) -> tuple:
     # deflate the exact integer roots, none above ``bound``, first; numeric
     # root-finding on the remainder avoids the ill-conditioning of multiple roots
     int_roots = integer_roots(cp, bound)
-    den = lcm(*(c.denominator for c in cp))
-    rest = [int(c * den) for c in cp]
+    rest = cp
     for r in int_roots:
         rest = poly_deflate(rest, r)
     numeric_max = 0.0
@@ -205,8 +200,8 @@ def _spectral_data(pull: list, cp: list, bound: int) -> tuple:
     jordan = False
     for lam in {r for r in int_roots if abs(r) == rho}:
         alg = int_roots.count(lam)
-        shifted = [[Fraction(v) - (Fraction(lam) if i == j else 0)
-                    for j, v in enumerate(row)] for i, row in enumerate(pull)]
+        shifted = [[v - (lam if i == j else 0) for j, v in enumerate(row)]
+                   for i, row in enumerate(pull)]
         geo = len(rational_kernel(shifted))
         if alg > geo:
             jordan = True
@@ -223,8 +218,8 @@ def invariant_classes(action: MapAction, d: int) -> dict:
     x = action.surface
     n = x.dim
     effective = identity(n)[1:]
-    shifted = [[Fraction(action.pull[i][j]) - (Fraction(d) if i == j else 0)
-                for j in range(n)] for i in range(n)]
+    shifted = [[action.pull[i][j] - (d if i == j else 0) for j in range(n)]
+               for i in range(n)]
     kernel = rational_kernel(shifted)
     candidates = []
     details = []
@@ -381,7 +376,7 @@ def verify_printed_matrices(name: str) -> dict:
     report: dict = {"surface": name}
     report["intersection_matches_printed"] = [list(r) for r in x.intersection] == row.intersection
     report["signature"] = x.signature()
-    report["signature_ok"] = x.signature() == (1, x.k)
+    report["signature_ok"] = report["signature"] == (1, x.k)
     report["unimodular"] = abs(x.det()) == 1
 
     report["pullback_matches_printed"] = [list(r) for r in action.pull] == row.pull

@@ -1,13 +1,17 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers and the rationals.
 
-Matrices are plain lists of lists of ``Fraction``, except for ``det_exact``,
-the one exact determinant, which takes each row as a ``{column: entry}`` dict
-of its nonzeros, as ``pencils.assemble`` builds them, and reads the entries
-(ints or ``Fraction``s) as they are.  It is sparse Gaussian elimination over
-Q with the columns in descending index.  The pencils it serves are sums of a
-few permutation matrices in the Schreier tree's vertex order, where this
-fixed order makes little fill (a Markowitz search for pivots cost more than
-it saved).  The elimination is fraction-free: each row is kept as integers
+Dense matrices are plain lists of lists (or tuples) of ints: ``identity``,
+``mat_mul`` and ``charpoly`` stay in Z, and ``charpoly``'s one division per
+step is exact.  ``solve_exact`` and ``rational_kernel`` take rational
+entries and row-reduce over Q, the one place a dense matrix holds
+``Fraction``s.  ``det_exact``, the exact determinant of the pencils, takes
+each row as a ``{column: entry}`` dict of its nonzeros, as
+``pencils.assemble`` builds them, and reads the entries (ints or
+``Fraction``s) as they are.  It is sparse Gaussian elimination over Q with
+the columns in descending index.  The pencils it serves are sums of a few
+permutation matrices in the Schreier tree's vertex order, where this fixed
+order makes little fill (a Markowitz search for pivots cost more than it
+saved).  The elimination is fraction-free: each row is kept as integers
 with content 1 times a scale held as an integer numerator and denominator,
 and a row update cross-multiplies, divides out the row's new content and
 multiplies it into the scale, so no entry and no scale is a ``Fraction`` and
@@ -21,16 +25,16 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-FracMatrix = list  # list[list[Fraction]]
+Matrix = list  # list[list[int]]
 
 
-def identity(n: int) -> FracMatrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def identity(n: int) -> Matrix:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: FracMatrix, b: FracMatrix) -> FracMatrix:
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
         for l in range(k):
@@ -179,7 +183,7 @@ def _row_reduce(rows: list, ncols: int) -> list:
     return pivots
 
 
-def solve_exact(a: FracMatrix, b: FracMatrix) -> FracMatrix:
+def solve_exact(a: Matrix, b: Matrix) -> list:
     """Solve a X = b exactly (b may have several columns).
 
     Raises ``ValueError`` on a singular system.
@@ -192,11 +196,7 @@ def solve_exact(a: FracMatrix, b: FracMatrix) -> FracMatrix:
     return [row[n:] for row in aug]
 
 
-def mat_inverse(a: FracMatrix) -> FracMatrix:
-    return solve_exact(a, identity(len(a)))
-
-
-def rational_kernel(a: FracMatrix) -> list:
+def rational_kernel(a: Matrix) -> list:
     """Basis of the right kernel, each vector scaled to a primitive integer
     vector with positive leading entry."""
     rows = [list(map(Fraction, row)) for row in a]
@@ -224,28 +224,31 @@ def primitive_int_vector(vec: Sequence[Fraction]) -> list:
     return ints
 
 
-def charpoly(a: FracMatrix) -> list:
-    """Characteristic polynomial det(x I - A) by the Faddeev-LeVerrier
-    recurrence; returns coefficients [c_0, ..., c_n] lowest degree first."""
+def charpoly(a: Matrix) -> list:
+    """Characteristic polynomial det(x I - A) of an integer matrix by the
+    Faddeev-LeVerrier recurrence; returns integer coefficients
+    [c_0, ..., c_n] lowest degree first.  Each step divides -tr(A M_k) by k,
+    which is exact for an integer A; a remainder raises ``ArithmeticError``."""
     n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
     m = identity(n)
     for k in range(1, n + 1):
         m = mat_mul(a, m)
-        ck = -sum(m[i][i] for i in range(n)) / k
+        ck, rem = divmod(-sum(m[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError("charpoly needs an integer matrix")
         coeffs[n - k] = ck
         for i in range(n):
             m[i][i] += ck
     return coeffs
 
 
-def integer_roots(coeffs: Sequence[Fraction], bound: int) -> list:
-    """All integer roots (with multiplicity) of a rational polynomial that
+def integer_roots(coeffs: Sequence[int], bound: int) -> list:
+    """All integer roots (with multiplicity) of an integer polynomial that
     lie in [-bound, bound]: the divisors of the constant term up to ``bound``
     are tried, so the search takes at most ``bound`` trial divisions."""
-    den = lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(Fraction(c) * den) for c in coeffs]
+    ints = list(coeffs)
     while ints and ints[-1] == 0:
         ints.pop()
     if not ints:

@@ -109,25 +109,11 @@ def write_grid_csv(path, xs, ys, values) -> None:
                 fh.write(template % tuple(fields))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, str)) or obj is None:
-        return obj
-    ints, floats, arrays = _number_types()
-    if isinstance(obj, ints):
-        return int(obj)
-    if isinstance(obj, floats):
-        return float(obj)
-    if isinstance(obj, arrays):
-        return _jsonable(obj.tolist())
-    return str(obj)
-
-
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=1) + "\n")
+    """The report as ``json`` writes it: its values are JSON's own types,
+    tuples and floats (a numpy float64 is one), and any other value is a
+    ``TypeError``."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------

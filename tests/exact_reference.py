@@ -5,7 +5,9 @@ matrix.  ``fraction_pivots`` is the sparse elimination in descending column
 order with every entry a ``Fraction``; ``exact._pivots`` keeps integer rows
 with one scale each and must return the same pivots.  ``densify``
 turns ``pencils.assemble``'s rows of nonzeros into the dense matrix, and
-``nonzero_rows`` a dense matrix into rows of nonzeros.
+``nonzero_rows`` a dense matrix into rows of nonzeros.  ``fraction_charpoly``
+is the Faddeev-LeVerrier recurrence with every entry a ``Fraction``;
+``exact.charpoly`` runs it on integers with one exact division per step.
 ``det_symbolic`` expands polynomial determinants by cofactors, ``schur_complement`` splits a
 rational matrix into blocks, ``slice_matrix`` is the sliced pencil as a
 dense float matrix for the eigensolver, ``decimated_spectrum_numpy`` is
@@ -115,6 +117,25 @@ def fraction_pivots(matrix):
                     del row[j]
                     cols[j].discard(i)
     return pivots
+
+
+def fraction_charpoly(a) -> list:
+    """Characteristic polynomial det(x I - A) by the Faddeev-LeVerrier
+    recurrence over Q; returns coefficients [c_0, ..., c_n] lowest degree
+    first."""
+    n = len(a)
+    a = [[Fraction(v) for v in row] for row in a]
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum((a[i][l] * m[l][j] for l in range(n)), Fraction(0)) for j in range(n)]
+             for i in range(n)]
+        ck = -sum((m[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs[n - k] = ck
+        for i in range(n):
+            m[i][i] += ck
+    return coeffs
 
 
 def nonzero_rows(matrix: Sequence[Sequence]) -> list:

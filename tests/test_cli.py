@@ -20,10 +20,10 @@ from spectral_renorm import cli
 from spectral_renorm.cli import BUDGETS, SURFACE_JSON_BUDGET, main
 from spectral_renorm.output import (
     CSV_CHUNK_ROWS,
-    _jsonable,
     fmt,
     write_csv,
     write_grid_csv,
+    write_json,
     write_pgm16,
 )
 from spectral_renorm.pencils import builtin_scheme
@@ -161,38 +161,39 @@ def test_write_csv_refuses_columns_of_different_lengths(tmp_path):
         write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2, 3], np.array([0.5, 1.5])])
 
 
-# (value, fmt(value), _jsonable(value)); the types of the JSON values count,
-# so True must stay a bool and 1/3 a string
+# (value, fmt(value))
 SCALARS = [
-    (1, "1", 1),
-    (True, "true", True),
-    (False, "false", False),
-    (0.1, "0.10000000000000001", 0.1),
-    (Fraction(1, 3), "1/3", "1/3"),
-    ("s", "s", "s"),
-    (None, "None", None),
-    (np.int64(-3), "-3", -3),
-    (np.float64(2.5), "2.5", 2.5),
-    (np.bool_(True), "True", "True"),
-    (np.array([1.5, -0.0]), "[ 1.5 -0. ]", [1.5, -0.0]),
+    (1, "1"),
+    (True, "true"),
+    (False, "false"),
+    (0.1, "0.10000000000000001"),
+    (Fraction(1, 3), "1/3"),
+    ("s", "s"),
+    (None, "None"),
+    (np.int64(-3), "-3"),
+    (np.float64(2.5), "2.5"),
+    (np.bool_(True), "True"),
+    (np.array([1.5, -0.0]), "[ 1.5 -0. ]"),
 ]
 
 
-@pytest.mark.parametrize("value,text,plain", SCALARS)
-def test_fmt_and_jsonable_pin_each_kind_of_value(value, text, plain):
+@pytest.mark.parametrize("value,text", SCALARS)
+def test_fmt_pins_each_kind_of_value(value, text):
     assert fmt(value) == text
-    got = _jsonable(value)
-    assert (type(got), got) == (type(plain), plain)
-    if isinstance(plain, list):
-        assert [type(v) for v in got] == [float, float] and np.signbit(got[1])
 
 
 def test_a_zero_dimensional_array_is_rendered_as_its_scalar():
     assert fmt(np.array(1.5)) == "1.5"
-    # by fmt and in json, where tolist() gives the scalar
-    assert _jsonable(np.array(1.5)) == 1.5
-    assert _jsonable(np.array(3)) == 3 and type(_jsonable(np.array(3))) is int
-    assert _jsonable(np.array([[1, 2]])) == [[1, 2]]
+
+
+def test_write_json_writes_the_report_as_it_is(tmp_path):
+    # tuples are lists and a float64 is the float it subclasses; a value
+    # JSON has no type for is refused, not rendered as a string
+    write_json(tmp_path / "r.json", {"b": (1, True, None), "a": np.float64(2.5), "c": "1/3"})
+    assert (tmp_path / "r.json").read_text() == (
+        '{\n "a": 2.5,\n "b": [\n  1,\n  true,\n  null\n ],\n "c": "1/3"\n}\n')
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "f.json", {"rho": Fraction(1, 3)})
 
 
 def _whole_column_csv(path, header, columns):
@@ -246,6 +247,10 @@ def test_the_exact_subcommands_load_no_numpy(tmp_path):
             for g in ("grigorchuk", "lamplighter", "hanoi")]
     runs += [["cohomology", "--surface", name, "--check"] for name in SURFACES]
     runs += [["conjugacy-verify", "--samples", "20"]]
+    # an integer spectrum: the custom surface never reaches np.roots
+    (tmp_path / "surface.json").write_text(json.dumps(SURFACE))
+    runs += [["cohomology", "--surface-json", str(tmp_path / "surface.json"),
+              "--invariant-classes", "1"]]
     script = ("import json, sys\n"
               "from spectral_renorm.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n"

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_reference import bareiss_det_int, fraction_pivots, nonzero_rows
+from exact_reference import bareiss_det_int, fraction_charpoly, fraction_pivots, nonzero_rows
+from spectral_renorm.cohomology import SURFACES, BlowupSurface
 from spectral_renorm.exact import (
     _pivots,
     charpoly,
     det_exact,
     identity,
     integer_roots,
-    mat_inverse,
     mat_mul,
     rational_kernel,
     solve_exact,
@@ -225,7 +225,7 @@ def test_pivots_take_columns_in_descending_order_and_the_sparsest_row():
 
 def test_solve_and_inverse():
     a = frac_matrix([[2, 1], [1, 3]])
-    inv = mat_inverse(a)
+    inv = solve_exact(a, identity(2))
     assert mat_mul(a, inv) == frac_matrix([[1, 0], [0, 1]])
     x = solve_exact(a, [[Fraction(1)], [Fraction(0)]])
     assert mat_mul(a, x) == [[Fraction(1)], [Fraction(0)]]
@@ -236,7 +236,7 @@ def test_solve_and_inverse():
 @settings(max_examples=150, deadline=None)
 @given(sparse_int_matrix(max_n=6, bound=5), st.data())
 def test_row_reduction_solves_exactly_when_the_determinant_is_nonzero(rows, data):
-    # solve_exact, mat_inverse and rational_kernel share one row reduction
+    # solve_exact and rational_kernel share one row reduction
     a = frac_matrix(rows)
     n = len(rows)
     x = frac_matrix(data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2),
@@ -245,10 +245,10 @@ def test_row_reduction_solves_exactly_when_the_determinant_is_nonzero(rows, data
         with pytest.raises(ValueError):
             solve_exact(a, mat_mul(a, x))
         with pytest.raises(ValueError):
-            mat_inverse(a)
+            solve_exact(a, identity(n))
     else:
         assert solve_exact(a, mat_mul(a, x)) == x
-        assert mat_mul(a, mat_inverse(a)) == identity(n)
+        assert mat_mul(a, solve_exact(a, identity(n))) == identity(n)
     # integer entries of at most 5 on at most 6 rows: every nonzero singular
     # value is far above matrix_rank's tolerance
     rank = int(np.linalg.matrix_rank(np.array(rows, dtype=float)))
@@ -263,9 +263,9 @@ def test_row_reduction_solves_exactly_when_the_determinant_is_nonzero(rows, data
        st.integers(0, 7))
 def test_integer_roots_deflate_every_integer_root(roots, cofactor, bound):
     # cofactors without integer roots: 3, x^2 - 2, x^2 + x + 1
-    coeffs = [Fraction(c, 2) for c in cofactor]
+    coeffs = list(cofactor)
     for r in roots:  # times (x - r), lowest degree first
-        coeffs = [a - r * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
     assert integer_roots(coeffs, 6) == sorted(roots)
     assert integer_roots(coeffs, bound) == sorted(r for r in roots if abs(r) <= bound)
 
@@ -277,6 +277,36 @@ def test_rational_kernel():
     for vec in basis:
         for row in a:
             assert sum(r * v for r, v in zip(row, vec)) == 0
+
+
+def _form(rows):
+    """A surface whose intersection form is ``rows``, for its ``det``."""
+    n = len(rows)
+    return BlowupSurface(k=n - 1, incidences=(False,) * (n - 1), basis="standard",
+                         intersection=tuple(tuple(r) for r in rows), canonical=(0,) * n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_int_matrix())
+def test_charpoly_matches_the_fraction_recurrence(rows):
+    cp = charpoly(rows)
+    assert cp == fraction_charpoly(rows)
+    assert all(type(c) is int for c in cp)
+    assert _form(rows).det() == bareiss_det_int(rows)
+
+
+def test_charpoly_of_the_builtin_pullbacks_and_forms():
+    for row in SURFACES.values():
+        matrices = [row.push, row.pull, row.intersection]
+        matrices += [m for m in (row.involution, row.second_push, row.second_pull) if m]
+        for m in matrices:
+            assert charpoly(m) == fraction_charpoly(m)
+        assert _form(row.intersection).det() == bareiss_det_int(row.intersection)
+
+
+def test_charpoly_refuses_a_matrix_off_the_integers():
+    with pytest.raises(ArithmeticError):
+        charpoly([[Fraction(1, 2)]])
 
 
 def test_charpoly_and_integer_roots():
